@@ -1,5 +1,6 @@
-//! Campaign wall-clock benchmark, manifest runner and multi-process
-//! sharded-campaign coordinator.
+//! Campaign determinism check, manifest runner and multi-process
+//! sharded-campaign coordinator. (Performance is measured by the package in
+//! `benchmark/`, not here.)
 //!
 //! With no arguments, builds the Figure 11 scheme set (six scenarios on the
 //! scaled-down Clos fabric), runs it serially and then in parallel, verifies
@@ -11,15 +12,8 @@
 //! cargo run --release -p hpcc-bench --bin campaign [duration_ms] [load]
 //! cargo run --release -p hpcc-bench --bin campaign -- --manifest file.json
 //! cargo run --release -p hpcc-bench --bin campaign -- --dump-manifest [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --events-per-sec [out.json] \
-//!     [--baseline BENCH_hotpath.json] [--max-regress 0.15]
-//! cargo run --release -p hpcc-bench --bin campaign -- --bench
 //! cargo run --release -p hpcc-bench --bin campaign -- --cross-validate \
 //!     [--manifest f] [--tolerance 0.75] [--report out.json] [duration_ms]
-//! cargo run --release -p hpcc-bench --bin campaign -- --fluid-bench [out.json] \
-//!     [--min-fluid-speedup 100]
-//! cargo run --release -p hpcc-bench --bin campaign -- --scaling-curve [out.json] \
-//!     [--scaling-threads 1,2,4,8] [--verify-digest] [--min-parallel-speedup 1.6]
 //! cargo run --release -p hpcc-bench --bin campaign -- --shards N \
 //!     [--verify-serial] [--report out.json] [--manifest f] [duration_ms] [load]
 //! cargo run --release -p hpcc-bench --bin campaign -- --worker-shard i/N \
@@ -38,16 +32,7 @@
 //! `--manifest` runs a JSON campaign manifest (an array of ScenarioSpec
 //! objects, see `hpcc_core::scenario`) instead of the built-in scheme set;
 //! `--dump-manifest` prints the built-in campaign as such a manifest (a
-//! starting point for hand-edited grids); `--events-per-sec` runs the fixed
-//! hot-path smoke scenario and writes engine-throughput numbers to
-//! `BENCH_hotpath.json` (or the given path) so CI can track the perf
-//! trajectory — with `--baseline FILE` it additionally compares against a
-//! committed reference and exits non-zero when the measured events/sec
-//! regresses by more than `--max-regress` (default 0.15, i.e. 15%);
-//! `--bench` runs the dependency-free micro-benchmark suite (the port of
-//! the legacy Criterion benches: per-ACK congestion-control cost, raw
-//! engine throughput, miniature figure scenarios) and prints one line per
-//! benchmark.
+//! starting point for hand-edited grids).
 //!
 //! Backend cross-validation (see `hpcc_core::validate`):
 //!
@@ -57,25 +42,6 @@
 //!   (relative) or utilization (absolute) divergence exceeds `--tolerance`
 //!   (default 0.75). `--report` writes the canonical (digest-stable)
 //!   divergence JSON.
-//! * `--fluid-bench` — run the same grid and write fluid-backend throughput
-//!   numbers (wall-clock speedup over the packet engine, events/sec
-//!   equivalent) to `BENCH_fluid.json` (or the given path); with
-//!   `--min-fluid-speedup X` it exits non-zero when the fluid backend is
-//!   less than `X` times faster than the packet engine.
-//!
-//! Parallel-engine scaling suite (see `hpcc_sim::parallel`):
-//!
-//! * `--scaling-curve` — run the fixed scaling scenarios (two fat-tree
-//!   sizes, frozen workload) on the parallel partitioned engine at each
-//!   thread count in `--scaling-threads` (default `1,2,4,8`) and write the
-//!   events/sec curve to `BENCH_scaling.json` (or the given path). The file
-//!   records the host's core count next to every number: speedups are only
-//!   meaningful when `cores >= threads`. `--verify-digest` additionally
-//!   runs the sequential engine on every scenario and exits non-zero unless
-//!   each parallel output digest is bit-identical to it (the CI smoke
-//!   configuration); `--min-parallel-speedup X` exits non-zero when the
-//!   best measured speedup at the highest thread count is below `X`
-//!   (intended for multi-core perf machines, not the digest smoke).
 //!
 //! Distributed modes (see `hpcc_core::wire` for the JSONL schema and the
 //! determinism contract):
@@ -119,288 +85,19 @@
 //! * `--dump-fabric-manifest` — print the committed fabric smoke campaign
 //!   (`manifests/fabric_smoke.json`).
 
-use hpcc_core::campaign::digest_output;
 use hpcc_core::fabric;
 use hpcc_core::presets::{
-    corpus_sweep, fabric_smoke_campaign, fattree_fb_hadoop, fig11_campaign, validation_grid,
-    CORPUS_FILES,
+    corpus_sweep, fabric_smoke_campaign, fig11_campaign, validation_grid, CORPUS_FILES,
 };
 use hpcc_core::{wire, BackendSpec, Campaign, CcSpec, ScenarioSpec, ShardPlan, ValidationReport};
-use hpcc_sim::FlowControlMode;
 use hpcc_topology::FatTreeParams;
 use hpcc_types::Bandwidth;
 use hpcc_types::Duration;
-use std::hint::black_box;
 use std::io::Read as _;
 use std::process::{Command, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
-
-/// Events/sec of the `BinaryHeap` event queue on the smoke scenario, measured
-/// on the CI reference machine before the indexed-wheel engine landed. Kept
-/// so every BENCH_hotpath.json records the speedup against the same baseline.
-const BASELINE_BINARYHEAP_EVENTS_PER_SEC: f64 = 3_350_000.0;
-
-/// Run the fixed hot-path smoke scenario and write throughput numbers as
-/// JSON: events/sec, wall-clock, peak event-queue length. Returns the
-/// measured events/sec (for the `--baseline` regression guard).
-///
-/// The scenario is deliberately frozen (HPCC on the scaled-down Clos fabric,
-/// 0.5 load plus incast, 5 ms, seed 42): the numbers are only comparable over
-/// time if the workload never moves.
-fn run_hotpath_smoke(out_path: &str) -> f64 {
-    let spec = fattree_fb_hadoop(
-        "hotpath-smoke",
-        CcSpec::by_label("HPCC"),
-        FatTreeParams::small(),
-        0.5,
-        Duration::from_ms(5),
-        true,
-        FlowControlMode::Lossless,
-        42,
-    );
-    // Untimed warm-up run (page cache, branch predictors, allocator pools).
-    let warmup = spec.build().run();
-    let started = Instant::now();
-    let results = spec.build().run();
-    let wall = started.elapsed();
-    let out = &results.out;
-    assert_eq!(
-        digest_output(&warmup.out),
-        digest_output(out),
-        "smoke scenario must be deterministic"
-    );
-    let events_per_sec = out.events_processed as f64 / wall.as_secs_f64().max(1e-9);
-    let speedup = if BASELINE_BINARYHEAP_EVENTS_PER_SEC > 0.0 {
-        events_per_sec / BASELINE_BINARYHEAP_EVENTS_PER_SEC
-    } else {
-        0.0
-    };
-    let json = format!(
-        "{{\n  \"bench\": \"hotpath-smoke\",\n  \"scenario\": \"fig11 HPCC, small Clos, load 0.5 + incast, 5 ms, seed 42\",\n  \"events_processed\": {},\n  \"wall_seconds\": {:.6},\n  \"events_per_sec\": {:.0},\n  \"peak_event_queue_len\": {},\n  \"flows_completed\": {},\n  \"digest\": \"{:016x}\",\n  \"baseline_binaryheap_events_per_sec\": {:.0},\n  \"baseline_note\": \"heap engine on the machine that recorded the baseline; speedup is only meaningful on comparable hardware\",\n  \"speedup_vs_baseline\": {:.3}\n}}\n",
-        out.events_processed,
-        wall.as_secs_f64(),
-        events_per_sec,
-        out.peak_event_queue,
-        out.flows.len(),
-        digest_output(out),
-        BASELINE_BINARYHEAP_EVENTS_PER_SEC,
-        speedup,
-    );
-    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));
-    println!("{json}");
-    println!("wrote {out_path}");
-    events_per_sec
-}
-
-/// Compare a fresh events/sec measurement against a committed baseline
-/// JSON (the `BENCH_hotpath.json` written by a previous `--events-per-sec`
-/// run) and die when it regressed by more than `max_regress` (a fraction;
-/// 0.15 = 15%). Used by CI as the hot-path regression guard.
-fn check_baseline(measured: f64, baseline_path: &str, max_regress: f64) {
-    let text = std::fs::read_to_string(baseline_path)
-        .unwrap_or_else(|e| die(format!("cannot read baseline {baseline_path}: {e}")));
-    let doc = hpcc_core::json::JsonValue::parse(&text)
-        .unwrap_or_else(|e| die(format!("cannot parse baseline {baseline_path}: {e}")));
-    let baseline = doc
-        .require("events_per_sec")
-        .and_then(|v| v.as_f64())
-        .unwrap_or_else(|e| die(format!("{baseline_path}: {e}")));
-    if baseline.is_nan() || baseline <= 0.0 {
-        die(format!(
-            "{baseline_path}: events_per_sec {baseline} unusable"
-        ));
-    }
-    let floor = baseline * (1.0 - max_regress);
-    let change = measured / baseline - 1.0;
-    println!(
-        "hot-path regression guard: measured {measured:.0} events/sec vs baseline \
-         {baseline:.0} ({:+.1}%), floor {floor:.0} (max regress {:.0}%)",
-        change * 100.0,
-        max_regress * 100.0
-    );
-    if measured < floor {
-        die(format!(
-            "hot-path throughput regressed {:.1}% (> {:.0}% allowed) vs {baseline_path}",
-            -change * 100.0,
-            max_regress * 100.0
-        ));
-    }
-    println!("hot-path regression guard: OK");
-}
-
-/// One timed micro-benchmark line: run `iters` iterations of `body`, print
-/// ns/iteration (plus a caller-chosen throughput figure).
-fn bench_line(name: &str, iters: u64, mut body: impl FnMut() -> u64) {
-    // One untimed warm-up iteration.
-    let mut checksum = body();
-    let started = Instant::now();
-    for _ in 0..iters {
-        checksum = checksum.wrapping_add(body());
-    }
-    let wall = started.elapsed();
-    let ns_per_iter = wall.as_nanos() as f64 / iters as f64;
-    println!(
-        "bench {name:<28} {iters:>9} iters  {ns_per_iter:>12.1} ns/iter  (checksum {:x})",
-        checksum & 0xffff
-    );
-}
-
-/// The dependency-free micro-benchmark suite: ports of the legacy Criterion
-/// benches (`cc_algorithms`, `engine`, `figures`) onto plain `Instant`
-/// timing, so `campaign --bench` covers the same code paths without any
-/// external crate.
-fn run_bench() {
-    use hpcc_cc::{
-        build_cc, AckEvent, CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, TimelyConfig,
-    };
-    use hpcc_sim::{SimConfig, Simulator};
-    use hpcc_topology::{star, testbed_pod};
-    use hpcc_types::{Bandwidth, FlowId, FlowSpec, IntHeader, IntHopRecord, SimTime};
-
-    println!("== cc/on_ack: per-acknowledgement cost of each scheme ==");
-    let line = Bandwidth::from_gbps(100);
-    let rtt = Duration::from_us(13);
-    let schemes: Vec<(&str, CcAlgorithm)> = vec![
-        ("HPCC", CcAlgorithm::Hpcc(HpccConfig::default())),
-        (
-            "DCQCN",
-            CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(line)),
-        ),
-        (
-            "TIMELY",
-            CcAlgorithm::Timely(TimelyConfig::recommended(line, rtt)),
-        ),
-        ("DCTCP", CcAlgorithm::Dctcp(DctcpConfig::default())),
-    ];
-    for (name, alg) in &schemes {
-        let mut cc = build_cc(alg, line, rtt, 1000);
-        let mut int = IntHeader::new();
-        int.push_hop(
-            1,
-            IntHopRecord {
-                bandwidth: line,
-                ts: SimTime::from_us(10),
-                tx_bytes: 1_000_000,
-                rx_bytes: 1_000_000,
-                qlen: 10_000,
-            },
-        );
-        let mut seq = 0u64;
-        let mut ts = 10u64;
-        bench_line(&format!("cc/on_ack/{name}"), 1_000_000, || {
-            seq += 1000;
-            ts += 1;
-            let mut int2 = int;
-            int2.hops[0].ts = SimTime::from_us(ts);
-            int2.hops[0].tx_bytes += seq;
-            let ack = AckEvent {
-                now: SimTime::from_us(ts),
-                ack_seq: seq,
-                snd_nxt: seq + 100_000,
-                newly_acked: 1000,
-                ecn_echo: seq % 7 == 0,
-                rtt: Duration::from_us(15),
-                int: &int2,
-            };
-            cc.on_ack(black_box(&ack));
-            black_box(cc.state()).window
-        });
-    }
-
-    println!("== engine: raw simulated-event throughput ==");
-    // One 2 MB flow between two hosts on a star: raw forwarding throughput.
-    {
-        let mut events = 0u64;
-        let started = Instant::now();
-        let iters = 5;
-        for _ in 0..iters {
-            let topo = star(2, line, Duration::from_us(1));
-            let rtt = topo.suggested_base_rtt(1106);
-            let mut cfg = SimConfig::for_cc(CcAlgorithm::hpcc_default(), line, rtt);
-            cfg.end_time = SimTime::from_ms(10);
-            let hosts = topo.hosts().to_vec();
-            let mut sim = Simulator::new(topo, cfg);
-            sim.add_flow(FlowSpec::new(
-                FlowId(1),
-                hosts[0],
-                hosts[1],
-                2_000_000,
-                SimTime::ZERO,
-            ));
-            let out = sim.run();
-            assert_eq!(out.flows.len(), 1);
-            events += out.events_processed;
-        }
-        let rate = events as f64 / started.elapsed().as_secs_f64();
-        println!("bench engine/single_flow        {iters:>9} runs   {rate:>12.0} events/sec");
-    }
-    // N-to-1 incast on the testbed PoD: queueing, PFC, multi-hop paths.
-    for n in [4usize, 8] {
-        let mut events = 0u64;
-        let started = Instant::now();
-        let iters = 3;
-        for _ in 0..iters {
-            let topo = testbed_pod(Duration::from_us(1));
-            let bw = Bandwidth::from_gbps(25);
-            let rtt = topo.suggested_base_rtt(1106);
-            let mut cfg = SimConfig::for_cc(CcAlgorithm::hpcc_default(), bw, rtt);
-            cfg.end_time = SimTime::from_ms(5);
-            let hosts = topo.hosts().to_vec();
-            let mut sim = Simulator::new(topo, cfg);
-            for i in 0..n {
-                sim.add_flow(FlowSpec::new(
-                    FlowId(i as u64 + 1),
-                    hosts[8 + i],
-                    hosts[0],
-                    200_000,
-                    SimTime::ZERO,
-                ));
-            }
-            let out = sim.run();
-            assert_eq!(out.flows.len(), n);
-            events += out.events_processed;
-        }
-        let rate = events as f64 / started.elapsed().as_secs_f64();
-        println!("bench engine/incast_pod/{n:<8} {iters:>9} runs   {rate:>12.0} events/sec");
-    }
-
-    println!("== figures: miniature figure scenarios (shape-asserted) ==");
-    for (name, run) in [
-        (
-            "fig06_tx_vs_rx",
-            Box::new(|| {
-                let report = hpcc_bench::figures::fig06(1);
-                assert!(report.contains("HPCC-rxRate"));
-                report.len() as u64
-            }) as Box<dyn Fn() -> u64>,
-        ),
-        (
-            "fig13_reaction_modes",
-            Box::new(|| {
-                let report = hpcc_bench::figures::fig13(1);
-                assert!(report.contains("per-RTT"));
-                report.len() as u64
-            }),
-        ),
-        (
-            "tab_int_overhead",
-            Box::new(|| hpcc_bench::figures::tab_int_overhead().len() as u64),
-        ),
-        (
-            "fluid_convergence",
-            Box::new(|| hpcc_bench::figures::fluid_convergence().len() as u64),
-        ),
-    ] {
-        let started = Instant::now();
-        let len = run();
-        println!(
-            "bench figures/{name:<22} {:>9.3} ms/run   ({len} report bytes)",
-            started.elapsed().as_secs_f64() * 1e3
-        );
-    }
-}
 
 /// Exit with a usage/runtime error on stderr (workers keep stdout pure
 /// JSONL, so nothing diagnostic may ever go there).
@@ -421,19 +118,9 @@ struct Cli {
     expect: Option<usize>,
     verify_serial: bool,
     dump_manifest: bool,
-    events_per_sec: Option<Option<String>>,
-    baseline: Option<String>,
-    max_regress: f64,
-    bench: bool,
     dump_fluid_manifest: bool,
     cross_validate: bool,
     tolerance: f64,
-    fluid_bench: Option<Option<String>>,
-    min_fluid_speedup: Option<f64>,
-    scaling_curve: Option<Option<String>>,
-    scaling_threads: Option<Vec<u32>>,
-    verify_digest: bool,
-    min_parallel_speedup: Option<f64>,
     serve: Option<String>,
     join: Option<String>,
     spawn_workers: usize,
@@ -452,7 +139,6 @@ impl Cli {
     fn parse(args: &[String]) -> Cli {
         let mut cli = Cli {
             positional: vec![args[0].clone()],
-            max_regress: 0.15,
             tolerance: 0.75,
             ..Cli::default()
         };
@@ -503,10 +189,6 @@ impl Cli {
                     merging = true;
                     i += 1;
                 }
-                "--bench" => {
-                    cli.bench = true;
-                    i += 1;
-                }
                 "--cross-validate" => {
                     cli.cross_validate = true;
                     i += 1;
@@ -522,89 +204,6 @@ impl Cli {
                         .ok()
                         .filter(|x: &f64| x.is_finite() && *x > 0.0)
                         .unwrap_or_else(|| die(format!("bad tolerance {f:?}")));
-                    i += 2;
-                }
-                "--min-fluid-speedup" => {
-                    let f = value(i, "--min-fluid-speedup");
-                    cli.min_fluid_speedup = Some(
-                        f.parse()
-                            .ok()
-                            .filter(|x: &f64| x.is_finite() && *x > 0.0)
-                            .unwrap_or_else(|| die(format!("bad speedup floor {f:?}"))),
-                    );
-                    i += 2;
-                }
-                "--fluid-bench" => {
-                    // Optional output path, like --events-per-sec.
-                    match args.get(i + 1) {
-                        Some(next) if !next.starts_with("--") => {
-                            cli.fluid_bench = Some(Some(next.clone()));
-                            i += 2;
-                        }
-                        _ => {
-                            cli.fluid_bench = Some(None);
-                            i += 1;
-                        }
-                    }
-                }
-                "--scaling-curve" => {
-                    // Optional output path, like --events-per-sec.
-                    match args.get(i + 1) {
-                        Some(next) if !next.starts_with("--") => {
-                            cli.scaling_curve = Some(Some(next.clone()));
-                            i += 2;
-                        }
-                        _ => {
-                            cli.scaling_curve = Some(None);
-                            i += 1;
-                        }
-                    }
-                }
-                "--scaling-threads" => {
-                    let list = value(i, "--scaling-threads");
-                    let threads: Vec<u32> = list
-                        .split(',')
-                        .map(|t| {
-                            t.trim()
-                                .parse()
-                                .ok()
-                                .filter(|n| *n >= 1)
-                                .unwrap_or_else(|| {
-                                    die(format!("bad thread count {t:?} in {list:?}"))
-                                })
-                        })
-                        .collect();
-                    if threads.is_empty() {
-                        die(format!("empty thread list {list:?}"));
-                    }
-                    cli.scaling_threads = Some(threads);
-                    i += 2;
-                }
-                "--verify-digest" => {
-                    cli.verify_digest = true;
-                    i += 1;
-                }
-                "--min-parallel-speedup" => {
-                    let f = value(i, "--min-parallel-speedup");
-                    cli.min_parallel_speedup = Some(
-                        f.parse()
-                            .ok()
-                            .filter(|x: &f64| x.is_finite() && *x > 0.0)
-                            .unwrap_or_else(|| die(format!("bad speedup floor {f:?}"))),
-                    );
-                    i += 2;
-                }
-                "--baseline" => {
-                    cli.baseline = Some(value(i, "--baseline"));
-                    i += 2;
-                }
-                "--max-regress" => {
-                    let f = value(i, "--max-regress");
-                    cli.max_regress = f
-                        .parse()
-                        .ok()
-                        .filter(|x: &f64| x.is_finite() && *x > 0.0 && *x < 1.0)
-                        .unwrap_or_else(|| die(format!("bad regression fraction {f:?}")));
                     i += 2;
                 }
                 "--expect" => {
@@ -688,20 +287,6 @@ impl Cli {
                     cli.dump_fabric_manifest = true;
                     i += 1;
                 }
-                "--events-per-sec" => {
-                    // Optional output path: take the next arg unless it is
-                    // another flag.
-                    match args.get(i + 1) {
-                        Some(next) if !next.starts_with("--") => {
-                            cli.events_per_sec = Some(Some(next.clone()));
-                            i += 2;
-                        }
-                        _ => {
-                            cli.events_per_sec = Some(None);
-                            i += 1;
-                        }
-                    }
-                }
                 flag if flag.starts_with("--") => die(format!("unknown flag {flag}")),
                 other => {
                     if merging {
@@ -746,17 +331,14 @@ impl Cli {
         }
     }
 
-    /// The scenario grid for the cross-validation modes: a `--manifest`
-    /// when given, otherwise the built-in validation grid at
-    /// `[duration_ms]` (seed 42). The default duration differs by mode:
-    /// 2 ms keeps `--cross-validate` a fast gate, while `--fluid-bench`
-    /// uses 10 ms so the packet engine's cost dominates its fixed setup
-    /// overhead and the measured speedup reflects steady state.
-    fn grid_specs(&self, default_ms: u64) -> Vec<ScenarioSpec> {
+    /// The scenario grid for `--cross-validate`: a `--manifest` when given,
+    /// otherwise the built-in validation grid at `[duration_ms]` (seed 42;
+    /// the 2 ms default keeps the gate fast).
+    fn grid_specs(&self) -> Vec<ScenarioSpec> {
         if self.manifest.is_some() {
             self.build_campaign().specs().to_vec()
         } else {
-            let ms = hpcc_bench::arg_or(&self.positional, 1, default_ms);
+            let ms = hpcc_bench::arg_or(&self.positional, 1, 2u64);
             validation_grid(Duration::from_ms(ms), 42)
         }
     }
@@ -788,205 +370,6 @@ fn run_cross_validate(specs: &[ScenarioSpec], tolerance: f64, report_path: Optio
         std::process::exit(3);
     }
     println!("cross-validation: OK (tolerance {tolerance})");
-}
-
-/// Fluid-bench mode: run the validation grid on both backends and record
-/// the fluid backend's throughput — wall-clock speedup over the packet
-/// engine and events/sec equivalent (packet events the grid would have
-/// cost, per second of fluid wall time) — as JSON for CI trend tracking.
-fn run_fluid_bench(specs: &[ScenarioSpec], out_path: &str, min_speedup: Option<f64>) {
-    let report = ValidationReport::run(specs).unwrap_or_else(|e| die(format!("{e}")));
-    let packet_wall: f64 = report
-        .rows
-        .iter()
-        .map(|r| r.packet_wall.as_secs_f64())
-        .sum();
-    let fluid_wall: f64 = report.rows.iter().map(|r| r.fluid_wall.as_secs_f64()).sum();
-    let packet_events: u64 = report.rows.iter().map(|r| r.packet_events).sum();
-    let speedup = report.speedup();
-    let json = format!(
-        "{{\n  \"bench\": \"fluid-validation-grid\",\n  \"scenarios\": {},\n  \"packet_events\": {},\n  \"packet_wall_seconds\": {:.6},\n  \"fluid_wall_seconds\": {:.6},\n  \"speedup\": {:.1},\n  \"fluid_events_per_sec_equivalent\": {:.0},\n  \"max_slowdown_divergence\": {:.6},\n  \"max_utilization_divergence\": {:.6},\n  \"report_digest\": \"{:016x}\",\n  \"note\": \"wall times are host-dependent; the digest pins the deterministic part\"\n}}\n",
-        report.rows.len(),
-        packet_events,
-        packet_wall,
-        fluid_wall,
-        speedup,
-        report.fluid_events_per_sec_equivalent(),
-        report.max_slowdown_divergence(),
-        report.max_utilization_divergence(),
-        report.digest(),
-    );
-    std::fs::write(out_path, &json)
-        .unwrap_or_else(|e| die(format!("cannot write {out_path}: {e}")));
-    println!("{json}");
-    println!("wrote {out_path}");
-    if let Some(floor) = min_speedup {
-        if speedup < floor {
-            die(format!(
-                "fluid backend speedup {speedup:.1}x is below the required {floor}x"
-            ));
-        }
-        println!("fluid speedup gate: OK ({speedup:.1}x >= {floor}x)");
-    }
-}
-
-/// The frozen scaling-suite scenarios: the fat-tree sizes the curve sweeps
-/// (label, topology parameters, horizon). Like the hot-path smoke, the
-/// workload must never move or the numbers stop being comparable over time.
-fn scaling_scenarios() -> Vec<(&'static str, FatTreeParams, Duration)> {
-    let medium = FatTreeParams {
-        pods: 3,
-        tors_per_pod: 3,
-        aggs_per_pod: 3,
-        cores: 6,
-        hosts_per_tor: 6,
-        ..FatTreeParams::small()
-    };
-    vec![
-        (
-            "fat-tree-small",
-            FatTreeParams::small(),
-            Duration::from_ms(2),
-        ),
-        ("fat-tree-medium", medium, Duration::from_ms(1)),
-    ]
-}
-
-/// Scaling-curve mode: run the frozen scaling scenarios on the parallel
-/// partitioned engine at each requested thread count and write the
-/// events/sec curve as JSON for CI trend tracking. The host's core count is
-/// recorded next to every number — a speedup measured with fewer cores than
-/// threads says nothing about the engine. With `verify_digest`, every
-/// parallel output must be bit-identical (by campaign digest) to the
-/// sequential engine on the same scenario.
-fn run_scaling_curve(
-    out_path: &str,
-    threads_list: &[u32],
-    verify_digest: bool,
-    min_speedup: Option<f64>,
-) {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let threads_csv = threads_list
-        .iter()
-        .map(|t| t.to_string())
-        .collect::<Vec<_>>()
-        .join(", ");
-    println!(
-        "== scaling curve: threads [{threads_csv}] on {cores} core(s), \
-         digest verification {} ==",
-        if verify_digest { "on" } else { "off" }
-    );
-    let mut blocks = Vec::new();
-    let mut best: Option<(f64, u32, &'static str)> = None;
-    for (label, params, duration) in scaling_scenarios() {
-        let spec = fattree_fb_hadoop(
-            format!("scaling {label}"),
-            CcSpec::by_label("HPCC"),
-            params,
-            0.5,
-            duration,
-            true,
-            FlowControlMode::Lossless,
-            42,
-        );
-        let topo = hpcc_topology::fat_tree(params);
-        let (hosts, switches) = (topo.hosts().len(), topo.switches().len());
-        // Sequential reference: the digest every parallel run must hit,
-        // and the warm-up (page cache, allocator pools) for the timed runs.
-        let reference = spec.build().run();
-        let ref_digest = digest_output(&reference.out);
-        let mut points = Vec::new();
-        let mut curve: Vec<(u32, f64)> = Vec::new();
-        for &t in threads_list {
-            let shards = hpcc_sim::plan_shards(&topo, t).parts;
-            let pspec = spec
-                .clone()
-                .with_backend(BackendSpec::ParallelPacket { threads: t });
-            let started = Instant::now();
-            let results = pspec.build().run();
-            let wall = started.elapsed();
-            let out = &results.out;
-            let digest = digest_output(out);
-            if verify_digest && digest != ref_digest {
-                die(format!(
-                    "scaling {label}: parallel digest {digest:016x} at {t} thread(s) \
-                     differs from sequential {ref_digest:016x}"
-                ));
-            }
-            let eps = out.events_processed as f64 / wall.as_secs_f64().max(1e-9);
-            curve.push((t, eps));
-            println!(
-                "scaling {label}: {t} thread(s) -> {shards} shard(s), \
-                 {eps:.0} events/sec, digest {digest:016x}"
-            );
-            points.push(format!(
-                "        {{\"threads\": {t}, \"shards\": {shards}, \"events_processed\": {}, \
-                 \"wall_seconds\": {:.6}, \"events_per_sec\": {eps:.0}, \
-                 \"digest\": \"{digest:016x}\"}}",
-                out.events_processed,
-                wall.as_secs_f64(),
-            ));
-        }
-        // Speedup of the highest thread count over the single-thread point
-        // of the same curve (absent when the list has no 1 to compare to).
-        let base = curve.iter().find(|(t, _)| *t == 1).map(|&(_, e)| e);
-        let top = curve.iter().max_by_key(|(t, _)| *t).copied();
-        let speedup = match (base, top) {
-            (Some(b), Some((t, e))) if t > 1 && b > 0.0 => Some((e / b, t)),
-            _ => None,
-        };
-        if let Some((s, t)) = speedup {
-            println!("scaling {label}: {s:.2}x at {t} threads vs 1");
-            if best.map(|(b, _, _)| s > b).unwrap_or(true) {
-                best = Some((s, t, label));
-            }
-        }
-        blocks.push(format!(
-            "    {{\n      \"topology\": \"{label}\",\n      \"hosts\": {hosts},\n      \
-             \"switches\": {switches},\n      \"duration_ms\": {},\n      \"points\": [\n{}\n      ],\n      \
-             \"speedup_at_max_threads\": {}\n    }}",
-            duration.as_ps() / 1_000_000_000,
-            points.join(",\n"),
-            match speedup {
-                Some((s, _)) => format!("{s:.3}"),
-                None => "null".to_string(),
-            },
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"scaling-curve\",\n  \"cores\": {cores},\n  \"threads\": [{threads_csv}],\n  \
-         \"verified_digest\": {verify_digest},\n  \"sizes\": [\n{}\n  ],\n  \
-         \"note\": \"events/sec of the parallel partitioned engine on the frozen scaling \
-         scenarios; wall times and speedups are host-dependent and only meaningful when \
-         cores >= threads (cores is recorded above); digests pin the deterministic part\"\n}}\n",
-        blocks.join(",\n"),
-    );
-    std::fs::write(out_path, &json)
-        .unwrap_or_else(|e| die(format!("cannot write {out_path}: {e}")));
-    println!("{json}");
-    println!("wrote {out_path}");
-    if verify_digest {
-        println!("scaling digest verification: OK (all thread counts bit-identical to sequential)");
-    }
-    if let Some(floor) = min_speedup {
-        match best {
-            Some((s, t, label)) if s >= floor => {
-                println!(
-                    "parallel speedup gate: OK ({s:.2}x at {t} threads on {label} >= {floor}x)"
-                )
-            }
-            Some((s, t, label)) => die(format!(
-                "parallel speedup {s:.2}x at {t} threads on {label} is below the required \
-                 {floor}x (host has {cores} core(s))"
-            )),
-            None => die(
-                "no speedup measurable: --min-parallel-speedup needs --scaling-threads \
-                 to include 1 and a count > 1",
-            ),
-        }
-    }
 }
 
 /// Worker mode: run one round-robin shard, streaming JSONL on stdout.
@@ -1285,10 +668,6 @@ fn run_merge(files: &[String], expected_len: Option<usize>, report_path: Option<
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let cli = Cli::parse(&args);
-    if cli.bench {
-        run_bench();
-        return;
-    }
     if cli.dump_fluid_manifest {
         // The fluid smoke campaign committed as manifests/fluid_smoke.json:
         // the validation grid on the fluid backend, plus the corpus sweep on
@@ -1326,35 +705,7 @@ fn main() {
         return;
     }
     if cli.cross_validate {
-        run_cross_validate(&cli.grid_specs(2), cli.tolerance, cli.report.as_deref());
-        return;
-    }
-    if let Some(out) = &cli.fluid_bench {
-        run_fluid_bench(
-            &cli.grid_specs(10),
-            out.as_deref().unwrap_or("BENCH_fluid.json"),
-            cli.min_fluid_speedup,
-        );
-        return;
-    }
-    if let Some(out) = &cli.scaling_curve {
-        let threads = cli
-            .scaling_threads
-            .clone()
-            .unwrap_or_else(|| vec![1, 2, 4, 8]);
-        run_scaling_curve(
-            out.as_deref().unwrap_or("BENCH_scaling.json"),
-            &threads,
-            cli.verify_digest,
-            cli.min_parallel_speedup,
-        );
-        return;
-    }
-    if let Some(out) = &cli.events_per_sec {
-        let measured = run_hotpath_smoke(out.as_deref().unwrap_or("BENCH_hotpath.json"));
-        if let Some(baseline) = &cli.baseline {
-            check_baseline(measured, baseline, cli.max_regress);
-        }
+        run_cross_validate(&cli.grid_specs(), cli.tolerance, cli.report.as_deref());
         return;
     }
     if !cli.merge.is_empty() {

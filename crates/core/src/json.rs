@@ -363,13 +363,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (bytes are valid UTF-8: the
-                // input came in as &str).
-                let rest = std::str::from_utf8(&bytes[*pos..])
+                // Copy the run up to the next quote or backslash in one
+                // piece, validating only that run: both delimiters are
+                // ASCII, so they never fall inside a multi-byte character.
+                let rest = &bytes[*pos..];
+                let len = rest
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .unwrap_or(rest.len());
+                let run = std::str::from_utf8(&rest[..len])
                     .map_err(|_| JsonError("invalid utf-8".into()))?;
-                let c = rest.chars().next().unwrap();
-                out.push(c);
-                *pos += c.len_utf8();
+                out.push_str(run);
+                *pos += len;
             }
         }
     }
@@ -472,6 +477,13 @@ mod tests {
             JsonValue::parse(&v.render()).unwrap().as_str().unwrap(),
             "\u{1F680}"
         );
+        // Raw 2-, 3- and 4-byte characters directly against quotes, escapes
+        // and \u pairs: every run boundary of the string parser.
+        let mixed = "é\"€\\🚀\né\u{1}€🚀\"\\é";
+        let text = JsonValue::Str(mixed.into()).render();
+        assert_eq!(JsonValue::parse(&text).unwrap().as_str().unwrap(), mixed);
+        let v = JsonValue::parse("\"é\\ud83d\\ude80€\\u00e9🚀\\\"é\"").unwrap();
+        assert_eq!(v.as_str().unwrap(), "é🚀€é🚀\"é");
         // Unpaired surrogates are rejected instead of silently mangled.
         for bad in [
             "\"\\ud83d\"",
@@ -481,6 +493,25 @@ mod tests {
         ] {
             assert!(JsonValue::parse(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn parse_time_is_linear_in_the_input() {
+        // ~8 MB of short strings. A string parser that validates the whole
+        // remaining input once per character is quadratic and needs minutes
+        // here, so the budget is two orders of magnitude from flaking.
+        let doc = JsonValue::Array(
+            (0..100_000)
+                .map(|i| JsonValue::Str(format!("scenario {i:06} é {}", "x".repeat(64))))
+                .collect(),
+        );
+        let text = doc.render();
+        assert!(text.len() > 8_000_000, "{} bytes", text.len());
+        let started = crate::timing::now();
+        let back = JsonValue::parse(&text).unwrap();
+        let took = started.elapsed();
+        assert_eq!(back, doc);
+        assert!(took.as_secs() < 10, "parsing 8 MB took {took:?}");
     }
 
     #[test]

@@ -48,8 +48,7 @@ pub struct ValidationRow {
     pub packet_completed: usize,
     /// Flows completed under the fluid backend.
     pub fluid_completed: usize,
-    /// Events the packet engine processed (the numerator of the
-    /// events/sec-equivalent fluid throughput).
+    /// Events the packet engine processed.
     pub packet_events: u64,
     /// Packet-engine wall time (host-dependent; not in the canonical JSON).
     pub packet_wall: std::time::Duration,
@@ -205,19 +204,6 @@ impl ValidationReport {
             f64::INFINITY
         } else {
             packet / fluid
-        }
-    }
-
-    /// Events/sec-equivalent throughput of the fluid backend: the packet
-    /// events the grid *would have cost*, divided by the fluid wall time
-    /// that answered it (host-dependent).
-    pub fn fluid_events_per_sec_equivalent(&self) -> f64 {
-        let events: u64 = self.rows.iter().map(|r| r.packet_events).sum();
-        let fluid: f64 = self.rows.iter().map(|r| r.fluid_wall.as_secs_f64()).sum();
-        if fluid == 0.0 {
-            f64::INFINITY
-        } else {
-            events as f64 / fluid
         }
     }
 

@@ -704,18 +704,27 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &FabricMsg) -> std::io::Re
     w.flush()
 }
 
+/// Largest payload [`read_frame`] accepts. The length header comes from the
+/// peer and sizes an allocation, so it is bounded before anything is
+/// reserved; 256 MiB holds a manifest frame of ~700 k scenarios at the
+/// sweep generator's 380 bytes each.
+pub const MAX_FRAME_BYTES: usize = 256 << 20;
+
 /// Read one length-framed fabric message. Returns `Ok(None)` on a clean
-/// EOF at a frame boundary; EOF inside a frame, a malformed length header,
-/// or an undecodable payload are `InvalidData` errors.
+/// EOF at a frame boundary; EOF inside a frame, a malformed length header
+/// (one above [`MAX_FRAME_BYTES`] included), or an undecodable payload are
+/// `InvalidData` errors.
 pub fn read_frame<R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<FabricMsg>> {
     let mut header = String::new();
     if r.read_line(&mut header)? == 0 {
         return Ok(None);
     }
-    let len: usize = header
+    let len = header
         .trim()
         .parse()
-        .map_err(|_| bad_frame(format!("malformed frame header {}", header.trim())))?;
+        .ok()
+        .filter(|len: &usize| *len <= MAX_FRAME_BYTES)
+        .ok_or_else(|| bad_frame(format!("malformed frame header {}", header.trim())))?;
     let mut payload = vec![0u8; len + 1];
     r.read_exact(&mut payload)?;
     if payload.pop() != Some(b'\n') {
@@ -1034,7 +1043,15 @@ mod tests {
         cut.truncate(cut.len() - 3);
         let mut reader = std::io::BufReader::new(cut.as_slice());
         assert!(read_frame(&mut reader).is_err());
-        for broken in ["x\n", "5\nab{}c\n", "14\n{\"type\":\"nah\"}\n"] {
+        // A header sizes an allocation: usize::MAX (whose +1 for the newline
+        // overflows) and 100 TB are refused before anything is reserved.
+        for broken in [
+            "x\n",
+            "5\nab{}c\n",
+            "14\n{\"type\":\"nah\"}\n",
+            "18446744073709551615\n{}\n",
+            "99999999999999\n{}\n",
+        ] {
             let mut reader = std::io::BufReader::new(broken.as_bytes());
             assert!(read_frame(&mut reader).is_err(), "{broken}");
         }

@@ -1,7 +1,8 @@
 //! Parallel-engine integration tests at the spec layer: the digest-identity
-//! sweep (every committed preset scenario, threads 1–4, bit-identical to the
-//! sequential packet engine), the typed `BuildError` for a zero-thread
-//! backend, and the wire round-trip of the `{"parallel_packet": ...}` form.
+//! sweep (every committed preset scenario and one 54-host fabric, threads
+//! 1–4, bit-identical to the sequential packet engine), the typed
+//! `BuildError` for a zero-thread backend, and the wire round-trip of the
+//! `{"parallel_packet": ...}` form.
 //!
 //! The identity sweep is the spec-level counterpart of the engine-level
 //! tests in `hpcc_sim::parallel`: it goes through `ScenarioSpec::try_build`
@@ -9,15 +10,18 @@
 //! the `BackendSpec -> BackendKind -> ParallelPacketBackend` plumbing.
 
 use hpcc_core::campaign::digest_output;
-use hpcc_core::presets::{fault_smoke, fig11_campaign, priority_mix};
+use hpcc_core::presets::{fattree_fb_hadoop, fault_smoke, fig11_campaign, priority_mix};
 use hpcc_core::{BackendSpec, CcSpec, ScenarioSpec, TopologyChoice, WorkloadSpec};
+use hpcc_sim::FlowControlMode;
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
 
 /// Every committed preset scenario family, at a short horizon so the sweep
 /// stays a fast test: the Figure 11 scheme set (six CC schemes with incast),
 /// the fault smoke (link flap + straggler), and the priority mix (legacy,
-/// strict-priority and DWRR queueing).
+/// strict-priority and DWRR queueing). The presets all share the 16-host
+/// fabric, so the sweep ends with HPCC under load 0.5 + incast on a 54-host
+/// one (3 pods × 3 ToR × 6 hosts), its only other fabric size.
 fn preset_specs() -> Vec<ScenarioSpec> {
     let params = FatTreeParams::small();
     let end = Duration::from_ms(1);
@@ -29,6 +33,23 @@ fn preset_specs() -> Vec<ScenarioSpec> {
             .specs()
             .to_vec(),
     );
+    specs.push(fattree_fb_hadoop(
+        "fat-tree-medium",
+        CcSpec::by_label("HPCC"),
+        FatTreeParams {
+            pods: 3,
+            tors_per_pod: 3,
+            aggs_per_pod: 3,
+            cores: 6,
+            hosts_per_tor: 6,
+            ..params
+        },
+        0.5,
+        end,
+        true,
+        FlowControlMode::Lossless,
+        42,
+    ));
     specs
 }
 
