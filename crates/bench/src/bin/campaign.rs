@@ -1,365 +1,260 @@
-//! Campaign determinism check, manifest runner and multi-process
-//! sharded-campaign coordinator. (Performance is measured by the package in
-//! `benchmark/`, not here.)
-//!
-//! With no arguments, builds the Figure 11 scheme set (six scenarios on the
-//! scaled-down Clos fabric), runs it serially and then in parallel, verifies
-//! the per-scenario digests are bit-identical, and reports the speedup.
-//!
-//! Usage:
+//! The campaign runner. (Performance is measured in `benchmark/`, not here.)
 //!
 //! ```text
-//! cargo run --release -p hpcc-bench --bin campaign [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --manifest file.json
-//! cargo run --release -p hpcc-bench --bin campaign -- --dump-manifest [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --cross-validate \
-//!     [--manifest f] [--tolerance 0.75] [--report out.json] [duration_ms]
-//! cargo run --release -p hpcc-bench --bin campaign -- --shards N \
-//!     [--verify-serial] [--report out.json] [--manifest f] [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --worker-shard i/N \
-//!     [--manifest f] [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --merge a.jsonl b.jsonl ... \
-//!     [--expect N | --manifest f] [--report out.json]
-//! cargo run --release -p hpcc-bench --bin campaign -- --serve ADDR \
-//!     [--spawn-workers N] [--chaos-kill-at F] [--checkpoint file.jsonl] \
-//!     [--lease-timeout-ms N] [--verify-serial] [--report out.json] \
-//!     [--manifest f] [duration_ms] [load]
-//! cargo run --release -p hpcc-bench --bin campaign -- --join ADDR \
-//!     [--name W] [--heartbeat-ms N] [--hang-after N] [--quit-after N]
-//! cargo run --release -p hpcc-bench --bin campaign -- --dump-fabric-manifest
+//! campaign run        [--manifest F] [--verify-serial] [--report OUT] [duration_ms] [load]
+//! campaign serve ADDR [--spawn-workers N] [--chaos-kill-at FRAC] [--heartbeat-ms N]
+//!                     [--lease-timeout-ms N] [--checkpoint FILE.jsonl]
+//!                     [--manifest F] [--verify-serial] [--report OUT] [duration_ms] [load]
+//! campaign join ADDR  [--name W] [--heartbeat-ms N]
+//! campaign shard i/N  [--manifest F] [duration_ms] [load]            > shard.jsonl
+//! campaign merge FILE... [--expect N | --manifest F] [--report OUT]
+//! campaign validate   [--manifest F] [--tolerance 0.75] [--report OUT] [duration_ms]
+//! campaign dump fig11|fluid|fabric [duration_ms] [load]              > manifest.json
 //! ```
 //!
-//! `--manifest` runs a JSON campaign manifest (an array of ScenarioSpec
-//! objects, see `hpcc_core::scenario`) instead of the built-in scheme set;
-//! `--dump-manifest` prints the built-in campaign as such a manifest (a
-//! starting point for hand-edited grids).
+//! The campaign is `--manifest F` (a JSON array of ScenarioSpec objects, see
+//! `hpcc_core::scenario`) or, without it, the built-in Figure 11 scheme set
+//! (six scenarios on the scaled-down Clos fabric) at `[duration_ms] [load]`
+//! (default `10 0.3`). Each subcommand accepts only the options listed for
+//! it; anything else exits 2 with the usage text.
 //!
-//! Backend cross-validation (see `hpcc_core::validate`):
+//! * `run` — execute in-process on a thread pool and print the table.
+//! * `serve ADDR` — the only way to fan a campaign out over processes: bind
+//!   ADDR (port 0 = ephemeral; the bound address is printed) and lease the
+//!   scenario indices to whatever workers `join` (`hpcc_core::fabric`,
+//!   `docs/WIRE.md`); workers may join late or die mid-lease (their work is
+//!   reassigned), duplicates are dropped by digest. `--spawn-workers N`
+//!   launches N local `join` subprocesses; `--chaos-kill-at FRAC` SIGKILLs
+//!   the first of them once that fraction of scenarios has results (a
+//!   fault-tolerance self-test); `--checkpoint` appends each accepted result
+//!   to a JSONL file and replays it on restart.
+//! * `join ADDR` — fabric worker: the manifest arrives over the wire.
+//! * `shard i/N` + `merge` — the offline pair for hosts that cannot reach a
+//!   coordinator: `shard` runs round-robin shard `i` of `N`, one JSONL line
+//!   per scenario on stdout (diagnostics on stderr); `merge` folds such files
+//!   into one report. Give it `--expect N` or `--manifest` (whose scenario
+//!   count is used) so a file truncated at its tail cannot pass.
+//! * `validate` — run the validation grid (or a manifest) on the packet and
+//!   the fluid backend, print the divergence table (`hpcc_core::validate`),
+//!   exit 3 when the worst divergence exceeds `--tolerance`.
+//! * `dump` — print the Figure 11 set or a committed `manifests/*_smoke.json`.
 //!
-//! * `--cross-validate` — run the validation grid (or a `--manifest`) on
-//!   both the packet engine and the fluid backend, print the per-scenario
-//!   divergence table, and exit with status 3 when the worst FCT-slowdown
-//!   (relative) or utilization (absolute) divergence exceeds `--tolerance`
-//!   (default 0.75). `--report` writes the canonical (digest-stable)
-//!   divergence JSON.
-//!
-//! Distributed modes (see `hpcc_core::wire` for the JSONL schema and the
-//! determinism contract):
-//!
-//! * `--shards N` — coordinator: re-spawns this binary as `N` worker
-//!   subprocesses (`--worker-shard i/N` each, same campaign arguments),
-//!   reads their JSONL stdout streams, and merges them into one report in
-//!   scenario order. `--verify-serial` additionally runs the campaign
-//!   serially in-process and exits non-zero unless digests and canonical
-//!   report JSON are bit-identical. `--report` writes the merged canonical
-//!   JSON to a file.
-//! * `--worker-shard i/N` — worker: runs the round-robin shard `i` of `N`
-//!   and streams one JSONL line per completed scenario on stdout (all
-//!   diagnostics go to stderr, so stdout is pure JSONL and can be piped or
-//!   redirected to a file on a remote host).
-//! * `--merge` — fold JSONL files produced elsewhere (e.g. workers on other
-//!   hosts) into one report. Pass `--expect N` (or `--manifest`, whose
-//!   scenario count is used) so a shard file truncated at its tail cannot
-//!   slip through as a shorter-but-valid report.
-//!
-//! Elastic fabric modes (see `hpcc_core::fabric` and `docs/WIRE.md` for the
-//! framed TCP protocol):
-//!
-//! * `--serve ADDR` — fabric coordinator: bind ADDR (use port 0 for an
-//!   ephemeral port; the bound address is printed), serve the campaign's
-//!   scenario indices as a dynamic work queue to any workers that join, and
-//!   merge streamed results into one report. Unlike `--shards`, workers may
-//!   join late, die mid-lease (their work is reassigned) and deliver
-//!   duplicates (deduplicated by digest). `--spawn-workers N` launches N
-//!   local `--join` subprocesses; `--chaos-kill-at F` SIGKILLs the first
-//!   spawned worker once the fraction F of scenarios has completed (a
-//!   self-test of fault tolerance); `--checkpoint FILE` appends each
-//!   accepted result to a JSONL file and replays it on restart so finished
-//!   scenarios are never re-run; `--lease-timeout-ms` tunes failure
-//!   detection. `--verify-serial` and `--report` behave as for `--shards`.
-//! * `--join ADDR` — fabric worker: connect to a coordinator, receive the
-//!   campaign manifest over the wire (no local campaign arguments needed),
-//!   lease scenario batches and stream results until told to stop.
-//!   `--hang-after N` / `--quit-after N` inject worker failures for chaos
-//!   tests.
-//! * `--dump-fabric-manifest` — print the committed fabric smoke campaign
-//!   (`manifests/fabric_smoke.json`).
+//! `--verify-serial` also runs the campaign serially and exits 2 unless
+//! digests and canonical report JSON are bit-identical; `--report` writes the
+//! canonical report JSON. `run`, `serve` and `shard` build every scenario
+//! before dispatching anything: an unbuildable one exits 2 naming its index.
 
+use hpcc_bench::cli::Args;
+use hpcc_bench::{arg_or, die, load_manifest};
 use hpcc_core::fabric;
 use hpcc_core::presets::{
     corpus_sweep, fabric_smoke_campaign, fig11_campaign, validation_grid, CORPUS_FILES,
 };
-use hpcc_core::{wire, BackendSpec, Campaign, CcSpec, ScenarioSpec, ShardPlan, ValidationReport};
+use hpcc_core::{
+    wire, BackendSpec, Campaign, CampaignReport, CcSpec, ScenarioSpec, ShardPlan, ValidationReport,
+};
 use hpcc_topology::FatTreeParams;
-use hpcc_types::Bandwidth;
-use hpcc_types::Duration;
-use std::io::Read as _;
-use std::process::{Command, Stdio};
+use hpcc_types::{Bandwidth, Duration};
+use std::process::{Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Exit with a usage/runtime error on stderr (workers keep stdout pure
-/// JSONL, so nothing diagnostic may ever go there).
-fn die(msg: impl AsRef<str>) -> ! {
-    eprintln!("campaign: {}", msg.as_ref());
-    std::process::exit(2);
+/// One subcommand: what it accepts and what runs it.
+struct Subcommand {
+    name: &'static str,
+    run: fn(&Args),
+    /// Its positionals, as the usage text shows them, and how many it takes.
+    positional: (&'static str, usize),
+    /// Its options that take a value.
+    options: &'static [&'static str],
+    switches: &'static [&'static str],
 }
 
-/// Parsed command line. Positional arguments keep the program name at
-/// index 0 so `hpcc_bench::arg_or` indexing stays 1-based.
-#[derive(Default)]
-struct Cli {
-    manifest: Option<String>,
-    shards: Option<usize>,
-    worker_shard: Option<ShardPlan>,
-    report: Option<String>,
-    merge: Vec<String>,
-    expect: Option<usize>,
-    verify_serial: bool,
-    dump_manifest: bool,
-    dump_fluid_manifest: bool,
-    cross_validate: bool,
-    tolerance: f64,
-    serve: Option<String>,
-    join: Option<String>,
-    spawn_workers: usize,
-    chaos_kill_at: Option<f64>,
-    checkpoint: Option<String>,
-    worker_name: Option<String>,
-    lease_timeout_ms: Option<u64>,
-    heartbeat_ms: Option<u64>,
-    hang_after: Option<usize>,
-    quit_after: Option<usize>,
-    dump_fabric_manifest: bool,
-    positional: Vec<String>,
+const COMMANDS: [Subcommand; 7] = [
+    Subcommand {
+        name: "run",
+        run: run_in_process,
+        positional: ("[duration_ms] [load]", 2),
+        options: &["--manifest", "--report"],
+        switches: &["--verify-serial"],
+    },
+    Subcommand {
+        name: "serve",
+        run: run_serve,
+        positional: ("ADDR [duration_ms] [load]", 3),
+        options: &[
+            "--spawn-workers",
+            "--chaos-kill-at",
+            "--heartbeat-ms",
+            "--lease-timeout-ms",
+            "--checkpoint",
+            "--manifest",
+            "--report",
+        ],
+        switches: &["--verify-serial"],
+    },
+    Subcommand {
+        name: "join",
+        run: run_join,
+        positional: ("ADDR", 1),
+        options: &["--name", "--heartbeat-ms"],
+        switches: &[],
+    },
+    Subcommand {
+        name: "shard",
+        run: run_shard,
+        positional: ("i/N [duration_ms] [load]", 3),
+        options: &["--manifest"],
+        switches: &[],
+    },
+    Subcommand {
+        name: "merge",
+        run: run_merge,
+        positional: ("FILE...", usize::MAX),
+        options: &["--expect", "--manifest", "--report"],
+        switches: &[],
+    },
+    Subcommand {
+        name: "validate",
+        run: run_validate,
+        positional: ("[duration_ms]", 1),
+        options: &["--manifest", "--tolerance", "--report"],
+        switches: &[],
+    },
+    Subcommand {
+        name: "dump",
+        run: run_dump,
+        positional: ("fig11|fluid|fabric [duration_ms] [load]", 3),
+        options: &[],
+        switches: &[],
+    },
+];
+
+/// Exit 2 with `msg` and the usage text (generated from [`COMMANDS`]).
+fn usage(msg: impl AsRef<str>) -> ! {
+    let mut text = format!("{}\nusage:", msg.as_ref());
+    for c in &COMMANDS {
+        text += &format!("\n  campaign {} {}", c.name, c.positional.0);
+        for switch in c.switches {
+            text += &format!(" [{switch}]");
+        }
+        for option in c.options {
+            text += &format!(" [{option} V]");
+        }
+    }
+    die(text)
 }
 
-impl Cli {
-    fn parse(args: &[String]) -> Cli {
-        let mut cli = Cli {
-            positional: vec![args[0].clone()],
-            tolerance: 0.75,
-            ..Cli::default()
-        };
-        let value = |i: usize, flag: &str| -> String {
-            // A following flag is not a value: `--report --verify-serial`
-            // must error, not write a file named "--verify-serial".
-            match args.get(i + 1) {
-                Some(next) if !next.starts_with("--") => next.clone(),
-                _ => die(format!("{flag} needs a value")),
-            }
-        };
-        let mut merging = false;
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--manifest" => {
-                    cli.manifest = Some(value(i, "--manifest"));
-                    i += 2;
-                }
-                "--shards" => {
-                    let n = value(i, "--shards");
-                    cli.shards = Some(
-                        n.parse()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .unwrap_or_else(|| die(format!("bad shard count {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--worker-shard" => {
-                    let spec = value(i, "--worker-shard");
-                    cli.worker_shard = Some(ShardPlan::parse(&spec).unwrap_or_else(|e| die(e)));
-                    i += 2;
-                }
-                "--report" => {
-                    cli.report = Some(value(i, "--report"));
-                    i += 2;
-                }
-                "--verify-serial" => {
-                    cli.verify_serial = true;
-                    i += 1;
-                }
-                "--dump-manifest" => {
-                    cli.dump_manifest = true;
-                    i += 1;
-                }
-                "--merge" => {
-                    merging = true;
-                    i += 1;
-                }
-                "--cross-validate" => {
-                    cli.cross_validate = true;
-                    i += 1;
-                }
-                "--dump-fluid-manifest" => {
-                    cli.dump_fluid_manifest = true;
-                    i += 1;
-                }
-                "--tolerance" => {
-                    let f = value(i, "--tolerance");
-                    cli.tolerance = f
-                        .parse()
-                        .ok()
-                        .filter(|x: &f64| x.is_finite() && *x > 0.0)
-                        .unwrap_or_else(|| die(format!("bad tolerance {f:?}")));
-                    i += 2;
-                }
-                "--expect" => {
-                    let n = value(i, "--expect");
-                    cli.expect = Some(
-                        n.parse()
-                            .unwrap_or_else(|_| die(format!("bad scenario count {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--serve" => {
-                    cli.serve = Some(value(i, "--serve"));
-                    i += 2;
-                }
-                "--join" => {
-                    cli.join = Some(value(i, "--join"));
-                    i += 2;
-                }
-                "--spawn-workers" => {
-                    let n = value(i, "--spawn-workers");
-                    cli.spawn_workers = n
-                        .parse()
-                        .unwrap_or_else(|_| die(format!("bad worker count {n:?}")));
-                    i += 2;
-                }
-                "--chaos-kill-at" => {
-                    let f = value(i, "--chaos-kill-at");
-                    cli.chaos_kill_at = Some(
-                        f.parse()
-                            .ok()
-                            .filter(|x: &f64| x.is_finite() && (0.0..=1.0).contains(x))
-                            .unwrap_or_else(|| die(format!("bad kill fraction {f:?}"))),
-                    );
-                    i += 2;
-                }
-                "--checkpoint" => {
-                    cli.checkpoint = Some(value(i, "--checkpoint"));
-                    i += 2;
-                }
-                "--name" => {
-                    cli.worker_name = Some(value(i, "--name"));
-                    i += 2;
-                }
-                "--lease-timeout-ms" => {
-                    let n = value(i, "--lease-timeout-ms");
-                    cli.lease_timeout_ms = Some(
-                        n.parse()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .unwrap_or_else(|| die(format!("bad lease timeout {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--heartbeat-ms" => {
-                    let n = value(i, "--heartbeat-ms");
-                    cli.heartbeat_ms = Some(
-                        n.parse()
-                            .ok()
-                            .filter(|n| *n >= 1)
-                            .unwrap_or_else(|| die(format!("bad heartbeat period {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--hang-after" => {
-                    let n = value(i, "--hang-after");
-                    cli.hang_after = Some(
-                        n.parse()
-                            .unwrap_or_else(|_| die(format!("bad hang count {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--quit-after" => {
-                    let n = value(i, "--quit-after");
-                    cli.quit_after = Some(
-                        n.parse()
-                            .unwrap_or_else(|_| die(format!("bad quit count {n:?}"))),
-                    );
-                    i += 2;
-                }
-                "--dump-fabric-manifest" => {
-                    cli.dump_fabric_manifest = true;
-                    i += 1;
-                }
-                flag if flag.starts_with("--") => die(format!("unknown flag {flag}")),
-                other => {
-                    if merging {
-                        cli.merge.push(other.to_string());
-                    } else {
-                        cli.positional.push(other.to_string());
-                    }
-                    i += 1;
-                }
-            }
-        }
-        cli
-    }
-
-    /// The campaign this invocation describes (manifest file or the
-    /// built-in Figure 11 scheme set at `[duration_ms] [load]`).
-    fn build_campaign(&self) -> Campaign {
-        if let Some(path) = &self.manifest {
-            let text = std::fs::read_to_string(path)
-                .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-            Campaign::from_json_str(&text)
-                .unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
-        } else {
-            let ms = hpcc_bench::arg_or(&self.positional, 1, 10u64);
-            let load = hpcc_bench::arg_or(&self.positional, 2, 0.3f64);
-            fig11_campaign(
-                FatTreeParams::small(),
-                load,
-                Duration::from_ms(ms),
-                true,
-                42,
-            )
-        }
-    }
-
-    /// The campaign-selection arguments a worker subprocess needs to build
-    /// the identical campaign.
-    fn campaign_args(&self) -> Vec<String> {
-        match &self.manifest {
-            Some(path) => vec!["--manifest".to_string(), path.clone()],
-            None => self.positional[1..].to_vec(),
-        }
-    }
-
-    /// The scenario grid for `--cross-validate`: a `--manifest` when given,
-    /// otherwise the built-in validation grid at `[duration_ms]` (seed 42;
-    /// the 2 ms default keeps the gate fast).
-    fn grid_specs(&self) -> Vec<ScenarioSpec> {
-        if self.manifest.is_some() {
-            self.build_campaign().specs().to_vec()
-        } else {
-            let ms = hpcc_bench::arg_or(&self.positional, 1, 2u64);
-            validation_grid(Duration::from_ms(ms), 42)
-        }
+/// The subcommand's own leading positional (`ADDR`, `i/N`, the dump kind).
+fn operand<'a>(args: &'a Args, what: &str) -> &'a str {
+    match args.positional().first() {
+        Some(text) => text,
+        None => usage(format!("missing {what}")),
     }
 }
 
-/// Cross-validation mode: run the grid on both backends, print the
-/// divergence table, optionally write the canonical report, and gate on the
-/// worst divergence (exit 3 — distinct from usage errors — when exceeded).
-fn run_cross_validate(specs: &[ScenarioSpec], tolerance: f64, report_path: Option<&str>) {
-    let report = ValidationReport::run(specs).unwrap_or_else(|e| die(format!("{e}")));
+/// The campaign this invocation describes: the `--manifest` file, or the
+/// built-in Figure 11 scheme set at the `[duration_ms] [load]` positionals
+/// that start at index `first`.
+fn load_campaign(args: &Args, first: usize) -> Campaign {
+    let scale = args.positional().get(first..).unwrap_or_default();
+    let Some(path) = args.value("--manifest") else {
+        let end = Duration::from_ms(arg_or(scale, 0, 10u64));
+        return fig11_campaign(FatTreeParams::small(), arg_or(scale, 1, 0.3), end, true, 42);
+    };
+    if !scale.is_empty() {
+        usage("[duration_ms] [load] scale the built-in campaign, not a --manifest");
+    }
+    load_manifest(path)
+}
+
+/// [`load_campaign`] for the subcommands that execute it: build every
+/// scenario once first, so an unbuildable one is a usage error here rather
+/// than a panic in a thread, a shard or every worker of a fabric.
+fn load_runnable_campaign(args: &Args, first: usize) -> Campaign {
+    let campaign = load_campaign(args, first);
+    for (index, spec) in campaign.scenarios().iter().enumerate() {
+        if let Err(e) = spec.try_build() {
+            die(format!("scenario {index} ({:?}): {e}", spec.name));
+        }
+    }
+    campaign
+}
+
+/// Write `json` to the `--report` file, when one was asked for.
+fn write_report(args: &Args, json: String) {
+    if let Some(path) = args.value("--report") {
+        std::fs::write(path, json + "\n")
+            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
+        println!("wrote {path}");
+    }
+}
+
+/// The shared tail of `run` and `serve`: with `--verify-serial`, prove the
+/// report bit-identical to an in-process `run_serial()` (digests and
+/// canonical JSON); then write `--report`.
+fn verify_and_write(report: &CampaignReport, campaign: &Campaign, args: &Args) {
+    let json = report.to_json_string();
+    if args.has("--verify-serial") {
+        let serial = campaign.run_serial();
+        let digests_match = report.digests() == serial.digests();
+        let json_match = json == serial.to_json_string();
+        if !digests_match || !json_match {
+            die(format!(
+                "report differs from the serial reference \
+                 (digests match: {digests_match}, canonical JSON matches: {json_match})"
+            ));
+        }
+        println!(
+            "verified: report is bit-identical to run_serial() ({} scenarios: digests and \
+             canonical JSON); {:.2} s serial, {:.2} s here",
+            serial.results.len(),
+            serial.wall.as_secs_f64(),
+            report.wall.as_secs_f64()
+        );
+    }
+    write_report(args, json);
+}
+
+/// `run`: the in-process thread pool.
+fn run_in_process(args: &Args) {
+    let campaign = load_runnable_campaign(args, 0);
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    println!(
+        "campaign: {} scenarios ({cores} available cores)",
+        campaign.len()
+    );
+    // One OS thread per scenario (not capped at the core count): on a
+    // multi-core host this is the full fan-out; on a loaded or small host
+    // `--verify-serial` still proves threaded execution deterministic.
+    let report = campaign.run_with_threads(campaign.len());
+    println!("{}", report.table());
+    verify_and_write(&report, &campaign, args);
+}
+
+/// `validate`: run the grid (a `--manifest`, else the built-in validation
+/// grid at `[duration_ms]`, seed 42; the 2 ms default keeps the gate fast)
+/// on both backends, print the divergence table, write the canonical
+/// report, and gate on the worst divergence (exit 3 — distinct from usage
+/// errors — when exceeded).
+fn run_validate(args: &Args) {
+    let tolerance = args
+        .parsed("--tolerance", |x: &f64| x.is_finite() && *x > 0.0)
+        .unwrap_or(0.75);
+    let specs: Vec<ScenarioSpec> = if args.value("--manifest").is_some() {
+        load_campaign(args, 0).scenarios().to_vec()
+    } else {
+        validation_grid(Duration::from_ms(arg_or(args.positional(), 0, 2u64)), 42)
+    };
+    let report = ValidationReport::run(&specs).unwrap_or_else(|e| die(format!("{e}")));
     println!(
         "== cross-validation: packet vs fluid, {} scenarios ==\n{}",
         report.rows.len(),
         report.table()
     );
     println!("canonical report digest: {:016x}", report.digest());
-    if let Some(path) = report_path {
-        std::fs::write(path, report.to_json_string() + "\n")
-            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        println!("wrote {path}");
-    }
+    write_report(args, report.to_json_string());
     let slow = report.max_slowdown_divergence();
     let util = report.max_utilization_divergence();
     if slow > tolerance || util > tolerance {
@@ -372,16 +267,17 @@ fn run_cross_validate(specs: &[ScenarioSpec], tolerance: f64, report_path: Optio
     println!("cross-validation: OK (tolerance {tolerance})");
 }
 
-/// Worker mode: run one round-robin shard, streaming JSONL on stdout.
-fn run_worker(campaign: &Campaign, plan: ShardPlan) {
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
+/// `shard i/N`: run one round-robin shard, streaming JSONL on stdout.
+fn run_shard(args: &Args) {
+    let plan = ShardPlan::parse(operand(args, "i/N")).unwrap_or_else(|e| usage(e));
+    let campaign = load_runnable_campaign(args, 1);
+    let mut out = std::io::stdout().lock();
     let started = Instant::now();
     let executed = campaign
         .run_shard_streaming(plan, &mut out)
         .unwrap_or_else(|e| die(format!("shard {}/{}: {e}", plan.shard(), plan.of())));
     eprintln!(
-        "worker shard {}/{}: {executed} of {} scenarios in {:.2} s",
+        "shard {}/{}: {executed} of {} scenarios in {:.2} s",
         plan.shard(),
         plan.of(),
         campaign.len(),
@@ -389,94 +285,41 @@ fn run_worker(campaign: &Campaign, plan: ShardPlan) {
     );
 }
 
-/// Coordinator mode: spawn one worker subprocess per shard, merge their
-/// JSONL streams, optionally verify against an in-process serial run and
-/// write the canonical report JSON.
-fn run_coordinator(
-    campaign: &Campaign,
-    shards: usize,
-    worker_args: &[String],
-    verify_serial: bool,
-    report_path: Option<&str>,
-) {
-    let exe = std::env::current_exe()
-        .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
-    let started = Instant::now();
-    let mut workers = Vec::new();
-    for shard in 0..shards {
-        let mut child = Command::new(&exe)
-            .arg("--worker-shard")
-            .arg(format!("{shard}/{shards}"))
-            .args(worker_args)
-            .stdout(Stdio::piped())
-            .spawn()
-            .unwrap_or_else(|e| die(format!("cannot spawn worker {shard}: {e}")));
-        // Drain the worker's stdout on its own thread: a pipe left full
-        // would deadlock the worker against our wait().
-        let mut pipe = child.stdout.take().expect("stdout was piped");
-        let reader = std::thread::spawn(move || {
-            let mut text = String::new();
-            pipe.read_to_string(&mut text).map(|_| text)
-        });
-        workers.push((shard, child, reader));
+/// `merge FILE...`: fold JSONL files produced by `shard` (possibly on other
+/// hosts) into one report. The expected length (`--expect N`, or the
+/// `--manifest`'s scenario count) guards against a truncated or lost shard
+/// file: without it, contiguous-from-0 validation cannot notice missing
+/// *trailing* scenarios, so the merge warns.
+fn run_merge(args: &Args) {
+    let files = args.positional();
+    if files.is_empty() {
+        usage("merge needs at least one FILE");
     }
-    let mut streams = Vec::new();
-    for (shard, mut child, reader) in workers {
-        let status = child
-            .wait()
-            .unwrap_or_else(|e| die(format!("waiting for worker {shard}: {e}")));
-        let text = reader
-            .join()
-            .expect("stdout reader thread panicked")
-            .unwrap_or_else(|e| die(format!("reading worker {shard} stdout: {e}")));
-        if !status.success() {
-            die(format!("worker {shard} exited with {status}"));
-        }
-        streams.push(text);
-    }
-    let mut merged =
-        wire::merge_shard_streams(streams.iter().map(String::as_str), Some(campaign.len()))
-            .unwrap_or_else(|e| die(format!("merging shard streams: {e}")));
-    merged.wall = started.elapsed();
+    let expected_len = args.parsed("--expect", |_: &usize| true).or_else(|| {
+        args.value("--manifest")
+            .map(|path| load_manifest(path).len())
+    });
+    let texts: Vec<String> = files
+        .iter()
+        .map(|p| {
+            std::fs::read_to_string(p).unwrap_or_else(|e| die(format!("cannot read {p}: {e}")))
+        })
+        .collect();
+    let report = wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len)
+        .unwrap_or_else(|e| die(format!("merge failed: {e}")));
     println!(
-        "== merged from {} worker process(es) ==\n{}",
-        shards,
-        merged.table()
+        "merged {} results from {} file(s)\n{}",
+        report.results.len(),
+        files.len(),
+        report.table()
     );
-    verify_and_write(&merged, campaign, verify_serial, report_path);
-}
-
-/// The shared tail of every coordinator mode (`--shards`, `--serve`):
-/// optionally prove the merged report bit-identical to an in-process
-/// `run_serial()` (digests and canonical JSON), then optionally write the
-/// canonical report JSON.
-fn verify_and_write(
-    merged: &hpcc_core::CampaignReport,
-    campaign: &Campaign,
-    verify_serial: bool,
-    report_path: Option<&str>,
-) {
-    if verify_serial {
-        let serial = campaign.run_serial();
-        let digests_match = merged.digests() == serial.digests();
-        let json_match = merged.to_json_string() == serial.to_json_string();
-        if !digests_match || !json_match {
-            die(format!(
-                "merged multi-process report differs from the serial reference \
-                 (digests match: {digests_match}, canonical JSON matches: {json_match})"
-            ));
-        }
-        println!(
-            "verified: merged report is bit-identical to run_serial() \
-             ({} scenarios: digests and canonical JSON)",
-            serial.results.len()
+    if expected_len.is_none() {
+        eprintln!(
+            "campaign: warning: no --expect N (or --manifest) given; a shard \
+             file that lost only trailing scenarios cannot be detected"
         );
     }
-    if let Some(path) = report_path {
-        std::fs::write(path, merged.to_json_string() + "\n")
-            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        println!("wrote {path}");
-    }
+    write_report(args, report.to_json_string());
 }
 
 /// How long the fabric coordinator tolerates zero progress before giving
@@ -484,11 +327,20 @@ fn verify_and_write(
 /// die with none rejoining, `serve` would otherwise block forever.
 const FABRIC_STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
 
-/// Fabric coordinator mode: serve the campaign's scenario indices over TCP
-/// to elastic workers, optionally spawning local worker subprocesses (and
-/// chaos-killing the first one mid-run), then verify/write the merged
-/// report exactly like `--shards`.
-fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
+/// `serve ADDR`: serve the campaign's scenario indices over TCP to elastic
+/// workers, optionally spawning local `join` subprocesses (and chaos-killing
+/// the first one mid-run), then verify/write the merged report.
+fn run_serve(args: &Args) {
+    let addr = operand(args, "ADDR");
+    let spawn_workers = args
+        .parsed("--spawn-workers", |_: &usize| true)
+        .unwrap_or(0);
+    let chaos_kill_at = args.parsed("--chaos-kill-at", |x: &f64| (0.0..=1.0).contains(x));
+    let heartbeat_ms = args.parsed("--heartbeat-ms", |n: &u64| *n >= 1);
+    if spawn_workers == 0 && (chaos_kill_at.is_some() || heartbeat_ms.is_some()) {
+        usage("--chaos-kill-at and --heartbeat-ms act on --spawn-workers children");
+    }
+    let campaign = load_runnable_campaign(args, 1);
     let started = Instant::now();
     let coordinator =
         fabric::Coordinator::bind(addr).unwrap_or_else(|e| die(format!("cannot bind {addr}: {e}")));
@@ -497,11 +349,11 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
         .unwrap_or_else(|e| die(format!("bound address: {e}")));
     let progress = Arc::new(AtomicUsize::new(0));
     let mut cfg = fabric::FabricConfig {
-        checkpoint: cli.checkpoint.as_ref().map(std::path::PathBuf::from),
+        checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
         progress: Some(Arc::clone(&progress)),
         ..fabric::FabricConfig::default()
     };
-    if let Some(ms) = cli.lease_timeout_ms {
+    if let Some(ms) = args.parsed("--lease-timeout-ms", |n: &u64| *n >= 1) {
         cfg.lease_timeout = std::time::Duration::from_millis(ms);
     }
     println!(
@@ -513,29 +365,25 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
     // backlog until serve() starts accepting. Worker stdout is discarded —
     // results travel over the TCP connection; diagnostics go to stderr.
     let children = Arc::new(Mutex::new(Vec::new()));
-    if cli.spawn_workers > 0 {
-        let exe = std::env::current_exe()
-            .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
-        for w in 0..cli.spawn_workers {
-            let mut cmd = Command::new(&exe);
-            cmd.args(["--join", &local.to_string(), "--name", &format!("w{w}")]);
-            if let Some(ms) = cli.heartbeat_ms {
-                cmd.args(["--heartbeat-ms", &ms.to_string()]);
-            }
-            let child = cmd
-                .stdout(Stdio::null())
-                .spawn()
-                .unwrap_or_else(|e| die(format!("cannot spawn worker {w}: {e}")));
-            children.lock().unwrap().push(child);
+    let exe = std::env::current_exe()
+        .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
+    for w in 0..spawn_workers {
+        let mut cmd = Command::new(&exe);
+        cmd.args(["join", &local.to_string(), "--name", &format!("w{w}")]);
+        if let Some(ms) = heartbeat_ms {
+            cmd.args(["--heartbeat-ms", &ms.to_string()]);
         }
+        let child = cmd
+            .stdout(Stdio::null())
+            .spawn()
+            .unwrap_or_else(|e| die(format!("cannot spawn worker {w}: {e}")));
+        eprintln!("campaign: spawned worker w{w} (pid {})", child.id());
+        children.lock().unwrap().push(child);
     }
     // Chaos monitor: SIGKILL the first spawned worker once the requested
     // fraction of scenarios has results. The fabric must finish correctly
     // anyway — the kill is the point.
-    if let (Some(frac), true) = (
-        cli.chaos_kill_at,
-        cli.spawn_workers > 0 && !campaign.is_empty(),
-    ) {
+    if let (Some(frac), false) = (chaos_kill_at, campaign.is_empty()) {
         let threshold = ((frac * campaign.len() as f64).ceil() as usize).clamp(1, campaign.len());
         let progress = Arc::clone(&progress);
         let children = Arc::clone(&children);
@@ -550,14 +398,19 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
             std::thread::sleep(std::time::Duration::from_millis(5));
         });
     }
-    // Stall watchdog: if the result count stops moving for FABRIC_STALL_TIMEOUT
-    // while incomplete, exit 4 rather than hang a CI job forever.
+    // Stall watchdog: exit 4 rather than hang a CI job forever when the
+    // result count stops moving while incomplete — for FABRIC_STALL_TIMEOUT
+    // as long as a spawned worker lives (or none was spawned: remote workers
+    // may yet join), but only for one lease timeout once every spawned
+    // worker has exited, when nothing here can deliver the rest.
     {
         let progress = Arc::clone(&progress);
-        let len = campaign.len();
+        let children = Arc::clone(&children);
+        let (len, lease_timeout) = (campaign.len(), cfg.lease_timeout);
         std::thread::spawn(move || {
             let mut last = progress.load(Ordering::SeqCst);
             let mut last_change = Instant::now();
+            let mut all_exited_at = None;
             loop {
                 std::thread::sleep(std::time::Duration::from_millis(200));
                 let now = progress.load(Ordering::SeqCst);
@@ -567,10 +420,28 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
                 if now != last {
                     last = now;
                     last_change = Instant::now();
-                } else if last_change.elapsed() > FABRIC_STALL_TIMEOUT {
+                }
+                let mut guard = children.lock().unwrap();
+                let exited: Vec<Option<ExitStatus>> = guard
+                    .iter_mut()
+                    .map(|child| child.try_wait().ok().flatten())
+                    .collect();
+                drop(guard);
+                let (since, limit) = if !exited.is_empty() && exited.iter().all(Option::is_some) {
+                    let exited_at = *all_exited_at.get_or_insert_with(Instant::now);
+                    (last_change.max(exited_at), lease_timeout)
+                } else {
+                    (last_change, FABRIC_STALL_TIMEOUT)
+                };
+                if since.elapsed() > limit {
+                    let statuses: Vec<String> = exited
+                        .iter()
+                        .map(|s| s.map_or("running".to_string(), |s| s.to_string()))
+                        .collect();
                     eprintln!(
-                        "campaign: fabric stalled at {now}/{len} results for {} s; giving up",
-                        FABRIC_STALL_TIMEOUT.as_secs()
+                        "campaign: fabric stalled at {now}/{len} results for {:.1} s \
+                         (spawned workers: {statuses:?}); giving up",
+                        limit.as_secs_f64()
                     );
                     std::process::exit(4);
                 }
@@ -578,7 +449,7 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
         });
     }
     let fab = coordinator
-        .serve(campaign, &cfg)
+        .serve(&campaign, &cfg)
         .unwrap_or_else(|e| die(format!("fabric serve failed: {e}")));
     // Reap the spawned workers. A chaos-killed (or otherwise dead) worker
     // is expected and must not fail the run — the merged report already
@@ -603,23 +474,21 @@ fn run_serve(campaign: &Campaign, addr: &str, cli: &Cli) {
          reassigned {} lease(s)",
         fab.executed, fab.resumed, fab.deduped, fab.reassigned
     );
-    verify_and_write(&merged, campaign, cli.verify_serial, cli.report.as_deref());
+    verify_and_write(&merged, &campaign, args);
 }
 
-/// Fabric worker mode: join a coordinator, receive the campaign over the
-/// wire and execute leased scenarios until dismissed. All diagnostics go
-/// to stderr (symmetry with `--worker-shard`; results travel over the TCP
-/// connection, not stdout).
-fn run_join(addr: &str, cli: &Cli) {
+/// `join ADDR`: join a coordinator, receive the campaign over the wire and
+/// execute leased scenarios until dismissed. All diagnostics go to stderr
+/// (results travel over the TCP connection, not stdout).
+fn run_join(args: &Args) {
+    let addr = operand(args, "ADDR");
     let mut cfg = fabric::WorkerConfig::default();
-    if let Some(name) = &cli.worker_name {
-        cfg.name = name.clone();
+    if let Some(name) = args.value("--name") {
+        cfg.name = name.to_string();
     }
-    if let Some(ms) = cli.heartbeat_ms {
+    if let Some(ms) = args.parsed("--heartbeat-ms", |n: &u64| *n >= 1) {
         cfg.heartbeat = std::time::Duration::from_millis(ms);
     }
-    cfg.hang_after = cli.hang_after;
-    cfg.quit_after = cli.quit_after;
     let started = Instant::now();
     let summary =
         fabric::join(addr, &cfg).unwrap_or_else(|e| die(format!("worker {}: {e}", cfg.name)));
@@ -632,147 +501,54 @@ fn run_join(addr: &str, cli: &Cli) {
     );
 }
 
-/// Merge mode: fold JSONL files produced by workers (possibly on other
-/// hosts) into one report. `expected_len` (from `--expect N`, or the
-/// manifest's scenario count when `--manifest` is given) guards against a
-/// truncated or lost shard file: without it, contiguous-from-0 validation
-/// cannot notice missing *trailing* scenarios, so the merge warns.
-fn run_merge(files: &[String], expected_len: Option<usize>, report_path: Option<&str>) {
-    let texts: Vec<String> = files
-        .iter()
-        .map(|p| {
-            std::fs::read_to_string(p).unwrap_or_else(|e| die(format!("cannot read {p}: {e}")))
-        })
+/// The fluid smoke campaign committed as `manifests/fluid_smoke.json`: the
+/// validation grid on the fluid backend, plus the corpus sweep on both
+/// backends (one manifest sweeping the "backend" key end to end). Corpus
+/// paths are repo-relative — run it from the repo root.
+fn fluid_smoke_campaign() -> Campaign {
+    let mut specs: Vec<ScenarioSpec> = validation_grid(Duration::from_ms(2), 42)
+        .into_iter()
+        .map(|s| s.with_backend(BackendSpec::Fluid))
         .collect();
-    let report = wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len)
-        .unwrap_or_else(|e| die(format!("merge failed: {e}")));
-    println!(
-        "merged {} results from {} file(s)\n{}",
-        report.results.len(),
-        files.len(),
-        report.table()
+    let corpus = corpus_sweep(
+        &CORPUS_FILES,
+        CcSpec::by_label("HPCC"),
+        Bandwidth::from_gbps(25),
+        0.3,
+        Duration::from_us(500),
+        42,
     );
-    if expected_len.is_none() {
-        eprintln!(
-            "campaign: warning: no --expect N (or --manifest) given; a shard \
-             file that lost only trailing scenarios cannot be detected"
-        );
+    for spec in corpus.scenarios() {
+        specs.push(spec.clone());
+        let mut fluid = spec.clone().with_backend(BackendSpec::Fluid);
+        fluid.name = format!("{} (fluid)", spec.name);
+        specs.push(fluid);
     }
-    if let Some(path) = report_path {
-        std::fs::write(path, report.to_json_string() + "\n")
-            .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        println!("wrote {path}");
+    Campaign::from_scenarios(specs)
+}
+
+/// `dump fig11|fluid|fabric`: print a built-in campaign as a manifest.
+fn run_dump(args: &Args) {
+    let kind = operand(args, "fig11|fluid|fabric");
+    if kind != "fig11" && args.positional().len() > 1 {
+        usage(format!("dump {kind} takes no [duration_ms] [load]"));
     }
+    let campaign = match kind {
+        "fig11" => load_campaign(args, 1),
+        "fluid" => fluid_smoke_campaign(),
+        "fabric" => fabric_smoke_campaign(),
+        other => usage(format!("dump: unknown campaign {other:?}")),
+    };
+    println!("{}", campaign.to_json_string());
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cli = Cli::parse(&args);
-    if cli.dump_fluid_manifest {
-        // The fluid smoke campaign committed as manifests/fluid_smoke.json:
-        // the validation grid on the fluid backend, plus the corpus sweep on
-        // both backends (one manifest sweeping the "backend" key end to
-        // end). Corpus paths are repo-relative — run it from the repo root.
-        let mut specs: Vec<ScenarioSpec> = validation_grid(Duration::from_ms(2), 42)
-            .into_iter()
-            .map(|s| s.with_backend(BackendSpec::Fluid))
-            .collect();
-        let corpus = corpus_sweep(
-            &CORPUS_FILES,
-            CcSpec::by_label("HPCC"),
-            Bandwidth::from_gbps(25),
-            0.3,
-            Duration::from_us(500),
-            42,
-        );
-        for spec in corpus.specs() {
-            specs.push(spec.clone());
-            let mut fluid = spec.clone().with_backend(BackendSpec::Fluid);
-            fluid.name = format!("{} (fluid)", spec.name);
-            specs.push(fluid);
-        }
-        println!("{}", Campaign::from_scenarios(specs).to_json_string());
-        return;
-    }
-    if cli.dump_fabric_manifest {
-        println!("{}", fabric_smoke_campaign().to_json_string());
-        return;
-    }
-    if let Some(addr) = &cli.join {
-        // Workers need no campaign arguments: the manifest arrives over
-        // the wire from the coordinator.
-        run_join(addr, &cli);
-        return;
-    }
-    if cli.cross_validate {
-        run_cross_validate(&cli.grid_specs(), cli.tolerance, cli.report.as_deref());
-        return;
-    }
-    if !cli.merge.is_empty() {
-        // Validate completeness against --expect N, or against the
-        // manifest's scenario count when one is given.
-        let expected = cli
-            .expect
-            .or_else(|| cli.manifest.as_ref().map(|_| cli.build_campaign().len()));
-        run_merge(&cli.merge, expected, cli.report.as_deref());
-        return;
-    }
-    let campaign = cli.build_campaign();
-    if cli.dump_manifest {
-        println!("{}", campaign.to_json_string());
-        return;
-    }
-    if let Some(addr) = &cli.serve {
-        run_serve(&campaign, addr, &cli);
-        return;
-    }
-    if let Some(plan) = cli.worker_shard {
-        run_worker(&campaign, plan);
-        return;
-    }
-    if let Some(shards) = cli.shards {
-        run_coordinator(
-            &campaign,
-            shards,
-            &cli.campaign_args(),
-            cli.verify_serial,
-            cli.report.as_deref(),
-        );
-        return;
-    }
-
-    println!(
-        "campaign: {} scenarios ({} available cores)",
-        campaign.len(),
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
-
-    let serial = campaign.run_serial();
-    println!("\n== serial ==\n{}", serial.table());
-
-    // One OS thread per scenario (not capped at the core count): on a
-    // multi-core host this is the full fan-out; on a loaded or small host
-    // the digests still prove determinism.
-    let parallel = campaign.run_with_threads(campaign.len());
-    println!("== parallel ==\n{}", parallel.table());
-
-    assert_eq!(
-        serial.digests(),
-        parallel.digests(),
-        "parallel execution must be bit-identical to serial"
-    );
-    let speedup = serial.wall.as_secs_f64() / parallel.wall.as_secs_f64().max(1e-9);
-    println!(
-        "digests identical across {} scenarios; speedup {:.2}x ({:.2} s serial -> {:.2} s on {} threads)",
-        serial.results.len(),
-        speedup,
-        serial.wall.as_secs_f64(),
-        parallel.wall.as_secs_f64(),
-        parallel.threads
-    );
-    if parallel.threads > 1 && speedup <= 1.0 {
-        println!("warning: no speedup observed (heavily loaded or single-core host?)");
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let command = argv.first().map_or("", String::as_str);
+    let Some(c) = COMMANDS.iter().find(|c| c.name == command) else {
+        usage(format!("expected a subcommand, got {command:?}"));
+    };
+    let args =
+        Args::parse(&argv[1..], c.options, c.switches, c.positional.1).unwrap_or_else(|e| usage(e));
+    (c.run)(&args);
 }

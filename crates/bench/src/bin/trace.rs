@@ -29,93 +29,32 @@
 //! Trace format and error semantics: see `hpcc_workload::trace` and
 //! `docs/ARCHITECTURE.md`.
 
+use hpcc_bench::cli::Args;
+use hpcc_bench::{die, load_manifest};
 use hpcc_core::{Campaign, ScenarioSpec};
 use hpcc_workload::Trace;
 
-fn die(msg: impl AsRef<str>) -> ! {
-    eprintln!("trace: {}", msg.as_ref());
-    std::process::exit(2);
+const USAGE: &str = "usage: trace export --manifest F [--index I] [--jsonl] [--out FILE]
+       trace freeze --manifest F [--out FILE]
+       trace info FILE
+       trace roundtrip --manifest F [--index I]";
+
+fn load_campaign(args: &Args) -> Campaign {
+    let path = args.value("--manifest");
+    load_manifest(path.unwrap_or_else(|| die("--manifest is required")))
 }
 
-#[derive(Default)]
-struct Cli {
-    command: String,
-    manifest: Option<String>,
-    index: usize,
-    out: Option<String>,
-    jsonl: bool,
-    positional: Vec<String>,
-}
-
-impl Cli {
-    fn parse(args: &[String]) -> Cli {
-        let mut cli = Cli::default();
-        let value = |i: usize, flag: &str| -> String {
-            match args.get(i + 1) {
-                Some(next) if !next.starts_with("--") => next.clone(),
-                _ => die(format!("{flag} needs a value")),
-            }
-        };
-        let mut i = 1;
-        while i < args.len() {
-            match args[i].as_str() {
-                "--manifest" => {
-                    cli.manifest = Some(value(i, "--manifest"));
-                    i += 2;
-                }
-                "--index" => {
-                    let n = value(i, "--index");
-                    cli.index = n
-                        .parse()
-                        .unwrap_or_else(|_| die(format!("bad scenario index {n:?}")));
-                    i += 2;
-                }
-                "--out" => {
-                    cli.out = Some(value(i, "--out"));
-                    i += 2;
-                }
-                "--jsonl" => {
-                    cli.jsonl = true;
-                    i += 1;
-                }
-                flag if flag.starts_with("--") => die(format!("unknown flag {flag}")),
-                other => {
-                    if cli.command.is_empty() {
-                        cli.command = other.to_string();
-                    } else {
-                        cli.positional.push(other.to_string());
-                    }
-                    i += 1;
-                }
-            }
-        }
-        cli
-    }
-
-    fn load_campaign(&self) -> Campaign {
-        let path = self
-            .manifest
-            .as_ref()
-            .unwrap_or_else(|| die("--manifest is required"));
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-        Campaign::from_json_str(&text).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
-    }
-
-    fn pick_scenario(&self) -> ScenarioSpec {
-        let campaign = self.load_campaign();
-        campaign
-            .scenarios()
-            .get(self.index)
-            .unwrap_or_else(|| {
-                die(format!(
-                    "scenario index {} out of range ({} scenarios)",
-                    self.index,
-                    campaign.len()
-                ))
-            })
-            .clone()
-    }
+/// Scenario `--index` (default 0) of the manifest, with its index.
+fn pick_scenario(args: &Args) -> (usize, ScenarioSpec) {
+    let index = args.parsed("--index", |_: &usize| true).unwrap_or(0);
+    let campaign = load_campaign(args);
+    let spec = campaign.scenarios().get(index).unwrap_or_else(|| {
+        die(format!(
+            "scenario index {index} out of range ({} scenarios)",
+            campaign.len()
+        ))
+    });
+    (index, spec.clone())
 }
 
 fn scenario_trace(spec: &ScenarioSpec) -> Trace {
@@ -126,22 +65,21 @@ fn scenario_trace(spec: &ScenarioSpec) -> Trace {
         .unwrap_or_else(|e| die(format!("exporting {:?}: {e}", spec.name)))
 }
 
-fn run_export(cli: &Cli) {
-    let spec = cli.pick_scenario();
+fn run_export(args: &Args) {
+    let (index, spec) = pick_scenario(args);
     let trace = scenario_trace(&spec);
-    let text = if cli.jsonl {
+    let text = if args.has("--jsonl") {
         trace.to_jsonl()
     } else {
         trace.to_csv()
     };
-    match &cli.out {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, &text)
                 .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
             eprintln!(
-                "exported {} flows of scenario {} ({:?}) to {path}",
+                "exported {} flows of scenario {index} ({:?}) to {path}",
                 trace.records.len(),
-                cli.index,
                 spec.name
             );
         }
@@ -149,8 +87,8 @@ fn run_export(cli: &Cli) {
     }
 }
 
-fn run_freeze(cli: &Cli) {
-    let campaign = cli.load_campaign();
+fn run_freeze(args: &Args) {
+    let campaign = load_campaign(args);
     let frozen: Vec<ScenarioSpec> = campaign
         .scenarios()
         .iter()
@@ -160,7 +98,7 @@ fn run_freeze(cli: &Cli) {
         })
         .collect();
     let manifest = Campaign::from_scenarios(frozen).to_json_string();
-    match &cli.out {
+    match args.value("--out") {
         Some(path) => {
             std::fs::write(path, manifest + "\n")
                 .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
@@ -182,9 +120,9 @@ fn prio_label(code: u8) -> String {
     }
 }
 
-fn run_info(cli: &Cli) {
-    let path = cli
-        .positional
+fn run_info(args: &Args) {
+    let path = args
+        .positional()
         .first()
         .unwrap_or_else(|| die("info needs a trace file argument"));
     let trace = Trace::from_file(path).unwrap_or_else(|e| die(format!("{path}: {e}")));
@@ -222,8 +160,8 @@ fn run_info(cli: &Cli) {
     }
 }
 
-fn run_roundtrip(cli: &Cli) {
-    let spec = cli.pick_scenario();
+fn run_roundtrip(args: &Args) {
+    let (index, spec) = pick_scenario(args);
     let exp = spec
         .try_build()
         .unwrap_or_else(|e| die(format!("building {:?}: {e}", spec.name)));
@@ -249,22 +187,30 @@ fn run_roundtrip(cli: &Cli) {
         }
     }
     println!(
-        "roundtrip ok: {} flows of scenario {} ({:?}) survive export -> parse -> replay in both formats",
+        "roundtrip ok: {} flows of scenario {index} ({:?}) survive export -> parse -> replay in both formats",
         exp.flows().len(),
-        cli.index,
         spec.name
     );
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let cli = Cli::parse(&args);
-    match cli.command.as_str() {
-        "export" => run_export(&cli),
-        "freeze" => run_freeze(&cli),
-        "info" => run_info(&cli),
-        "roundtrip" => run_roundtrip(&cli),
-        "" => die("usage: trace <export|freeze|info|roundtrip> [--manifest f] [--index I] [--out f] [--jsonl]"),
-        other => die(format!("unknown command {other:?}")),
-    }
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    type Run = fn(&Args);
+    // Per command: options taking a value, switches, positional count.
+    let (run, options, switches, positionals): (Run, &[&str], &[&str], usize) =
+        match argv.first().map_or("", String::as_str) {
+            "export" => (
+                run_export,
+                &["--manifest", "--index", "--out"],
+                &["--jsonl"],
+                0,
+            ),
+            "freeze" => (run_freeze, &["--manifest", "--out"], &[], 0),
+            "info" => (run_info, &[], &[], 1),
+            "roundtrip" => (run_roundtrip, &["--manifest", "--index"], &[], 0),
+            other => die(format!("unknown command {other:?}\n{USAGE}")),
+        };
+    let args = Args::parse(&argv[1..], options, switches, positionals)
+        .unwrap_or_else(|e| die(format!("{e}\n{USAGE}")));
+    run(&args);
 }

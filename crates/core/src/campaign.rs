@@ -12,8 +12,9 @@
 //! line (see [`crate::wire`]) the moment it completes; a coordinator merges
 //! the shard streams back into one report with
 //! [`crate::wire::merge_shard_streams`]. The `campaign` binary in
-//! `hpcc-bench` wires these into `--shards N` / `--worker-shard i/N` /
-//! `--merge` CLI modes.
+//! `hpcc-bench` exposes this offline pair as its `shard i/N` and `merge`
+//! subcommands; live multi-process runs go through [`crate::fabric`]
+//! (`serve` / `join`).
 //!
 //! Determinism is a hard guarantee: every scenario derives all randomness
 //! from its own seed, so the per-scenario results — summarised metrics *and*
@@ -61,7 +62,8 @@ impl Campaign {
         self.scenarios.push(spec);
     }
 
-    /// The scenarios, in execution-report order.
+    /// The scenarios, in execution-report order (e.g. to feed a manifest
+    /// into the cross-validation harness, [`crate::ValidationReport::run`]).
     pub fn scenarios(&self) -> &[ScenarioSpec] {
         &self.scenarios
     }
@@ -74,12 +76,6 @@ impl Campaign {
     /// True if the campaign holds no scenarios.
     pub fn is_empty(&self) -> bool {
         self.scenarios.is_empty()
-    }
-
-    /// The scenarios, in campaign order (e.g. to feed a manifest into the
-    /// cross-validation harness, [`crate::ValidationReport::run`]).
-    pub fn specs(&self) -> &[ScenarioSpec] {
-        &self.scenarios
     }
 
     /// Run every scenario on the calling thread, in order.
@@ -236,7 +232,7 @@ impl ShardPlan {
         ShardPlan { shard, of }
     }
 
-    /// Parse the `i/N` notation of the `--worker-shard` CLI flag
+    /// Parse the `i/N` notation of the `campaign shard` subcommand
     /// (0-based: `"0/2"` and `"1/2"` are the two shards of a 2-way split).
     pub fn parse(text: &str) -> Result<Self, String> {
         let (shard, of) = text

@@ -96,21 +96,21 @@ impl From<WireError> for FabricError {
     }
 }
 
+/// The wall-time budget one lease should amount to: the batch size is
+/// `TARGET_LEASE_WALL / EWMA(per-scenario wall)`, clamped to `1..=MAX_BATCH`.
+const TARGET_LEASE_WALL: std::time::Duration = std::time::Duration::from_millis(500);
+/// Upper bound on the indices of a single lease.
+const MAX_BATCH: usize = 16;
+/// Lease size granted to a worker before any wall-time observation exists
+/// (kept small so the EWMA calibrates quickly).
+const INITIAL_BATCH: usize = 1;
+
 /// Tuning knobs of one [`Coordinator::serve`] run.
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// How long a worker may stay silent (no result, no heartbeat) before
     /// it is declared dead and its outstanding lease returns to the queue.
     pub lease_timeout: std::time::Duration,
-    /// The wall-time budget one lease should amount to: the batch size is
-    /// `target_lease_wall / EWMA(per-scenario wall)`, clamped to
-    /// `1..=max_batch`.
-    pub target_lease_wall: std::time::Duration,
-    /// Upper bound on the indices of a single lease.
-    pub max_batch: usize,
-    /// Lease size granted to a worker before any wall-time observation
-    /// exists (kept small so the EWMA calibrates quickly).
-    pub initial_batch: usize,
     /// Checkpoint file: every accepted result is appended as one canonical
     /// result line and flushed. An existing file is replayed on startup
     /// (tolerating a truncated tail, which is cut off in place), so a
@@ -126,9 +126,6 @@ impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             lease_timeout: std::time::Duration::from_secs(10),
-            target_lease_wall: std::time::Duration::from_millis(500),
-            max_batch: 16,
-            initial_batch: 1,
             checkpoint: None,
             progress: None,
         }
@@ -324,21 +321,17 @@ impl CoordState {
         }
     }
 
-    /// The lease size for `worker`: the configured wall-time budget divided
-    /// by the worker's observed per-scenario EWMA, clamped to
-    /// `1..=max_batch` (`initial_batch` before any observation).
-    fn lease_size(&self, worker: usize, cfg: &FabricConfig) -> usize {
+    /// The lease size for `worker`: [`TARGET_LEASE_WALL`] divided by the
+    /// worker's observed per-scenario EWMA, clamped to `1..=MAX_BATCH`
+    /// ([`INITIAL_BATCH`] before any observation).
+    fn lease_size(&self, worker: usize) -> usize {
         match self.workers[worker].ewma_wall {
-            None => self.clamp_batch(cfg.initial_batch, cfg),
+            None => INITIAL_BATCH,
             Some(ewma) => {
-                let target = cfg.target_lease_wall.as_secs_f64();
-                self.clamp_batch((target / ewma.max(1e-9)) as usize, cfg)
+                let batch = TARGET_LEASE_WALL.as_secs_f64() / ewma.max(1e-9);
+                (batch as usize).clamp(1, MAX_BATCH)
             }
         }
-    }
-
-    fn clamp_batch(&self, batch: usize, cfg: &FabricConfig) -> usize {
-        batch.clamp(1, cfg.max_batch.max(1))
     }
 }
 
@@ -465,7 +458,7 @@ impl Coordinator {
                 if !st.workers[i].alive || !st.workers[i].outstanding.is_empty() {
                     continue;
                 }
-                let batch = st.lease_size(i, cfg);
+                let batch = st.lease_size(i);
                 let mut indices = Vec::new();
                 while indices.len() < batch {
                     match st.pending.pop_first() {
@@ -820,12 +813,6 @@ mod tests {
 
     #[test]
     fn lease_sizes_follow_the_ewma() {
-        let cfg = FabricConfig {
-            target_lease_wall: std::time::Duration::from_millis(100),
-            max_batch: 8,
-            initial_batch: 2,
-            ..FabricConfig::default()
-        };
         let state = |ewma: Option<f64>| CoordState {
             pending: BTreeSet::new(),
             ledger: ResultLedger::new(0),
@@ -850,13 +837,14 @@ mod tests {
             reassigned: 0,
         };
         // No observation yet: the initial batch.
-        assert_eq!(state(None).lease_size(0, &cfg), 2);
-        // 25 ms/scenario → 4 fit in the 100 ms budget.
-        assert_eq!(state(Some(0.025)).lease_size(0, &cfg), 4);
+        assert_eq!(state(None).lease_size(0), INITIAL_BATCH);
+        // A quarter of the budget per scenario → 4 fit.
+        let budget = TARGET_LEASE_WALL.as_secs_f64();
+        assert_eq!(state(Some(budget / 4.0)).lease_size(0), 4);
         // Very slow scenarios: never below 1.
-        assert_eq!(state(Some(10.0)).lease_size(0, &cfg), 1);
-        // Very fast scenarios: capped at max_batch.
-        assert_eq!(state(Some(1e-6)).lease_size(0, &cfg), 8);
+        assert_eq!(state(Some(budget * 20.0)).lease_size(0), 1);
+        // Very fast scenarios: capped at MAX_BATCH.
+        assert_eq!(state(Some(1e-6)).lease_size(0), MAX_BATCH);
     }
 
     #[test]

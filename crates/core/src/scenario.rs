@@ -22,8 +22,7 @@ use crate::json::{obj, JsonError, JsonValue};
 use crate::presets::scheme_by_label;
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, HpccReactionMode, TimelyConfig};
 use hpcc_sim::{
-    BackendKind, DegradedLink, EcnConfig, FaultConfig, FlowControlMode, LinkDownMode, LinkFault,
-    StragglerHost,
+    DegradedLink, EcnConfig, FaultConfig, FlowControlMode, LinkDownMode, LinkFault, StragglerHost,
 };
 use hpcc_topology::{
     dumbbell, fat_tree, leaf_spine, star, testbed_pod, FatTreeParams, TopologySpec,
@@ -199,7 +198,8 @@ impl TopologyChoice {
     }
 }
 
-/// Which engine answers a scenario, as plain data.
+/// Which engine answers a scenario, as plain data — the simulator's own
+/// [`hpcc_sim::BackendKind`] under the name scenario specs use for it.
 ///
 /// The JSON form is the optional `"backend"` key: a label string (`"packet"`
 /// | `"fluid"`) or the object form `{"parallel_packet": {"threads": N}}` for
@@ -209,54 +209,7 @@ impl TopologyChoice {
 /// combining it with features it cannot answer (fault injection,
 /// multi-class/PIAS queueing) are rejected with a typed [`BuildError`] at
 /// `try_build` time, as is a parallel backend with zero threads.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum BackendSpec {
-    /// The packet-level event-wheel engine (the default, and the reference).
-    #[default]
-    Packet,
-    /// The Appendix A.2 fluid-model fast path.
-    Fluid,
-    /// The parallel partitioned packet engine: `threads` shard threads over
-    /// a conservative-lookahead partition, bit-identical to
-    /// [`Packet`](BackendSpec::Packet).
-    ParallelPacket {
-        /// Worker threads (must be ≥ 1; the partitioner clamps to the
-        /// switch count, and 1 collapses to the sequential engine).
-        threads: u32,
-    },
-}
-
-impl BackendSpec {
-    /// The wire label ("packet" / "fluid" / "parallel_packet").
-    pub fn label(self) -> &'static str {
-        self.kind().label()
-    }
-
-    /// The engine-layer kind this spec resolves to.
-    pub fn kind(self) -> BackendKind {
-        match self {
-            BackendSpec::Packet => BackendKind::Packet,
-            BackendSpec::Fluid => BackendKind::Fluid,
-            BackendSpec::ParallelPacket { threads } => BackendKind::ParallelPacket { threads },
-        }
-    }
-
-    /// Parse a wire label. The parallel engine has no bare-label form — it
-    /// needs its thread count — so `"parallel_packet"` here points at the
-    /// object form instead of decoding.
-    pub fn from_label(label: &str) -> Result<Self, JsonError> {
-        match label {
-            "packet" => Ok(BackendSpec::Packet),
-            "fluid" => Ok(BackendSpec::Fluid),
-            "parallel_packet" => Err(JsonError(
-                "backend \"parallel_packet\" needs a thread count; write \
-                 {\"parallel_packet\": {\"threads\": N}}"
-                    .into(),
-            )),
-            other => Err(JsonError(format!("unknown backend {other:?}"))),
-        }
-    }
-}
+pub use hpcc_sim::BackendKind as BackendSpec;
 
 /// Which congestion control the hosts run, as plain data.
 ///
@@ -1105,7 +1058,7 @@ impl ScenarioSpec {
             .duration(self.duration)
             .seed(self.seed)
             .flow_control(self.flow_control)
-            .backend(self.backend.kind());
+            .backend(self.backend);
         if let Some(bytes) = self.buffer_bytes {
             b = b.buffer_bytes(bytes);
         }

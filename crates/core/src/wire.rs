@@ -115,13 +115,20 @@ pub fn backend_to_json(backend: BackendSpec) -> Option<JsonValue> {
     }
 }
 
-/// Decode a `"backend"` value: either a bare label string (resolved via
-/// [`BackendSpec::from_label`]) or the single-key object form holding the
-/// parallel engine's thread count. Extra keys alongside `"parallel_packet"`
-/// are conflicting backend selections and rejected.
+/// Decode a `"backend"` value: either a bare label string or the
+/// single-key object form holding the parallel engine's thread count (which
+/// therefore has no bare-label form: `"parallel_packet"` as a string points
+/// at the object form instead of decoding). Extra keys alongside
+/// `"parallel_packet"` are conflicting backend selections and rejected.
 pub fn backend_from_json(v: &JsonValue) -> Result<BackendSpec, JsonError> {
     if let JsonValue::Str(label) = v {
-        return BackendSpec::from_label(label);
+        return match label.as_str() {
+            "packet" => Ok(BackendSpec::Packet),
+            "fluid" => Ok(BackendSpec::Fluid),
+            "parallel_packet" => err("backend \"parallel_packet\" needs a thread count; write \
+                 {\"parallel_packet\": {\"threads\": N}}"),
+            other => err(format!("unknown backend {other:?}")),
+        };
     }
     let pairs = match v {
         JsonValue::Object(pairs) => pairs,

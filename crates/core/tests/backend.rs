@@ -150,7 +150,7 @@ fn corpus_sweep_builds_and_runs_on_every_committed_topology() {
         42,
     );
     assert_eq!(campaign.len(), CORPUS_FILES.len());
-    for spec in campaign.specs() {
+    for spec in campaign.scenarios() {
         let exp = spec
             .try_build()
             .unwrap_or_else(|e| panic!("{}: {e}", spec.name));

@@ -7,7 +7,7 @@
 //! The identity sweep is the spec-level counterpart of the engine-level
 //! tests in `hpcc_sim::parallel`: it goes through `ScenarioSpec::try_build`
 //! and the `Backend` boundary exactly as a manifest would, so it also pins
-//! the `BackendSpec -> BackendKind -> ParallelPacketBackend` plumbing.
+//! the `BackendSpec -> ParallelPacketBackend` plumbing.
 
 use hpcc_core::campaign::digest_output;
 use hpcc_core::presets::{fattree_fb_hadoop, fault_smoke, fig11_campaign, priority_mix};
@@ -26,11 +26,15 @@ fn preset_specs() -> Vec<ScenarioSpec> {
     let params = FatTreeParams::small();
     let end = Duration::from_ms(1);
     let mut specs = Vec::new();
-    specs.extend(fig11_campaign(params, 0.3, end, true, 42).specs().to_vec());
-    specs.extend(fault_smoke(params, 0.3, end, 42).specs().to_vec());
+    specs.extend(
+        fig11_campaign(params, 0.3, end, true, 42)
+            .scenarios()
+            .to_vec(),
+    );
+    specs.extend(fault_smoke(params, 0.3, end, 42).scenarios().to_vec());
     specs.extend(
         priority_mix(CcSpec::by_label("HPCC"), params, 0.3, end, 100_000, 3, 42)
-            .specs()
+            .scenarios()
             .to_vec(),
     );
     specs.push(fattree_fb_hadoop(

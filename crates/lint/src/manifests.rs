@@ -14,7 +14,7 @@
 //! * the committed text must be a **canonical re-encoding fixed point**:
 //!   `Campaign::from_json_str` → `to_json_string` + newline must reproduce
 //!   the file byte-identically, so a hand-edited (or stale-format) manifest
-//!   can never disagree with what `--dump-manifest` would emit,
+//!   can never disagree with what `campaign dump` would emit,
 //! * every corpus file must parse, build into a routed topology with at
 //!   least two hosts, and **round-trip** through the canonical edge-list
 //!   encoding (`parse(to_edge_list(t)) == t`, semantic identity — the

@@ -56,8 +56,9 @@ pub enum BackendKind {
     /// ([`crate::parallel::ParallelPacketBackend`]): `threads` shard
     /// threads, bit-identical to [`Packet`](BackendKind::Packet).
     ParallelPacket {
-        /// Worker threads (the partitioner may clamp; 1 collapses to the
-        /// sequential engine).
+        /// Worker threads (scenario specs require ≥ 1; the partitioner
+        /// clamps to the switch count, and 1 collapses to the sequential
+        /// engine).
         threads: u32,
     },
 }

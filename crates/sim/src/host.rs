@@ -15,9 +15,9 @@
 use crate::config::SimConfig;
 use crate::engine::{Effects, Event};
 use crate::output::{FlowRecord, PortCounters};
-use crate::rng::SplitMix64;
 use hpcc_cc::{build_cc, AckEvent, CongestionControl};
 use hpcc_topology::PortDesc;
+use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
     Bandwidth, Duration, FlowId, FlowSpec, NodeId, Packet, PacketKind, PortId, Priority, SimTime,
 };

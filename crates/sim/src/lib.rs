@@ -33,7 +33,6 @@ pub mod host;
 pub mod output;
 pub mod parallel;
 pub mod partition;
-pub mod rng;
 pub mod sched;
 pub mod switch;
 

@@ -62,10 +62,10 @@ use crate::fault::{LinkDownMode, Transition, FAULT_RNG_STREAM};
 use crate::host::Host;
 use crate::output::{PfcEvent, SimOutput};
 use crate::partition::{plan_shards, ShardLayout};
-use crate::rng::SplitMix64;
 use crate::simulator::{FaultRuntime, Node};
 use crate::switch::Switch;
 use hpcc_topology::{NodeKind, TopologySpec};
+use hpcc_types::rng::SplitMix64;
 use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;

@@ -6,9 +6,9 @@ use crate::engine::{Effects, Event, EventQueue};
 use crate::fault::{FaultConfig, FaultTimeline, LinkDownMode, Transition, FAULT_RNG_STREAM};
 use crate::host::Host;
 use crate::output::SimOutput;
-use crate::rng::SplitMix64;
 use crate::switch::Switch;
 use hpcc_topology::{NodeKind, TopologySpec};
+use hpcc_types::rng::SplitMix64;
 use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
 
 /// A node in the simulated network. Hosts dominate the node vector in every

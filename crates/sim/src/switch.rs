@@ -25,9 +25,9 @@
 use crate::config::SimConfig;
 use crate::engine::{Effects, Event};
 use crate::output::{PfcEvent, PortCounters};
-use crate::rng::SplitMix64;
 use crate::sched::{ClassLane, Scheduler};
 use hpcc_topology::{PortDesc, TopologySpec};
+use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
     Bandwidth, Duration, IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, SimTime,
 };

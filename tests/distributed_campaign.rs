@@ -1,13 +1,16 @@
-//! Multi-process sharded campaign execution: worker subprocesses stream
-//! `ScenarioResult`s as JSONL; the merged report must be bit-identical —
-//! per-scenario FNV digests *and* canonical report JSON — to a serial run.
+//! The library's offline sharding pair across real processes: worker
+//! subprocesses run one `ShardPlan` shard each with `run_shard_streaming`,
+//! writing `ScenarioResult`s as JSONL files; `merge_shard_streams` must fold
+//! them into a report bit-identical — per-scenario FNV digests *and*
+//! canonical report JSON — to a serial run. This is what the `campaign`
+//! binary's `shard i/N` and `merge` subcommands wrap (the binary's own
+//! routes are driven in `crates/bench/tests/campaign_cli.rs`).
 //!
 //! The subprocess test re-spawns this very test binary
 //! (`std::env::current_exe()`) as its workers: `worker_shard_entry` below
 //! doubles as the worker entry point when the `HPCC_WORKER_SHARD` /
 //! `HPCC_WORKER_OUT` environment variables are set (and is a no-op pass
-//! otherwise), exactly the pattern the `campaign` binary's `--shards N`
-//! coordinator uses with `--worker-shard i/N`.
+//! otherwise).
 
 use hpcc::core::presets::{fig11_campaign, incast_on_star};
 use hpcc::core::wire::merge_shard_streams;
