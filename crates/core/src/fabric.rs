@@ -345,6 +345,23 @@ struct Shared {
 /// checkpoint, and the merge.
 pub struct Coordinator {
     listener: TcpListener,
+    /// The accept thread of the latest [`Coordinator::serve`]. It outlives
+    /// the call — answering every later `hello` with `bye` — so that a worker
+    /// which connects after the last result does not wait in the backlog of
+    /// a listener nobody accepts on; it ends with the next `serve` or with
+    /// the coordinator.
+    acceptor: Mutex<Option<Acceptor>>,
+}
+
+struct Acceptor {
+    stop: Arc<AtomicBool>,
+    handle: std::thread::JoinHandle<()>,
+}
+
+impl Drop for Coordinator {
+    fn drop(&mut self) {
+        self.stop_acceptor();
+    }
 }
 
 impl Coordinator {
@@ -353,6 +370,7 @@ impl Coordinator {
     pub fn bind(addr: &str) -> Result<Coordinator, FabricError> {
         Ok(Coordinator {
             listener: TcpListener::bind(addr)?,
+            acceptor: Mutex::new(None),
         })
     }
 
@@ -361,11 +379,30 @@ impl Coordinator {
         Ok(self.listener.local_addr()?)
     }
 
+    /// Stop and join the accept thread a previous `serve` left running.
+    fn stop_acceptor(&self) {
+        // Runs in `drop`, so never panics: the Option is valid even if a
+        // holder of the lock did.
+        let previous = self
+            .acceptor
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .take();
+        if let Some(acceptor) = previous {
+            acceptor.stop.store(true, Ordering::SeqCst);
+            let _ = acceptor.handle.join();
+        }
+    }
+
     /// Serve `campaign` to however many workers connect, until every
     /// scenario has a result (or a fatal error). Returns the merged report
     /// plus run statistics. With a checkpoint configured, an existing file
     /// is replayed first — a coordinator restarted over a complete
-    /// checkpoint returns without waiting for any worker.
+    /// checkpoint returns without handing the campaign to any worker.
+    ///
+    /// A worker that says `hello` once the campaign is complete — before
+    /// this call returns or after it — is answered with `bye`, for as long
+    /// as this coordinator lives.
     pub fn serve(
         &self,
         campaign: &Campaign,
@@ -402,21 +439,11 @@ impl Coordinator {
         if let Some(progress) = &cfg.progress {
             progress.store(ledger.done(), Ordering::Relaxed);
         }
-        if ledger.is_complete() {
-            // Nothing left to run (e.g. restart over a complete
-            // checkpoint): skip the networking entirely.
-            let mut report = ledger.into_report()?;
-            report.wall = started.elapsed();
-            return Ok(FabricReport {
-                report,
-                executed: 0,
-                deduped: 0,
-                reassigned: 0,
-                resumed,
-                workers_seen: 0,
-            });
-        }
 
+        // Nothing left to run (e.g. restart over a complete checkpoint):
+        // the scheduler loop below exits at once and every worker is
+        // dismissed at the handshake.
+        let done_serving = ledger.is_complete();
         let pending: BTreeSet<usize> = ledger.missing().into_iter().collect();
         let shared = Arc::new(Shared {
             campaign: campaign.clone(),
@@ -427,17 +454,24 @@ impl Coordinator {
                 checkpoint,
                 progress: cfg.progress.clone(),
                 fatal: None,
-                done_serving: false,
+                done_serving,
                 reassigned: 0,
             }),
             wake: Condvar::new(),
         });
+        self.stop_acceptor();
         self.listener.set_nonblocking(true)?;
-        let accept_handle = {
+        let acceptor = {
             let listener = self.listener.try_clone()?;
             let shared = Arc::clone(&shared);
-            std::thread::spawn(move || accept_loop(&listener, &shared))
+            let stop = Arc::new(AtomicBool::new(false));
+            let handle = {
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || accept_loop(&listener, &shared, &stop))
+            };
+            Acceptor { stop, handle }
         };
+        *self.acceptor.lock().unwrap_or_else(|e| e.into_inner()) = Some(acceptor);
 
         // Scheduler: detect silent workers, grant leases, wait for events.
         let granularity = (cfg.lease_timeout / 4).clamp(
@@ -484,7 +518,8 @@ impl Coordinator {
                 .0;
         }
 
-        // Wind down: stop accepting, say goodbye, unblock every reader.
+        // Wind down: say goodbye, unblock every reader. The accept thread
+        // stays, dismissing late joiners at the handshake.
         st.done_serving = true;
         for i in 0..st.workers.len() {
             if st.workers[i].alive {
@@ -497,7 +532,6 @@ impl Coordinator {
         let workers_seen = st.workers.len();
         let ledger = std::mem::replace(&mut st.ledger, ResultLedger::new(0));
         drop(st);
-        let _ = accept_handle.join();
         if let Some(e) = fatal {
             return Err(e);
         }
@@ -517,18 +551,11 @@ impl Coordinator {
     }
 }
 
-/// Poll the (nonblocking) listener until the run winds down, spawning a
-/// detached reader thread per connection.
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    loop {
-        if shared
-            .state
-            .lock()
-            .expect("fabric state poisoned")
-            .done_serving
-        {
-            return;
-        }
+/// Poll the (nonblocking) listener until the coordinator stops this thread
+/// (its next `serve`, or its drop), spawning a detached reader thread per
+/// connection.
+fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) {
+    while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
                 let _ = stream.set_nodelay(true);
@@ -557,6 +584,8 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         Ok(Some(FabricMsg::Hello { worker })) => {
             let mut st = shared.state.lock().expect("fabric state poisoned");
             if st.done_serving {
+                // A late joiner: the campaign is complete. Dismiss it.
+                let _ = wire::write_frame(&mut &stream, &FabricMsg::Bye);
                 let _ = stream.shutdown(Shutdown::Both);
                 return;
             }
@@ -650,14 +679,26 @@ pub struct WorkerSummary {
     pub campaign_len: usize,
 }
 
+/// How long [`join`] waits for the coordinator's answer to its `hello`. A
+/// listener whose owner never calls `serve` (or has stopped accepting)
+/// leaves the connection in its backlog forever; a live coordinator answers
+/// within its 5 ms accept poll plus one manifest frame.
+const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
+
 /// Connect to a coordinator at `addr`, receive the campaign manifest over
 /// the wire, and execute leases — streaming each result back the moment it
 /// completes — until the coordinator says bye or the connection ends.
 /// Heartbeats ride a separate thread so a long scenario cannot make a
 /// healthy worker look dead.
+///
+/// A worker that arrives when the campaign is already complete is answered
+/// with `bye` (or finds the connection closed) instead of a manifest: that
+/// is a normal outcome, reported as a summary with `executed == 0` and
+/// `campaign_len == 0`.
 pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
     let writer = Arc::new(Mutex::new(stream.try_clone()?));
     let mut reader = BufReader::new(stream);
     send(
@@ -668,12 +709,20 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
     )?;
     let campaign = match wire::read_frame(&mut reader)? {
         Some(FabricMsg::Manifest { campaign }) => campaign,
-        _ => {
+        Some(FabricMsg::Bye) | None => {
+            return Ok(WorkerSummary {
+                executed: 0,
+                campaign_len: 0,
+            })
+        }
+        Some(_) => {
             return Err(FabricError::Protocol(
                 "expected a manifest after hello".to_string(),
             ))
         }
     };
+    // Leases arrive whenever the scheduler has work: no deadline from here.
+    reader.get_ref().set_read_timeout(None)?;
     let stop = Arc::new(AtomicBool::new(false));
     let executed = Arc::new(AtomicU64::new(0));
     let heartbeat_handle = {
@@ -847,10 +896,10 @@ mod tests {
         assert_eq!(state(Some(1e-6)).lease_size(0), MAX_BATCH);
     }
 
-    #[test]
-    fn fabric_matches_serial_end_to_end() {
-        let campaign = tiny_campaign(6);
-        let serial = campaign.run_serial();
+    /// Six tiny scenarios over two worker threads; whichever worker arrives
+    /// after the last result (often the second one: the campaign takes a
+    /// few milliseconds) must be dismissed, not left hanging or failed.
+    fn serve_six_to_two_workers(campaign: &Campaign, serial: &CampaignReport) {
         let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
         let addr = coordinator.local_addr().unwrap().to_string();
         let workers: Vec<_> = (0..2)
@@ -869,7 +918,7 @@ mod tests {
             })
             .collect();
         let fabric = coordinator
-            .serve(&campaign, &FabricConfig::default())
+            .serve(campaign, &FabricConfig::default())
             .unwrap();
         assert_eq!(fabric.report.to_json_string(), serial.to_json_string());
         assert_eq!(fabric.report.digests(), serial.digests());
@@ -879,7 +928,55 @@ mod tests {
             .into_iter()
             .map(|w| w.join().unwrap().unwrap().executed)
             .sum();
-        assert_eq!(executed, 6, "both workers drained the queue exactly");
+        assert_eq!(executed, 6, "the workers drained the queue exactly");
+    }
+
+    #[test]
+    fn fabric_matches_serial_end_to_end() {
+        let campaign = tiny_campaign(6);
+        serve_six_to_two_workers(&campaign, &campaign.run_serial());
+    }
+
+    #[test]
+    fn fabric_end_to_end_fifty_times_in_a_row() {
+        // The late-joiner window is a race; give it fifty chances per run.
+        let campaign = tiny_campaign(6);
+        let serial = campaign.run_serial();
+        for _ in 0..50 {
+            serve_six_to_two_workers(&campaign, &serial);
+        }
+    }
+
+    #[test]
+    fn a_worker_joining_after_serve_returned_is_dismissed() {
+        let campaign = tiny_campaign(2);
+        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap().to_string();
+        let worker = {
+            let addr = addr.clone();
+            std::thread::spawn(move || join(&addr, &WorkerConfig::default()))
+        };
+        let fabric = coordinator
+            .serve(&campaign, &FabricConfig::default())
+            .unwrap();
+        assert_eq!(fabric.executed, 2);
+        assert_eq!(worker.join().unwrap().unwrap().executed, 2);
+        // `serve` has returned and the coordinator still holds its listener:
+        // the connection is accepted and answered, not parked in a backlog.
+        let asked = timing::now();
+        let late = join(&addr, &WorkerConfig::default()).unwrap();
+        assert_eq!(
+            late,
+            WorkerSummary {
+                executed: 0,
+                campaign_len: 0
+            }
+        );
+        assert!(
+            asked.elapsed() < std::time::Duration::from_secs(1),
+            "dismissal took {:?}",
+            asked.elapsed()
+        );
     }
 
     #[test]
@@ -932,6 +1029,10 @@ mod tests {
         assert_eq!(fabric.resumed, 4);
         assert_eq!(fabric.workers_seen, 0, "no worker needed");
         assert_eq!(fabric.report.to_json_string(), serial.to_json_string());
+        // …and a worker that shows up anyway is sent home.
+        let addr = coordinator.local_addr().unwrap().to_string();
+        let idle = join(&addr, &WorkerConfig::default()).unwrap();
+        assert_eq!((idle.executed, idle.campaign_len), (0, 0));
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -19,15 +19,22 @@
 //! RTO checks and other far-future timers — go to a `BinaryHeap` overflow
 //! level and migrate into the ring as the cursor reaches their bucket.
 //!
-//! Pushing appends to the target bucket in O(1). When the cursor first
-//! enters a bucket, the bucket is sorted once by `(time, seq)`, which
-//! restores the exact tie-break order of the original heap implementation;
-//! events scheduled *into the current bucket* while it drains are placed by
-//! binary search so the invariant holds mid-bucket too.
+//! Ring entries are `(SimTime, Event)` — 32 bytes, written once — and carry
+//! **no sequence number**: the insertion order is kept by where an entry
+//! sits, not by a field compared on every sort step. A bucket the cursor has
+//! not reached is a plain `Vec` in push order. When the cursor enters it,
+//! the overflow events of that slot are put in front (they were all pushed
+//! earlier), one *stable* sort by time alone yields `(time, seq)` order, and
+//! the bucket is reversed so that `pop` is `Vec::pop`. An event scheduled
+//! *into the draining bucket* has the largest seq so far, so a short scan
+//! from the pop end places it behind every pending event with `time <= t`.
+//! `docs/ARCHITECTURE.md` § *The event-wheel engine* spells the argument out
+//! as four lemmas; the tests below check each of them against a reference
+//! that does keep `(time, seq)`.
 
 use hpcc_types::{FlowId, NodeId, Packet, PortId, SimTime};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Log2 of the bucket width in picoseconds: 2^17 ps ≈ 131 ns per bucket.
 const BUCKET_SHIFT: u32 = 17;
@@ -40,8 +47,9 @@ const NUM_BUCKETS: usize = 1024;
 ///
 /// `PacketArrive` carries its packet boxed: the box comes from (and returns
 /// to) the `Effects` packet pool, so the hot path moves an 8-byte pointer
-/// through the queue instead of a ~500-byte inline `Packet`, without paying
-/// an allocation per hop.
+/// through the queue instead of a 400-byte inline `Packet`, without paying
+/// an allocation per hop. Every variant fits 24 bytes (asserted below), which
+/// keeps a ring entry at 32.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A flow (by index into the simulator's flow table) becomes active at
@@ -102,8 +110,12 @@ pub enum Event {
 /// The simulator owns **one** `Effects` arena for the whole run and clears
 /// it between events instead of dropping it, so the per-event buffers reach
 /// a high-water mark early and the steady-state event loop performs no
-/// allocation. The arena also carries the packet pool: boxes that carried an
-/// arrived packet are recycled into the next transmitted one.
+/// allocation. The arena also carries the packet pool. A handler that
+/// consumes a data packet either re-emits its box (a switch forwards it, a
+/// receiving host turns it into the ACK in place) or recycles it, and a
+/// sending host writes the next data packet's header straight into a pooled
+/// box ([`Effects::alloc_data`]): no 400-byte `Packet` is built on the stack
+/// and copied on the per-packet path.
 #[derive(Default, Debug)]
 pub(crate) struct Effects {
     /// Events to schedule.
@@ -145,7 +157,8 @@ impl Effects {
         self.packets_sent = 0;
     }
 
-    /// Box a packet, reusing a pooled box when one is available.
+    /// Box a packet, reusing a pooled box when one is available. Copies the
+    /// whole `Packet`; for the cold kinds (PFC frames, CNPs).
     pub fn alloc_packet(&mut self, pkt: Packet) -> Box<Packet> {
         match self.pool.pop() {
             Some(mut b) => {
@@ -153,6 +166,26 @@ impl Effects {
                 b
             }
             None => Box::new(pkt),
+        }
+    }
+
+    /// A boxed data packet as [`Packet::data`] would build it, written into
+    /// a pooled box in place when one is available.
+    pub fn alloc_data(
+        &mut self,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        seq: u64,
+        payload: u64,
+        ts_sent: SimTime,
+    ) -> Box<Packet> {
+        match self.pool.pop() {
+            Some(mut b) => {
+                b.reset_to_data(flow, src, dst, seq, payload, ts_sent);
+                b
+            }
+            None => Box::new(Packet::data(flow, src, dst, seq, payload, ts_sent)),
         }
     }
 
@@ -164,8 +197,10 @@ impl Effects {
     }
 }
 
-/// An event scheduled at a given time with a tie-breaking sequence number.
-#[derive(Clone, Debug)]
+/// An overflow-level entry. Only the far-future heap needs the explicit
+/// tie-breaking sequence number: a heap keeps no positional order to stand
+/// in for it.
+#[derive(Debug)]
 struct Scheduled {
     time: SimTime,
     seq: u64,
@@ -186,7 +221,7 @@ impl PartialOrd for Scheduled {
 impl Ord for Scheduled {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reverse ordering: BinaryHeap is a max-heap and we want the earliest
-        // (time, seq) first (used by the overflow level).
+        // (time, seq) first.
         other
             .time
             .cmp(&self.time)
@@ -194,12 +229,22 @@ impl Ord for Scheduled {
     }
 }
 
+/// A ring entry: when, and what. No sequence number — see the module doc.
+type Entry = (SimTime, Event);
+
+// A field added to `Event` or to the ring entry would fatten the one record
+// every push writes and every sort step moves; fail the build instead.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
+
 /// Deterministic time-ordered event queue: an indexed event wheel with a
 /// binary-heap overflow level for far-future timers.
 #[derive(Debug)]
 pub struct EventQueue {
-    /// Ring of FIFO buckets; bucket for absolute slot `s` is `s % NUM_BUCKETS`.
-    buckets: Vec<VecDeque<Scheduled>>,
+    /// Ring of buckets; the bucket for absolute slot `s` is `s % NUM_BUCKETS`.
+    /// Every bucket but the prepared one is in push order; the prepared one
+    /// is in *reverse* pop order (next event last).
+    buckets: Vec<Vec<Entry>>,
     /// Absolute slot index (`time >> BUCKET_SHIFT`) the cursor is on.
     cursor: u64,
     /// Whether the bucket at `cursor` has been overflow-merged and sorted.
@@ -208,7 +253,7 @@ pub struct EventQueue {
     wheel_len: usize,
     /// Far-future events (beyond the ring window at push time).
     overflow: BinaryHeap<Scheduled>,
-    next_seq: u64,
+    /// Events pushed so far; also the next insertion sequence number.
     scheduled: u64,
     peak_len: usize,
 }
@@ -216,12 +261,11 @@ pub struct EventQueue {
 impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
-            buckets: (0..NUM_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
             cursor: 0,
             current_prepared: false,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
-            next_seq: 0,
             scheduled: 0,
             peak_len: 0,
         }
@@ -233,6 +277,36 @@ fn slot_of(time: SimTime) -> u64 {
     time.as_ps() >> BUCKET_SHIFT
 }
 
+#[inline]
+fn ring_index(slot: u64) -> usize {
+    (slot % NUM_BUCKETS as u64) as usize
+}
+
+/// Buckets up to this long are sorted by insertion; longer ones (a
+/// synchronised burst) by the standard stable sort, which bounds the worst
+/// case.
+const INSERTION_SORT_MAX: usize = 64;
+
+/// Stable sort of a bucket by time alone. Push order is already close to
+/// time order — events are pushed as simulated time advances, at `now + δ`
+/// for a handful of δ — so on the usual 20–40 entries an insertion sort
+/// moves each one a few places and beats the general-purpose sort.
+fn sort_by_time(bucket: &mut [Entry]) {
+    if bucket.len() > INSERTION_SORT_MAX {
+        bucket.sort_by_key(|e| e.0);
+        return;
+    }
+    for i in 1..bucket.len() {
+        let t = bucket[i].0;
+        let mut j = i;
+        // Strictly greater only: equal times keep their push order.
+        while j > 0 && bucket[j - 1].0 > t {
+            bucket.swap(j - 1, j);
+            j -= 1;
+        }
+    }
+}
+
 impl EventQueue {
     /// Create an empty queue.
     pub fn new() -> Self {
@@ -241,49 +315,55 @@ impl EventQueue {
 
     /// Schedule `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.scheduled;
         self.scheduled += 1;
-        let s = Scheduled { time, seq, event };
         let slot = slot_of(time);
         if slot >= self.cursor + NUM_BUCKETS as u64 {
-            self.overflow.push(s);
+            self.overflow.push(Scheduled { time, seq, event });
         } else {
             // Anything at or before the cursor's bucket (the simulator never
             // schedules into the past; this clamps defensively) lands in the
             // current bucket.
             let slot = slot.max(self.cursor);
-            let bucket = &mut self.buckets[(slot % NUM_BUCKETS as u64) as usize];
+            let bucket = &mut self.buckets[ring_index(slot)];
             if slot == self.cursor && self.current_prepared {
-                // The current bucket is sorted and partially drained: keep it
-                // sorted. The new event has the largest seq, so it lands after
-                // every pending event with the same time.
-                let pos = bucket.partition_point(|x| (x.time, x.seq) < (s.time, s.seq));
-                bucket.insert(pos, s);
+                // The draining bucket is in reverse pop order and the new
+                // event has the largest seq so far: it goes just below the
+                // pending events with `time <= t`. Those sit at the pop end
+                // and are few — under six on average on the fig11 set, none
+                // or one for an ACK's 4.8 ns `PortReady`.
+                let mut at = bucket.len();
+                while at > 0 && bucket[at - 1].0 <= time {
+                    at -= 1;
+                }
+                bucket.insert(at, (time, event));
             } else {
-                bucket.push_back(s);
+                bucket.push((time, event));
             }
             self.wheel_len += 1;
         }
         self.peak_len = self.peak_len.max(self.len());
     }
 
-    /// Merge overflow events that belong to the cursor's bucket, then sort
-    /// the bucket by `(time, seq)`.
+    /// Bring the cursor's bucket into reverse pop order: the slot's overflow
+    /// events first (the heap yields them by `(time, seq)`, and all of them
+    /// were pushed before any ring entry of the slot), then the ring entries
+    /// in push order, stably sorted by time, reversed.
     fn prepare_current(&mut self) {
+        let bucket = &mut self.buckets[ring_index(self.cursor)];
+        let ring_entries = bucket.len();
         while let Some(top) = self.overflow.peek() {
-            if slot_of(top.time) <= self.cursor {
-                let s = self.overflow.pop().unwrap();
-                self.buckets[(self.cursor % NUM_BUCKETS as u64) as usize].push_back(s);
-                self.wheel_len += 1;
-            } else {
+            if slot_of(top.time) > self.cursor {
                 break;
             }
+            let s = self.overflow.pop().expect("peeked entry exists");
+            bucket.push((s.time, s.event));
         }
-        let bucket = &mut self.buckets[(self.cursor % NUM_BUCKETS as u64) as usize];
-        bucket
-            .make_contiguous()
-            .sort_unstable_by_key(|s| (s.time, s.seq));
+        let migrated = bucket.len() - ring_entries;
+        bucket.rotate_right(migrated);
+        self.wheel_len += migrated;
+        sort_by_time(bucket);
+        bucket.reverse();
         self.current_prepared = true;
     }
 
@@ -305,7 +385,7 @@ impl EventQueue {
                     return;
                 }
             }
-            if !self.buckets[(slot % NUM_BUCKETS as u64) as usize].is_empty() {
+            if !self.buckets[ring_index(slot)].is_empty() {
                 self.cursor = slot;
                 return;
             }
@@ -320,18 +400,19 @@ impl EventQueue {
     /// owns the processed counter.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         loop {
-            if self.wheel_len == 0 && self.overflow.is_empty() {
+            if self.current_prepared {
+                if let Some(entry) = self.buckets[ring_index(self.cursor)].pop() {
+                    self.wheel_len -= 1;
+                    return Some(entry);
+                }
+            }
+            if self.is_empty() {
                 return None;
             }
-            if !self.current_prepared {
-                self.prepare_current();
+            if self.current_prepared {
+                self.advance();
             }
-            let bucket = &mut self.buckets[(self.cursor % NUM_BUCKETS as u64) as usize];
-            if let Some(s) = bucket.pop_front() {
-                self.wheel_len -= 1;
-                return Some((s.time, s.event));
-            }
-            self.advance();
+            self.prepare_current();
         }
     }
 
@@ -342,8 +423,8 @@ impl EventQueue {
             // The first non-empty bucket from the cursor holds the earliest
             // ring event (bucket slot is a monotone function of time).
             for d in 0..NUM_BUCKETS as u64 {
-                let bucket = &self.buckets[((self.cursor + d) % NUM_BUCKETS as u64) as usize];
-                if let Some(m) = bucket.iter().map(|s| s.time).min() {
+                let bucket = &self.buckets[ring_index(self.cursor + d)];
+                if let Some(m) = bucket.iter().map(|e| e.0).min() {
                     best = Some(best.map_or(m, |b| b.min(m)));
                     break;
                 }
@@ -571,42 +652,171 @@ mod tests {
     }
 
     #[test]
-    fn wheel_matches_reference_heap_on_a_randomized_schedule() {
-        // Drive the wheel and a plain (time, seq)-ordered reference with an
-        // identical randomized push/pop script covering in-window pushes,
-        // overflow pushes, ties and pushes into the draining bucket.
-        use hpcc_types::rng::SplitMix64;
-        let mut rng = SplitMix64::new(0xE1E7);
-        let mut q = EventQueue::new();
-        let mut reference: Vec<(u64, u64)> = Vec::new(); // (time ps, seq)
-        let mut seq = 0u64;
-        let mut now = 0u64;
-        for _ in 0..20_000 {
-            if rng.next_below(3) > 0 || reference.is_empty() {
-                // Push at now + jitter: mostly near, sometimes far future.
-                let jitter = if rng.next_below(50) == 0 {
-                    rng.next_below(1 << 30)
-                } else {
-                    rng.next_below(1 << 20)
-                };
-                let t = now + jitter;
-                q.push(SimTime::from_ps(t), Event::FlowStart(seq as usize));
-                reference.push((t, seq));
-                seq += 1;
-            } else {
-                let (t, ev) = q.pop().unwrap();
-                let min = *reference.iter().min().unwrap();
-                reference.retain(|&x| x != min);
-                assert_eq!(t.as_ps(), min.0);
-                assert!(matches!(ev, Event::FlowStart(i) if i as u64 == min.1));
-                now = min.0;
+    fn a_pooled_box_reused_for_data_carries_nothing_of_its_previous_life() {
+        use hpcc_types::{IntHeader, IntHopRecord, Priority};
+        let mut eff = Effects::default();
+        // A box that lived a full life: stamped by five switches, CE-marked,
+        // last packet of its flow, turned into a SACK-NACK, then consumed.
+        let mut old = eff.alloc_data(
+            FlowId(9),
+            NodeId(3),
+            NodeId(4),
+            5000,
+            1000,
+            SimTime::from_us(7),
+        );
+        old.priority = Priority::data_class(2);
+        old.ecn_ce = true;
+        old.ack_flags.flow_finished = true;
+        (old.src_slot, old.dst_slot) = (11, 12);
+        for sw in 1..=5 {
+            let hop = IntHopRecord {
+                qlen: 100 * sw as u64,
+                ..IntHopRecord::default()
+            };
+            old.int.push_hop(sw, hop);
+        }
+        old.become_sack_nack(4000, 5000, 1000);
+        let addr = std::ptr::addr_of!(*old) as usize;
+        eff.recycle(old);
+        let b = eff.alloc_data(FlowId(2), NodeId(0), NodeId(1), 0, 640, SimTime::from_us(8));
+        assert_eq!(std::ptr::addr_of!(*b) as usize, addr, "box was reused");
+        assert!(b.int.hops().is_empty());
+        // The hop array keeps dead records beyond `n_hops`; everything else
+        // must equal a freshly constructed data packet.
+        let mut got = *b;
+        assert_eq!((got.int.n_hops, got.int.path_id), (0, 0));
+        got.int = IntHeader::new();
+        let fresh = Packet::data(FlowId(2), NodeId(0), NodeId(1), 0, 640, SimTime::from_us(8));
+        assert_eq!(got, fresh);
+    }
+
+    /// Pop everything, returning the `FlowStart` payloads in pop order.
+    fn drain_ids(q: &mut EventQueue) -> Vec<usize> {
+        let mut order = Vec::new();
+        while let Some((_, ev)) = q.pop() {
+            if let Event::FlowStart(i) = ev {
+                order.push(i);
             }
         }
-        while let Some((t, _)) = q.pop() {
-            let min = *reference.iter().min().unwrap();
-            reference.retain(|&x| x != min);
-            assert_eq!(t.as_ps(), min.0);
+        order
+    }
+
+    #[test]
+    fn overflow_events_pop_before_later_ring_events_at_the_same_instant() {
+        // Lemma 3 of docs/ARCHITECTURE.md: an overflow entry of a slot was
+        // pushed before every ring entry of that slot. Two far events at T
+        // go to the overflow heap; once the cursor has moved close enough, a
+        // third event at the very same T lands in the ring bucket directly.
+        let mut q = EventQueue::new();
+        let slot = NUM_BUCKETS as u64 + 5;
+        let t = SimTime::from_ps(slot << BUCKET_SHIFT);
+        let later = SimTime::from_ps((slot << BUCKET_SHIFT) + 1);
+        q.push(later, Event::FlowStart(4)); // overflow, later instant
+        q.push(t, Event::FlowStart(0)); // overflow
+        q.push(t, Event::FlowStart(1)); // overflow, same instant
+        assert_eq!(q.overflow.len(), 3);
+        // Walk the cursor to slot 6, from where `slot` is inside the window.
+        q.push(SimTime::from_ps(6 << BUCKET_SHIFT), Event::Sample);
+        assert!(matches!(q.pop(), Some((_, Event::Sample))));
+        assert_eq!(q.cursor, 6);
+        q.push(t, Event::FlowStart(2)); // ring, same instant, pushed last
+        assert_eq!(q.overflow.len(), 3, "the late push went to the ring");
+        assert!(matches!(q.pop(), Some((_, Event::FlowStart(0)))));
+        // The bucket now drains: a push at the same instant goes behind the
+        // pending overflow and ring events, one 1 ps later behind the
+        // migrated event of that instant.
+        q.push(t, Event::FlowStart(3));
+        q.push(later, Event::FlowStart(5));
+        assert_eq!(drain_ids(&mut q), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn long_buckets_take_the_fallback_sort_and_keep_tie_order() {
+        // More entries than INSERTION_SORT_MAX in one bucket, in descending
+        // time order with every instant pushed twice.
+        let mut q = EventQueue::new();
+        let n = 2 * INSERTION_SORT_MAX;
+        let base = 9u64 << BUCKET_SHIFT;
+        for i in 0..n {
+            let t = SimTime::from_ps(base + ((n - 1 - i) / 2) as u64);
+            q.push(t, Event::FlowStart(i));
         }
-        assert!(reference.is_empty());
+        let expected: Vec<usize> = (0..n / 2)
+            .rev()
+            .flat_map(|pair| [2 * pair, 2 * pair + 1])
+            .collect();
+        assert_eq!(drain_ids(&mut q), expected);
+    }
+
+    #[test]
+    fn wheel_matches_reference_heap_on_a_randomized_schedule() {
+        // Drive the wheel and a plain (time, seq)-ordered reference with an
+        // identical randomized push/pop script: in-window pushes, overflow
+        // pushes, bursts of same-time pushes, pushes at `now` into the
+        // draining bucket, and far pushes on either side of the ring/overflow
+        // boundary (`cursor + NUM_BUCKETS` slots ± 1).
+        use hpcc_types::rng::SplitMix64;
+        use std::collections::BTreeSet;
+        const OPS_PER_SEED: usize = 30_000;
+        for seed in [0xE1E7u64, 1, 0xDEAD_BEEF, 42] {
+            let mut rng = SplitMix64::new(seed);
+            let mut q = EventQueue::new();
+            let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new(); // (time ps, seq)
+            let mut seq = 0u64;
+            let mut now = 0u64;
+            let mut push = |q: &mut EventQueue, reference: &mut BTreeSet<(u64, u64)>, t: u64| {
+                q.push(SimTime::from_ps(t), Event::FlowStart(seq as usize));
+                reference.insert((t, seq));
+                seq += 1;
+            };
+            for op in 0..OPS_PER_SEED {
+                if rng.next_below(3) > 0 || reference.is_empty() {
+                    match rng.next_below(100) {
+                        // A burst of pushes at one instant.
+                        0..=4 => {
+                            let t = now + rng.next_below(1 << 19);
+                            for _ in 0..2 + rng.next_below(6) {
+                                push(&mut q, &mut reference, t);
+                            }
+                        }
+                        // Exactly now: the head of the draining bucket.
+                        5..=14 => push(&mut q, &mut reference, now),
+                        // Around the first slot that overflows.
+                        15..=19 => {
+                            let slot = q.cursor + NUM_BUCKETS as u64 + rng.next_below(3) - 1;
+                            let t = (slot << BUCKET_SHIFT) + rng.next_below(1 << BUCKET_SHIFT);
+                            push(&mut q, &mut reference, t.max(now));
+                        }
+                        // Far future.
+                        20..=21 => push(&mut q, &mut reference, now + rng.next_below(1 << 30)),
+                        // Near: within a few buckets.
+                        _ => push(&mut q, &mut reference, now + rng.next_below(1 << 20)),
+                    }
+                } else {
+                    let (t, ev) = q.pop().unwrap();
+                    let min = reference.pop_first().unwrap();
+                    assert_eq!(t.as_ps(), min.0, "seed {seed:#x}, op {op}: pop time");
+                    assert!(
+                        matches!(ev, Event::FlowStart(i) if i as u64 == min.1),
+                        "seed {seed:#x}, op {op}: popped {ev:?}, reference seq {}",
+                        min.1
+                    );
+                    now = min.0;
+                }
+                assert_eq!(q.len(), reference.len(), "seed {seed:#x}, op {op}: len");
+            }
+            while let Some((t, ev)) = q.pop() {
+                let min = reference.pop_first().unwrap();
+                assert_eq!(t.as_ps(), min.0, "seed {seed:#x}, final drain");
+                assert!(
+                    matches!(ev, Event::FlowStart(i) if i as u64 == min.1),
+                    "seed {seed:#x}, final drain: popped {ev:?}, reference seq {}",
+                    min.1
+                );
+            }
+            assert!(reference.is_empty(), "seed {seed:#x}: queue ran dry early");
+            assert_eq!(q.total_scheduled(), seq);
+        }
     }
 }

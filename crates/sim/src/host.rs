@@ -446,7 +446,8 @@ impl Host {
     }
 
     /// Handle a packet arriving at the NIC. The packet's box is consumed
-    /// here and recycled into the arena's pool.
+    /// here: a data packet's box goes back out as its acknowledgement, every
+    /// other box is recycled into the arena's pool.
     pub(crate) fn handle_arrival(
         &mut self,
         now: SimTime,
@@ -480,7 +481,7 @@ impl Host {
                     }
                 }
             }
-            PacketKind::Data => self.receive_data(now, &pkt, cfg, eff),
+            PacketKind::Data => return self.receive_data(now, pkt, cfg, eff),
             PacketKind::Ack | PacketKind::Nack | PacketKind::SackNack | PacketKind::Cnp => {
                 self.receive_control(now, &pkt, cfg, eff)
             }
@@ -488,84 +489,94 @@ impl Host {
         eff.recycle(pkt);
     }
 
-    /// Receiver role: handle an arriving data packet.
-    fn receive_data(&mut self, now: SimTime, pkt: &Packet, cfg: &SimConfig, eff: &mut Effects) {
+    /// Receiver role: handle an arriving data packet. A data packet produces
+    /// at most one reply (ACK / NACK / SACK-NACK) plus at most one CNP. The
+    /// reply is the arrived packet itself, converted in place — it echoes
+    /// the flow, endpoints, INT records, timestamp and slots as they stand —
+    /// so its box is recycled only when no reply is due.
+    fn receive_data(
+        &mut self,
+        now: SimTime,
+        mut pkt: Box<Packet>,
+        cfg: &SimConfig,
+        eff: &mut Effects,
+    ) {
         eff.packets_delivered += 1;
         let slot = pkt.dst_slot as usize;
         if self.recv.len() <= slot {
             self.recv.resize_with(slot + 1, ReceiverFlow::default);
         }
-        // A data packet produces at most one reply (ACK / NACK / SACK-NACK)
-        // plus at most one CNP; building them as stack values keeps the
-        // borrow of the receiver slot short and the path allocation-free.
-        let mut reply: Option<Packet> = None;
-        let mut send_cnp = false;
-        {
-            let r = &mut self.recv[slot];
-            let seq_end = pkt.seq + pkt.payload;
-            if cfg.flow_control.selective_repeat() {
-                // IRN-style selective repeat: keep out-of-order data.
-                if pkt.seq <= r.expected {
-                    r.expected = r.expected.max(seq_end);
-                    // Absorb any stored blocks now contiguous with `expected`.
-                    while let Some((&s, &e)) = r.ooo.range(..=r.expected).next_back() {
-                        r.ooo.remove(&s);
-                        if e > r.expected {
-                            r.expected = e;
-                        }
+        let r = &mut self.recv[slot];
+        let (seq, payload, ecn_ce) = (pkt.seq, pkt.payload, pkt.ecn_ce);
+        let seq_end = seq + payload;
+        let mut reply = true;
+        if cfg.flow_control.selective_repeat() {
+            // IRN-style selective repeat: keep out-of-order data.
+            if seq <= r.expected {
+                r.expected = r.expected.max(seq_end);
+                // Absorb any stored blocks now contiguous with `expected`.
+                while let Some((&s, &e)) = r.ooo.range(..=r.expected).next_back() {
+                    r.ooo.remove(&s);
+                    if e > r.expected {
+                        r.expected = e;
                     }
-                    let finished = pkt.ack_flags.flow_finished && r.expected >= seq_end;
-                    reply = Some(Packet::ack_for(pkt, r.expected, finished));
-                } else {
-                    r.ooo.insert(pkt.seq, seq_end);
-                    reply = Some(Packet::sack_nack_for(pkt, r.expected, pkt.seq, pkt.payload));
                 }
+                let finished = pkt.ack_flags.flow_finished && r.expected >= seq_end;
+                pkt.become_ack(r.expected, finished);
             } else {
-                // Go-back-N: out-of-order data is dropped and NACKed.
-                if pkt.seq == r.expected {
-                    r.expected = seq_end;
-                    r.unacked_packets += 1;
-                    let finished = pkt.ack_flags.flow_finished;
-                    if r.unacked_packets >= cfg.ack_interval || finished || pkt.ecn_ce {
-                        r.unacked_packets = 0;
-                        reply = Some(Packet::ack_for(pkt, r.expected, finished));
-                    }
-                } else if pkt.seq < r.expected {
-                    // Duplicate (e.g. retransmission overlap): re-ACK.
-                    reply = Some(Packet::ack_for(pkt, r.expected, false));
+                r.ooo.insert(seq, seq_end);
+                pkt.become_sack_nack(r.expected, seq, payload);
+            }
+        } else {
+            // Go-back-N: out-of-order data is dropped and NACKed.
+            if seq == r.expected {
+                r.expected = seq_end;
+                r.unacked_packets += 1;
+                let finished = pkt.ack_flags.flow_finished;
+                if r.unacked_packets >= cfg.ack_interval || finished || ecn_ce {
+                    r.unacked_packets = 0;
+                    pkt.become_ack(r.expected, finished);
                 } else {
-                    // Gap: request go-back-N, rate-limited.
-                    let due = r
-                        .last_nack
-                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval);
-                    if due {
-                        r.last_nack = Some(now);
-                        reply = Some(Packet::nack_for(pkt, r.expected));
-                    }
+                    reply = false;
                 }
-            }
-            // DCQCN notification point: CNP on ECN-marked arrivals, at most
-            // one per cnp_interval.
-            if cfg.cnp_enabled && pkt.ecn_ce {
+            } else if seq < r.expected {
+                // Duplicate (e.g. retransmission overlap): re-ACK.
+                pkt.become_ack(r.expected, false);
+            } else {
+                // Gap: request go-back-N, rate-limited.
                 let due = r
-                    .last_cnp
-                    .is_none_or(|t| now.saturating_since(t) >= cfg.cnp_interval);
+                    .last_nack
+                    .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval);
                 if due {
-                    r.last_cnp = Some(now);
-                    send_cnp = true;
+                    r.last_nack = Some(now);
+                    pkt.become_nack(r.expected);
+                } else {
+                    reply = false;
                 }
             }
         }
-        if let Some(p) = reply {
-            let boxed = eff.alloc_packet(p);
-            self.enqueue_ctrl(boxed, eff);
+        // DCQCN notification point: CNP on ECN-marked arrivals, at most one
+        // per cnp_interval. It follows the reply out, in a box of its own.
+        let mut cnp = None;
+        if cfg.cnp_enabled && ecn_ce {
+            let due = r
+                .last_cnp
+                .is_none_or(|t| now.saturating_since(t) >= cfg.cnp_interval);
+            if due {
+                r.last_cnp = Some(now);
+                let mut p = Packet::cnp(pkt.flow, pkt.src, pkt.dst);
+                p.src_slot = pkt.src_slot;
+                p.dst_slot = pkt.dst_slot;
+                cnp = Some(eff.alloc_packet(p));
+            }
         }
-        if send_cnp {
-            let mut cnp = Packet::cnp(pkt.flow, pkt.src, pkt.dst);
-            cnp.src_slot = pkt.src_slot;
-            cnp.dst_slot = pkt.dst_slot;
-            let boxed = eff.alloc_packet(cnp);
-            self.enqueue_ctrl(boxed, eff);
+        if reply {
+            self.enqueue_ctrl(pkt, eff);
+        } else {
+            eff.recycle(pkt);
+        }
+        if let Some(cnp) = cnp {
+            self.enqueue_ctrl(cnp, eff);
         }
     }
 
@@ -695,31 +706,33 @@ impl Host {
     /// Round-robin pick of a flow that may transmit right now. A flow whose
     /// next packet's data class is PFC-paused is skipped (moot on the legacy
     /// path, where an all-classes pause returns before the pick).
+    ///
+    /// The scan visits `rr_cursor, rr_cursor + 1, …` wrapping at the table's
+    /// end — as two ranges, so no division per visited flow. It covers every
+    /// flow this host ever started, finished ones included: an active list
+    /// would have to preserve this visiting order and is its own change.
     fn pick_flow(&mut self, now: SimTime, cfg: &SimConfig) -> Option<usize> {
         let n = self.flows.len();
-        if n == 0 {
-            return None;
-        }
         let any_paused = self.any_data_paused();
-        for k in 0..n {
-            let idx = (self.rr_cursor + k) % n;
-            let f = &self.flows;
-            if f.finished[idx]
-                || !f.has_data_to_send(idx)
-                || !f.window_open(idx)
-                || f.next_avail[idx] > now
-            {
-                continue;
-            }
-            if any_paused
-                && self.paused_classes[Self::next_packet_class(&self.flows, idx, cfg) as usize]
-            {
-                continue;
-            }
-            self.rr_cursor = (idx + 1) % n;
-            return Some(idx);
-        }
-        None
+        let idx = (self.rr_cursor..n)
+            .find(|&i| self.may_transmit(i, now, any_paused, cfg))
+            .or_else(|| {
+                (0..self.rr_cursor).find(|&i| self.may_transmit(i, now, any_paused, cfg))
+            })?;
+        self.rr_cursor = if idx + 1 == n { 0 } else { idx + 1 };
+        Some(idx)
+    }
+
+    /// Whether flow `idx` has a packet to send that its window, its pacer
+    /// and PFC all allow right now.
+    #[inline]
+    fn may_transmit(&self, idx: usize, now: SimTime, any_paused: bool, cfg: &SimConfig) -> bool {
+        let f = &self.flows;
+        !f.finished[idx]
+            && f.has_data_to_send(idx)
+            && f.window_open(idx)
+            && f.next_avail[idx] <= now
+            && !(any_paused && self.paused_classes[Self::next_packet_class(f, idx, cfg) as usize])
     }
 
     /// Earliest pacing instant among flows that are blocked only by pacing.
@@ -778,7 +791,7 @@ impl Host {
                 flows.snd_nxt[idx]
             };
             let payload = (cold.spec.size - seq).min(cfg.mtu_payload);
-            let mut pkt = Packet::data(
+            let mut pkt = eff.alloc_data(
                 cold.spec.id,
                 cold.spec.src,
                 cold.spec.dst,
@@ -788,7 +801,7 @@ impl Host {
             );
             // Stamp the data class: PIAS bytes-sent demotion or the static
             // FlowPriority mapping (class 0 — Priority::DATA — on the
-            // legacy single-class path, which Packet::data already set).
+            // legacy single-class path, which alloc_data already set).
             pkt.priority = Priority::data_class(cfg.queueing.tag_class(cold.spec.priority, seq));
             pkt.src_slot = idx as u32;
             pkt.dst_slot = cold.dst_slot;
@@ -817,8 +830,7 @@ impl Host {
             ));
         }
         eff.packets_sent += 1;
-        let boxed = eff.alloc_packet(pkt);
-        self.start_wire(now, boxed, cfg, eff);
+        self.start_wire(now, pkt, cfg, eff);
     }
 
     /// Put one packet on the wire: occupy the NIC for its serialization time
@@ -1016,6 +1028,9 @@ mod tests {
         assert!(ack.ack_flags.ecn_echo);
         assert_eq!(ack.int.n_hops, 1);
         assert_eq!(ack.int.hops()[0].qlen, 777);
+        // The data packet's own box, turned around in place, is the ACK the
+        // reference constructor builds.
+        assert_eq!(**ack, Packet::ack_for(&pkt, 1000, false));
         // The ACK goes out before any data when the port is kicked.
         let mut e2 = Effects::default();
         h.try_transmit(SimTime::from_us(3), &cfg, &mut e2);
@@ -1038,6 +1053,7 @@ mod tests {
         let kinds: Vec<PacketKind> = h.ctrl_queue.iter().map(|p| p.kind).collect();
         assert_eq!(kinds, vec![PacketKind::Ack, PacketKind::Nack]);
         assert_eq!(h.ctrl_queue[1].seq, 1000, "NACK carries the expected byte");
+        assert_eq!(*h.ctrl_queue[1], Packet::nack_for(&p2, 1000));
         // A second out-of-order packet within the NACK interval does not
         // produce another NACK.
         let p3 = Packet::data(FlowId(9), NodeId(0), NodeId(1), 3000, 1000, SimTime::ZERO);
@@ -1092,6 +1108,10 @@ mod tests {
         assert_eq!(
             kinds,
             vec![PacketKind::Ack, PacketKind::SackNack, PacketKind::Ack]
+        );
+        assert_eq!(
+            *h.ctrl_queue[1],
+            Packet::sack_nack_for(&p2, 1000, 2000, 1000)
         );
         // Final cumulative ACK covers all three packets: the stored
         // out-of-order block was absorbed.

@@ -248,7 +248,6 @@ impl Simulator {
         }
         self.processed += 1;
         self.time = t;
-        self.eff.clear();
         match ev {
             Event::FlowStart(idx) => {
                 let spec = self.flows[idx];
@@ -418,12 +417,13 @@ impl Simulator {
         }
     }
 
-    /// Apply the side effects accumulated in the arena by one event, then
-    /// work the transmission kick stack (LIFO, matching the original
+    /// Work the transmission kick stack (LIFO, matching the original
     /// recursive kick semantics) until it drains, reusing the same arena for
-    /// every `try_transmit` call.
+    /// every `try_transmit` call, then apply what the event and its kicks
+    /// accumulated. The arena's buffers are append-only while handlers run,
+    /// so draining them once at the end schedules and records everything in
+    /// the order it was produced.
     fn apply_effects(&mut self) {
-        self.absorb();
         debug_assert!(self.kick_stack.is_empty());
         self.kick_stack.append(&mut self.eff.kicks);
         while let Some((n, p)) = self.kick_stack.pop() {
@@ -432,13 +432,13 @@ impl Simulator {
                 Node::Switch(s) => s.try_transmit(self.time, p, &self.cfg, &mut self.eff),
             }
             self.kick_stack.append(&mut self.eff.kicks);
-            self.absorb();
         }
+        self.absorb();
     }
 
     /// Drain the arena's buffers into the event queue and the output
     /// records. Leaves the arena empty (but with its capacity and packet
-    /// pool intact).
+    /// pool intact), which is the state the next event's handler expects.
     fn absorb(&mut self) {
         for (t, e) in self.eff.events.drain(..) {
             self.events.push(t, e);
@@ -449,12 +449,14 @@ impl Simulator {
         for ev in self.eff.pfc_events.drain(..) {
             self.out.record_pfc_event(ev);
         }
-        let fault_active = self.faults.as_ref().is_some_and(|fr| fr.active > 0);
-        for (f, b) in self.eff.goodput.drain(..) {
-            if fault_active {
-                self.out.goodput_during_faults += b;
+        if !self.eff.goodput.is_empty() {
+            let fault_active = self.faults.as_ref().is_some_and(|fr| fr.active > 0);
+            for (f, b) in self.eff.goodput.drain(..) {
+                if fault_active {
+                    self.out.goodput_during_faults += b;
+                }
+                self.out.record_goodput(f, self.time, b);
             }
-            self.out.record_goodput(f, self.time, b);
         }
         self.out.packets_delivered += self.eff.packets_delivered;
         self.out.packets_sent += self.eff.packets_sent;

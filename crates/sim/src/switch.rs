@@ -36,7 +36,12 @@ use std::collections::VecDeque;
 /// The ECMP candidate index a flow hashes to at a node: deterministic per
 /// (flow, node) so a flow never reorders, uniform across candidates. Shared
 /// with the fluid backend so both engines route a flow over the same path.
+#[inline]
 pub(crate) fn ecmp_index(flow: u64, node: NodeId, candidates: usize) -> usize {
+    if candidates == 1 {
+        // `h % 1 == 0` whatever the hash: skip it on every down-path hop.
+        return 0;
+    }
     let mut h = flow ^ (node.0 as u64).wrapping_mul(0x9E3779B97F4A7C15);
     h ^= h >> 33;
     h = h.wrapping_mul(0xff51afd7ed558ccd);

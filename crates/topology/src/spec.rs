@@ -2,12 +2,12 @@
 //!
 //! A [`TopologySpec`] is produced once by a builder and then treated as
 //! immutable by the simulator. Ports are assigned densely per node in the
-//! order links are added; routing tables list, for every node and every
-//! destination host, the set of equal-cost next-hop ports.
+//! order links are added; the route table lists, for every node and every
+//! destination host, the set of equal-cost next-hop ports (one flat CSR
+//! table — see [`crate::routing`]).
 
-use crate::routing::compute_routes;
+use crate::routing::{compute_routes, RouteTable};
 use hpcc_types::{Bandwidth, Duration, NodeId, PortId};
-use std::collections::HashMap;
 
 /// What a node is.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -50,8 +50,8 @@ pub struct TopologySpec {
     kinds: Vec<NodeKind>,
     links: Vec<LinkSpec>,
     ports: Vec<Vec<PortDesc>>,
-    /// `routes[node][dst_host] -> equal-cost next-hop ports of `node``.
-    routes: Vec<HashMap<NodeId, Vec<PortId>>>,
+    /// Equal-cost next-hop ports per `(node, destination host)`.
+    routes: RouteTable,
     hosts: Vec<NodeId>,
     switches: Vec<NodeId>,
 }
@@ -82,12 +82,11 @@ impl TopologySpec {
         &self.ports[node.index()]
     }
     /// The equal-cost next-hop ports of `node` towards destination host
-    /// `dst`. Empty when `dst` is unreachable or `node == dst`.
+    /// `dst`. Empty when `dst` is not a host, is unreachable, or
+    /// `node == dst`.
+    #[inline]
     pub fn next_hops(&self, node: NodeId, dst: NodeId) -> &[PortId] {
-        self.routes[node.index()]
-            .get(&dst)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+        self.routes.next_hops(node, dst)
     }
 
     /// The number of hops (links) on a shortest path between two hosts.
@@ -183,21 +182,24 @@ impl TopologySpec {
     /// This is what locality-aware workload generation keys on: see
     /// `LocalitySpec` in `hpcc-workload`.
     pub fn host_rack_ids(&self) -> Vec<usize> {
-        let mut rack_of_switch: HashMap<NodeId, usize> = HashMap::new();
+        const UNSEEN: usize = usize::MAX;
+        let mut rack_of_switch = vec![UNSEEN; self.node_count()];
         let mut next = 0usize;
+        let mut fresh = || {
+            next += 1;
+            next - 1
+        };
         self.hosts
             .iter()
             .map(|&h| match self.ports[h.index()].first() {
-                Some(port) => *rack_of_switch.entry(port.peer_node).or_insert_with(|| {
-                    let id = next;
-                    next += 1;
-                    id
-                }),
-                None => {
-                    let id = next;
-                    next += 1;
-                    id
+                Some(port) => {
+                    let rack = &mut rack_of_switch[port.peer_node.index()];
+                    if *rack == UNSEEN {
+                        *rack = fresh();
+                    }
+                    *rack
                 }
+                None => fresh(),
             })
             .collect()
     }

@@ -64,11 +64,18 @@ impl Bandwidth {
     /// a throttled flow as "never ready" rather than dividing by zero.
     #[inline]
     pub fn tx_time(self, bytes: u64) -> Duration {
+        /// Picoseconds one byte takes at 1 bps: 8 bits × 1e12.
+        const PS_PER_BYTE_AT_1BPS: u64 = 8_000_000_000_000;
         if self.0 == 0 {
             return Duration::MAX;
         }
-        // ps = bytes * 8 bits * 1e12 / bps. Use u128 to avoid overflow.
-        let ps = (bytes as u128 * 8 * 1_000_000_000_000) / self.0 as u128;
+        // ps = bytes * 8 bits * 1e12 / bps. Up to ≈ 2.3 MB — every frame —
+        // the product fits a u64 and one 64-bit division does it; beyond
+        // that the same expression in u128 (a `__udivti3` call), saturated.
+        if bytes <= u64::MAX / PS_PER_BYTE_AT_1BPS {
+            return Duration::from_ps(bytes * PS_PER_BYTE_AT_1BPS / self.0);
+        }
+        let ps = (bytes as u128 * PS_PER_BYTE_AT_1BPS as u128) / self.0 as u128;
         Duration::from_ps(ps.min(u64::MAX as u128) as u64)
     }
 
@@ -152,6 +159,50 @@ mod tests {
         assert_eq!(Bandwidth::from_gbps(25).tx_time(1).as_ps(), 320);
         // 400 Gbps: 1 byte = 20 ps.
         assert_eq!(Bandwidth::from_gbps(400).tx_time(1).as_ps(), 20);
+    }
+
+    #[test]
+    fn the_u64_path_of_tx_time_equals_the_u128_expression() {
+        use crate::rng::SplitMix64;
+        // The expression `tx_time` evaluated before it had a u64 path.
+        let reference = |bytes: u64, bps: u64| {
+            let ps = (bytes as u128 * 8 * 1_000_000_000_000) / bps as u128;
+            Duration::from_ps(ps.min(u64::MAX as u128) as u64)
+        };
+        let limit = u64::MAX / 8_000_000_000_000;
+        let edge_bps = [
+            1,
+            25_000_000_000,
+            100_000_000_000,
+            400_000_000_000,
+            u64::MAX,
+        ];
+        let edge_bytes = [0, 1, 60, 1106, limit - 1, limit, limit + 1, u64::MAX];
+        for bps in edge_bps {
+            for bytes in edge_bytes {
+                assert_eq!(
+                    Bandwidth::from_bps(bps).tx_time(bytes),
+                    reference(bytes, bps),
+                    "bytes {bytes}, bps {bps}"
+                );
+            }
+        }
+        let seed = 0x7A11;
+        let mut rng = SplitMix64::new(seed);
+        for i in 0..200_000 {
+            // Log-uniform magnitudes, so both sides of the limit and both
+            // tiny and huge rates are hit often.
+            let bytes = rng.next_u64() >> rng.next_below(64);
+            let bps = (rng.next_u64() >> rng.next_below(64)).max(1);
+            assert_eq!(
+                Bandwidth::from_bps(bps).tx_time(bytes),
+                reference(bytes, bps),
+                "seed {seed:#x}, draw {i}: bytes {bytes}, bps {bps}"
+            );
+        }
+        for bytes in edge_bytes {
+            assert_eq!(Bandwidth::ZERO.tx_time(bytes), Duration::MAX);
+        }
     }
 
     #[test]

@@ -243,6 +243,94 @@ impl Packet {
         p
     }
 
+    /// Re-initialise this packet in place as [`Packet::data`] would build
+    /// it, for a pooled box whose previous contents are dead. Every field is
+    /// written except the INT hop array, which `n_hops = 0` invalidates — so
+    /// the result equals `Packet::data(..)` on everything [`IntHeader::hops`]
+    /// exposes, without zeroing and copying the 400-byte struct.
+    pub fn reset_to_data(
+        &mut self,
+        flow: FlowId,
+        src: NodeId,
+        dst: NodeId,
+        seq: u64,
+        payload: u64,
+        ts_sent: SimTime,
+    ) {
+        // Destructured without `..` so that a field added to `Packet` or
+        // `IntHeader` fails to compile here instead of surviving a reuse.
+        let Packet {
+            kind,
+            flow: p_flow,
+            src: p_src,
+            dst: p_dst,
+            seq: p_seq,
+            payload: p_payload,
+            priority,
+            ecn_ce,
+            int:
+                IntHeader {
+                    n_hops,
+                    path_id,
+                    hops: _,
+                },
+            ts_sent: p_ts_sent,
+            ack_flags,
+            sack_start,
+            sack_len,
+            src_slot,
+            dst_slot,
+        } = self;
+        *kind = PacketKind::Data;
+        *p_flow = flow;
+        *p_src = src;
+        *p_dst = dst;
+        *p_seq = seq;
+        *p_payload = payload;
+        *priority = Priority::DATA;
+        *ecn_ce = false;
+        *n_hops = 0;
+        *path_id = 0;
+        *p_ts_sent = ts_sent;
+        *ack_flags = AckFlags::default();
+        *sack_start = 0;
+        *sack_len = 0;
+        *src_slot = 0;
+        *dst_slot = 0;
+    }
+
+    /// Turn this data packet into its acknowledgement in place: the result
+    /// equals [`Packet::ack_for`]`(&data, cumulative_ack, flow_finished)`.
+    /// Flow, endpoints, INT header, send timestamp and both slots are echoed
+    /// as they stand, so the receiver re-emits the box the data arrived in.
+    pub fn become_ack(&mut self, cumulative_ack: u64, flow_finished: bool) {
+        self.kind = PacketKind::Ack;
+        self.seq = cumulative_ack;
+        self.payload = 0;
+        self.priority = Priority::CONTROL;
+        self.ack_flags = AckFlags {
+            ecn_echo: self.ecn_ce,
+            flow_finished,
+        };
+        self.ecn_ce = false;
+        self.sack_start = 0;
+        self.sack_len = 0;
+    }
+
+    /// In-place counterpart of [`Packet::nack_for`].
+    pub fn become_nack(&mut self, expected: u64) {
+        self.become_ack(expected, false);
+        self.kind = PacketKind::Nack;
+    }
+
+    /// In-place counterpart of [`Packet::sack_nack_for`].
+    pub fn become_sack_nack(&mut self, expected: u64, sack_start: u64, sack_len: u64) {
+        self.become_ack(expected, false);
+        self.kind = PacketKind::SackNack;
+        self.sack_start = sack_start;
+        self.sack_len = sack_len;
+    }
+
     /// Create a DCQCN CNP for a flow (receiver → sender direction).
     pub fn cnp(flow: FlowId, src: NodeId, dst: NodeId) -> Self {
         Packet {
@@ -419,6 +507,65 @@ mod tests {
         let sack = Packet::sack_nack_for(&data, 5000, 9000, 1000);
         assert_eq!(sack.kind, PacketKind::SackNack);
         assert_eq!((sack.sack_start, sack.sack_len), (9000, 1000));
+    }
+
+    /// `p` with the dead hop records beyond `n_hops` zeroed, so that the
+    /// derived `==` compares exactly what `hops()` exposes plus every scalar
+    /// field.
+    fn visible(mut p: Packet) -> Packet {
+        for h in &mut p.int.hops[p.int.n_hops as usize..] {
+            *h = IntHopRecord::default();
+        }
+        p
+    }
+
+    #[test]
+    fn in_place_replies_equal_the_constructed_ones() {
+        for n_hops in [0u16, 5] {
+            for (ecn_ce, finished) in [(false, false), (true, false), (false, true), (true, true)] {
+                let mut data = Packet::data(
+                    FlowId(7),
+                    NodeId(2),
+                    NodeId(5),
+                    9000,
+                    1000,
+                    SimTime::from_us(9),
+                );
+                data.priority = Priority::data_class(1);
+                data.ecn_ce = ecn_ce;
+                data.ack_flags.flow_finished = finished;
+                (data.src_slot, data.dst_slot) = (3, 8);
+                for sw in 0..n_hops {
+                    data.int.push_hop(sw + 1, sample_record(10 * sw as u64));
+                }
+                let case = format!("{n_hops} hops, ecn_ce {ecn_ce}, finished {finished}");
+
+                let mut ack = data;
+                ack.become_ack(10_000, finished);
+                assert_eq!(ack, Packet::ack_for(&data, 10_000, finished), "{case}");
+                assert_eq!(ack.int.hops(), data.int.hops(), "{case}");
+
+                let mut nack = data;
+                nack.become_nack(5000);
+                assert_eq!(nack, Packet::nack_for(&data, 5000), "{case}");
+
+                let mut sack = data;
+                sack.become_sack_nack(5000, 9000, 1000);
+                assert_eq!(
+                    sack,
+                    Packet::sack_nack_for(&data, 5000, 9000, 1000),
+                    "{case}"
+                );
+
+                // A reply's box that comes back as a data packet: nothing of
+                // the SACK-NACK, the marks, the slots or the hops survives.
+                sack.reset_to_data(FlowId(1), NodeId(0), NodeId(1), 0, 640, SimTime::from_us(1));
+                assert!(sack.int.hops().is_empty(), "{case}");
+                let fresh =
+                    Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 640, SimTime::from_us(1));
+                assert_eq!(visible(sack), fresh, "{case}");
+            }
+        }
     }
 
     #[test]
