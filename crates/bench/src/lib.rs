@@ -5,21 +5,20 @@
 //! * [`figures`] — one runner per table/figure of the paper's evaluation
 //!   (§2.3, §3.4, §5.2–§5.4). Each runner builds the corresponding scenario
 //!   from `hpcc-core` presets, runs it and renders the same rows/series the
-//!   paper plots. The binaries in `src/bin/` (`fig01` … `fig14`,
-//!   `tab_int_overhead`, `fluid_convergence`) are thin wrappers that print
-//!   the runner's report.
+//!   paper plots. The `figures` binary (`figures <name> [args…]`,
+//!   `figures all`) prints a runner's report.
 //! * The `campaign` binary runs campaigns (built-in or JSON manifests)
 //!   in-process, over the elastic TCP fabric (`serve` / `join`) or as offline
 //!   `shard` + `merge` JSONL files; the `trace` binary exports workloads to
 //!   flow-trace files, freezes manifests into trace-replay artifacts and
-//!   inspects/verifies traces (see `hpcc_workload::trace`). Both parse their
-//!   command lines with [`cli::Args`].
+//!   inspects/verifies traces (see `hpcc_workload::trace`). All three parse
+//!   their command lines with [`cli::Args`].
 //! * Performance is measured by the stand-alone package in `benchmark/`,
 //!   not here.
 //!
 //! Scale: by default every runner uses a laptop-sized configuration (small
 //! fabric, tens of milliseconds). Pass larger durations / the paper fabric
-//! via each runner's arguments (the binaries expose them as CLI arguments)
+//! via each runner's arguments (`figures` exposes them as positionals)
 //! to approach the paper's scale.
 
 #![forbid(unsafe_code)]
@@ -62,7 +61,7 @@ pub fn parse_arg<T: std::str::FromStr>(args: &[String], i: usize) -> Result<Opti
 
 /// Parse an optional CLI argument (`args[i]`) into `T`, falling back to a
 /// default when it is absent. A present but malformed argument exits 2:
-/// `fig11 5x` must not silently run the default duration.
+/// `campaign run 5x` must not silently run the default duration.
 pub fn arg_or<T: std::str::FromStr>(args: &[String], i: usize, default: T) -> T {
     match parse_arg(args, i) {
         Ok(value) => value.unwrap_or(default),

@@ -3,6 +3,7 @@
 //! flag spellings are gone, that the three execution routes (fabric,
 //! offline shard + merge, in-process) write the same bytes, and that an
 //! unbuildable or unfinishable campaign fails fast instead of stalling.
+//! The `figures` binary's (much smaller) contract is the last test.
 
 use hpcc_core::{BackendSpec, Campaign};
 use std::path::PathBuf;
@@ -14,11 +15,13 @@ const QUEUEING_SMOKE: &str = concat!(
     "/../../manifests/queueing_smoke.json"
 );
 
+fn run(exe: &str, args: &[&str]) -> Output {
+    let out = Command::new(exe).args(args).output();
+    out.unwrap_or_else(|e| panic!("cannot run {exe}: {e}"))
+}
+
 fn campaign(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_campaign"))
-        .args(args)
-        .output()
-        .expect("cannot run the campaign binary")
+    run(env!("CARGO_BIN_EXE_campaign"), args)
 }
 
 fn stderr(out: &Output) -> String {
@@ -210,9 +213,9 @@ fn an_unbuildable_scenario_fails_fast_naming_its_index() {
         .unwrap()
         .scenarios()
         .to_vec();
-    specs[1] = specs[1]
-        .clone()
-        .with_backend(BackendSpec::ParallelPacket { threads: 0 });
+    // Decodes, but cannot be built: scenario 1 is PIAS-2 and the fluid
+    // model has a single data class.
+    specs[1] = specs[1].clone().with_backend(BackendSpec::Fluid);
     let bad = dir.join("bad.json");
     std::fs::write(&bad, Campaign::from_scenarios(specs).to_json_string()).unwrap();
     let bad = bad.to_str().unwrap();
@@ -231,7 +234,7 @@ fn an_unbuildable_scenario_fails_fast_naming_its_index() {
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(started.elapsed() < Duration::from_secs(5), "{args:?} slow");
         assert!(
-            err.contains("scenario 1 (") && err.contains("at least one worker thread"),
+            err.contains("scenario 1 (") && err.contains("fluid backend does not support"),
             "{args:?}: {err}"
         );
     }
@@ -277,4 +280,34 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
             .any(|l| l.contains("stalled") && l.contains("SIGKILL")),
         "{rest:?}"
     );
+}
+
+#[test]
+fn figures_runs_the_named_runner_and_rejects_anything_else() {
+    let figures = |args: &[&str]| run(env!("CARGO_BIN_EXE_figures"), args);
+    for args in [&["fig06", "1"][..], &["tab_int_overhead"]] {
+        let out = figures(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
+    }
+    // An unknown name, a malformed or stray positional, an option: exit 2
+    // with the generated usage, nothing on stdout.
+    let rejected: [&[&str]; 6] = [
+        &[],
+        &["nope"],
+        &["fig06", "x"],
+        &["fig06", "1", "2"],
+        &["all", "1"],
+        &["fig06", "--report", "r.json"],
+    ];
+    for args in rejected {
+        let out = figures(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("usage:") && err.contains("figures fig11"),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
 }

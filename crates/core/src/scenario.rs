@@ -202,13 +202,14 @@ impl TopologyChoice {
 /// [`hpcc_sim::BackendKind`] under the name scenario specs use for it.
 ///
 /// The JSON form is the optional `"backend"` key: a label string (`"packet"`
-/// | `"fluid"`) or the object form `{"parallel_packet": {"threads": N}}` for
-/// the multi-core engine (see [`crate::wire::backend_to_json`]). An omitted
-/// key is canonical for [`BackendSpec::Packet`] and keeps every pre-existing
+/// | `"fluid"`, see [`crate::wire::backend_to_json`]). An omitted key is
+/// canonical for [`BackendSpec::Packet`] and keeps every pre-existing
 /// manifest bit-identical. Fluid is a steady-state model: scenarios
 /// combining it with features it cannot answer (fault injection,
 /// multi-class/PIAS queueing) are rejected with a typed [`BuildError`] at
-/// `try_build` time, as is a parallel backend with zero threads.
+/// `try_build` time. A scenario uses one core; campaigns use the rest
+/// ([`crate::Campaign::run`], the fabric). The inert
+/// [`BackendSpec::ParallelPacket`] is rejected the same way.
 pub use hpcc_sim::BackendKind as BackendSpec;
 
 /// Which congestion control the hosts run, as plain data.
@@ -1029,13 +1030,8 @@ impl ScenarioSpec {
                 }
             }
         }
-        if let BackendSpec::ParallelPacket { threads: 0 } = self.backend {
-            return Err(BuildError(
-                "the parallel_packet backend needs at least one worker thread \
-                 (got \"threads\": 0); use \"threads\": 1 or more, or drop \
-                 \"backend\" for the sequential engine"
-                    .into(),
-            ));
+        if self.backend == BackendSpec::ParallelPacket {
+            return Err(BuildError(hpcc_sim::PARALLEL_PACKET_REMOVED.into()));
         }
         let topo = self.topology.try_build()?;
         let host_bw = self.topology.host_bw();
@@ -1234,6 +1230,13 @@ fn bw_from(v: &JsonValue) -> Result<Bandwidth, JsonError> {
     Ok(Bandwidth::from_bps(v.as_u64()?))
 }
 
+/// An unsigned JSON integer narrowed to its field's type: one too wide is a
+/// decode error naming `what`, never a truncation.
+fn narrow<T: TryFrom<u64>>(v: &JsonValue, what: &str) -> Result<T, JsonError> {
+    let n = v.as_u64()?;
+    T::try_from(n).map_err(|_| JsonError(format!("{what} {n} out of range")))
+}
+
 fn dur_json(d: Duration) -> JsonValue {
     JsonValue::UInt(d.as_ps())
 }
@@ -1406,7 +1409,7 @@ fn cc_from_json(v: &JsonValue) -> Result<CcSpec, JsonError> {
         "Label" => Ok(CcSpec::Label(v.require("label")?.as_str()?.to_string())),
         "Hpcc" => Ok(CcSpec::Hpcc(HpccConfig {
             eta: v.require("eta")?.as_f64()?,
-            max_stage: v.require("max_stage")?.as_u64()? as u32,
+            max_stage: narrow(v.require("max_stage")?, "max_stage")?,
             wai: v.require("wai")?.as_u64()?,
             mode: match v.require("mode")?.as_str()? {
                 "Combined" => HpccReactionMode::Combined,
@@ -1426,13 +1429,7 @@ fn cc_from_json(v: &JsonValue) -> Result<CcSpec, JsonError> {
             t_low: dur_from(v.require("t_low_ps")?)?,
             t_high: dur_from(v.require("t_high_ps")?)?,
             beta: v.require("beta")?.as_f64()?,
-            hai_threshold: {
-                let t = v.require("hai_threshold")?.as_u64()?;
-                if t > u32::MAX as u64 {
-                    return Err(JsonError(format!("hai_threshold {t} out of range")));
-                }
-                t as u32
-            },
+            hai_threshold: narrow(v.require("hai_threshold")?, "hai_threshold")?,
         }),
         "Dctcp" => Ok(CcSpec::Dctcp {
             g: v.require("g")?.as_f64()?,
@@ -1774,25 +1771,13 @@ fn queueing_to_json(q: &QueueingSpec) -> JsonValue {
 
 fn queueing_from_json(v: &JsonValue) -> Result<QueueingSpec, JsonError> {
     let scheduler = match v.require("kind")?.as_str()? {
-        "SP" => {
-            let classes = v.require("classes")?.as_u64()?;
-            if classes > u8::MAX as u64 {
-                return Err(JsonError(format!(
-                    "queueing classes {classes} out of range"
-                )));
-            }
-            SchedulerSpec::StrictPriority {
-                classes: classes as u8,
-            }
-        }
+        "SP" => SchedulerSpec::StrictPriority {
+            classes: narrow(v.require("classes")?, "queueing classes")?,
+        },
         "DWRR" => {
             let mut weights = Vec::new();
             for w in v.require("weights")?.as_array()? {
-                let w = w.as_u64()?;
-                if w > u32::MAX as u64 {
-                    return Err(JsonError(format!("DWRR weight {w} out of range")));
-                }
-                weights.push(w as u32);
+                weights.push(narrow(w, "DWRR weight")?);
             }
             SchedulerSpec::Dwrr { weights }
         }
@@ -1887,13 +1872,7 @@ fn faults_from_json(v: &JsonValue) -> Result<FaultSpec, JsonError> {
                 link: f.require("link")?.as_usize()?,
                 at: dur_from(f.require("at_ps")?)?,
                 down_for: dur_from(f.require("down_for_ps")?)?,
-                flaps: {
-                    let n = f.require("flaps")?.as_u64()?;
-                    if n > u32::MAX as u64 {
-                        return Err(JsonError(format!("flap count {n} out of range")));
-                    }
-                    n as u32
-                },
+                flaps: narrow(f.require("flaps")?, "flap count")?,
                 period: dur_from(f.require("period_ps")?)?,
                 mode: match f.require("mode")?.as_str()? {
                     "Drop" => LinkDownMode::Drop,
@@ -2023,6 +2002,29 @@ mod tests {
                 panic!("{e} while parsing {text}");
             });
             assert_eq!(back, spec, "round trip changed {text}");
+        }
+    }
+
+    #[test]
+    fn integers_wider_than_their_field_are_decode_errors_not_truncations() {
+        // `"max_stage": 4294967301` (2^32 + 5) used to run, and re-encode, as 5.
+        let hpcc = ScenarioSpec::new(
+            "wide",
+            TopologyChoice::star(3, Bandwidth::from_gbps(100)),
+            CcSpec::Hpcc(HpccConfig::default()),
+            Duration::from_ms(1),
+        )
+        .with_queueing(QueueingSpec::dwrr(vec![2, 1]));
+        let text = hpcc.to_json_string();
+        for (member, wide, what) in [
+            ("\"max_stage\":5", "\"max_stage\":4294967301", "max_stage"),
+            ("[2,1]", "[4294967301,1]", "DWRR weight"),
+        ] {
+            assert!(text.contains(member), "{member} not in {text}");
+            let wide = text.replace(member, wide);
+            let err = ScenarioSpec::from_json_str(&wide).expect_err("must not truncate");
+            let expect = format!("{what} 4294967301 out of range");
+            assert!(err.to_string().contains(&expect), "{err}");
         }
     }
 

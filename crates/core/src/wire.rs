@@ -39,6 +39,7 @@
 use crate::campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult};
 use crate::json::{obj, JsonError, JsonValue};
 use crate::scenario::BackendSpec;
+use hpcc_sim::PARALLEL_PACKET_REMOVED;
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, FctBucket, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
 use hpcc_stats::Percentiles;
@@ -99,54 +100,34 @@ fn opt_u64_from_json(v: &JsonValue) -> Result<Option<u64>, JsonError> {
 }
 
 /// Canonical JSON for a backend choice, shared by scenario specs and
-/// result lines. `None` for the default packet engine — its canonical form
-/// is an *omitted* `"backend"` key, keeping pre-existing manifests
-/// bit-identical. The fluid engine stays the bare label string; the
-/// parallel engine carries its thread count as a nested object:
-/// `{"parallel_packet": {"threads": 4}}`.
+/// result lines: a bare label. `None` for the default packet engine — its
+/// canonical form is an *omitted* `"backend"` key, keeping pre-existing
+/// manifests bit-identical.
 pub fn backend_to_json(backend: BackendSpec) -> Option<JsonValue> {
     match backend {
         BackendSpec::Packet => None,
-        BackendSpec::Fluid => Some(JsonValue::Str(backend.label().to_string())),
-        BackendSpec::ParallelPacket { threads } => Some(obj(vec![(
-            "parallel_packet",
-            obj(vec![("threads", JsonValue::UInt(threads as u64))]),
-        )])),
+        BackendSpec::Fluid | BackendSpec::ParallelPacket => {
+            Some(JsonValue::Str(backend.label().to_string()))
+        }
     }
 }
 
-/// Decode a `"backend"` value: either a bare label string or the
-/// single-key object form holding the parallel engine's thread count (which
-/// therefore has no bare-label form: `"parallel_packet"` as a string points
-/// at the object form instead of decoding). Extra keys alongside
-/// `"parallel_packet"` are conflicting backend selections and rejected.
+/// Decode a `"backend"` value: a bare label string. The removed parallel
+/// engine, in its old object form or as a bare label, is an error that says
+/// so rather than an unknown label.
 pub fn backend_from_json(v: &JsonValue) -> Result<BackendSpec, JsonError> {
-    if let JsonValue::Str(label) = v {
-        return match label.as_str() {
+    match v {
+        JsonValue::Str(label) => match label.as_str() {
             "packet" => Ok(BackendSpec::Packet),
             "fluid" => Ok(BackendSpec::Fluid),
-            "parallel_packet" => err("backend \"parallel_packet\" needs a thread count; write \
-                 {\"parallel_packet\": {\"threads\": N}}"),
+            "parallel_packet" => err(PARALLEL_PACKET_REMOVED),
             other => err(format!("unknown backend {other:?}")),
-        };
+        },
+        JsonValue::Object(pairs) if pairs.iter().any(|(k, _)| k == "parallel_packet") => {
+            err(PARALLEL_PACKET_REMOVED)
+        }
+        other => err(format!("expected a backend label, got {other:?}")),
     }
-    let pairs = match v {
-        JsonValue::Object(pairs) => pairs,
-        other => return err(format!("expected backend label or object, got {other:?}")),
-    };
-    if let Some((key, _)) = pairs.iter().find(|(k, _)| k != "parallel_packet") {
-        return err(format!("conflicting backend key {key:?}"));
-    }
-    let p = v
-        .get("parallel_packet")
-        .ok_or_else(|| JsonError("backend object missing \"parallel_packet\"".into()))?;
-    let threads = p.require("threads")?.as_u64()?;
-    if threads > u32::MAX as u64 {
-        return err(format!("parallel_packet threads {threads} out of range"));
-    }
-    Ok(BackendSpec::ParallelPacket {
-        threads: threads as u32,
-    })
 }
 
 /// Recover the `&'static` bucket from the known bucket tables. Campaign

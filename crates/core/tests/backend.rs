@@ -51,12 +51,30 @@ fn backend_key_round_trips_and_stays_canonical_when_omitted() {
 
 #[test]
 fn unknown_backend_labels_are_rejected() {
-    let text = base_spec().to_json_string().replace(
-        "\"name\":\"backend-test\"",
-        "\"name\":\"x\",\"backend\":\"quantum\"",
-    );
-    let err = ScenarioSpec::from_json_str(&text).expect_err("unknown backend must fail");
-    assert!(format!("{err}").contains("quantum"), "{err}");
+    const REMOVED: &str = "was removed; use \"packet\"";
+    for (value, expect) in [
+        ("\"quantum\"", "quantum"),
+        // A backend is a bare label; no object form exists.
+        ("{\"fluid\":{}}", "expected a backend label"),
+        // The removed parallel engine, as old manifests selected it and as a
+        // bare label, names the removal and the replacement.
+        ("{\"parallel_packet\":{\"threads\":2}}", REMOVED),
+        ("\"parallel_packet\"", REMOVED),
+    ] {
+        let text = base_spec().to_json_string().replace(
+            "\"name\":\"backend-test\"",
+            &format!("\"name\":\"x\",\"backend\":{value}"),
+        );
+        let err = ScenarioSpec::from_json_str(&text).expect_err("unknown backend must fail");
+        assert!(format!("{err}").contains(expect), "{value}: {err}");
+    }
+    // Programmatic use of the inert variant stops at try_build, same message.
+    let inert = base_spec().with_backend(BackendSpec::ParallelPacket);
+    let err = inert
+        .try_build()
+        .err()
+        .expect("the inert variant must not build");
+    assert!(format!("{err}").contains(REMOVED), "{err}");
 }
 
 #[test]

@@ -170,24 +170,24 @@ fn wall_clock_fabric_must_route_through_timing_module() {
 
 #[test]
 fn wall_clock_parallel_engine_stays_clock_free() {
-    // Negative fixture: a parallel engine that paces its window exchange on
-    // the host clock is flagged — crates/sim is deliberately NOT on the
-    // wall-clock exemption list, so the conservative-lookahead protocol
-    // cannot degrade into wall-clock polling (which would make cross-shard
-    // event order host-dependent).
+    // Negative fixture: engine code that paces a hand-off between threads
+    // on the host clock is flagged — crates/sim is deliberately NOT on the
+    // wall-clock exemption list, so no future in-scenario parallelism can
+    // degrade into wall-clock polling (which would make event order
+    // host-dependent).
     let polling = "fn drain_inbox(ch: &std::sync::Mutex<Vec<u64>>) -> Vec<u64> {\n\
                    let deadline = std::time::Instant::now() + std::time::Duration::from_millis(1);\n\
                    while std::time::Instant::now() < deadline {}\n\
                    ch.lock().unwrap().drain(..).collect()\n}\n";
     assert_eq!(
-        rules(&lint("crates/sim/src/parallel.rs", polling)),
+        rules(&lint("crates/sim/src/engine.rs", polling)),
         vec![determinism::WALL_CLOCK, determinism::WALL_CLOCK]
     );
 
-    // Positive fixture: the committed idiom — barrier-synchronised phases
-    // and mutex-guarded channel drains with no clock reads at all — lints
-    // clean. (Benchmark wall timing lives in crates/bench and the
-    // `hpcc_core::timing` funnel, never in the engine.)
+    // Positive fixture: barrier-synchronised phases and mutex-guarded
+    // channel drains with no clock reads at all lint clean. (Benchmark wall
+    // timing lives in crates/bench and the `hpcc_core::timing` funnel, never
+    // in the engine.)
     let barriered = "fn drain_inbox(\n\
                      barrier: &std::sync::Barrier,\n\
                      ch: &std::sync::Mutex<Vec<u64>>,\n\
@@ -196,28 +196,28 @@ fn wall_clock_parallel_engine_stays_clock_free() {
                      let mut got: Vec<u64> = ch.lock().unwrap().drain(..).collect();\n\
                      got.sort_unstable();\n\
                      got\n}\n";
-    let findings = lint("crates/sim/src/parallel.rs", barriered);
+    let findings = lint("crates/sim/src/engine.rs", barriered);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn hash_iter_shard_stat_merges_must_sort() {
     // Negative fixture: folding per-shard port-stat maps in HashMap order
-    // is flagged — a parallel merge that iterates raw hash order would make
-    // the merged output depend on hasher state.
+    // is flagged — a merge that iterates raw hash order would make the
+    // merged output depend on hasher state.
     let unsorted = "fn merge(shard: &std::collections::HashMap<u64, u64>) \
                     -> std::collections::HashMap<u64, u64> {\n\
                     let mut out = std::collections::HashMap::new();\n\
                     for (k, v) in shard.iter() {\n    out.insert(*k, *v);\n}\n\
                     out\n}\n";
-    let findings = lint("crates/sim/src/parallel.rs", unsorted);
+    let findings = lint("crates/sim/src/engine.rs", unsorted);
     assert_eq!(
         rules(&findings),
         vec![determinism::HASH_ITER],
         "{findings:?}"
     );
 
-    // Positive fixture: the committed merge idiom — collect the shard's
+    // Positive fixture: the sorted merge idiom — collect the shard's
     // disjoint keys, sort, then insert in sorted order — lints clean.
     let sorted = "fn merge(shard: std::collections::HashMap<u64, u64>) \
                   -> std::collections::HashMap<u64, u64> {\n\
@@ -226,7 +226,7 @@ fn hash_iter_shard_stat_merges_must_sort() {
                   let mut out = std::collections::HashMap::new();\n\
                   for (k, v) in rows {\n    out.insert(k, v);\n}\n\
                   out\n}\n";
-    let findings = lint("crates/sim/src/parallel.rs", sorted);
+    let findings = lint("crates/sim/src/engine.rs", sorted);
     assert!(findings.is_empty(), "{findings:?}");
 }
 

@@ -52,37 +52,38 @@ pub enum BackendKind {
     Packet,
     /// The Appendix A.2 fluid-model fast path.
     Fluid,
-    /// The parallel partitioned packet engine
-    /// ([`crate::parallel::ParallelPacketBackend`]): `threads` shard
-    /// threads, bit-identical to [`Packet`](BackendKind::Packet).
-    ParallelPacket {
-        /// Worker threads (scenario specs require ≥ 1; the partitioner
-        /// clamps to the switch count, and 1 collapses to the sequential
-        /// engine).
-        threads: u32,
-    },
+    /// Inert: the parallel partitioned packet engine was removed (it produced
+    /// the digest [`Packet`](BackendKind::Packet) produces, at 0.46–1.09× its
+    /// speed on 2 threads). Nothing decodes to this variant and nothing runs
+    /// it; it exists only because `benchmark/src/traced.rs:410` matches it by
+    /// name and that package changes separately.
+    ParallelPacket,
 }
 
 impl BackendKind {
-    /// The backend's short identifier ("packet" / "fluid" /
-    /// "parallel_packet").
+    /// The backend's short identifier ("packet" / "fluid").
     pub fn label(self) -> &'static str {
         match self {
             BackendKind::Packet => "packet",
             BackendKind::Fluid => "fluid",
-            BackendKind::ParallelPacket { .. } => "parallel_packet",
+            BackendKind::ParallelPacket => "parallel_packet",
         }
     }
 }
 
-/// Resolve a [`BackendKind`] to its engine.
+/// What every route to [`BackendKind::ParallelPacket`] answers: decoding it,
+/// building a scenario with it, resolving it.
+pub const PARALLEL_PACKET_REMOVED: &str =
+    "the parallel_packet backend was removed; use \"packet\", \
+     which produced the identical digest";
+
+/// Resolve a [`BackendKind`] to its engine. Panics on the inert
+/// [`BackendKind::ParallelPacket`], which scenario specs reject before this.
 pub fn backend_for(kind: BackendKind) -> Box<dyn Backend> {
     match kind {
         BackendKind::Packet => Box::new(PacketBackend),
         BackendKind::Fluid => Box::new(crate::fluid::FluidBackend),
-        BackendKind::ParallelPacket { threads } => {
-            Box::new(crate::parallel::ParallelPacketBackend { threads })
-        }
+        BackendKind::ParallelPacket => panic!("{PARALLEL_PACKET_REMOVED}"),
     }
 }
 
@@ -112,11 +113,7 @@ mod tests {
     #[test]
     fn kinds_resolve_to_matching_backends() {
         assert_eq!(BackendKind::default(), BackendKind::Packet);
-        for kind in [
-            BackendKind::Packet,
-            BackendKind::Fluid,
-            BackendKind::ParallelPacket { threads: 2 },
-        ] {
+        for kind in [BackendKind::Packet, BackendKind::Fluid] {
             assert_eq!(backend_for(kind).name(), kind.label());
         }
     }

@@ -145,18 +145,6 @@ pub(crate) struct Effects {
 const PACKET_POOL_CAP: usize = 8192;
 
 impl Effects {
-    /// Reset the per-event buffers, keeping their capacity and the packet
-    /// pool (clear, don't drop).
-    pub fn clear(&mut self) {
-        self.events.clear();
-        self.kicks.clear();
-        self.completions.clear();
-        self.pfc_events.clear();
-        self.goodput.clear();
-        self.packets_delivered = 0;
-        self.packets_sent = 0;
-    }
-
     /// Box a packet, reusing a pooled box when one is available. Copies the
     /// whole `Packet`; for the cold kinds (PFC frames, CNPs).
     pub fn alloc_packet(&mut self, pkt: Packet) -> Box<Packet> {

@@ -235,7 +235,7 @@ impl FaultConfig {
 
 /// One compiled fault-state transition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Transition {
+pub(crate) enum Transition {
     /// Link `link` goes administratively down in `mode`.
     LinkDown {
         /// Topology link index.
@@ -319,7 +319,7 @@ impl FaultTimeline {
     }
 
     /// Pop every transition scheduled at or before `now`, in order.
-    pub fn due(&mut self, now: SimTime) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
+    pub(crate) fn due(&mut self, now: SimTime) -> impl Iterator<Item = (SimTime, Transition)> + '_ {
         let start = self.cursor;
         while self.cursor < self.transitions.len() && self.transitions[self.cursor].0 <= now {
             self.cursor += 1;
@@ -340,7 +340,7 @@ impl FaultTimeline {
 
 /// Stream constant XORed into the scenario seed for the per-node fault-loss
 /// RNG, keeping it disjoint from the ECN-marking stream.
-pub const FAULT_RNG_STREAM: u64 = 0xFA17_5EED_0BAD_11FE;
+pub(crate) const FAULT_RNG_STREAM: u64 = 0xFA17_5EED_0BAD_11FE;
 
 #[cfg(test)]
 mod tests {

@@ -51,7 +51,7 @@ struct SenderFlowCold {
 ///
 /// The per-ACK path and the round-robin `pick_flow` scan read a handful of
 /// small fields per flow (`finished`/window/pacing state); keeping those in
-/// parallel dense arrays means a scan over thousands of flows touches a few
+/// index-aligned dense arrays means a scan over thousands of flows touches a few
 /// contiguous cache lines instead of striding over ~200-byte AoS records
 /// (the CC trait object, two `BTreeSet`s and the spec live in
 /// [`SenderFlowCold`], off the scan path).

@@ -31,19 +31,17 @@ pub mod fault;
 pub mod fluid;
 pub mod host;
 pub mod output;
-pub mod parallel;
-pub mod partition;
 pub mod sched;
 pub mod switch;
 
 mod simulator;
 
-pub use backend::{backend_for, Backend, BackendKind, CompiledScenario, PacketBackend};
+pub use backend::{
+    backend_for, Backend, BackendKind, CompiledScenario, PacketBackend, PARALLEL_PACKET_REMOVED,
+};
 pub use config::{EcnConfig, FlowControlMode, QueueingConfig, SchedulerKind, SimConfig};
 pub use engine::Event;
 pub use fault::{DegradedLink, FaultConfig, FaultTimeline, LinkDownMode, LinkFault, StragglerHost};
 pub use fluid::{ai_equilibrium_rate, ai_equilibrium_utilization, FluidBackend, FluidNetwork};
 pub use output::{FlowRecord, PortKey, SimOutput};
-pub use parallel::{run_parallel, ParallelPacketBackend};
-pub use partition::{plan_shards, ShardLayout};
 pub use simulator::Simulator;

@@ -135,7 +135,7 @@ pub struct SimOutput {
 }
 
 impl SimOutput {
-    pub(crate) const PFC_EVENT_CAP: usize = 200_000;
+    const PFC_EVENT_CAP: usize = 200_000;
 
     /// Create an empty output with the given queue-histogram bin width.
     pub fn new(queue_histogram_bin: u64, flow_goodput_bin: Duration) -> Self {

@@ -17,7 +17,7 @@ use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
 /// hot path instead.
 #[allow(clippy::large_enum_variant)]
 #[derive(Debug)]
-pub(crate) enum Node {
+enum Node {
     Host(Host),
     Switch(Switch),
 }
@@ -26,33 +26,33 @@ pub(crate) enum Node {
 /// non-empty [`FaultConfig`], so fault-free runs carry a `None` and execute
 /// the exact legacy event sequence.
 #[derive(Debug)]
-pub(crate) struct FaultRuntime {
+struct FaultRuntime {
     /// Compiled transition schedule.
-    pub(crate) timeline: FaultTimeline,
+    timeline: FaultTimeline,
     /// The plan the timeline was compiled from (window parameters are read
     /// back when a transition fires).
-    pub(crate) plan: FaultConfig,
+    plan: FaultConfig,
     /// Directed endpoints of every topology link, in link order:
     /// `((a, port on a), (b, port on b))`.
-    pub(crate) endpoints: Vec<((NodeId, PortId), (NodeId, PortId))>,
+    endpoints: Vec<((NodeId, PortId), (NodeId, PortId))>,
     /// Number of host endpoints (0..=2) per link, for NIC-downtime
     /// accounting.
-    pub(crate) host_ends: Vec<u8>,
+    host_ends: Vec<u8>,
     /// When each link last went down (`None` = currently up).
-    pub(crate) down_since: Vec<Option<SimTime>>,
+    down_since: Vec<Option<SimTime>>,
     /// Accumulated downtime per link.
-    pub(crate) downtime: Vec<Duration>,
+    downtime: Vec<Duration>,
     /// Accumulated host-NIC downtime (host endpoints of downed links).
-    pub(crate) host_nic_downtime: Duration,
+    host_nic_downtime: Duration,
     /// Number of currently-open fault windows (outages, degradations and
     /// straggles); goodput is attributed to the fault window while > 0.
-    pub(crate) active: u32,
+    active: u32,
     /// Transitions applied so far.
-    pub(crate) events_applied: u64,
+    events_applied: u64,
 }
 
 impl FaultRuntime {
-    pub(crate) fn new(plan: &FaultConfig, topo: &TopologySpec) -> FaultRuntime {
+    fn new(plan: &FaultConfig, topo: &TopologySpec) -> FaultRuntime {
         // Recover each link's two directed (node, port) endpoints by
         // replaying the builder's dense port assignment: ports are numbered
         // per node in link-insertion order.
@@ -112,7 +112,7 @@ pub struct Simulator {
     out: SimOutput,
     flows: Vec<FlowSpec>,
     /// Per-flow receiver slot (dense index into the destination host's
-    /// receiver table), assigned at registration; parallel to `flows`.
+    /// receiver table), assigned at registration; index-aligned with `flows`.
     dst_slots: Vec<u32>,
     /// Next receiver slot per node (only host entries are used).
     next_dst_slot: Vec<u32>,

@@ -24,7 +24,6 @@
 
 pub mod builders;
 pub mod corpus;
-pub mod partition;
 pub mod routing;
 pub mod spec;
 
@@ -33,5 +32,4 @@ pub use builders::{
     FatTreeParams,
 };
 pub use corpus::{CorpusError, CorpusTopology};
-pub use partition::{partition, TopologyPartition};
 pub use spec::{LinkSpec, NodeKind, PortDesc, TopologyBuilder, TopologySpec};
