@@ -111,6 +111,24 @@ fn every_option_is_accepted_exactly_where_documented() {
 }
 
 #[test]
+fn dump_reproduces_the_committed_preset_manifests() {
+    // `manifests/{fluid,fabric}_smoke.json` say "regenerate with `campaign
+    // dump`"; the encoder must still write exactly those bytes.
+    // (`fault_smoke.json` is held to its preset in `crates/core/tests/faults.rs`.)
+    for (preset, committed) in [
+        ("fluid", include_str!("../../../manifests/fluid_smoke.json")),
+        (
+            "fabric",
+            include_str!("../../../manifests/fabric_smoke.json"),
+        ),
+    ] {
+        let out = campaign(&["dump", preset]);
+        assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), committed, "{preset}");
+    }
+}
+
+#[test]
 fn removed_spellings_and_malformed_arguments_exit_2() {
     let removed = [
         "--shards",

@@ -22,7 +22,9 @@
 //! bit-identical whether the campaign runs serially, on 2 threads, on 64,
 //! or sharded across processes on several hosts.
 
+use crate::codec::{Path, Wire};
 use crate::experiment::ExperimentResults;
+use crate::json::{JsonError, JsonValue};
 use crate::report::truncate;
 use crate::scenario::{CdfSpec, ScenarioSpec, WorkloadSpec};
 use hpcc_sim::SimOutput;
@@ -179,8 +181,8 @@ impl Campaign {
 
     /// The manifest as a JSON array value (for embedding in larger
     /// documents, e.g. the fabric's manifest message).
-    pub fn to_json(&self) -> crate::json::JsonValue {
-        crate::json::JsonValue::Array(self.scenarios.iter().map(|s| s.to_json()).collect())
+    pub fn to_json(&self) -> JsonValue {
+        self.encode()
     }
 
     /// Serialize every scenario into a JSON array (a campaign manifest).
@@ -189,18 +191,30 @@ impl Campaign {
     }
 
     /// Parse a campaign out of a JSON array value (the inverse of
-    /// [`Campaign::to_json`]).
-    pub fn from_json(doc: &crate::json::JsonValue) -> Result<Self, crate::json::JsonError> {
-        let mut scenarios = Vec::new();
-        for item in doc.as_array()? {
-            scenarios.push(ScenarioSpec::from_json(item)?);
-        }
-        Ok(Campaign { scenarios })
+    /// [`Campaign::to_json`]). An error names the scenario by index and the
+    /// member by path: `[3].workloads[0].load: expected number, got string`.
+    pub fn from_json(doc: &JsonValue) -> Result<Self, JsonError> {
+        Self::decode(doc, &Path::Root)
     }
 
     /// Parse a campaign manifest (a JSON array of scenarios).
-    pub fn from_json_str(text: &str) -> Result<Self, crate::json::JsonError> {
-        Campaign::from_json(&crate::json::JsonValue::parse(text)?)
+    pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
+        Campaign::from_json(&JsonValue::parse(text)?)
+    }
+}
+
+/// A campaign manifest is the JSON array of its scenarios.
+impl Wire for Campaign {
+    fn encode(&self) -> JsonValue {
+        self.scenarios.encode()
+    }
+
+    fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
+        Vec::decode(v, at).map(|scenarios| Campaign { scenarios })
+    }
+
+    fn keys(out: &mut Vec<&'static str>) {
+        ScenarioSpec::keys(out)
     }
 }
 

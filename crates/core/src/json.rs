@@ -55,6 +55,20 @@ fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
 }
 
 impl JsonValue {
+    /// What this value is, for error messages: a number is shown (it is
+    /// short), anything else is named and never echoed, so a message cannot
+    /// grow with the input.
+    pub fn kind(&self) -> String {
+        match self {
+            JsonValue::Null => "null".into(),
+            JsonValue::Bool(_) => "bool".into(),
+            JsonValue::UInt(_) | JsonValue::Int(_) | JsonValue::Float(_) => self.render(),
+            JsonValue::Str(_) => "string".into(),
+            JsonValue::Array(_) => "array".into(),
+            JsonValue::Object(_) => "object".into(),
+        }
+    }
+
     /// Look up a key of an object.
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
         match self {
@@ -77,7 +91,7 @@ impl JsonValue {
             JsonValue::Float(f) if *f >= 0.0 && f.fract() == 0.0 && *f <= 2f64.powi(53) => {
                 Ok(*f as u64)
             }
-            other => err(format!("expected unsigned integer, got {other:?}")),
+            other => err(format!("expected unsigned integer, got {}", other.kind())),
         }
     }
 
@@ -87,20 +101,15 @@ impl JsonValue {
             JsonValue::UInt(n) => Ok(*n as f64),
             JsonValue::Int(n) => Ok(*n as f64),
             JsonValue::Float(f) => Ok(*f),
-            other => err(format!("expected number, got {other:?}")),
+            other => err(format!("expected number, got {}", other.kind())),
         }
-    }
-
-    /// Interpret as `usize`.
-    pub fn as_usize(&self) -> Result<usize, JsonError> {
-        Ok(self.as_u64()? as usize)
     }
 
     /// Interpret as a string slice.
     pub fn as_str(&self) -> Result<&str, JsonError> {
         match self {
             JsonValue::Str(s) => Ok(s),
-            other => err(format!("expected string, got {other:?}")),
+            other => err(format!("expected string, got {}", other.kind())),
         }
     }
 
@@ -108,7 +117,7 @@ impl JsonValue {
     pub fn as_bool(&self) -> Result<bool, JsonError> {
         match self {
             JsonValue::Bool(b) => Ok(*b),
-            other => err(format!("expected bool, got {other:?}")),
+            other => err(format!("expected bool, got {}", other.kind())),
         }
     }
 
@@ -116,7 +125,7 @@ impl JsonValue {
     pub fn as_array(&self) -> Result<&[JsonValue], JsonError> {
         match self {
             JsonValue::Array(items) => Ok(items),
-            other => err(format!("expected array, got {other:?}")),
+            other => err(format!("expected array, got {}", other.kind())),
         }
     }
 

@@ -37,6 +37,7 @@
 
 pub mod analysis;
 pub mod campaign;
+pub mod codec;
 pub mod experiment;
 pub mod fabric;
 pub mod json;

@@ -17,6 +17,9 @@
 //! spec always yields the bit-identical experiment, no matter where or when
 //! it is built.
 
+use crate::codec::{
+    from_label, wire_labels, wire_struct, wire_tagged, Fields, Members, Path, Wire,
+};
 use crate::experiment::{Experiment, ExperimentBuilder, ExperimentResults, MTU_WIRE_SIZE};
 use crate::json::{obj, JsonError, JsonValue};
 use crate::presets::scheme_by_label;
@@ -28,7 +31,7 @@ use hpcc_topology::{
     dumbbell, fat_tree, leaf_spine, star, testbed_pod, FatTreeParams, TopologySpec,
 };
 use hpcc_types::rng::derive_seed;
-use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, SimTime};
+use hpcc_types::{Bandwidth, Duration, FlowId, FlowPriority, FlowSpec, SimTime};
 use hpcc_workload::trace::{TraceRecord, TraceSpec};
 use hpcc_workload::{
     fb_hadoop, fixed_size, websearch, FlowSizeCdf, IncastGenerator, LoadGenerator, LocalitySpec,
@@ -201,10 +204,10 @@ impl TopologyChoice {
 /// Which engine answers a scenario, as plain data — the simulator's own
 /// [`hpcc_sim::BackendKind`] under the name scenario specs use for it.
 ///
-/// The JSON form is the optional `"backend"` key: a label string (`"packet"`
-/// | `"fluid"`, see [`crate::wire::backend_to_json`]). An omitted key is
-/// canonical for [`BackendSpec::Packet`] and keeps every pre-existing
-/// manifest bit-identical. Fluid is a steady-state model: scenarios
+/// The JSON form is the optional `"backend"` member: a label string
+/// (`"packet"` | `"fluid"`). An omitted member is canonical for
+/// [`BackendSpec::Packet`] and keeps every pre-existing manifest
+/// bit-identical. Fluid is a steady-state model: scenarios
 /// combining it with features it cannot answer (fault injection,
 /// multi-class/PIAS queueing) are rejected with a typed [`BuildError`] at
 /// `try_build` time. A scenario uses one core; campaigns use the rest
@@ -1127,45 +1130,7 @@ impl ScenarioSpec {
 
     /// Serialize to a JSON value.
     pub fn to_json(&self) -> JsonValue {
-        let mut pairs = vec![
-            ("name", JsonValue::Str(self.name.clone())),
-            ("topology", topology_to_json(&self.topology)),
-            ("cc", cc_to_json(&self.cc)),
-            (
-                "workloads",
-                JsonValue::Array(self.workloads.iter().map(workload_to_json).collect()),
-            ),
-            ("duration_ps", JsonValue::UInt(self.duration.as_ps())),
-            ("seed", JsonValue::UInt(self.seed)),
-            (
-                "flow_control",
-                JsonValue::Str(self.flow_control.label().to_string()),
-            ),
-        ];
-        if let Some(bytes) = self.buffer_bytes {
-            pairs.push(("buffer_bytes", JsonValue::UInt(bytes)));
-        }
-        if let Some(ecn) = self.ecn {
-            pairs.push((
-                "ecn",
-                obj(vec![
-                    ("kmin_bytes", JsonValue::UInt(ecn.kmin_bytes)),
-                    ("kmax_bytes", JsonValue::UInt(ecn.kmax_bytes)),
-                    ("pmax", JsonValue::Float(ecn.pmax)),
-                ]),
-            ));
-        }
-        if let Some(q) = &self.queueing {
-            pairs.push(("queueing", queueing_to_json(q)));
-        }
-        if let Some(f) = &self.faults {
-            pairs.push(("faults", faults_to_json(f)));
-        }
-        if let Some(b) = crate::wire::backend_to_json(self.backend) {
-            pairs.push(("backend", b));
-        }
-        pairs.push(("trace", trace_to_json(&self.trace)));
-        obj(pairs)
+        self.encode()
     }
 
     /// Serialize to a compact JSON string.
@@ -1175,45 +1140,7 @@ impl ScenarioSpec {
 
     /// Deserialize from a JSON value.
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let mut spec = ScenarioSpec::new(
-            v.require("name")?.as_str()?,
-            topology_from_json(v.require("topology")?)?,
-            cc_from_json(v.require("cc")?)?,
-            Duration::from_ps(v.require("duration_ps")?.as_u64()?),
-        );
-        for w in v.require("workloads")?.as_array()? {
-            spec.workloads.push(workload_from_json(w)?);
-        }
-        spec.seed = v.require("seed")?.as_u64()?;
-        spec.flow_control = match v.require("flow_control")?.as_str()? {
-            "PFC" => FlowControlMode::Lossless,
-            "GBN" => FlowControlMode::LossyGoBackN,
-            "IRN" => FlowControlMode::LossyIrn,
-            other => return Err(JsonError(format!("unknown flow control {other:?}"))),
-        };
-        if let Some(bytes) = v.get("buffer_bytes") {
-            spec.buffer_bytes = Some(bytes.as_u64()?);
-        }
-        if let Some(ecn) = v.get("ecn") {
-            spec.ecn = Some(EcnConfig {
-                kmin_bytes: ecn.require("kmin_bytes")?.as_u64()?,
-                kmax_bytes: ecn.require("kmax_bytes")?.as_u64()?,
-                pmax: ecn.require("pmax")?.as_f64()?,
-            });
-        }
-        if let Some(q) = v.get("queueing") {
-            spec.queueing = Some(queueing_from_json(q)?);
-        }
-        if let Some(f) = v.get("faults") {
-            spec.faults = Some(faults_from_json(f)?);
-        }
-        if let Some(b) = v.get("backend") {
-            spec.backend = crate::wire::backend_from_json(b)?;
-        }
-        if let Some(trace) = v.get("trace") {
-            spec.trace = trace_from_json(trace)?;
-        }
-        Ok(spec)
+        Self::decode(v, &Path::Root)
     }
 
     /// Deserialize from a JSON string.
@@ -1222,751 +1149,375 @@ impl ScenarioSpec {
     }
 }
 
-fn bw_json(bw: Bandwidth) -> JsonValue {
-    JsonValue::UInt(bw.as_bps())
-}
+// The manifest schema (`docs/WIRE.md` § Manifest objects): one row per
+// member, in byte order. See `crate::codec` for the row forms.
 
-fn bw_from(v: &JsonValue) -> Result<Bandwidth, JsonError> {
-    Ok(Bandwidth::from_bps(v.as_u64()?))
-}
+wire_struct!(ScenarioSpec {
+    name: "name",
+    topology: "topology",
+    cc: "cc",
+    workloads: "workloads",
+    duration: "duration_ps",
+    seed: "seed",
+    flow_control: "flow_control",
+    buffer_bytes: "buffer_bytes" = None,
+    ecn: "ecn" = None,
+    queueing: "queueing" = None,
+    faults: "faults" = None,
+    backend: "backend" = BackendSpec::Packet,
+    trace: "trace",
+});
 
-/// An unsigned JSON integer narrowed to its field's type: one too wide is a
-/// decode error naming `what`, never a truncation.
-fn narrow<T: TryFrom<u64>>(v: &JsonValue, what: &str) -> Result<T, JsonError> {
-    let n = v.as_u64()?;
-    T::try_from(n).map_err(|_| JsonError(format!("{what} {n} out of range")))
-}
+wire_tagged!(TopologyChoice, "kind" {
+    "Star" => Star { hosts: "hosts", host_bw: "host_bw_bps", link_delay: "link_delay_ps" },
+    "Dumbbell" => Dumbbell {
+        left: "left",
+        right: "right",
+        host_bw: "host_bw_bps",
+        core_bw: "core_bw_bps",
+        link_delay: "link_delay_ps",
+    },
+    "TestbedPod" => TestbedPod { link_delay: "link_delay_ps" },
+    "LeafSpine" => LeafSpine {
+        leaves: "leaves",
+        spines: "spines",
+        hosts_per_leaf: "hosts_per_leaf",
+        host_bw: "host_bw_bps",
+        fabric_bw: "fabric_bw_bps",
+        link_delay: "link_delay_ps",
+    },
+    "FatTree" => FatTree(..),
+    "Corpus" => Corpus { path: "path", host_bw: "host_bw_bps" },
+});
 
-fn dur_json(d: Duration) -> JsonValue {
-    JsonValue::UInt(d.as_ps())
-}
+wire_struct!(FatTreeParams {
+    pods: "pods",
+    tors_per_pod: "tors_per_pod",
+    aggs_per_pod: "aggs_per_pod",
+    cores: "cores",
+    hosts_per_tor: "hosts_per_tor",
+    host_bw: "host_bw_bps",
+    fabric_bw: "fabric_bw_bps",
+    link_delay: "link_delay_ps",
+});
 
-fn dur_from(v: &JsonValue) -> Result<Duration, JsonError> {
-    Ok(Duration::from_ps(v.as_u64()?))
-}
+wire_tagged!(CcSpec, "kind" {
+    "Label" => Label("label"),
+    "Hpcc" => Hpcc(..),
+    "DcqcnTimers" => DcqcnTimers { ti: "ti_ps", td: "td_ps" },
+    "Timely" => Timely {
+        window: "window",
+        t_low: "t_low_ps",
+        t_high: "t_high_ps",
+        beta: "beta",
+        hai_threshold: "hai_threshold",
+    },
+    "Dctcp" => Dctcp { g: "g" },
+});
 
-fn topology_to_json(t: &TopologyChoice) -> JsonValue {
-    match *t {
-        TopologyChoice::Corpus { ref path, host_bw } => obj(vec![
-            ("kind", JsonValue::Str("Corpus".into())),
-            ("path", JsonValue::Str(path.clone())),
-            ("host_bw_bps", bw_json(host_bw)),
-        ]),
-        TopologyChoice::Star {
-            hosts,
-            host_bw,
-            link_delay,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Star".into())),
-            ("hosts", JsonValue::UInt(hosts as u64)),
-            ("host_bw_bps", bw_json(host_bw)),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::Dumbbell {
-            left,
-            right,
-            host_bw,
-            core_bw,
-            link_delay,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Dumbbell".into())),
-            ("left", JsonValue::UInt(left as u64)),
-            ("right", JsonValue::UInt(right as u64)),
-            ("host_bw_bps", bw_json(host_bw)),
-            ("core_bw_bps", bw_json(core_bw)),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::TestbedPod { link_delay } => obj(vec![
-            ("kind", JsonValue::Str("TestbedPod".into())),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::LeafSpine {
-            leaves,
-            spines,
-            hosts_per_leaf,
-            host_bw,
-            fabric_bw,
-            link_delay,
-        } => obj(vec![
-            ("kind", JsonValue::Str("LeafSpine".into())),
-            ("leaves", JsonValue::UInt(leaves as u64)),
-            ("spines", JsonValue::UInt(spines as u64)),
-            ("hosts_per_leaf", JsonValue::UInt(hosts_per_leaf as u64)),
-            ("host_bw_bps", bw_json(host_bw)),
-            ("fabric_bw_bps", bw_json(fabric_bw)),
-            ("link_delay_ps", dur_json(link_delay)),
-        ]),
-        TopologyChoice::FatTree(p) => obj(vec![
-            ("kind", JsonValue::Str("FatTree".into())),
-            ("pods", JsonValue::UInt(p.pods as u64)),
-            ("tors_per_pod", JsonValue::UInt(p.tors_per_pod as u64)),
-            ("aggs_per_pod", JsonValue::UInt(p.aggs_per_pod as u64)),
-            ("cores", JsonValue::UInt(p.cores as u64)),
-            ("hosts_per_tor", JsonValue::UInt(p.hosts_per_tor as u64)),
-            ("host_bw_bps", bw_json(p.host_bw)),
-            ("fabric_bw_bps", bw_json(p.fabric_bw)),
-            ("link_delay_ps", dur_json(p.link_delay)),
-        ]),
+wire_struct!(HpccConfig {
+    eta: "eta",
+    max_stage: "max_stage",
+    wai: "wai",
+    mode: "mode",
+    use_rx_rate: "use_rx_rate",
+    min_rate: "min_rate_bps",
+});
+
+fn hpcc_mode_label(mode: HpccReactionMode) -> &'static str {
+    match mode {
+        HpccReactionMode::Combined => "Combined",
+        HpccReactionMode::PerAck => "PerAck",
+        HpccReactionMode::PerRtt => "PerRtt",
     }
 }
 
-fn topology_from_json(v: &JsonValue) -> Result<TopologyChoice, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Star" => Ok(TopologyChoice::Star {
-            hosts: v.require("hosts")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "Dumbbell" => Ok(TopologyChoice::Dumbbell {
-            left: v.require("left")?.as_usize()?,
-            right: v.require("right")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            core_bw: bw_from(v.require("core_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "TestbedPod" => Ok(TopologyChoice::TestbedPod {
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "LeafSpine" => Ok(TopologyChoice::LeafSpine {
-            leaves: v.require("leaves")?.as_usize()?,
-            spines: v.require("spines")?.as_usize()?,
-            hosts_per_leaf: v.require("hosts_per_leaf")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            fabric_bw: bw_from(v.require("fabric_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        }),
-        "FatTree" => Ok(TopologyChoice::FatTree(FatTreeParams {
-            pods: v.require("pods")?.as_usize()?,
-            tors_per_pod: v.require("tors_per_pod")?.as_usize()?,
-            aggs_per_pod: v.require("aggs_per_pod")?.as_usize()?,
-            cores: v.require("cores")?.as_usize()?,
-            hosts_per_tor: v.require("hosts_per_tor")?.as_usize()?,
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-            fabric_bw: bw_from(v.require("fabric_bw_bps")?)?,
-            link_delay: dur_from(v.require("link_delay_ps")?)?,
-        })),
-        "Corpus" => Ok(TopologyChoice::Corpus {
-            path: v.require("path")?.as_str()?.to_string(),
-            host_bw: bw_from(v.require("host_bw_bps")?)?,
-        }),
-        other => Err(JsonError(format!("unknown topology kind {other:?}"))),
+wire_labels!(
+    HpccReactionMode,
+    hpcc_mode_label {
+        Combined,
+        PerAck,
+        PerRtt
+    }
+);
+wire_labels!(
+    FlowControlMode,
+    FlowControlMode::label {
+        Lossless,
+        LossyGoBackN,
+        LossyIrn
+    }
+);
+wire_labels!(LinkDownMode, LinkDownMode::label { Drop, Pause });
+
+wire_struct!(EcnConfig {
+    kmin_bytes: "kmin_bytes",
+    kmax_bytes: "kmax_bytes",
+    pmax: "pmax"
+});
+
+/// A backend is a bare label. The removed parallel engine, as that label
+/// or in its old object form, is an error that says so rather than an
+/// unknown label.
+impl Wire for BackendSpec {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Str(self.label().to_string())
+    }
+
+    fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
+        let removed = BackendSpec::ParallelPacket.label();
+        match v {
+            JsonValue::Str(label) if label != removed => {
+                from_label(label, at, &[BackendSpec::Packet, BackendSpec::Fluid], |b| {
+                    b.label()
+                })
+            }
+            _ if v.as_str().is_ok() || v.get(removed).is_some() => {
+                Err(at.error(hpcc_sim::PARALLEL_PACKET_REMOVED))
+            }
+            other => Err(at.error(format!("expected a backend label, got {}", other.kind()))),
+        }
     }
 }
 
-fn cc_to_json(cc: &CcSpec) -> JsonValue {
-    match cc {
-        CcSpec::Label(label) => obj(vec![
-            ("kind", JsonValue::Str("Label".into())),
-            ("label", JsonValue::Str(label.clone())),
-        ]),
-        CcSpec::Hpcc(cfg) => obj(vec![
-            ("kind", JsonValue::Str("Hpcc".into())),
-            ("eta", JsonValue::Float(cfg.eta)),
-            ("max_stage", JsonValue::UInt(cfg.max_stage as u64)),
-            ("wai", JsonValue::UInt(cfg.wai)),
-            (
-                "mode",
-                JsonValue::Str(
-                    match cfg.mode {
-                        HpccReactionMode::Combined => "Combined",
-                        HpccReactionMode::PerAck => "PerAck",
-                        HpccReactionMode::PerRtt => "PerRtt",
-                    }
-                    .into(),
-                ),
-            ),
-            ("use_rx_rate", JsonValue::Bool(cfg.use_rx_rate)),
-            ("min_rate_bps", bw_json(cfg.min_rate)),
-        ]),
-        CcSpec::DcqcnTimers { ti, td } => obj(vec![
-            ("kind", JsonValue::Str("DcqcnTimers".into())),
-            ("ti_ps", dur_json(*ti)),
-            ("td_ps", dur_json(*td)),
-        ]),
-        CcSpec::Timely {
-            window,
-            t_low,
-            t_high,
-            beta,
-            hai_threshold,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Timely".into())),
-            ("window", JsonValue::Bool(*window)),
-            ("t_low_ps", dur_json(*t_low)),
-            ("t_high_ps", dur_json(*t_high)),
-            ("beta", JsonValue::Float(*beta)),
-            ("hai_threshold", JsonValue::UInt(*hai_threshold as u64)),
-        ]),
-        CcSpec::Dctcp { g } => obj(vec![
-            ("kind", JsonValue::Str("Dctcp".into())),
-            ("g", JsonValue::Float(*g)),
-        ]),
-    }
-}
+wire_tagged!(WorkloadSpec, "kind" {
+    "Poisson" => Poisson {
+        cdf: "cdf",
+        load: "load",
+        first_flow_id: "first_flow_id",
+        pairs: "pairs" = PairSpec::Uniform,
+        prio: "prio" = PrioritySpec::Normal,
+    },
+    "Incast" => Incast {
+        fan_in: "fan_in",
+        flow_size: "flow_size",
+        capacity_fraction: "capacity_fraction",
+        first_flow_id: "first_flow_id",
+    },
+    "Explicit" => Explicit("flows"),
+    "Trace" => Trace { first_flow_id: "first_flow_id", trace: .. },
+});
 
-fn cc_from_json(v: &JsonValue) -> Result<CcSpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Label" => Ok(CcSpec::Label(v.require("label")?.as_str()?.to_string())),
-        "Hpcc" => Ok(CcSpec::Hpcc(HpccConfig {
-            eta: v.require("eta")?.as_f64()?,
-            max_stage: narrow(v.require("max_stage")?, "max_stage")?,
-            wai: v.require("wai")?.as_u64()?,
-            mode: match v.require("mode")?.as_str()? {
-                "Combined" => HpccReactionMode::Combined,
-                "PerAck" => HpccReactionMode::PerAck,
-                "PerRtt" => HpccReactionMode::PerRtt,
-                other => return Err(JsonError(format!("unknown HPCC mode {other:?}"))),
-            },
-            use_rx_rate: v.require("use_rx_rate")?.as_bool()?,
-            min_rate: bw_from(v.require("min_rate_bps")?)?,
-        })),
-        "DcqcnTimers" => Ok(CcSpec::DcqcnTimers {
-            ti: dur_from(v.require("ti_ps")?)?,
-            td: dur_from(v.require("td_ps")?)?,
-        }),
-        "Timely" => Ok(CcSpec::Timely {
-            window: v.require("window")?.as_bool()?,
-            t_low: dur_from(v.require("t_low_ps")?)?,
-            t_high: dur_from(v.require("t_high_ps")?)?,
-            beta: v.require("beta")?.as_f64()?,
-            hai_threshold: narrow(v.require("hai_threshold")?, "hai_threshold")?,
-        }),
-        "Dctcp" => Ok(CcSpec::Dctcp {
-            g: v.require("g")?.as_f64()?,
-        }),
-        other => Err(JsonError(format!("unknown cc kind {other:?}"))),
+/// A CDF is a bare name, `{"fixed": bytes}` or `{"custom": [[size, p], …]}`.
+impl Wire for CdfSpec {
+    fn encode(&self) -> JsonValue {
+        match self {
+            CdfSpec::WebSearch | CdfSpec::FbHadoop => JsonValue::Str(self.name().to_string()),
+            CdfSpec::Fixed(size) => obj(vec![("fixed", size.encode())]),
+            CdfSpec::Custom(points) => obj(vec![("custom", points.encode())]),
+        }
     }
-}
 
-fn cdf_to_json(cdf: &CdfSpec) -> JsonValue {
-    match cdf {
-        CdfSpec::WebSearch => JsonValue::Str("WebSearch".into()),
-        CdfSpec::FbHadoop => JsonValue::Str("FB_Hadoop".into()),
-        CdfSpec::Fixed(size) => obj(vec![("fixed", JsonValue::UInt(*size))]),
-        CdfSpec::Custom(points) => obj(vec![(
-            "custom",
-            JsonValue::Array(
-                points
-                    .iter()
-                    .map(|(size, p)| {
-                        JsonValue::Array(vec![JsonValue::UInt(*size), JsonValue::Float(*p)])
-                    })
-                    .collect(),
-            ),
-        )]),
-    }
-}
-
-fn cdf_from_json(v: &JsonValue) -> Result<CdfSpec, JsonError> {
-    if let Ok(name) = v.as_str() {
-        return match name {
-            "WebSearch" => Ok(CdfSpec::WebSearch),
-            "FB_Hadoop" => Ok(CdfSpec::FbHadoop),
-            other => Err(JsonError(format!("unknown cdf {other:?}"))),
+    fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
+        if let JsonValue::Str(name) = v {
+            return from_label(
+                name,
+                at,
+                &[CdfSpec::WebSearch, CdfSpec::FbHadoop],
+                CdfSpec::name,
+            );
+        }
+        let mut m = Members::open(v, at)?;
+        let cdf = match m.defaulted("fixed", None)? {
+            Some(size) => CdfSpec::Fixed(size),
+            None => CdfSpec::Custom(m.required("custom")?),
         };
+        m.finish()?;
+        Ok(cdf)
     }
-    if let Some(size) = v.get("fixed") {
-        return Ok(CdfSpec::Fixed(size.as_u64()?));
-    }
-    if let Some(points) = v.get("custom") {
-        let mut out = Vec::new();
-        for p in points.as_array()? {
-            let pair = p.as_array()?;
-            if pair.len() != 2 {
-                return Err(JsonError("cdf point must be [size, prob]".into()));
-            }
-            out.push((pair[0].as_u64()?, pair[1].as_f64()?));
-        }
-        return Ok(CdfSpec::Custom(out));
-    }
-    Err(JsonError("unrecognized cdf spec".into()))
-}
 
-fn pair_to_json(p: &PairSpec) -> JsonValue {
-    // `PairSpec::name` is the single source of the kind tags, shared with
-    // display code; `pair_from_json` matches the same strings.
-    let kind = ("kind", JsonValue::Str(p.name().into()));
-    match p {
-        PairSpec::Uniform => obj(vec![kind]),
-        PairSpec::Locality(LocalitySpec::IntraRack { fraction }) => {
-            obj(vec![kind, ("fraction", JsonValue::Float(*fraction))])
-        }
-        PairSpec::Locality(LocalitySpec::Matrix { rows }) => obj(vec![
-            kind,
-            (
-                "rows",
-                JsonValue::Array(
-                    rows.iter()
-                        .map(|row| {
-                            JsonValue::Array(row.iter().map(|p| JsonValue::Float(*p)).collect())
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        PairSpec::Skew(s) => obj(vec![kind, ("exponent", JsonValue::Float(s.exponent))]),
+    fn keys(out: &mut Vec<&'static str>) {
+        out.extend(["fixed", "custom"]);
     }
 }
 
-fn pair_from_json(v: &JsonValue) -> Result<PairSpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Uniform" => Ok(PairSpec::Uniform),
-        "IntraRack" => Ok(PairSpec::Locality(LocalitySpec::IntraRack {
-            fraction: v.require("fraction")?.as_f64()?,
-        })),
-        "Matrix" => {
-            let mut rows = Vec::new();
-            for row in v.require("rows")?.as_array()? {
-                let mut out = Vec::new();
-                for p in row.as_array()? {
-                    out.push(p.as_f64()?);
-                }
-                rows.push(out);
-            }
-            Ok(PairSpec::Locality(LocalitySpec::Matrix { rows }))
-        }
-        "Skew" => Ok(PairSpec::Skew(SkewSpec::new(
-            v.require("exponent")?.as_f64()?,
-        ))),
-        other => Err(JsonError(format!("unknown pair kind {other:?}"))),
+/// A CDF knee point is the pair `[size, cumulative probability]`.
+impl Wire for (u64, f64) {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Array(vec![self.0.encode(), self.1.encode()])
     }
-}
 
-/// A trace record as the compact array `[start_ps, src, dst, bytes, prio]`
-/// (exact picosecond integers; `prio` is the [`hpcc_types::FlowPriority`]
-/// wire code: 0 = normal, 1 = latency-sensitive, 2+c = data class c).
-fn trace_record_to_json(r: &TraceRecord) -> JsonValue {
-    JsonValue::Array(vec![
-        JsonValue::UInt(r.start.as_ps()),
-        JsonValue::UInt(r.src as u64),
-        JsonValue::UInt(r.dst as u64),
-        JsonValue::UInt(r.bytes),
-        JsonValue::UInt(r.prio.wire_code() as u64),
-    ])
-}
-
-fn trace_record_from_json(v: &JsonValue) -> Result<TraceRecord, JsonError> {
-    let parts = v.as_array()?;
-    if parts.len() != 5 {
-        return Err(JsonError(
-            "trace record must be [start_ps, src, dst, bytes, prio]".into(),
-        ));
-    }
-    let mut r = TraceRecord::new(
-        Duration::from_ps(parts[0].as_u64()?),
-        parts[1].as_usize()?,
-        parts[2].as_usize()?,
-        parts[3].as_u64()?,
-    );
-    let code = parts[4].as_u64()?;
-    if code > 1 + hpcc_types::Priority::MAX_DATA_CLASSES as u64 {
-        return Err(JsonError(format!("unknown trace priority {code}")));
-    }
-    r.prio = hpcc_types::FlowPriority::from_wire_code(code as u8);
-    Ok(r)
-}
-
-/// Serialize a [`PrioritySpec`]; the default is canonical-omitted by the
-/// caller, so this only sees non-default stages.
-fn prio_spec_to_json(p: &PrioritySpec) -> JsonValue {
-    match p {
-        PrioritySpec::Normal => obj(vec![("kind", JsonValue::Str("Normal".into()))]),
-        PrioritySpec::Uniform(fp) => obj(vec![
-            ("kind", JsonValue::Str("Uniform".into())),
-            ("prio", JsonValue::UInt(fp.wire_code() as u64)),
-        ]),
-        PrioritySpec::ShortFlows { threshold } => obj(vec![
-            ("kind", JsonValue::Str("ShortFlows".into())),
-            ("threshold", JsonValue::UInt(*threshold)),
-        ]),
-    }
-}
-
-fn prio_spec_from_json(v: &JsonValue) -> Result<PrioritySpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Normal" => Ok(PrioritySpec::Normal),
-        "Uniform" => {
-            let code = v.require("prio")?.as_u64()?;
-            if code > 1 + hpcc_types::Priority::MAX_DATA_CLASSES as u64 {
-                return Err(JsonError(format!("unknown priority code {code}")));
-            }
-            Ok(PrioritySpec::Uniform(
-                hpcc_types::FlowPriority::from_wire_code(code as u8),
-            ))
-        }
-        "ShortFlows" => Ok(PrioritySpec::ShortFlows {
-            threshold: v.require("threshold")?.as_u64()?,
-        }),
-        other => Err(JsonError(format!("unknown priority kind {other:?}"))),
-    }
-}
-
-fn workload_to_json(w: &WorkloadSpec) -> JsonValue {
-    match w {
-        WorkloadSpec::Poisson {
-            cdf,
-            load,
-            first_flow_id,
-            pairs,
-            prio,
-        } => {
-            let mut fields = vec![
-                ("kind", JsonValue::Str("Poisson".into())),
-                ("cdf", cdf_to_json(cdf)),
-                ("load", JsonValue::Float(*load)),
-                ("first_flow_id", JsonValue::UInt(*first_flow_id)),
-            ];
-            // Uniform pairs and normal priorities are the defaults and are
-            // omitted, so pre-existing manifests and their canonical
-            // renderings stay byte-stable.
-            if *pairs != PairSpec::Uniform {
-                fields.push(("pairs", pair_to_json(pairs)));
-            }
-            if !prio.is_default() {
-                fields.push(("prio", prio_spec_to_json(prio)));
-            }
-            obj(fields)
-        }
-        WorkloadSpec::Incast {
-            fan_in,
-            flow_size,
-            capacity_fraction,
-            first_flow_id,
-        } => obj(vec![
-            ("kind", JsonValue::Str("Incast".into())),
-            ("fan_in", JsonValue::UInt(*fan_in as u64)),
-            ("flow_size", JsonValue::UInt(*flow_size)),
-            ("capacity_fraction", JsonValue::Float(*capacity_fraction)),
-            ("first_flow_id", JsonValue::UInt(*first_flow_id)),
-        ]),
-        WorkloadSpec::Explicit(decls) => obj(vec![
-            ("kind", JsonValue::Str("Explicit".into())),
-            (
-                "flows",
-                JsonValue::Array(
-                    decls
-                        .iter()
-                        .map(|d| {
-                            obj(vec![
-                                ("id", JsonValue::UInt(d.id)),
-                                ("src_host", JsonValue::UInt(d.src_host as u64)),
-                                ("dst_host", JsonValue::UInt(d.dst_host as u64)),
-                                ("size", JsonValue::UInt(d.size)),
-                                ("start_ps", dur_json(d.start)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ),
-        ]),
-        WorkloadSpec::Trace {
-            trace,
-            first_flow_id,
-        } => {
-            let mut fields = vec![
-                ("kind", JsonValue::Str("Trace".into())),
-                ("first_flow_id", JsonValue::UInt(*first_flow_id)),
-            ];
-            match trace {
-                TraceSpec::Path(path) => fields.push(("path", JsonValue::Str(path.clone()))),
-                TraceSpec::Inline(records) => fields.push((
-                    "records",
-                    JsonValue::Array(records.iter().map(trace_record_to_json).collect()),
-                )),
-            }
-            obj(fields)
+    fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
+        match at.locate(v.as_array())? {
+            [size, p] => Ok((
+                u64::decode(size, &at.index(0))?,
+                f64::decode(p, &at.index(1))?,
+            )),
+            _ => Err(at.error("expected [size, probability]")),
         }
     }
 }
 
-fn workload_from_json(v: &JsonValue) -> Result<WorkloadSpec, JsonError> {
-    match v.require("kind")?.as_str()? {
-        "Poisson" => Ok(WorkloadSpec::Poisson {
-            cdf: cdf_from_json(v.require("cdf")?)?,
-            load: v.require("load")?.as_f64()?,
-            first_flow_id: v.require("first_flow_id")?.as_u64()?,
-            pairs: match v.get("pairs") {
-                Some(p) => pair_from_json(p)?,
-                None => PairSpec::Uniform,
-            },
-            prio: match v.get("prio") {
-                Some(p) => prio_spec_from_json(p)?,
-                None => PrioritySpec::default(),
-            },
-        }),
-        "Incast" => Ok(WorkloadSpec::Incast {
-            fan_in: v.require("fan_in")?.as_usize()?,
-            flow_size: v.require("flow_size")?.as_u64()?,
-            capacity_fraction: v.require("capacity_fraction")?.as_f64()?,
-            first_flow_id: v.require("first_flow_id")?.as_u64()?,
-        }),
-        "Explicit" => {
-            let mut decls = Vec::new();
-            for d in v.require("flows")?.as_array()? {
-                decls.push(FlowDecl::new(
-                    d.require("id")?.as_u64()?,
-                    d.require("src_host")?.as_usize()?,
-                    d.require("dst_host")?.as_usize()?,
-                    d.require("size")?.as_u64()?,
-                    dur_from(d.require("start_ps")?)?,
-                ));
-            }
-            Ok(WorkloadSpec::Explicit(decls))
+wire_struct!(FlowDecl {
+    id: "id",
+    src_host: "src_host",
+    dst_host: "dst_host",
+    size: "size",
+    start: "start_ps",
+});
+
+wire_tagged!(PairSpec, "kind" {
+    "Uniform" => Uniform {},
+    "Skew" => Skew(..),
+    else => Locality
+});
+
+wire_tagged!(LocalitySpec, "kind" {
+    "IntraRack" => IntraRack { fraction: "fraction" },
+    "Matrix" => Matrix { rows: "rows" },
+});
+
+wire_struct!(SkewSpec {
+    exponent: "exponent"
+});
+
+wire_tagged!(PrioritySpec, "kind" {
+    "Normal" => Normal {},
+    "Uniform" => Uniform("prio"),
+    "ShortFlows" => ShortFlows { threshold: "threshold" },
+});
+
+/// A priority is its wire code: 0 = normal, 1 = latency-sensitive, `2 + c`
+/// = data class `c`.
+impl Wire for FlowPriority {
+    fn encode(&self) -> JsonValue {
+        self.wire_code().encode()
+    }
+
+    fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
+        let code = u8::decode(v, at)?;
+        if usize::from(code) > 1 + hpcc_types::Priority::MAX_DATA_CLASSES {
+            return Err(at.error(format!("unknown priority code {code}")));
         }
-        "Trace" => {
-            let first_flow_id = v.require("first_flow_id")?.as_u64()?;
-            let trace = match (v.get("path"), v.get("records")) {
-                (Some(path), None) => TraceSpec::Path(path.as_str()?.to_string()),
-                (None, Some(records)) => {
-                    let mut out = Vec::new();
-                    for r in records.as_array()? {
-                        out.push(trace_record_from_json(r)?);
-                    }
-                    TraceSpec::Inline(out)
-                }
-                _ => {
-                    return Err(JsonError(
-                        "trace workload needs exactly one of \"path\" or \"records\"".into(),
-                    ))
-                }
-            };
-            Ok(WorkloadSpec::Trace {
-                trace,
-                first_flow_id,
-            })
-        }
-        other => Err(JsonError(format!("unknown workload kind {other:?}"))),
+        Ok(FlowPriority::from_wire_code(code))
     }
 }
 
-fn queueing_to_json(q: &QueueingSpec) -> JsonValue {
-    let mut fields = match &q.scheduler {
-        SchedulerSpec::StrictPriority { classes } => vec![
-            ("kind", JsonValue::Str("SP".into())),
-            ("classes", JsonValue::UInt(*classes as u64)),
-        ],
-        SchedulerSpec::Dwrr { weights } => vec![
-            ("kind", JsonValue::Str("DWRR".into())),
-            (
-                "weights",
-                JsonValue::Array(weights.iter().map(|&w| JsonValue::UInt(w as u64)).collect()),
-            ),
-        ],
-        SchedulerSpec::Pias { thresholds } => vec![
-            ("kind", JsonValue::Str("PIAS".into())),
-            (
-                "thresholds",
-                JsonValue::Array(thresholds.iter().map(|&t| JsonValue::UInt(t)).collect()),
-            ),
-        ],
-    };
-    if !q.ecn_scale.is_empty() {
-        fields.push((
-            "ecn_scale",
-            JsonValue::Array(q.ecn_scale.iter().map(|&s| JsonValue::Float(s)).collect()),
-        ));
+/// A trace is exactly one of `"path"` (a file read at build time) or
+/// `"records"` (inline).
+impl Fields for TraceSpec {
+    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
+        match self {
+            TraceSpec::Path(path) => out.push(("path".to_string(), path.encode())),
+            TraceSpec::Inline(records) => out.push(("records".to_string(), records.encode())),
+        }
     }
-    obj(fields)
+
+    fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
+        match (m.defaulted("path", None)?, m.defaulted("records", None)?) {
+            (Some(path), None) => Ok(TraceSpec::Path(path)),
+            (None, Some(records)) => Ok(TraceSpec::Inline(records)),
+            _ => Err(m.at().error("needs exactly one of \"path\" or \"records\"")),
+        }
+    }
+
+    fn field_keys(out: &mut Vec<&'static str>) {
+        out.extend(["path", "records"]);
+    }
 }
 
-fn queueing_from_json(v: &JsonValue) -> Result<QueueingSpec, JsonError> {
-    let scheduler = match v.require("kind")?.as_str()? {
-        "SP" => SchedulerSpec::StrictPriority {
-            classes: narrow(v.require("classes")?, "queueing classes")?,
-        },
-        "DWRR" => {
-            let mut weights = Vec::new();
-            for w in v.require("weights")?.as_array()? {
-                weights.push(narrow(w, "DWRR weight")?);
-            }
-            SchedulerSpec::Dwrr { weights }
-        }
-        "PIAS" => {
-            let mut thresholds = Vec::new();
-            for t in v.require("thresholds")?.as_array()? {
-                thresholds.push(t.as_u64()?);
-            }
-            SchedulerSpec::Pias { thresholds }
-        }
-        other => return Err(JsonError(format!("unknown queueing kind {other:?}"))),
-    };
-    let mut ecn_scale = Vec::new();
-    if let Some(scale) = v.get("ecn_scale") {
-        for s in scale.as_array()? {
-            ecn_scale.push(s.as_f64()?);
+/// A trace record is the compact array `[start_ps, src, dst, bytes, prio]`.
+impl Wire for TraceRecord {
+    fn encode(&self) -> JsonValue {
+        JsonValue::Array(vec![
+            self.start.encode(),
+            self.src.encode(),
+            self.dst.encode(),
+            self.bytes.encode(),
+            self.prio.encode(),
+        ])
+    }
+
+    fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
+        match at.locate(v.as_array())? {
+            [start, src, dst, bytes, prio] => Ok(TraceRecord {
+                start: Duration::decode(start, &at.index(0))?,
+                src: usize::decode(src, &at.index(1))?,
+                dst: usize::decode(dst, &at.index(2))?,
+                bytes: u64::decode(bytes, &at.index(3))?,
+                prio: FlowPriority::decode(prio, &at.index(4))?,
+            }),
+            _ => Err(at.error("expected [start_ps, src, dst, bytes, prio]")),
         }
     }
-    Ok(QueueingSpec {
-        scheduler,
-        ecn_scale,
-    })
 }
 
-fn faults_to_json(f: &FaultSpec) -> JsonValue {
-    let mut fields = Vec::new();
-    if !f.link_faults.is_empty() {
-        fields.push((
-            "links",
-            JsonValue::Array(
-                f.link_faults
-                    .iter()
-                    .map(|f| {
-                        obj(vec![
-                            ("link", JsonValue::UInt(f.link as u64)),
-                            ("at_ps", dur_json(f.at)),
-                            ("down_for_ps", dur_json(f.down_for)),
-                            ("flaps", JsonValue::UInt(f.flaps as u64)),
-                            ("period_ps", dur_json(f.period)),
-                            ("mode", JsonValue::Str(f.mode.label().into())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !f.degraded_links.is_empty() {
-        fields.push((
-            "degraded",
-            JsonValue::Array(
-                f.degraded_links
-                    .iter()
-                    .map(|d| {
-                        obj(vec![
-                            ("link", JsonValue::UInt(d.link as u64)),
-                            ("from_ps", dur_json(d.from)),
-                            ("until_ps", dur_json(d.until)),
-                            ("extra_delay_ps", dur_json(d.extra_delay)),
-                            ("loss", JsonValue::Float(d.loss)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    if !f.stragglers.is_empty() {
-        fields.push((
-            "stragglers",
-            JsonValue::Array(
-                f.stragglers
-                    .iter()
-                    .map(|s| {
-                        obj(vec![
-                            ("host", JsonValue::UInt(s.host as u64)),
-                            ("from_ps", dur_json(s.from)),
-                            ("until_ps", dur_json(s.until)),
-                            ("rate_factor", JsonValue::Float(s.rate_factor)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ));
-    }
-    obj(fields)
-}
+wire_struct!(QueueingSpec {
+    scheduler: ..,
+    ecn_scale: "ecn_scale" = Vec::new()
+});
 
-fn faults_from_json(v: &JsonValue) -> Result<FaultSpec, JsonError> {
-    let mut spec = FaultSpec::new();
-    if let Some(links) = v.get("links") {
-        for f in links.as_array()? {
-            spec.link_faults.push(LinkFault {
-                link: f.require("link")?.as_usize()?,
-                at: dur_from(f.require("at_ps")?)?,
-                down_for: dur_from(f.require("down_for_ps")?)?,
-                flaps: narrow(f.require("flaps")?, "flap count")?,
-                period: dur_from(f.require("period_ps")?)?,
-                mode: match f.require("mode")?.as_str()? {
-                    "Drop" => LinkDownMode::Drop,
-                    "Pause" => LinkDownMode::Pause,
-                    other => {
-                        return Err(JsonError(format!("unknown link-down mode {other:?}")));
-                    }
-                },
-            });
-        }
-    }
-    if let Some(degraded) = v.get("degraded") {
-        for d in degraded.as_array()? {
-            spec.degraded_links.push(DegradedLink {
-                link: d.require("link")?.as_usize()?,
-                from: dur_from(d.require("from_ps")?)?,
-                until: dur_from(d.require("until_ps")?)?,
-                extra_delay: dur_from(d.require("extra_delay_ps")?)?,
-                loss: d.require("loss")?.as_f64()?,
-            });
-        }
-    }
-    if let Some(stragglers) = v.get("stragglers") {
-        for s in stragglers.as_array()? {
-            spec.stragglers.push(StragglerHost {
-                host: s.require("host")?.as_usize()?,
-                from: dur_from(s.require("from_ps")?)?,
-                until: dur_from(s.require("until_ps")?)?,
-                rate_factor: s.require("rate_factor")?.as_f64()?,
-            });
-        }
-    }
-    Ok(spec)
-}
+wire_tagged!(SchedulerSpec, "kind" {
+    "SP" => StrictPriority { classes: "classes" },
+    "DWRR" => Dwrr { weights: "weights" },
+    "PIAS" => Pias { thresholds: "thresholds" },
+});
 
-fn trace_to_json(t: &MeasurementSpec) -> JsonValue {
-    let mut pairs = Vec::new();
-    if let Some(d) = t.queue_sample_interval {
-        pairs.push(("queue_sample_interval_ps", dur_json(d)));
-    }
-    if let Some(h) = t.bottleneck_host {
-        pairs.push(("bottleneck_host", JsonValue::UInt(h as u64)));
-    }
-    if let Some(d) = t.trace_interval {
-        pairs.push(("trace_interval_ps", dur_json(d)));
-    }
-    if let Some(d) = t.goodput_bin {
-        pairs.push(("goodput_bin_ps", dur_json(d)));
-    }
-    obj(pairs)
-}
+wire_struct!(FaultSpec {
+    link_faults: "links" = Vec::new(),
+    degraded_links: "degraded" = Vec::new(),
+    stragglers: "stragglers" = Vec::new(),
+});
 
-fn trace_from_json(v: &JsonValue) -> Result<MeasurementSpec, JsonError> {
-    let mut t = MeasurementSpec::default();
-    if let Some(d) = v.get("queue_sample_interval_ps") {
-        t.queue_sample_interval = Some(dur_from(d)?);
-    }
-    if let Some(h) = v.get("bottleneck_host") {
-        t.bottleneck_host = Some(h.as_usize()?);
-    }
-    if let Some(d) = v.get("trace_interval_ps") {
-        t.trace_interval = Some(dur_from(d)?);
-    }
-    if let Some(d) = v.get("goodput_bin_ps") {
-        t.goodput_bin = Some(dur_from(d)?);
-    }
-    Ok(t)
-}
+wire_struct!(LinkFault {
+    link: "link",
+    at: "at_ps",
+    down_for: "down_for_ps",
+    flaps: "flaps",
+    period: "period_ps",
+    mode: "mode",
+});
+
+wire_struct!(DegradedLink {
+    link: "link",
+    from: "from_ps",
+    until: "until_ps",
+    extra_delay: "extra_delay_ps",
+    loss: "loss",
+});
+
+wire_struct!(StragglerHost {
+    host: "host",
+    from: "from_ps",
+    until: "until_ps",
+    rate_factor: "rate_factor",
+});
+
+wire_struct!(MeasurementSpec {
+    queue_sample_interval: "queue_sample_interval_ps" = None,
+    bottleneck_host: "bottleneck_host" = None,
+    trace_interval: "trace_interval_ps" = None,
+    goodput_bin: "goodput_bin_ps" = None,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn rich_spec() -> ScenarioSpec {
-        ScenarioSpec::new(
-            "fig11 HPCC",
-            TopologyChoice::FatTree(FatTreeParams::small()),
-            CcSpec::by_label("HPCC"),
-            Duration::from_ms(10),
-        )
-        .with_workload(WorkloadSpec::poisson(CdfSpec::FbHadoop, 0.3))
-        .with_workload(WorkloadSpec::incast(16, 500_000, 0.02))
-        .with_seed(42)
-        .with_flow_control(FlowControlMode::LossyIrn)
-        .with_buffer_bytes(16_000_000)
-        .with_ecn(EcnConfig::thresholds_kb(12, 50))
-        .with_queue_sampling(Duration::from_us(5))
-        .with_goodput_bin(Duration::from_us(50))
-    }
+    /// The committed campaign whose scenarios between them use every
+    /// `TopologyChoice`, `CcSpec`, `WorkloadSpec`, `PairSpec`,
+    /// `PrioritySpec`, `CdfSpec` and `SchedulerSpec` variant and every
+    /// optional member. `crates/core/tests/wire_fixtures.rs` holds it to the
+    /// tables' key list.
+    const EVERY_MEMBER: &str = include_str!("../tests/fixtures/every_member.json");
 
-    #[test]
-    fn json_round_trip_preserves_every_field() {
-        let specs = vec![
-            rich_spec(),
+    /// The source of [`EVERY_MEMBER`].
+    fn every_member() -> Vec<ScenarioSpec> {
+        vec![
+            ScenarioSpec::new(
+                "fig11 HPCC",
+                TopologyChoice::FatTree(FatTreeParams::small()),
+                CcSpec::by_label("HPCC"),
+                Duration::from_ms(10),
+            )
+            .with_workload(WorkloadSpec::poisson(CdfSpec::FbHadoop, 0.3))
+            .with_workload(WorkloadSpec::incast(16, 500_000, 0.02))
+            .with_seed(42)
+            .with_flow_control(FlowControlMode::LossyIrn)
+            .with_buffer_bytes(16_000_000)
+            .with_ecn(EcnConfig::thresholds_kb(12, 50))
+            .with_queue_sampling(Duration::from_us(5))
+            .with_goodput_bin(Duration::from_us(50)),
             ScenarioSpec::new(
                 "2-to-1",
                 TopologyChoice::star(3, Bandwidth::from_gbps(100)),
@@ -1994,89 +1545,272 @@ mod tests {
             .with_workload(WorkloadSpec::poisson(
                 CdfSpec::Custom(vec![(1_000, 0.5), (2_000, 1.0)]),
                 0.1,
-            )),
-        ];
-        for spec in specs {
-            let text = spec.to_json_string();
-            let back = ScenarioSpec::from_json_str(&text).unwrap_or_else(|e| {
-                panic!("{e} while parsing {text}");
-            });
-            assert_eq!(back, spec, "round trip changed {text}");
+            ))
+            .with_flow_control(FlowControlMode::LossyGoBackN)
+            .with_queueing(QueueingSpec::strict_priority(4)),
+            ScenarioSpec::new(
+                "locality+skew+trace",
+                TopologyChoice::LeafSpine {
+                    leaves: 4,
+                    spines: 2,
+                    hosts_per_leaf: 4,
+                    host_bw: Bandwidth::from_gbps(25),
+                    fabric_bw: Bandwidth::from_gbps(100),
+                    link_delay: Duration::from_us(1),
+                },
+                CcSpec::Timely {
+                    window: true,
+                    t_low: Duration::from_us(50),
+                    t_high: Duration::from_us(500),
+                    beta: 0.8,
+                    hai_threshold: 5,
+                },
+                Duration::from_ms(2),
+            )
+            .with_workload(WorkloadSpec::poisson_with_pairs(
+                CdfSpec::FbHadoop,
+                0.3,
+                PairSpec::Locality(LocalitySpec::IntraRack { fraction: 0.8 }),
+            ))
+            .with_workload(WorkloadSpec::Poisson {
+                cdf: CdfSpec::WebSearch,
+                load: 0.1,
+                first_flow_id: 5_000_000,
+                pairs: PairSpec::Locality(LocalitySpec::Matrix {
+                    rows: vec![vec![0.5, 0.5, 0.0, 0.0]; 4],
+                }),
+                prio: PrioritySpec::ShortFlows { threshold: 30_000 },
+            })
+            .with_workload(WorkloadSpec::poisson_with_pairs(
+                CdfSpec::Fixed(1_000),
+                0.05,
+                PairSpec::Skew(SkewSpec::new(1.25)),
+            ))
+            .with_workload(WorkloadSpec::Trace {
+                trace: TraceSpec::Path("flows.csv".into()),
+                first_flow_id: 20_000_000,
+            })
+            .with_workload(WorkloadSpec::trace_inline(vec![
+                TraceRecord::new(Duration::from_ps(1_500_250), 0, 3, 64_000),
+                TraceRecord {
+                    start: Duration::from_us(2),
+                    src: 2,
+                    dst: 1,
+                    bytes: 500,
+                    prio: FlowPriority::LatencySensitive,
+                },
+            ]))
+            .with_queueing(QueueingSpec::dwrr(vec![2, 1]).with_ecn_scale(vec![1.0, 0.25])),
+            ScenarioSpec::new(
+                "faults",
+                TopologyChoice::Dumbbell {
+                    left: 2,
+                    right: 2,
+                    host_bw: Bandwidth::from_gbps(25),
+                    core_bw: Bandwidth::from_gbps(10),
+                    link_delay: Duration::from_us(2),
+                },
+                CcSpec::Hpcc(HpccConfig {
+                    eta: 0.9,
+                    max_stage: 0,
+                    wai: 40,
+                    mode: HpccReactionMode::PerAck,
+                    ..HpccConfig::default()
+                }),
+                Duration::from_ms(1),
+            )
+            .with_workload(WorkloadSpec::poisson_with_prio(
+                CdfSpec::WebSearch,
+                0.4,
+                PrioritySpec::Uniform(FlowPriority::Class(1)),
+            ))
+            .with_queueing(QueueingSpec::pias(vec![50_000, 1_000_000]))
+            .with_faults(
+                FaultSpec::link_down(
+                    4,
+                    Duration::from_us(100),
+                    Duration::from_us(50),
+                    LinkDownMode::Pause,
+                )
+                .with_link_fault(LinkFault {
+                    link: 0,
+                    at: Duration::from_us(200),
+                    down_for: Duration::from_us(20),
+                    flaps: 3,
+                    period: Duration::from_us(100),
+                    mode: LinkDownMode::Drop,
+                })
+                .with_degraded_link(DegradedLink {
+                    link: 1,
+                    from: Duration::from_us(10),
+                    until: Duration::from_us(900),
+                    extra_delay: Duration::from_us(5),
+                    loss: 0.001,
+                })
+                .with_straggler(StragglerHost {
+                    host: 3,
+                    from: Duration::ZERO,
+                    until: Duration::from_us(500),
+                    rate_factor: 0.25,
+                }),
+            ),
+            ScenarioSpec::new(
+                "corpus fluid",
+                TopologyChoice::Corpus {
+                    path: "corpus/rocketfuel_pop.edges".into(),
+                    host_bw: Bandwidth::from_gbps(10),
+                },
+                CcSpec::Dctcp { g: 0.0625 },
+                Duration::from_ms(3),
+            )
+            .with_workload(WorkloadSpec::poisson(CdfSpec::WebSearch, 0.5))
+            .with_backend(BackendSpec::Fluid),
+            ScenarioSpec::new(
+                "per-RTT",
+                TopologyChoice::star(4, Bandwidth::from_gbps(25)),
+                CcSpec::Hpcc(HpccConfig {
+                    mode: HpccReactionMode::PerRtt,
+                    ..HpccConfig::default()
+                }),
+                Duration::from_ms(1),
+            ),
+        ]
+    }
+
+    /// The first scenario of [`every_member`]: a buildable Figure 11 run.
+    fn rich_spec() -> ScenarioSpec {
+        every_member().swap_remove(0)
+    }
+
+    fn decode_err(text: &str) -> String {
+        match crate::Campaign::from_json_str(text) {
+            Err(e) => e.0,
+            Ok(_) => panic!("{text} must not decode"),
         }
+    }
+
+    #[test]
+    fn json_round_trip_preserves_every_field() {
+        let specs = every_member();
+        let text = crate::Campaign::from_scenarios(specs.clone()).to_json_string() + "\n";
+        assert_eq!(
+            text, EVERY_MEMBER,
+            "regenerate the fixture from every_member()"
+        );
+        let back = crate::Campaign::from_json_str(&text).unwrap();
+        assert_eq!(back.scenarios(), specs);
     }
 
     #[test]
     fn integers_wider_than_their_field_are_decode_errors_not_truncations() {
         // `"max_stage": 4294967301` (2^32 + 5) used to run, and re-encode, as 5.
-        let hpcc = ScenarioSpec::new(
-            "wide",
-            TopologyChoice::star(3, Bandwidth::from_gbps(100)),
-            CcSpec::Hpcc(HpccConfig::default()),
-            Duration::from_ms(1),
-        )
-        .with_queueing(QueueingSpec::dwrr(vec![2, 1]));
-        let text = hpcc.to_json_string();
-        for (member, wide, what) in [
-            ("\"max_stage\":5", "\"max_stage\":4294967301", "max_stage"),
-            ("[2,1]", "[4294967301,1]", "DWRR weight"),
+        // One case per nesting form: a flattened variant, an array index, a
+        // defaulted member inside an array of objects, a plain object member.
+        for (member, wide, error) in [
+            (
+                "\"max_stage\":5",
+                "\"max_stage\":4294967301",
+                "[1].cc.max_stage: 4294967301 out of range for u32",
+            ),
+            (
+                "\"weights\":[2,1]",
+                "\"weights\":[2,4294967301]",
+                "[3].queueing.weights[1]: 4294967301 out of range for u32",
+            ),
+            (
+                "\"prio\":{\"kind\":\"Uniform\",\"prio\":3}",
+                "\"prio\":{\"kind\":\"Uniform\",\"prio\":300}",
+                "[4].workloads[0].prio.prio: 300 out of range for u8",
+            ),
+            (
+                "\"flaps\":3",
+                "\"flaps\":4294967301",
+                "[4].faults.links[1].flaps: 4294967301 out of range for u32",
+            ),
         ] {
-            assert!(text.contains(member), "{member} not in {text}");
-            let wide = text.replace(member, wide);
-            let err = ScenarioSpec::from_json_str(&wide).expect_err("must not truncate");
-            let expect = format!("{what} 4294967301 out of range");
-            assert!(err.to_string().contains(&expect), "{err}");
+            assert!(EVERY_MEMBER.contains(member), "{member} not in the fixture");
+            assert_eq!(decode_err(&EVERY_MEMBER.replacen(member, wide, 1)), error);
         }
     }
 
     #[test]
+    fn decode_errors_carry_the_path_and_the_kind_never_the_value() {
+        for (member, broken, error) in [
+            (
+                "\"load\":0.3",
+                "\"load\":\"0.3\"".to_string(),
+                "[0].workloads[0].load: expected number, got string",
+            ),
+            (
+                "[0.5,0.5,0.0,0.0]",
+                "[0.5,0.5,null,0.0]".to_string(),
+                "[3].workloads[1].pairs.rows[0][2]: expected number, got null",
+            ),
+            (
+                "\"hosts\":3",
+                "\"hosts\":-3".to_string(),
+                "[1].topology.hosts: expected unsigned integer, got -3",
+            ),
+            (
+                "\"trace\":{\"queue_sample_interval_ps\"",
+                "\"fualts\":{},\"trace\":{\"queue_sample_interval_ps\"".to_string(),
+                "[0].fualts: unknown member",
+            ),
+            (
+                "\"seed\":42",
+                "\"seed\":42,\"seed\":43".to_string(),
+                "[0].seed: repeated member",
+            ),
+            ("\"seed\":42,", String::new(), "[0].seed: missing member"),
+            (
+                "\"kind\":\"TestbedPod\"",
+                format!("\"kind\":\"{}\"", "Pod".repeat(3_000_000)),
+                "[2].topology.kind: unknown label \"PodPodPodPodPodPodPodPodPodPodPodPodPodP\"…",
+            ),
+            (
+                "\"records\":[[1500250,0,3,64000,0]",
+                format!("\"records\":[[{}]", "7,".repeat(4_000_000) + "7"),
+                "[3].workloads[4].records[0]: expected [start_ps, src, dst, bytes, prio]",
+            ),
+            (
+                "[1500250,0,3,64000,0]",
+                "[1500250,0,3,64000,7]".to_string(),
+                "[3].workloads[4].records[0][4]: unknown priority code 7",
+            ),
+            (
+                "\"path\":\"flows.csv\"",
+                "\"path\":\"flows.csv\",\"records\":[]".to_string(),
+                "[3].workloads[3]: needs exactly one of \"path\" or \"records\"",
+            ),
+            (
+                "\"backend\":\"fluid\"",
+                "\"backend\":{\"parallel_packet\":{\"threads\":2}}".to_string(),
+                &format!("[5].backend: {}", hpcc_sim::PARALLEL_PACKET_REMOVED),
+            ),
+        ] {
+            assert!(EVERY_MEMBER.contains(member), "{member} not in the fixture");
+            let err = decode_err(&EVERY_MEMBER.replacen(member, &broken, 1));
+            assert_eq!(err, error);
+            assert!(err.len() < 200, "{} bytes", err.len());
+        }
+        // Outside a campaign the path starts at the scenario.
+        let alone = rich_spec()
+            .to_json_string()
+            .replace("\"seed\":42", "\"seed\":true");
+        let err = ScenarioSpec::from_json_str(&alone).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "json error: seed: expected unsigned integer, got bool"
+        );
+    }
+
+    #[test]
     fn pair_and_trace_workloads_round_trip_through_json() {
-        let spec = ScenarioSpec::new(
-            "locality+skew+trace",
-            TopologyChoice::FatTree(FatTreeParams::small()),
-            CcSpec::by_label("HPCC"),
-            Duration::from_ms(2),
-        )
-        .with_workload(WorkloadSpec::poisson_with_pairs(
-            CdfSpec::FbHadoop,
-            0.3,
-            PairSpec::Locality(LocalitySpec::IntraRack { fraction: 0.8 }),
-        ))
-        .with_workload(WorkloadSpec::Poisson {
-            cdf: CdfSpec::WebSearch,
-            load: 0.1,
-            first_flow_id: 5_000_000,
-            pairs: PairSpec::Locality(LocalitySpec::Matrix {
-                rows: vec![vec![0.5, 0.5, 0.0, 0.0]; 4],
-            }),
-            prio: PrioritySpec::ShortFlows { threshold: 30_000 },
-        })
-        .with_workload(WorkloadSpec::poisson_with_pairs(
-            CdfSpec::Fixed(1_000),
-            0.05,
-            PairSpec::Skew(SkewSpec::new(1.25)),
-        ))
-        .with_workload(WorkloadSpec::Trace {
-            trace: TraceSpec::Path("flows.csv".into()),
-            first_flow_id: 20_000_000,
-        })
-        .with_workload(WorkloadSpec::trace_inline(vec![
-            TraceRecord::new(Duration::from_ps(1_500_250), 0, 3, 64_000),
-            TraceRecord {
-                start: Duration::from_us(2),
-                src: 2,
-                dst: 1,
-                bytes: 500,
-                prio: hpcc_types::FlowPriority::LatencySensitive,
-            },
-        ]));
-        let text = spec.to_json_string();
-        let back = ScenarioSpec::from_json_str(&text)
-            .unwrap_or_else(|e| panic!("{e} while parsing {text}"));
-        assert_eq!(back, spec, "round trip changed {text}");
         // Uniform pairs are canonical-omitted: the key only appears for the
         // non-default samplers.
         let uniform = rich_spec().to_json_string();
         assert!(!uniform.contains("\"pairs\""), "{uniform}");
+        let text = every_member()[3].to_json_string();
         assert_eq!(text.matches("\"pairs\"").count(), 3, "{text}");
     }
 

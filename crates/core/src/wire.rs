@@ -37,151 +37,119 @@
 //! (or equal [`CampaignReport::digests`]) mean bit-identical runs.
 
 use crate::campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult};
-use crate::json::{obj, JsonError, JsonValue};
+use crate::codec::{wire_struct, wire_tagged, Fields, Members, Path, Wire};
+use crate::json::{JsonError, JsonValue};
 use crate::scenario::BackendSpec;
-use hpcc_sim::PARALLEL_PACKET_REMOVED;
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, FctBucket, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
 use hpcc_stats::Percentiles;
-use hpcc_types::Duration;
 
-fn err<T>(msg: impl Into<String>) -> Result<T, JsonError> {
-    Err(JsonError(msg.into()))
-}
+// The result schema (`docs/WIRE.md`): one row per member, in byte order.
+// See `crate::codec` for the row forms.
 
-fn percentiles_to_json(p: &Percentiles) -> JsonValue {
-    obj(vec![
-        ("count", JsonValue::UInt(p.count as u64)),
-        ("p50", JsonValue::Float(p.p50)),
-        ("p95", JsonValue::Float(p.p95)),
-        ("p99", JsonValue::Float(p.p99)),
-        ("mean", JsonValue::Float(p.mean)),
-        ("max", JsonValue::Float(p.max)),
-    ])
-}
+wire_struct!(ScenarioResult {
+    name: "name",
+    scheme: "scheme",
+    slowdown: "slowdown",
+    short_flow_slowdown: "short_flow_slowdown",
+    slowdown_buckets: "slowdown_buckets",
+    queue_p50: "queue_p50",
+    queue_p95: "queue_p95",
+    queue_p99: "queue_p99",
+    max_queue_bytes: "max_queue_bytes",
+    pfc: "pfc",
+    drops: "drops",
+    completion: "completion",
+    flows_completed: "flows_completed",
+    // The four additive extensions: omitted unless populated, so
+    // single-class, fault-free, packet-backend results render as they did
+    // before each was added.
+    prio_slowdown: "prio_slowdown" = Vec::new(),
+    class_queue_p99: "class_queue_p99" = Vec::new(),
+    faults: "faults" = None,
+    backend: "backend" = BackendSpec::Packet,
+    digest: "digest",
+} skip {
+    // Neither crosses the wire: an envelope supplies the worker's wall time.
+    wall: std::time::Duration::ZERO,
+    results: None,
+});
 
-fn percentiles_from_json(v: &JsonValue) -> Result<Percentiles, JsonError> {
-    Ok(Percentiles {
-        count: v.require("count")?.as_usize()?,
-        p50: v.require("p50")?.as_f64()?,
-        p95: v.require("p95")?.as_f64()?,
-        p99: v.require("p99")?.as_f64()?,
-        mean: v.require("mean")?.as_f64()?,
-        max: v.require("max")?.as_f64()?,
-    })
-}
+wire_struct!(Percentiles {
+    count: "count",
+    p50: "p50",
+    p95: "p95",
+    p99: "p99",
+    mean: "mean",
+    max: "max",
+});
 
-fn opt_percentiles_to_json(p: &Option<Percentiles>) -> JsonValue {
-    match p {
-        Some(p) => percentiles_to_json(p),
-        None => JsonValue::Null,
+wire_struct!(SizeBucketStats {
+    bucket: ..,
+    stats: "stats"
+});
+
+/// A bucket is its `(max_size, label)` pair, resolved on decode against the
+/// known bucket tables: campaign results only ever use the paper's
+/// WebSearch / FB_Hadoop bucket sets, so nothing leaks a label string.
+impl Fields for FctBucket {
+    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
+        out.push(("max_size".to_string(), self.max_size.encode()));
+        out.push(("label".to_string(), JsonValue::Str(self.label.to_string())));
+    }
+
+    fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
+        let (max_size, label): (u64, &str) = (m.required("max_size")?, m.tag("label")?);
+        websearch_buckets()
+            .into_iter()
+            .chain(fb_hadoop_buckets())
+            .find(|b| b.max_size == max_size && b.label == label)
+            .ok_or_else(|| {
+                m.at().error(format!(
+                    "unknown flow-size bucket ({max_size}, {}); \
+                     not in the WebSearch or FB_Hadoop tables",
+                    crate::codec::quoted(label)
+                ))
+            })
+    }
+
+    fn field_keys(out: &mut Vec<&'static str>) {
+        out.extend(["max_size", "label"]);
     }
 }
 
-fn opt_percentiles_from_json(v: &JsonValue) -> Result<Option<Percentiles>, JsonError> {
-    match v {
-        JsonValue::Null => Ok(None),
-        other => Ok(Some(percentiles_from_json(other)?)),
+wire_struct!(PfcSummary {
+    total_pause: "total_pause_ps",
+    paused_ports: "paused_ports",
+    total_ports: "total_ports",
+    elapsed: "elapsed_ps",
+    pause_frames: "pause_frames",
+});
+
+/// A per-priority row is `{"prio": wire code, "stats": percentiles | null}`.
+impl Fields for (u8, Option<Percentiles>) {
+    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
+        out.push(("prio".to_string(), self.0.encode()));
+        out.push(("stats".to_string(), self.1.encode()));
+    }
+
+    fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
+        Ok((m.required("prio")?, m.required("stats")?))
+    }
+
+    fn field_keys(out: &mut Vec<&'static str>) {
+        out.extend(["prio", "stats"]);
     }
 }
 
-fn opt_u64_to_json(n: &Option<u64>) -> JsonValue {
-    match n {
-        Some(n) => JsonValue::UInt(*n),
-        None => JsonValue::Null,
-    }
-}
-
-fn opt_u64_from_json(v: &JsonValue) -> Result<Option<u64>, JsonError> {
-    match v {
-        JsonValue::Null => Ok(None),
-        other => Ok(Some(other.as_u64()?)),
-    }
-}
-
-/// Canonical JSON for a backend choice, shared by scenario specs and
-/// result lines: a bare label. `None` for the default packet engine — its
-/// canonical form is an *omitted* `"backend"` key, keeping pre-existing
-/// manifests bit-identical.
-pub fn backend_to_json(backend: BackendSpec) -> Option<JsonValue> {
-    match backend {
-        BackendSpec::Packet => None,
-        BackendSpec::Fluid | BackendSpec::ParallelPacket => {
-            Some(JsonValue::Str(backend.label().to_string()))
-        }
-    }
-}
-
-/// Decode a `"backend"` value: a bare label string. The removed parallel
-/// engine, in its old object form or as a bare label, is an error that says
-/// so rather than an unknown label.
-pub fn backend_from_json(v: &JsonValue) -> Result<BackendSpec, JsonError> {
-    match v {
-        JsonValue::Str(label) => match label.as_str() {
-            "packet" => Ok(BackendSpec::Packet),
-            "fluid" => Ok(BackendSpec::Fluid),
-            "parallel_packet" => err(PARALLEL_PACKET_REMOVED),
-            other => err(format!("unknown backend {other:?}")),
-        },
-        JsonValue::Object(pairs) if pairs.iter().any(|(k, _)| k == "parallel_packet") => {
-            err(PARALLEL_PACKET_REMOVED)
-        }
-        other => err(format!("expected a backend label, got {other:?}")),
-    }
-}
-
-/// Recover the `&'static` bucket from the known bucket tables. Campaign
-/// results only ever use the paper's WebSearch / FB_Hadoop bucket sets, so
-/// decoding resolves labels against those instead of leaking strings.
-fn known_bucket(max_size: u64, label: &str) -> Option<FctBucket> {
-    websearch_buckets()
-        .into_iter()
-        .chain(fb_hadoop_buckets())
-        .find(|b| b.max_size == max_size && b.label == label)
-}
-
-fn bucket_stats_to_json(b: &SizeBucketStats) -> JsonValue {
-    obj(vec![
-        ("max_size", JsonValue::UInt(b.bucket.max_size)),
-        ("label", JsonValue::Str(b.bucket.label.to_string())),
-        ("stats", opt_percentiles_to_json(&b.stats)),
-    ])
-}
-
-fn bucket_stats_from_json(v: &JsonValue) -> Result<SizeBucketStats, JsonError> {
-    let max_size = v.require("max_size")?.as_u64()?;
-    let label = v.require("label")?.as_str()?;
-    let bucket = known_bucket(max_size, label).ok_or_else(|| {
-        JsonError(format!(
-            "unknown flow-size bucket ({max_size}, {label:?}); \
-             not in the WebSearch or FB_Hadoop tables"
-        ))
-    })?;
-    Ok(SizeBucketStats {
-        bucket,
-        stats: opt_percentiles_from_json(v.require("stats")?)?,
-    })
-}
-
-fn pfc_to_json(p: &PfcSummary) -> JsonValue {
-    obj(vec![
-        ("total_pause_ps", JsonValue::UInt(p.total_pause.as_ps())),
-        ("paused_ports", JsonValue::UInt(p.paused_ports as u64)),
-        ("total_ports", JsonValue::UInt(p.total_ports as u64)),
-        ("elapsed_ps", JsonValue::UInt(p.elapsed.as_ps())),
-        ("pause_frames", JsonValue::UInt(p.pause_frames)),
-    ])
-}
-
-fn pfc_from_json(v: &JsonValue) -> Result<PfcSummary, JsonError> {
-    Ok(PfcSummary {
-        total_pause: Duration::from_ps(v.require("total_pause_ps")?.as_u64()?),
-        paused_ports: v.require("paused_ports")?.as_usize()?,
-        total_ports: v.require("total_ports")?.as_usize()?,
-        elapsed: Duration::from_ps(v.require("elapsed_ps")?.as_u64()?),
-        pause_frames: v.require("pause_frames")?.as_u64()?,
-    })
-}
+wire_struct!(FaultSummary {
+    events: "events",
+    link_downtime_ps: "link_downtime_ps",
+    dropped_bytes: "dropped_bytes",
+    dropped_packets: "dropped_packets",
+    goodput_during_faults: "goodput_during_faults",
+    utilization_while_up: "utilization_while_up",
+});
 
 impl ScenarioResult {
     /// The canonical JSON object of this result: every deterministic field
@@ -189,157 +157,14 @@ impl ScenarioResult {
     /// time, no raw simulator output. See the [module docs](self) for the
     /// determinism contract this buys.
     pub fn to_json(&self) -> JsonValue {
-        let mut fields = vec![
-            ("name", JsonValue::Str(self.name.clone())),
-            ("scheme", JsonValue::Str(self.scheme.clone())),
-            ("slowdown", opt_percentiles_to_json(&self.slowdown)),
-            (
-                "short_flow_slowdown",
-                opt_percentiles_to_json(&self.short_flow_slowdown),
-            ),
-            (
-                "slowdown_buckets",
-                JsonValue::Array(
-                    self.slowdown_buckets
-                        .iter()
-                        .map(bucket_stats_to_json)
-                        .collect(),
-                ),
-            ),
-            ("queue_p50", opt_u64_to_json(&self.queue_p50)),
-            ("queue_p95", opt_u64_to_json(&self.queue_p95)),
-            ("queue_p99", opt_u64_to_json(&self.queue_p99)),
-            ("max_queue_bytes", JsonValue::UInt(self.max_queue_bytes)),
-            ("pfc", pfc_to_json(&self.pfc)),
-            ("drops", JsonValue::UInt(self.drops)),
-            ("completion", JsonValue::Float(self.completion)),
-            (
-                "flows_completed",
-                JsonValue::UInt(self.flows_completed as u64),
-            ),
-        ];
-        // Multi-class scheduling extensions (additive, optional): emitted
-        // only when populated, so single-class results render byte-identical
-        // to the pre-scheduling wire format and old decoders keep working.
-        if !self.prio_slowdown.is_empty() {
-            fields.push((
-                "prio_slowdown",
-                JsonValue::Array(
-                    self.prio_slowdown
-                        .iter()
-                        .map(|(code, stats)| {
-                            obj(vec![
-                                ("prio", JsonValue::UInt(*code as u64)),
-                                ("stats", opt_percentiles_to_json(stats)),
-                            ])
-                        })
-                        .collect(),
-                ),
-            ));
-        }
-        if !self.class_queue_p99.is_empty() {
-            fields.push((
-                "class_queue_p99",
-                JsonValue::Array(self.class_queue_p99.iter().map(opt_u64_to_json).collect()),
-            ));
-        }
-        // Fault-injection summary (additive, optional): present only when a
-        // fault timeline actually fired, so fault-free results render
-        // byte-identical to the pre-fault wire format.
-        if let Some(f) = &self.faults {
-            fields.push((
-                "faults",
-                obj(vec![
-                    ("events", JsonValue::UInt(f.events)),
-                    ("link_downtime_ps", JsonValue::UInt(f.link_downtime_ps)),
-                    ("dropped_bytes", JsonValue::UInt(f.dropped_bytes)),
-                    ("dropped_packets", JsonValue::UInt(f.dropped_packets)),
-                    (
-                        "goodput_during_faults",
-                        JsonValue::UInt(f.goodput_during_faults),
-                    ),
-                    (
-                        "utilization_while_up",
-                        JsonValue::Float(f.utilization_while_up),
-                    ),
-                ]),
-            ));
-        }
-        // Backend marker (additive, optional): present only when the result
-        // came from a non-default engine, so packet results render
-        // byte-identical to the pre-boundary wire format.
-        if let Some(b) = backend_to_json(self.backend) {
-            fields.push(("backend", b));
-        }
-        fields.push(("digest", JsonValue::UInt(self.digest)));
-        obj(fields)
+        self.encode()
     }
 
     /// Decode a canonical result object. The decoded result carries no raw
     /// simulator output (`results: None`) and no wall time (`wall` is zero
     /// until an envelope supplies the worker's measurement).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        let mut buckets = Vec::new();
-        for b in v.require("slowdown_buckets")?.as_array()? {
-            buckets.push(bucket_stats_from_json(b)?);
-        }
-        // Optional multi-class fields: absent on (and before) the
-        // single-class wire format, which must keep decoding.
-        let mut prio_slowdown = Vec::new();
-        if let Some(rows) = v.get("prio_slowdown") {
-            for row in rows.as_array()? {
-                let code = row.require("prio")?.as_u64()?;
-                if code > u8::MAX as u64 {
-                    return Err(JsonError(format!("priority code {code} out of range")));
-                }
-                prio_slowdown.push((
-                    code as u8,
-                    opt_percentiles_from_json(row.require("stats")?)?,
-                ));
-            }
-        }
-        let mut class_queue_p99 = Vec::new();
-        if let Some(rows) = v.get("class_queue_p99") {
-            for row in rows.as_array()? {
-                class_queue_p99.push(opt_u64_from_json(row)?);
-            }
-        }
-        let faults = match v.get("faults") {
-            Some(f) => Some(FaultSummary {
-                events: f.require("events")?.as_u64()?,
-                link_downtime_ps: f.require("link_downtime_ps")?.as_u64()?,
-                dropped_bytes: f.require("dropped_bytes")?.as_u64()?,
-                dropped_packets: f.require("dropped_packets")?.as_u64()?,
-                goodput_during_faults: f.require("goodput_during_faults")?.as_u64()?,
-                utilization_while_up: f.require("utilization_while_up")?.as_f64()?,
-            }),
-            None => None,
-        };
-        Ok(ScenarioResult {
-            name: v.require("name")?.as_str()?.to_string(),
-            scheme: v.require("scheme")?.as_str()?.to_string(),
-            slowdown: opt_percentiles_from_json(v.require("slowdown")?)?,
-            short_flow_slowdown: opt_percentiles_from_json(v.require("short_flow_slowdown")?)?,
-            slowdown_buckets: buckets,
-            queue_p50: opt_u64_from_json(v.require("queue_p50")?)?,
-            queue_p95: opt_u64_from_json(v.require("queue_p95")?)?,
-            queue_p99: opt_u64_from_json(v.require("queue_p99")?)?,
-            max_queue_bytes: v.require("max_queue_bytes")?.as_u64()?,
-            pfc: pfc_from_json(v.require("pfc")?)?,
-            drops: v.require("drops")?.as_u64()?,
-            completion: v.require("completion")?.as_f64()?,
-            flows_completed: v.require("flows_completed")?.as_usize()?,
-            prio_slowdown,
-            class_queue_p99,
-            faults,
-            backend: match v.get("backend") {
-                Some(b) => backend_from_json(b)?,
-                None => BackendSpec::Packet,
-            },
-            digest: v.require("digest")?.as_u64()?,
-            wall: std::time::Duration::ZERO,
-            results: None,
-        })
+        Self::decode(v, &Path::Root)
     }
 }
 
@@ -349,7 +174,7 @@ impl CampaignReport {
     /// are deliberately excluded, so equal strings ⇔ bit-identical campaign
     /// outcomes, no matter how (or where) the campaign ran.
     pub fn to_json(&self) -> JsonValue {
-        JsonValue::Array(self.results.iter().map(|r| r.to_json()).collect())
+        self.results.encode()
     }
 
     /// [`CampaignReport::to_json`], rendered to a compact string.
@@ -361,16 +186,42 @@ impl CampaignReport {
     /// [`CampaignReport::to_json_string`]). Wall times are zero and
     /// `threads` is recorded as 1 — neither crosses the wire.
     pub fn from_json_str(text: &str) -> Result<Self, JsonError> {
-        let doc = JsonValue::parse(text)?;
-        let mut results = Vec::new();
-        for item in doc.as_array()? {
-            results.push(ScenarioResult::from_json(item)?);
-        }
         Ok(CampaignReport {
-            results,
+            results: Vec::decode(&JsonValue::parse(text)?, &Path::Root)?,
             wall: std::time::Duration::ZERO,
             threads: 1,
         })
+    }
+}
+
+/// A result with the wall time its worker measured: `wall_ns` beside the
+/// canonical `result` object, which excludes it. The members a result line
+/// and a fabric `result` message (through `Box<ScenarioResult>`) share.
+fn encode_timed(result: &ScenarioResult, out: &mut Vec<(String, JsonValue)>) {
+    let wall_ns = result.wall.as_nanos().min(u64::MAX as u128) as u64;
+    out.push(("wall_ns".to_string(), wall_ns.encode()));
+    out.push(("result".to_string(), result.encode()));
+}
+
+fn decode_timed(m: &mut Members<'_>) -> Result<ScenarioResult, JsonError> {
+    let wall_ns = m.required("wall_ns")?;
+    let mut result: ScenarioResult = m.required("result")?;
+    result.wall = std::time::Duration::from_nanos(wall_ns);
+    Ok(result)
+}
+
+impl Fields for Box<ScenarioResult> {
+    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
+        encode_timed(self, out)
+    }
+
+    fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
+        decode_timed(m).map(Box::new)
+    }
+
+    fn field_keys(out: &mut Vec<&'static str>) {
+        out.extend(["wall_ns", "result"]);
+        ScenarioResult::keys(out);
     }
 }
 
@@ -378,25 +229,19 @@ impl CampaignReport {
 /// newline): the envelope carries the scenario `index` and the worker's
 /// `wall_ns`; the canonical result object rides in `result`.
 pub fn encode_result_line(index: usize, result: &ScenarioResult) -> String {
-    obj(vec![
-        ("index", JsonValue::UInt(index as u64)),
-        (
-            "wall_ns",
-            JsonValue::UInt(result.wall.as_nanos().min(u64::MAX as u128) as u64),
-        ),
-        ("result", result.to_json()),
-    ])
-    .render()
+    let mut out = vec![("index".to_string(), index.encode())];
+    encode_timed(result, &mut out);
+    JsonValue::Object(out).render()
 }
 
 /// Decode one JSONL line into `(scenario index, result)`. The envelope's
 /// `wall_ns` is restored onto the result.
 pub fn decode_result_line(line: &str) -> Result<(usize, ScenarioResult), JsonError> {
     let v = JsonValue::parse(line)?;
-    let index = v.require("index")?.as_usize()?;
-    let mut result = ScenarioResult::from_json(v.require("result")?)?;
-    result.wall = std::time::Duration::from_nanos(v.require("wall_ns")?.as_u64()?);
-    Ok((index, result))
+    let mut m = Members::open(&v, &Path::Root)?;
+    let entry = (m.required("index")?, decode_timed(&mut m)?);
+    m.finish()?;
+    Ok(entry)
 }
 
 /// A typed error from the stream decode / merge paths, so callers (and
@@ -614,73 +459,24 @@ pub enum FabricMsg {
 impl FabricMsg {
     /// The canonical JSON object of this message.
     pub fn to_json(&self) -> JsonValue {
-        match self {
-            FabricMsg::Hello { worker } => obj(vec![
-                ("type", JsonValue::Str("hello".to_string())),
-                ("worker", JsonValue::Str(worker.clone())),
-            ]),
-            FabricMsg::Manifest { campaign } => obj(vec![
-                ("type", JsonValue::Str("manifest".to_string())),
-                ("campaign", campaign.to_json()),
-            ]),
-            FabricMsg::Lease { indices } => obj(vec![
-                ("type", JsonValue::Str("lease".to_string())),
-                (
-                    "indices",
-                    JsonValue::Array(indices.iter().map(|&i| JsonValue::UInt(i as u64)).collect()),
-                ),
-            ]),
-            FabricMsg::Result { index, result } => obj(vec![
-                ("type", JsonValue::Str("result".to_string())),
-                ("index", JsonValue::UInt(*index as u64)),
-                (
-                    "wall_ns",
-                    JsonValue::UInt(result.wall.as_nanos().min(u64::MAX as u128) as u64),
-                ),
-                ("result", result.to_json()),
-            ]),
-            FabricMsg::Heartbeat { executed } => obj(vec![
-                ("type", JsonValue::Str("heartbeat".to_string())),
-                ("executed", JsonValue::UInt(*executed)),
-            ]),
-            FabricMsg::Bye => obj(vec![("type", JsonValue::Str("bye".to_string()))]),
-        }
+        self.encode()
     }
 
     /// Decode a fabric message object (the inverse of
     /// [`FabricMsg::to_json`]).
     pub fn from_json(v: &JsonValue) -> Result<Self, JsonError> {
-        match v.require("type")?.as_str()? {
-            "hello" => Ok(FabricMsg::Hello {
-                worker: v.require("worker")?.as_str()?.to_string(),
-            }),
-            "manifest" => Ok(FabricMsg::Manifest {
-                campaign: Campaign::from_json(v.require("campaign")?)?,
-            }),
-            "lease" => {
-                let mut indices = Vec::new();
-                for item in v.require("indices")?.as_array()? {
-                    indices.push(item.as_usize()?);
-                }
-                Ok(FabricMsg::Lease { indices })
-            }
-            "result" => {
-                let index = v.require("index")?.as_usize()?;
-                let mut result = ScenarioResult::from_json(v.require("result")?)?;
-                result.wall = std::time::Duration::from_nanos(v.require("wall_ns")?.as_u64()?);
-                Ok(FabricMsg::Result {
-                    index,
-                    result: Box::new(result),
-                })
-            }
-            "heartbeat" => Ok(FabricMsg::Heartbeat {
-                executed: v.require("executed")?.as_u64()?,
-            }),
-            "bye" => Ok(FabricMsg::Bye),
-            other => err(format!("unknown fabric message type {other}")),
-        }
+        Self::decode(v, &Path::Root)
     }
 }
+
+wire_tagged!(FabricMsg, "type" {
+    "hello" => Hello { worker: "worker" },
+    "manifest" => Manifest { campaign: "campaign" },
+    "lease" => Lease { indices: "indices" },
+    "result" => Result { index: "index", result: .. },
+    "heartbeat" => Heartbeat { executed: "executed" },
+    "bye" => Bye {},
+});
 
 /// Write one length-framed fabric message and flush it, so the peer sees
 /// the frame immediately: a decimal byte-length line, the message's
@@ -734,9 +530,11 @@ fn bad_frame(msg: impl Into<String>) -> std::io::Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcc_types::Duration;
 
     /// A hand-built result exercising every field shape: present and absent
-    /// percentiles, both bucket tables, extreme integers.
+    /// percentiles, both bucket tables, extreme integers. The source of
+    /// `tests/fixtures/every_member.jsonl`.
     fn synthetic(name: &str, digest: u64) -> ScenarioResult {
         ScenarioResult {
             name: name.to_string(),
@@ -786,10 +584,32 @@ mod tests {
         }
     }
 
+    /// [`synthetic`] without the four optional members.
+    fn legacy(name: &str, digest: u64) -> ScenarioResult {
+        ScenarioResult {
+            prio_slowdown: Vec::new(),
+            class_queue_p99: Vec::new(),
+            faults: None,
+            backend: BackendSpec::Packet,
+            ..synthetic(name, digest)
+        }
+    }
+
     #[test]
     fn result_lines_round_trip_every_field() {
-        let original = synthetic("fig11 HPCC", u64::MAX - 3);
+        let original = synthetic("every member", u64::MAX - 3);
         let line = encode_result_line(4, &original);
+        // The committed fixture is these two lines (`wire_fixtures.rs` holds
+        // it to the tables' key list).
+        assert_eq!(
+            format!(
+                "{}\n{}\n",
+                encode_result_line(0, &original),
+                encode_result_line(1, &legacy("no optional member", 5))
+            ),
+            include_str!("../tests/fixtures/every_member.jsonl"),
+            "regenerate the fixture from synthetic() and legacy()"
+        );
         let (index, back) = decode_result_line(&line).unwrap();
         assert_eq!(index, 4);
         // The canonical object survives byte-identically…
@@ -812,12 +632,7 @@ mod tests {
 
     #[test]
     fn single_class_results_omit_the_multi_class_keys_and_old_lines_decode() {
-        let mut legacy = synthetic("legacy", 5);
-        legacy.prio_slowdown.clear();
-        legacy.class_queue_p99.clear();
-        legacy.faults = None;
-        legacy.backend = BackendSpec::Packet;
-        let text = legacy.to_json().render();
+        let text = legacy("legacy", 5).to_json().render();
         // The canonical single-class, fault-free, packet-backend object is
         // byte-identical to the pre-scheduling / pre-fault / pre-boundary
         // wire format: no optional keys at all.
@@ -877,12 +692,12 @@ mod tests {
     #[test]
     fn every_producible_bucket_survives_the_wire() {
         // `bucket_choice` in campaign.rs can only emit these two tables;
-        // whoever adds a third set there must extend `known_bucket` (and
+        // whoever adds a third set there must extend `FctBucket`'s decoder (and
         // this test) or distributed merges break while local runs pass.
         for bucket in websearch_buckets().into_iter().chain(fb_hadoop_buckets()) {
             for stats in [None, Percentiles::of(&[1.0, 4.0])] {
                 let row = SizeBucketStats { bucket, stats };
-                let back = bucket_stats_from_json(&bucket_stats_to_json(&row)).unwrap();
+                let back = SizeBucketStats::decode(&row.encode(), &Path::Root).unwrap();
                 assert_eq!(back.bucket, bucket);
                 assert_eq!(back.stats, stats);
             }

@@ -11,9 +11,9 @@
 //!   iteration feeding folds, wall-clock reads outside the timing modules,
 //!   non-canonical formatting next to the wire encoder, missing
 //!   `#![forbid(unsafe_code)]` / crate docs in crate roots.
-//! * [`wirecheck`] — bidirectional key cross-check between
-//!   `crates/core/src/wire.rs` and `docs/WIRE.md`, so the encoder and its
-//!   normative spec can never diverge silently.
+//! * [`wirecheck`] — bidirectional member-name cross-check between the
+//!   codec tables (`hpcc_core::codec`) and `docs/WIRE.md`, so the codec and
+//!   its normative spec can never diverge silently.
 //! * [`manifests`] — static validation of every committed
 //!   `manifests/*.json` (parse, `try_build`-level checking, canonical
 //!   re-encoding fixed point) and `corpus/*` file (parse, round-trip,
@@ -218,13 +218,9 @@ pub fn run(root: &Path, section: Section) -> std::io::Result<Vec<Finding>> {
     }
 
     if want(Section::Wire) {
-        let wire_rs = root.join("crates/core/src/wire.rs");
-        let wire_md = root.join("docs/WIRE.md");
-        let source = std::fs::read_to_string(&wire_rs)?;
-        let doc = std::fs::read_to_string(&wire_md)?;
+        let doc = std::fs::read_to_string(root.join("docs/WIRE.md"))?;
         findings.extend(wirecheck::check_wire_contract(
-            "crates/core/src/wire.rs",
-            &source,
+            &wirecheck::table_keys(),
             "docs/WIRE.md",
             &doc,
         ));

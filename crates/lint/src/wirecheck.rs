@@ -1,76 +1,33 @@
 //! Wire-contract drift checker.
 //!
-//! `docs/WIRE.md` is the normative specification of the JSONL shard wire
-//! format and `crates/core/src/wire.rs` is its only implementation. This
-//! analyzer extracts the set of JSON member keys from both sides and
-//! cross-checks them **bidirectionally**, so an encoder key the doc never
-//! mentions — or a documented key the encoder dropped — fails the build
-//! instead of drifting silently.
+//! `docs/WIRE.md` is the normative specification of the campaign manifest,
+//! the JSONL shard wire format and the fabric messages; the codec tables in
+//! `crates/core/src/scenario.rs` and `wire.rs` (see `hpcc_core::codec`) are
+//! their only implementation. This analyzer cross-checks the member names
+//! of both sides **bidirectionally**, so a table row the doc never mentions
+//! — or a documented member no table has — fails the build instead of
+//! drifting silently.
 //!
-//! * From the **source**, keys are string literals in key position:
-//!   `("key", …)` pairs fed to the JSON object builder and
-//!   `.require("key")` / `.get("key")` decode lookups (test modules are
-//!   skipped).
+//! * From the **tables**, the names are the key list the codec exports
+//!   ([`table_keys`]): every row of every type a fabric message can carry,
+//!   which is all of them (`manifest` carries a campaign, `result` a result
+//!   line).
 //! * From the **doc**, keys are `"key":` members inside fenced ```json
 //!   blocks, `"key":` members inside inline code spans that contain an
 //!   object brace, and backticked identifiers in the *first cell* of
 //!   markdown table rows. Prose mentions (like the hypothetical `"v"`
 //!   version member) are deliberately not key positions.
 
-use crate::scanner::{is_ident_char, scan};
+use crate::scanner::is_ident_char;
 use crate::Finding;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule id for wire-contract drift findings.
 pub const WIRE_DRIFT: &str = "wire-drift";
 
-/// Extract `key → first line` from the wire implementation source.
-pub fn keys_from_source(source: &str) -> BTreeMap<String, usize> {
-    let mut keys = BTreeMap::new();
-    let lines = scan(source);
-    for (li, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        let text = &line.literals;
-        let bytes = text.as_bytes();
-        for (i, &b) in bytes.iter().enumerate() {
-            if b != b'"' {
-                continue;
-            }
-            // A candidate literal `"ident"` …
-            let Some(end) = text[i + 1..].find('"').map(|e| i + 1 + e) else {
-                continue;
-            };
-            let lit = &text[i + 1..end];
-            if lit.is_empty()
-                || !lit
-                    .chars()
-                    .all(|c| is_ident_char(c) && !c.is_ascii_uppercase())
-            {
-                continue;
-            }
-            // … in key position: tuple `("key",` or lookup `("key")`. A
-            // tuple pair broken across lines (`obj.push((\n    "key",`)
-            // resolves the opening paren from the previous code line.
-            let before = text[..i].trim_end();
-            let after = text[end + 1..].trim_start();
-            let opens_tuple = before.ends_with('(')
-                || (before.is_empty()
-                    && lines[..li]
-                        .iter()
-                        .rev()
-                        .find(|p| !p.literals.trim().is_empty())
-                        .is_some_and(|p| p.literals.trim_end().ends_with('(')));
-            let tuple_key = opens_tuple && after.starts_with(',');
-            let lookup_key = (before.ends_with(".require(") || before.ends_with(".get("))
-                && after.starts_with(')');
-            if tuple_key || lookup_key {
-                keys.entry(lit.to_string()).or_insert(line.number);
-            }
-        }
-    }
-    keys
+/// Every member name the codec tables can put on the wire.
+pub fn table_keys() -> BTreeSet<&'static str> {
+    hpcc_core::codec::keys_of::<hpcc_core::wire::FabricMsg>()
 }
 
 /// Extract `key → first line` from the markdown specification.
@@ -151,34 +108,28 @@ fn collect_colon_keys(text: &str, number: usize, keys: &mut BTreeMap<String, usi
     }
 }
 
-/// Cross-check implementation and specification; `source_path` / `doc_path`
-/// only label the findings.
-pub fn check_wire_contract(
-    source_path: &str,
-    source: &str,
-    doc_path: &str,
-    doc: &str,
-) -> Vec<Finding> {
-    let code = keys_from_source(source);
+/// Cross-check the codec tables' member names (`tables`, normally
+/// [`table_keys`]) against the specification; `doc_path` labels the findings.
+pub fn check_wire_contract(tables: &BTreeSet<&str>, doc_path: &str, doc: &str) -> Vec<Finding> {
     let documented = keys_from_doc(doc);
     let mut findings = Vec::new();
-    for (key, line) in &code {
-        if !documented.contains_key(key) {
+    for key in tables {
+        if !documented.contains_key(*key) {
             findings.push(Finding::new(
-                source_path,
-                *line,
+                doc_path,
+                1,
                 WIRE_DRIFT,
-                format!("wire key \"{key}\" is encoded here but not documented in {doc_path}"),
+                format!("wire key \"{key}\" is a codec table row but is not documented here"),
             ));
         }
     }
     for (key, line) in &documented {
-        if !code.contains_key(key) {
+        if !tables.contains(key.as_str()) {
             findings.push(Finding::new(
                 doc_path,
                 *line,
                 WIRE_DRIFT,
-                format!("documented wire key \"{key}\" does not appear in {source_path}"),
+                format!("documented wire key \"{key}\" is not a row of any codec table"),
             ));
         }
     }
@@ -188,24 +139,6 @@ pub fn check_wire_contract(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn source_keys_need_key_position() {
-        let src = r#"
-            let v = obj(vec![("name", JsonValue::Str(x)), ("digest", JsonValue::UInt(d))]);
-            let n = v.require("count")?;
-            let o = v.get("faults");
-            let msg = format!("not a key: {}", "nor_this");
-            let label = b.as_str("also_not");
-        "#;
-        let keys = keys_from_source(src);
-        assert!(keys.contains_key("name"));
-        assert!(keys.contains_key("digest"));
-        assert!(keys.contains_key("count"));
-        assert!(keys.contains_key("faults"));
-        assert!(!keys.contains_key("nor_this"));
-        assert!(!keys.contains_key("also_not"));
-    }
 
     #[test]
     fn doc_keys_from_blocks_spans_and_tables() {
@@ -234,12 +167,13 @@ mod tests {
 
     #[test]
     fn drift_is_bidirectional() {
-        let src = r#"obj(vec![("a", x), ("b", y)]);"#;
         let doc = "| `a` | u | |\n| `c` | u | |\n";
-        let findings = check_wire_contract("wire.rs", src, "WIRE.md", doc);
+        let findings = check_wire_contract(&["a", "b"].into(), "WIRE.md", doc);
         let rendered: Vec<String> = findings.iter().map(|f| f.to_string()).collect();
         assert_eq!(findings.len(), 2, "{rendered:?}");
         assert!(rendered.iter().any(|f| f.contains("\"b\"")));
-        assert!(rendered.iter().any(|f| f.contains("\"c\"")));
+        assert!(rendered
+            .iter()
+            .any(|f| f.contains("WIRE.md:2") && f.contains("\"c\"")));
     }
 }

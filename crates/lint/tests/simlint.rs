@@ -5,7 +5,7 @@
 
 use hpcc_lint::determinism::{self, lint_rust_source};
 use hpcc_lint::manifests::{check_corpus, check_manifest};
-use hpcc_lint::wirecheck::check_wire_contract;
+use hpcc_lint::wirecheck::{check_wire_contract, table_keys};
 use hpcc_lint::{run, Allowlist, Finding, Section};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
@@ -298,29 +298,32 @@ fn malformed_annotations_are_findings() {
 
 #[test]
 fn wire_drift_detects_doctored_doc() {
-    let root = repo_root();
-    let source = std::fs::read_to_string(root.join("crates/core/src/wire.rs")).unwrap();
-    let doc = std::fs::read_to_string(root.join("docs/WIRE.md")).unwrap();
+    let doc = std::fs::read_to_string(repo_root().join("docs/WIRE.md")).unwrap();
+    let tables = table_keys();
 
     // The committed pair is drift-free.
-    assert!(check_wire_contract("wire.rs", &source, "WIRE.md", &doc).is_empty());
+    assert!(check_wire_contract(&tables, "WIRE.md", &doc).is_empty());
 
-    // Remove a documented key: the encoder key becomes undocumented.
+    // Rename a documented key: the table row becomes undocumented …
     let doctored = doc.replace("| `digest` |", "| `checksum` |");
-    let findings = check_wire_contract("wire.rs", &source, "WIRE.md", &doctored);
+    let findings = check_wire_contract(&tables, "WIRE.md", &doctored);
     assert!(
         findings
             .iter()
-            .any(|f| f.file == "wire.rs" && f.message.contains("\"digest\"")),
+            .any(|f| f.message.contains("\"digest\"") && f.message.contains("not documented")),
         "{findings:?}"
     );
-    // … and the renamed doc key has no implementation.
+    // … and the renamed doc key has no table row.
     assert!(
         findings
             .iter()
-            .any(|f| f.file == "WIRE.md" && f.message.contains("\"checksum\"")),
+            .any(|f| f.line > 1 && f.message.contains("\"checksum\"")),
         "{findings:?}"
     );
+    // A manifest member is under the same check as a result member.
+    let doctored = doc.replace("| `goodput_bin_ps` |", "| `goodput_bin` |");
+    let findings = check_wire_contract(&tables, "WIRE.md", &doctored);
+    assert_eq!(findings.len(), 2, "{findings:?}");
 }
 
 // ----------------------------------------------------- manifests and corpus

@@ -195,16 +195,6 @@ pub enum PairSpec {
 }
 
 impl PairSpec {
-    /// Short display name ("Uniform", "IntraRack", "Matrix", "Skew").
-    pub fn name(&self) -> &'static str {
-        match self {
-            PairSpec::Uniform => "Uniform",
-            PairSpec::Locality(LocalitySpec::IntraRack { .. }) => "IntraRack",
-            PairSpec::Locality(LocalitySpec::Matrix { .. }) => "Matrix",
-            PairSpec::Skew(_) => "Skew",
-        }
-    }
-
     /// Resolve into a runtime sampler for `n_hosts` hosts whose rack
     /// assignment is `rack_of` (one rack id per host index, as produced by
     /// `TopologySpec::host_rack_ids`). `seed` feeds only the *static*
