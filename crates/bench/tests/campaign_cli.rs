@@ -259,6 +259,29 @@ fn an_unbuildable_scenario_fails_fast_naming_its_index() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `cc.label` is an open string on the wire: a label outside the six schemes
+/// decodes, and used to panic (exit 101, a backtrace) when the scenario was
+/// built. It is an ordinary unbuildable scenario.
+#[test]
+fn an_unknown_scheme_label_exits_2_naming_the_scenario() {
+    let dir = scratch("unknown-label");
+    let manifest = std::fs::read_to_string(QUEUEING_SMOKE).unwrap();
+    let bad = dir.join("bad.json");
+    std::fs::write(
+        &bad,
+        manifest.replacen("\"label\":\"HPCC\"", "\"label\":\"HPCCX\"", 1),
+    )
+    .unwrap();
+    let out = campaign(&["run", "--manifest", bad.to_str().unwrap()]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("scenario 0 (") && err.contains("cc.label: unknown scheme \"HPCCX\""),
+        "{err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Once every spawned worker is dead and the campaign is incomplete,
 /// `serve` gives up after one lease timeout (exit 4, statuses printed)
 /// rather than the two-minute stall timeout.

@@ -1,53 +1,58 @@
-//! Building, running and analysing one simulation.
+//! Running and analysing one simulation.
 //!
-//! [`Experiment`] is deliberately opaque: it is constructed through
-//! [`ExperimentBuilder`] (or, one level up, from a declarative
-//! [`crate::scenario::ScenarioSpec`]) so that its invariants — a `SimConfig`
-//! consistent with the congestion-control scheme and the topology's base RTT
-//! — hold by construction instead of by caller discipline.
+//! [`Experiment`] is deliberately opaque: the only way to one is
+//! [`crate::ScenarioSpec::try_build`], so its invariants — a `SimConfig`
+//! consistent with the congestion-control scheme and the topology's base
+//! RTT, every index in range for the topology — hold by construction
+//! instead of by caller discipline.
 
-use hpcc_cc::CcAlgorithm;
-use hpcc_sim::{
-    backend_for, BackendKind, CompiledScenario, EcnConfig, FlowControlMode, QueueingConfig,
-    SimConfig, SimOutput,
-};
+use hpcc_sim::{backend_for, BackendKind, CompiledScenario, SimConfig, SimOutput};
 use hpcc_stats::fct::{FlowFct, SizeBucketStats};
 use hpcc_stats::pfc::{pause_burst_spread, PfcSummary};
 use hpcc_stats::queue::{queue_cdf, queue_percentile};
 use hpcc_stats::series::goodput_series_gbps;
 use hpcc_stats::{FctAnalyzer, FctBucket, Percentiles};
 use hpcc_topology::{NodeKind, TopologySpec};
-use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, NodeId, PortId, SimTime};
+use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, NodeId, SimTime};
 
 /// Wire size of a full data packet with the INT budget — the MTU the base-RTT
 /// suggestion is computed against throughout the workspace.
 pub const MTU_WIRE_SIZE: u64 = 1106;
 
-/// One fully specified simulation: a topology, a behavioural configuration
-/// and a flow list, plus a label used in reports.
+/// One resolved simulation: the [`CompiledScenario`] an engine answers
+/// (topology, behavioural configuration, flow list) plus what the analysis
+/// needs beside it — a label for reports, the NIC rate ideal FCTs are
+/// computed against, and which engine runs it.
 ///
-/// Construct with [`Experiment::builder`]; inspect with the accessors.
+/// ```
+/// use hpcc_core::{CcSpec, FlowDecl, ScenarioSpec, TopologyChoice, WorkloadSpec};
+/// use hpcc_types::{Bandwidth, Duration};
+///
+/// let exp = ScenarioSpec::new(
+///     "2-to-1",
+///     TopologyChoice::star(3, Bandwidth::from_gbps(100)),
+///     CcSpec::by_label("HPCC"),
+///     Duration::from_ms(1),
+/// )
+/// .with_workload(WorkloadSpec::Explicit(vec![
+///     FlowDecl::new(1, 0, 2, 100_000, Duration::ZERO),
+///     FlowDecl::new(2, 1, 2, 100_000, Duration::ZERO),
+/// ]))
+/// .with_queue_sampling(Duration::from_us(2))
+/// .try_build()
+/// .expect("every member is in range");
+/// assert_eq!(exp.flows().len(), 2);
+/// let res = exp.run();
+/// assert_eq!(res.completion_fraction(), 1.0);
+/// ```
 pub struct Experiment {
-    label: String,
-    topo: TopologySpec,
-    cfg: SimConfig,
-    flows: Vec<FlowSpec>,
-    host_bw: Bandwidth,
-    backend: BackendKind,
+    pub(crate) label: String,
+    pub(crate) scenario: CompiledScenario,
+    pub(crate) host_bw: Bandwidth,
+    pub(crate) backend: BackendKind,
 }
 
 impl Experiment {
-    /// Start building an experiment. The builder derives a [`SimConfig`] with
-    /// paper defaults for `cc` from the topology's suggested base RTT.
-    pub fn builder(
-        label: impl Into<String>,
-        topo: TopologySpec,
-        cc: CcAlgorithm,
-        host_bw: Bandwidth,
-    ) -> ExperimentBuilder {
-        ExperimentBuilder::new(label, topo, cc, host_bw)
-    }
-
     /// Human-readable label ("HPCC", "DCQCN Kmin=100K", …).
     pub fn label(&self) -> &str {
         &self.label
@@ -55,27 +60,22 @@ impl Experiment {
 
     /// The network to simulate.
     pub fn topology(&self) -> &TopologySpec {
-        &self.topo
+        &self.scenario.topo
     }
 
     /// Host/switch behaviour.
     pub fn config(&self) -> &SimConfig {
-        &self.cfg
+        &self.scenario.cfg
     }
 
     /// Flows to inject.
     pub fn flows(&self) -> &[FlowSpec] {
-        &self.flows
+        &self.scenario.flows
     }
 
     /// Host NIC rate (used for ideal-FCT computation).
     pub fn host_bw(&self) -> Bandwidth {
         self.host_bw
-    }
-
-    /// The engine this experiment runs on.
-    pub fn backend(&self) -> BackendKind {
-        self.backend
     }
 
     /// Run the simulation and wrap the raw output with analysis helpers.
@@ -86,220 +86,17 @@ impl Experiment {
     /// [`BackendKind::Fluid`] answers the same scenario with the Appendix A.2
     /// fluid model.
     pub fn run(self) -> ExperimentResults {
-        let analyzer = FctAnalyzer::new(self.host_bw, self.cfg.base_rtt, self.cfg.int_enabled);
-        let host_count = self.topo.hosts().len();
-        let flow_count = self.flows.len();
-        let out = backend_for(self.backend).run(CompiledScenario {
-            topo: self.topo,
-            cfg: self.cfg,
-            flows: self.flows,
-        });
+        let cfg = &self.scenario.cfg;
+        let analyzer = FctAnalyzer::new(self.host_bw, cfg.base_rtt, cfg.int_enabled);
+        let host_count = self.scenario.topo.hosts().len();
+        let flow_count = self.scenario.flows.len();
+        let out = backend_for(self.backend).run(self.scenario);
         ExperimentResults {
             label: self.label,
             analyzer,
             out,
             flow_count,
             host_count,
-        }
-    }
-}
-
-/// Fluent constructor for [`Experiment`].
-///
-/// Created via [`Experiment::builder`]. Every setter returns `self`, so a
-/// full experiment reads as one expression:
-///
-/// ```
-/// use hpcc_cc::CcAlgorithm;
-/// use hpcc_core::Experiment;
-/// use hpcc_topology::star;
-/// use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, SimTime};
-///
-/// let bw = Bandwidth::from_gbps(100);
-/// let topo = star(3, bw, Duration::from_us(1));
-/// let hosts = topo.hosts().to_vec();
-/// let exp = Experiment::builder("2-to-1", topo, CcAlgorithm::hpcc_default(), bw)
-///     .duration(Duration::from_ms(1))
-///     .queue_sampling(Duration::from_us(2))
-///     .add_flow(FlowSpec::new(FlowId(1), hosts[0], hosts[2], 100_000, SimTime::ZERO))
-///     .add_flow(FlowSpec::new(FlowId(2), hosts[1], hosts[2], 100_000, SimTime::ZERO))
-///     .build();
-/// assert_eq!(exp.flows().len(), 2);
-/// let res = exp.run();
-/// assert_eq!(res.completion_fraction(), 1.0);
-/// ```
-pub struct ExperimentBuilder {
-    label: String,
-    topo: TopologySpec,
-    cfg: SimConfig,
-    flows: Vec<FlowSpec>,
-    host_bw: Bandwidth,
-    backend: BackendKind,
-}
-
-impl ExperimentBuilder {
-    fn new(
-        label: impl Into<String>,
-        topo: TopologySpec,
-        cc: CcAlgorithm,
-        host_bw: Bandwidth,
-    ) -> Self {
-        let base_rtt = topo.suggested_base_rtt(MTU_WIRE_SIZE);
-        let cfg = SimConfig::for_cc(cc, host_bw, base_rtt);
-        ExperimentBuilder {
-            label: label.into(),
-            topo,
-            cfg,
-            flows: Vec::new(),
-            host_bw,
-            backend: BackendKind::Packet,
-        }
-    }
-
-    /// Select the engine that answers the scenario (default: the packet
-    /// event-wheel). The fluid backend rejects nothing here — spec-level
-    /// validation of fluid × unsupported features lives on
-    /// [`crate::ScenarioSpec`].
-    pub fn backend(mut self, backend: BackendKind) -> Self {
-        self.backend = backend;
-        self
-    }
-
-    /// Simulation horizon (events after `ZERO + d` are not processed).
-    pub fn duration(mut self, d: Duration) -> Self {
-        self.cfg.end_time = SimTime::ZERO + d;
-        self
-    }
-
-    /// Seed of the deterministic switch RNG (ECN marking, ECMP perturbation).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.cfg.seed = seed;
-        self
-    }
-
-    /// Loss prevention / recovery mode (PFC, go-back-N, IRN).
-    pub fn flow_control(mut self, mode: FlowControlMode) -> Self {
-        self.cfg.flow_control = mode;
-        self
-    }
-
-    /// Shared buffer per switch in bytes.
-    pub fn buffer_bytes(mut self, bytes: u64) -> Self {
-        self.cfg.buffer_bytes = bytes;
-        self
-    }
-
-    /// Override the ECN marking thresholds.
-    pub fn ecn(mut self, ecn: EcnConfig) -> Self {
-        self.cfg.ecn = Some(ecn);
-        self
-    }
-
-    /// Configure multi-class switch queueing (data-class count, egress
-    /// scheduler, PIAS tagging thresholds, per-class ECN scaling). The
-    /// default is the paper's single-class strict-priority path.
-    ///
-    /// # Panics
-    /// Panics when the configuration violates its invariants (class count
-    /// out of `1..=MAX_DATA_CLASSES`, weight/threshold/scale shape
-    /// mismatches) — the fallible path is a [`crate::QueueingSpec`] on a
-    /// scenario, whose `try_build` surfaces the same violations as typed
-    /// [`crate::BuildError`]s.
-    pub fn queueing(mut self, queueing: QueueingConfig) -> Self {
-        queueing
-            .validate()
-            .unwrap_or_else(|e| panic!("invalid queueing config: {e}"));
-        self.cfg.queueing = queueing;
-        self
-    }
-
-    /// Attach a fault-injection plan (link outages/flaps, degraded links,
-    /// straggler hosts). The default is a healthy network — and a run
-    /// bit-identical to a build without the fault machinery.
-    ///
-    /// # Panics
-    /// Panics when the plan references links or hosts the topology lacks or
-    /// violates a window invariant — the fallible path is a
-    /// [`crate::FaultSpec`] on a scenario, whose `try_build` surfaces the
-    /// same violations as typed [`crate::BuildError`]s.
-    pub fn faults(mut self, faults: hpcc_sim::FaultConfig) -> Self {
-        faults
-            .validate(self.topo.links().len(), self.topo.hosts().len())
-            .unwrap_or_else(|e| panic!("invalid fault config: {e}"));
-        self.cfg.faults = Some(faults);
-        self
-    }
-
-    /// Override the base RTT handed to the congestion-control algorithms
-    /// (and the timers derived from it).
-    pub fn base_rtt(mut self, rtt: Duration) -> Self {
-        self.cfg.base_rtt = rtt;
-        self.cfg.nack_interval = rtt;
-        self.cfg.rto = rtt * 64;
-        self
-    }
-
-    /// Sample all switch data queues into a histogram at this period.
-    pub fn queue_sampling(mut self, interval: Duration) -> Self {
-        self.cfg.queue_sample_interval = Some(interval);
-        self
-    }
-
-    /// Trace one egress port's queue length as a time series.
-    pub fn trace_port(mut self, port: (NodeId, PortId), interval: Duration) -> Self {
-        self.cfg.trace_ports.push(port);
-        self.cfg.trace_interval = interval;
-        self
-    }
-
-    /// Trace the first switch's egress queue towards the given host (the
-    /// bottleneck port of star-shaped micro-benchmarks).
-    pub fn trace_bottleneck_to(self, host_index: usize, interval: Duration) -> Self {
-        let host = self.topo.hosts()[host_index];
-        let sw = self.topo.switches()[0];
-        let port = self.topo.next_hops(sw, host)[0];
-        self.trace_port((sw, port), interval)
-    }
-
-    /// Accumulate per-flow goodput into bins of this width.
-    pub fn goodput_bin(mut self, bin: Duration) -> Self {
-        self.cfg.flow_throughput_bin = Some(bin);
-        self
-    }
-
-    /// Append one flow.
-    pub fn add_flow(mut self, flow: FlowSpec) -> Self {
-        self.flows.push(flow);
-        self
-    }
-
-    /// Append many flows.
-    pub fn flows(mut self, flows: impl IntoIterator<Item = FlowSpec>) -> Self {
-        self.flows.extend(flows);
-        self
-    }
-
-    /// Escape hatch: mutate the underlying [`SimConfig`] directly for knobs
-    /// the builder does not model.
-    pub fn configure(mut self, f: impl FnOnce(&mut SimConfig)) -> Self {
-        f(&mut self.cfg);
-        self
-    }
-
-    /// The topology under construction (e.g. to pick flow endpoints).
-    pub fn topology(&self) -> &TopologySpec {
-        &self.topo
-    }
-
-    /// Finish building.
-    pub fn build(self) -> Experiment {
-        Experiment {
-            label: self.label,
-            topo: self.topo,
-            cfg: self.cfg,
-            flows: self.flows,
-            host_bw: self.host_bw,
-            backend: self.backend,
         }
     }
 }
@@ -476,23 +273,24 @@ pub fn port_census(topo: &TopologySpec) -> (usize, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hpcc_cc::CcAlgorithm;
+    use crate::{CcSpec, FlowDecl, ScenarioSpec, TopologyChoice, WorkloadSpec};
     use hpcc_topology::star;
 
     fn tiny_experiment() -> Experiment {
-        let bw = Bandwidth::from_gbps(100);
-        let topo = star(3, bw, Duration::from_us(1));
-        let hosts = topo.hosts().to_vec();
-        Experiment::builder("tiny", topo, CcAlgorithm::hpcc_default(), bw)
-            .duration(Duration::from_ms(5))
-            .queue_sampling(Duration::from_us(2))
-            .goodput_bin(Duration::from_us(50))
-            .flows([
-                FlowSpec::new(FlowId(1), hosts[0], hosts[2], 500_000, SimTime::ZERO),
-                FlowSpec::new(FlowId(2), hosts[1], hosts[2], 500_000, SimTime::ZERO),
-                FlowSpec::new(FlowId(3), hosts[0], hosts[1], 2_000, SimTime::from_us(50)),
-            ])
-            .build()
+        ScenarioSpec::new(
+            "tiny",
+            TopologyChoice::star(3, Bandwidth::from_gbps(100)),
+            CcSpec::by_label("HPCC"),
+            Duration::from_ms(5),
+        )
+        .with_workload(WorkloadSpec::Explicit(vec![
+            FlowDecl::new(1, 0, 2, 500_000, Duration::ZERO),
+            FlowDecl::new(2, 1, 2, 500_000, Duration::ZERO),
+            FlowDecl::new(3, 0, 1, 2_000, Duration::from_us(50)),
+        ]))
+        .with_queue_sampling(Duration::from_us(2))
+        .with_goodput_bin(Duration::from_us(50))
+        .build()
     }
 
     #[test]
@@ -522,21 +320,6 @@ mod tests {
         assert!(!g.is_empty());
         let util = res.average_utilization(Bandwidth::from_gbps(100));
         assert!(util > 0.0 && util < 1.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid queueing config")]
-    fn builder_rejects_invalid_queueing_configs() {
-        let bw = Bandwidth::from_gbps(100);
-        let topo = star(2, bw, Duration::from_us(1));
-        // 5 data classes exceeds Priority::MAX_DATA_CLASSES: the builder
-        // must reject it here instead of letting the hot path panic later.
-        Experiment::builder("bad", topo, CcAlgorithm::hpcc_default(), bw).queueing(
-            hpcc_sim::QueueingConfig {
-                data_classes: 5,
-                ..hpcc_sim::QueueingConfig::legacy()
-            },
-        );
     }
 
     #[test]

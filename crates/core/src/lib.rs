@@ -8,9 +8,10 @@
 //! * [`scenario`] — the declarative [`ScenarioSpec`]: scenarios as plain,
 //!   serializable data (topology, scheme, workloads — including rack
 //!   locality, heavy-hitter skew and trace replay — duration, seed,
-//!   measurement options), with typed [`BuildError`]s from
-//!   [`ScenarioSpec::try_build`] and trace-artifact export via
-//!   [`ScenarioSpec::freeze`],
+//!   measurement options); [`ScenarioSpec::try_build`] is the one, total
+//!   function from a spec to a runnable [`Experiment`] (anything it rejects
+//!   is a typed [`BuildError`]), [`ScenarioSpec::freeze`] exports a
+//!   trace artifact,
 //! * [`campaign`] — the [`Campaign`] runner: execute batches of scenarios
 //!   across OS threads with deterministic, bit-identical-to-serial results,
 //!   and shard them across processes with [`ShardPlan`],
@@ -21,8 +22,8 @@
 //!   (EWMA-sized leases, heartbeat failure detection, digest-deduped
 //!   retries, JSONL checkpoint/resume) to [`fabric::join`] workers, with
 //!   merged reports bit-identical to serial execution,
-//! * [`Experiment`] / [`ExperimentResults`] — build (via
-//!   [`experiment::ExperimentBuilder`]), run and analyse one simulation,
+//! * [`Experiment`] / [`ExperimentResults`] — run and analyse one resolved
+//!   simulation,
 //! * [`presets`] — ready-made scenario builders for every figure in the
 //!   paper's evaluation (§5.2–§5.4),
 //! * [`analysis`] — a re-export shim over `hpcc_sim::fluid`, where the
@@ -49,7 +50,7 @@ pub mod validate;
 pub mod wire;
 
 pub use campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult, ShardPlan};
-pub use experiment::{Experiment, ExperimentBuilder, ExperimentResults};
+pub use experiment::{Experiment, ExperimentResults};
 pub use fabric::{
     Coordinator, FabricConfig, FabricError, FabricReport, ResultLedger, WorkerConfig, WorkerSummary,
 };

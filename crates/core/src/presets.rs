@@ -10,7 +10,8 @@
 
 use crate::campaign::Campaign;
 use crate::scenario::{
-    CcSpec, CdfSpec, FaultSpec, FlowDecl, QueueingSpec, ScenarioSpec, TopologyChoice, WorkloadSpec,
+    BuildError, CcSpec, CdfSpec, FaultSpec, FlowDecl, QueueingSpec, ScenarioSpec, TopologyChoice,
+    WorkloadSpec,
 };
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, TimelyConfig};
 use hpcc_sim::{DegradedLink, EcnConfig, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
@@ -29,17 +30,28 @@ pub const SCHEME_SET_FIG11: [&str; 6] = [
     "HPCC",
 ];
 
-/// Build one of the Figure 11 schemes by label.
-pub fn scheme_by_label(label: &str, line_rate: Bandwidth, base_rtt: Duration) -> CcAlgorithm {
-    match label {
+/// Build one of the Figure 11 schemes by label. Any other label — a
+/// manifest's `cc.label` is an open string — is an error naming it and the
+/// six known ones.
+pub fn scheme_by_label(
+    label: &str,
+    line_rate: Bandwidth,
+    base_rtt: Duration,
+) -> Result<CcAlgorithm, BuildError> {
+    Ok(match label {
         "DCQCN" => CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(line_rate)),
         "DCQCN+win" => CcAlgorithm::DcqcnWin(DcqcnConfig::vendor_default(line_rate)),
         "TIMELY" => CcAlgorithm::Timely(TimelyConfig::recommended(line_rate, base_rtt)),
         "TIMELY+win" => CcAlgorithm::TimelyWin(TimelyConfig::recommended(line_rate, base_rtt)),
         "DCTCP" => CcAlgorithm::Dctcp(DctcpConfig::default()),
         "HPCC" => CcAlgorithm::Hpcc(HpccConfig::default()),
-        other => panic!("unknown scheme label {other}"),
-    }
+        other => {
+            return Err(BuildError(format!(
+                "cc.label: unknown scheme {other:?} (known: {})",
+                SCHEME_SET_FIG11.join(", ")
+            )))
+        }
+    })
 }
 
 /// The bottleneck egress port of a star topology towards a given host (the
@@ -746,15 +758,19 @@ mod tests {
         let bw = Bandwidth::from_gbps(100);
         let rtt = Duration::from_us(13);
         for label in SCHEME_SET_FIG11 {
-            let cc = scheme_by_label(label, bw, rtt);
+            let cc = scheme_by_label(label, bw, rtt).unwrap();
             assert_eq!(cc.label(), label);
         }
     }
 
     #[test]
-    #[should_panic(expected = "unknown scheme")]
-    fn unknown_scheme_panics() {
-        scheme_by_label("BBR", Bandwidth::from_gbps(100), Duration::from_us(13));
+    fn unknown_scheme_is_an_error() {
+        let err =
+            scheme_by_label("BBR", Bandwidth::from_gbps(100), Duration::from_us(13)).unwrap_err();
+        assert_eq!(
+            err.0,
+            "cc.label: unknown scheme \"BBR\" (known: DCQCN, TIMELY, DCQCN+win, TIMELY+win, DCTCP, HPCC)"
+        );
     }
 
     #[test]

@@ -9,23 +9,26 @@
 //! paper's whole evaluation grid (six schemes × topologies × workloads ×
 //! parameter sweeps) becomes a list of values.
 //!
-//! [`ScenarioSpec::build`] resolves the description into a concrete
-//! [`Experiment`] through [`ExperimentBuilder`]: the topology is
-//! instantiated, the CC label is resolved against the line rate and the
-//! topology's suggested base RTT, and every workload draws from its own
+//! [`ScenarioSpec::try_build`] is the one function from a description to a
+//! runnable [`Experiment`]: it instantiates the topology, resolves the CC
+//! scheme against the line rate and the topology's suggested base RTT,
+//! writes the [`SimConfig`], and generates every workload from its own
 //! deterministic seed stream derived from the scenario seed — so the same
 //! spec always yields the bit-identical experiment, no matter where or when
-//! it is built.
+//! it is built. It is total: whatever it cannot resolve comes back as a
+//! [`BuildError`] naming the offending member, never as a panic or a run
+//! that does not end.
 
 use crate::codec::{
     from_label, wire_labels, wire_struct, wire_tagged, Fields, Members, Path, Wire,
 };
-use crate::experiment::{Experiment, ExperimentBuilder, ExperimentResults, MTU_WIRE_SIZE};
+use crate::experiment::{Experiment, ExperimentResults, MTU_WIRE_SIZE};
 use crate::json::{obj, JsonError, JsonValue};
 use crate::presets::scheme_by_label;
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, HpccReactionMode, TimelyConfig};
 use hpcc_sim::{
-    DegradedLink, EcnConfig, FaultConfig, FlowControlMode, LinkDownMode, LinkFault, StragglerHost,
+    CompiledScenario, DegradedLink, EcnConfig, FlowControlMode, LinkDownMode, LinkFault, SimConfig,
+    StragglerHost,
 };
 use hpcc_topology::{
     dumbbell, fat_tree, leaf_spine, star, testbed_pod, FatTreeParams, TopologySpec,
@@ -40,11 +43,13 @@ use hpcc_workload::{
 use std::fmt;
 
 /// Error produced when a [`ScenarioSpec`] cannot be resolved into an
-/// [`Experiment`] — an invalid locality matrix, an unreadable or malformed
-/// trace file, a trace record referencing hosts the topology lacks.
+/// [`Experiment`] — an unknown scheme label, an out-of-range member, an
+/// invalid locality matrix, an unreadable or malformed trace file, a trace
+/// record referencing hosts the topology lacks.
 ///
-/// The message names the failing workload (by position) and, for trace
-/// problems, carries the file's 1-based line number (see
+/// The message names the offending member (`cc.label`,
+/// `trace.bottleneck_host`, `workload 1: …`) and, for trace problems,
+/// carries the file's 1-based line number (see
 /// [`hpcc_workload::TraceError`]).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BuildError(pub String);
@@ -280,10 +285,15 @@ impl CcSpec {
     }
 
     /// Resolve into a concrete algorithm for the given line rate and base
-    /// RTT.
-    pub fn resolve(&self, line_rate: Bandwidth, base_rtt: Duration) -> CcAlgorithm {
-        match self {
-            CcSpec::Label(label) => scheme_by_label(label, line_rate, base_rtt),
+    /// RTT. A [`CcSpec::Label`] outside the six Figure-11 schemes is the
+    /// only failure.
+    pub fn resolve(
+        &self,
+        line_rate: Bandwidth,
+        base_rtt: Duration,
+    ) -> Result<CcAlgorithm, BuildError> {
+        Ok(match self {
+            CcSpec::Label(label) => scheme_by_label(label, line_rate, base_rtt)?,
             CcSpec::Hpcc(cfg) => CcAlgorithm::Hpcc(*cfg),
             CcSpec::DcqcnTimers { ti, td } => {
                 CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(line_rate).with_timers(*ti, *td))
@@ -312,7 +322,7 @@ impl CcSpec {
                 g: *g,
                 ..DctcpConfig::default()
             }),
-        }
+        })
     }
 }
 
@@ -342,47 +352,47 @@ pub enum CdfSpec {
 }
 
 impl CdfSpec {
-    /// Instantiate the sampler.
-    ///
-    /// # Panics
-    /// Panics when a [`CdfSpec::Custom`] point list is invalid; scenario
-    /// resolution goes through [`CdfSpec::try_build`] instead, so manifest
-    /// input cannot reach the panic.
-    pub fn build(&self) -> FlowSizeCdf {
-        match self {
+    /// Instantiate the sampler. A malformed [`CdfSpec::Custom`] point list
+    /// (empty, non-monotone, not ending at probability 1) or a distribution
+    /// whose mean is not positive (`Fixed(0)`, every knee at 0 bytes — the
+    /// Poisson arrival rate divides by it) is an error, so untrusted
+    /// manifests can neither abort a worker nor make it generate forever.
+    pub fn try_build(&self) -> Result<FlowSizeCdf, String> {
+        let cdf = match self {
             CdfSpec::WebSearch => websearch(),
             CdfSpec::FbHadoop => fb_hadoop(),
+            CdfSpec::Fixed(0) => return Err("fixed CDF size must be >= 1 byte".into()),
             CdfSpec::Fixed(size) => fixed_size(*size),
-            CdfSpec::Custom(points) => FlowSizeCdf::new("Custom", points.clone()),
-        }
-    }
-
-    /// Fallible form of [`CdfSpec::build`]: a malformed
-    /// [`CdfSpec::Custom`] point list (empty, non-monotone, not ending at
-    /// probability 1) is a typed error instead of a panic, so untrusted
-    /// manifests cannot abort a worker.
-    pub fn try_build(&self) -> Result<FlowSizeCdf, String> {
-        if let CdfSpec::Custom(points) = self {
-            if points.is_empty() {
-                return Err("custom CDF needs at least one point".into());
-            }
-            for (i, w) in points.windows(2).enumerate() {
-                // NaN probabilities fail the check too (is_nan, not just >).
-                if w[0].0 > w[1].0 || w[0].1.is_nan() || w[1].1.is_nan() || w[0].1 > w[1].1 {
+            CdfSpec::Custom(points) => {
+                let Some(&(_, last)) = points.last() else {
+                    return Err("custom CDF needs at least one point".into());
+                };
+                for (i, w) in points.windows(2).enumerate() {
+                    // NaN probabilities fail the check too (is_nan, not just >).
+                    if w[0].0 > w[1].0 || w[0].1.is_nan() || w[1].1.is_nan() || w[0].1 > w[1].1 {
+                        return Err(format!(
+                            "custom CDF points {i} and {} are not non-decreasing",
+                            i + 1
+                        ));
+                    }
+                }
+                if last.is_nan() || (last - 1.0).abs() >= 1e-9 {
                     return Err(format!(
-                        "custom CDF points {i} and {} are not non-decreasing",
-                        i + 1
+                        "custom CDF must end at probability 1.0, ends at {last}"
                     ));
                 }
+                FlowSizeCdf::new("Custom", points.clone())
             }
-            let last = points.last().unwrap().1;
-            if last.is_nan() || (last - 1.0).abs() >= 1e-9 {
-                return Err(format!(
-                    "custom CDF must end at probability 1.0, ends at {last}"
-                ));
-            }
+        };
+        let mean = cdf.mean();
+        if mean > 0.0 {
+            Ok(cdf)
+        } else {
+            Err(format!(
+                "{} CDF has mean flow size {mean}, must be > 0",
+                self.name()
+            ))
         }
-        Ok(self.build())
     }
 
     /// Short display name.
@@ -540,7 +550,10 @@ impl WorkloadSpec {
         }
     }
 
-    /// Generate this workload's flows for a concrete host list.
+    /// Generate this workload's flows for a concrete host list. Every
+    /// manifest-supplied parameter is range-checked here first, so untrusted
+    /// input surfaces as a typed error naming the member — never as a
+    /// generator assert aborting the process or a loop that cannot advance.
     fn generate(
         &self,
         topo: &TopologySpec,
@@ -557,13 +570,12 @@ impl WorkloadSpec {
                 pairs,
                 prio,
             } => {
-                // Validate manifest-supplied parameters here so untrusted
-                // input surfaces as a typed error, never as a generator
-                // assert aborting the process.
                 if !(*load > 0.0 && *load <= 1.0) {
                     return Err(BuildError(format!("load {load} not in (0, 1]")));
                 }
-                let cdf = cdf.try_build().map_err(BuildError)?;
+                let cdf = cdf
+                    .try_build()
+                    .map_err(|e| BuildError(format!("cdf: {e}")))?;
                 let sampler = pairs
                     .build(hosts.len(), &topo.host_rack_ids(), seed)
                     .map_err(|e| BuildError(e.to_string()))?;
@@ -584,19 +596,31 @@ impl WorkloadSpec {
                 if *fan_in == 0 {
                     return Err(BuildError("incast fan_in must be >= 1".into()));
                 }
+                if hosts.len() < 2 {
+                    return Err(BuildError(format!(
+                        "incast needs at least 2 hosts, got {}",
+                        hosts.len()
+                    )));
+                }
                 if !(*capacity_fraction > 0.0 && *capacity_fraction <= 1.0) {
                     return Err(BuildError(format!(
                         "incast capacity fraction {capacity_fraction} not in (0, 1]"
                     )));
                 }
-                Ok(
-                    IncastGenerator::paper_default(hosts.to_vec(), host_bw, seed)
-                        .with_fan_in(*fan_in)
-                        .with_flow_size(*flow_size)
-                        .with_capacity_fraction(*capacity_fraction)
-                        .with_first_flow_id(*first_flow_id)
-                        .generate(duration),
-                )
+                let bursts = IncastGenerator::paper_default(hosts.to_vec(), host_bw, seed)
+                    .with_fan_in(*fan_in)
+                    .with_flow_size(*flow_size)
+                    .with_capacity_fraction(*capacity_fraction)
+                    .with_first_flow_id(*first_flow_id);
+                // Bursts repeat every `burst_period()`; at 0 ps the
+                // generator would never reach the horizon.
+                if bursts.burst_period().is_zero() {
+                    return Err(BuildError(format!(
+                        "incast flow_size {flow_size} gives a zero burst period \
+                         (fan_in x flow_size bytes must take >= 1 ps at the capacity fraction)"
+                    )));
+                }
+                Ok(bursts.generate(duration))
             }
             WorkloadSpec::Explicit(decls) => decls
                 .iter()
@@ -761,80 +785,12 @@ impl QueueingSpec {
 }
 
 /// The fault plan of a scenario, as plain data (JSON key `"faults"`;
-/// omitted from manifests ⇒ a healthy network: no timeline is allocated and
-/// every pre-existing manifest parses — and stays canonical — unchanged).
-///
-/// The three fault families are the simulator's own plain-data records
-/// ([`LinkFault`], [`DegradedLink`], [`StragglerHost`]), so a spec is
-/// sweepable exactly like any other scenario field: clone, mutate one knob,
-/// queue into a campaign. Resolution validates link/host indices and window
-/// shapes against the built topology and surfaces violations as typed
-/// [`BuildError`]s — malformed manifests never panic a worker.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FaultSpec {
-    /// Scheduled link outages / flaps.
-    pub link_faults: Vec<LinkFault>,
-    /// Degraded-link windows (added latency, iid loss).
-    pub degraded_links: Vec<DegradedLink>,
-    /// Straggler-host windows (reduced NIC rate).
-    pub stragglers: Vec<StragglerHost>,
-}
-
-impl FaultSpec {
-    /// An empty fault plan (attachable, but resolves to a healthy network).
-    pub fn new() -> Self {
-        FaultSpec::default()
-    }
-
-    /// A single outage of `link` at `at` lasting `down_for`, in `mode`.
-    pub fn link_down(link: usize, at: Duration, down_for: Duration, mode: LinkDownMode) -> Self {
-        FaultSpec::new().with_link_fault(LinkFault {
-            link,
-            at,
-            down_for,
-            flaps: 0,
-            period: Duration::ZERO,
-            mode,
-        })
-    }
-
-    /// Append a link outage / flap.
-    pub fn with_link_fault(mut self, f: LinkFault) -> Self {
-        self.link_faults.push(f);
-        self
-    }
-
-    /// Append a degraded-link window.
-    pub fn with_degraded_link(mut self, d: DegradedLink) -> Self {
-        self.degraded_links.push(d);
-        self
-    }
-
-    /// Append a straggler-host window.
-    pub fn with_straggler(mut self, s: StragglerHost) -> Self {
-        self.stragglers.push(s);
-        self
-    }
-
-    /// True when no fault of any kind is declared.
-    pub fn is_empty(&self) -> bool {
-        self.link_faults.is_empty() && self.degraded_links.is_empty() && self.stragglers.is_empty()
-    }
-
-    /// Resolve into the simulator's [`FaultConfig`], validating every link
-    /// and host index and every window shape against a topology with
-    /// `links` links and `hosts` hosts.
-    pub fn resolve(&self, links: usize, hosts: usize) -> Result<FaultConfig, BuildError> {
-        let cfg = FaultConfig {
-            link_faults: self.link_faults.clone(),
-            degraded_links: self.degraded_links.clone(),
-            stragglers: self.stragglers.clone(),
-        };
-        cfg.validate(links, hosts)
-            .map_err(|e| BuildError(format!("faults: {e}")))?;
-        Ok(cfg)
-    }
-}
+/// omitted from manifests ⇒ a healthy network) — the simulator's own
+/// [`hpcc_sim::FaultConfig`] under the name scenario specs use for it, so a
+/// plan is sweepable like any other scenario field and reaches the engine
+/// without a copy. [`ScenarioSpec::try_build`] validates its link/host
+/// indices and window shapes against the built topology.
+pub use hpcc_sim::FaultConfig as FaultSpec;
 
 /// Measurement options of a scenario, as plain data.
 ///
@@ -993,28 +949,77 @@ impl ScenarioSpec {
         self.cc.scheme_label()
     }
 
-    /// Resolve the declaration into a runnable [`Experiment`].
-    ///
-    /// Deterministic: the same spec always produces the bit-identical
-    /// experiment (topology, config, flow list), regardless of thread or
-    /// process.
+    /// [`ScenarioSpec::try_build`] for specs known to be valid (presets,
+    /// tests, examples).
     ///
     /// # Panics
-    /// Panics when the spec cannot be resolved — see
-    /// [`ScenarioSpec::try_build`] for the fallible form and [`BuildError`]
-    /// for what can go wrong.
+    /// Panics with the [`BuildError`] when the spec cannot be resolved.
     pub fn build(&self) -> Experiment {
         self.try_build().unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible counterpart of [`ScenarioSpec::build`]: workload resolution
-    /// failures (invalid locality matrices, unreadable or malformed trace
-    /// files, out-of-range trace endpoints) come back as typed
-    /// [`BuildError`]s naming the workload and — for trace input — the
-    /// offending line.
+    /// Resolve the declaration into a runnable [`Experiment`] — the only
+    /// place a scenario is assembled, and so the only place a member's valid
+    /// range is checked (`docs/ARCHITECTURE.md` § Scenario resolution lists
+    /// the steps and every rejection).
+    ///
+    /// Deterministic: the same spec always produces the bit-identical
+    /// experiment (topology, config, flow list), regardless of thread or
+    /// process. Total: a spec it cannot resolve is a [`BuildError`] naming
+    /// the offending member (and, for trace input, the line).
     pub fn try_build(&self) -> Result<Experiment, BuildError> {
+        if self.backend == BackendSpec::ParallelPacket {
+            return Err(BuildError(hpcc_sim::PARALLEL_PACKET_REMOVED.into()));
+        }
+        // A zero sampling period re-arms its event at `now + 0`: the run
+        // would never end. Zero is not a spelling of "off" either — that is
+        // the omitted member.
+        for (member, period) in [
+            ("queue_sample_interval_ps", self.trace.queue_sample_interval),
+            ("trace_interval_ps", self.trace.trace_interval),
+            ("goodput_bin_ps", self.trace.goodput_bin),
+        ] {
+            if period.is_some_and(Duration::is_zero) {
+                return Err(BuildError(format!(
+                    "trace.{member}: must be >= 1 (omit the member to turn it off)"
+                )));
+            }
+        }
+
+        let topo = self.topology.try_build()?;
+        let host_bw = self.topology.host_bw();
+        // Nothing is ever sent at 0 bps, and serialization times saturate.
+        if host_bw.as_bps() == 0 {
+            return Err(BuildError("topology.host_bw_bps: must be >= 1".into()));
+        }
+        if let Some(link) = topo.links().iter().position(|l| l.bandwidth.as_bps() == 0) {
+            return Err(BuildError(format!(
+                "topology: link {link} has a bandwidth of 0 bps"
+            )));
+        }
+        let base_rtt = topo.suggested_base_rtt(MTU_WIRE_SIZE);
+        let cc = self.cc.resolve(host_bw, base_rtt)?;
+
+        let mut cfg = SimConfig::for_cc(cc, host_bw, base_rtt);
+        cfg.end_time = SimTime::ZERO + self.duration;
+        cfg.seed = self.seed;
+        cfg.flow_control = self.flow_control;
+        if let Some(bytes) = self.buffer_bytes {
+            cfg.buffer_bytes = bytes;
+        }
+        if self.ecn.is_some() {
+            cfg.ecn = self.ecn;
+        }
+        if let Some(q) = &self.queueing {
+            cfg.queueing = q.resolve()?;
+        }
+        if let Some(f) = &self.faults {
+            f.validate(topo.links().len(), topo.hosts().len())
+                .map_err(|e| BuildError(format!("faults: {e}")))?;
+            cfg.faults = Some(f.clone());
+        }
         if self.backend == BackendSpec::Fluid {
-            if self.faults.is_some() {
+            if cfg.faults.is_some() {
                 return Err(BuildError(
                     "the fluid backend does not support fault injection \
                      (steady-state model has no fault timeline); \
@@ -1022,66 +1027,62 @@ impl ScenarioSpec {
                         .into(),
                 ));
             }
-            if let Some(q) = &self.queueing {
-                if !q.resolve()?.is_legacy() {
-                    return Err(BuildError(
-                        "the fluid backend does not support multi-class/PIAS \
-                         queueing (steady-state model has a single data class); \
-                         use \"backend\": \"packet\" or drop \"queueing\""
-                            .into(),
-                    ));
-                }
+            if !cfg.queueing.is_legacy() {
+                return Err(BuildError(
+                    "the fluid backend does not support multi-class/PIAS \
+                     queueing (steady-state model has a single data class); \
+                     use \"backend\": \"packet\" or drop \"queueing\""
+                        .into(),
+                ));
             }
         }
-        if self.backend == BackendSpec::ParallelPacket {
-            return Err(BuildError(hpcc_sim::PARALLEL_PACKET_REMOVED.into()));
+        cfg.queue_sample_interval = self.trace.queue_sample_interval;
+        cfg.flow_throughput_bin = self.trace.goodput_bin;
+        if let Some(index) = self.trace.bottleneck_host {
+            // The first switch's egress towards the host: the bottleneck
+            // port of the star-shaped micro-benchmarks.
+            let port = topo.hosts().get(index).and_then(|&host| {
+                let sw = *topo.switches().first()?;
+                Some((sw, *topo.next_hops(sw, host).first()?))
+            });
+            cfg.trace_ports.push(port.ok_or_else(|| {
+                BuildError(format!(
+                    "trace.bottleneck_host: no egress from the first switch to host {index} \
+                     ({} hosts, {} switches)",
+                    topo.hosts().len(),
+                    topo.switches().len()
+                ))
+            })?);
+            cfg.trace_interval = self.trace.trace_interval.unwrap_or(Duration::from_us(1));
         }
-        let topo = self.topology.try_build()?;
-        let host_bw = self.topology.host_bw();
-        let base_rtt = topo.suggested_base_rtt(MTU_WIRE_SIZE);
-        let cc = self.cc.resolve(host_bw, base_rtt);
+
         let mut flows = Vec::new();
-        for (stream, workload) in self.workloads.iter().enumerate() {
-            flows.extend(
-                workload
-                    .generate(
-                        &topo,
-                        host_bw,
-                        self.duration,
-                        derive_seed(self.seed, stream as u64),
-                    )
-                    .map_err(|e| BuildError(format!("workload {stream}: {}", e.0)))?,
-            );
+        for stream in 0..self.workloads.len() {
+            flows.extend(self.generate_stream(&topo, stream)?);
         }
-        let mut b: ExperimentBuilder = Experiment::builder(self.name.clone(), topo, cc, host_bw)
-            .duration(self.duration)
-            .seed(self.seed)
-            .flow_control(self.flow_control)
-            .backend(self.backend);
-        if let Some(bytes) = self.buffer_bytes {
-            b = b.buffer_bytes(bytes);
-        }
-        if let Some(ecn) = self.ecn {
-            b = b.ecn(ecn);
-        }
-        if let Some(q) = &self.queueing {
-            b = b.queueing(q.resolve()?);
-        }
-        if let Some(f) = &self.faults {
-            let (links, hosts) = (b.topology().links().len(), b.topology().hosts().len());
-            b = b.faults(f.resolve(links, hosts)?);
-        }
-        if let Some(interval) = self.trace.queue_sample_interval {
-            b = b.queue_sampling(interval);
-        }
-        if let Some(host) = self.trace.bottleneck_host {
-            let interval = self.trace.trace_interval.unwrap_or(Duration::from_us(1));
-            b = b.trace_bottleneck_to(host, interval);
-        }
-        if let Some(bin) = self.trace.goodput_bin {
-            b = b.goodput_bin(bin);
-        }
-        Ok(b.flows(flows).build())
+        Ok(Experiment {
+            label: self.name.clone(),
+            scenario: CompiledScenario { topo, cfg, flows },
+            host_bw,
+            backend: self.backend,
+        })
+    }
+
+    /// The flows of workload `stream`, drawn from its own seed stream; errors
+    /// name the workload by position.
+    fn generate_stream(
+        &self,
+        topo: &TopologySpec,
+        stream: usize,
+    ) -> Result<Vec<FlowSpec>, BuildError> {
+        self.workloads[stream]
+            .generate(
+                topo,
+                self.topology.host_bw(),
+                self.duration,
+                derive_seed(self.seed, stream as u64),
+            )
+            .map_err(|e| BuildError(format!("workload {stream}: {}", e.0)))
     }
 
     /// Build and run in one step.
@@ -1102,7 +1103,6 @@ impl ScenarioSpec {
     /// code: it is a self-contained, shippable reproduction artifact.
     pub fn freeze(&self) -> Result<ScenarioSpec, BuildError> {
         let topo = self.topology.try_build()?;
-        let host_bw = self.topology.host_bw();
         let mut frozen = self.clone();
         for (stream, workload) in self.workloads.iter().enumerate() {
             let first_flow_id = match workload {
@@ -1110,14 +1110,7 @@ impl ScenarioSpec {
                 | WorkloadSpec::Incast { first_flow_id, .. } => *first_flow_id,
                 WorkloadSpec::Explicit(_) | WorkloadSpec::Trace { .. } => continue,
             };
-            let flows = workload
-                .generate(
-                    &topo,
-                    host_bw,
-                    self.duration,
-                    derive_seed(self.seed, stream as u64),
-                )
-                .map_err(|e| BuildError(format!("workload {stream}: {}", e.0)))?;
+            let flows = self.generate_stream(&topo, stream)?;
             let trace = hpcc_workload::Trace::from_flows(&flows, topo.hosts())
                 .map_err(|e| BuildError(format!("workload {stream}: {e}")))?;
             frozen.workloads[stream] = WorkloadSpec::Trace {
@@ -2008,6 +2001,90 @@ mod tests {
             };
             assert!(err.to_string().contains(needle), "{w:?} -> {err}");
         }
+    }
+
+    #[test]
+    fn try_build_is_total() {
+        // Each row is a decodable manifest that used to abort the process
+        // (panic) or never return (a period of zero); `try_build` now answers
+        // each with an error naming the member. Nothing here is built from
+        // Rust values: the text is what a coordinator or `campaign run
+        // --manifest` would be handed.
+        const BASE: &str = r#"{"name":"total","topology":{"kind":"Star","hosts":4,"host_bw_bps":25000000000,"link_delay_ps":1000000},"cc":{"kind":"Label","label":"HPCC"},"workloads":[{"kind":"Incast","fan_in":3,"flow_size":500000,"capacity_fraction":0.02,"first_flow_id":10000000},{"kind":"Poisson","cdf":{"fixed":1000},"load":0.3,"first_flow_id":0}],"duration_ps":100000000,"seed":1,"flow_control":"PFC","trace":{"queue_sample_interval_ps":5000000,"bottleneck_host":0,"trace_interval_ps":1000000,"goodput_bin_ps":50000000}}"#;
+        const STAR: &str =
+            r#"{"kind":"Star","hosts":4,"host_bw_bps":25000000000,"link_delay_ps":1000000}"#;
+        let built = ScenarioSpec::from_json_str(BASE).unwrap().try_build();
+        assert!(built.is_ok(), "the base must build: {:?}", built.err());
+        // A corpus file of two hosts on one cable: no switch to trace.
+        let edges =
+            std::env::temp_dir().join(format!("hpcc_switchless_{}.edges", std::process::id()));
+        std::fs::write(&edges, "node a host\nnode b host\nlink a b 25Gbps 1us\n").unwrap();
+        let switchless = format!(
+            r#"{{"kind":"Corpus","path":{:?},"host_bw_bps":25000000000}}"#,
+            edges.to_str().unwrap()
+        );
+        for (member, hostile, names) in [
+            (
+                r#""label":"HPCC""#,
+                r#""label":"HPCCX""#,
+                r#"cc.label: unknown scheme "HPCCX""#,
+            ),
+            (
+                r#""bottleneck_host":0"#,
+                r#""bottleneck_host":99"#,
+                "trace.bottleneck_host",
+            ),
+            (STAR, switchless.as_str(), "trace.bottleneck_host"),
+            (
+                r#""queue_sample_interval_ps":5000000"#,
+                r#""queue_sample_interval_ps":0"#,
+                "trace.queue_sample_interval_ps",
+            ),
+            (
+                r#""trace_interval_ps":1000000"#,
+                r#""trace_interval_ps":0"#,
+                "trace.trace_interval_ps",
+            ),
+            (
+                r#""goodput_bin_ps":50000000"#,
+                r#""goodput_bin_ps":0"#,
+                "trace.goodput_bin_ps",
+            ),
+            (
+                r#""flow_size":500000"#,
+                r#""flow_size":0"#,
+                "workload 0: incast flow_size 0",
+            ),
+            (
+                r#"{"fixed":1000}"#,
+                r#"{"custom":[[0,1.0]]}"#,
+                "workload 1: cdf: Custom CDF has mean",
+            ),
+            (
+                r#"{"fixed":1000}"#,
+                r#"{"fixed":0}"#,
+                "workload 1: cdf: fixed CDF size",
+            ),
+            (
+                r#""host_bw_bps":25000000000"#,
+                r#""host_bw_bps":0"#,
+                "topology.host_bw_bps",
+            ),
+            (
+                r#""hosts":4"#,
+                r#""hosts":1"#,
+                "workload 0: incast needs at least 2 hosts",
+            ),
+        ] {
+            assert!(BASE.contains(member), "{member} not in the base manifest");
+            let spec = ScenarioSpec::from_json_str(&BASE.replacen(member, hostile, 1))
+                .unwrap_or_else(|e| panic!("{hostile} must decode: {e}"));
+            match spec.try_build() {
+                Err(e) => assert!(e.0.contains(names), "{hostile} -> {e}"),
+                Ok(_) => panic!("{hostile} must not build"),
+            }
+        }
+        std::fs::remove_file(&edges).unwrap();
     }
 
     #[test]

@@ -115,10 +115,14 @@ pub struct StragglerHost {
     pub rate_factor: f64,
 }
 
-/// The full fault plan of one simulation run, as plain data.
+/// The full fault plan of one simulation run, as plain data — the one fault
+/// type of the workspace: scenario specs carry it (as `FaultSpec`, JSON key
+/// `"faults"`), sweeps clone and mutate it, and `SimConfig::faults` hands
+/// the same value to the engine.
 ///
-/// Attach via `SimConfig::faults`; `None` (the default) means a healthy
-/// network and a bit-identical legacy run.
+/// `None` on either (the default; the key omitted from a manifest) means a
+/// healthy network: no timeline is allocated and the run is bit-identical to
+/// one without the fault machinery.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct FaultConfig {
     /// Scheduled link outages / flaps.
@@ -130,6 +134,41 @@ pub struct FaultConfig {
 }
 
 impl FaultConfig {
+    /// An empty fault plan (attachable, but a healthy network).
+    pub fn new() -> Self {
+        FaultConfig::default()
+    }
+
+    /// A single outage of `link` at `at` lasting `down_for`, in `mode`.
+    pub fn link_down(link: usize, at: Duration, down_for: Duration, mode: LinkDownMode) -> Self {
+        FaultConfig::new().with_link_fault(LinkFault {
+            link,
+            at,
+            down_for,
+            flaps: 0,
+            period: Duration::ZERO,
+            mode,
+        })
+    }
+
+    /// Append a link outage / flap.
+    pub fn with_link_fault(mut self, f: LinkFault) -> Self {
+        self.link_faults.push(f);
+        self
+    }
+
+    /// Append a degraded-link window.
+    pub fn with_degraded_link(mut self, d: DegradedLink) -> Self {
+        self.degraded_links.push(d);
+        self
+    }
+
+    /// Append a straggler-host window.
+    pub fn with_straggler(mut self, s: StragglerHost) -> Self {
+        self.stragglers.push(s);
+        self
+    }
+
     /// True when no fault of any kind is configured.
     pub fn is_empty(&self) -> bool {
         self.link_faults.is_empty() && self.degraded_links.is_empty() && self.stragglers.is_empty()
@@ -157,6 +196,17 @@ impl FaultConfig {
             if f.flaps > 0 && f.period <= f.down_for {
                 return Err(format!(
                     "link {}: flap period must exceed the outage length",
+                    f.link
+                ));
+            }
+            // The last up transition bounds every instant computed below
+            // and in `FaultTimeline::compile`.
+            let last_up = (f.period.as_ps().checked_mul(f.flaps as u64))
+                .and_then(|ps| ps.checked_add(f.at.as_ps()))
+                .and_then(|ps| ps.checked_add(f.down_for.as_ps()));
+            if last_up.is_none() {
+                return Err(format!(
+                    "link {}: the outage schedule overflows the picosecond clock",
                     f.link
                 ));
             }
@@ -388,6 +438,11 @@ mod tests {
                     ..Default::default()
                 },
                 "period",
+            ),
+            (
+                // at + flaps × period + down_for passes u64::MAX picoseconds.
+                FaultConfig::new().with_link_fault(flap(0, 10, 5, 2, u64::MAX / 2_000_000)),
+                "overflows",
             ),
             (
                 FaultConfig {

@@ -62,9 +62,8 @@ pub mod prelude {
     };
     pub use hpcc_core::{
         BuildError, Campaign, CampaignReport, CcSpec, CdfSpec, Coordinator, Experiment,
-        ExperimentBuilder, ExperimentResults, FabricConfig, FabricError, FlowDecl, MeasurementSpec,
-        ResultLedger, ScenarioResult, ScenarioSpec, ShardPlan, TopologyChoice, WorkerConfig,
-        WorkloadSpec,
+        ExperimentResults, FabricConfig, FabricError, FlowDecl, MeasurementSpec, ResultLedger,
+        ScenarioResult, ScenarioSpec, ShardPlan, TopologyChoice, WorkerConfig, WorkloadSpec,
     };
     pub use hpcc_sim::{EcnConfig, FlowControlMode, SimConfig, SimOutput, Simulator};
     pub use hpcc_stats::{FctAnalyzer, Percentiles};

@@ -23,6 +23,8 @@ use hpcc::core::presets::fabric_smoke_campaign;
 use hpcc::core::wire::merge_shard_streams;
 use std::env;
 use std::process::{Child, Command, Stdio};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Worker entry point (and, without the environment variable, a no-op
@@ -73,22 +75,38 @@ fn fabric_survives_worker_death_and_restart_resumes_from_checkpoint() {
 
     let coordinator = Coordinator::bind("127.0.0.1:0").expect("cannot bind");
     let addr = coordinator.local_addr().expect("bound address").to_string();
+    let progress = Arc::new(AtomicUsize::new(0));
     let cfg = FabricConfig {
         // Short lease timeout so the wedged worker is detected in test
         // time; worker heartbeats run at 50 ms, well under it.
         lease_timeout: Duration::from_millis(400),
         checkpoint: Some(checkpoint.clone()),
-        ..FabricConfig::default()
+        progress: Some(Arc::clone(&progress)),
     };
 
-    // Workers connect while serve() is still warming up: the listener is
-    // already bound, so their connections queue in the listen backlog.
+    // The wedge works alone until its first result is in. Leases are only
+    // granted by the scheduler pass that follows a result, which visits
+    // workers in join order, so the wedge — still the only worker, with 11
+    // scenarios pending — is handed its second lease before anyone else can
+    // be handed anything: it is guaranteed to hold one when it goes silent.
+    // (`serve` runs on a detached thread so that a failed assertion here
+    // fails the test instead of waiting on a campaign nobody will finish.)
+    let serving = {
+        let (campaign, cfg) = (campaign.clone(), cfg.clone());
+        std::thread::spawn(move || coordinator.serve(&campaign, &cfg))
+    };
     let mut wedge = spawn_worker(&addr, "wedge", Some(2), None);
+    while progress.load(Ordering::Relaxed) < 1 {
+        assert!(!serving.is_finished(), "serve ended before any result");
+        let exited = wedge.try_wait().expect("cannot poll the wedge");
+        assert!(exited.is_none(), "wedge exited before its first result");
+        std::thread::sleep(Duration::from_millis(5));
+    }
     let mut flake = spawn_worker(&addr, "flake", None, Some(1));
     let mut steady = spawn_worker(&addr, "steady", None, None);
-
-    let fab = coordinator
-        .serve(&campaign, &cfg)
+    let fab = serving
+        .join()
+        .expect("serve panicked")
         .expect("fabric serve failed");
 
     // The wedged worker is parked forever; SIGKILL it mid-stream (its
@@ -106,7 +124,8 @@ fn fabric_survives_worker_death_and_restart_resumes_from_checkpoint() {
     assert_eq!(fab.report.to_json_string(), serial.to_json_string());
     assert_eq!(fab.executed, campaign.len() as u64);
     assert_eq!(fab.resumed, 0);
-    // The wedge held at least its unsent scenario; that lease came back.
+    // The wedge held at least its unsent scenario; that lease came back
+    // (guaranteed by the start order above, not by timing).
     assert!(fab.reassigned >= 1, "reassigned {}", fab.reassigned);
 
     // The checkpoint replays — through the ordinary shard-merge path — to
