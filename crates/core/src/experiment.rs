@@ -12,7 +12,7 @@ use hpcc_stats::pfc::{pause_burst_spread, PfcSummary};
 use hpcc_stats::queue::{queue_cdf, queue_percentile};
 use hpcc_stats::series::goodput_series_gbps;
 use hpcc_stats::{FctAnalyzer, FctBucket, Percentiles};
-use hpcc_topology::{NodeKind, TopologySpec};
+use hpcc_topology::TopologySpec;
 use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, NodeId, SimTime};
 
 /// Wire size of a full data packet with the INT budget — the MTU the base-RTT
@@ -255,26 +255,10 @@ impl ExperimentResults {
     }
 }
 
-/// Count host-facing vs fabric ports of a topology (used in reports).
-pub fn port_census(topo: &TopologySpec) -> (usize, usize) {
-    let mut host_ports = 0;
-    let mut fabric_ports = 0;
-    for &s in topo.switches() {
-        for p in topo.ports(s) {
-            match topo.kind(p.peer_node) {
-                NodeKind::Host => host_ports += 1,
-                NodeKind::Switch => fabric_ports += 1,
-            }
-        }
-    }
-    (host_ports, fabric_ports)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{CcSpec, FlowDecl, ScenarioSpec, TopologyChoice, WorkloadSpec};
-    use hpcc_topology::star;
 
     fn tiny_experiment() -> Experiment {
         ScenarioSpec::new(
@@ -320,14 +304,5 @@ mod tests {
         assert!(!g.is_empty());
         let util = res.average_utilization(Bandwidth::from_gbps(100));
         assert!(util > 0.0 && util < 1.0);
-    }
-
-    #[test]
-    fn port_census_counts_host_and_fabric_ports() {
-        let topo = star(4, Bandwidth::from_gbps(25), Duration::from_us(1));
-        assert_eq!(port_census(&topo), (4, 0));
-        let pod = hpcc_topology::testbed_pod(Duration::from_us(1));
-        // 32 host-facing ports; 4 ToR uplinks + 4 Agg downlinks = 8 fabric.
-        assert_eq!(port_census(&pod), (32, 8));
     }
 }

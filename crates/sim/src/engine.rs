@@ -12,12 +12,14 @@
 //!
 //! [`EventQueue`] is a bucketed calendar queue, not a binary heap. Simulated
 //! time (integer picoseconds) is divided into fixed-width buckets of
-//! `2^BUCKET_SHIFT` ps; a ring of `NUM_BUCKETS` buckets covers a sliding
-//! window of ~134 µs ahead of the cursor, which is enough for every hot
-//! event class (serialization at 100 Gbps ≈ 88 ns/packet, propagation ≈ 1 µs,
-//! queue sampling 1–5 µs, DCQCN timers ≈ 55 µs). Events beyond the window —
-//! RTO checks and other far-future timers — go to a `BinaryHeap` overflow
-//! level and migrate into the ring as the cursor reaches their bucket.
+//! `2^BUCKET_SHIFT` ps (≈ 33 ns, so a bucket holds ~8 entries on the Figure 11
+//! set when the cursor enters it and its sort is short); a ring of
+//! `NUM_BUCKETS` buckets covers a sliding window of ~134 µs ahead of the
+//! cursor, which is enough for every hot event class (serialization at
+//! 100 Gbps ≈ 88 ns/packet, propagation ≈ 1 µs, queue sampling 1–5 µs, DCQCN
+//! timers ≈ 55 µs). Events beyond the window — RTO checks and other
+//! far-future timers — go to a `BinaryHeap` overflow level and migrate into
+//! the ring as the cursor reaches their bucket.
 //!
 //! Ring entries are `(SimTime, Event)` — 32 bytes, written once — and carry
 //! **no sequence number**: the insertion order is kept by where an entry
@@ -31,17 +33,25 @@
 //! `docs/ARCHITECTURE.md` § *The event-wheel engine* spells the argument out
 //! as four lemmas; the tests below check each of them against a reference
 //! that does keep `(time, seq)`.
+//!
+//! Only the buckets between the cursor and the furthest pending near event
+//! hold anything (~40 of them), so the ring does not keep a buffer per
+//! bucket: when the cursor leaves a drained bucket its buffer goes onto a
+//! `spare` stack, and a bucket without a buffer takes the most recently
+//! spared one on its first push. A bucket with capacity 0 is empty, and a
+//! buffer is spared only in `advance`, when drained, so no entry ever moves
+//! with it.
 
 use hpcc_types::{FlowId, NodeId, Packet, PortId, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Log2 of the bucket width in picoseconds: 2^17 ps ≈ 131 ns per bucket.
-const BUCKET_SHIFT: u32 = 17;
+/// Log2 of the bucket width in picoseconds: 2^15 ps ≈ 33 ns per bucket.
+const BUCKET_SHIFT: u32 = 15;
 
 /// Number of buckets in the ring; the window covers
 /// `NUM_BUCKETS << BUCKET_SHIFT` ≈ 134 µs of simulated time.
-const NUM_BUCKETS: usize = 1024;
+const NUM_BUCKETS: usize = 4096;
 
 /// Everything that can happen in the simulation.
 ///
@@ -103,8 +113,9 @@ pub enum Event {
 
 /// Side effects produced while a node handles one event.
 ///
-/// Node methods never touch the event queue or other nodes directly; they
-/// append to this buffer and the simulator applies it, which keeps borrows
+/// Node methods schedule through this arena ([`Effects::schedule`]) and
+/// never pop the queue or see another node; everything else they produce is
+/// appended to its buffers and the simulator applies it, which keeps borrows
 /// local and the control flow explicit.
 ///
 /// The simulator owns **one** `Effects` arena for the whole run and clears
@@ -118,9 +129,11 @@ pub enum Event {
 /// and copied on the per-packet path.
 #[derive(Default, Debug)]
 pub(crate) struct Effects {
-    /// Events to schedule.
-    pub events: Vec<(SimTime, Event)>,
-    /// Ports that may now be able to start a transmission.
+    /// The run's event queue. Handlers only push ([`Effects::schedule`]);
+    /// the simulator's loop is the one place that pops.
+    pub queue: EventQueue,
+    /// Ports that may now be able to start a transmission: the simulator's
+    /// LIFO work stack, onto which a transmit pushes the kicks it causes.
     pub kicks: Vec<(NodeId, PortId)>,
     /// Flows that completed (recorded by the sending host).
     pub completions: Vec<crate::output::FlowRecord>,
@@ -145,6 +158,18 @@ pub(crate) struct Effects {
 const PACKET_POOL_CAP: usize = 8192;
 
 impl Effects {
+    /// Schedule `event` at `at`.
+    #[inline]
+    pub fn schedule(&mut self, at: SimTime, event: Event) {
+        self.queue.push(at, event);
+    }
+
+    /// Everything scheduled so far, in pop order (drains the queue).
+    #[cfg(test)]
+    pub fn scheduled(&mut self) -> Vec<(SimTime, Event)> {
+        std::iter::from_fn(|| self.queue.pop()).collect()
+    }
+
     /// Box a packet, reusing a pooled box when one is available. Copies the
     /// whole `Packet`; for the cold kinds (PFC frames, CNPs).
     pub fn alloc_packet(&mut self, pkt: Packet) -> Box<Packet> {
@@ -233,6 +258,10 @@ pub struct EventQueue {
     /// Every bucket but the prepared one is in push order; the prepared one
     /// is in *reverse* pop order (next event last).
     buckets: Vec<Vec<Entry>>,
+    /// Buffers of drained buckets, most recently spared last. A bucket with
+    /// capacity 0 takes one on its first push, so the ring's working set is
+    /// the live buckets, not every bucket the cursor ever visited.
+    spare: Vec<Vec<Entry>>,
     /// Absolute slot index (`time >> BUCKET_SHIFT`) the cursor is on.
     cursor: u64,
     /// Whether the bucket at `cursor` has been overflow-merged and sorted.
@@ -250,6 +279,7 @@ impl Default for EventQueue {
     fn default() -> Self {
         EventQueue {
             buckets: (0..NUM_BUCKETS).map(|_| Vec::new()).collect(),
+            spare: Vec::new(),
             cursor: 0,
             current_prepared: false,
             wheel_len: 0,
@@ -277,7 +307,7 @@ const INSERTION_SORT_MAX: usize = 64;
 
 /// Stable sort of a bucket by time alone. Push order is already close to
 /// time order — events are pushed as simulated time advances, at `now + δ`
-/// for a handful of δ — so on the usual 20–40 entries an insertion sort
+/// for a handful of δ — so on the usual ~8 entries an insertion sort
 /// moves each one a few places and beats the general-purpose sort.
 fn sort_by_time(bucket: &mut [Entry]) {
     if bucket.len() > INSERTION_SORT_MAX {
@@ -313,8 +343,9 @@ impl EventQueue {
             // schedules into the past; this clamps defensively) lands in the
             // current bucket.
             let slot = slot.max(self.cursor);
-            let bucket = &mut self.buckets[ring_index(slot)];
-            if slot == self.cursor && self.current_prepared {
+            let prepared = slot == self.cursor && self.current_prepared;
+            let bucket = self.bucket_mut(slot);
+            if prepared {
                 // The draining bucket is in reverse pop order and the new
                 // event has the largest seq so far: it goes just below the
                 // pending events with `time <= t`. Those sit at the pop end
@@ -333,20 +364,33 @@ impl EventQueue {
         self.peak_len = self.peak_len.max(self.len());
     }
 
+    /// The ring bucket of `slot`, about to be pushed into: one without a
+    /// buffer takes the most recently spared one.
+    #[inline]
+    fn bucket_mut(&mut self, slot: u64) -> &mut Vec<Entry> {
+        let bucket = &mut self.buckets[ring_index(slot)];
+        if bucket.capacity() == 0 {
+            if let Some(buffer) = self.spare.pop() {
+                *bucket = buffer;
+            }
+        }
+        bucket
+    }
+
     /// Bring the cursor's bucket into reverse pop order: the slot's overflow
     /// events first (the heap yields them by `(time, seq)`, and all of them
     /// were pushed before any ring entry of the slot), then the ring entries
     /// in push order, stably sorted by time, reversed.
     fn prepare_current(&mut self) {
-        let bucket = &mut self.buckets[ring_index(self.cursor)];
-        let ring_entries = bucket.len();
+        let ring_entries = self.buckets[ring_index(self.cursor)].len();
         while let Some(top) = self.overflow.peek() {
             if slot_of(top.time) > self.cursor {
                 break;
             }
             let s = self.overflow.pop().expect("peeked entry exists");
-            bucket.push((s.time, s.event));
+            self.bucket_mut(self.cursor).push((s.time, s.event));
         }
+        let bucket = &mut self.buckets[ring_index(self.cursor)];
         let migrated = bucket.len() - ring_entries;
         bucket.rotate_right(migrated);
         self.wheel_len += migrated;
@@ -355,10 +399,16 @@ impl EventQueue {
         self.current_prepared = true;
     }
 
-    /// Move the cursor to the next slot that has work. Caller guarantees the
-    /// queue is non-empty and the current bucket is drained.
+    /// Move the cursor to the next slot that has work, sparing the buffer of
+    /// the bucket it leaves. Caller guarantees the queue is non-empty and the
+    /// current bucket is drained.
     fn advance(&mut self) {
         self.current_prepared = false;
+        let drained = std::mem::take(&mut self.buckets[ring_index(self.cursor)]);
+        debug_assert!(drained.is_empty());
+        if drained.capacity() > 0 {
+            self.spare.push(drained);
+        }
         let overflow_slot = self.overflow.peek().map(|s| slot_of(s.time));
         if self.wheel_len == 0 {
             // Jump straight to the earliest overflow bucket.
@@ -404,23 +454,6 @@ impl EventQueue {
         }
     }
 
-    /// Time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        let mut best = self.overflow.peek().map(|s| s.time);
-        if self.wheel_len > 0 {
-            // The first non-empty bucket from the cursor holds the earliest
-            // ring event (bucket slot is a monotone function of time).
-            for d in 0..NUM_BUCKETS as u64 {
-                let bucket = &self.buckets[ring_index(self.cursor + d)];
-                if let Some(m) = bucket.iter().map(|e| e.0).min() {
-                    best = Some(best.map_or(m, |b| b.min(m)));
-                    break;
-                }
-            }
-        }
-        best
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.wheel_len + self.overflow.len()
@@ -429,11 +462,6 @@ impl EventQueue {
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Total events scheduled so far (for engine statistics).
-    pub fn total_scheduled(&self) -> u64 {
-        self.scheduled
     }
 
     /// Largest number of simultaneously pending events seen so far.
@@ -449,15 +477,18 @@ mod tests {
     #[test]
     fn events_pop_in_time_order() {
         let mut q = EventQueue::new();
+        assert!(q.is_empty());
         q.push(SimTime::from_us(5), Event::Sample);
         q.push(SimTime::from_us(1), Event::HostWake { node: NodeId(0) });
         q.push(SimTime::from_us(3), Event::Sample);
+        assert_eq!(q.len(), 3);
+        assert!(!q.is_empty());
         let t1 = q.pop().unwrap().0;
         let t2 = q.pop().unwrap().0;
         let t3 = q.pop().unwrap().0;
         assert!(t1 < t2 && t2 < t3);
         assert!(q.pop().is_none());
-        assert_eq!(q.total_scheduled(), 3);
+        assert!(q.is_empty());
         assert_eq!(q.peak_len(), 3);
     }
 
@@ -610,21 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_consume() {
-        let mut q = EventQueue::new();
-        assert!(q.is_empty());
-        q.push(SimTime::from_us(2), Event::Sample);
-        assert_eq!(q.peek_time(), Some(SimTime::from_us(2)));
-        assert_eq!(q.len(), 1);
-        assert!(!q.is_empty());
-        q.pop();
-        assert!(q.peek_time().is_none());
-        // Peek also sees overflow-level events.
-        q.push(SimTime::from_ms(500), Event::Sample);
-        assert_eq!(q.peek_time(), Some(SimTime::from_ms(500)));
-    }
-
-    #[test]
     fn packet_pool_recycles_boxes() {
         let mut eff = Effects::default();
         let p = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, SimTime::ZERO);
@@ -738,12 +754,37 @@ mod tests {
     }
 
     #[test]
+    fn bucket_buffers_are_recycled() {
+        // A hold model of eight events over more than three ring rotations:
+        // at most eight buckets are live at once, so the ring and the spare
+        // stack together never own more than nine buffers (the live buckets
+        // and the one being drained). Without recycling every bucket the
+        // cursor visited keeps its buffer.
+        use hpcc_types::rng::SplitMix64;
+        const LIVE: usize = 8;
+        let mut rng = SplitMix64::new(3);
+        let mut q = EventQueue::new();
+        let delay = |rng: &mut SplitMix64| 1 + rng.next_below(12 << BUCKET_SHIFT);
+        for _ in 0..LIVE {
+            q.push(SimTime::from_ps(delay(&mut rng)), Event::Sample);
+        }
+        while q.cursor < 3 * NUM_BUCKETS as u64 + 7 {
+            let (now, ev) = q.pop().unwrap();
+            q.push(SimTime::from_ps(now.as_ps() + delay(&mut rng)), ev);
+            let owned = q.buckets.iter().filter(|b| b.capacity() > 0).count() + q.spare.len();
+            assert!(owned <= LIVE + 1, "{owned} buffers at slot {}", q.cursor);
+        }
+        assert_eq!(q.len(), LIVE);
+    }
+
+    #[test]
     fn wheel_matches_reference_heap_on_a_randomized_schedule() {
         // Drive the wheel and a plain (time, seq)-ordered reference with an
         // identical randomized push/pop script: in-window pushes, overflow
         // pushes, bursts of same-time pushes, pushes at `now` into the
-        // draining bucket, and far pushes on either side of the ring/overflow
-        // boundary (`cursor + NUM_BUCKETS` slots ± 1).
+        // draining bucket, far pushes on either side of the ring/overflow
+        // boundary (`cursor + NUM_BUCKETS` slots ± 1), and pushes into a ring
+        // index in the same step its buffer was spared.
         use hpcc_types::rng::SplitMix64;
         use std::collections::BTreeSet;
         const OPS_PER_SEED: usize = 30_000;
@@ -782,6 +823,7 @@ mod tests {
                         _ => push(&mut q, &mut reference, now + rng.next_below(1 << 20)),
                     }
                 } else {
+                    let left = q.cursor;
                     let (t, ev) = q.pop().unwrap();
                     let min = reference.pop_first().unwrap();
                     assert_eq!(t.as_ps(), min.0, "seed {seed:#x}, op {op}: pop time");
@@ -791,6 +833,19 @@ mod tests {
                         min.1
                     );
                     now = min.0;
+                    // The cursor moved, so this pop spared the buffer of
+                    // `left`. Its ring index now stands for `left + N`, which
+                    // entered the window with the move: push there, and into
+                    // the last ring slot and the first overflow slot.
+                    if q.cursor != left && rng.next_below(4) == 0 {
+                        let n = NUM_BUCKETS as u64;
+                        let far = q.overflow.len();
+                        for slot in [left + n, q.cursor + n - 1, q.cursor + n] {
+                            let t = (slot << BUCKET_SHIFT) + rng.next_below(1 << BUCKET_SHIFT);
+                            push(&mut q, &mut reference, t);
+                        }
+                        assert_eq!(q.overflow.len(), far + 1, "two to the ring, one beyond");
+                    }
                 }
                 assert_eq!(q.len(), reference.len(), "seed {seed:#x}, op {op}: len");
             }
@@ -804,7 +859,7 @@ mod tests {
                 );
             }
             assert!(reference.is_empty(), "seed {seed:#x}: queue ran dry early");
-            assert_eq!(q.total_scheduled(), seq);
+            assert_eq!(q.scheduled, seq);
         }
     }
 }

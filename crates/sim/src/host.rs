@@ -343,13 +343,13 @@ impl Host {
             };
             if need {
                 cold.timer_at = Some(t);
-                eff.events.push((
+                eff.schedule(
                     t,
                     Event::CcTimer {
                         node: self.id,
                         slot: idx as u32,
                     },
-                ));
+                );
             }
         }
     }
@@ -414,13 +414,13 @@ impl Host {
             flows.next_avail[idx] = now;
         }
         if flows.inflight(idx) > 0 || flows.has_data_to_send(idx) {
-            eff.events.push((
+            eff.schedule(
                 now + cfg.rto,
                 Event::RtoCheck {
                     node: self.id,
                     slot,
                 },
-            ));
+            );
         } else {
             flows.cold[idx].rto_armed = false;
         }
@@ -604,9 +604,13 @@ impl Host {
                         cold.last_progress = now;
                         eff.goodput.push((cold.spec.id, newly));
                         // Drop retransmission bookkeeping below the new left
-                        // edge.
-                        cold.rtx_queue = cold.rtx_queue.split_off(&pkt.seq);
-                        cold.sacked = cold.sacked.split_off(&pkt.seq);
+                        // edge; on the lossless path there never is any.
+                        if !flows.rtx_empty[idx] {
+                            cold.rtx_queue = cold.rtx_queue.split_off(&pkt.seq);
+                        }
+                        if !cold.sacked.is_empty() {
+                            cold.sacked = cold.sacked.split_off(&pkt.seq);
+                        }
                         flows.sync_rtx(idx);
                         if flows.snd_nxt[idx] < flows.snd_una[idx] {
                             flows.snd_nxt[idx] = flows.snd_una[idx];
@@ -774,7 +778,7 @@ impl Host {
                 };
                 if need {
                     self.wake_at = Some(t);
-                    eff.events.push((t, Event::HostWake { node: self.id }));
+                    eff.schedule(t, Event::HostWake { node: self.id });
                 }
             }
             return;
@@ -821,13 +825,13 @@ impl Host {
             (pkt, rto_needed)
         };
         if rto_needed {
-            eff.events.push((
+            eff.schedule(
                 now + cfg.rto,
                 Event::RtoCheck {
                     node: self.id,
                     slot: idx as u32,
                 },
-            ));
+            );
         }
         eff.packets_sent += 1;
         self.start_wire(now, pkt, cfg, eff);
@@ -843,13 +847,13 @@ impl Host {
         // active; fault-free runs take `self.bandwidth` untouched.
         let bw = self.fault_rate.unwrap_or(self.bandwidth);
         let tx_time = bw.tx_time(wire);
-        eff.events.push((
+        eff.schedule(
             now + tx_time,
             Event::PortReady {
                 node: self.id,
                 port: PortId(0),
             },
-        ));
+        );
         // Down link in drop mode loses every frame; a degraded link loses
         // iid on the dedicated fault RNG stream.
         let fault_lost = if self.fault_down {
@@ -867,14 +871,14 @@ impl Host {
             self.fault_dropped_bytes += wire;
             eff.recycle(pkt);
         } else {
-            eff.events.push((
+            eff.schedule(
                 now + tx_time + self.delay + self.fault_extra_delay,
                 Event::PacketArrive {
                     node: self.peer_node,
                     port: self.peer_port,
                     packet: pkt,
                 },
-            ));
+            );
         }
     }
 
@@ -936,7 +940,7 @@ mod tests {
             sent += 1;
             // Find the PortReady event to advance time and free the NIC.
             let ready_at = e
-                .events
+                .scheduled()
                 .iter()
                 .find_map(|(t, ev)| matches!(ev, Event::PortReady { .. }).then_some(*t))
                 .unwrap();
@@ -1034,7 +1038,7 @@ mod tests {
         // The ACK goes out before any data when the port is kicked.
         let mut e2 = Effects::default();
         h.try_transmit(SimTime::from_us(3), &cfg, &mut e2);
-        let went_out = e2.events.iter().any(|(_, ev)| {
+        let went_out = e2.scheduled().iter().any(|(_, ev)| {
             matches!(ev, Event::PacketArrive { packet, .. } if packet.kind == PacketKind::Ack)
         });
         assert!(went_out);
@@ -1153,7 +1157,7 @@ mod tests {
         let mut e4 = Effects::default();
         sender.try_transmit(SimTime::from_us(6), &cfg, &mut e4);
         let seq = e4
-            .events
+            .scheduled()
             .iter()
             .find_map(|(_, ev)| match ev {
                 Event::PacketArrive { packet, .. } if packet.is_data() => Some(packet.seq),
@@ -1236,18 +1240,18 @@ mod tests {
         let mut h = build_host(0);
         let mut eff = Effects::default();
         h.flow_start(SimTime::ZERO, flow(1, 1_000_000), 0, &cfg, &mut eff);
-        let timer = eff
-            .events
+        let timer_armed = eff
+            .scheduled()
             .iter()
-            .find(|(_, e)| matches!(e, Event::CcTimer { .. }));
-        assert!(timer.is_some(), "DCQCN needs its rate/alpha timers");
+            .any(|(_, e)| matches!(e, Event::CcTimer { .. }));
+        assert!(timer_armed, "DCQCN needs its rate/alpha timers");
         // HPCC flows do not need one.
         let cfg2 = hpcc_cfg();
         let mut h2 = build_host(0);
         let mut eff2 = Effects::default();
         h2.flow_start(SimTime::ZERO, flow(2, 1_000_000), 0, &cfg2, &mut eff2);
         assert!(!eff2
-            .events
+            .scheduled()
             .iter()
             .any(|(_, e)| matches!(e, Event::CcTimer { .. })));
     }
@@ -1275,7 +1279,7 @@ mod tests {
         let mut e2 = Effects::default();
         h.try_transmit(SimTime::from_us(3), &cfg, &mut e2);
         assert!(e2
-            .events
+            .scheduled()
             .iter()
             .any(|(_, ev)| matches!(ev, Event::PacketArrive { packet, .. } if packet.kind == PacketKind::Ack)));
         // Resume restores data transmission and accounts the pause time.
@@ -1328,7 +1332,7 @@ mod tests {
         h.try_transmit(SimTime::from_us(101), &cfg, &mut e2);
         assert_eq!(e2.packets_sent, 0);
         let wake = e2
-            .events
+            .scheduled()
             .iter()
             .find_map(|(t, ev)| matches!(ev, Event::HostWake { .. }).then_some(*t));
         assert!(wake.is_some());
@@ -1345,11 +1349,11 @@ mod tests {
         h.flow_start(SimTime::ZERO, flow(1, 10_000), 0, &cfg, &mut eff);
         let mut e = Effects::default();
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
-        let rto_ev = e
-            .events
+        let rto_armed = e
+            .scheduled()
             .iter()
-            .find(|(_, ev)| matches!(ev, Event::RtoCheck { .. }));
-        assert!(rto_ev.is_some(), "lossy mode arms an RTO");
+            .any(|(_, ev)| matches!(ev, Event::RtoCheck { .. }));
+        assert!(rto_armed, "lossy mode arms an RTO");
         h.port_ready();
         assert_eq!(h.flows.snd_nxt[0], 1000);
         // Nothing is acknowledged; the RTO check at +100 us rolls back.
@@ -1358,7 +1362,7 @@ mod tests {
         assert_eq!(h.flows.snd_nxt[0], 0);
         // And it re-arms itself.
         assert!(e2
-            .events
+            .scheduled()
             .iter()
             .any(|(_, ev)| matches!(ev, Event::RtoCheck { .. })));
     }

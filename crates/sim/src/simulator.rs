@@ -2,7 +2,7 @@
 //! measurement output.
 
 use crate::config::SimConfig;
-use crate::engine::{Effects, Event, EventQueue};
+use crate::engine::{Effects, Event};
 use crate::fault::{FaultConfig, FaultTimeline, LinkDownMode, Transition, FAULT_RNG_STREAM};
 use crate::host::Host;
 use crate::output::SimOutput;
@@ -105,7 +105,6 @@ impl FaultRuntime {
 /// ```
 pub struct Simulator {
     time: SimTime,
-    events: EventQueue,
     nodes: Vec<Node>,
     topo: TopologySpec,
     cfg: SimConfig,
@@ -119,11 +118,10 @@ pub struct Simulator {
     /// Events actually handled (events popped after the horizon are
     /// discarded, not processed).
     processed: u64,
-    /// The reusable side-effect arena: cleared between events, never
-    /// dropped, so the steady-state event loop allocates nothing.
+    /// The event queue and the reusable side-effect arena around it:
+    /// cleared between events, never dropped, so the steady-state event loop
+    /// allocates nothing.
     eff: Effects,
-    /// Work stack of ports to kick (reused across events).
-    kick_stack: Vec<(NodeId, PortId)>,
     /// Fault-injection runtime; `None` on healthy (legacy) runs.
     faults: Option<FaultRuntime>,
 }
@@ -140,12 +138,12 @@ impl Simulator {
             };
             nodes.push(node);
         }
-        let mut events = EventQueue::new();
+        let mut eff = Effects::default();
         if let Some(interval) = cfg.queue_sample_interval {
-            events.push(SimTime::ZERO + interval, Event::Sample);
+            eff.schedule(SimTime::ZERO + interval, Event::Sample);
         }
         if !cfg.trace_ports.is_empty() {
-            events.push(SimTime::ZERO + cfg.trace_interval, Event::TraceSample);
+            eff.schedule(SimTime::ZERO + cfg.trace_interval, Event::TraceSample);
         }
         let faults = match &cfg.faults {
             Some(plan) if !plan.is_empty() => {
@@ -169,7 +167,7 @@ impl Simulator {
                     }
                 }
                 if let Some(first) = runtime.timeline.next_time() {
-                    events.push(first, Event::FaultTransition);
+                    eff.schedule(first, Event::FaultTransition);
                 }
                 Some(runtime)
             }
@@ -184,7 +182,6 @@ impl Simulator {
         let node_count = topo.node_count();
         Simulator {
             time: SimTime::ZERO,
-            events,
             nodes,
             topo,
             cfg,
@@ -193,8 +190,7 @@ impl Simulator {
             dst_slots: Vec::new(),
             next_dst_slot: vec![0; node_count],
             processed: 0,
-            eff: Effects::default(),
-            kick_stack: Vec::new(),
+            eff,
             faults,
         }
     }
@@ -216,7 +212,7 @@ impl Simulator {
         let slot = &mut self.next_dst_slot[spec.dst.index()];
         self.dst_slots.push(*slot);
         *slot += 1;
-        self.events.push(spec.start, Event::FlowStart(idx));
+        self.eff.schedule(spec.start, Event::FlowStart(idx));
     }
 
     /// Register many flows.
@@ -240,7 +236,7 @@ impl Simulator {
 
     /// Process one event. Returns `false` when the simulation is over.
     fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.events.pop() else {
+        let Some((t, ev)) = self.eff.queue.pop() else {
             return false;
         };
         if t > self.cfg.end_time {
@@ -304,7 +300,7 @@ impl Simulator {
                 if let Some(interval) = self.cfg.queue_sample_interval {
                     let next = t + interval;
                     if next <= self.cfg.end_time {
-                        self.eff.events.push((next, Event::Sample));
+                        self.eff.schedule(next, Event::Sample);
                     }
                 }
             }
@@ -323,7 +319,7 @@ impl Simulator {
                 }
                 let next = t + self.cfg.trace_interval;
                 if next <= self.cfg.end_time {
-                    self.eff.events.push((next, Event::TraceSample));
+                    self.eff.schedule(next, Event::TraceSample);
                 }
             }
             Event::FaultTransition => self.fault_transition(t),
@@ -413,41 +409,37 @@ impl Simulator {
             }
         }
         if let Some(next) = fr.timeline.next_time() {
-            self.eff.events.push((next, Event::FaultTransition));
+            self.eff.schedule(next, Event::FaultTransition);
         }
     }
 
-    /// Work the transmission kick stack (LIFO, matching the original
-    /// recursive kick semantics) until it drains, reusing the same arena for
-    /// every `try_transmit` call, then apply what the event and its kicks
-    /// accumulated. The arena's buffers are append-only while handlers run,
-    /// so draining them once at the end schedules and records everything in
+    /// Work the arena's kick stack (LIFO, matching the original recursive
+    /// kick semantics) until it drains — a `try_transmit` pushes the kicks it
+    /// causes on top of the ones still pending — then record what the event
+    /// and its kicks accumulated. The record buffers are append-only while
+    /// handlers run, so draining them once at the end records everything in
     /// the order it was produced.
     fn apply_effects(&mut self) {
-        debug_assert!(self.kick_stack.is_empty());
-        self.kick_stack.append(&mut self.eff.kicks);
-        while let Some((n, p)) = self.kick_stack.pop() {
+        while let Some((n, p)) = self.eff.kicks.pop() {
             match &mut self.nodes[n.index()] {
                 Node::Host(h) => h.try_transmit(self.time, &self.cfg, &mut self.eff),
                 Node::Switch(s) => s.try_transmit(self.time, p, &self.cfg, &mut self.eff),
             }
-            self.kick_stack.append(&mut self.eff.kicks);
         }
         self.absorb();
     }
 
-    /// Drain the arena's buffers into the event queue and the output
-    /// records. Leaves the arena empty (but with its capacity and packet
-    /// pool intact), which is the state the next event's handler expects.
+    /// Drain the arena's record buffers into the output. Leaves them empty
+    /// (but with their capacity and the packet pool intact), which is the
+    /// state the next event's handler expects.
     fn absorb(&mut self) {
-        for (t, e) in self.eff.events.drain(..) {
-            self.events.push(t, e);
+        if !self.eff.completions.is_empty() {
+            self.out.flows.append(&mut self.eff.completions);
         }
-        for rec in self.eff.completions.drain(..) {
-            self.out.flows.push(rec);
-        }
-        for ev in self.eff.pfc_events.drain(..) {
-            self.out.record_pfc_event(ev);
+        if !self.eff.pfc_events.is_empty() {
+            for ev in self.eff.pfc_events.drain(..) {
+                self.out.record_pfc_event(ev);
+            }
         }
         if !self.eff.goodput.is_empty() {
             let fault_active = self.faults.as_ref().is_some_and(|fr| fr.active > 0);
@@ -512,7 +504,7 @@ impl Simulator {
         }
         self.out.elapsed = now;
         self.out.events_processed = self.processed;
-        self.out.peak_event_queue = self.events.peak_len() as u64;
+        self.out.peak_event_queue = self.eff.queue.peak_len() as u64;
         self.out
     }
 }
@@ -523,7 +515,7 @@ impl std::fmt::Debug for Simulator {
             .field("time", &self.time)
             .field("nodes", &self.nodes.len())
             .field("flows", &self.flows.len())
-            .field("pending_events", &self.events.len())
+            .field("pending_events", &self.eff.queue.len())
             .finish()
     }
 }
@@ -534,7 +526,7 @@ mod tests {
     use crate::config::FlowControlMode;
     use hpcc_cc::{CcAlgorithm, DcqcnConfig};
     use hpcc_topology::{star, testbed_pod};
-    use hpcc_types::{Bandwidth, FlowId};
+    use hpcc_types::{Bandwidth, FlowId, Packet};
 
     const LINE: Bandwidth = Bandwidth::from_gbps(100);
 
@@ -720,6 +712,70 @@ mod tests {
         // §5.3 observation).
         assert_eq!(out.total_pause_duration(), Duration::ZERO);
         assert_eq!(out.total_drops(), 0);
+    }
+
+    #[test]
+    fn nested_kicks_run_in_lifo_order() {
+        // One arrival kicks two switch ports (the ingress it pauses, then
+        // the egress); the egress transmit, run first, resumes another
+        // ingress and so kicks a third port, which must run before the kick
+        // that was pending underneath: 1, 0, 2. A queue (2, 1, 0) or new
+        // kicks slipped under old ones (1, 2, 0) would both serve port 2
+        // before port 0.
+        let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 3);
+        cfg.queue_sample_interval = None;
+        // A pause threshold of 1 % of the free buffer (≈ 2.8 KB): the third
+        // queued 1106-byte packet of an ingress crosses it, two sit below.
+        cfg.buffer_bytes = 280_000;
+        cfg.pfc_threshold_fraction = 0.01;
+        cfg.pfc_resume_hysteresis = 0;
+        let hosts = topo.hosts().to_vec();
+        let sw = topo.switches()[0];
+        let mut sim = Simulator::new(topo, cfg);
+        let now = SimTime::from_us(1);
+        let data = || Box::new(Packet::data(FlowId(1), hosts[0], hosts[1], 0, 1000, now));
+        // Queue three packets from port 0 (pausing it) and two from port 2
+        // on the egress to host 1, without letting any port transmit.
+        let Node::Switch(s) = &mut sim.nodes[sw.index()] else {
+            panic!("the star's last node is its switch");
+        };
+        for ingress in [0, 0, 0, 2, 2] {
+            s.handle_arrival(
+                now,
+                PortId(ingress),
+                data(),
+                &sim.cfg,
+                &sim.topo,
+                &mut sim.eff,
+            );
+        }
+        let pauses = |s: &Switch| [0, 1, 2].map(|p| s.ports()[p].counters.pause_frames_sent);
+        assert_eq!(pauses(s), [1, 0, 0]);
+        sim.eff.kicks.clear();
+
+        let third_from_port_2 = Event::PacketArrive {
+            node: sw,
+            port: PortId(2),
+            packet: data(),
+        };
+        sim.eff.schedule(now, third_from_port_2);
+        assert!(sim.step());
+        let Node::Switch(s) = &sim.nodes[sw.index()] else {
+            unreachable!()
+        };
+        assert_eq!(pauses(s), [1, 0, 1]);
+        // The two PFC frames serialize in the same 64-byte time, so their
+        // `PortReady`s pop in the order the ports were served.
+        let ready: Vec<PortId> = sim
+            .eff
+            .scheduled()
+            .into_iter()
+            .filter_map(|(_, ev)| match ev {
+                Event::PortReady { port, .. } => Some(port),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(ready, [PortId(0), PortId(2), PortId(1)]);
     }
 
     #[test]

@@ -539,26 +539,26 @@ impl Switch {
         // Serialize onto the wire.
         port.busy = true;
         let tx_time = port.bandwidth.tx_time(wire);
-        eff.events.push((
+        eff.schedule(
             now + tx_time,
             Event::PortReady {
                 node: self.id,
                 port: port_id,
             },
-        ));
+        );
         if fault_lost {
             port.fault_dropped_packets += 1;
             port.fault_dropped_bytes += wire;
             eff.recycle(pkt);
         } else {
-            eff.events.push((
+            eff.schedule(
                 now + tx_time + port.delay + f_extra,
                 Event::PacketArrive {
                     node: port.peer_node,
                     port: port.peer_port,
                     packet: pkt,
                 },
-            ));
+            );
         }
     }
 
@@ -629,10 +629,10 @@ mod tests {
         assert_eq!(eff.kicks, vec![(sw.id, PortId(1))]);
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(5), PortId(1), &cfg, &mut eff2);
-        assert_eq!(eff2.events.len(), 2);
+        let scheduled = eff2.scheduled();
+        assert_eq!(scheduled.len(), 2);
         // The arrival event carries the INT-stamped packet towards host1.
-        let arrival = eff2
-            .events
+        let arrival = scheduled
             .iter()
             .find_map(|(t, e)| match e {
                 Event::PacketArrive { node, packet, .. } => Some((*t, *node, **packet)),
@@ -672,7 +672,7 @@ mod tests {
         assert_eq!(eff.kicks, vec![(sw.id, PortId(0))]);
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(1), PortId(0), &cfg, &mut eff2);
-        let arrived_at = eff2.events.iter().find_map(|(_, e)| match e {
+        let arrived_at = eff2.scheduled().iter().find_map(|(_, e)| match e {
             Event::PacketArrive { node, .. } => Some(*node),
             _ => None,
         });
@@ -747,7 +747,7 @@ mod tests {
         // The pause frame sits in the control queue of port 0.
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(2), PortId(0), &cfg, &mut eff2);
-        let pfc_delivered = eff2.events.iter().any(|(_, e)| {
+        let pfc_delivered = eff2.scheduled().iter().any(|(_, e)| {
             matches!(
                 e,
                 Event::PacketArrive { packet, .. }
@@ -784,7 +784,7 @@ mod tests {
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(3), PortId(1), &cfg, &mut eff2);
         assert!(
-            eff2.events.is_empty(),
+            eff2.scheduled().is_empty(),
             "paused data class must not transmit"
         );
         // Resume unblocks it.
@@ -800,7 +800,7 @@ mod tests {
         assert_eq!(eff3.kicks, vec![(sw.id, PortId(1))]);
         let mut eff4 = Effects::default();
         sw.try_transmit(SimTime::from_us(10), PortId(1), &cfg, &mut eff4);
-        assert_eq!(eff4.events.len(), 2);
+        assert_eq!(eff4.scheduled().len(), 2);
         // Pause duration was accounted on the data class.
         assert_eq!(sw.ports()[1].counters.pause_events, 1);
         assert_eq!(sw.ports()[1].counters.pause_duration, Duration::from_us(8));

@@ -1,0 +1,93 @@
+#!/usr/bin/env bash
+# Paired benchmark runs of a parent revision against the working tree: the
+# procedure of benchmark/README.md § Claiming a gain.
+#
+#   tools/bench_pairs.sh <parent-rev> <workload> [pairs=10] [-- extra run args]
+#
+# <workload> is one of BENCHMARK.json's workloads. Extra run args go to both
+# sides' `hpcc-benchmark run` (`-- --seed 43`, `-- --quick --seconds 3`);
+# without a `--seed` among them the seed is 42.
+#
+# Each side is built once, from its own source tree into its own
+# CARGO_TARGET_DIR under target/bench_pairs/ (the parent's tree is a
+# `git archive` of <parent-rev> there), and run from its own root. The side
+# that runs first alternates from pair to pair. Prints every pair's
+# wall_us_per_unit, whether the two reports are byte-identical, the win
+# count, then the benchmark's `compare` over all runs of each side (median
+# and quartiles of every end-to-end metric, verdict by BENCHMARK.json's
+# bounds). Exits with `compare`'s status: 1 if any row reads `worse`.
+set -euo pipefail
+
+usage() {
+    sed -n '2,9p' "$0" >&2
+    exit 2
+}
+[[ $# -ge 2 ]] || usage
+parent_rev=$1
+workload=$2
+shift 2
+pairs=10
+if [[ $# -gt 0 && $1 != -- ]]; then
+    pairs=$1
+    shift
+fi
+if [[ $# -gt 0 ]]; then
+    [[ $1 == -- ]] || usage
+    shift
+fi
+[[ $pairs =~ ^[1-9][0-9]*$ ]] || usage
+extra=("$@")
+[[ " ${extra[*]} " == *" --seed "* ]] || extra+=(--seed 42)
+metric=wall_us_per_unit
+
+root=$(git rev-parse --show-toplevel)
+work=$root/target/bench_pairs
+rm -rf "$work/parent-src"
+mkdir -p "$work/parent-src"
+git -C "$root" archive "$parent_rev" | tar -x -C "$work/parent-src"
+
+declare -A src=([parent]=$work/parent-src [change]=$root)
+for side in parent change; do
+    echo "building $side (${src[$side]})" >&2
+    (cd "${src[$side]}" && CARGO_TARGET_DIR=$work/$side-target \
+        cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
+done
+
+out=$work/runs/$(date -u +%Y%m%dT%H%M%SZ)-$workload
+# One run of one side; prints the metric's value.
+run_side() {
+    local side=$1 dir=$out/$1-$2
+    (cd "${src[$side]}" && "$work/$side-target/release/hpcc-benchmark" run \
+        --workload "$workload" "${extra[@]}" --out "$dir") |
+        tail -n 1 | sed -n "s/.*\"$metric\":{\"value\":\([0-9.eE+-]*\).*/\1/p"
+}
+
+wins=0
+losses=0
+declare -A files=([parent]="" [change]="")
+for ((i = 1; i <= pairs; i++)); do
+    if ((i % 2)); then order=(parent change); else order=(change parent); fi
+    declare -A value=()
+    for side in "${order[@]}"; do
+        value[$side]=$(run_side "$side" "$i")
+        [[ -n ${value[$side]} ]] || {
+            echo "pair $i: the $side run printed no $metric" >&2
+            exit 2
+        }
+        files[$side]+=${files[$side]:+,}$out/$side-$i/$workload.json
+    done
+    if cmp -s "$out/parent-$i/report_$workload.json" "$out/change-$i/report_$workload.json"; then
+        report=identical
+    else
+        report=DIFFERENT
+    fi
+    case $(awk -v p="${value[parent]}" -v c="${value[change]}" \
+        'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }') in
+    win) wins=$((wins + 1)) ;;
+    loss) losses=$((losses + 1)) ;;
+    esac
+    echo "pair $i (${order[0]} first): $metric parent ${value[parent]} change ${value[change]}; reports $report"
+done
+echo "$workload ${extra[*]}: change wins $wins, loses $losses of $pairs pairs on $metric"
+cd "$root"
+"$work/change-target/release/hpcc-benchmark" compare "${files[parent]}" "${files[change]}"
