@@ -57,7 +57,7 @@ const NUM_BUCKETS: usize = 4096;
 ///
 /// `PacketArrive` carries its packet boxed: the box comes from (and returns
 /// to) the `Effects` packet pool, so the hot path moves an 8-byte pointer
-/// through the queue instead of a 400-byte inline `Packet`, without paying
+/// through the queue instead of a 440-byte inline `Packet`, without paying
 /// an allocation per hop. Every variant fits 24 bytes (asserted below), which
 /// keeps a ring entry at 32.
 #[derive(Clone, Debug)]
@@ -125,7 +125,7 @@ pub enum Event {
 /// consumes a data packet either re-emits its box (a switch forwards it, a
 /// receiving host turns it into the ACK in place) or recycles it, and a
 /// sending host writes the next data packet's header straight into a pooled
-/// box ([`Effects::alloc_data`]): no 400-byte `Packet` is built on the stack
+/// box ([`Effects::alloc_data`]): no 440-byte `Packet` is built on the stack
 /// and copied on the per-packet path.
 #[derive(Default, Debug)]
 pub(crate) struct Effects {

@@ -40,7 +40,7 @@
 use crate::backend::{Backend, CompiledScenario};
 use crate::config::SimConfig;
 use crate::output::{FlowRecord, SimOutput};
-use crate::switch::ecmp_index;
+use crate::switch::ecmp_path;
 use hpcc_cc::CcAlgorithm;
 use hpcc_topology::{NodeKind, TopologySpec};
 use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
@@ -292,10 +292,10 @@ fn secs_to_simtime(s: f64) -> SimTime {
     SimTime::from_ps((s * 1e12).round().max(0.0) as u64)
 }
 
-/// Walk the routed path of one flow, interning each egress link in
-/// `resources`. Uses the same per-(flow, node) ECMP hash as the packet
-/// switches, so both backends put a flow on the same links. Returns `None`
-/// when the topology has no route.
+/// The routed path of one flow as resource indices, interning each egress
+/// link in `resources`. The walk is [`ecmp_path`] — the one the packet engine
+/// stamps its packets' routes from — so both backends put a flow on the same
+/// links. Returns `None` when the topology has no route.
 fn route_flow(
     topo: &TopologySpec,
     spec: &FlowSpec,
@@ -303,23 +303,8 @@ fn route_flow(
     index: &mut std::collections::HashMap<(NodeId, PortId), u32>,
 ) -> Option<Vec<u32>> {
     let mut path = Vec::with_capacity(6);
-    let mut node = spec.src;
-    let mut hops = 0usize;
-    while node != spec.dst {
-        hops += 1;
-        if hops > topo.node_count() {
-            return None; // routing loop: treat as unroutable
-        }
-        let candidates = topo.next_hops(node, spec.dst);
-        if candidates.is_empty() {
-            return None;
-        }
-        let port = match topo.kind(node) {
-            NodeKind::Host => candidates[0],
-            NodeKind::Switch => candidates[ecmp_index(spec.id.raw(), node, candidates.len())],
-        };
-        let key = (node, port);
-        let ri = *index.entry(key).or_insert_with(|| {
+    let reached = ecmp_path(topo, spec.id.raw(), spec.src, spec.dst, |node, port| {
+        let ri = *index.entry((node, port)).or_insert_with(|| {
             let desc = &topo.ports(node)[port.index()];
             resources.push(Resource {
                 node,
@@ -335,15 +320,10 @@ fn route_flow(
             });
             (resources.len() - 1) as u32
         });
-        let desc = &topo.ports(node)[port.index()];
         path.push(ri);
-        node = desc.peer_node;
-    }
-    if path.is_empty() {
-        None // src == dst: nothing to transmit over the fabric
-    } else {
-        Some(path)
-    }
+    });
+    // An empty path is `src == dst`: nothing to transmit over the fabric.
+    (reached && !path.is_empty()).then_some(path)
 }
 
 /// Re-solve the A.2 recursion for the current active set. Rates start at the

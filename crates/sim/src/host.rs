@@ -15,11 +15,13 @@
 use crate::config::SimConfig;
 use crate::engine::{Effects, Event};
 use crate::output::{FlowRecord, PortCounters};
+use crate::switch::LineRate;
 use hpcc_cc::{build_cc, AckEvent, CongestionControl};
 use hpcc_topology::PortDesc;
 use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
-    Bandwidth, Duration, FlowId, FlowSpec, NodeId, Packet, PacketKind, PortId, Priority, SimTime,
+    Bandwidth, Duration, FlowId, FlowSpec, NodeId, Packet, PacketKind, PortId, Priority, Route,
+    SimTime,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -32,6 +34,9 @@ struct SenderFlowCold {
     /// Dense slot of this flow in the receiver's table (stamped on every
     /// data packet so the receiver indexes without a hash lookup).
     dst_slot: u32,
+    /// Egress port at every switch of the flow's path, out and back (stamped
+    /// on every data packet so no switch looks the destination up).
+    route: Route,
     cc: Box<dyn CongestionControl>,
     /// IRN: packet offsets queued for retransmission.
     rtx_queue: BTreeSet<u64>,
@@ -87,6 +92,7 @@ impl SenderFlows {
         now: SimTime,
         spec: FlowSpec,
         dst_slot: u32,
+        route: Route,
         cc: Box<dyn CongestionControl>,
     ) {
         self.id.push(spec.id);
@@ -101,6 +107,7 @@ impl SenderFlows {
         self.cold.push(SenderFlowCold {
             spec,
             dst_slot,
+            route,
             cc,
             rtx_queue: BTreeSet::new(),
             sacked: BTreeSet::new(),
@@ -150,7 +157,7 @@ pub struct Host {
     peer_node: NodeId,
     peer_port: PortId,
     /// NIC line rate.
-    pub bandwidth: Bandwidth,
+    line: LineRate,
     delay: Duration,
     ctrl_queue: VecDeque<Box<Packet>>,
     busy: bool,
@@ -209,7 +216,7 @@ impl Host {
             id,
             peer_node: p.peer_node,
             peer_port: p.peer_port,
-            bandwidth: p.bandwidth,
+            line: LineRate::new(p.bandwidth),
             delay: p.delay,
             ctrl_queue: VecDeque::with_capacity(16),
             busy: false,
@@ -259,6 +266,11 @@ impl Host {
         (self.fault_dropped_packets, self.fault_dropped_bytes)
     }
 
+    /// NIC line rate.
+    pub fn bandwidth(&self) -> Bandwidth {
+        self.line.bandwidth()
+    }
+
     /// Number of unfinished sender flows.
     pub fn active_flows(&self) -> usize {
         self.flows.finished.iter().filter(|&&f| !f).count()
@@ -304,6 +316,7 @@ impl Host {
         now: SimTime,
         spec: FlowSpec,
         dst_slot: u32,
+        route: Route,
         cfg: &SimConfig,
         eff: &mut Effects,
     ) {
@@ -321,9 +334,9 @@ impl Host {
             });
             return;
         }
-        let cc = build_cc(&cfg.cc, self.bandwidth, cfg.base_rtt, cfg.mtu_payload);
+        let cc = build_cc(&cfg.cc, self.bandwidth(), cfg.base_rtt, cfg.mtu_payload);
         let idx = self.flows.len();
-        self.flows.push(now, spec, dst_slot, cc);
+        self.flows.push(now, spec, dst_slot, route, cc);
         self.flows.refresh_cc(idx);
         self.ensure_cc_timer(idx, now, eff);
         eff.kicks.push((self.id, PortId(0)));
@@ -509,6 +522,24 @@ impl Host {
         let r = &mut self.recv[slot];
         let (seq, payload, ecn_ce) = (pkt.seq, pkt.payload, pkt.ecn_ce);
         let seq_end = seq + payload;
+        // DCQCN notification point: CNP on ECN-marked arrivals, at most one
+        // per cnp_interval. It follows the reply out, in a box of its own,
+        // and is built here — before the reply turns the packet's route
+        // round in place — so that `reversed()` is its way back either way.
+        let mut cnp = None;
+        if cfg.cnp_enabled && ecn_ce {
+            let due = r
+                .last_cnp
+                .is_none_or(|t| now.saturating_since(t) >= cfg.cnp_interval);
+            if due {
+                r.last_cnp = Some(now);
+                let mut p = Packet::cnp(pkt.flow, pkt.src, pkt.dst);
+                p.src_slot = pkt.src_slot;
+                p.dst_slot = pkt.dst_slot;
+                p.route = pkt.route.reversed();
+                cnp = Some(eff.alloc_packet(p));
+            }
+        }
         let mut reply = true;
         if cfg.flow_control.selective_repeat() {
             // IRN-style selective repeat: keep out-of-order data.
@@ -553,21 +584,6 @@ impl Host {
                 } else {
                     reply = false;
                 }
-            }
-        }
-        // DCQCN notification point: CNP on ECN-marked arrivals, at most one
-        // per cnp_interval. It follows the reply out, in a box of its own.
-        let mut cnp = None;
-        if cfg.cnp_enabled && ecn_ce {
-            let due = r
-                .last_cnp
-                .is_none_or(|t| now.saturating_since(t) >= cfg.cnp_interval);
-            if due {
-                r.last_cnp = Some(now);
-                let mut p = Packet::cnp(pkt.flow, pkt.src, pkt.dst);
-                p.src_slot = pkt.src_slot;
-                p.dst_slot = pkt.dst_slot;
-                cnp = Some(eff.alloc_packet(p));
             }
         }
         if reply {
@@ -809,6 +825,7 @@ impl Host {
             pkt.priority = Priority::data_class(cfg.queueing.tag_class(cold.spec.priority, seq));
             pkt.src_slot = idx as u32;
             pkt.dst_slot = cold.dst_slot;
+            pkt.route = cold.route;
             if seq + payload >= cold.spec.size {
                 pkt.ack_flags.flow_finished = true;
             }
@@ -844,9 +861,11 @@ impl Host {
         self.busy = true;
         self.counters.tx_bytes += wire;
         // Straggler: serialize at the reduced NIC rate while the window is
-        // active; fault-free runs take `self.bandwidth` untouched.
-        let bw = self.fault_rate.unwrap_or(self.bandwidth);
-        let tx_time = bw.tx_time(wire);
+        // active; fault-free runs take the line rate untouched.
+        let tx_time = match self.fault_rate {
+            Some(rate) => rate.tx_time(wire),
+            None => self.line.tx_time(wire),
+        };
         eff.schedule(
             now + tx_time,
             Event::PortReady {
@@ -926,7 +945,8 @@ mod tests {
         let cfg = hpcc_cfg();
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 10_000_000), 0, &cfg, &mut eff);
+        let route = Route::new(&[PortId(1)], &[PortId(0)]);
+        h.flow_start(SimTime::ZERO, flow(1, 10_000_000), 0, route, &cfg, &mut eff);
         assert_eq!(h.active_flows(), 1);
         // Drive the NIC: kick → transmit → port ready → transmit …
         let mut now = SimTime::ZERO;
@@ -938,13 +958,17 @@ mod tests {
                 break;
             }
             sent += 1;
-            // Find the PortReady event to advance time and free the NIC.
-            let ready_at = e
-                .scheduled()
-                .iter()
-                .find_map(|(t, ev)| matches!(ev, Event::PortReady { .. }).then_some(*t))
-                .unwrap();
-            now = ready_at;
+            // Every data packet carries the flow's route; the PortReady
+            // event advances time and frees the NIC.
+            let mut ready_at = None;
+            for (t, ev) in e.scheduled() {
+                match ev {
+                    Event::PortReady { .. } => ready_at = Some(t),
+                    Event::PacketArrive { packet, .. } => assert_eq!(packet.route, route),
+                    _ => {}
+                }
+            }
+            now = ready_at.unwrap();
             h.port_ready();
         }
         // The HPCC window is one BDP + MTU ≈ 163.5 KB → ~148 packets of 1106 B
@@ -966,7 +990,14 @@ mod tests {
         let cfg = hpcc_cfg();
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 2_000), 0, &cfg, &mut eff);
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 2_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
         // Send both packets.
         let mut e = Effects::default();
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
@@ -1067,7 +1098,14 @@ mod tests {
         // Sender side: a NACK rolls snd_nxt back and notifies CC.
         let mut sender = build_host(0);
         let mut e = Effects::default();
-        sender.flow_start(SimTime::ZERO, flow(9, 100_000), 0, &cfg, &mut e);
+        sender.flow_start(
+            SimTime::ZERO,
+            flow(9, 100_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut e,
+        );
         // Transmit a few packets.
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
@@ -1128,7 +1166,14 @@ mod tests {
         cfg.flow_control = FlowControlMode::LossyIrn;
         let mut sender = build_host(0);
         let mut e = Effects::default();
-        sender.flow_start(SimTime::ZERO, flow(9, 10_000), 0, &cfg, &mut e);
+        sender.flow_start(
+            SimTime::ZERO,
+            flow(9, 10_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut e,
+        );
         let mut now = SimTime::ZERO;
         for _ in 0..4 {
             let mut e2 = Effects::default();
@@ -1215,7 +1260,14 @@ mod tests {
         // Sender side: the CNP halves the DCQCN rate.
         let mut tx = build_host(0);
         let mut e = Effects::default();
-        tx.flow_start(SimTime::ZERO, flow(9, 1_000_000), 0, &cfg, &mut e);
+        tx.flow_start(
+            SimTime::ZERO,
+            flow(9, 1_000_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut e,
+        );
         let before = tx.flow_state(FlowId(9)).unwrap().1;
         let cnp = Packet::cnp(FlowId(9), NodeId(0), NodeId(1));
         let mut e2 = Effects::default();
@@ -1231,6 +1283,47 @@ mod tests {
     }
 
     #[test]
+    fn replies_and_cnps_set_out_along_the_data_packets_way_back() {
+        let mut cfg = SimConfig::for_cc(
+            CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(LINE)),
+            LINE,
+            RTT,
+        );
+        cfg.cnp_interval = Duration::from_us(1);
+        cfg.nack_interval = Duration::from_ms(1);
+        let mut rx = build_host(1);
+        let mut eff = Effects::default();
+        // Marked data as it reaches its receiver, both switches of its way
+        // out crossed: in order (ACK + CNP), after a gap (NACK + CNP), and
+        // after the gap again within the NACK interval (the CNP alone — the
+        // one case in which no reply turns the packet round first).
+        let mut arrived = Vec::new();
+        for (at, seq) in [(1, 0), (10, 2000), (20, 3000)] {
+            let mut p = Packet::data(FlowId(9), NodeId(0), NodeId(1), seq, 1000, SimTime::ZERO);
+            p.ecn_ce = true;
+            p.route = Route::new(&[PortId(1), PortId(5)], &[PortId(7), PortId(seq as u32)]);
+            while p.route.next_port().is_some() {}
+            arrived.push(p);
+            rx.handle_arrival(SimTime::from_us(at), PortId(0), Box::new(p), &cfg, &mut eff);
+        }
+        let sent: Vec<(PacketKind, Route)> =
+            rx.ctrl_queue.iter().map(|p| (p.kind, p.route)).collect();
+        let way_back = |i: usize| arrived[i].route.reversed();
+        assert_eq!(
+            sent,
+            [
+                (PacketKind::Ack, way_back(0)),
+                (PacketKind::Cnp, way_back(0)),
+                (PacketKind::Nack, way_back(1)),
+                (PacketKind::Cnp, way_back(1)),
+                (PacketKind::Cnp, way_back(2)),
+            ]
+        );
+        assert_eq!(way_back(2).hop, 0);
+        assert_eq!(way_back(2).ahead[..2], [7, 3000]);
+    }
+
+    #[test]
     fn dcqcn_flows_get_a_cc_timer_chain() {
         let cfg = SimConfig::for_cc(
             CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(LINE)),
@@ -1239,7 +1332,14 @@ mod tests {
         );
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 1_000_000), 0, &cfg, &mut eff);
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 1_000_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
         let timer_armed = eff
             .scheduled()
             .iter()
@@ -1249,7 +1349,14 @@ mod tests {
         let cfg2 = hpcc_cfg();
         let mut h2 = build_host(0);
         let mut eff2 = Effects::default();
-        h2.flow_start(SimTime::ZERO, flow(2, 1_000_000), 0, &cfg2, &mut eff2);
+        h2.flow_start(
+            SimTime::ZERO,
+            flow(2, 1_000_000),
+            0,
+            Route::default(),
+            &cfg2,
+            &mut eff2,
+        );
         assert!(!eff2
             .scheduled()
             .iter()
@@ -1261,7 +1368,14 @@ mod tests {
         let cfg = hpcc_cfg();
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 1_000_000), 0, &cfg, &mut eff);
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 1_000_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
         // Pause the data class.
         h.handle_arrival(
             SimTime::from_us(1),
@@ -1309,7 +1423,14 @@ mod tests {
         );
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 1_000_000), 0, &cfg, &mut eff);
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 1_000_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
         // Cut the rate hard with several CNPs.
         for k in 0..6u64 {
             let cnp = Packet::cnp(FlowId(1), NodeId(0), NodeId(1));
@@ -1346,7 +1467,14 @@ mod tests {
         cfg.rto = Duration::from_us(100);
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 10_000), 0, &cfg, &mut eff);
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 10_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
         let mut e = Effects::default();
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
         let rto_armed = e
@@ -1376,6 +1504,7 @@ mod tests {
             SimTime::from_us(4),
             FlowSpec::new(FlowId(1), NodeId(0), NodeId(0), 1000, SimTime::from_us(4)),
             0,
+            Route::default(),
             &cfg,
             &mut eff,
         );
@@ -1383,6 +1512,7 @@ mod tests {
             SimTime::from_us(4),
             FlowSpec::new(FlowId(2), NodeId(0), NodeId(1), 0, SimTime::from_us(4)),
             0,
+            Route::default(),
             &cfg,
             &mut eff,
         );
@@ -1396,7 +1526,14 @@ mod tests {
         cfg.int_enabled = false;
         let mut h = build_host(0);
         let mut eff = Effects::default();
-        h.flow_start(SimTime::ZERO, flow(1, 100_000), 0, &cfg, &mut eff);
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 100_000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
         let before = h.flow_state(FlowId(1)).unwrap();
         let d = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, SimTime::ZERO);
         let ack = Packet::ack_for(&d, 1000, false);

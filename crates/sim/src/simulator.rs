@@ -6,10 +6,10 @@ use crate::engine::{Effects, Event};
 use crate::fault::{FaultConfig, FaultTimeline, LinkDownMode, Transition, FAULT_RNG_STREAM};
 use crate::host::Host;
 use crate::output::SimOutput;
-use crate::switch::Switch;
+use crate::switch::{stamped_route, Switch};
 use hpcc_topology::{NodeKind, TopologySpec};
 use hpcc_types::rng::SplitMix64;
-use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
+use hpcc_types::{Duration, FlowSpec, NodeId, PortId, Route, SimTime};
 
 /// A node in the simulated network. Hosts dominate the node vector in every
 /// fat-tree, so the size gap between the variants wastes padding only on the
@@ -113,6 +113,9 @@ pub struct Simulator {
     /// Per-flow receiver slot (dense index into the destination host's
     /// receiver table), assigned at registration; index-aligned with `flows`.
     dst_slots: Vec<u32>,
+    /// Per-flow source route, resolved at registration from the topology's
+    /// static route table; index-aligned with `flows`.
+    routes: Vec<Route>,
     /// Next receiver slot per node (only host entries are used).
     next_dst_slot: Vec<u32>,
     /// Events actually handled (events popped after the horizon are
@@ -188,6 +191,7 @@ impl Simulator {
             out,
             flows: Vec::new(),
             dst_slots: Vec::new(),
+            routes: Vec::new(),
             next_dst_slot: vec![0; node_count],
             processed: 0,
             eff,
@@ -212,6 +216,8 @@ impl Simulator {
         let slot = &mut self.next_dst_slot[spec.dst.index()];
         self.dst_slots.push(*slot);
         *slot += 1;
+        self.routes
+            .push(stamped_route(&self.topo, spec.id.raw(), spec.src, spec.dst));
         self.eff.schedule(spec.start, Event::FlowStart(idx));
     }
 
@@ -247,17 +253,24 @@ impl Simulator {
         match ev {
             Event::FlowStart(idx) => {
                 let spec = self.flows[idx];
-                let dst_slot = self.dst_slots[idx];
+                let (dst_slot, route) = (self.dst_slots[idx], self.routes[idx]);
                 if let Node::Host(h) = &mut self.nodes[spec.src.index()] {
-                    h.flow_start(t, spec, dst_slot, &self.cfg, &mut self.eff);
+                    h.flow_start(t, spec, dst_slot, route, &self.cfg, &mut self.eff);
                 }
             }
             Event::PortReady { node, port } => {
-                match &mut self.nodes[node.index()] {
-                    Node::Host(h) => h.port_ready(),
+                // A host always looks for its next packet; a switch port
+                // that holds nothing has nothing to look for.
+                let kick = match &mut self.nodes[node.index()] {
+                    Node::Host(h) => {
+                        h.port_ready();
+                        true
+                    }
                     Node::Switch(s) => s.port_ready(port),
+                };
+                if kick {
+                    self.eff.kicks.push((node, port));
                 }
-                self.eff.kicks.push((node, port));
             }
             Event::PacketArrive { node, port, packet } => match &mut self.nodes[node.index()] {
                 Node::Host(h) => h.handle_arrival(t, port, packet, &self.cfg, &mut self.eff),
@@ -888,6 +901,81 @@ mod tests {
         assert!(cross.fct() > local.fct());
         assert!(local.fct() > Duration::from_us(600));
         assert!(cross.fct() < Duration::from_ms(2));
+    }
+
+    /// Two hosts at the ends of a line of `n` switches.
+    fn line_of_switches(n: usize) -> TopologySpec {
+        let mut b = hpcc_topology::TopologyBuilder::new();
+        let hosts = b.add_hosts(2);
+        let switches = b.add_switches(n);
+        b.link(hosts[0], switches[0], LINE, Duration::from_us(1));
+        for pair in switches.windows(2) {
+            b.link(pair[0], pair[1], LINE, Duration::from_us(1));
+        }
+        b.link(hosts[1], switches[n - 1], LINE, Duration::from_us(1));
+        b.build()
+    }
+
+    #[test]
+    fn a_path_longer_than_the_route_holds_finishes_through_the_table() {
+        // Ten switches: the route names the first eight each way, the last
+        // two hops of every data packet and every ACK are table lookups.
+        let topo = line_of_switches(10);
+        let hosts = topo.hosts().to_vec();
+        let route = stamped_route(&topo, 1, hosts[0], hosts[1]);
+        assert_eq!((route.ahead_len, route.back_len), (8, 8));
+        let mut cfg = SimConfig::for_cc(
+            CcAlgorithm::hpcc_default(),
+            LINE,
+            topo.suggested_base_rtt(1106),
+        );
+        cfg.end_time = SimTime::from_ms(20);
+        let mut sim = Simulator::new(topo, cfg);
+        sim.add_flow(FlowSpec::new(
+            FlowId(1),
+            hosts[0],
+            hosts[1],
+            300_000,
+            SimTime::ZERO,
+        ));
+        let out = sim.run();
+        assert_eq!(out.flows.len(), 1, "the flow completes");
+        assert_eq!(out.total_drops(), 0);
+        assert_eq!(out.packets_delivered, out.packets_sent);
+    }
+
+    #[test]
+    fn an_unroutable_flow_is_dropped_at_the_switch_that_has_no_next_hop() {
+        // Two stars with nothing between them: the walk stops at the
+        // sender's switch, the stamp is empty, and that switch counts every
+        // packet as a drop on the port it came in by.
+        let mut b = hpcc_topology::TopologyBuilder::new();
+        let hosts = b.add_hosts(2);
+        let switches = b.add_switches(2);
+        b.link(hosts[0], switches[0], LINE, Duration::from_us(1));
+        b.link(hosts[1], switches[1], LINE, Duration::from_us(1));
+        let topo = b.build();
+        assert_eq!(
+            stamped_route(&topo, 1, hosts[0], hosts[1]),
+            Route::default()
+        );
+        let mut cfg = SimConfig::for_cc(CcAlgorithm::hpcc_default(), LINE, Duration::from_us(8));
+        cfg.end_time = SimTime::from_us(200);
+        let mut sim = Simulator::new(topo, cfg);
+        sim.add_flow(FlowSpec::new(
+            FlowId(1),
+            hosts[0],
+            hosts[1],
+            50_000,
+            SimTime::ZERO,
+        ));
+        let out = sim.run();
+        assert!(out.flows.is_empty());
+        assert_eq!(out.unfinished_flows, 1);
+        assert_eq!(out.packets_delivered, 0);
+        let at_ingress = out.ports[&(switches[0], PortId(0))].dropped_packets;
+        assert!(out.packets_sent > 0);
+        assert_eq!(at_ingress, out.packets_sent);
     }
 
     #[test]

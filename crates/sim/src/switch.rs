@@ -26,18 +26,18 @@ use crate::config::SimConfig;
 use crate::engine::{Effects, Event};
 use crate::output::{PfcEvent, PortCounters};
 use crate::sched::{ClassLane, Scheduler};
-use hpcc_topology::{PortDesc, TopologySpec};
+use hpcc_topology::{NodeKind, PortDesc, TopologySpec};
 use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
-    Bandwidth, Duration, IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, SimTime,
+    Bandwidth, Duration, IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, Route,
+    SimTime, MAX_INT_HOPS,
 };
 use std::collections::VecDeque;
 
 /// The ECMP candidate index a flow hashes to at a node: deterministic per
-/// (flow, node) so a flow never reorders, uniform across candidates. Shared
-/// with the fluid backend so both engines route a flow over the same path.
+/// (flow, node) so a flow never reorders, uniform across candidates.
 #[inline]
-pub(crate) fn ecmp_index(flow: u64, node: NodeId, candidates: usize) -> usize {
+fn ecmp_index(flow: u64, node: NodeId, candidates: usize) -> usize {
     if candidates == 1 {
         // `h % 1 == 0` whatever the hash: skip it on every down-path hop.
         return 0;
@@ -47,6 +47,105 @@ pub(crate) fn ecmp_index(flow: u64, node: NodeId, candidates: usize) -> usize {
     h = h.wrapping_mul(0xff51afd7ed558ccd);
     h ^= h >> 33;
     (h % candidates as u64) as usize
+}
+
+/// Walk the path ECMP gives flow `flow` from `src` towards `dst`, handing
+/// `visit` every `(node, egress port)` on it in order, `src`'s own first: a
+/// host leaves by its first candidate, a switch by the one [`ecmp_index`]
+/// names — the rule [`Switch::handle_arrival`] applies to a packet without a
+/// stamped hop. The one walker behind the routes the packet engine stamps and
+/// the paths the fluid backend loads. Returns whether the walk reached `dst`;
+/// it stops at a node with no next hop and after `node_count` hops (a
+/// routing loop).
+pub(crate) fn ecmp_path(
+    topo: &TopologySpec,
+    flow: u64,
+    src: NodeId,
+    dst: NodeId,
+    mut visit: impl FnMut(NodeId, PortId),
+) -> bool {
+    let mut node = src;
+    for _ in 0..topo.node_count() {
+        if node == dst {
+            break;
+        }
+        let candidates = topo.next_hops(node, dst);
+        if candidates.is_empty() {
+            return false;
+        }
+        let port = match topo.kind(node) {
+            NodeKind::Host => candidates[0],
+            NodeKind::Switch => candidates[ecmp_index(flow, node, candidates.len())],
+        };
+        visit(node, port);
+        node = topo.ports(node)[port.index()].peer_node;
+    }
+    node == dst
+}
+
+/// The route the sender stamps on every packet of a flow `src → dst`: the
+/// egress port at each switch of its ECMP path, out and back (the hosts' own
+/// NIC ports are not part of it). A walk that stops short stamps what it
+/// found; the switch it stopped at looks the destination up itself and counts
+/// the drop.
+pub(crate) fn stamped_route(topo: &TopologySpec, flow: u64, src: NodeId, dst: NodeId) -> Route {
+    let switch_ports = |from, to| {
+        let mut ports = Vec::with_capacity(MAX_INT_HOPS);
+        ecmp_path(topo, flow, from, to, |node, port| {
+            if topo.kind(node) == NodeKind::Switch {
+                ports.push(port);
+            }
+        });
+        ports
+    };
+    Route::new(&switch_ports(src, dst), &switch_ports(dst, src))
+}
+
+/// A port's line rate with its serialization time per byte resolved once: a
+/// rate that divides 8·10¹² ps·bit/s — 10, 25, 40, 50, 100, 200 and 400 Gb/s
+/// all do — serializes `n` bytes in exactly `n` times a whole number of
+/// picoseconds, so the per-packet 64-bit division of [`Bandwidth::tx_time`]
+/// becomes one multiplication with the same result. Any other rate keeps
+/// the division.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LineRate {
+    bandwidth: Bandwidth,
+    /// `8·10¹² / bps` when that is whole, else 0.
+    ps_per_byte: u64,
+}
+
+impl LineRate {
+    /// Picoseconds one byte takes at 1 bit/s.
+    const PS_PER_BYTE_AT_1BPS: u64 = 8_000_000_000_000;
+
+    pub fn new(bandwidth: Bandwidth) -> Self {
+        let bps = bandwidth.as_bps();
+        let whole = bps != 0 && Self::PS_PER_BYTE_AT_1BPS % bps == 0;
+        LineRate {
+            bandwidth,
+            ps_per_byte: if whole {
+                Self::PS_PER_BYTE_AT_1BPS / bps
+            } else {
+                0
+            },
+        }
+    }
+
+    pub fn bandwidth(&self) -> Bandwidth {
+        self.bandwidth
+    }
+
+    /// Exactly `self.bandwidth().tx_time(bytes)`: with `8·10¹² = k·bps` the
+    /// quotient `bytes·8·10¹² / bps` is `bytes·k`, and where that overflows
+    /// `tx_time` saturates too.
+    #[inline]
+    pub fn tx_time(&self, bytes: u64) -> Duration {
+        if self.ps_per_byte != 0 {
+            Duration::from_ps(bytes.saturating_mul(self.ps_per_byte))
+        } else {
+            self.bandwidth.tx_time(bytes)
+        }
+    }
 }
 
 /// A packet sitting in an egress queue, remembering the ingress it came from
@@ -59,13 +158,15 @@ struct QueuedPacket {
     wire: u64,
 }
 
-/// Initial capacity of each data-class egress ring (a full ring holds about
-/// one BDP of MTU packets; `VecDeque` grows beyond this without reallocating
-/// on the common path).
-const DATA_RING_CAPACITY: usize = 256;
+/// Initial capacity of the first data-class egress ring. Sized for memory,
+/// not speed: most ports of a run never queue more than a few packets, a
+/// congested one doubles its `VecDeque` a handful of times on the way to its
+/// high-water mark and keeps it, and 256 entries up front on every port cost
+/// 1.6 MB of resident set on the 54-host Clos for no measurable time.
+const DATA_RING_CAPACITY: usize = 16;
 
-/// Initial capacity of each control-class egress ring.
-const CTRL_RING_CAPACITY: usize = 64;
+/// Initial capacity of each control-class egress ring (same reasoning).
+const CTRL_RING_CAPACITY: usize = 8;
 
 /// One egress port of a switch.
 #[derive(Debug)]
@@ -75,7 +176,7 @@ pub struct SwitchPort {
     /// Port index on the peer.
     pub peer_port: PortId,
     /// Link capacity.
-    pub bandwidth: Bandwidth,
+    line: LineRate,
     /// One-way propagation delay.
     pub delay: Duration,
     queues: [VecDeque<QueuedPacket>; Priority::COUNT],
@@ -108,11 +209,11 @@ impl SwitchPort {
         SwitchPort {
             peer_node: desc.peer_node,
             peer_port: desc.peer_port,
-            bandwidth: desc.bandwidth,
+            line: LineRate::new(desc.bandwidth),
             delay: desc.delay,
-            // The control ring and the first data ring are pre-sized (the
-            // classes every run uses); additional data classes start empty
-            // and reach their high-water capacity on first use.
+            // The control ring and the first data ring start with a small
+            // buffer (the classes every run uses); additional data classes
+            // start empty. All grow to their high-water capacity on use.
             queues: std::array::from_fn(|i| match i {
                 0 => VecDeque::with_capacity(CTRL_RING_CAPACITY),
                 1 => VecDeque::with_capacity(DATA_RING_CAPACITY),
@@ -133,6 +234,11 @@ impl SwitchPort {
             fault_dropped_packets: 0,
             counters: PortCounters::default(),
         }
+    }
+
+    /// Link capacity.
+    pub fn bandwidth(&self) -> Bandwidth {
+        self.line.bandwidth()
     }
 
     /// Current data occupancy of this egress in bytes, summed over all data
@@ -302,18 +408,25 @@ impl Switch {
             return;
         }
 
-        // Destination-based forwarding: reverse-direction packets (ACK, NACK,
-        // CNP) are routed towards the flow's source host.
-        let dest = if pkt.is_reverse() { pkt.src } else { pkt.dst };
-        let candidates = topo.next_hops(self.id, dest);
-        if candidates.is_empty() {
-            // No route (misconfigured experiment): count as a drop.
-            let port = &mut self.ports[ingress.index()];
-            port.counters.dropped_packets += 1;
-            eff.recycle(pkt);
-            return;
-        }
-        let egress = self.ecmp_pick(pkt.flow.raw(), candidates);
+        // Forward out of the port the sender stamped for this hop. A packet
+        // without one is forwarded by destination — reverse-direction packets
+        // (ACK, NACK, CNP) towards the flow's source host — which is the rule
+        // the stamp was computed by (`stamped_route`).
+        let egress = match pkt.route.next_port() {
+            Some(port) => port,
+            None => {
+                let dest = if pkt.is_reverse() { pkt.src } else { pkt.dst };
+                let candidates = topo.next_hops(self.id, dest);
+                if candidates.is_empty() {
+                    // No route (misconfigured experiment): count as a drop.
+                    let port = &mut self.ports[ingress.index()];
+                    port.counters.dropped_packets += 1;
+                    eff.recycle(pkt);
+                    return;
+                }
+                self.ecmp_pick(pkt.flow.raw(), candidates)
+            }
+        };
         let wire = pkt.wire_size(cfg.int_enabled);
         let class = pkt.priority;
         let is_data = pkt.is_data();
@@ -425,9 +538,15 @@ impl Switch {
         eff.kicks.push((self.id, port));
     }
 
-    /// The port finished serializing its current packet.
-    pub(crate) fn port_ready(&mut self, port: PortId) {
-        self.ports[port.index()].busy = false;
+    /// The port finished serializing its current packet. Returns whether it
+    /// holds anything to send next, paused or not: `try_transmit` on a port
+    /// with every queue empty returns at the scheduler's `None` before it
+    /// changes anything, so only a port that holds something needs the kick.
+    pub(crate) fn port_ready(&mut self, port: PortId) -> bool {
+        let port = &mut self.ports[port.index()];
+        port.busy = false;
+        // Every frame has a non-zero wire size.
+        port.queue_bytes.iter().any(|&bytes| bytes != 0)
     }
 
     /// Try to start transmitting the next packet on `port`.
@@ -527,7 +646,7 @@ impl Switch {
             pkt.int.push_hop(
                 self.int_id,
                 IntHopRecord {
-                    bandwidth: port.bandwidth,
+                    bandwidth: port.bandwidth(),
                     ts: now,
                     tx_bytes: port.tx_bytes_cum,
                     rx_bytes: port.rx_enqueued_cum,
@@ -538,7 +657,7 @@ impl Switch {
 
         // Serialize onto the wire.
         port.busy = true;
-        let tx_time = port.bandwidth.tx_time(wire);
+        let tx_time = port.line.tx_time(wire);
         eff.schedule(
             now + tx_time,
             Event::PortReady {
@@ -878,6 +997,332 @@ mod tests {
             uses[0] > 64 && uses[1] > 64,
             "ECMP should spread flows: {uses:?}"
         );
+    }
+
+    /// The eight built-in fabrics and the four committed corpus files.
+    fn every_topology() -> Vec<(&'static str, TopologySpec)> {
+        use hpcc_topology::{
+            asymmetric_clos, corpus, dumbbell, fat_tree, leaf_spine, oversubscribed_clos, star,
+            testbed_pod, FatTreeParams,
+        };
+        let d = Duration::from_us(1);
+        let fabric = Bandwidth::from_gbps(400);
+        let mut all = vec![
+            ("star", star(9, LINE, d)),
+            ("dumbbell", dumbbell(4, 4, LINE, fabric, d)),
+            ("testbed_pod", testbed_pod(d)),
+            ("leaf_spine", leaf_spine(4, 3, 4, LINE, fabric, d)),
+            ("fat_tree small", fat_tree(FatTreeParams::small())),
+            ("fat_tree paper", fat_tree(FatTreeParams::paper())),
+            (
+                "oversubscribed_clos",
+                oversubscribed_clos(4, 4, 4, LINE, 4.0, d),
+            ),
+            (
+                "asymmetric_clos",
+                asymmetric_clos(4, 3, 4, LINE, fabric, 0.25, d),
+            ),
+        ];
+        for (name, text) in [
+            ("abilene", include_str!("../../../corpus/abilene.edges")),
+            (
+                "dragonfly_9",
+                include_str!("../../../corpus/dragonfly_9.edges"),
+            ),
+            (
+                "jellyfish_12",
+                include_str!("../../../corpus/jellyfish_12.edges"),
+            ),
+            (
+                "rocketfuel_pop",
+                include_str!("../../../corpus/rocketfuel_pop.edges"),
+            ),
+        ] {
+            all.push((
+                name,
+                corpus::parse(text).expect("committed corpus file").build(),
+            ));
+        }
+        all
+    }
+
+    /// The egress ports a packet *without* a stamped route takes from the
+    /// switch behind `from`'s NIC to `to`: each switch of `switches` (indexed
+    /// by node) forwards it by its own table lookup, and the port it kicks is
+    /// the port it queued the packet on.
+    fn hop_by_hop(
+        topo: &TopologySpec,
+        switches: &mut [Option<Switch>],
+        cfg: &SimConfig,
+        pkt: Packet,
+        from: NodeId,
+        to: NodeId,
+    ) -> Vec<PortId> {
+        assert_eq!(pkt.route, Route::default());
+        let mut ports = Vec::new();
+        let nic = topo.ports(from)[0];
+        let (mut node, mut ingress) = (nic.peer_node, nic.peer_port);
+        while node != to {
+            let sw = switches[node.index()]
+                .as_mut()
+                .expect("paths cross switches");
+            let mut eff = Effects::default();
+            sw.handle_arrival(SimTime::ZERO, ingress, Box::new(pkt), cfg, topo, &mut eff);
+            let (_, egress) = eff.kicks.pop().expect("routable: the packet was queued");
+            ports.push(egress);
+            let out = topo.ports(node)[egress.index()];
+            (node, ingress) = (out.peer_node, out.peer_port);
+        }
+        ports
+    }
+
+    #[test]
+    fn stamped_route_is_the_hop_by_hop_table_lookup_in_both_directions() {
+        let mut cfg = cfg();
+        // Nothing is ever transmitted here: no drop, no pause, whatever
+        // piles up.
+        cfg.buffer_bytes = u64::MAX / 4;
+        for (name, topo) in every_topology() {
+            let mut switches: Vec<Option<Switch>> = (0..topo.node_count() as u32)
+                .map(NodeId)
+                .map(|n| {
+                    (topo.kind(n) == NodeKind::Switch).then(|| Switch::new(n, topo.ports(n), &cfg))
+                })
+                .collect();
+            let hosts = topo.hosts();
+            let seed = 0x5EED_0023;
+            let mut rng = SplitMix64::new(seed);
+            let (mut multi_hop, mut ecmp_choices) = (0, 0);
+            for i in 0..240 {
+                let src = hosts[rng.next_below(hosts.len() as u64) as usize];
+                let dst = hosts[rng.next_below(hosts.len() as u64) as usize];
+                if src == dst {
+                    continue;
+                }
+                let flow = rng.next_u64();
+                let case = format!("{name}, seed {seed:#x}, draw {i}: flow {flow:#x} {src}->{dst}");
+                let data = Packet::data(FlowId(flow), src, dst, 0, 1000, SimTime::ZERO);
+                let ack = Packet::ack_for(&data, 1000, false);
+                let out = hop_by_hop(&topo, &mut switches, &cfg, data, src, dst);
+                let back = hop_by_hop(&topo, &mut switches, &cfg, ack, dst, src);
+                let route = stamped_route(&topo, flow, src, dst);
+                let stamped = |ports: &[u16], len: u8| -> Vec<PortId> {
+                    ports[..len as usize]
+                        .iter()
+                        .map(|&p| PortId(p as u32))
+                        .collect()
+                };
+                assert!(
+                    out.len() <= MAX_INT_HOPS && back.len() <= MAX_INT_HOPS,
+                    "{case}"
+                );
+                assert_eq!(stamped(&route.ahead, route.ahead_len), out, "{case}");
+                assert_eq!(stamped(&route.back, route.back_len), back, "{case}");
+                assert_eq!(route.hop, 0, "{case}");
+                multi_hop += (out.len() > 1) as u32;
+                ecmp_choices +=
+                    topo.switches()
+                        .iter()
+                        .any(|&sw| topo.next_hops(sw, dst).len() > 1) as u32;
+            }
+            // The check means something on every fabric but the star and
+            // the single-path trees: paths cross several switches, and
+            // somewhere ECMP has a choice to make.
+            if name != "star" {
+                assert!(multi_hop > 100, "{name}: {multi_hop} multi-switch paths");
+            }
+            if !["star", "dumbbell", "testbed_pod", "abilene"].contains(&name) {
+                assert!(
+                    ecmp_choices > 100,
+                    "{name}: {ecmp_choices} flows with an ECMP choice"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_packet_follows_its_stamp_and_an_unstamped_hop_falls_back_to_the_table() {
+        let topo = topo3();
+        let cfg = cfg();
+        let mut sw = new_switch(&topo);
+        // The table sends flow 7 to host 1 out of port 1; a stamp of port 2
+        // wins, and counts the hop.
+        let mut stamped = data_packet(0);
+        stamped.route = Route::new(&[PortId(2)], &[PortId(0)]);
+        let mut eff = Effects::default();
+        sw.handle_arrival(
+            SimTime::ZERO,
+            PortId(0),
+            Box::new(stamped),
+            &cfg,
+            &topo,
+            &mut eff,
+        );
+        assert_eq!(eff.kicks, vec![(sw.id, PortId(2))]);
+        let mut out = Effects::default();
+        sw.try_transmit(SimTime::ZERO, PortId(2), &cfg, &mut out);
+        let forwarded = out
+            .scheduled()
+            .into_iter()
+            .find_map(|(_, e)| match e {
+                Event::PacketArrive { packet, .. } => Some(*packet),
+                _ => None,
+            })
+            .unwrap();
+        assert_eq!(forwarded.route.hop, 1);
+        // The same packet arriving once more has no stamped hop left: the
+        // table forwards it, to port 1.
+        let mut eff = Effects::default();
+        sw.handle_arrival(
+            SimTime::ZERO,
+            PortId(0),
+            Box::new(forwarded),
+            &cfg,
+            &topo,
+            &mut eff,
+        );
+        assert_eq!(eff.kicks, vec![(sw.id, PortId(1))]);
+        // And with no stamped hop and no table entry (node 9 does not
+        // exist) it is dropped and counted at the ingress, as ever.
+        let mut lost = data_packet(0);
+        lost.dst = NodeId(9);
+        let mut eff = Effects::default();
+        sw.handle_arrival(
+            SimTime::ZERO,
+            PortId(0),
+            Box::new(lost),
+            &cfg,
+            &topo,
+            &mut eff,
+        );
+        assert!(eff.kicks.is_empty());
+        assert_eq!(sw.ports()[0].counters.dropped_packets, 1);
+    }
+
+    #[test]
+    fn cached_ps_per_byte_is_exactly_tx_time() {
+        for gbps in [1, 10, 25, 40, 50, 100, 200, 400] {
+            let bw = Bandwidth::from_gbps(gbps);
+            let line = LineRate::new(bw);
+            assert_eq!(line.ps_per_byte, 8000 / gbps, "{gbps} Gb/s multiplies");
+            for wire in 1..=9216 {
+                assert_eq!(
+                    line.tx_time(wire),
+                    bw.tx_time(wire),
+                    "{wire} B at {gbps} Gb/s"
+                );
+            }
+            // Past the product's u64 range both saturate.
+            for wire in [
+                u64::MAX / line.ps_per_byte,
+                u64::MAX / line.ps_per_byte + 1,
+                u64::MAX,
+            ] {
+                assert_eq!(
+                    line.tx_time(wire),
+                    bw.tx_time(wire),
+                    "{wire} B at {gbps} Gb/s"
+                );
+            }
+        }
+        // 8·10¹² / bps is not whole: the division stays.
+        for bps in [3_000_000_000, 7_000_000_000, 99_999_999_999, 3] {
+            let bw = Bandwidth::from_bps(bps);
+            let line = LineRate::new(bw);
+            assert_eq!(line.ps_per_byte, 0, "{bps} bit/s divides");
+            for wire in [1, 60, 64, 1106, 9216] {
+                assert_eq!(
+                    line.tx_time(wire),
+                    bw.tx_time(wire),
+                    "{wire} B at {bps} bit/s"
+                );
+            }
+        }
+        let stopped = LineRate::new(Bandwidth::ZERO);
+        assert_eq!(stopped.tx_time(64), Duration::MAX);
+    }
+
+    #[test]
+    fn an_idle_port_needs_no_kick_and_a_paused_one_still_gets_it() {
+        use crate::config::SchedulerKind;
+        let topo = topo3();
+        for scheduler in [SchedulerKind::StrictPriority, SchedulerKind::Dwrr] {
+            let mut cfg = cfg();
+            cfg.queueing.data_classes = 2;
+            cfg.queueing.scheduler = scheduler;
+            cfg.queueing.weights = vec![3, 1];
+            let sw_id = topo.switches()[0];
+            let mut sw = Switch::new(sw_id, topo.ports(sw_id), &cfg);
+            let egress = PortId(1);
+            // Three packets in each class out of port 1, served until the
+            // port is empty: DWRR is left with a moved cursor and credit.
+            let mut eff = Effects::default();
+            for i in 0..6 {
+                let mut pkt = data_packet(i * 1000);
+                pkt.priority = Priority::data_class((i % 2) as u8);
+                sw.handle_arrival(
+                    SimTime::ZERO,
+                    PortId(0),
+                    Box::new(pkt),
+                    &cfg,
+                    &topo,
+                    &mut eff,
+                );
+            }
+            for sent in 1..=6 {
+                assert!(!sw.ports[egress.index()].busy);
+                sw.try_transmit(SimTime::ZERO, egress, &cfg, &mut eff);
+                assert!(sw.ports[egress.index()].busy);
+                assert_eq!(
+                    sw.port_ready(egress),
+                    sent < 6,
+                    "{scheduler:?}: after {sent} of 6"
+                );
+            }
+            if let Scheduler::Dwrr { deficit, .. } = &sw.ports[egress.index()].sched {
+                assert!(deficit.iter().any(|&d| d != 0), "credit left to disturb");
+            }
+            // The kick that `port_ready` spares would have changed nothing
+            // and produced nothing.
+            let before = format!("{sw:?}");
+            let mut idle = Effects::default();
+            sw.try_transmit(SimTime::from_us(1), egress, &cfg, &mut idle);
+            assert_eq!(format!("{sw:?}"), before, "{scheduler:?}");
+            assert!(
+                idle.kicks.is_empty() && idle.scheduled().is_empty(),
+                "{scheduler:?}"
+            );
+
+            // A port whose only queued class is PFC-paused holds something:
+            // it keeps its kick (which finds nothing to send — yet).
+            let mut eff = Effects::default();
+            sw.handle_arrival(
+                SimTime::ZERO,
+                PortId(0),
+                Box::new(data_packet(0)),
+                &cfg,
+                &topo,
+                &mut eff,
+            );
+            let pause = Packet::pfc(Priority::DATA, true);
+            sw.handle_arrival(
+                SimTime::ZERO,
+                egress,
+                Box::new(pause),
+                &cfg,
+                &topo,
+                &mut eff,
+            );
+            assert!(sw.ports()[egress.index()].is_class_paused(0));
+            assert!(sw.port_ready(egress), "{scheduler:?}: paused but queued");
+            // So does one that holds only a control frame.
+            assert!(!sw.port_ready(PortId(2)));
+            sw.send_pfc(SimTime::ZERO, PortId(2), Priority::DATA, true, &mut eff);
+            assert!(
+                sw.port_ready(PortId(2)),
+                "{scheduler:?}: a PFC frame queued"
+            );
+        }
     }
 
     #[test]

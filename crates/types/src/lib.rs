@@ -11,7 +11,8 @@
 //! * [`Bandwidth`] and byte-count helpers,
 //! * identifier newtypes ([`NodeId`], [`PortId`], [`FlowId`], [`Priority`]),
 //! * the on-wire model: [`Packet`], [`PacketKind`], and the INT header of the
-//!   paper's Figure 7 ([`IntHeader`], [`IntHopRecord`]),
+//!   paper's Figure 7 ([`IntHeader`], [`IntHopRecord`]) and the per-flow
+//!   source [`Route`] packets are forwarded by,
 //! * flow descriptions ([`FlowSpec`]) used by workload generators and the
 //!   simulator.
 
@@ -29,7 +30,7 @@ pub use bandwidth::Bandwidth;
 pub use flow::{FlowPriority, FlowSpec};
 pub use ids::{FlowId, NodeId, PortId, Priority};
 pub use packet::{
-    AckFlags, IntHeader, IntHopRecord, Packet, PacketKind, ACK_BASE_SIZE, DATA_HEADER_SIZE,
+    AckFlags, IntHeader, IntHopRecord, Packet, PacketKind, Route, ACK_BASE_SIZE, DATA_HEADER_SIZE,
     INT_HOP_SIZE, MAX_INT_HOPS, PFC_FRAME_SIZE,
 };
 pub use rng::SplitMix64;

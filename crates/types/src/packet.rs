@@ -7,13 +7,15 @@
 //! schemes (TIMELY).
 
 use crate::bandwidth::Bandwidth;
-use crate::ids::{FlowId, NodeId, Priority};
+use crate::ids::{FlowId, NodeId, PortId, Priority};
 use crate::time::SimTime;
 
-/// Maximum number of INT hop records a packet can carry (paper: "path length
-/// is often no more than 5 hops"); we allow a little slack for the FatTree's
-/// longest path (host→ToR→Agg→Core→Agg→ToR→host = 6 switch egresses is not
-/// possible for a single direction, but we keep 8 for safety).
+/// Maximum number of INT hop records a packet can carry, and of switches a
+/// stamped [`Route`] names per direction. The paper: "path length is often no
+/// more than 5 hops" — the fat-tree's longest path, host→ToR→Agg→Core→Agg→
+/// ToR→host, crosses five switches; eight leaves room for the imported corpus
+/// topologies. A longer path still works: the hops past the eighth carry no
+/// INT record and are forwarded by the route table.
 pub const MAX_INT_HOPS: usize = 8;
 
 /// Size in bytes of one INT hop record on the wire (Figure 7: 64 bits).
@@ -51,7 +53,11 @@ pub struct IntHopRecord {
     pub qlen: u64,
 }
 
-/// The INT header accumulated along a packet's path (Figure 7).
+/// The INT header accumulated along a packet's path (Figure 7). `repr(C)`:
+/// `nHop` and `pathID` sit directly ahead of the hop array, so inside a
+/// [`Packet`] they close the header line instead of trailing 320 bytes
+/// behind it.
+#[repr(C)]
 #[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub struct IntHeader {
     /// Number of hops recorded so far (`nHop`).
@@ -93,6 +99,80 @@ impl IntHeader {
     }
 }
 
+/// The egress port a packet takes at each switch of its path, resolved once
+/// when its flow is registered instead of at every hop: a flow keeps one ECMP
+/// path for its whole life (the premise of the INT `pathID`, §4.1), so the
+/// per-hop route lookup and hash always return what they returned for the
+/// flow's first packet.
+///
+/// A packet carries both directions of its flow. `ahead` is the one it is
+/// travelling — a switch forwards out of `ahead[hop]` and counts `hop` up —
+/// and `back` is the one its reply will take; turning a data packet into its
+/// acknowledgement swaps the two ([`Route::reversed`]). A switch that finds no
+/// stamped hop (an empty route, or a path longer than [`MAX_INT_HOPS`]
+/// switches) forwards by the route table, which gives the same port.
+#[repr(C)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
+pub struct Route {
+    /// Egress ports in the direction of travel, valid for `0..ahead_len`.
+    pub ahead: [u16; MAX_INT_HOPS],
+    /// Egress ports in the opposite direction, valid for `0..back_len`.
+    pub back: [u16; MAX_INT_HOPS],
+    /// Switches named in `ahead`.
+    pub ahead_len: u8,
+    /// Switches named in `back`.
+    pub back_len: u8,
+    /// Switches of `ahead` already crossed.
+    pub hop: u8,
+}
+
+impl Route {
+    /// A route from the egress ports of the two directions, each cut to the
+    /// ports that fit: at the first one above `u16::MAX` and after
+    /// [`MAX_INT_HOPS`] of them. What is cut the route table forwards.
+    pub fn new(ahead: &[PortId], back: &[PortId]) -> Self {
+        fn stamp(ports: &[PortId], into: &mut [u16; MAX_INT_HOPS]) -> u8 {
+            let mut n = 0;
+            for (slot, port) in into.iter_mut().zip(ports) {
+                let Ok(p) = u16::try_from(port.0) else { break };
+                *slot = p;
+                n += 1;
+            }
+            n
+        }
+        let mut route = Route::default();
+        route.ahead_len = stamp(ahead, &mut route.ahead);
+        route.back_len = stamp(back, &mut route.back);
+        route
+    }
+
+    /// The stamped egress port at the switch the packet is now at, counting
+    /// that switch as crossed; `None` when the route names no port for it.
+    #[inline]
+    pub fn next_port(&mut self) -> Option<PortId> {
+        let hop = self.hop as usize;
+        if hop >= self.ahead_len as usize {
+            return None;
+        }
+        let port = *self.ahead.get(hop)?;
+        self.hop += 1;
+        Some(PortId(port as u32))
+    }
+
+    /// The route of the reply: the two directions swapped, no switch
+    /// crossed yet.
+    #[inline]
+    pub fn reversed(&self) -> Route {
+        Route {
+            ahead: self.back,
+            back: self.ahead,
+            ahead_len: self.back_len,
+            back_len: self.ahead_len,
+            hop: 0,
+        }
+    }
+}
+
 /// Flags echoed on acknowledgements.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct AckFlags {
@@ -129,38 +209,49 @@ pub enum PacketKind {
 }
 
 /// A simulated packet.
+///
+/// `repr(C)`, in the order a switch reads it: what forwarding touches — kind,
+/// class, marks, the stamped route, the payload length the wire size comes
+/// from, and the INT header's `nHop` / `pathID` — fills the first 64 bytes
+/// (asserted below), the hop array follows, and what only the two hosts read
+/// closes the struct. A switch hop therefore touches that header and the one
+/// 40-byte record it writes, wherever the route and the hop count fall.
+#[repr(C)]
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Packet {
     /// Kind of packet.
     pub kind: PacketKind,
-    /// Flow this packet belongs to (meaningless for PFC frames).
-    pub flow: FlowId,
-    /// Source host of the *flow* (not of this packet): ACKs for a flow have
-    /// the same `src`/`dst` as the data direction, and are routed using
-    /// `dst → src`.
-    pub src: NodeId,
-    /// Destination host of the flow.
-    pub dst: NodeId,
-    /// Byte sequence number. For data: offset of the first payload byte.
-    /// For ACK/NACK: next expected byte (cumulative acknowledgement).
-    pub seq: u64,
-    /// Payload bytes carried (data packets only).
-    pub payload: u64,
     /// Priority class this packet travels in.
     pub priority: Priority,
     /// ECN congestion-experienced mark, set by switches on data packets.
     pub ecn_ce: bool,
+    /// Acknowledgement flags (ACK/NACK only).
+    pub ack_flags: AckFlags,
+    /// Egress port at every switch of the flow's path, both directions,
+    /// stamped by the sender next to the slots; empty on a hand-built packet,
+    /// which switches forward by the route table.
+    pub route: Route,
+    /// Payload bytes carried (data packets only).
+    pub payload: u64,
     /// INT telemetry accumulated along the path (data) or echoed back (ACK).
     pub int: IntHeader,
+    /// Flow this packet belongs to (meaningless for PFC frames).
+    pub flow: FlowId,
+    /// Byte sequence number. For data: offset of the first payload byte.
+    /// For ACK/NACK: next expected byte (cumulative acknowledgement).
+    pub seq: u64,
     /// Time the corresponding data packet was first emitted by the sender;
     /// echoed on ACKs so the sender can measure the RTT (TIMELY).
     pub ts_sent: SimTime,
-    /// Acknowledgement flags (ACK/NACK only).
-    pub ack_flags: AckFlags,
     /// Start of the out-of-order block for [`PacketKind::SackNack`].
     pub sack_start: u64,
     /// Length of the out-of-order block for [`PacketKind::SackNack`].
     pub sack_len: u64,
+    /// Source host of the *flow* (not of this packet): ACKs for a flow have
+    /// the same `src`/`dst` as the data direction, and travel `dst → src`.
+    pub src: NodeId,
+    /// Destination host of the flow.
+    pub dst: NodeId,
     /// Dense index of this flow in the *sending* host's flow table. Stamped
     /// by the sender on data packets and echoed on ACK/NACK/CNP, so the
     /// sender resolves returning control traffic with a direct vector index
@@ -171,6 +262,18 @@ pub struct Packet {
     /// stamped on every data packet, so the receiver also indexes directly.
     pub dst_slot: u32,
 }
+
+// The header a switch reads ends where the hop array begins, at byte 64, and
+// the whole packet stays within seven cache lines.
+const _: () = {
+    use std::mem::{offset_of, size_of};
+    assert!(offset_of!(Packet, kind) == 0);
+    assert!(offset_of!(Packet, route) + size_of::<Route>() <= offset_of!(Packet, payload));
+    assert!(offset_of!(Packet, payload) + 8 <= offset_of!(Packet, int));
+    assert!(offset_of!(Packet, int) + offset_of!(IntHeader, path_id) + 2 <= 64);
+    assert!(offset_of!(Packet, int) + offset_of!(IntHeader, hops) == 64);
+    assert!(size_of::<Packet>() <= 448);
+};
 
 impl Packet {
     /// Create a data packet.
@@ -198,11 +301,12 @@ impl Packet {
             sack_len: 0,
             src_slot: 0,
             dst_slot: 0,
+            route: Route::default(),
         }
     }
 
     /// Create an acknowledgement for a data packet, echoing its INT header,
-    /// ECN mark and send timestamp.
+    /// ECN mark and send timestamp, and taking its route the other way.
     pub fn ack_for(data: &Packet, cumulative_ack: u64, flow_finished: bool) -> Self {
         Packet {
             kind: PacketKind::Ack,
@@ -223,6 +327,7 @@ impl Packet {
             sack_len: 0,
             src_slot: data.src_slot,
             dst_slot: data.dst_slot,
+            route: data.route.reversed(),
         }
     }
 
@@ -247,7 +352,7 @@ impl Packet {
     /// it, for a pooled box whose previous contents are dead. Every field is
     /// written except the INT hop array, which `n_hops = 0` invalidates — so
     /// the result equals `Packet::data(..)` on everything [`IntHeader::hops`]
-    /// exposes, without zeroing and copying the 400-byte struct.
+    /// exposes, without zeroing and copying the 440-byte struct.
     pub fn reset_to_data(
         &mut self,
         flow: FlowId,
@@ -280,6 +385,7 @@ impl Packet {
             sack_len,
             src_slot,
             dst_slot,
+            route,
         } = self;
         *kind = PacketKind::Data;
         *p_flow = flow;
@@ -297,14 +403,17 @@ impl Packet {
         *sack_len = 0;
         *src_slot = 0;
         *dst_slot = 0;
+        *route = Route::default();
     }
 
     /// Turn this data packet into its acknowledgement in place: the result
     /// equals [`Packet::ack_for`]`(&data, cumulative_ack, flow_finished)`.
     /// Flow, endpoints, INT header, send timestamp and both slots are echoed
-    /// as they stand, so the receiver re-emits the box the data arrived in.
+    /// as they stand and the route turns round, so the receiver re-emits the
+    /// box the data arrived in.
     pub fn become_ack(&mut self, cumulative_ack: u64, flow_finished: bool) {
         self.kind = PacketKind::Ack;
+        self.route = self.route.reversed();
         self.seq = cumulative_ack;
         self.payload = 0;
         self.priority = Priority::CONTROL;
@@ -349,6 +458,7 @@ impl Packet {
             sack_len: 0,
             src_slot: 0,
             dst_slot: 0,
+            route: Route::default(),
         }
     }
 
@@ -370,6 +480,7 @@ impl Packet {
             sack_len: 0,
             src_slot: 0,
             dst_slot: 0,
+            route: Route::default(),
         }
     }
 
@@ -535,6 +646,13 @@ mod tests {
                 data.ecn_ce = ecn_ce;
                 data.ack_flags.flow_finished = finished;
                 (data.src_slot, data.dst_slot) = (3, 8);
+                // Three switches out, two back, all three of the way out
+                // crossed when the packet reaches its receiver.
+                data.route = Route::new(
+                    &[PortId(4), PortId(17), PortId(2)],
+                    &[PortId(9), PortId(300)],
+                );
+                while data.route.next_port().is_some() {}
                 for sw in 0..n_hops {
                     data.int.push_hop(sw + 1, sample_record(10 * sw as u64));
                 }
@@ -544,6 +662,12 @@ mod tests {
                 ack.become_ack(10_000, finished);
                 assert_eq!(ack, Packet::ack_for(&data, 10_000, finished), "{case}");
                 assert_eq!(ack.int.hops(), data.int.hops(), "{case}");
+                // The reply sets out along the data packet's way back.
+                assert_eq!(ack.route.hop, 0, "{case}");
+                assert_eq!(ack.route.next_port(), Some(PortId(9)), "{case}");
+                assert_eq!(ack.route.next_port(), Some(PortId(300)), "{case}");
+                assert_eq!(ack.route.next_port(), None, "{case}");
+                assert_eq!(ack.route.reversed().ahead, data.route.ahead, "{case}");
 
                 let mut nack = data;
                 nack.become_nack(5000);
@@ -566,6 +690,42 @@ mod tests {
                 assert_eq!(visible(sack), fresh, "{case}");
             }
         }
+    }
+
+    #[test]
+    fn route_hands_out_its_ports_in_order_then_none() {
+        let mut route = Route::new(&[PortId(3), PortId(0), PortId(65_535)], &[PortId(1)]);
+        assert_eq!((route.ahead_len, route.back_len, route.hop), (3, 1, 0));
+        for (crossed, port) in [3, 0, 65_535].into_iter().enumerate() {
+            assert_eq!(route.hop as usize, crossed);
+            assert_eq!(route.next_port(), Some(PortId(port)));
+        }
+        // Past the last stamped switch the answer stays `None` and the
+        // counter stays put.
+        assert_eq!(route.next_port(), None);
+        assert_eq!(route.next_port(), None);
+        assert_eq!(route.hop, 3);
+        let back = route.reversed();
+        assert_eq!((back.ahead_len, back.back_len, back.hop), (1, 3, 0));
+        assert_eq!(back.reversed().reversed(), back);
+        assert_eq!(Route::default().next_port(), None);
+    }
+
+    #[test]
+    fn route_keeps_only_the_ports_that_fit() {
+        // More switches than the route holds: the first eight are stamped.
+        let long: Vec<PortId> = (0..MAX_INT_HOPS as u32 + 2).map(PortId).collect();
+        let mut route = Route::new(&long, &long[..MAX_INT_HOPS]);
+        assert_eq!(route.ahead_len as usize, MAX_INT_HOPS);
+        assert_eq!(route.back_len as usize, MAX_INT_HOPS);
+        for port in &long[..MAX_INT_HOPS] {
+            assert_eq!(route.next_port(), Some(*port));
+        }
+        assert_eq!(route.next_port(), None);
+        // A port index beyond u16 ends the stamp there; nothing after it is
+        // stamped either, so no later hop is taken out of turn.
+        let wide = Route::new(&[PortId(1), PortId(70_000), PortId(2)], &[]);
+        assert_eq!((wide.ahead_len, wide.back_len), (1, 0));
     }
 
     #[test]

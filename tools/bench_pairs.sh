@@ -2,29 +2,33 @@
 # Paired benchmark runs of a parent revision against the working tree: the
 # procedure of benchmark/README.md § Claiming a gain.
 #
-#   tools/bench_pairs.sh <parent-rev> <workload> [pairs=10] [-- extra run args]
+#   tools/bench_pairs.sh <parent-rev> <workloads> [pairs=10] [-- extra run args]
 #
-# <workload> is one of BENCHMARK.json's workloads. Extra run args go to both
-# sides' `hpcc-benchmark run` (`-- --seed 43`, `-- --quick --seconds 3`);
-# without a `--seed` among them the seed is 42.
+# <workloads> is one of BENCHMARK.json's workloads, several separated by
+# commas, or `all`. Extra run args go to both sides' `hpcc-benchmark run`
+# (`-- --seed 43`, `-- --quick --seconds 3`); without a `--seed` among them
+# the seed is 42.
 #
-# Each side is built once, from its own source tree into its own
-# CARGO_TARGET_DIR under target/bench_pairs/ (the parent's tree is a
-# `git archive` of <parent-rev> there), and run from its own root. The side
-# that runs first alternates from pair to pair. Prints every pair's
-# wall_us_per_unit, whether the two reports are byte-identical, the win
-# count, then the benchmark's `compare` over all runs of each side (median
-# and quartiles of every end-to-end metric, verdict by BENCHMARK.json's
-# bounds). Exits with `compare`'s status: 1 if any row reads `worse`.
+# Each side is built once per invocation, from its own source tree into its
+# own CARGO_TARGET_DIR under target/bench_pairs/, and run from its own root.
+# The parent's tree is a `git archive` of <parent-rev> there, extracted only
+# when the revision differs from the one already there, so a second
+# invocation against the same parent does not recompile it. Workloads run
+# one after the other; within each, the side that runs first alternates from
+# pair to pair. Prints every pair's wall_us_per_unit, whether the two
+# reports are byte-identical, the win count, then the benchmark's `compare`
+# over all runs of each side (median and quartiles of every end-to-end
+# metric, verdict by BENCHMARK.json's bounds). Exits 1 if any workload's
+# `compare` has a row that reads `worse`.
 set -euo pipefail
 
 usage() {
-    sed -n '2,9p' "$0" >&2
+    sed -n '2,10p' "$0" >&2
     exit 2
 }
 [[ $# -ge 2 ]] || usage
 parent_rev=$1
-workload=$2
+workloads=$2
 shift 2
 pairs=10
 if [[ $# -gt 0 && $1 != -- ]]; then
@@ -41,10 +45,21 @@ extra=("$@")
 metric=wall_us_per_unit
 
 root=$(git rev-parse --show-toplevel)
+if [[ $workloads == all ]]; then
+    workloads=$(sed -n '/"workloads"/,/^  \]/s/.*"name": *"\([a-z_]*\)".*/\1/p' \
+        "$root/BENCHMARK.json" | paste -sd,)
+fi
+IFS=, read -ra workloads <<<"$workloads"
+[[ ${#workloads[@]} -gt 0 ]] || usage
+
 work=$root/target/bench_pairs
-rm -rf "$work/parent-src"
-mkdir -p "$work/parent-src"
-git -C "$root" archive "$parent_rev" | tar -x -C "$work/parent-src"
+parent_sha=$(git -C "$root" rev-parse --verify "$parent_rev^{commit}")
+if [[ $(cat "$work/parent-src.rev" 2>/dev/null) != "$parent_sha" ]]; then
+    rm -rf "$work/parent-src" "$work/parent-src.rev"
+    mkdir -p "$work/parent-src"
+    git -C "$root" archive "$parent_sha" | tar -x -C "$work/parent-src"
+    echo "$parent_sha" >"$work/parent-src.rev"
+fi
 
 declare -A src=([parent]=$work/parent-src [change]=$root)
 for side in parent change; do
@@ -53,8 +68,8 @@ for side in parent change; do
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
-out=$work/runs/$(date -u +%Y%m%dT%H%M%SZ)-$workload
-# One run of one side; prints the metric's value.
+stamp=$(date -u +%Y%m%dT%H%M%SZ)
+# One run of one side of one workload; prints the metric's value.
 run_side() {
     local side=$1 dir=$out/$1-$2
     (cd "${src[$side]}" && "$work/$side-target/release/hpcc-benchmark" run \
@@ -62,32 +77,37 @@ run_side() {
         tail -n 1 | sed -n "s/.*\"$metric\":{\"value\":\([0-9.eE+-]*\).*/\1/p"
 }
 
-wins=0
-losses=0
-declare -A files=([parent]="" [change]="")
-for ((i = 1; i <= pairs; i++)); do
-    if ((i % 2)); then order=(parent change); else order=(change parent); fi
-    declare -A value=()
-    for side in "${order[@]}"; do
-        value[$side]=$(run_side "$side" "$i")
-        [[ -n ${value[$side]} ]] || {
-            echo "pair $i: the $side run printed no $metric" >&2
-            exit 2
-        }
-        files[$side]+=${files[$side]:+,}$out/$side-$i/$workload.json
+status=0
+for workload in "${workloads[@]}"; do
+    out=$work/runs/$stamp-$workload
+    wins=0
+    losses=0
+    declare -A files=([parent]="" [change]="")
+    for ((i = 1; i <= pairs; i++)); do
+        if ((i % 2)); then order=(parent change); else order=(change parent); fi
+        declare -A value=()
+        for side in "${order[@]}"; do
+            value[$side]=$(run_side "$side" "$i")
+            [[ -n ${value[$side]} ]] || {
+                echo "$workload pair $i: the $side run printed no $metric" >&2
+                exit 2
+            }
+            files[$side]+=${files[$side]:+,}$out/$side-$i/$workload.json
+        done
+        if cmp -s "$out/parent-$i/report_$workload.json" "$out/change-$i/report_$workload.json"; then
+            report=identical
+        else
+            report=DIFFERENT
+        fi
+        case $(awk -v p="${value[parent]}" -v c="${value[change]}" \
+            'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }') in
+        win) wins=$((wins + 1)) ;;
+        loss) losses=$((losses + 1)) ;;
+        esac
+        echo "$workload pair $i (${order[0]} first): $metric parent ${value[parent]} change ${value[change]}; reports $report"
     done
-    if cmp -s "$out/parent-$i/report_$workload.json" "$out/change-$i/report_$workload.json"; then
-        report=identical
-    else
-        report=DIFFERENT
-    fi
-    case $(awk -v p="${value[parent]}" -v c="${value[change]}" \
-        'BEGIN { print (c < p) ? "win" : (c > p) ? "loss" : "tie" }') in
-    win) wins=$((wins + 1)) ;;
-    loss) losses=$((losses + 1)) ;;
-    esac
-    echo "pair $i (${order[0]} first): $metric parent ${value[parent]} change ${value[change]}; reports $report"
+    echo "$workload ${extra[*]}: change wins $wins, loses $losses of $pairs pairs on $metric"
+    (cd "$root" && "$work/change-target/release/hpcc-benchmark" compare \
+        "${files[parent]}" "${files[change]}") || status=1
 done
-echo "$workload ${extra[*]}: change wins $wins, loses $losses of $pairs pairs on $metric"
-cd "$root"
-"$work/change-target/release/hpcc-benchmark" compare "${files[parent]}" "${files[change]}"
+exit $status
