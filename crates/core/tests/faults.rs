@@ -9,7 +9,8 @@
 //!    against the fault plumbing specifically).
 //! 2. **Faulted runs are deterministic** — bit-identical on a re-run, seed-
 //!    sensitive, and digest-pinned for the `degraded_link_cc_matrix` preset,
-//!    where the six CC schemes separate under one identical fault timeline.
+//!    where the six CC schemes separate under one identical fault timeline,
+//!    and for every fault kind on a host NIC link (`GOLDEN_HOST_LINK`).
 //! 3. **Distribution is transparent.** A faulted campaign merges
 //!    bit-identically to `run_serial()` across shards, fault summaries
 //!    included.
@@ -20,11 +21,11 @@ use hpcc_core::presets::{
     degraded_link_cc_matrix, fattree_fb_hadoop, fattree_linkflap_sweep, fault_smoke,
     first_fabric_link, SCHEME_SET_FIG11,
 };
-use hpcc_core::scenario::TopologyChoice;
+use hpcc_core::scenario::{FlowDecl, TopologyChoice, WorkloadSpec};
 use hpcc_core::{Campaign, CampaignReport, CcSpec, FaultSpec, ScenarioSpec, ShardPlan};
 use hpcc_sim::{DegradedLink, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
 use hpcc_topology::FatTreeParams;
-use hpcc_types::Duration;
+use hpcc_types::{Bandwidth, Duration};
 
 /// The `fattree HPCC` golden preset from `queueing.rs`: the digest recorded
 /// before the fault subsystem landed.
@@ -174,6 +175,167 @@ fn degraded_matrix_separates_all_six_schemes_under_one_timeline() {
         assert!(f.dropped_packets > 0, "{}: iid loss never fired", r.name);
         assert!(f.goodput_during_faults > 0, "{}", r.name);
     }
+}
+
+/// A fault on a *host* link — every preset faults `first_fabric_link`, switch
+/// to switch — on a 5-host star whose hosts 0–3 each send 1 MB to host 4:
+/// link 0 is a sender's NIC link (the host serializes data, the switch ACKs),
+/// link 4 the receiver's (the host serializes ACKs and CNPs, the switch
+/// data).
+enum HostLinkFault {
+    /// Three outages of 100 µs, 300 µs apart.
+    Flap(usize, LinkDownMode),
+    /// 0.2–1.2 ms: extra one-way delay, iid loss.
+    Degraded(usize, Duration, f64),
+    /// Host 0's NIC at a quarter of its line rate, 0.2–1.2 ms.
+    Straggler,
+}
+
+/// `(what, fault, flow control, frames lost to the fault?, digest under
+/// HPCC, under DCQCN)`, recorded on the tree that still modelled the wire
+/// once in `Host` and once in `SwitchPort`.
+const GOLDEN_HOST_LINK: [(&str, HostLinkFault, FlowControlMode, bool, u64, u64); 9] = {
+    use FlowControlMode::{Lossless, LossyGoBackN, LossyIrn};
+    use HostLinkFault::{Degraded, Flap, Straggler};
+    use LinkDownMode::{Drop, Pause};
+    const US2: Duration = Duration::from_us(2);
+    [
+        (
+            "pause flap, sender, GBN",
+            Flap(0, Pause),
+            LossyGoBackN,
+            false,
+            1718746646393150164,
+            17545060326988465123,
+        ),
+        (
+            "pause flap, receiver, IRN",
+            Flap(4, Pause),
+            LossyIrn,
+            false,
+            1446241357095928035,
+            10674524174677506415,
+        ),
+        (
+            "drop flap, sender, GBN",
+            Flap(0, Drop),
+            LossyGoBackN,
+            true,
+            11376790777461279914,
+            9948538946334345739,
+        ),
+        (
+            "drop flap, sender, IRN",
+            Flap(0, Drop),
+            LossyIrn,
+            true,
+            15589703041056626237,
+            4207925957494655489,
+        ),
+        (
+            "drop flap, receiver, IRN",
+            Flap(4, Drop),
+            LossyIrn,
+            true,
+            13983897649107433917,
+            10392774100268118491,
+        ),
+        (
+            "loss, sender, IRN",
+            Degraded(0, US2, 0.02),
+            LossyIrn,
+            true,
+            16002764191102550091,
+            12275055535752762462,
+        ),
+        (
+            "loss, receiver, GBN",
+            Degraded(4, Duration::ZERO, 0.02),
+            LossyGoBackN,
+            true,
+            3315876952863332870,
+            2060219991037490508,
+        ),
+        (
+            "delay only, sender, PFC",
+            Degraded(0, US2, 0.0),
+            Lossless,
+            false,
+            10018860999262698287,
+            7762801797051949449,
+        ),
+        (
+            "straggler, PFC",
+            Straggler,
+            Lossless,
+            false,
+            12350499540671511679,
+            6953253619826683509,
+        ),
+    ]
+};
+
+#[test]
+fn host_link_faults_reproduce_the_recorded_digests() {
+    let mut actual = Vec::new();
+    let mut expected = Vec::new();
+    for (what, fault, flow_control, loses, hpcc, dcqcn) in &GOLDEN_HOST_LINK {
+        let faults = match *fault {
+            HostLinkFault::Flap(link, mode) => FaultSpec::new().with_link_fault(LinkFault {
+                link,
+                at: Duration::from_us(200),
+                down_for: Duration::from_us(100),
+                flaps: 2,
+                period: Duration::from_us(300),
+                mode,
+            }),
+            HostLinkFault::Degraded(link, extra_delay, loss) => FaultSpec::new()
+                .with_degraded_link(DegradedLink {
+                    link,
+                    from: Duration::from_us(200),
+                    until: Duration::from_us(1200),
+                    extra_delay,
+                    loss,
+                }),
+            HostLinkFault::Straggler => FaultSpec::new().with_straggler(StragglerHost {
+                host: 0,
+                from: Duration::from_us(200),
+                until: Duration::from_us(1200),
+                rate_factor: 0.25,
+            }),
+        };
+        for (scheme, golden) in [("HPCC", hpcc), ("DCQCN", dcqcn)] {
+            let name = format!("{what}, {scheme}");
+            let flows = (0..4)
+                .map(|i| FlowDecl::new(i + 1, i as usize, 4, 1_000_000, Duration::from_us(i)))
+                .collect();
+            let out = ScenarioSpec::new(
+                name.clone(),
+                TopologyChoice::star(5, Bandwidth::from_gbps(25)),
+                CcSpec::by_label(scheme),
+                Duration::from_ms(3),
+            )
+            .with_workload(WorkloadSpec::Explicit(flows))
+            .with_flow_control(*flow_control)
+            .with_faults(faults.clone())
+            .run()
+            .out;
+            assert!(out.fault_events > 0, "{name}: the fault never fired");
+            assert_eq!(
+                out.fault_dropped_packets > 0,
+                *loses,
+                "{name}: {} frames lost to the fault",
+                out.fault_dropped_packets
+            );
+            actual.push((name.clone(), digest_output(&out)));
+            expected.push((name, *golden));
+        }
+    }
+    assert_eq!(
+        actual, expected,
+        "host-link fault runs no longer reproduce the recorded digests \
+         (actual on the left)"
+    );
 }
 
 #[test]

@@ -5,7 +5,9 @@
 //! latency and/or iid loss), and straggler hosts (NIC rate reduced over an
 //! interval). The simulator compiles it into a [`FaultTimeline`] — a
 //! time-sorted list of state transitions — and applies each transition to
-//! the affected switch port or host NIC as simulation time passes.
+//! the `Link` at either end of the affected link (`link.rs`: the one egress
+//! a switch port and a host NIC share), or to the straggling host, as
+//! simulation time passes.
 //!
 //! Design invariants:
 //!
@@ -37,7 +39,8 @@
 //! In both modes frames already on the wire at the down transition still
 //! arrive: propagation is not interrupted, only (de)serialization.
 
-use hpcc_types::{Duration, SimTime};
+use hpcc_types::rng::SplitMix64;
+use hpcc_types::{Duration, NodeId, SimTime};
 
 /// What happens to traffic at an administratively-down link.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -390,7 +393,14 @@ impl FaultTimeline {
 
 /// Stream constant XORed into the scenario seed for the per-node fault-loss
 /// RNG, keeping it disjoint from the ECN-marking stream.
-pub(crate) const FAULT_RNG_STREAM: u64 = 0xFA17_5EED_0BAD_11FE;
+const FAULT_RNG_STREAM: u64 = 0xFA17_5EED_0BAD_11FE;
+
+/// The stream `node` draws degraded-link iid loss from, on all of its links
+/// (one stream per *link* would reseed it and change every lossy run).
+/// Nothing draws from it unless a link of the node has `loss > 0`.
+pub(crate) fn fault_rng(seed: u64, node: NodeId) -> SplitMix64 {
+    SplitMix64::new(seed ^ FAULT_RNG_STREAM ^ (node.0 as u64).wrapping_mul(0x9E3779B97F4A7C15))
+}
 
 #[cfg(test)]
 mod tests {

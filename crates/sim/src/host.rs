@@ -14,8 +14,9 @@
 
 use crate::config::SimConfig;
 use crate::engine::{Effects, Event};
-use crate::output::{FlowRecord, PortCounters};
-use crate::switch::LineRate;
+use crate::fault::fault_rng;
+use crate::link::Link;
+use crate::output::FlowRecord;
 use hpcc_cc::{build_cc, AckEvent, CongestionControl};
 use hpcc_topology::PortDesc;
 use hpcc_types::rng::SplitMix64;
@@ -154,42 +155,20 @@ struct ReceiverFlow {
 pub struct Host {
     /// Node id of this host.
     pub id: NodeId,
-    peer_node: NodeId,
-    peer_port: PortId,
-    /// NIC line rate.
-    line: LineRate,
-    delay: Duration,
+    /// The NIC's wire: line rate, PFC pause state (legacy runs only ever
+    /// toggle data class 0), fault state and the port counters.
+    pub(crate) link: Link,
     ctrl_queue: VecDeque<Box<Packet>>,
-    busy: bool,
-    /// Per-data-class PFC pause state (legacy runs only ever toggle class 0).
-    paused_classes: [bool; Priority::MAX_DATA_CLASSES],
-    pause_started: Option<SimTime>,
-    /// NIC port counters (tx bytes, pause time, …).
-    pub counters: PortCounters,
     flows: SenderFlows,
     rr_cursor: usize,
     /// Receiver-side flow state, indexed by the packet's `dst_slot` (dense
     /// per-host slots assigned by the simulator at flow registration).
     recv: Vec<ReceiverFlow>,
     wake_at: Option<SimTime>,
-    /// Fault injection: NIC link administratively down.
-    fault_down: bool,
-    /// Down-link semantics: drop (frames serialize and are lost) when true,
-    /// pause-and-requeue when false.
-    fault_drop: bool,
-    /// Extra one-way latency while the NIC link is degraded.
-    fault_extra_delay: Duration,
-    /// iid frame-loss probability while the NIC link is degraded.
-    fault_loss: f64,
     /// Effective NIC rate while straggling (`None` = configured line rate).
     fault_rate: Option<Bandwidth>,
-    /// Dedicated RNG stream for degraded-link iid loss (installed only when
-    /// a fault config attaches loss to this host's link).
-    fault_rng: Option<SplitMix64>,
-    /// Wire bytes lost to fault injection at this NIC.
-    fault_dropped_bytes: u64,
-    /// Packets lost to fault injection at this NIC.
-    fault_dropped_packets: u64,
+    /// This node's stream for degraded-link iid loss.
+    fault_rng: SplitMix64,
 }
 
 impl std::fmt::Debug for Host {
@@ -197,58 +176,32 @@ impl std::fmt::Debug for Host {
         f.debug_struct("Host")
             .field("id", &self.id)
             .field("flows", &self.flows.len())
-            .field("busy", &self.busy)
+            .field("busy", &self.link.busy)
             .finish()
     }
 }
 
 impl Host {
-    /// Build a host from its (single) topology port descriptor.
-    pub fn new(id: NodeId, ports: &[PortDesc]) -> Self {
+    /// Build a host from its (single) topology port descriptor; `seed` is the
+    /// run's, for the fault-loss stream.
+    pub fn new(id: NodeId, ports: &[PortDesc], seed: u64) -> Self {
         assert_eq!(
             ports.len(),
             1,
             "the host model supports exactly one NIC port (host {id} has {})",
             ports.len()
         );
-        let p = ports[0];
         Host {
             id,
-            peer_node: p.peer_node,
-            peer_port: p.peer_port,
-            line: LineRate::new(p.bandwidth),
-            delay: p.delay,
+            link: Link::new(id, PortId(0), &ports[0]),
             ctrl_queue: VecDeque::with_capacity(16),
-            busy: false,
-            paused_classes: [false; Priority::MAX_DATA_CLASSES],
-            pause_started: None,
-            counters: PortCounters::default(),
             flows: SenderFlows::default(),
             rr_cursor: 0,
             recv: Vec::new(),
             wake_at: None,
-            fault_down: false,
-            fault_drop: false,
-            fault_extra_delay: Duration::ZERO,
-            fault_loss: 0.0,
             fault_rate: None,
-            fault_rng: None,
-            fault_dropped_bytes: 0,
-            fault_dropped_packets: 0,
+            fault_rng: fault_rng(seed, id),
         }
-    }
-
-    /// Apply or clear an administrative down state on the NIC link (fault
-    /// injection; see [`crate::fault`] for the semantics of `drop_mode`).
-    pub(crate) fn set_link_down(&mut self, down: bool, drop_mode: bool) {
-        self.fault_down = down;
-        self.fault_drop = drop_mode;
-    }
-
-    /// Apply or clear a degraded-link state on the NIC link.
-    pub(crate) fn set_link_degraded(&mut self, extra_delay: Duration, loss: f64) {
-        self.fault_extra_delay = extra_delay;
-        self.fault_loss = loss;
     }
 
     /// Set or clear the straggler NIC rate (`None` restores line rate).
@@ -256,41 +209,14 @@ impl Host {
         self.fault_rate = rate;
     }
 
-    /// Install the dedicated fault-loss RNG stream.
-    pub(crate) fn set_fault_rng(&mut self, rng: SplitMix64) {
-        self.fault_rng = Some(rng);
-    }
-
-    /// Total `(packets, bytes)` lost to fault injection at this NIC.
-    pub(crate) fn fault_drops(&self) -> (u64, u64) {
-        (self.fault_dropped_packets, self.fault_dropped_bytes)
-    }
-
-    /// NIC line rate.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.line.bandwidth()
-    }
-
     /// Number of unfinished sender flows.
-    pub fn active_flows(&self) -> usize {
+    pub(crate) fn unfinished_flows(&self) -> usize {
         self.flows.finished.iter().filter(|&&f| !f).count()
-    }
-
-    fn any_data_paused(&self) -> bool {
-        self.paused_classes.iter().any(|&p| p)
-    }
-
-    /// True when every configured data class is paused (with one class this
-    /// is exactly the historical single `data_paused` flag).
-    fn all_data_paused(&self, cfg: &SimConfig) -> bool {
-        self.paused_classes[..cfg.queueing.data_classes as usize]
-            .iter()
-            .all(|&p| p)
     }
 
     /// The data class of the next packet flow `idx` would emit (its head
     /// retransmission, or the next new byte).
-    fn next_packet_class(flows: &SenderFlows, idx: usize, cfg: &SimConfig) -> u8 {
+    fn next_packet_class(flows: &SenderFlows, idx: usize, cfg: &SimConfig) -> Priority {
         let c = &flows.cold[idx];
         let seq = c
             .rtx_queue
@@ -298,14 +224,12 @@ impl Host {
             .next()
             .copied()
             .unwrap_or(flows.snd_nxt[idx]);
-        cfg.queueing.tag_class(c.spec.priority, seq)
+        Priority::data_class(cfg.queueing.tag_class(c.spec.priority, seq))
     }
 
-    /// The current (window, rate) of a flow, if it exists (for tracing).
-    ///
-    /// Cold path (tracing/tests only), so a linear scan over the flow table
-    /// replaces the hash map the hot path no longer needs.
-    pub fn flow_state(&self, flow: FlowId) -> Option<(u64, Bandwidth)> {
+    /// The current (window, rate) of a flow, if it exists.
+    #[cfg(test)]
+    fn flow_state(&self, flow: FlowId) -> Option<(u64, Bandwidth)> {
         let i = self.flows.id.iter().position(|&id| id == flow)?;
         Some((self.flows.window[i], self.flows.rate[i]))
     }
@@ -334,7 +258,12 @@ impl Host {
             });
             return;
         }
-        let cc = build_cc(&cfg.cc, self.bandwidth(), cfg.base_rtt, cfg.mtu_payload);
+        let cc = build_cc(
+            &cfg.cc,
+            self.link.bandwidth(),
+            cfg.base_rtt,
+            cfg.mtu_payload,
+        );
         let idx = self.flows.len();
         self.flows.push(now, spec, dst_slot, route, cc);
         self.flows.refresh_cc(idx);
@@ -368,13 +297,7 @@ impl Host {
     }
 
     /// A previously scheduled CC timer fired.
-    pub(crate) fn handle_cc_timer(
-        &mut self,
-        now: SimTime,
-        slot: u32,
-        _cfg: &SimConfig,
-        eff: &mut Effects,
-    ) {
+    pub(crate) fn handle_cc_timer(&mut self, now: SimTime, slot: u32, eff: &mut Effects) {
         let idx = slot as usize;
         if idx >= self.flows.len() {
             return;
@@ -448,11 +371,6 @@ impl Host {
         eff.kicks.push((self.id, PortId(0)));
     }
 
-    /// The NIC finished serializing its current packet.
-    pub(crate) fn port_ready(&mut self) {
-        self.busy = false;
-    }
-
     fn enqueue_ctrl(&mut self, pkt: Box<Packet>, eff: &mut Effects) {
         self.ctrl_queue.push_back(pkt);
         eff.kicks.push((self.id, PortId(0)));
@@ -470,30 +388,7 @@ impl Host {
         eff: &mut Effects,
     ) {
         match pkt.kind {
-            PacketKind::Pfc { class, pause } => {
-                if let Some(c) = class.class() {
-                    let c = c as usize;
-                    if self.paused_classes[c] != pause {
-                        // Pause counters cover the interval during which any
-                        // data class is blocked (identical to the historical
-                        // accounting when only class 0 exists).
-                        let was_any = self.any_data_paused();
-                        self.paused_classes[c] = pause;
-                        let is_any = self.any_data_paused();
-                        if !was_any && is_any {
-                            self.pause_started = Some(now);
-                            self.counters.pause_events += 1;
-                        } else if was_any && !is_any {
-                            if let Some(start) = self.pause_started.take() {
-                                self.counters.pause_duration += now.saturating_since(start);
-                            }
-                        }
-                    }
-                    if !pause {
-                        eff.kicks.push((self.id, PortId(0)));
-                    }
-                }
-            }
+            PacketKind::Pfc { class, pause } => self.link.set_paused(now, class, pause, eff),
             PacketKind::Data => return self.receive_data(now, pkt, cfg, eff),
             PacketKind::Ack | PacketKind::Nack | PacketKind::SackNack | PacketKind::Cnp => {
                 self.receive_control(now, &pkt, cfg, eff)
@@ -733,7 +628,7 @@ impl Host {
     /// would have to preserve this visiting order and is its own change.
     fn pick_flow(&mut self, now: SimTime, cfg: &SimConfig) -> Option<usize> {
         let n = self.flows.len();
-        let any_paused = self.any_data_paused();
+        let any_paused = self.link.any_data_paused();
         let idx = (self.rr_cursor..n)
             .find(|&i| self.may_transmit(i, now, any_paused, cfg))
             .or_else(|| {
@@ -752,7 +647,7 @@ impl Host {
             && f.has_data_to_send(idx)
             && f.window_open(idx)
             && f.next_avail[idx] <= now
-            && !(any_paused && self.paused_classes[Self::next_packet_class(f, idx, cfg) as usize])
+            && !(any_paused && self.link.class_paused(Self::next_packet_class(f, idx, cfg)))
     }
 
     /// Earliest pacing instant among flows that are blocked only by pacing.
@@ -768,12 +663,7 @@ impl Host {
 
     /// Try to start transmitting the next packet on the NIC.
     pub(crate) fn try_transmit(&mut self, now: SimTime, cfg: &SimConfig, eff: &mut Effects) {
-        if self.busy {
-            return;
-        }
-        if self.fault_down && !self.fault_drop {
-            // Pause-and-requeue outage semantics: the NIC holds everything
-            // until the up transition kicks it again.
+        if self.link.busy || self.link.held() {
             return;
         }
         // Control traffic (ACK/NACK/CNP) always goes first.
@@ -781,7 +671,7 @@ impl Host {
             self.start_wire(now, pkt, cfg, eff);
             return;
         }
-        if self.all_data_paused(cfg) {
+        if self.link.all_data_paused(cfg.queueing.data_classes) {
             return;
         }
         let Some(idx) = self.pick_flow(now, cfg) else {
@@ -854,59 +744,17 @@ impl Host {
         self.start_wire(now, pkt, cfg, eff);
     }
 
-    /// Put one packet on the wire: occupy the NIC for its serialization time
-    /// and schedule its arrival at the peer.
+    /// Put one packet on the NIC's wire.
     fn start_wire(&mut self, now: SimTime, pkt: Box<Packet>, cfg: &SimConfig, eff: &mut Effects) {
         let wire = pkt.wire_size(cfg.int_enabled);
-        self.busy = true;
-        self.counters.tx_bytes += wire;
         // Straggler: serialize at the reduced NIC rate while the window is
         // active; fault-free runs take the line rate untouched.
         let tx_time = match self.fault_rate {
             Some(rate) => rate.tx_time(wire),
-            None => self.line.tx_time(wire),
+            None => self.link.tx_time(wire),
         };
-        eff.schedule(
-            now + tx_time,
-            Event::PortReady {
-                node: self.id,
-                port: PortId(0),
-            },
-        );
-        // Down link in drop mode loses every frame; a degraded link loses
-        // iid on the dedicated fault RNG stream.
-        let fault_lost = if self.fault_down {
-            true
-        } else if self.fault_loss > 0.0 {
-            let loss = self.fault_loss;
-            self.fault_rng
-                .as_mut()
-                .is_some_and(|rng| rng.next_f64() < loss)
-        } else {
-            false
-        };
-        if fault_lost {
-            self.fault_dropped_packets += 1;
-            self.fault_dropped_bytes += wire;
-            eff.recycle(pkt);
-        } else {
-            eff.schedule(
-                now + tx_time + self.delay + self.fault_extra_delay,
-                Event::PacketArrive {
-                    node: self.peer_node,
-                    port: self.peer_port,
-                    packet: pkt,
-                },
-            );
-        }
-    }
-
-    /// Close out pause accounting at the end of the run.
-    pub(crate) fn finalize(&mut self, now: SimTime) -> usize {
-        if let Some(start) = self.pause_started.take() {
-            self.counters.pause_duration += now.saturating_since(start);
-        }
-        self.flows.finished.iter().filter(|&&f| !f).count()
+        self.link
+            .transmit(now, pkt, wire, tx_time, &mut self.fault_rng, eff);
     }
 }
 
@@ -929,7 +777,7 @@ mod tests {
         b.link(h0, s, LINE, Duration::from_us(1));
         b.link(h1, s, LINE, Duration::from_us(1));
         let topo = b.build();
-        Host::new(NodeId(id), topo.ports(NodeId(id)))
+        Host::new(NodeId(id), topo.ports(NodeId(id)), 1)
     }
 
     fn hpcc_cfg() -> SimConfig {
@@ -947,7 +795,7 @@ mod tests {
         let mut eff = Effects::default();
         let route = Route::new(&[PortId(1)], &[PortId(0)]);
         h.flow_start(SimTime::ZERO, flow(1, 10_000_000), 0, route, &cfg, &mut eff);
-        assert_eq!(h.active_flows(), 1);
+        assert_eq!(h.unfinished_flows(), 1);
         // Drive the NIC: kick → transmit → port ready → transmit …
         let mut now = SimTime::ZERO;
         let mut sent = 0;
@@ -969,7 +817,7 @@ mod tests {
                 }
             }
             now = ready_at.unwrap();
-            h.port_ready();
+            h.link.busy = false;
         }
         // The HPCC window is one BDP + MTU ≈ 163.5 KB → ~148 packets of 1106 B
         // wire (1000 B payload) before the window closes.
@@ -1001,9 +849,9 @@ mod tests {
         // Send both packets.
         let mut e = Effects::default();
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
-        h.port_ready();
+        h.link.busy = false;
         h.try_transmit(SimTime::from_ns(100), &cfg, &mut e);
-        h.port_ready();
+        h.link.busy = false;
         assert_eq!(e.packets_sent + 1, 3); // 2 data packets total (1 in first eff)
                                            // ACK the full flow.
         let mut data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 1000, 1000, SimTime::ZERO);
@@ -1021,7 +869,7 @@ mod tests {
         let rec = e2.completions[0];
         assert_eq!(rec.size, 2000);
         assert_eq!(rec.finish, SimTime::from_us(10));
-        assert_eq!(h.active_flows(), 0);
+        assert_eq!(h.unfinished_flows(), 0);
     }
 
     #[test]
@@ -1112,7 +960,7 @@ mod tests {
             let mut e2 = Effects::default();
             sender.try_transmit(now, &cfg, &mut e2);
             now += Duration::from_ns(100);
-            sender.port_ready();
+            sender.link.busy = false;
         }
         let nack = {
             let d = Packet::data(FlowId(9), NodeId(0), NodeId(1), 0, 1000, SimTime::ZERO);
@@ -1179,7 +1027,7 @@ mod tests {
             let mut e2 = Effects::default();
             sender.try_transmit(now, &cfg, &mut e2);
             now += Duration::from_ns(200);
-            sender.port_ready();
+            sender.link.busy = false;
         }
         assert_eq!(sender.flows.snd_nxt[0], 4000);
         // Receiver reports: expected 1000 (packet at 1000 missing), block
@@ -1405,8 +1253,8 @@ mod tests {
             &cfg,
             &mut e3,
         );
-        assert_eq!(h.counters.pause_duration, Duration::from_us(10));
-        h.port_ready();
+        assert_eq!(h.link.counters.pause_duration, Duration::from_us(10));
+        h.link.busy = false;
         let mut e4 = Effects::default();
         h.try_transmit(SimTime::from_us(12), &cfg, &mut e4);
         assert_eq!(e4.packets_sent, 1);
@@ -1447,7 +1295,7 @@ mod tests {
         let mut e = Effects::default();
         h.try_transmit(SimTime::from_us(100), &cfg, &mut e);
         assert_eq!(e.packets_sent, 1);
-        h.port_ready();
+        h.link.busy = false;
         // …the second is pacing-blocked, so the host asks for a wake-up.
         let mut e2 = Effects::default();
         h.try_transmit(SimTime::from_us(101), &cfg, &mut e2);
@@ -1482,7 +1330,7 @@ mod tests {
             .iter()
             .any(|(_, ev)| matches!(ev, Event::RtoCheck { .. }));
         assert!(rto_armed, "lossy mode arms an RTO");
-        h.port_ready();
+        h.link.busy = false;
         assert_eq!(h.flows.snd_nxt[0], 1000);
         // Nothing is acknowledged; the RTO check at +100 us rolls back.
         let mut e2 = Effects::default();
@@ -1517,7 +1365,7 @@ mod tests {
             &mut eff,
         );
         assert_eq!(eff.completions.len(), 2);
-        assert_eq!(h.active_flows(), 0);
+        assert_eq!(h.unfinished_flows(), 0);
     }
 
     #[test]

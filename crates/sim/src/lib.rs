@@ -5,7 +5,7 @@
 //! plays the role ns-3 plays in the paper's evaluation:
 //!
 //! * **switches** with a shared buffer, multi-class egress queues behind a
-//!   pluggable scheduler ([`sched`]: strict priority or DWRR; PIAS-style
+//!   pluggable scheduler (`sched`: strict priority or DWRR; PIAS-style
 //!   dynamic demotion tags at the sender), WRED/ECN marking with per-class
 //!   thresholds, dynamic-threshold PFC (per-class pause/resume frames),
 //!   dynamic drop thresholds for lossy configurations, destination-based
@@ -29,12 +29,13 @@ pub mod config;
 pub mod engine;
 pub mod fault;
 pub mod fluid;
-pub mod host;
 pub mod output;
-pub mod sched;
-pub mod switch;
 
+mod host;
+mod link;
+mod sched;
 mod simulator;
+mod switch;
 
 pub use backend::{
     backend_for, Backend, BackendKind, CompiledScenario, PacketBackend, PARALLEL_PACKET_REMOVED,

@@ -3,12 +3,12 @@
 
 use crate::config::SimConfig;
 use crate::engine::{Effects, Event};
-use crate::fault::{FaultConfig, FaultTimeline, LinkDownMode, Transition, FAULT_RNG_STREAM};
+use crate::fault::{FaultConfig, FaultTimeline, Transition};
 use crate::host::Host;
+use crate::link::Link;
 use crate::output::SimOutput;
 use crate::switch::{stamped_route, Switch};
 use hpcc_topology::{NodeKind, TopologySpec};
-use hpcc_types::rng::SplitMix64;
 use hpcc_types::{Duration, FlowSpec, NodeId, PortId, Route, SimTime};
 
 /// A node in the simulated network. Hosts dominate the node vector in every
@@ -22,6 +22,17 @@ enum Node {
     Switch(Switch),
 }
 
+impl Node {
+    /// The wire of one of the node's ports: everything a fault transition,
+    /// a `PortReady` or the end of the run does to a port, it does here.
+    fn link_mut(&mut self, port: PortId) -> &mut Link {
+        match self {
+            Node::Host(h) => &mut h.link,
+            Node::Switch(s) => s.link_mut(port),
+        }
+    }
+}
+
 /// Runtime state of fault injection. Allocated only when the run has a
 /// non-empty [`FaultConfig`], so fault-free runs carry a `None` and execute
 /// the exact legacy event sequence.
@@ -32,9 +43,6 @@ struct FaultRuntime {
     /// The plan the timeline was compiled from (window parameters are read
     /// back when a transition fires).
     plan: FaultConfig,
-    /// Directed endpoints of every topology link, in link order:
-    /// `((a, port on a), (b, port on b))`.
-    endpoints: Vec<((NodeId, PortId), (NodeId, PortId))>,
     /// Number of host endpoints (0..=2) per link, for NIC-downtime
     /// accounting.
     host_ends: Vec<u8>,
@@ -53,29 +61,13 @@ struct FaultRuntime {
 
 impl FaultRuntime {
     fn new(plan: &FaultConfig, topo: &TopologySpec) -> FaultRuntime {
-        // Recover each link's two directed (node, port) endpoints by
-        // replaying the builder's dense port assignment: ports are numbered
-        // per node in link-insertion order.
-        let mut next_port = vec![0u32; topo.node_count()];
-        let mut endpoints = Vec::with_capacity(topo.links().len());
-        let mut host_ends = Vec::with_capacity(topo.links().len());
-        for l in topo.links() {
-            let pa = PortId(next_port[l.a.index()]);
-            next_port[l.a.index()] += 1;
-            let pb = PortId(next_port[l.b.index()]);
-            next_port[l.b.index()] += 1;
-            endpoints.push(((l.a, pa), (l.b, pb)));
-            host_ends.push(
-                matches!(topo.kind(l.a), NodeKind::Host) as u8
-                    + matches!(topo.kind(l.b), NodeKind::Host) as u8,
-            );
-        }
-        let n_links = topo.links().len();
+        let is_host = |n| (topo.kind(n) == NodeKind::Host) as u8;
+        let links = topo.links();
+        let n_links = links.len();
         FaultRuntime {
             timeline: FaultTimeline::compile(plan),
             plan: plan.clone(),
-            endpoints,
-            host_ends,
+            host_ends: links.iter().map(|l| is_host(l.a) + is_host(l.b)).collect(),
             down_since: vec![None; n_links],
             downtime: vec![Duration::ZERO; n_links],
             host_nic_downtime: Duration::ZERO,
@@ -136,7 +128,7 @@ impl Simulator {
         for i in 0..topo.node_count() {
             let id = NodeId(i as u32);
             let node = match topo.kind(id) {
-                NodeKind::Host => Node::Host(Host::new(id, topo.ports(id))),
+                NodeKind::Host => Node::Host(Host::new(id, topo.ports(id), cfg.seed)),
                 NodeKind::Switch => Node::Switch(Switch::new(id, topo.ports(id), &cfg)),
             };
             nodes.push(node);
@@ -151,24 +143,6 @@ impl Simulator {
         let faults = match &cfg.faults {
             Some(plan) if !plan.is_empty() => {
                 let runtime = FaultRuntime::new(plan, &topo);
-                // Nodes touched by an iid-lossy degraded link get the
-                // dedicated fault RNG stream (never the ECN-marking RNG).
-                for d in &plan.degraded_links {
-                    if d.loss > 0.0 {
-                        let (ea, eb) = runtime.endpoints[d.link];
-                        for (n, _) in [ea, eb] {
-                            let rng = SplitMix64::new(
-                                cfg.seed
-                                    ^ FAULT_RNG_STREAM
-                                    ^ (n.0 as u64).wrapping_mul(0x9E3779B97F4A7C15),
-                            );
-                            match &mut nodes[n.index()] {
-                                Node::Host(h) => h.set_fault_rng(rng),
-                                Node::Switch(s) => s.set_fault_rng(rng),
-                            }
-                        }
-                    }
-                }
                 if let Some(first) = runtime.timeline.next_time() {
                     eff.schedule(first, Event::FaultTransition);
                 }
@@ -259,14 +233,13 @@ impl Simulator {
                 }
             }
             Event::PortReady { node, port } => {
+                let n = &mut self.nodes[node.index()];
+                n.link_mut(port).busy = false;
                 // A host always looks for its next packet; a switch port
                 // that holds nothing has nothing to look for.
-                let kick = match &mut self.nodes[node.index()] {
-                    Node::Host(h) => {
-                        h.port_ready();
-                        true
-                    }
-                    Node::Switch(s) => s.port_ready(port),
+                let kick = match n {
+                    Node::Host(_) => true,
+                    Node::Switch(s) => s.holds_frames(port),
                 };
                 if kick {
                     self.eff.kicks.push((node, port));
@@ -285,7 +258,7 @@ impl Simulator {
             }
             Event::CcTimer { node, slot } => {
                 if let Node::Host(h) = &mut self.nodes[node.index()] {
-                    h.handle_cc_timer(t, slot, &self.cfg, &mut self.eff);
+                    h.handle_cc_timer(t, slot, &mut self.eff);
                 }
             }
             Event::RtoCheck { node, slot } => {
@@ -352,24 +325,15 @@ impl Simulator {
             fr.events_applied += 1;
             match tr {
                 Transition::LinkDown { link, mode } => {
-                    let drop_mode = mode == LinkDownMode::Drop;
-                    let (ea, eb) = fr.endpoints[link];
-                    for (n, p) in [ea, eb] {
-                        match &mut self.nodes[n.index()] {
-                            Node::Host(h) => h.set_link_down(true, drop_mode),
-                            Node::Switch(s) => s.set_link_down(p, true, drop_mode),
-                        }
+                    for (n, p) in self.topo.link_ports(link) {
+                        self.nodes[n.index()].link_mut(p).set_down(Some(mode));
                     }
                     fr.down_since[link] = Some(now);
                     fr.active += 1;
                 }
                 Transition::LinkUp { link } => {
-                    let (ea, eb) = fr.endpoints[link];
-                    for (n, p) in [ea, eb] {
-                        match &mut self.nodes[n.index()] {
-                            Node::Host(h) => h.set_link_down(false, false),
-                            Node::Switch(s) => s.set_link_down(p, false, false),
-                        }
+                    for (n, p) in self.topo.link_ports(link) {
+                        self.nodes[n.index()].link_mut(p).set_down(None);
                         // Kick so a paused egress resumes immediately.
                         self.eff.kicks.push((n, p));
                     }
@@ -382,23 +346,19 @@ impl Simulator {
                 }
                 Transition::DegradeOn { idx } => {
                     let d = fr.plan.degraded_links[idx];
-                    let (ea, eb) = fr.endpoints[d.link];
-                    for (n, p) in [ea, eb] {
-                        match &mut self.nodes[n.index()] {
-                            Node::Host(h) => h.set_link_degraded(d.extra_delay, d.loss),
-                            Node::Switch(s) => s.set_link_degraded(p, d.extra_delay, d.loss),
-                        }
+                    for (n, p) in self.topo.link_ports(d.link) {
+                        self.nodes[n.index()]
+                            .link_mut(p)
+                            .set_degraded(d.extra_delay, d.loss);
                     }
                     fr.active += 1;
                 }
                 Transition::DegradeOff { idx } => {
                     let d = fr.plan.degraded_links[idx];
-                    let (ea, eb) = fr.endpoints[d.link];
-                    for (n, p) in [ea, eb] {
-                        match &mut self.nodes[n.index()] {
-                            Node::Host(h) => h.set_link_degraded(Duration::ZERO, 0.0),
-                            Node::Switch(s) => s.set_link_degraded(p, Duration::ZERO, 0.0),
-                        }
+                    for (n, p) in self.topo.link_ports(d.link) {
+                        self.nodes[n.index()]
+                            .link_mut(p)
+                            .set_degraded(Duration::ZERO, 0.0);
                     }
                     fr.active = fr.active.saturating_sub(1);
                 }
@@ -474,26 +434,15 @@ impl Simulator {
         let now = self.time;
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let id = NodeId(i as u32);
-            match node {
-                Node::Switch(s) => {
-                    s.finalize(now);
-                    let (fp, fb) = s.fault_drops();
-                    self.out.fault_dropped_packets += fp;
-                    self.out.fault_dropped_bytes += fb;
-                    for (pi, port) in s.ports().iter().enumerate() {
-                        self.out
-                            .ports
-                            .insert((id, PortId(pi as u32)), port.counters);
-                    }
-                }
-                Node::Host(h) => {
-                    let unfinished = h.finalize(now);
-                    self.out.unfinished_flows += unfinished;
-                    let (fp, fb) = h.fault_drops();
-                    self.out.fault_dropped_packets += fp;
-                    self.out.fault_dropped_bytes += fb;
-                    self.out.ports.insert((id, PortId(0)), h.counters);
-                }
+            if let Node::Host(h) = node {
+                self.out.unfinished_flows += h.unfinished_flows();
+            }
+            for port in (0..self.topo.ports(id).len() as u32).map(PortId) {
+                let link = node.link_mut(port);
+                link.finalize(now);
+                self.out.fault_dropped_packets += link.fault_dropped_packets;
+                self.out.fault_dropped_bytes += link.fault_dropped_bytes;
+                self.out.ports.insert((id, port), link.counters);
             }
         }
         if let Some(mut fr) = self.faults.take() {
@@ -762,7 +711,7 @@ mod tests {
                 &mut sim.eff,
             );
         }
-        let pauses = |s: &Switch| [0, 1, 2].map(|p| s.ports()[p].counters.pause_frames_sent);
+        let pauses = |s: &Switch| [0, 1, 2].map(|p| s.ports()[p].link.counters.pause_frames_sent);
         assert_eq!(pauses(s), [1, 0, 0]);
         sim.eff.kicks.clear();
 

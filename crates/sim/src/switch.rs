@@ -23,14 +23,15 @@
 //!   to regardless of which class queued the bytes.
 
 use crate::config::SimConfig;
-use crate::engine::{Effects, Event};
-use crate::output::{PfcEvent, PortCounters};
+use crate::engine::Effects;
+use crate::fault::fault_rng;
+use crate::link::Link;
+use crate::output::PfcEvent;
 use crate::sched::{ClassLane, Scheduler};
 use hpcc_topology::{NodeKind, PortDesc, TopologySpec};
 use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
-    Bandwidth, Duration, IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, Route,
-    SimTime, MAX_INT_HOPS,
+    IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, Route, SimTime, MAX_INT_HOPS,
 };
 use std::collections::VecDeque;
 
@@ -101,53 +102,6 @@ pub(crate) fn stamped_route(topo: &TopologySpec, flow: u64, src: NodeId, dst: No
     Route::new(&switch_ports(src, dst), &switch_ports(dst, src))
 }
 
-/// A port's line rate with its serialization time per byte resolved once: a
-/// rate that divides 8·10¹² ps·bit/s — 10, 25, 40, 50, 100, 200 and 400 Gb/s
-/// all do — serializes `n` bytes in exactly `n` times a whole number of
-/// picoseconds, so the per-packet 64-bit division of [`Bandwidth::tx_time`]
-/// becomes one multiplication with the same result. Any other rate keeps
-/// the division.
-#[derive(Clone, Copy, Debug)]
-pub(crate) struct LineRate {
-    bandwidth: Bandwidth,
-    /// `8·10¹² / bps` when that is whole, else 0.
-    ps_per_byte: u64,
-}
-
-impl LineRate {
-    /// Picoseconds one byte takes at 1 bit/s.
-    const PS_PER_BYTE_AT_1BPS: u64 = 8_000_000_000_000;
-
-    pub fn new(bandwidth: Bandwidth) -> Self {
-        let bps = bandwidth.as_bps();
-        let whole = bps != 0 && Self::PS_PER_BYTE_AT_1BPS % bps == 0;
-        LineRate {
-            bandwidth,
-            ps_per_byte: if whole {
-                Self::PS_PER_BYTE_AT_1BPS / bps
-            } else {
-                0
-            },
-        }
-    }
-
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.bandwidth
-    }
-
-    /// Exactly `self.bandwidth().tx_time(bytes)`: with `8·10¹² = k·bps` the
-    /// quotient `bytes·8·10¹² / bps` is `bytes·k`, and where that overflows
-    /// `tx_time` saturates too.
-    #[inline]
-    pub fn tx_time(&self, bytes: u64) -> Duration {
-        if self.ps_per_byte != 0 {
-            Duration::from_ps(bytes.saturating_mul(self.ps_per_byte))
-        } else {
-            self.bandwidth.tx_time(bytes)
-        }
-    }
-}
-
 /// A packet sitting in an egress queue, remembering the ingress it came from
 /// (for PFC accounting) and its wire size. The packet stays in its pooled
 /// box from arrival to departure, so queuing moves 24 bytes per entry.
@@ -171,46 +125,19 @@ const CTRL_RING_CAPACITY: usize = 8;
 /// One egress port of a switch.
 #[derive(Debug)]
 pub struct SwitchPort {
-    /// Node on the other side of the link.
-    pub peer_node: NodeId,
-    /// Port index on the peer.
-    pub peer_port: PortId,
-    /// Link capacity.
-    line: LineRate,
-    /// One-way propagation delay.
-    pub delay: Duration,
+    /// The wire: line rate, PFC pause state, fault state, `txBytes` and the
+    /// other port counters.
+    pub(crate) link: Link,
     queues: [VecDeque<QueuedPacket>; Priority::COUNT],
     queue_bytes: [u64; Priority::COUNT],
-    busy: bool,
-    paused: [bool; Priority::COUNT],
-    pause_started: Option<SimTime>,
-    tx_bytes_cum: u64,
     rx_enqueued_cum: u64,
     sched: Scheduler,
-    /// Fault injection: link administratively down.
-    fault_down: bool,
-    /// Down-link semantics: drop (frames serialize and are lost) when true,
-    /// pause-and-requeue (nothing serializes) when false.
-    fault_drop: bool,
-    /// Extra one-way latency while the link is degraded.
-    fault_extra_delay: Duration,
-    /// iid frame-loss probability while the link is degraded.
-    fault_loss: f64,
-    /// Wire bytes lost to fault injection at this egress.
-    fault_dropped_bytes: u64,
-    /// Packets lost to fault injection at this egress.
-    fault_dropped_packets: u64,
-    /// Accumulated statistics for this egress.
-    pub counters: PortCounters,
 }
 
 impl SwitchPort {
-    fn new(desc: &PortDesc, sched: Scheduler) -> Self {
+    fn new(link: Link, sched: Scheduler) -> Self {
         SwitchPort {
-            peer_node: desc.peer_node,
-            peer_port: desc.peer_port,
-            line: LineRate::new(desc.bandwidth),
-            delay: desc.delay,
+            link,
             // The control ring and the first data ring start with a small
             // buffer (the classes every run uses); additional data classes
             // start empty. All grow to their high-water capacity on use.
@@ -220,25 +147,9 @@ impl SwitchPort {
                 _ => VecDeque::new(),
             }),
             queue_bytes: [0; Priority::COUNT],
-            busy: false,
-            paused: [false; Priority::COUNT],
-            pause_started: None,
-            tx_bytes_cum: 0,
             rx_enqueued_cum: 0,
             sched,
-            fault_down: false,
-            fault_drop: false,
-            fault_extra_delay: Duration::ZERO,
-            fault_loss: 0.0,
-            fault_dropped_bytes: 0,
-            fault_dropped_packets: 0,
-            counters: PortCounters::default(),
         }
-    }
-
-    /// Link capacity.
-    pub fn bandwidth(&self) -> Bandwidth {
-        self.line.bandwidth()
     }
 
     /// Current data occupancy of this egress in bytes, summed over all data
@@ -250,43 +161,6 @@ impl SwitchPort {
     /// Current occupancy of one data class in bytes.
     pub fn class_queue_bytes(&self, class: u8) -> u64 {
         self.queue_bytes[Priority::data_class(class).index()]
-    }
-
-    /// Whether any data class of this egress is currently paused by PFC.
-    pub fn is_paused(&self) -> bool {
-        self.paused[1..].iter().any(|&p| p)
-    }
-
-    /// Whether one specific data class is paused.
-    pub fn is_class_paused(&self, class: u8) -> bool {
-        self.paused[Priority::data_class(class).index()]
-    }
-
-    fn any_data_paused(&self) -> bool {
-        self.paused[1..].iter().any(|&p| p)
-    }
-
-    fn set_paused(&mut self, now: SimTime, class: Priority, pause: bool) {
-        let idx = class.index();
-        if self.paused[idx] == pause {
-            return;
-        }
-        // Pause counters measure the interval during which *any* data class
-        // is blocked (with a single data class: exactly the old per-class
-        // accounting).
-        let was_any = self.any_data_paused();
-        self.paused[idx] = pause;
-        if class.is_data() {
-            let is_any = self.any_data_paused();
-            if !was_any && is_any {
-                self.pause_started = Some(now);
-                self.counters.pause_events += 1;
-            } else if was_any && !is_any {
-                if let Some(start) = self.pause_started.take() {
-                    self.counters.pause_duration += now.saturating_since(start);
-                }
-            }
-        }
     }
 }
 
@@ -305,10 +179,9 @@ pub struct Switch {
     /// Whether we have an outstanding PAUSE towards each ingress, per class.
     pause_sent: Vec<[bool; Priority::COUNT]>,
     rng: SplitMix64,
-    /// Dedicated RNG stream for degraded-link iid loss; installed only when
-    /// a fault config attaches loss to one of this switch's links, so the
-    /// ECN-marking stream above is never perturbed by fault injection.
-    fault_rng: Option<SplitMix64>,
+    /// This node's stream for degraded-link iid loss, so the ECN-marking
+    /// stream above is never perturbed by fault injection.
+    fault_rng: SplitMix64,
 }
 
 impl Switch {
@@ -320,46 +193,18 @@ impl Switch {
             // 12-bit INT switch id; +1 so that the id is never zero and a
             // single-hop path always yields a non-trivial pathID.
             int_id: ((id.0 + 1) as u16) & 0x0fff,
-            ports: ports
-                .iter()
-                .map(|p| SwitchPort::new(p, Scheduler::new(&cfg.queueing)))
+            ports: (0..)
+                .zip(ports)
+                .map(|(i, p)| {
+                    SwitchPort::new(Link::new(id, PortId(i), p), Scheduler::new(&cfg.queueing))
+                })
                 .collect(),
             buffer_used: 0,
             ingress_bytes: vec![[0; Priority::COUNT]; ports.len()],
             pause_sent: vec![[false; Priority::COUNT]; ports.len()],
             rng: SplitMix64::new(cfg.seed ^ (id.0 as u64).wrapping_mul(0x9E3779B97F4A7C15)),
-            fault_rng: None,
+            fault_rng: fault_rng(cfg.seed, id),
         }
-    }
-
-    /// Apply or clear an administrative down state on one egress (fault
-    /// injection). `drop_mode` selects drop semantics (frames serialize and
-    /// are lost) over pause-and-requeue (nothing serializes).
-    pub(crate) fn set_link_down(&mut self, port: PortId, down: bool, drop_mode: bool) {
-        let p = &mut self.ports[port.index()];
-        p.fault_down = down;
-        p.fault_drop = drop_mode;
-    }
-
-    /// Apply or clear a degraded-link state on one egress (zero delay and
-    /// zero loss restore the healthy link).
-    pub(crate) fn set_link_degraded(&mut self, port: PortId, extra_delay: Duration, loss: f64) {
-        let p = &mut self.ports[port.index()];
-        p.fault_extra_delay = extra_delay;
-        p.fault_loss = loss;
-    }
-
-    /// Install the dedicated fault-loss RNG stream (only called when a fault
-    /// config attaches iid loss to one of this switch's links).
-    pub(crate) fn set_fault_rng(&mut self, rng: SplitMix64) {
-        self.fault_rng = Some(rng);
-    }
-
-    /// Total `(packets, bytes)` lost to fault injection at this switch.
-    pub(crate) fn fault_drops(&self) -> (u64, u64) {
-        self.ports.iter().fold((0, 0), |(p, b), port| {
-            (p + port.fault_dropped_packets, b + port.fault_dropped_bytes)
-        })
     }
 
     /// Access the egress ports (read-only, for statistics collection).
@@ -367,9 +212,9 @@ impl Switch {
         &self.ports
     }
 
-    /// Bytes currently held in the shared buffer.
-    pub fn buffer_used(&self) -> u64 {
-        self.buffer_used
+    /// The wire of one egress port.
+    pub(crate) fn link_mut(&mut self, port: PortId) -> &mut Link {
+        &mut self.ports[port.index()].link
     }
 
     /// The PFC pause threshold for one ingress class given the current free
@@ -399,11 +244,7 @@ impl Switch {
         // PFC frames are link-local: they pause/resume our egress on the
         // port they arrived on and are never forwarded.
         if let PacketKind::Pfc { class, pause } = pkt.kind {
-            let port = &mut self.ports[ingress.index()];
-            port.set_paused(now, class, pause);
-            if !pause {
-                eff.kicks.push((self.id, ingress));
-            }
+            self.link_mut(ingress).set_paused(now, class, pause, eff);
             eff.recycle(pkt);
             return;
         }
@@ -420,7 +261,7 @@ impl Switch {
                 if candidates.is_empty() {
                     // No route (misconfigured experiment): count as a drop.
                     let port = &mut self.ports[ingress.index()];
-                    port.counters.dropped_packets += 1;
+                    port.link.counters.dropped_packets += 1;
                     eff.recycle(pkt);
                     return;
                 }
@@ -438,8 +279,8 @@ impl Switch {
             let free = cfg.buffer_bytes.saturating_sub(self.buffer_used);
             if egress_q + wire > free {
                 let port = &mut self.ports[egress.index()];
-                port.counters.dropped_packets += 1;
-                port.counters.dropped_bytes += wire;
+                port.link.counters.dropped_packets += 1;
+                port.link.counters.dropped_bytes += wire;
                 eff.recycle(pkt);
                 return;
             }
@@ -447,8 +288,8 @@ impl Switch {
         // Hard cap: even control packets cannot exceed the physical buffer.
         if self.buffer_used + wire > cfg.buffer_bytes {
             let port = &mut self.ports[egress.index()];
-            port.counters.dropped_packets += 1;
-            port.counters.dropped_bytes += wire;
+            port.link.counters.dropped_packets += 1;
+            port.link.counters.dropped_bytes += wire;
             eff.recycle(pkt);
             return;
         }
@@ -470,7 +311,7 @@ impl Switch {
                 };
                 if mark {
                     pkt.ecn_ce = true;
-                    self.ports[egress.index()].counters.ecn_marked += 1;
+                    self.ports[egress.index()].link.counters.ecn_marked += 1;
                 }
             }
         }
@@ -486,8 +327,9 @@ impl Switch {
             port.queue_bytes[class.index()] += wire;
             port.rx_enqueued_cum += wire;
             if class.is_data() {
-                port.counters.max_queue_bytes =
-                    port.counters.max_queue_bytes.max(port.data_queue_bytes());
+                let queued = port.data_queue_bytes();
+                let max = &mut port.link.counters.max_queue_bytes;
+                *max = (*max).max(queued);
             }
         }
         self.buffer_used += wire;
@@ -528,7 +370,7 @@ impl Switch {
         p.queue_bytes[Priority::CONTROL.index()] += wire;
         self.buffer_used += wire;
         if pause {
-            p.counters.pause_frames_sent += 1;
+            p.link.counters.pause_frames_sent += 1;
             eff.pfc_events.push(PfcEvent {
                 time: now,
                 node: self.id,
@@ -538,15 +380,16 @@ impl Switch {
         eff.kicks.push((self.id, port));
     }
 
-    /// The port finished serializing its current packet. Returns whether it
-    /// holds anything to send next, paused or not: `try_transmit` on a port
-    /// with every queue empty returns at the scheduler's `None` before it
-    /// changes anything, so only a port that holds something needs the kick.
-    pub(crate) fn port_ready(&mut self, port: PortId) -> bool {
-        let port = &mut self.ports[port.index()];
-        port.busy = false;
+    /// Whether `port` holds anything to send, paused or not: `try_transmit`
+    /// on a port with every queue empty returns at the scheduler's `None`
+    /// before it changes anything, so of the ports that finish serializing a
+    /// packet only one that holds something needs the kick.
+    pub(crate) fn holds_frames(&self, port: PortId) -> bool {
         // Every frame has a non-zero wire size.
-        port.queue_bytes.iter().any(|&bytes| bytes != 0)
+        self.ports[port.index()]
+            .queue_bytes
+            .iter()
+            .any(|&bytes| bytes != 0)
     }
 
     /// Try to start transmitting the next packet on `port`.
@@ -562,13 +405,7 @@ impl Switch {
         // are skipped (strict priority) or retain their credit (DWRR).
         let (entry, class) = {
             let port = &mut self.ports[port_id.index()];
-            if port.busy {
-                return;
-            }
-            if port.fault_down && !port.fault_drop {
-                // Pause-and-requeue outage semantics: the egress holds
-                // everything (control included) until the up transition
-                // kicks this port again.
+            if port.link.busy || port.link.held() {
                 return;
             }
             let ctrl = Priority::CONTROL.index();
@@ -578,9 +415,9 @@ impl Switch {
                 let n = cfg.queueing.data_classes as usize;
                 let mut lanes = [ClassLane::default(); Priority::MAX_DATA_CLASSES];
                 for (c, lane) in lanes.iter_mut().enumerate().take(n) {
-                    let idx = c + 1;
-                    lane.head_wire = port.queues[idx].front().map(|e| e.wire);
-                    lane.paused = port.paused[idx];
+                    let class = Priority(1 + c as u8);
+                    lane.head_wire = port.queues[class.index()].front().map(|e| e.wire);
+                    lane.paused = port.link.class_paused(class);
                 }
                 match port.sched.pick(&lanes[..n]) {
                     Some(c) => (
@@ -599,12 +436,7 @@ impl Switch {
 
         // Dequeue accounting.
         self.buffer_used = self.buffer_used.saturating_sub(wire);
-        {
-            let port = &mut self.ports[port_id.index()];
-            port.queue_bytes[class.index()] -= wire;
-            port.tx_bytes_cum += wire;
-            port.counters.tx_bytes += wire;
-        }
+        self.ports[port_id.index()].queue_bytes[class.index()] -= wire;
         if let Some(ing) = ingress {
             let bytes = &mut self.ingress_bytes[ing.index()][class.index()];
             *bytes = bytes.saturating_sub(wire);
@@ -623,74 +455,25 @@ impl Switch {
             }
         }
 
-        // Fault injection at the wire: a down link in drop mode loses every
-        // frame; a degraded link loses iid with `fault_loss`, drawn on the
-        // dedicated fault RNG stream (never the ECN stream).
-        let (f_down, f_loss, f_extra) = {
-            let p = &self.ports[port_id.index()];
-            (p.fault_down, p.fault_loss, p.fault_extra_delay)
-        };
-        let fault_lost = if f_down {
-            true
-        } else if f_loss > 0.0 {
-            self.fault_rng
-                .as_mut()
-                .is_some_and(|rng| rng.next_f64() < f_loss)
-        } else {
-            false
-        };
-
-        // INT stamping at dequeue (Figure 7): data packets only.
+        // INT stamping at dequeue (Figure 7): data packets only. `txBytes`
+        // counts this frame, which `transmit` is about to add; should the
+        // link lose the frame, its stamp goes with it.
         let port = &mut self.ports[port_id.index()];
-        if cfg.int_enabled && pkt.is_data() && !fault_lost {
+        if cfg.int_enabled && pkt.is_data() {
             pkt.int.push_hop(
                 self.int_id,
                 IntHopRecord {
-                    bandwidth: port.bandwidth(),
+                    bandwidth: port.link.bandwidth(),
                     ts: now,
-                    tx_bytes: port.tx_bytes_cum,
+                    tx_bytes: port.link.counters.tx_bytes + wire,
                     rx_bytes: port.rx_enqueued_cum,
                     qlen: port.data_queue_bytes(),
                 },
             );
         }
-
-        // Serialize onto the wire.
-        port.busy = true;
-        let tx_time = port.line.tx_time(wire);
-        eff.schedule(
-            now + tx_time,
-            Event::PortReady {
-                node: self.id,
-                port: port_id,
-            },
-        );
-        if fault_lost {
-            port.fault_dropped_packets += 1;
-            port.fault_dropped_bytes += wire;
-            eff.recycle(pkt);
-        } else {
-            eff.schedule(
-                now + tx_time + port.delay + f_extra,
-                Event::PacketArrive {
-                    node: port.peer_node,
-                    port: port.peer_port,
-                    packet: pkt,
-                },
-            );
-        }
-    }
-
-    /// Close out pause-duration accounting at the end of the run.
-    pub(crate) fn finalize(&mut self, now: SimTime) {
-        for port in &mut self.ports {
-            if let Some(start) = port.pause_started.take() {
-                port.counters.pause_duration += now.saturating_since(start);
-                for p in &mut port.paused[1..] {
-                    *p = false;
-                }
-            }
-        }
+        let tx_time = port.link.tx_time(wire);
+        port.link
+            .transmit(now, pkt, wire, tx_time, &mut self.fault_rng, eff);
     }
 }
 
@@ -698,9 +481,10 @@ impl Switch {
 mod tests {
     use super::*;
     use crate::config::FlowControlMode;
+    use crate::engine::Event;
     use hpcc_cc::CcAlgorithm;
     use hpcc_topology::TopologyBuilder;
-    use hpcc_types::FlowId;
+    use hpcc_types::{Bandwidth, Duration, FlowId};
 
     const LINE: Bandwidth = Bandwidth::from_gbps(100);
 
@@ -823,13 +607,13 @@ mod tests {
             );
         }
         // Count CE marks sitting in the queue via the counters.
-        marked += sw.ports()[1].counters.ecn_marked;
+        marked += sw.ports()[1].link.counters.ecn_marked;
         assert!(marked >= 5, "deep queue must mark packets, marked={marked}");
         // The first two packets (queue < kmin at enqueue) are never marked.
-        assert!(sw.ports()[1].counters.ecn_marked <= 10);
+        assert!(sw.ports()[1].link.counters.ecn_marked <= 10);
         assert!(sw.ports()[1].data_queue_bytes() > 10_000);
         assert_eq!(
-            sw.ports()[1].counters.max_queue_bytes,
+            sw.ports()[1].link.counters.max_queue_bytes,
             sw.ports()[1].data_queue_bytes()
         );
     }
@@ -862,7 +646,7 @@ mod tests {
             PortId(0),
             "pause goes to the congested ingress"
         );
-        assert_eq!(sw.ports()[0].counters.pause_frames_sent, 1);
+        assert_eq!(sw.ports()[0].link.counters.pause_frames_sent, 1);
         // The pause frame sits in the control queue of port 0.
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(2), PortId(0), &cfg, &mut eff2);
@@ -899,7 +683,7 @@ mod tests {
             &topo,
             &mut eff,
         );
-        assert!(sw.ports()[1].is_paused());
+        assert!(sw.ports()[1].link.any_data_paused());
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(3), PortId(1), &cfg, &mut eff2);
         assert!(
@@ -921,8 +705,11 @@ mod tests {
         sw.try_transmit(SimTime::from_us(10), PortId(1), &cfg, &mut eff4);
         assert_eq!(eff4.scheduled().len(), 2);
         // Pause duration was accounted on the data class.
-        assert_eq!(sw.ports()[1].counters.pause_events, 1);
-        assert_eq!(sw.ports()[1].counters.pause_duration, Duration::from_us(8));
+        assert_eq!(sw.ports()[1].link.counters.pause_events, 1);
+        assert_eq!(
+            sw.ports()[1].link.counters.pause_duration,
+            Duration::from_us(8)
+        );
     }
 
     #[test]
@@ -943,8 +730,8 @@ mod tests {
                 &mut eff,
             );
         }
-        assert!(sw.ports()[1].counters.dropped_packets > 0);
-        assert!(sw.buffer_used() <= cfg.buffer_bytes);
+        assert!(sw.ports()[1].link.counters.dropped_packets > 0);
+        assert!(sw.buffer_used <= cfg.buffer_bytes);
 
         // Same arrival pattern in lossless mode never drops data; it pauses.
         let mut cfg2 = cfg.clone();
@@ -962,7 +749,7 @@ mod tests {
                 &mut eff2,
             );
         }
-        assert_eq!(sw2.ports()[1].counters.dropped_packets, 0);
+        assert_eq!(sw2.ports()[1].link.counters.dropped_packets, 0);
         assert!(!eff2.pfc_events.is_empty());
     }
 
@@ -1196,50 +983,7 @@ mod tests {
             &mut eff,
         );
         assert!(eff.kicks.is_empty());
-        assert_eq!(sw.ports()[0].counters.dropped_packets, 1);
-    }
-
-    #[test]
-    fn cached_ps_per_byte_is_exactly_tx_time() {
-        for gbps in [1, 10, 25, 40, 50, 100, 200, 400] {
-            let bw = Bandwidth::from_gbps(gbps);
-            let line = LineRate::new(bw);
-            assert_eq!(line.ps_per_byte, 8000 / gbps, "{gbps} Gb/s multiplies");
-            for wire in 1..=9216 {
-                assert_eq!(
-                    line.tx_time(wire),
-                    bw.tx_time(wire),
-                    "{wire} B at {gbps} Gb/s"
-                );
-            }
-            // Past the product's u64 range both saturate.
-            for wire in [
-                u64::MAX / line.ps_per_byte,
-                u64::MAX / line.ps_per_byte + 1,
-                u64::MAX,
-            ] {
-                assert_eq!(
-                    line.tx_time(wire),
-                    bw.tx_time(wire),
-                    "{wire} B at {gbps} Gb/s"
-                );
-            }
-        }
-        // 8·10¹² / bps is not whole: the division stays.
-        for bps in [3_000_000_000, 7_000_000_000, 99_999_999_999, 3] {
-            let bw = Bandwidth::from_bps(bps);
-            let line = LineRate::new(bw);
-            assert_eq!(line.ps_per_byte, 0, "{bps} bit/s divides");
-            for wire in [1, 60, 64, 1106, 9216] {
-                assert_eq!(
-                    line.tx_time(wire),
-                    bw.tx_time(wire),
-                    "{wire} B at {bps} bit/s"
-                );
-            }
-        }
-        let stopped = LineRate::new(Bandwidth::ZERO);
-        assert_eq!(stopped.tx_time(64), Duration::MAX);
+        assert_eq!(sw.ports()[0].link.counters.dropped_packets, 1);
     }
 
     #[test]
@@ -1270,11 +1014,12 @@ mod tests {
                 );
             }
             for sent in 1..=6 {
-                assert!(!sw.ports[egress.index()].busy);
+                assert!(!sw.ports[egress.index()].link.busy);
                 sw.try_transmit(SimTime::ZERO, egress, &cfg, &mut eff);
-                assert!(sw.ports[egress.index()].busy);
+                assert!(sw.ports[egress.index()].link.busy);
+                sw.link_mut(egress).busy = false;
                 assert_eq!(
-                    sw.port_ready(egress),
+                    sw.holds_frames(egress),
                     sent < 6,
                     "{scheduler:?}: after {sent} of 6"
                 );
@@ -1282,7 +1027,7 @@ mod tests {
             if let Scheduler::Dwrr { deficit, .. } = &sw.ports[egress.index()].sched {
                 assert!(deficit.iter().any(|&d| d != 0), "credit left to disturb");
             }
-            // The kick that `port_ready` spares would have changed nothing
+            // The kick that `holds_frames` spares would have changed nothing
             // and produced nothing.
             let before = format!("{sw:?}");
             let mut idle = Effects::default();
@@ -1313,33 +1058,15 @@ mod tests {
                 &topo,
                 &mut eff,
             );
-            assert!(sw.ports()[egress.index()].is_class_paused(0));
-            assert!(sw.port_ready(egress), "{scheduler:?}: paused but queued");
+            assert!(sw.ports()[egress.index()].link.class_paused(Priority::DATA));
+            assert!(sw.holds_frames(egress), "{scheduler:?}: paused but queued");
             // So does one that holds only a control frame.
-            assert!(!sw.port_ready(PortId(2)));
+            assert!(!sw.holds_frames(PortId(2)));
             sw.send_pfc(SimTime::ZERO, PortId(2), Priority::DATA, true, &mut eff);
             assert!(
-                sw.port_ready(PortId(2)),
+                sw.holds_frames(PortId(2)),
                 "{scheduler:?}: a PFC frame queued"
             );
         }
-    }
-
-    #[test]
-    fn finalize_closes_open_pause_intervals() {
-        let topo = topo3();
-        let cfg = cfg();
-        let mut sw = new_switch(&topo);
-        let mut eff = Effects::default();
-        sw.handle_arrival(
-            SimTime::from_us(2),
-            PortId(1),
-            Box::new(Packet::pfc(Priority::DATA, true)),
-            &cfg,
-            &topo,
-            &mut eff,
-        );
-        sw.finalize(SimTime::from_us(12));
-        assert_eq!(sw.ports()[1].counters.pause_duration, Duration::from_us(10));
     }
 }

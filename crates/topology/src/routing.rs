@@ -104,7 +104,7 @@ pub(crate) fn compute_routes(
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::spec::{NodeKind, TopologyBuilder, TopologySpec};
     use hpcc_types::{Bandwidth, Duration};
@@ -255,8 +255,8 @@ mod tests {
         assert!(t.next_hops(NodeId(0), outside).is_empty(), "{name}");
     }
 
-    #[test]
-    fn every_builder_and_corpus_topology_matches_a_bfs_reference() {
+    /// The eight builders and every file of `corpus/`, by name.
+    pub(crate) fn every_builder_and_corpus_topology() -> Vec<(String, TopologySpec)> {
         use crate::builders::*;
         let (bw, fast, d) = (
             Bandwidth::from_gbps(25),
@@ -271,35 +271,38 @@ mod tests {
             hosts_per_tor: 6,
             ..FatTreeParams::small()
         };
-        let built = [
-            ("star", star(5, bw, d)),
-            ("dumbbell", dumbbell(3, 2, bw, fast, d)),
-            ("leaf_spine", leaf_spine(3, 2, 4, bw, fast, d)),
-            ("testbed_pod", testbed_pod(d)),
-            ("fat_tree 16", fat_tree(FatTreeParams::small())),
-            ("fat_tree 54", fat_tree(clos54)),
+        let mut all = vec![
+            ("star".to_string(), star(5, bw, d)),
+            ("dumbbell".into(), dumbbell(3, 2, bw, fast, d)),
+            ("leaf_spine".into(), leaf_spine(3, 2, 4, bw, fast, d)),
+            ("testbed_pod".into(), testbed_pod(d)),
+            ("fat_tree 16".into(), fat_tree(FatTreeParams::small())),
+            ("fat_tree 54".into(), fat_tree(clos54)),
             (
-                "oversubscribed_clos",
+                "oversubscribed_clos".into(),
                 oversubscribed_clos(4, 3, 4, bw, 2.0, d),
             ),
             (
-                "asymmetric_clos",
+                "asymmetric_clos".into(),
                 asymmetric_clos(4, 3, 4, bw, fast, 0.5, d),
             ),
         ];
-        for (name, t) in &built {
-            assert!(t.hosts().len() >= 5, "{name}");
-            assert_routes_match_bfs(name, t);
-        }
         let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
-        let mut files = 0;
         for entry in std::fs::read_dir(&corpus).unwrap() {
             let path = entry.unwrap().path();
             let text = std::fs::read_to_string(&path).unwrap();
             let t = crate::corpus::parse(&text).unwrap().build();
-            assert_routes_match_bfs(&path.display().to_string(), &t);
-            files += 1;
+            all.push((path.display().to_string(), t));
         }
-        assert!(files >= 4, "corpus directory not found at {corpus:?}");
+        assert!(all.len() >= 12, "corpus directory not found at {corpus:?}");
+        all
+    }
+
+    #[test]
+    fn every_builder_and_corpus_topology_matches_a_bfs_reference() {
+        for (name, t) in &every_builder_and_corpus_topology() {
+            assert!(t.hosts().len() >= 5, "{name}");
+            assert_routes_match_bfs(name, t);
+        }
     }
 }

@@ -49,6 +49,8 @@ pub struct PortDesc {
 pub struct TopologySpec {
     kinds: Vec<NodeKind>,
     links: Vec<LinkSpec>,
+    /// The two `(node, port)` ends of every link, `a`'s first.
+    link_ports: Vec<[(NodeId, PortId); 2]>,
     ports: Vec<Vec<PortDesc>>,
     /// Equal-cost next-hop ports per `(node, destination host)`.
     routes: RouteTable,
@@ -76,6 +78,11 @@ impl TopologySpec {
     /// All links.
     pub fn links(&self) -> &[LinkSpec] {
         &self.links
+    }
+    /// The two ends of link `link` (an index into [`TopologySpec::links`]),
+    /// `a`'s first: `ports(n)[p]` of either end `(n, p)` names the other.
+    pub fn link_ports(&self, link: usize) -> [(NodeId, PortId); 2] {
+        self.link_ports[link]
     }
     /// Ports of a node.
     pub fn ports(&self, node: NodeId) -> &[PortDesc] {
@@ -269,9 +276,11 @@ impl TopologyBuilder {
     pub fn build(self) -> TopologySpec {
         let n = self.kinds.len();
         let mut ports: Vec<Vec<PortDesc>> = vec![Vec::new(); n];
+        let mut link_ports = Vec::with_capacity(self.links.len());
         for link in &self.links {
             let pa = PortId(ports[link.a.index()].len() as u32);
             let pb = PortId(ports[link.b.index()].len() as u32);
+            link_ports.push([(link.a, pa), (link.b, pb)]);
             ports[link.a.index()].push(PortDesc {
                 peer_node: link.b,
                 peer_port: pb,
@@ -303,6 +312,7 @@ impl TopologyBuilder {
         TopologySpec {
             kinds: self.kinds,
             links: self.links,
+            link_ports,
             ports,
             routes,
             hosts,
@@ -335,6 +345,32 @@ mod tests {
         let back = t.ports(NodeId(2))[host_port.peer_port.index()];
         assert_eq!(back.peer_node, NodeId(0));
         assert_eq!(back.peer_port, PortId(0));
+    }
+
+    #[test]
+    fn link_ports_name_both_ends_of_every_link() {
+        for (name, t) in &crate::routing::tests::every_builder_and_corpus_topology() {
+            for (i, link) in t.links().iter().enumerate() {
+                let [(a, pa), (b, pb)] = t.link_ports(i);
+                assert_eq!((a, b), (link.a, link.b), "{name}: link {i}");
+                let (at_a, at_b) = (t.ports(a)[pa.index()], t.ports(b)[pb.index()]);
+                assert_eq!(
+                    (at_a.peer_node, at_a.peer_port),
+                    (b, pb),
+                    "{name}: link {i}"
+                );
+                assert_eq!(
+                    (at_b.peer_node, at_b.peer_port),
+                    (a, pa),
+                    "{name}: link {i}"
+                );
+            }
+            // And every port is an end of exactly one link.
+            let ports: usize = (0..t.node_count() as u32)
+                .map(|n| t.ports(NodeId(n)).len())
+                .sum();
+            assert_eq!(ports, 2 * t.links().len(), "{name}");
+        }
     }
 
     #[test]
