@@ -1,8 +1,10 @@
 //! One runner per table / figure of the paper. Every runner returns the
-//! rendered report as a `String`; the `fig*` binaries print it.
+//! rendered report as a `String`; the `figures <name>` binary prints it.
 //!
-//! The default scales are laptop-sized; see EXPERIMENTS.md for the mapping to the
-//! paper's full-scale settings.
+//! The default scales are laptop-sized. `figures` with no arguments lists
+//! every name with its default arguments; a last argument of 1 to
+//! `figures fig11` (`paper_scale`) runs Figure 11 on the paper's 320-host
+//! Clos (`FatTreeParams::paper()`).
 
 use hpcc_cc::{HpccConfig, HpccReactionMode};
 use hpcc_core::presets::{

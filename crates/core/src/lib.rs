@@ -26,9 +26,6 @@
 //!   simulation,
 //! * [`presets`] — ready-made scenario builders for every figure in the
 //!   paper's evaluation (§5.2–§5.4),
-//! * [`analysis`] — a re-export shim over `hpcc_sim::fluid`, where the
-//!   Appendix A fluid model now lives as a first-class simulation backend
-//!   (select it per scenario with [`BackendSpec`]),
 //! * [`validate`] — the cross-validation harness: run a scenario grid on
 //!   both backends and report per-scenario FCT/utilization divergence with
 //!   a digest-pinned canonical report.
@@ -36,7 +33,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod analysis;
 pub mod campaign;
 pub mod codec;
 pub mod experiment;

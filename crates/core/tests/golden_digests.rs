@@ -17,9 +17,9 @@
 use hpcc_core::campaign::digest_output;
 use hpcc_core::presets::{fig11_campaign, pfc_storm};
 use hpcc_core::{
-    CcSpec, CdfSpec, FlowDecl, QueueingSpec, ScenarioSpec, TopologyChoice, WorkloadSpec,
+    CcSpec, CdfSpec, FaultSpec, FlowDecl, QueueingSpec, ScenarioSpec, TopologyChoice, WorkloadSpec,
 };
-use hpcc_sim::FlowControlMode;
+use hpcc_sim::{FlowControlMode, LinkDownMode, LinkFault};
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
 use hpcc_workload::PrioritySpec;
@@ -60,9 +60,12 @@ fn fig11_serial_digests_match_the_binaryheap_engine() {
 /// 1 µs, under PFC, go-back-N and IRN, for HPCC and DCQCN; traffic crossing
 /// in both directions from 0 on the leaf-spine at 10 ns and on a star at
 /// 0 ns, where the key a `PortReady` pushed after its frame started pops
-/// under decides the run; then the `pfc_storm` preset and three multi-class
-/// scheduler runs. Recorded on x86_64 Linux, like `GOLDEN`.
-const GOLDEN_TIES: [(&str, u64); 33] = [
+/// under decides the run; the star incast at 1 µs without queue sampling,
+/// cut mid-flight, where the last event handled can be a `PortReady` that
+/// was never pushed and the end of the run is read from it; then the
+/// `pfc_storm` preset and three multi-class scheduler runs. Recorded on
+/// x86_64 Linux, like `GOLDEN`.
+const GOLDEN_TIES: [(&str, u64); 36] = [
     ("star 10ns PFC HPCC", 6931994868557624934),
     ("star 10ns PFC DCQCN", 2992536370665274048),
     ("star 10ns GBN HPCC", 2656980799061494370),
@@ -92,6 +95,9 @@ const GOLDEN_TIES: [(&str, u64); 33] = [
     ("leaf-spine 10ns cross IRN DCQCN", 7117363916013199296),
     ("star 0ns cross PFC HPCC", 4975423991700174357),
     ("star 0ns cross PFC DCQCN", 9095752539561731385),
+    ("star 1us cut PFC HPCC", 17893664390413533316),
+    ("star 1us cut PFC DCQCN", 17676436325205491736),
+    ("star 1us cut GBN HPCC outage", 1161478925044716804),
     ("PFC storm (DCQCN)", 9401693047932992622),
     ("stress SP-4", 17501441567530416890),
     ("stress DWRR-4", 6322385093391734022),
@@ -123,6 +129,12 @@ fn tie_scenarios() -> Vec<ScenarioSpec> {
             .with_buffer_bytes(300_000)
             .with_queue_sampling(Duration::from_us(1))
     };
+    // Hosts 0..15 each send 200 KB to the last host, at 0.
+    let incast = |hosts: usize| -> Vec<FlowDecl> {
+        (0..15)
+            .map(|i| FlowDecl::new(i + 1, i as usize, hosts - 1, 200_000, Duration::ZERO))
+            .collect()
+    };
     let mut scenarios = Vec::new();
     for (name, hosts) in [("star", 17), ("leaf-spine", 16)] {
         for (delay, link_delay) in [
@@ -131,12 +143,7 @@ fn tie_scenarios() -> Vec<ScenarioSpec> {
         ] {
             for (fc, mode) in [("PFC", Lossless), ("GBN", LossyGoBackN), ("IRN", LossyIrn)] {
                 for scheme in ["HPCC", "DCQCN"] {
-                    // Hosts 0..15 each send 200 KB to the last host, at 0.
-                    let flows = (0..15)
-                        .map(|i| {
-                            FlowDecl::new(i + 1, i as usize, hosts - 1, 200_000, Duration::ZERO)
-                        })
-                        .collect();
+                    let flows = incast(hosts);
                     let name = format!("{name} {delay} {fc} {scheme}");
                     let topology = match hosts {
                         17 => star(hosts, link_delay),
@@ -196,6 +203,40 @@ fn tie_scenarios() -> Vec<ScenarioSpec> {
     ] {
         let name = format!("{name} cross {fc} {scheme}");
         scenarios.push(run(name, topology, cross.clone(), mode, scheme));
+    }
+    // No queue sampling and a horizon off any round time; the outage takes
+    // the receiver's link down in drop mode from 30 µs to past the horizon.
+    let outage = FaultSpec::new().with_link_fault(LinkFault {
+        link: 16,
+        at: Duration::from_us(30),
+        down_for: Duration::from_ms(5),
+        flaps: 0,
+        period: Duration::ZERO,
+        mode: LinkDownMode::Drop,
+    });
+    for (name, mode, scheme, end_ps, faults) in [
+        ("PFC HPCC", Lossless, "HPCC", 77_777_777, FaultSpec::new()),
+        (
+            "PFC DCQCN",
+            Lossless,
+            "DCQCN",
+            123_456_789,
+            FaultSpec::new(),
+        ),
+        ("GBN HPCC outage", LossyGoBackN, "HPCC", 77_777_777, outage),
+    ] {
+        scenarios.push(
+            ScenarioSpec::new(
+                format!("star 1us cut {name}"),
+                star(17, Duration::from_us(1)),
+                CcSpec::by_label(scheme),
+                Duration::from_ps(end_ps),
+            )
+            .with_workload(WorkloadSpec::Explicit(incast(17)))
+            .with_flow_control(mode)
+            .with_buffer_bytes(300_000)
+            .with_faults(faults),
+        );
     }
     scenarios.push(pfc_storm(0.3, 12, end, 17));
     for (stream, queueing) in [

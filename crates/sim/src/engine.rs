@@ -21,18 +21,19 @@
 //! far-future timers — go to a `BinaryHeap` overflow level and migrate into
 //! the ring as the cursor reaches their bucket.
 //!
-//! Ring entries are `(SimTime, Event)` — 32 bytes, written once — and carry
-//! **no sequence number**: the insertion order is kept by where an entry
-//! sits, not by a field compared on every sort step. A bucket the cursor has
+//! Every entry carries its key `(time, seq)` — 40 bytes, written once — so
+//! an event may be pushed *later* than its seq was handed out
+//! (`EventQueue::reserve`, `EventQueue::push_keyed`) and still pop where
+//! a push at reservation time would have: a switch port reserves the key of
+//! its `PortReady` with every frame it starts and pushes the event only if
+//! a frame waits behind that one (`crate::link`). A bucket the cursor has
 //! not reached is a plain `Vec` in push order. When the cursor enters it,
-//! the overflow events of that slot are put in front (they were all pushed
-//! earlier), one *stable* sort by time alone yields `(time, seq)` order, and
-//! the bucket is reversed so that `pop` is `Vec::pop`. An event scheduled
-//! *into the draining bucket* has the largest seq so far, so a short scan
-//! from the pop end places it behind every pending event with `time <= t`.
-//! `docs/ARCHITECTURE.md` § *The event-wheel engine* spells the argument out
-//! as four lemmas; the tests below check each of them against a reference
-//! that does keep `(time, seq)`.
+//! the overflow events of that slot join it, one sort by key puts it in pop
+//! order, and the bucket is reversed so that `pop` is `Vec::pop`. An event
+//! scheduled *into the draining bucket* goes in front of the pending entries
+//! with smaller keys, found by a short scan from the pop end.
+//! `docs/ARCHITECTURE.md` § *The event-wheel engine* gives the argument; the
+//! tests below check it against a reference that keeps `(time, seq)`.
 //!
 //! Only the buckets between the cursor and the furthest pending near event
 //! hold anything (~40 of them), so the ring does not keep a buffer per
@@ -59,14 +60,15 @@ const NUM_BUCKETS: usize = 4096;
 /// to) the `Effects` packet pool, so the hot path moves an 8-byte pointer
 /// through the queue instead of a 440-byte inline `Packet`, without paying
 /// an allocation per hop. Every variant fits 24 bytes (asserted below), which
-/// keeps a ring entry at 32.
+/// keeps a queue entry at 40.
 #[derive(Clone, Debug)]
 pub enum Event {
     /// A flow (by index into the simulator's flow table) becomes active at
     /// its source host.
     FlowStart(usize),
     /// A port finished serializing the packet it was transmitting and may
-    /// start the next one.
+    /// start the next one. A switch port's is pushed only while frames wait
+    /// (`Link::push_ready`).
     PortReady {
         /// Node owning the port.
         node: NodeId,
@@ -132,6 +134,21 @@ pub(crate) struct Effects {
     /// The run's event queue. Handlers only push ([`Effects::schedule`]);
     /// the simulator's loop is the one place that pops.
     pub queue: EventQueue,
+    /// The key of the event being handled, set by the simulator at every
+    /// pop; its time is the time now. A link is busy while this
+    /// sorts before the key of its last `PortReady` (`Link::busy`).
+    pub key: Key,
+    /// The run's horizon: events after it are never handled. The simulator
+    /// sets it from `SimConfig::end_time` and reads it only from here.
+    pub horizon: SimTime,
+    /// Events handled so far. A `PortReady` counts when its frame starts
+    /// ([`Effects::count_port_ready`]), and never when it pops: a switch
+    /// port's may never be pushed.
+    pub processed: u64,
+    /// The time of the latest `PortReady` counted in `processed`: the run's
+    /// clock reaches it whether or not the event is pushed
+    /// ([`Effects::clock`]).
+    last_ready: SimTime,
     /// Ports that may now be able to start a transmission: the simulator's
     /// LIFO work stack, onto which a transmit pushes the kicks it causes.
     pub kicks: Vec<(NodeId, PortId)>,
@@ -162,6 +179,32 @@ impl Effects {
     #[inline]
     pub fn schedule(&mut self, at: SimTime, event: Event) {
         self.queue.push(at, event);
+    }
+
+    /// Count a `PortReady` due at `at` as handled if it falls at or before
+    /// the horizon: every event there is handled before the run ends.
+    #[inline]
+    pub fn count_port_ready(&mut self, at: SimTime) {
+        if at <= self.horizon {
+            self.processed += 1;
+            self.last_ready = self.last_ready.max(at);
+        }
+    }
+
+    /// The time of the latest event handled, counted `PortReady`s included:
+    /// where the run's clock stands once its loop ends.
+    pub fn clock(&self) -> SimTime {
+        self.key.0.max(self.last_ready)
+    }
+
+    /// Effects for an event handled at `now`, after every other event of
+    /// that instant: a link whose frame ends by `now` is free.
+    #[cfg(test)]
+    pub fn at(now: SimTime) -> Effects {
+        Effects {
+            key: (now, u64::MAX),
+            ..Effects::default()
+        }
     }
 
     /// Everything scheduled so far, in pop order (drains the queue).
@@ -210,45 +253,39 @@ impl Effects {
     }
 }
 
-/// An overflow-level entry. Only the far-future heap needs the explicit
-/// tie-breaking sequence number: a heap keeps no positional order to stand
-/// in for it.
-#[derive(Debug)]
-struct Scheduled {
-    time: SimTime,
-    seq: u64,
-    event: Event,
-}
+/// Where an event stands in the pop order: its time, then its sequence
+/// number — how many sequence numbers the queue had handed out before it.
+pub(crate) type Key = (SimTime, u64);
 
-impl PartialEq for Scheduled {
+/// A queue entry: its key, and what happens.
+type Entry = (Key, Event);
+
+// A field added to `Event` or to the entry would fatten the one record every
+// push writes and every sort step moves; fail the build instead.
+const _: () = assert!(std::mem::size_of::<Event>() <= 24);
+const _: () = assert!(std::mem::size_of::<Entry>() <= 40);
+
+/// An overflow-level entry, ordered for `BinaryHeap` (a max-heap) so that
+/// the smallest key is on top.
+#[derive(Debug)]
+struct Far(Entry);
+
+impl PartialEq for Far {
     fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
+        self.0 .0 == other.0 .0
     }
 }
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
+impl Eq for Far {}
+impl PartialOrd for Far {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled {
+impl Ord for Far {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Reverse ordering: BinaryHeap is a max-heap and we want the earliest
-        // (time, seq) first.
-        other
-            .time
-            .cmp(&self.time)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.0 .0.cmp(&self.0 .0)
     }
 }
-
-/// A ring entry: when, and what. No sequence number — see the module doc.
-type Entry = (SimTime, Event);
-
-// A field added to `Event` or to the ring entry would fatten the one record
-// every push writes and every sort step moves; fail the build instead.
-const _: () = assert!(std::mem::size_of::<Event>() <= 24);
-const _: () = assert!(std::mem::size_of::<Entry>() <= 32);
 
 /// Deterministic time-ordered event queue: an indexed event wheel with a
 /// binary-heap overflow level for far-future timers.
@@ -269,9 +306,9 @@ pub struct EventQueue {
     /// Events currently stored in the ring.
     wheel_len: usize,
     /// Far-future events (beyond the ring window at push time).
-    overflow: BinaryHeap<Scheduled>,
-    /// Events pushed so far; also the next insertion sequence number.
-    scheduled: u64,
+    overflow: BinaryHeap<Far>,
+    /// Sequence numbers handed out so far; also the next one.
+    next_seq: u64,
     peak_len: usize,
 }
 
@@ -284,7 +321,7 @@ impl Default for EventQueue {
             current_prepared: false,
             wheel_len: 0,
             overflow: BinaryHeap::new(),
-            scheduled: 0,
+            next_seq: 0,
             peak_len: 0,
         }
     }
@@ -301,24 +338,23 @@ fn ring_index(slot: u64) -> usize {
 }
 
 /// Buckets up to this long are sorted by insertion; longer ones (a
-/// synchronised burst) by the standard stable sort, which bounds the worst
-/// case.
+/// synchronised burst) by the standard sort, which bounds the worst case.
 const INSERTION_SORT_MAX: usize = 64;
 
-/// Stable sort of a bucket by time alone. Push order is already close to
-/// time order — events are pushed as simulated time advances, at `now + δ`
-/// for a handful of δ — so on the usual ~8 entries an insertion sort
-/// moves each one a few places and beats the general-purpose sort.
-fn sort_by_time(bucket: &mut [Entry]) {
+/// Sort a bucket by key. Push order is already close to key order — events
+/// are pushed as simulated time advances, at `now + δ` for a handful of δ —
+/// so on the usual ~8 entries an insertion sort moves each one a few places
+/// and beats the general-purpose sort. Keys are unique, so no sort needs to
+/// be stable.
+fn sort_by_key(bucket: &mut [Entry]) {
     if bucket.len() > INSERTION_SORT_MAX {
-        bucket.sort_by_key(|e| e.0);
+        bucket.sort_unstable_by_key(|e| e.0);
         return;
     }
     for i in 1..bucket.len() {
-        let t = bucket[i].0;
+        let key = bucket[i].0;
         let mut j = i;
-        // Strictly greater only: equal times keep their push order.
-        while j > 0 && bucket[j - 1].0 > t {
+        while j > 0 && bucket[j - 1].0 > key {
             bucket.swap(j - 1, j);
             j -= 1;
         }
@@ -333,11 +369,26 @@ impl EventQueue {
 
     /// Schedule `event` at `time`.
     pub fn push(&mut self, time: SimTime, event: Event) {
-        let seq = self.scheduled;
-        self.scheduled += 1;
-        let slot = slot_of(time);
+        let seq = self.reserve();
+        self.push_keyed((time, seq), event);
+    }
+
+    /// Hand out the next sequence number without pushing anything. An event
+    /// pushed later under it ([`EventQueue::push_keyed`]) pops exactly where
+    /// one pushed now would have.
+    #[inline]
+    pub(crate) fn reserve(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Schedule `event` under `key`, whose seq came from
+    /// [`EventQueue::reserve`] and which sorts after the last key popped.
+    pub(crate) fn push_keyed(&mut self, key: Key, event: Event) {
+        let slot = slot_of(key.0);
         if slot >= self.cursor + NUM_BUCKETS as u64 {
-            self.overflow.push(Scheduled { time, seq, event });
+            self.overflow.push(Far((key, event)));
         } else {
             // Anything at or before the cursor's bucket (the simulator never
             // schedules into the past; this clamps defensively) lands in the
@@ -346,18 +397,17 @@ impl EventQueue {
             let prepared = slot == self.cursor && self.current_prepared;
             let bucket = self.bucket_mut(slot);
             if prepared {
-                // The draining bucket is in reverse pop order and the new
-                // event has the largest seq so far: it goes just below the
-                // pending events with `time <= t`. Those sit at the pop end
-                // and are few — under six on average on the fig11 set, none
-                // or one for an ACK's 4.8 ns `PortReady`.
+                // The draining bucket is in reverse pop order: the new entry
+                // goes just below the pending ones with smaller keys. Those
+                // sit at the pop end and are few — under six on average on
+                // the fig11 set, none or one for an ACK's 4.8 ns `PortReady`.
                 let mut at = bucket.len();
-                while at > 0 && bucket[at - 1].0 <= time {
+                while at > 0 && bucket[at - 1].0 < key {
                     at -= 1;
                 }
-                bucket.insert(at, (time, event));
+                bucket.insert(at, (key, event));
             } else {
-                bucket.push((time, event));
+                bucket.push((key, event));
             }
             self.wheel_len += 1;
         }
@@ -377,24 +427,19 @@ impl EventQueue {
         bucket
     }
 
-    /// Bring the cursor's bucket into reverse pop order: the slot's overflow
-    /// events first (the heap yields them by `(time, seq)`, and all of them
-    /// were pushed before any ring entry of the slot), then the ring entries
-    /// in push order, stably sorted by time, reversed.
+    /// Bring the cursor's bucket into reverse pop order: move the slot's
+    /// overflow events in, sort by key, reverse.
     fn prepare_current(&mut self) {
-        let ring_entries = self.buckets[ring_index(self.cursor)].len();
-        while let Some(top) = self.overflow.peek() {
-            if slot_of(top.time) > self.cursor {
+        while let Some(Far(((time, _), _))) = self.overflow.peek() {
+            if slot_of(*time) > self.cursor {
                 break;
             }
-            let s = self.overflow.pop().expect("peeked entry exists");
-            self.bucket_mut(self.cursor).push((s.time, s.event));
+            let Far(entry) = self.overflow.pop().expect("peeked entry exists");
+            self.bucket_mut(self.cursor).push(entry);
+            self.wheel_len += 1;
         }
         let bucket = &mut self.buckets[ring_index(self.cursor)];
-        let migrated = bucket.len() - ring_entries;
-        bucket.rotate_right(migrated);
-        self.wheel_len += migrated;
-        sort_by_time(bucket);
+        sort_by_key(bucket);
         bucket.reverse();
         self.current_prepared = true;
     }
@@ -409,7 +454,7 @@ impl EventQueue {
         if drained.capacity() > 0 {
             self.spare.push(drained);
         }
-        let overflow_slot = self.overflow.peek().map(|s| slot_of(s.time));
+        let overflow_slot = self.overflow.peek().map(|Far(((t, _), _))| slot_of(*t));
         if self.wheel_len == 0 {
             // Jump straight to the earliest overflow bucket.
             self.cursor = overflow_slot.expect("advance called on an empty queue");
@@ -437,6 +482,11 @@ impl EventQueue {
     /// after the simulation horizon is discarded unhandled, so the simulator
     /// owns the processed counter.
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
+        self.pop_keyed().map(|((time, _), event)| (time, event))
+    }
+
+    /// Pop the entry with the smallest key, if any.
+    pub(crate) fn pop_keyed(&mut self) -> Option<Entry> {
         loop {
             if self.current_prepared {
                 if let Some(entry) = self.buckets[ring_index(self.cursor)].pop() {
@@ -708,10 +758,10 @@ mod tests {
 
     #[test]
     fn overflow_events_pop_before_later_ring_events_at_the_same_instant() {
-        // Lemma 3 of docs/ARCHITECTURE.md: an overflow entry of a slot was
-        // pushed before every ring entry of that slot. Two far events at T
-        // go to the overflow heap; once the cursor has moved close enough, a
-        // third event at the very same T lands in the ring bucket directly.
+        // Two far events at T go to the overflow heap; once the cursor has
+        // moved close enough, a third event at the very same T lands in the
+        // ring bucket directly, and the three meet when the bucket is
+        // prepared.
         let mut q = EventQueue::new();
         let slot = NUM_BUCKETS as u64 + 5;
         let t = SimTime::from_ps(slot << BUCKET_SHIFT);
@@ -733,6 +783,48 @@ mod tests {
         q.push(t, Event::FlowStart(3));
         q.push(later, Event::FlowStart(5));
         assert_eq!(drain_ids(&mut q), vec![1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn a_late_push_under_a_reserved_seq_pops_where_an_eager_push_would_have() {
+        // A seq reserved between two pushes at instant `t` and pushed after
+        // them must pop between them wherever it lands: in a bucket the
+        // cursor has not reached, in the bucket being drained, in the
+        // overflow heap, or in the ring while its neighbours wait in the
+        // overflow heap.
+        let window = (NUM_BUCKETS as u64) << BUCKET_SHIFT;
+        let near = (3 << BUCKET_SHIFT) + 100;
+        let far = 2 * window + near;
+        for (place, t, overflows) in [
+            ("unprepared bucket", near, false),
+            ("draining bucket", near, false),
+            ("overflow heap", far, true),
+            ("ring, neighbours in the overflow heap", far, false),
+        ] {
+            let at = SimTime::from_ps;
+            let mut q = EventQueue::new();
+            if place == "draining bucket" {
+                q.push(at(t - 10), Event::Sample);
+                assert!(matches!(q.pop(), Some((_, Event::Sample))));
+                assert!(q.current_prepared && q.cursor == slot_of(at(t)));
+            }
+            q.push(at(t - 1), Event::FlowStart(0));
+            q.push(at(t), Event::FlowStart(1));
+            let reserved = q.reserve();
+            q.push(at(t), Event::FlowStart(3));
+            q.push(at(t + 1), Event::FlowStart(4));
+            if place.starts_with("ring") {
+                // Walk the cursor to the first slot from which `t` is in
+                // the window; the four events stay in the heap.
+                q.push(at(t - window + (1 << BUCKET_SHIFT)), Event::Sample);
+                assert!(matches!(q.pop(), Some((_, Event::Sample))));
+                assert_eq!(q.overflow.len(), 4);
+            }
+            let before = q.overflow.len();
+            q.push_keyed((at(t), reserved), Event::FlowStart(2));
+            assert_eq!(q.overflow.len() > before, overflows, "{place}");
+            assert_eq!(drain_ids(&mut q), [0, 1, 2, 3, 4], "{place}");
+        }
     }
 
     #[test]
@@ -777,80 +869,136 @@ mod tests {
         assert_eq!(q.len(), LIVE);
     }
 
+    /// The wheel and a plain `(time, seq)`-ordered reference, driven by one
+    /// script; every event is a `FlowStart` naming its own seq.
+    struct Twin {
+        q: EventQueue,
+        reference: std::collections::BTreeSet<(u64, u64)>,
+        seq: u64,
+    }
+
+    impl Twin {
+        fn push(&mut self, t: u64) {
+            self.q
+                .push(SimTime::from_ps(t), Event::FlowStart(self.seq as usize));
+            self.reference.insert((t, self.seq));
+            self.seq += 1;
+        }
+
+        fn reserve(&mut self) -> u64 {
+            let seq = self.q.reserve();
+            assert_eq!(seq, self.seq);
+            self.seq += 1;
+            seq
+        }
+
+        fn push_keyed(&mut self, t: u64, seq: u64) {
+            let key = (SimTime::from_ps(t), seq);
+            self.q.push_keyed(key, Event::FlowStart(seq as usize));
+            self.reference.insert((t, seq));
+        }
+    }
+
     #[test]
     fn wheel_matches_reference_heap_on_a_randomized_schedule() {
         // Drive the wheel and a plain (time, seq)-ordered reference with an
         // identical randomized push/pop script: in-window pushes, overflow
         // pushes, bursts of same-time pushes, pushes at `now` into the
         // draining bucket, far pushes on either side of the ring/overflow
-        // boundary (`cursor + NUM_BUCKETS` slots ± 1), and pushes into a ring
-        // index in the same step its buffer was spared.
+        // boundary (`cursor + NUM_BUCKETS` slots ± 1), pushes into a ring
+        // index in the same step its buffer was spared, and seqs reserved now
+        // and pushed later under their key — or never, once the pops have
+        // passed it, as a switch port that frees with nothing queued does.
         use hpcc_types::rng::SplitMix64;
-        use std::collections::BTreeSet;
         const OPS_PER_SEED: usize = 30_000;
         for seed in [0xE1E7u64, 1, 0xDEAD_BEEF, 42] {
             let mut rng = SplitMix64::new(seed);
-            let mut q = EventQueue::new();
-            let mut reference: BTreeSet<(u64, u64)> = BTreeSet::new(); // (time ps, seq)
-            let mut seq = 0u64;
-            let mut now = 0u64;
-            let mut push = |q: &mut EventQueue, reference: &mut BTreeSet<(u64, u64)>, t: u64| {
-                q.push(SimTime::from_ps(t), Event::FlowStart(seq as usize));
-                reference.insert((t, seq));
-                seq += 1;
+            let mut w = Twin {
+                q: EventQueue::new(),
+                reference: Default::default(),
+                seq: 0,
             };
+            let mut reserved: Vec<(u64, u64)> = Vec::new();
+            let mut last = (0u64, 0u64);
+            let (mut late, mut abandoned) = (0, 0);
             for op in 0..OPS_PER_SEED {
-                if rng.next_below(3) > 0 || reference.is_empty() {
+                let now = last.0;
+                if rng.next_below(3) > 0 || w.reference.is_empty() {
                     match rng.next_below(100) {
                         // A burst of pushes at one instant.
                         0..=4 => {
                             let t = now + rng.next_below(1 << 19);
                             for _ in 0..2 + rng.next_below(6) {
-                                push(&mut q, &mut reference, t);
+                                w.push(t);
                             }
                         }
                         // Exactly now: the head of the draining bucket.
-                        5..=14 => push(&mut q, &mut reference, now),
+                        5..=14 => w.push(now),
                         // Around the first slot that overflows.
                         15..=19 => {
-                            let slot = q.cursor + NUM_BUCKETS as u64 + rng.next_below(3) - 1;
+                            let slot = w.q.cursor + NUM_BUCKETS as u64 + rng.next_below(3) - 1;
                             let t = (slot << BUCKET_SHIFT) + rng.next_below(1 << BUCKET_SHIFT);
-                            push(&mut q, &mut reference, t.max(now));
+                            w.push(t.max(now));
                         }
                         // Far future.
-                        20..=21 => push(&mut q, &mut reference, now + rng.next_below(1 << 30)),
+                        20..=21 => w.push(now + rng.next_below(1 << 30)),
+                        // Reserve now: for the current instant, which later
+                        // pushes at `now` share, a frame's end a few buckets
+                        // ahead, or far.
+                        22..=29 => {
+                            let t = match rng.next_below(4) {
+                                0 => now,
+                                _ => now + rng.next_below(1 << 17),
+                            };
+                            reserved.push((t, w.reserve()));
+                        }
+                        30..=31 => {
+                            let t = now + rng.next_below(1 << 30);
+                            reserved.push((t, w.reserve()));
+                        }
+                        // Push later what was reserved, if the pops have not
+                        // passed its key.
+                        32..=43 if !reserved.is_empty() => {
+                            let i = rng.next_below(reserved.len() as u64) as usize;
+                            let (t, seq) = reserved.swap_remove(i);
+                            if (t, seq) > last {
+                                w.push_keyed(t, seq);
+                                late += 1;
+                            } else {
+                                abandoned += 1;
+                            }
+                        }
                         // Near: within a few buckets.
-                        _ => push(&mut q, &mut reference, now + rng.next_below(1 << 20)),
+                        _ => w.push(now + rng.next_below(1 << 20)),
                     }
                 } else {
-                    let left = q.cursor;
-                    let (t, ev) = q.pop().unwrap();
-                    let min = reference.pop_first().unwrap();
-                    assert_eq!(t.as_ps(), min.0, "seed {seed:#x}, op {op}: pop time");
+                    let left = w.q.cursor;
+                    let ((t, seq), ev) = w.q.pop_keyed().unwrap();
+                    let min = w.reference.pop_first().unwrap();
+                    assert_eq!((t.as_ps(), seq), min, "seed {seed:#x}, op {op}: pop key");
                     assert!(
                         matches!(ev, Event::FlowStart(i) if i as u64 == min.1),
                         "seed {seed:#x}, op {op}: popped {ev:?}, reference seq {}",
                         min.1
                     );
-                    now = min.0;
+                    last = min;
                     // The cursor moved, so this pop spared the buffer of
                     // `left`. Its ring index now stands for `left + N`, which
                     // entered the window with the move: push there, and into
                     // the last ring slot and the first overflow slot.
-                    if q.cursor != left && rng.next_below(4) == 0 {
+                    if w.q.cursor != left && rng.next_below(4) == 0 {
                         let n = NUM_BUCKETS as u64;
-                        let far = q.overflow.len();
-                        for slot in [left + n, q.cursor + n - 1, q.cursor + n] {
-                            let t = (slot << BUCKET_SHIFT) + rng.next_below(1 << BUCKET_SHIFT);
-                            push(&mut q, &mut reference, t);
+                        let far = w.q.overflow.len();
+                        for slot in [left + n, w.q.cursor + n - 1, w.q.cursor + n] {
+                            w.push((slot << BUCKET_SHIFT) + rng.next_below(1 << BUCKET_SHIFT));
                         }
-                        assert_eq!(q.overflow.len(), far + 1, "two to the ring, one beyond");
+                        assert_eq!(w.q.overflow.len(), far + 1, "two to the ring, one beyond");
                     }
                 }
-                assert_eq!(q.len(), reference.len(), "seed {seed:#x}, op {op}: len");
+                assert_eq!(w.q.len(), w.reference.len(), "seed {seed:#x}, op {op}: len");
             }
-            while let Some((t, ev)) = q.pop() {
-                let min = reference.pop_first().unwrap();
+            while let Some((t, ev)) = w.q.pop() {
+                let min = w.reference.pop_first().unwrap();
                 assert_eq!(t.as_ps(), min.0, "seed {seed:#x}, final drain");
                 assert!(
                     matches!(ev, Event::FlowStart(i) if i as u64 == min.1),
@@ -858,8 +1006,15 @@ mod tests {
                     min.1
                 );
             }
-            assert!(reference.is_empty(), "seed {seed:#x}: queue ran dry early");
-            assert_eq!(q.scheduled, seq);
+            assert!(
+                w.reference.is_empty(),
+                "seed {seed:#x}: queue ran dry early"
+            );
+            assert_eq!(w.q.next_seq, w.seq);
+            assert!(
+                late > 1000 && abandoned > 10,
+                "seed {seed:#x}: {late} late, {abandoned} abandoned"
+            );
         }
     }
 }

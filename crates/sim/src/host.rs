@@ -176,7 +176,7 @@ impl std::fmt::Debug for Host {
         f.debug_struct("Host")
             .field("id", &self.id)
             .field("flows", &self.flows.len())
-            .field("busy", &self.link.busy)
+            .field("ready", &self.link.ready_key())
             .finish()
     }
 }
@@ -663,7 +663,7 @@ impl Host {
 
     /// Try to start transmitting the next packet on the NIC.
     pub(crate) fn try_transmit(&mut self, now: SimTime, cfg: &SimConfig, eff: &mut Effects) {
-        if self.link.busy || self.link.held() {
+        if self.link.busy(eff) || self.link.held() {
             return;
         }
         // Control traffic (ACK/NACK/CNP) always goes first.
@@ -744,7 +744,9 @@ impl Host {
         self.start_wire(now, pkt, cfg, eff);
     }
 
-    /// Put one packet on the NIC's wire.
+    /// Put one packet on the NIC's wire. Its `PortReady` goes into the queue
+    /// at once: it is the host's next send opportunity, whether anything is
+    /// queued now or not (a flow's pacer may release it exactly then).
     fn start_wire(&mut self, now: SimTime, pkt: Box<Packet>, cfg: &SimConfig, eff: &mut Effects) {
         let wire = pkt.wire_size(cfg.int_enabled);
         // Straggler: serialize at the reduced NIC rate while the window is
@@ -755,6 +757,7 @@ impl Host {
         };
         self.link
             .transmit(now, pkt, wire, tx_time, &mut self.fault_rng, eff);
+        self.link.push_ready(eff);
     }
 }
 
@@ -797,27 +800,32 @@ mod tests {
         h.flow_start(SimTime::ZERO, flow(1, 10_000_000), 0, route, &cfg, &mut eff);
         assert_eq!(h.unfinished_flows(), 1);
         // Drive the NIC: kick → transmit → port ready → transmit …
+        let mut e = Effects::default();
         let mut now = SimTime::ZERO;
         let mut sent = 0;
         for _ in 0..1000 {
-            let mut e = Effects::default();
             h.try_transmit(now, &cfg, &mut e);
-            if e.packets_sent == 0 {
+            if e.packets_sent == sent {
                 break;
             }
             sent += 1;
-            // Every data packet carries the flow's route; the PortReady
-            // event advances time and frees the NIC.
-            let mut ready_at = None;
-            for (t, ev) in e.scheduled() {
+            // Every data packet carries the flow's route; the NIC's
+            // `PortReady` is always pushed, under the key the transmit
+            // reserved, and popping it advances time and frees the NIC.
+            let mut ready = None;
+            while let Some((key, ev)) = e.queue.pop_keyed() {
                 match ev {
-                    Event::PortReady { .. } => ready_at = Some(t),
+                    Event::PortReady { .. } => ready = Some(key),
                     Event::PacketArrive { packet, .. } => assert_eq!(packet.route, route),
                     _ => {}
                 }
             }
-            now = ready_at.unwrap();
-            h.link.busy = false;
+            let ready = ready.expect("a host pushes the PortReady of every frame");
+            assert_eq!(ready, h.link.ready_key());
+            assert!(h.link.busy(&e));
+            e.key = ready;
+            assert!(!h.link.busy(&e));
+            now = ready.0;
         }
         // The HPCC window is one BDP + MTU ≈ 163.5 KB → ~148 packets of 1106 B
         // wire (1000 B payload) before the window closes.
@@ -828,7 +836,7 @@ mod tests {
             "sent {sent}, expected about {expected}"
         );
         // While the window is closed nothing more is sent even when paced.
-        let mut e = Effects::default();
+        let mut e = Effects::at(now);
         h.try_transmit(now, &cfg, &mut e);
         assert_eq!(e.packets_sent, 0);
     }
@@ -846,14 +854,15 @@ mod tests {
             &cfg,
             &mut eff,
         );
-        // Send both packets.
-        let mut e = Effects::default();
+        // Send both packets, the second once the first has left the NIC.
+        let mut e = Effects::at(SimTime::ZERO);
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
-        h.link.busy = false;
-        h.try_transmit(SimTime::from_ns(100), &cfg, &mut e);
-        h.link.busy = false;
-        assert_eq!(e.packets_sent + 1, 3); // 2 data packets total (1 in first eff)
-                                           // ACK the full flow.
+        h.try_transmit(SimTime::ZERO, &cfg, &mut e);
+        assert_eq!(e.packets_sent, 1, "the NIC is busy");
+        e.key = h.link.ready_key();
+        h.try_transmit(e.key.0, &cfg, &mut e);
+        assert_eq!(e.packets_sent, 2);
+        // ACK the full flow.
         let mut data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 1000, 1000, SimTime::ZERO);
         data.ack_flags.flow_finished = true;
         let ack = Packet::ack_for(&data, 2000, true);
@@ -915,7 +924,7 @@ mod tests {
         // reference constructor builds.
         assert_eq!(**ack, Packet::ack_for(&pkt, 1000, false));
         // The ACK goes out before any data when the port is kicked.
-        let mut e2 = Effects::default();
+        let mut e2 = Effects::at(SimTime::from_us(3));
         h.try_transmit(SimTime::from_us(3), &cfg, &mut e2);
         let went_out = e2.scheduled().iter().any(|(_, ev)| {
             matches!(ev, Event::PacketArrive { packet, .. } if packet.kind == PacketKind::Ack)
@@ -957,10 +966,10 @@ mod tests {
         // Transmit a few packets.
         let mut now = SimTime::ZERO;
         for _ in 0..5 {
-            let mut e2 = Effects::default();
+            let mut e2 = Effects::at(now);
             sender.try_transmit(now, &cfg, &mut e2);
+            assert_eq!(e2.packets_sent, 1);
             now += Duration::from_ns(100);
-            sender.link.busy = false;
         }
         let nack = {
             let d = Packet::data(FlowId(9), NodeId(0), NodeId(1), 0, 1000, SimTime::ZERO);
@@ -1024,10 +1033,10 @@ mod tests {
         );
         let mut now = SimTime::ZERO;
         for _ in 0..4 {
-            let mut e2 = Effects::default();
+            let mut e2 = Effects::at(now);
             sender.try_transmit(now, &cfg, &mut e2);
+            assert_eq!(e2.packets_sent, 1);
             now += Duration::from_ns(200);
-            sender.link.busy = false;
         }
         assert_eq!(sender.flows.snd_nxt[0], 4000);
         // Receiver reports: expected 1000 (packet at 1000 missing), block
@@ -1047,7 +1056,7 @@ mod tests {
         assert_eq!(sender.flows.cold[0].rtx_queue.len(), 1);
         assert!(!sender.flows.rtx_empty[0], "rtx mirror tracks the queue");
         // The retransmission goes out before new data.
-        let mut e4 = Effects::default();
+        let mut e4 = Effects::at(SimTime::from_us(6));
         sender.try_transmit(SimTime::from_us(6), &cfg, &mut e4);
         let seq = e4
             .scheduled()
@@ -1232,13 +1241,13 @@ mod tests {
             &cfg,
             &mut eff,
         );
-        let mut e = Effects::default();
+        let mut e = Effects::at(SimTime::from_us(2));
         h.try_transmit(SimTime::from_us(2), &cfg, &mut e);
         assert_eq!(e.packets_sent, 0, "data is paused");
         // But a queued ACK still goes out.
         let data = Packet::data(FlowId(5), NodeId(1), NodeId(0), 0, 1000, SimTime::ZERO);
         h.handle_arrival(SimTime::from_us(3), PortId(0), Box::new(data), &cfg, &mut e);
-        let mut e2 = Effects::default();
+        let mut e2 = Effects::at(SimTime::from_us(3));
         h.try_transmit(SimTime::from_us(3), &cfg, &mut e2);
         assert!(e2
             .scheduled()
@@ -1254,8 +1263,7 @@ mod tests {
             &mut e3,
         );
         assert_eq!(h.link.counters.pause_duration, Duration::from_us(10));
-        h.link.busy = false;
-        let mut e4 = Effects::default();
+        let mut e4 = Effects::at(SimTime::from_us(12));
         h.try_transmit(SimTime::from_us(12), &cfg, &mut e4);
         assert_eq!(e4.packets_sent, 1);
     }
@@ -1292,12 +1300,12 @@ mod tests {
             );
         }
         // First packet goes out immediately…
-        let mut e = Effects::default();
+        let mut e = Effects::at(SimTime::from_us(100));
         h.try_transmit(SimTime::from_us(100), &cfg, &mut e);
         assert_eq!(e.packets_sent, 1);
-        h.link.busy = false;
         // …the second is pacing-blocked, so the host asks for a wake-up.
-        let mut e2 = Effects::default();
+        let mut e2 = Effects::at(SimTime::from_us(101));
+        assert!(!h.link.busy(&e2), "the first frame has left the NIC");
         h.try_transmit(SimTime::from_us(101), &cfg, &mut e2);
         assert_eq!(e2.packets_sent, 0);
         let wake = e2
@@ -1323,14 +1331,13 @@ mod tests {
             &cfg,
             &mut eff,
         );
-        let mut e = Effects::default();
+        let mut e = Effects::at(SimTime::ZERO);
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
         let rto_armed = e
             .scheduled()
             .iter()
             .any(|(_, ev)| matches!(ev, Event::RtoCheck { .. }));
         assert!(rto_armed, "lossy mode arms an RTO");
-        h.link.busy = false;
         assert_eq!(h.flows.snd_nxt[0], 1000);
         // Nothing is acknowledged; the RTO check at +100 us rolls back.
         let mut e2 = Effects::default();

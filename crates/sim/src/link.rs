@@ -4,14 +4,17 @@
 //! `(B, ts, txBytes, qLen)` of one (Figure 7), PFC pauses one (§5.1), the
 //! host NIC is one (§4.2) — so everything a port knows about its wire lives
 //! in one [`Link`], for the host and the switch alike: the peer, the line
-//! rate and delay, whether a frame is being serialized, which data classes
-//! the peer has paused, the fault state ([`crate::fault`]) and the port's
-//! counters. [`Link::transmit`] is the only place a frame goes onto a wire.
+//! rate and delay, until when a frame is being serialized, which data
+//! classes the peer has paused, the fault state ([`crate::fault`]) and the
+//! port's counters. [`Link::transmit`] is the only place a frame goes onto a
+//! wire, and [`Link::push_ready`] the only place its `PortReady` is pushed.
 //! What differs between the two node kinds stays with them: *which* frame
-//! goes next (a host's flow scheduler, a switch's egress queues) and how long
-//! it takes (a straggling host serializes below its line rate).
+//! goes next (a host's flow scheduler, a switch's egress queues), how long
+//! it takes (a straggling host serializes below its line rate) and when the
+//! `PortReady` is needed (a host's always is, a switch port's only while
+//! frames wait).
 
-use crate::engine::{Effects, Event};
+use crate::engine::{Effects, Event, Key};
 use crate::fault::LinkDownMode;
 use crate::output::PortCounters;
 use hpcc_topology::PortDesc;
@@ -73,9 +76,12 @@ pub(crate) struct Link {
     line: LineRate,
     /// One-way propagation delay.
     delay: Duration,
-    /// A frame is being serialized: set by [`Link::transmit`], cleared when
-    /// its [`Event::PortReady`] pops.
-    pub busy: bool,
+    /// The key `(ready_at, ready_seq)` of the [`Event::PortReady`] that ends
+    /// the last frame [`Link::transmit`] started: the port is busy while the
+    /// event being handled sorts before it ([`Link::busy`]).
+    ready: Key,
+    /// Whether that `PortReady` is in the event queue.
+    ready_pushed: bool,
     /// PFC pause state by [`Priority::index`]. Only data classes pause: the
     /// control entry is never set.
     paused: [bool; Priority::COUNT],
@@ -104,7 +110,8 @@ impl Link {
             peer_port: desc.peer_port,
             line: LineRate::new(desc.bandwidth),
             delay: desc.delay,
-            busy: false,
+            ready: (SimTime::ZERO, 0),
+            ready_pushed: false,
             paused: [false; Priority::COUNT],
             pause_started: None,
             down: None,
@@ -126,6 +133,21 @@ impl Link {
     #[inline]
     pub fn tx_time(&self, wire: u64) -> Duration {
         self.line.tx_time(wire)
+    }
+
+    /// The key of the `PortReady` that ends the frame on the wire, or
+    /// ended the last one.
+    #[inline]
+    pub fn ready_key(&self) -> Key {
+        self.ready
+    }
+
+    /// A frame is being serialized: the event being handled sorts before
+    /// the `PortReady` that ends it — true from the transmit until that
+    /// event would pop, whether it is in the queue or not.
+    #[inline]
+    pub fn busy(&self, eff: &Effects) -> bool {
+        eff.key < self.ready
     }
 
     /// Whether the peer has paused this class.
@@ -199,6 +221,13 @@ impl Link {
     /// drop mode loses every frame, a degraded one loses iid with its `loss`,
     /// drawn on the node's dedicated `fault_rng` stream — or schedule its
     /// arrival at the peer.
+    ///
+    /// The port's `PortReady` gets its key here, from the queue's sequence
+    /// counter just before the arrival's, and counts as handled if it falls
+    /// within the horizon ([`Effects::count_port_ready`]). It is pushed by
+    /// [`Link::push_ready`], which the caller invokes now or when a frame is
+    /// queued behind this one — or never: a switch port that frees with
+    /// nothing to send needs no event.
     #[inline]
     pub fn transmit(
         &mut self,
@@ -209,15 +238,10 @@ impl Link {
         fault_rng: &mut SplitMix64,
         eff: &mut Effects,
     ) {
-        self.busy = true;
+        self.ready = (now + tx_time, eff.queue.reserve());
+        self.ready_pushed = false;
+        eff.count_port_ready(self.ready.0);
         self.counters.tx_bytes += wire;
-        eff.schedule(
-            now + tx_time,
-            Event::PortReady {
-                node: self.node,
-                port: self.port,
-            },
-        );
         if self.down.is_some() || (self.loss > 0.0 && fault_rng.next_f64() < self.loss) {
             self.fault_dropped_packets += 1;
             self.fault_dropped_bytes += wire;
@@ -231,6 +255,22 @@ impl Link {
                     packet: pkt,
                 },
             );
+        }
+    }
+
+    /// Put the `PortReady` of the frame on the wire into the queue, under
+    /// the key [`Link::transmit`] reserved for it, unless it is there already
+    /// or the frame has ended. A host calls this after every transmit; a
+    /// switch after a transmit that leaves frames queued, and whenever it
+    /// queues one.
+    pub fn push_ready(&mut self, eff: &mut Effects) {
+        if !self.ready_pushed && self.busy(eff) {
+            self.ready_pushed = true;
+            let ready = Event::PortReady {
+                node: self.node,
+                port: self.port,
+            };
+            eff.queue.push_keyed(self.ready, ready);
         }
     }
 
@@ -293,20 +333,23 @@ mod tests {
                 continue;
             }
             let mut rng = SplitMix64::new(7);
-            let mut eff = Effects::default();
+            let mut eff = Effects::at(now);
             let pkt = Packet::data(FlowId(1), NodeId(3), NodeId(7), 0, 1000, now);
             l.transmit(now, Box::new(pkt), wire, tx_time, &mut rng, &mut eff);
-            assert!(l.busy, "{state}");
+            assert!(l.busy(&eff), "{state}");
+            // The `PortReady` takes the seq before the arrival's.
+            assert_eq!(l.ready_key(), (now + tx_time, 0), "{state}");
             assert_eq!(l.counters.tx_bytes, wire, "{state}");
-            let mut scheduled = eff.scheduled().into_iter();
-            let (ready_at, ready) = scheduled.next().expect("PortReady");
+            l.push_ready(&mut eff);
+            let mut scheduled = std::iter::from_fn(|| eff.queue.pop_keyed());
+            let (ready_key, ready) = scheduled.next().expect("PortReady");
             assert!(
                 matches!(ready, Event::PortReady { node, port } if (node, port) == (NodeId(3), PortId(2))),
                 "{state}: {ready:?}"
             );
-            assert_eq!(ready_at, now + tx_time, "{state}");
+            assert_eq!(ready_key, l.ready_key(), "{state}");
             match (flight, scheduled.next()) {
-                (Some(flight), Some((at, Event::PacketArrive { node, port, packet }))) => {
+                (Some(flight), Some(((at, 1), Event::PacketArrive { node, port, packet }))) => {
                     assert_eq!((node, port), (NodeId(7), PortId(5)), "{state}");
                     assert_eq!(at, now + tx_time + flight, "{state}");
                     assert_eq!(*packet, pkt, "{state}");
@@ -336,6 +379,109 @@ mod tests {
                 .find_map(|(at, ev)| matches!(ev, Event::PacketArrive { .. }).then_some(at));
             assert_eq!(arrives, Some(now + tx_time + DELAY), "{state}, cleared");
         }
+    }
+
+    #[test]
+    fn the_port_is_busy_exactly_until_the_key_of_its_port_ready() {
+        let mut l = link();
+        let mut rng = SplitMix64::new(7);
+        let now = SimTime::from_us(5);
+        let mut eff = Effects::at(now);
+        assert!(!l.busy(&eff), "a new link is free");
+        // Three seqs handed out before the transmit; the frame ends exactly
+        // at the horizon.
+        for _ in 0..3 {
+            eff.queue.reserve();
+        }
+        let tx_time = Duration::from_ns(88);
+        eff.horizon = now + tx_time;
+        let pkt = || Box::new(Packet::data(FlowId(1), NodeId(3), NodeId(7), 0, 1000, now));
+        l.transmit(now, pkt(), 1106, tx_time, &mut rng, &mut eff);
+        let (ready_at, seq) = l.ready_key();
+        assert_eq!((ready_at, seq), (now + tx_time, 3));
+        assert_eq!(eff.processed, 1, "a PortReady at the horizon counts");
+        assert_eq!(eff.clock(), ready_at, "the clock reaches it, pushed or not");
+        let ps = Duration::from_ps(1);
+        // (key of the event being handled, busy)
+        for (key, busy) in [
+            ((now, u64::MAX), true),
+            ((ready_at - ps, u64::MAX), true),
+            ((ready_at, seq - 1), true),
+            ((ready_at, seq), false),
+            ((ready_at, seq + 1), false),
+            ((ready_at + ps, 0), false),
+        ] {
+            eff.key = key;
+            assert_eq!(l.busy(&eff), busy, "{key:?}");
+        }
+        // The next frame, handled at the first key, ends past the horizon:
+        // its `PortReady` is never handled, so it does not count.
+        eff.key = (ready_at, seq);
+        l.transmit(ready_at, pkt(), 1106, tx_time, &mut rng, &mut eff);
+        assert!(l.busy(&eff) && l.ready_key().0 > eff.horizon);
+        assert_eq!(eff.processed, 1);
+        assert_eq!(eff.clock(), ready_at);
+    }
+
+    #[test]
+    fn a_port_ready_is_pushed_once_under_its_reserved_key_and_only_while_busy() {
+        // A switch port that frees with nothing queued leaves its
+        // `PortReady` out; the first frame queued before the port frees
+        // pushes it, under the key reserved at transmit, and a second frame
+        // does not push it again. It pops between the events around it.
+        let mut l = link();
+        let mut rng = SplitMix64::new(7);
+        let now = SimTime::from_us(5);
+        let mut eff = Effects::at(now);
+        let tx_time = Duration::from_ns(88);
+        let pkt = Packet::data(FlowId(1), NodeId(3), NodeId(7), 0, 1000, now);
+        l.transmit(now, Box::new(pkt), 1106, tx_time, &mut rng, &mut eff);
+        let ready = l.ready_key();
+        // An event at the frame's end pushed after the transmit sorts after
+        // its `PortReady`, and the arrival at the peer comes later still.
+        eff.schedule(ready.0, Event::Sample);
+        eff.key = (now + Duration::from_ns(40), u64::MAX);
+        assert!(l.busy(&eff));
+        l.push_ready(&mut eff);
+        l.push_ready(&mut eff);
+        let popped: Vec<_> = std::iter::from_fn(|| eff.queue.pop_keyed()).collect();
+        let readies: Vec<Key> = popped
+            .iter()
+            .filter(|(_, ev)| matches!(ev, Event::PortReady { .. }))
+            .map(|(key, _)| *key)
+            .collect();
+        assert_eq!(readies, [ready], "pushed once, under the reserved key");
+        assert!(matches!(popped[0].1, Event::PortReady { .. }));
+        assert_eq!(popped.len(), 3);
+
+        // Once the port has freed, nothing is pushed: the enqueue's own kick
+        // finds the port free.
+        let mut l = link();
+        let mut eff = Effects::at(now);
+        l.transmit(now, Box::new(pkt), 1106, tx_time, &mut rng, &mut eff);
+        eff.key = l.ready_key();
+        l.push_ready(&mut eff);
+        assert!(eff
+            .scheduled()
+            .iter()
+            .all(|(_, ev)| !matches!(ev, Event::PortReady { .. })));
+
+        // A transmit while the last `PortReady` is in the queue reserves a
+        // new key, and the new one is pushed afresh.
+        let mut l = link();
+        let mut eff = Effects::at(now);
+        l.transmit(now, Box::new(pkt), 1106, tx_time, &mut rng, &mut eff);
+        l.push_ready(&mut eff);
+        let first = l.ready_key();
+        eff.key = first;
+        l.transmit(first.0, Box::new(pkt), 1106, tx_time, &mut rng, &mut eff);
+        l.push_ready(&mut eff);
+        let readies: Vec<SimTime> = eff
+            .scheduled()
+            .into_iter()
+            .filter_map(|(t, ev)| matches!(ev, Event::PortReady { .. }).then_some(t))
+            .collect();
+        assert_eq!(readies, [first.0, first.0 + tx_time]);
     }
 
     #[test]

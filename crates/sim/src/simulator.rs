@@ -23,8 +23,8 @@ enum Node {
 }
 
 impl Node {
-    /// The wire of one of the node's ports: everything a fault transition,
-    /// a `PortReady` or the end of the run does to a port, it does here.
+    /// The wire of one of the node's ports: everything a fault transition
+    /// or the end of the run does to a port, it does here.
     fn link_mut(&mut self, port: PortId) -> &mut Link {
         match self {
             Node::Host(h) => &mut h.link,
@@ -96,7 +96,6 @@ impl FaultRuntime {
 /// assert_eq!(out.flows.len(), 1);
 /// ```
 pub struct Simulator {
-    time: SimTime,
     nodes: Vec<Node>,
     topo: TopologySpec,
     cfg: SimConfig,
@@ -110,12 +109,10 @@ pub struct Simulator {
     routes: Vec<Route>,
     /// Next receiver slot per node (only host entries are used).
     next_dst_slot: Vec<u32>,
-    /// Events actually handled (events popped after the horizon are
-    /// discarded, not processed).
-    processed: u64,
     /// The event queue and the reusable side-effect arena around it:
     /// cleared between events, never dropped, so the steady-state event loop
-    /// allocates nothing.
+    /// allocates nothing. It also counts the events handled (events popped
+    /// after the horizon are discarded, not processed).
     eff: Effects,
     /// Fault-injection runtime; `None` on healthy (legacy) runs.
     faults: Option<FaultRuntime>,
@@ -134,6 +131,7 @@ impl Simulator {
             nodes.push(node);
         }
         let mut eff = Effects::default();
+        eff.horizon = cfg.end_time;
         if let Some(interval) = cfg.queue_sample_interval {
             eff.schedule(SimTime::ZERO + interval, Event::Sample);
         }
@@ -158,7 +156,6 @@ impl Simulator {
         }
         let node_count = topo.node_count();
         Simulator {
-            time: SimTime::ZERO,
             nodes,
             topo,
             cfg,
@@ -167,7 +164,6 @@ impl Simulator {
             dst_slots: Vec::new(),
             routes: Vec::new(),
             next_dst_slot: vec![0; node_count],
-            processed: 0,
             eff,
             faults,
         }
@@ -216,14 +212,18 @@ impl Simulator {
 
     /// Process one event. Returns `false` when the simulation is over.
     fn step(&mut self) -> bool {
-        let Some((t, ev)) = self.eff.queue.pop() else {
+        let Some((key, ev)) = self.eff.queue.pop_keyed() else {
             return false;
         };
-        if t > self.cfg.end_time {
+        let t = key.0;
+        if t > self.eff.horizon {
             return false;
         }
-        self.processed += 1;
-        self.time = t;
+        // A `PortReady` was counted when its frame started (`Link::transmit`).
+        if !matches!(ev, Event::PortReady { .. }) {
+            self.eff.processed += 1;
+        }
+        self.eff.key = key;
         match ev {
             Event::FlowStart(idx) => {
                 let spec = self.flows[idx];
@@ -232,19 +232,11 @@ impl Simulator {
                     h.flow_start(t, spec, dst_slot, route, &self.cfg, &mut self.eff);
                 }
             }
-            Event::PortReady { node, port } => {
-                let n = &mut self.nodes[node.index()];
-                n.link_mut(port).busy = false;
-                // A host always looks for its next packet; a switch port
-                // that holds nothing has nothing to look for.
-                let kick = match n {
-                    Node::Host(_) => true,
-                    Node::Switch(s) => s.holds_frames(port),
-                };
-                if kick {
-                    self.eff.kicks.push((node, port));
-                }
-            }
+            // The port is free from this key on (`Link::busy`). A host looks
+            // for its next packet; a switch port's `PortReady` is in the
+            // queue only if frames wait, and they are still there: only a
+            // `try_transmit` takes one, and it returns while the port is busy.
+            Event::PortReady { node, port } => self.eff.kicks.push((node, port)),
             Event::PacketArrive { node, port, packet } => match &mut self.nodes[node.index()] {
                 Node::Host(h) => h.handle_arrival(t, port, packet, &self.cfg, &mut self.eff),
                 Node::Switch(s) => {
@@ -285,7 +277,7 @@ impl Simulator {
                 }
                 if let Some(interval) = self.cfg.queue_sample_interval {
                     let next = t + interval;
-                    if next <= self.cfg.end_time {
+                    if next <= self.eff.horizon {
                         self.eff.schedule(next, Event::Sample);
                     }
                 }
@@ -304,7 +296,7 @@ impl Simulator {
                         .push((t, qlen));
                 }
                 let next = t + self.cfg.trace_interval;
-                if next <= self.cfg.end_time {
+                if next <= self.eff.horizon {
                     self.eff.schedule(next, Event::TraceSample);
                 }
             }
@@ -393,10 +385,11 @@ impl Simulator {
     /// handlers run, so draining them once at the end records everything in
     /// the order it was produced.
     fn apply_effects(&mut self) {
+        let now = self.eff.key.0;
         while let Some((n, p)) = self.eff.kicks.pop() {
             match &mut self.nodes[n.index()] {
-                Node::Host(h) => h.try_transmit(self.time, &self.cfg, &mut self.eff),
-                Node::Switch(s) => s.try_transmit(self.time, p, &self.cfg, &mut self.eff),
+                Node::Host(h) => h.try_transmit(now, &self.cfg, &mut self.eff),
+                Node::Switch(s) => s.try_transmit(now, p, &self.cfg, &mut self.eff),
             }
         }
         self.absorb();
@@ -420,7 +413,7 @@ impl Simulator {
                 if fault_active {
                     self.out.goodput_during_faults += b;
                 }
-                self.out.record_goodput(f, self.time, b);
+                self.out.record_goodput(f, self.eff.key.0, b);
             }
         }
         self.out.packets_delivered += self.eff.packets_delivered;
@@ -431,7 +424,9 @@ impl Simulator {
 
     /// Close out per-node accounting and return the measurements.
     fn finalize(mut self) -> SimOutput {
-        let now = self.time;
+        // The last event handled may be a `PortReady` that was counted but
+        // never pushed, so the clock is not just the last key popped.
+        let now = self.eff.clock();
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let id = NodeId(i as u32);
             if let Node::Host(h) = node {
@@ -465,7 +460,7 @@ impl Simulator {
                 .collect();
         }
         self.out.elapsed = now;
-        self.out.events_processed = self.processed;
+        self.out.events_processed = self.eff.processed;
         self.out.peak_event_queue = self.eff.queue.peak_len() as u64;
         self.out
     }
@@ -474,7 +469,7 @@ impl Simulator {
 impl std::fmt::Debug for Simulator {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Simulator")
-            .field("time", &self.time)
+            .field("time", &self.eff.clock())
             .field("nodes", &self.nodes.len())
             .field("flows", &self.flows.len())
             .field("pending_events", &self.eff.queue.len())
@@ -726,9 +721,21 @@ mod tests {
             unreachable!()
         };
         assert_eq!(pauses(s), [1, 0, 1]);
-        // The two PFC frames serialize in the same 64-byte time, so their
-        // `PortReady`s pop in the order the ports were served.
-        let ready: Vec<PortId> = sim
+        // Each transmit reserved its `PortReady`'s seq as it ran, so the
+        // seqs give the order the ports were served. The two PFC frames
+        // serialize in the same 64-byte time, so by key their `PortReady`s
+        // sort in that order too, ahead of the data frame's.
+        let key = |p: &usize| s.ports()[*p].link.ready_key();
+        let mut served = [0, 1, 2];
+        served.sort_by_key(|p| key(p).1);
+        assert_eq!(served, [1, 0, 2]);
+        let mut freed = [0, 1, 2];
+        freed.sort_by_key(key);
+        assert_eq!(freed, [0, 2, 1]);
+        assert_eq!(key(&0).0, key(&2).0);
+        // In the queue are those of the ports that still hold frames: port 1
+        // its other data frames, port 0 the resume behind its pause.
+        let pushed: Vec<PortId> = sim
             .eff
             .scheduled()
             .into_iter()
@@ -737,7 +744,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(ready, [PortId(0), PortId(2), PortId(1)]);
+        assert_eq!(pushed, [PortId(0), PortId(1)]);
     }
 
     #[test]
@@ -783,6 +790,38 @@ mod tests {
         let full = run_until(SimTime::from_ms(20));
         assert!(cut.events_processed > 0);
         assert!(cut.events_processed < full.events_processed);
+    }
+
+    #[test]
+    fn a_run_cut_after_a_port_ready_that_was_never_pushed_ends_at_it() {
+        // One single-packet flow, cut before the packet reaches its
+        // receiver: the last event handled is the switch's `PortReady` once
+        // it has forwarded the packet, which is never pushed because nothing
+        // waits behind it. The run's clock still reaches it: `elapsed`, and
+        // the pause and outage intervals open at the end, are read from it.
+        let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 2);
+        cfg.end_time = SimTime::from_ns(1500);
+        cfg.queue_sample_interval = None;
+        let hosts = topo.hosts().to_vec();
+        let sw = topo.switches()[0];
+        let to_receiver = topo.next_hops(sw, hosts[1])[0];
+        let mut sim = Simulator::new(topo, cfg);
+        sim.add_flow(FlowSpec::new(
+            FlowId(1),
+            hosts[0],
+            hosts[1],
+            1_000,
+            SimTime::ZERO,
+        ));
+        let out = sim.run();
+        let wire = out.ports[&(hosts[0], PortId(0))].tx_bytes;
+        assert_eq!(out.ports[&(sw, to_receiver)].tx_bytes, wire);
+        let tx = LINE.tx_time(wire);
+        assert_eq!(out.elapsed, SimTime::ZERO + tx + Duration::from_us(1) + tx);
+        // The flow start, the host's `PortReady`, the arrival at the switch
+        // and the switch's `PortReady`.
+        assert_eq!(out.events_processed, 4);
+        assert_eq!(out.packets_delivered, 0);
     }
 
     #[test]

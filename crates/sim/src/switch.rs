@@ -162,6 +162,12 @@ impl SwitchPort {
     pub fn class_queue_bytes(&self, class: u8) -> u64 {
         self.queue_bytes[Priority::data_class(class).index()]
     }
+
+    /// Whether any queue holds a frame, paused or not (every frame has a
+    /// non-zero wire size).
+    fn holds_frames(&self) -> bool {
+        self.queue_bytes.iter().any(|&bytes| bytes != 0)
+    }
 }
 
 /// A switch node.
@@ -331,6 +337,7 @@ impl Switch {
                 let max = &mut port.link.counters.max_queue_bytes;
                 *max = (*max).max(queued);
             }
+            port.link.push_ready(eff);
         }
         self.buffer_used += wire;
         self.ingress_bytes[ingress.index()][class.index()] += wire;
@@ -368,6 +375,7 @@ impl Switch {
             wire,
         });
         p.queue_bytes[Priority::CONTROL.index()] += wire;
+        p.link.push_ready(eff);
         self.buffer_used += wire;
         if pause {
             p.link.counters.pause_frames_sent += 1;
@@ -378,18 +386,6 @@ impl Switch {
             });
         }
         eff.kicks.push((self.id, port));
-    }
-
-    /// Whether `port` holds anything to send, paused or not: `try_transmit`
-    /// on a port with every queue empty returns at the scheduler's `None`
-    /// before it changes anything, so of the ports that finish serializing a
-    /// packet only one that holds something needs the kick.
-    pub(crate) fn holds_frames(&self, port: PortId) -> bool {
-        // Every frame has a non-zero wire size.
-        self.ports[port.index()]
-            .queue_bytes
-            .iter()
-            .any(|&bytes| bytes != 0)
     }
 
     /// Try to start transmitting the next packet on `port`.
@@ -405,7 +401,7 @@ impl Switch {
         // are skipped (strict priority) or retain their credit (DWRR).
         let (entry, class) = {
             let port = &mut self.ports[port_id.index()];
-            if port.link.busy || port.link.held() {
+            if port.link.busy(eff) || port.link.held() {
                 return;
             }
             let ctrl = Priority::CONTROL.index();
@@ -474,6 +470,11 @@ impl Switch {
         let tx_time = port.link.tx_time(wire);
         port.link
             .transmit(now, pkt, wire, tx_time, &mut self.fault_rng, eff);
+        // Frames wait behind this one: its `PortReady` will serve them. A
+        // port left empty gets one only if a frame is queued before it frees.
+        if port.holds_frames() {
+            port.link.push_ready(eff);
+        }
     }
 }
 
@@ -481,7 +482,7 @@ impl Switch {
 mod tests {
     use super::*;
     use crate::config::FlowControlMode;
-    use crate::engine::Event;
+    use crate::engine::{Event, Key};
     use hpcc_cc::CcAlgorithm;
     use hpcc_topology::TopologyBuilder;
     use hpcc_types::{Bandwidth, Duration, FlowId};
@@ -532,8 +533,12 @@ mod tests {
         assert_eq!(eff.kicks, vec![(sw.id, PortId(1))]);
         let mut eff2 = Effects::default();
         sw.try_transmit(SimTime::from_us(5), PortId(1), &cfg, &mut eff2);
+        // The port holds nothing more: its `PortReady` is left out, and the
+        // frame occupies the port until its key.
+        let ready_at = SimTime::from_us(5) + LINE.tx_time(1106);
+        assert_eq!(sw.ports()[1].link.ready_key(), (ready_at, 0));
         let scheduled = eff2.scheduled();
-        assert_eq!(scheduled.len(), 2);
+        assert_eq!(scheduled.len(), 1);
         // The arrival event carries the INT-stamped packet towards host1.
         let arrival = scheduled
             .iter()
@@ -703,7 +708,9 @@ mod tests {
         assert_eq!(eff3.kicks, vec![(sw.id, PortId(1))]);
         let mut eff4 = Effects::default();
         sw.try_transmit(SimTime::from_us(10), PortId(1), &cfg, &mut eff4);
-        assert_eq!(eff4.scheduled().len(), 2);
+        assert!(sw.ports()[1].link.busy(&eff4));
+        let sent = eff4.scheduled();
+        assert!(matches!(&sent[..], [(_, Event::PacketArrive { .. })]));
         // Pause duration was accounted on the data class.
         assert_eq!(sw.ports()[1].link.counters.pause_events, 1);
         assert_eq!(
@@ -986,8 +993,17 @@ mod tests {
         assert_eq!(sw.ports()[0].link.counters.dropped_packets, 1);
     }
 
+    /// Drain `eff`'s queue; the keys of the `PortReady`s of `port` in it.
+    fn port_readies(eff: &mut Effects, port: PortId) -> Vec<Key> {
+        std::iter::from_fn(|| eff.queue.pop_keyed())
+            .filter_map(|(key, ev)| {
+                matches!(ev, Event::PortReady { port: p, .. } if p == port).then_some(key)
+            })
+            .collect()
+    }
+
     #[test]
-    fn an_idle_port_needs_no_kick_and_a_paused_one_still_gets_it() {
+    fn a_switch_port_pushes_its_port_ready_only_while_frames_wait() {
         use crate::config::SchedulerKind;
         let topo = topo3();
         for scheduler in [SchedulerKind::StrictPriority, SchedulerKind::Dwrr] {
@@ -1013,24 +1029,29 @@ mod tests {
                     &mut eff,
                 );
             }
+            // Each transmit pushes its `PortReady` exactly when frames wait
+            // behind it; the next transmit is handled when the frame ends.
+            let mut now = SimTime::ZERO;
             for sent in 1..=6 {
-                assert!(!sw.ports[egress.index()].link.busy);
-                sw.try_transmit(SimTime::ZERO, egress, &cfg, &mut eff);
-                assert!(sw.ports[egress.index()].link.busy);
-                sw.link_mut(egress).busy = false;
-                assert_eq!(
-                    sw.holds_frames(egress),
-                    sent < 6,
-                    "{scheduler:?}: after {sent} of 6"
-                );
+                let mut eff = Effects::at(now);
+                assert!(!sw.ports[egress.index()].link.busy(&eff));
+                sw.try_transmit(now, egress, &cfg, &mut eff);
+                let port = &sw.ports[egress.index()];
+                assert!(port.link.busy(&eff));
+                assert_eq!(port.holds_frames(), sent < 6);
+                let ready = port.link.ready_key();
+                let pushed = if sent < 6 { vec![ready] } else { vec![] };
+                let case = format!("{scheduler:?}: after {sent} of 6");
+                assert_eq!(port_readies(&mut eff, egress), pushed, "{case}");
+                now = ready.0;
             }
             if let Scheduler::Dwrr { deficit, .. } = &sw.ports[egress.index()].sched {
                 assert!(deficit.iter().any(|&d| d != 0), "credit left to disturb");
             }
-            // The kick that `holds_frames` spares would have changed nothing
-            // and produced nothing.
+            // A kick on the emptied port changes nothing and produces
+            // nothing.
             let before = format!("{sw:?}");
-            let mut idle = Effects::default();
+            let mut idle = Effects::at(SimTime::from_us(1));
             sw.try_transmit(SimTime::from_us(1), egress, &cfg, &mut idle);
             assert_eq!(format!("{sw:?}"), before, "{scheduler:?}");
             assert!(
@@ -1038,35 +1059,44 @@ mod tests {
                 "{scheduler:?}"
             );
 
-            // A port whose only queued class is PFC-paused holds something:
-            // it keeps its kick (which finds nothing to send — yet).
-            let mut eff = Effects::default();
+            // One more frame leaves the port empty and busy. Two frames
+            // queued before it frees, into a class the peer has paused,
+            // push its `PortReady` once, under the reserved key; its kick
+            // finds nothing to send yet.
+            let mut eff = Effects::at(now);
             sw.handle_arrival(
-                SimTime::ZERO,
+                now,
                 PortId(0),
                 Box::new(data_packet(0)),
                 &cfg,
                 &topo,
                 &mut eff,
             );
+            sw.try_transmit(now, egress, &cfg, &mut eff);
+            let ready = sw.ports[egress.index()].link.ready_key();
             let pause = Packet::pfc(Priority::DATA, true);
-            sw.handle_arrival(
-                SimTime::ZERO,
-                egress,
-                Box::new(pause),
-                &cfg,
-                &topo,
-                &mut eff,
-            );
-            assert!(sw.ports()[egress.index()].link.class_paused(Priority::DATA));
-            assert!(sw.holds_frames(egress), "{scheduler:?}: paused but queued");
-            // So does one that holds only a control frame.
-            assert!(!sw.holds_frames(PortId(2)));
-            sw.send_pfc(SimTime::ZERO, PortId(2), Priority::DATA, true, &mut eff);
-            assert!(
-                sw.holds_frames(PortId(2)),
-                "{scheduler:?}: a PFC frame queued"
-            );
+            sw.handle_arrival(now, egress, Box::new(pause), &cfg, &topo, &mut eff);
+            for seq in [1000, 2000] {
+                let pkt = Box::new(data_packet(seq));
+                sw.handle_arrival(now, PortId(0), pkt, &cfg, &topo, &mut eff);
+            }
+            assert!(sw.ports[egress.index()].link.class_paused(Priority::DATA));
+            assert_eq!(port_readies(&mut eff, egress), [ready], "{scheduler:?}");
+            let mut eff = Effects::at(ready.0);
+            sw.try_transmit(ready.0, egress, &cfg, &mut eff);
+            assert!(eff.scheduled().is_empty(), "{scheduler:?}: paused");
+            assert!(sw.ports[egress.index()].holds_frames());
+
+            // So does a PFC frame queued on a port that sent its last frame
+            // with nothing behind it.
+            let ctrl = PortId(2);
+            let mut eff = Effects::at(now);
+            sw.send_pfc(now, ctrl, Priority::DATA, true, &mut eff);
+            sw.try_transmit(now, ctrl, &cfg, &mut eff);
+            let ready = sw.ports[ctrl.index()].link.ready_key();
+            assert_eq!(port_readies(&mut eff, ctrl), []);
+            sw.send_pfc(now, ctrl, Priority::DATA, false, &mut eff);
+            assert_eq!(port_readies(&mut eff, ctrl), [ready], "{scheduler:?}");
         }
     }
 }
