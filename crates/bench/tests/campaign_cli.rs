@@ -3,7 +3,8 @@
 //! flag spellings are gone, that the three execution routes (fabric,
 //! offline shard + merge, in-process) write the same bytes, and that an
 //! unbuildable or unfinishable campaign fails fast instead of stalling.
-//! The `figures` binary's (much smaller) contract is the last test.
+//! The `figures` binary's (much smaller) contract and the pinned text of
+//! its campaign-rendered figures are the last two tests.
 
 use hpcc_core::{BackendSpec, Campaign};
 use std::path::PathBuf;
@@ -323,9 +324,12 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
     );
 }
 
+fn figures(args: &[&str]) -> Output {
+    run(env!("CARGO_BIN_EXE_figures"), args)
+}
+
 #[test]
 fn figures_runs_the_named_runner_and_rejects_anything_else() {
-    let figures = |args: &[&str]| run(env!("CARGO_BIN_EXE_figures"), args);
     for args in [&["fig06", "1"][..], &["tab_int_overhead"]] {
         let out = figures(args);
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
@@ -350,5 +354,47 @@ fn figures_runs_the_named_runner_and_rejects_anything_else() {
             "{args:?}: {err}"
         );
         assert!(out.stdout.is_empty(), "{args:?}");
+    }
+}
+
+/// The text of the figures whose tables come from per-scenario summaries
+/// (Figures 2, 3, 10, 11 and 12), pinned at small scale in
+/// `tests/fixtures/`: however those runners execute their scenarios, they
+/// print these bytes. Only Figure 11's header line varies between runs (it
+/// reports the thread count and the wall time), so it is masked.
+#[test]
+fn campaign_figures_print_their_recorded_text() {
+    let mask = |text: &str| -> String {
+        text.lines()
+            .map(|l| {
+                if l.contains(" scenarios on ") && l.contains(" threads in ") {
+                    "<campaign header>\n".to_string()
+                } else {
+                    format!("{l}\n")
+                }
+            })
+            .collect()
+    };
+    let golden: [(&[&str], &str); 5] = [
+        (
+            &["fig02", "2", "0.3"],
+            include_str!("fixtures/fig02_2_0.3.txt"),
+        ),
+        (&["fig03", "2"], include_str!("fixtures/fig03_2.txt")),
+        (&["fig10", "2"], include_str!("fixtures/fig10_2.txt")),
+        (
+            &["fig11", "2", "0.3", "1", "0"],
+            include_str!("fixtures/fig11_2_0.3_1_0.txt"),
+        ),
+        (
+            &["fig12", "2", "0.3"],
+            include_str!("fixtures/fig12_2_0.3.txt"),
+        ),
+    ];
+    for (args, expected) in golden {
+        let out = figures(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let printed = String::from_utf8(out.stdout).expect("figure text is UTF-8");
+        assert_eq!(mask(&printed), mask(expected), "{args:?}");
     }
 }
