@@ -1,6 +1,14 @@
 //! One runner per table / figure of the paper. Every runner returns the
 //! rendered report as a `String`; the `figures <name>` binary prints it.
 //!
+//! Figures 2, 3, 10, 11 and 12 are campaigns: each declares its scenarios
+//! as one [`Campaign`], runs it once and renders the tables from the
+//! [`hpcc_core::ScenarioResult`] rows it returns — the same rows the result
+//! line carries. Figures 1, 6, 9, 13 and 14 stay runners over one
+//! experiment at a time: they read per-port and per-flow series (pause
+//! durations, queue traces, goodput bins) from [`hpcc_sim::SimOutput`],
+//! which a result row does not carry.
+//!
 //! The default scales are laptop-sized. `figures` with no arguments lists
 //! every name with its default arguments; a last argument of 1 to
 //! `figures fig11` (`paper_scale`) runs Figure 11 on the paper's 320-host
@@ -12,9 +20,8 @@ use hpcc_core::presets::{
     pfc_storm, star_egress_to, testbed_websearch, two_to_one,
 };
 use hpcc_core::report;
-use hpcc_core::{CcSpec, ExperimentResults};
+use hpcc_core::{Campaign, CcSpec};
 use hpcc_sim::{fluid::FluidNetwork, EcnConfig, FlowControlMode};
-use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets};
 use hpcc_stats::pfc::suppressed_bandwidth_fraction;
 use hpcc_stats::series::{goodput_series_gbps, jain_fairness_index, steady_state_gbps};
 use hpcc_topology::FatTreeParams;
@@ -89,41 +96,36 @@ pub fn fig02(duration_ms: u64, load: f64) -> String {
         ("Ti=300,Td=4", Duration::from_us(300), Duration::from_us(4)),
         ("Ti=900,Td=4", Duration::from_us(900), Duration::from_us(4)),
     ];
-    let build = |label: &str, ti, td, incast| {
-        testbed_websearch(
-            label,
-            CcSpec::DcqcnTimers { ti, td },
-            load,
-            dur,
-            incast,
-            None,
-            FlowControlMode::Lossless,
-            42,
-        )
-    };
-    let plain: Vec<ExperimentResults> = settings
-        .iter()
-        .map(|(l, ti, td)| build(l, *ti, *td, None).run())
-        .collect();
-    let refs: Vec<&ExperimentResults> = plain.iter().collect();
+    let mut campaign = Campaign::new();
+    for incast in [None, Some(24)] {
+        for (label, ti, td) in settings {
+            campaign.push(testbed_websearch(
+                label,
+                CcSpec::DcqcnTimers { ti, td },
+                load,
+                dur,
+                incast,
+                None,
+                FlowControlMode::Lossless,
+                42,
+            ));
+        }
+    }
+    let results = campaign.run().results;
+    let (plain, with_incast) = results.split_at(settings.len());
     writeln!(
         s,
         "(a) 95th-percentile FCT slowdown, {}% load:",
         (load * 100.0) as u32
     )
     .unwrap();
-    s.push_str(&report::slowdown_table(&refs, &websearch_buckets(), 95.0));
+    s.push_str(&report::slowdown_table(plain, 95.0));
 
-    let with_incast: Vec<ExperimentResults> = settings
-        .iter()
-        .map(|(l, ti, td)| build(l, *ti, *td, Some(24)).run())
-        .collect();
-    let refs2: Vec<&ExperimentResults> = with_incast.iter().collect();
     writeln!(s, "\n(b) with 24-to-1 incast bursts (2% of capacity):").unwrap();
-    s.push_str(&report::pfc_table(&refs2));
-    for r in &with_incast {
-        if let Some(p) = r.slowdown_for_sizes_up_to(30_000) {
-            writeln!(s, "  {:<14} short-flow 95p slowdown {:.2}", r.label, p.p95).unwrap();
+    s.push_str(&report::pfc_table(with_incast));
+    for r in with_incast {
+        if let Some(p) = r.short_flow_slowdown {
+            writeln!(s, "  {:<14} short-flow 95p slowdown {:.2}", r.name, p.p95).unwrap();
         }
     }
     s
@@ -138,34 +140,34 @@ pub fn fig03(duration_ms: u64) -> String {
         ("Kmin=100,Kmax=400", 100, 400),
         ("Kmin=12,Kmax=50", 12, 50),
     ];
-    for load in [0.3, 0.5] {
-        let results: Vec<ExperimentResults> = thresholds
-            .iter()
-            .map(|(l, kmin, kmax)| {
-                testbed_websearch(
-                    *l,
-                    CcSpec::by_label("DCQCN"),
-                    load,
-                    dur,
-                    None,
-                    Some(EcnConfig::thresholds_kb(*kmin, *kmax)),
-                    FlowControlMode::Lossless,
-                    42,
-                )
-                .run()
-            })
-            .collect();
-        let refs: Vec<&ExperimentResults> = results.iter().collect();
+    let loads = [0.3, 0.5];
+    let mut campaign = Campaign::new();
+    for load in loads {
+        for (label, kmin, kmax) in thresholds {
+            campaign.push(testbed_websearch(
+                label,
+                CcSpec::by_label("DCQCN"),
+                load,
+                dur,
+                None,
+                Some(EcnConfig::thresholds_kb(kmin, kmax)),
+                FlowControlMode::Lossless,
+                42,
+            ));
+        }
+    }
+    let results = campaign.run().results;
+    for (load, rows) in loads.iter().zip(results.chunks(thresholds.len())) {
         writeln!(
             s,
             "({}) {}% load — 95th-percentile FCT slowdown:",
-            if load < 0.4 { "a" } else { "b" },
+            if *load < 0.4 { "a" } else { "b" },
             (load * 100.0) as u32
         )
         .unwrap();
-        s.push_str(&report::slowdown_table(&refs, &websearch_buckets(), 95.0));
+        s.push_str(&report::slowdown_table(rows, 95.0));
         s.push('\n');
-        s.push_str(&report::queue_table(&refs));
+        s.push_str(&report::queue_table(rows));
         s.push('\n');
     }
     s
@@ -305,40 +307,39 @@ pub fn fig09(duration_ms: u64) -> String {
 }
 
 /// Figure 10: WebSearch on the testbed PoD at 30% / 50% load — FCT slowdown
-/// per size bucket (median/95/99) and queue CDF, HPCC vs DCQCN.
+/// per size bucket (median/95/99) and queue percentiles, HPCC vs DCQCN.
 pub fn fig10(duration_ms: u64) -> String {
     let mut s = header("Figure 10 — WebSearch on the testbed PoD (HPCC vs DCQCN)");
     let dur = Duration::from_ms(duration_ms);
-    for load in [0.3, 0.5] {
-        let results: Vec<ExperimentResults> = ["HPCC", "DCQCN"]
-            .iter()
-            .map(|label| {
-                testbed_websearch(
-                    *label,
-                    CcSpec::by_label(*label),
-                    load,
-                    dur,
-                    None,
-                    None,
-                    FlowControlMode::Lossless,
-                    42,
-                )
-                .run()
-            })
-            .collect();
-        let refs: Vec<&ExperimentResults> = results.iter().collect();
+    let loads = [0.3, 0.5];
+    let schemes = ["HPCC", "DCQCN"];
+    let mut campaign = Campaign::new();
+    for load in loads {
+        for label in schemes {
+            campaign.push(testbed_websearch(
+                label,
+                CcSpec::by_label(label),
+                load,
+                dur,
+                None,
+                None,
+                FlowControlMode::Lossless,
+                42,
+            ));
+        }
+    }
+    let results = campaign.run().results;
+    for (load, rows) in loads.iter().zip(results.chunks(schemes.len())) {
         writeln!(s, "-- {}% average load --", (load * 100.0) as u32).unwrap();
         for pct in [50.0, 95.0, 99.0] {
             writeln!(s, "FCT slowdown at p{pct}:").unwrap();
-            s.push_str(&report::slowdown_table(&refs, &websearch_buckets(), pct));
+            s.push_str(&report::slowdown_table(rows, pct));
         }
-        s.push_str(&report::queue_table(&refs));
-        // The §5.2 headline claim: tail slowdown reduction for short flows.
-        let short: Vec<Option<hpcc_stats::Percentiles>> = results
-            .iter()
-            .map(|r| r.slowdown_for_sizes_up_to(3_000))
-            .collect();
-        if let (Some(h), Some(d)) = (&short[0], &short[1]) {
+        s.push_str(&report::queue_table(rows));
+        // The §5.2 headline claim: tail slowdown reduction for short flows
+        // (the WebSearch `<3K` bucket: every flow of at most 3000 bytes).
+        let short = |i: usize| rows[i].slowdown_buckets[0].stats;
+        if let (Some(h), Some(d)) = (short(0), short(1)) {
             writeln!(
                 s,
                 "short (<3KB) flows 99p slowdown: HPCC {:.2} vs DCQCN {:.2}  ({:.0}% reduction)\n",
@@ -354,10 +355,6 @@ pub fn fig10(duration_ms: u64) -> String {
 
 /// Figure 11: FB_Hadoop on the Clos fabric — 95p FCT slowdown per size
 /// bucket for the six schemes, plus PFC pause time, with and without incast.
-///
-/// The six schemes are declared as one [`hpcc_core::Campaign`] and executed
-/// in parallel (one OS thread per scheme, capped at the core count); the
-/// results are bit-identical to a serial run under the same seed.
 pub fn fig11(duration_ms: u64, load: f64, with_incast: bool, paper_scale: bool) -> String {
     let mut s = header("Figure 11 — FB_Hadoop on the Clos fabric (six schemes)");
     let params = if paper_scale {
@@ -366,17 +363,7 @@ pub fn fig11(duration_ms: u64, load: f64, with_incast: bool, paper_scale: bool) 
         FatTreeParams::small()
     };
     let dur = Duration::from_ms(duration_ms);
-    let campaign = fig11_campaign(params, load, dur, with_incast, 42);
-    let report_out = campaign.run();
-    let refs: Vec<&ExperimentResults> = report_out
-        .results
-        .iter()
-        .map(|r| {
-            r.results
-                .as_ref()
-                .expect("locally run campaigns carry full results")
-        })
-        .collect();
+    let report_out = fig11_campaign(params, load, dur, with_incast, 42).run();
     writeln!(
         s,
         "{} hosts, {}% load{} ({} scenarios on {} threads in {:.1} s):",
@@ -389,11 +376,11 @@ pub fn fig11(duration_ms: u64, load: f64, with_incast: bool, paper_scale: bool) 
     )
     .unwrap();
     writeln!(s, "95th-percentile FCT slowdown:").unwrap();
-    s.push_str(&report::slowdown_table(&refs, &fb_hadoop_buckets(), 95.0));
+    s.push_str(&report::slowdown_table(&report_out.results, 95.0));
     s.push('\n');
-    s.push_str(&report::pfc_table(&refs));
+    s.push_str(&report::pfc_table(&report_out.results));
     s.push('\n');
-    s.push_str(&report::queue_table(&refs));
+    s.push_str(&report::queue_table(&report_out.results));
     s
 }
 
@@ -408,34 +395,31 @@ pub fn fig12(duration_ms: u64, load: f64) -> String {
         FlowControlMode::LossyGoBackN,
         FlowControlMode::LossyIrn,
     ];
-    let mut results = Vec::new();
+    let mut campaign = Campaign::new();
     for cc_label in ["DCQCN", "HPCC"] {
         for mode in modes {
-            results.push(
-                fattree_fb_hadoop(
-                    format!("{cc_label}+{}", mode.label()),
-                    CcSpec::by_label(cc_label),
-                    params,
-                    load,
-                    dur,
-                    true,
-                    mode,
-                    42,
-                )
-                .run(),
-            );
+            campaign.push(fattree_fb_hadoop(
+                format!("{cc_label}+{}", mode.label()),
+                CcSpec::by_label(cc_label),
+                params,
+                load,
+                dur,
+                true,
+                mode,
+                42,
+            ));
         }
     }
-    let refs: Vec<&ExperimentResults> = results.iter().collect();
+    let results = campaign.run().results;
     writeln!(
         s,
         "95th-percentile FCT slowdown ({}% load + incast):",
         (load * 100.0) as u32
     )
     .unwrap();
-    s.push_str(&report::slowdown_table(&refs, &fb_hadoop_buckets(), 95.0));
+    s.push_str(&report::slowdown_table(&results, 95.0));
     s.push('\n');
-    s.push_str(&report::pfc_table(&refs));
+    s.push_str(&report::pfc_table(&results));
     s
 }
 
@@ -466,6 +450,7 @@ pub fn fig13(duration_ms: u64) -> String {
         let res = exp.run();
         // Aggregate goodput.
         let mut total = vec![0u64; 0];
+        // simlint: sorted-fold — exact u64 sums per bin; flow order cannot change them.
         for series in res.out.flow_goodput.values() {
             if series.len() > total.len() {
                 total.resize(series.len(), 0);
@@ -519,13 +504,19 @@ pub fn fig14(duration_ms: u64) -> String {
         // Throughput of each flow near the end of the run → fairness.
         let idx_end =
             ((Duration::from_ms(duration_ms).mul_f64(0.9)).as_ps() / bin.as_ps()) as usize;
-        let rates: Vec<f64> = res
-            .out
-            .flow_goodput
-            .values()
-            .map(|v| {
-                let lo = idx_end.saturating_sub(10);
-                v.iter().skip(lo).take(20).sum::<u64>() as f64
+        // Jain's index sums `f64`s, so the order the flows are read in is
+        // part of its value: read them in id order, not hasher order.
+        let mut ids: Vec<FlowId> = res.out.flow_goodput.keys().copied().collect();
+        ids.sort_unstable();
+        let lo = idx_end.saturating_sub(10);
+        let rates: Vec<f64> = ids
+            .iter()
+            .map(|id| {
+                res.out.flow_goodput[id]
+                    .iter()
+                    .skip(lo)
+                    .take(20)
+                    .sum::<u64>() as f64
             })
             .collect();
         writeln!(

@@ -9,11 +9,10 @@
 use hpcc_sim::{backend_for, BackendKind, CompiledScenario, SimConfig, SimOutput};
 use hpcc_stats::fct::{FlowFct, SizeBucketStats};
 use hpcc_stats::pfc::{pause_burst_spread, PfcSummary};
-use hpcc_stats::queue::{queue_cdf, queue_percentile};
-use hpcc_stats::series::goodput_series_gbps;
+use hpcc_stats::queue::queue_percentile;
 use hpcc_stats::{FctAnalyzer, FctBucket, Percentiles};
 use hpcc_topology::TopologySpec;
-use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, NodeId, SimTime};
+use hpcc_types::{Bandwidth, Duration, FlowSpec, NodeId, SimTime};
 
 /// Wire size of a full data packet with the INT budget — the MTU the base-RTT
 /// suggestion is computed against throughout the workspace.
@@ -149,11 +148,6 @@ impl ExperimentResults {
         self.analyzer.overall(&flows)
     }
 
-    /// Queue-length CDF points from the sampled histogram.
-    pub fn queue_cdf(&self) -> Vec<(u64, f64)> {
-        queue_cdf(&self.out.queue_histogram, self.out.queue_histogram_bin)
-    }
-
     /// Queue length at a percentile of the sampled histogram.
     pub fn queue_percentile(&self, p: f64) -> Option<u64> {
         queue_percentile(&self.out.queue_histogram, self.out.queue_histogram_bin, p)
@@ -210,15 +204,6 @@ impl ExperimentResults {
             .map(|e| (e.time, e.node))
             .collect();
         pause_burst_spread(&events, gap)
-    }
-
-    /// Goodput series (Gbps) of one flow, if goodput tracing was enabled.
-    pub fn goodput_gbps(&self, flow: FlowId) -> Vec<f64> {
-        self.out
-            .flow_goodput
-            .get(&flow)
-            .map(|bins| goodput_series_gbps(bins, self.out.flow_goodput_bin))
-            .unwrap_or_default()
     }
 
     /// Fraction of injected flows that completed within the horizon.
@@ -290,18 +275,11 @@ mod tests {
         // The small flow has a small slowdown bucketed separately.
         let small = res.slowdown_for_sizes_up_to(3_000).unwrap();
         assert_eq!(small.count, 1);
-        // Queue CDF exists and ends at 1.
-        let cdf = res.queue_cdf();
-        assert!(!cdf.is_empty());
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-9);
         assert!(res.queue_percentile(50.0).is_some());
         // No PFC with HPCC here.
         let pfc = res.pfc_summary();
         assert_eq!(pfc.pause_time_fraction(), 0.0);
         assert!(res.pfc_burst_spread(Duration::from_us(100)).is_empty());
-        // Goodput series sums to the flow size.
-        let g = res.goodput_gbps(FlowId(1));
-        assert!(!g.is_empty());
         let util = res.average_utilization(Bandwidth::from_gbps(100));
         assert!(util > 0.0 && util < 1.0);
     }

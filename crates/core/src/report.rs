@@ -1,35 +1,29 @@
-//! Plain-text rendering of experiment results, in the same shape as the
+//! Plain-text rendering of campaign results, in the same shape as the
 //! paper's tables and figure series (rows of size-bucket × percentile, queue
-//! CDF points, PFC summaries). The figure harnesses print these so a run's
-//! output can be compared side by side with the paper.
+//! percentiles, PFC summaries). The tables read the [`ScenarioResult`] rows a
+//! [`crate::Campaign`] returns, so a figure renders the same numbers the
+//! result line carries; the two traces take the raw series a runner reads
+//! from [`hpcc_sim::SimOutput`].
 
-use crate::experiment::ExperimentResults;
-use hpcc_stats::fct::{FctBucket, SizeBucketStats};
-use hpcc_stats::queue::queue_percentile;
+use crate::campaign::ScenarioResult;
 use hpcc_types::Duration;
 use std::fmt::Write as _;
 
-/// Render a slowdown-per-bucket table for several experiments side by side,
+/// Render a slowdown-per-bucket table for several scenarios side by side,
 /// at one percentile (50, 95 or 99) — the shape of Figures 2a/3/10a/11a.
-pub fn slowdown_table(
-    results: &[&ExperimentResults],
-    buckets: &[FctBucket],
-    percentile: f64,
-) -> String {
+/// The rows are the first result's buckets (the set its workload implies).
+pub fn slowdown_table(results: &[ScenarioResult], percentile: f64) -> String {
     let mut s = String::new();
     write!(s, "{:>10}", "flow size").unwrap();
     for r in results {
-        write!(s, " {:>14}", truncate(&r.label, 14)).unwrap();
+        write!(s, " {:>14}", truncate(&r.name, 14)).unwrap();
     }
     writeln!(s).unwrap();
-    let rows: Vec<Vec<SizeBucketStats>> = results
-        .iter()
-        .map(|r| r.slowdown_buckets(buckets))
-        .collect();
+    let buckets = results.first().map_or(&[][..], |r| &r.slowdown_buckets);
     for (bi, b) in buckets.iter().enumerate() {
-        write!(s, "{:>10}", b.label).unwrap();
-        for row in &rows {
-            match row[bi].stats {
+        write!(s, "{:>10}", b.bucket.label).unwrap();
+        for r in results {
+            match r.slowdown_buckets[bi].stats {
                 Some(p) => {
                     let v = match percentile as u32 {
                         50 => p.p50,
@@ -47,8 +41,8 @@ pub fn slowdown_table(
 }
 
 /// Render queue-length percentiles (median / 95 / 99 / max) for several
-/// experiments — the shape of Figures 9f/10b/10d.
-pub fn queue_table(results: &[&ExperimentResults]) -> String {
+/// scenarios — the shape of Figures 9f/10b/10d.
+pub fn queue_table(results: &[ScenarioResult]) -> String {
     let mut s = String::new();
     writeln!(
         s,
@@ -56,20 +50,16 @@ pub fn queue_table(results: &[&ExperimentResults]) -> String {
         "scheme", "p50 (KB)", "p95 (KB)", "p99 (KB)", "max (KB)"
     )
     .unwrap();
+    let kb = |q: Option<u64>| q.map_or(f64::NAN, |v| v as f64 / 1000.0);
     for r in results {
-        let p = |pct: f64| {
-            queue_percentile(&r.out.queue_histogram, r.out.queue_histogram_bin, pct)
-                .map(|v| v as f64 / 1000.0)
-                .unwrap_or(f64::NAN)
-        };
         writeln!(
             s,
             "{:<24} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
-            truncate(&r.label, 24),
-            p(50.0),
-            p(95.0),
-            p(99.0),
-            r.out.max_queue_bytes() as f64 / 1000.0
+            truncate(&r.name, 24),
+            kb(r.queue_p50),
+            kb(r.queue_p95),
+            kb(r.queue_p99),
+            r.max_queue_bytes as f64 / 1000.0
         )
         .unwrap();
     }
@@ -78,7 +68,7 @@ pub fn queue_table(results: &[&ExperimentResults]) -> String {
 
 /// Render the PFC pause-time fraction and completion statistics — the shape
 /// of Figures 2b/11b/11d.
-pub fn pfc_table(results: &[&ExperimentResults]) -> String {
+pub fn pfc_table(results: &[ScenarioResult]) -> String {
     let mut s = String::new();
     writeln!(
         s,
@@ -87,15 +77,14 @@ pub fn pfc_table(results: &[&ExperimentResults]) -> String {
     )
     .unwrap();
     for r in results {
-        let pfc = r.pfc_summary();
         writeln!(
             s,
             "{:<24} {:>14.3} {:>12} {:>12} {:>12.1}",
-            truncate(&r.label, 24),
-            pfc.pause_time_fraction() * 100.0,
-            pfc.pause_frames,
-            r.out.total_drops(),
-            r.completion_fraction() * 100.0
+            truncate(&r.name, 24),
+            r.pfc.pause_time_fraction() * 100.0,
+            r.pfc.pause_frames,
+            r.drops,
+            r.completion * 100.0
         )
         .unwrap();
     }
@@ -149,33 +138,50 @@ mod tests {
     use super::*;
     use crate::presets::incast_on_star;
     use crate::scenario::CcSpec;
+    use crate::Campaign;
     use hpcc_stats::fct::websearch_buckets;
     use hpcc_types::{Bandwidth, SimTime};
 
-    fn quick_result() -> ExperimentResults {
-        incast_on_star(
-            "HPCC",
-            CcSpec::by_label("HPCC"),
-            4,
-            200_000,
-            Bandwidth::from_gbps(100),
-            Duration::from_ms(2),
-        )
-        .run()
+    /// The one row of a one-scenario campaign.
+    fn quick_results() -> Vec<ScenarioResult> {
+        Campaign::new()
+            .with(incast_on_star(
+                "HPCC",
+                CcSpec::by_label("HPCC"),
+                4,
+                200_000,
+                Bandwidth::from_gbps(100),
+                Duration::from_ms(2),
+            ))
+            .run_serial()
+            .results
     }
 
     #[test]
     fn tables_render_without_panicking_and_contain_labels() {
-        let r = quick_result();
-        let refs = [&r];
-        let t = slowdown_table(&refs, &websearch_buckets(), 95.0);
+        let rows = quick_results();
+        let t = slowdown_table(&rows, 95.0);
         assert!(t.contains("HPCC"));
         assert!(t.contains("200K"));
-        let q = queue_table(&refs);
+        // A header, then one line per bucket the workload implies.
+        assert_eq!(t.lines().count(), 1 + websearch_buckets().len(), "{t}");
+        let q = queue_table(&rows);
         assert!(q.contains("p99"));
-        let p = pfc_table(&refs);
+        assert!(
+            q.lines().nth(1).is_some_and(|l| l.starts_with("HPCC")),
+            "{q}"
+        );
+        let p = pfc_table(&rows);
         assert!(p.contains("pause time %"));
         assert!(p.contains("100.0"), "all flows complete: {p}");
+    }
+
+    #[test]
+    fn tables_of_no_rows_are_their_header() {
+        for table in [slowdown_table(&[], 95.0), queue_table(&[]), pfc_table(&[])] {
+            assert_eq!(table.lines().count(), 1, "{table}");
+        }
+        assert_eq!(slowdown_table(&[], 50.0).trim(), "flow size");
     }
 
     #[test]

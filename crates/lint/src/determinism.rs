@@ -6,9 +6,9 @@
 //!
 //! * [`HASH_ITER`] — iteration over `HashMap`/`HashSet` (`.iter()`,
 //!   `.keys()`, `.values()`, `.drain()`, `for … in &map`) inside the
-//!   deterministic crates (`sim`, `stats`, `core`, `topology`) is flagged
-//!   unless the site sorts the collected keys before folding (the
-//!   `digest_output` pattern in `crates/core/src/campaign.rs`) or carries a
+//!   deterministic crates (`sim`, `stats`, `core`, `topology`) and in
+//!   `bench`, whose figure text is pinned, is flagged unless the site
+//!   sorts the collected keys before folding (the `digest_output` pattern in `crates/core/src/campaign.rs`) or carries a
 //!   justified `// simlint: sorted-fold — <why>` annotation.
 //! * [`WALL_CLOCK`] — `Instant::now` / `SystemTime` are banned outside the
 //!   campaign/validate timing modules and the bench crate: wall time must
@@ -46,12 +46,13 @@ pub const CRATE_DOCS: &str = "crate-docs";
 pub const ANNOTATION: &str = "annotation";
 
 /// Crates whose source the [`HASH_ITER`] rule covers: everything a golden
-/// digest or wire byte can observe.
-const HASH_ITER_SCOPE: [&str; 4] = [
+/// digest, a wire byte or a figure's text can observe.
+const HASH_ITER_SCOPE: [&str; 5] = [
     "crates/sim/src/",
     "crates/stats/src/",
     "crates/core/src/",
     "crates/topology/src/",
+    "crates/bench/src/",
 ];
 
 /// Files allowed to read the wall clock: the campaign runner and the

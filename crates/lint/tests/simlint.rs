@@ -39,8 +39,30 @@ fn hash_iter_flags_unsorted_fold() {
         vec![determinism::HASH_ITER],
         "{findings:?}"
     );
-    // Same source outside the deterministic crates: not in scope.
-    assert!(lint("crates/bench/src/fake.rs", src).is_empty());
+    // Same source outside the crates whose output is pinned: not in scope.
+    assert!(lint("crates/lint/src/fake.rs", src).is_empty());
+}
+
+#[test]
+fn hash_iter_covers_the_figure_harness() {
+    // A figure's text is pinned like a digest: a goodput fold in hasher
+    // order under `crates/bench/src/` is flagged...
+    let registry: BTreeSet<String> = ["flow_goodput".to_string()].into();
+    let unsorted = "fn jain(res: &R) -> Vec<f64> {\n\
+                    res.out.flow_goodput.values().map(|v| v[0] as f64).collect()\n}\n";
+    let findings = lint_rust_source("crates/bench/src/figures.rs", unsorted, &registry);
+    assert_eq!(
+        rules(&findings),
+        vec![determinism::HASH_ITER],
+        "{findings:?}"
+    );
+    // ...and the same fold over keys sorted first is clean.
+    let sorted = "fn jain(res: &R) -> Vec<f64> {\n\
+                  let mut ids: Vec<FlowId> = res.out.flow_goodput.keys().copied().collect();\n\
+                  ids.sort_unstable();\n\
+                  ids.iter().map(|id| res.out.flow_goodput[id][0] as f64).collect()\n}\n";
+    let findings = lint_rust_source("crates/bench/src/figures.rs", sorted, &registry);
+    assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]

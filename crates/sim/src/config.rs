@@ -273,8 +273,6 @@ pub struct SimConfig {
     pub cnp_enabled: bool,
     /// Minimum gap between CNPs of one flow (50 µs in the DCQCN NP spec).
     pub cnp_interval: Duration,
-    /// Data packets acknowledged per ACK (1 = per-packet ACK, the default).
-    pub ack_interval: u64,
     /// Minimum gap between go-back-N NACKs generated by a receiver.
     pub nack_interval: Duration,
     /// Retransmission timeout for lossy modes.
@@ -330,7 +328,6 @@ impl SimConfig {
             pfc_resume_hysteresis: 2 * 1064,
             ecn,
             cnp_interval: Duration::from_us(50),
-            ack_interval: 1,
             nack_interval: base_rtt,
             rto: base_rtt * 64,
             end_time: SimTime::from_ms(50),

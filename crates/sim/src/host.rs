@@ -147,8 +147,6 @@ struct ReceiverFlow {
     ooo: BTreeMap<u64, u64>,
     last_cnp: Option<SimTime>,
     last_nack: Option<SimTime>,
-    /// In-order packets since the last ACK was emitted (ACK coalescing).
-    unacked_packets: u64,
 }
 
 /// A host with a single NIC port.
@@ -454,17 +452,12 @@ impl Host {
                 pkt.become_sack_nack(r.expected, seq, payload);
             }
         } else {
-            // Go-back-N: out-of-order data is dropped and NACKed.
+            // Go-back-N: every in-order packet is ACKed; out-of-order data
+            // is dropped and NACKed.
             if seq == r.expected {
                 r.expected = seq_end;
-                r.unacked_packets += 1;
                 let finished = pkt.ack_flags.flow_finished;
-                if r.unacked_packets >= cfg.ack_interval || finished || ecn_ce {
-                    r.unacked_packets = 0;
-                    pkt.become_ack(r.expected, finished);
-                } else {
-                    reply = false;
-                }
+                pkt.become_ack(r.expected, finished);
             } else if seq < r.expected {
                 // Duplicate (e.g. retransmission overlap): re-ACK.
                 pkt.become_ack(r.expected, false);

@@ -7,8 +7,8 @@
 //! * [`fct`] — flow-completion-time slowdown, grouped into the paper's
 //!   flow-size buckets with median / 95th / 99th percentiles (Figures 2, 3,
 //!   10, 11, 12),
-//! * [`queue`] — queue-length CDFs from sampled histograms (Figures 9f, 10b,
-//!   10d),
+//! * [`queue`] — queue-length percentiles from sampled histograms (Figures
+//!   9f, 10b, 10d),
 //! * [`pfc`] — PFC pause-time fractions and pause propagation analysis
 //!   (Figures 1, 2b, 11b, 11d),
 //! * [`series`] — goodput and queue time series (Figures 6, 9a–9d, 13, 14)
@@ -26,5 +26,4 @@ pub mod series;
 pub use fct::{FctAnalyzer, FctBucket, SizeBucketStats};
 pub use percentile::{percentile, Percentiles};
 pub use pfc::PfcSummary;
-pub use queue::queue_cdf;
 pub use series::{goodput_series_gbps, jain_fairness_index};

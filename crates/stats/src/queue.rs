@@ -1,34 +1,4 @@
-//! Queue-length CDFs from sampled histograms.
-
-/// Turn a sampled queue-length histogram (`bin_width`-byte bins) into CDF
-/// points `(queue_bytes, cumulative_fraction)`, one per non-empty bin plus
-/// the origin. Returns an empty vector when no samples were taken.
-pub fn queue_cdf(histogram: &[u64], bin_width: u64) -> Vec<(u64, f64)> {
-    let total: u64 = histogram.iter().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    let mut out = Vec::new();
-    let mut acc = 0u64;
-    for (i, &count) in histogram.iter().enumerate() {
-        if count == 0 && i != 0 {
-            continue;
-        }
-        acc += count;
-        out.push((i as u64 * bin_width, acc as f64 / total as f64));
-    }
-    // The loop visits every occupied bin, so the final point already sits
-    // on the last occupied bin's edge; if float rounding left its fraction
-    // short of 1.0, clamp it there. (Never append a closing point at
-    // `histogram.len() * bin_width`: trailing empty bins must not overstate
-    // the maximum queue length.)
-    if let Some(last) = out.last_mut() {
-        if last.1 < 1.0 {
-            last.1 = 1.0;
-        }
-    }
-    out
-}
+//! Queue-length percentiles from sampled histograms.
 
 /// The queue length at percentile `p` (0–100) of a histogram, or `None` when
 /// empty.
@@ -58,20 +28,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn cdf_from_histogram() {
-        // 80 samples in bin 0, 15 in bin 10, 5 in bin 20.
-        let mut h = vec![0u64; 21];
-        h[0] = 80;
-        h[10] = 15;
-        h[20] = 5;
-        let cdf = queue_cdf(&h, 1024);
-        assert_eq!(cdf[0], (0, 0.80));
-        assert_eq!(cdf[1], (10 * 1024, 0.95));
-        assert_eq!(cdf[2], (20 * 1024, 1.0));
-        assert!(queue_cdf(&[], 1024).is_empty());
-    }
-
-    #[test]
     fn percentiles_from_histogram() {
         let mut h = vec![0u64; 21];
         h[0] = 80;
@@ -84,41 +40,21 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_monotone() {
-        let h = vec![3, 0, 0, 7, 1, 0, 9];
-        let cdf = queue_cdf(&h, 100);
-        for w in cdf.windows(2) {
-            assert!(w[0].0 < w[1].0);
-            assert!(w[0].1 <= w[1].1);
-        }
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn trailing_empty_bins_never_inflate_the_closing_point() {
         // Samples stop at bin 4; bins 5..=9 are empty tail (a histogram
         // shape hand-built analyses produce; the simulator's own histograms
-        // only grow on occupancy). The CDF must close at bin 4's edge and
-        // the 100th percentile must report bin 4 — a closing point of
-        // `histogram.len() * bin_width` (bin 10) would overstate the
-        // maximum queue by 6 bins.
+        // only grow on occupancy). The 100th percentile must report bin 4 —
+        // `histogram.len() * bin_width` (bin 10) would overstate the maximum
+        // queue by 6 bins.
         let mut h = vec![0u64; 10];
         h[0] = 5;
         h[4] = 5;
-        let cdf = queue_cdf(&h, 1000);
-        assert_eq!(cdf.last().unwrap().0, 4 * 1000, "{cdf:?}");
-        assert!((cdf.last().unwrap().1 - 1.0).abs() < 1e-12);
-        assert!(
-            cdf.iter().all(|&(x, _)| x <= 4 * 1000),
-            "no CDF point beyond the last occupied bin: {cdf:?}"
-        );
         assert_eq!(queue_percentile(&h, 1000, 100.0), Some(4 * 1000));
         // Percentiles above the clamp behave like 100 (never the tail).
         assert_eq!(queue_percentile(&h, 1000, 250.0), Some(4 * 1000));
         // All-in-bin-0 with an empty tail closes at 0.
         let mut z = vec![0u64; 8];
         z[0] = 3;
-        assert_eq!(queue_cdf(&z, 512), vec![(0, 1.0)]);
         assert_eq!(queue_percentile(&z, 512, 100.0), Some(0));
     }
 }

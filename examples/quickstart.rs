@@ -1,6 +1,7 @@
-//! Quickstart: run HPCC and DCQCN side by side on a 2-to-1 bottleneck and
-//! print what the paper's §5.2 micro-benchmarks show — HPCC keeps the queue
-//! near zero while DCQCN keeps a standing queue near its ECN threshold.
+//! Quickstart: run HPCC and DCQCN side by side on a 2-to-1 bottleneck, as a
+//! two-scenario campaign, and print what the paper's §5.2 micro-benchmarks
+//! show — HPCC keeps the queue near zero while DCQCN keeps a standing queue
+//! near its ECN threshold.
 //!
 //! ```bash
 //! cargo run --release --example quickstart
@@ -17,38 +18,42 @@ fn main() {
 
     println!("== 2-to-1 congestion, {flow_size} B per sender, {host_bw} hosts ==\n");
 
-    let mut results = Vec::new();
-    for label in ["HPCC", "DCQCN"] {
-        let spec = incast_on_star(
-            label,
-            CcSpec::by_label(label),
-            2,
-            flow_size,
-            host_bw,
-            duration,
-        );
-        let res = spec.run();
+    let campaign = Campaign::from_scenarios(
+        ["HPCC", "DCQCN"]
+            .map(|label| {
+                incast_on_star(
+                    label,
+                    CcSpec::by_label(label),
+                    2,
+                    flow_size,
+                    host_bw,
+                    duration,
+                )
+            })
+            .to_vec(),
+    );
+    let results = campaign.run().results;
+    for r in &results {
         println!(
-            "{label:>8}: {} flows finished, 99p queue = {:.1} KB, max queue = {:.1} KB, \
+            "{:>8}: {} flows finished, 99p queue = {:.1} KB, max queue = {:.1} KB, \
              PFC pause frames = {}",
-            res.out.flows.len(),
-            res.queue_percentile(99.0).unwrap_or(0) as f64 / 1000.0,
-            res.out.max_queue_bytes() as f64 / 1000.0,
-            res.pfc_summary().pause_frames,
+            r.name,
+            r.flows_completed,
+            r.queue_p99.unwrap_or(0) as f64 / 1000.0,
+            r.max_queue_bytes as f64 / 1000.0,
+            r.pfc.pause_frames,
         );
-        results.push(res);
     }
 
     println!("\n-- queue occupancy ----------------------------------------");
-    let refs: Vec<&ExperimentResults> = results.iter().collect();
-    print!("{}", report::queue_table(&refs));
+    print!("{}", report::queue_table(&results));
 
     println!("\n-- flow completion times ----------------------------------");
-    for res in &results {
-        let overall = res.slowdown_overall().expect("flows completed");
+    for r in &results {
+        let overall = r.slowdown.expect("flows completed");
         println!(
             "{:>8}: median slowdown {:.2}x, 95p {:.2}x, 99p {:.2}x",
-            res.label, overall.p50, overall.p95, overall.p99
+            r.name, overall.p50, overall.p95, overall.p99
         );
     }
 

@@ -12,7 +12,7 @@
 //! | [`sim`] | `hpcc-sim` | the packet-level discrete-event simulator (switches with PFC/ECN/INT, host NICs) |
 //! | [`topology`] | `hpcc-topology` | star / dumbbell / testbed PoD / FatTree builders with ECMP routes |
 //! | [`workload`] | `hpcc-workload` | WebSearch & FB_Hadoop CDFs, Poisson load, incast bursts, locality/skew pair samplers, flow-trace replay |
-//! | [`stats`] | `hpcc-stats` | FCT slowdowns, queue CDFs, PFC summaries, fairness |
+//! | [`stats`] | `hpcc-stats` | FCT slowdowns, queue percentiles, PFC summaries, fairness |
 //! | [`core`] | `hpcc-core` | the experiment API, per-figure presets, reports, Appendix-A fluid model |
 //!
 //! ## Quick start
