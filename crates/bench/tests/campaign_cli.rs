@@ -357,13 +357,15 @@ fn figures_runs_the_named_runner_and_rejects_anything_else() {
     }
 }
 
-/// The text of the figures whose tables come from per-scenario summaries
-/// (Figures 2, 3, 10, 11 and 12), pinned at small scale in
-/// `tests/fixtures/`: however those runners execute their scenarios, they
-/// print these bytes. Only Figure 11's header line varies between runs (it
-/// reports the thread count and the wall time), so it is masked.
+/// The text of the figures, pinned at small scale in `tests/fixtures/`:
+/// the campaigns whose tables come from per-scenario summaries (Figures 2,
+/// 3, 10, 11 and 12) and the runners that read per-port and per-flow series
+/// from `SimOutput` (Figures 1, 6, 9, 13 and 14). However they execute
+/// their scenarios, they print these bytes. Only Figure 11's header line
+/// varies between runs (it reports the thread count and the wall time), so
+/// it is masked.
 #[test]
-fn campaign_figures_print_their_recorded_text() {
+fn figures_print_their_recorded_text() {
     let mask = |text: &str| -> String {
         text.lines()
             .map(|l| {
@@ -375,12 +377,15 @@ fn campaign_figures_print_their_recorded_text() {
             })
             .collect()
     };
-    let golden: [(&[&str], &str); 5] = [
+    let golden: [(&[&str], &str); 10] = [
+        (&["fig01"], include_str!("fixtures/fig01.txt")),
         (
             &["fig02", "2", "0.3"],
             include_str!("fixtures/fig02_2_0.3.txt"),
         ),
         (&["fig03", "2"], include_str!("fixtures/fig03_2.txt")),
+        (&["fig06", "1"], include_str!("fixtures/fig06_1.txt")),
+        (&["fig09", "1"], include_str!("fixtures/fig09_1.txt")),
         (&["fig10", "2"], include_str!("fixtures/fig10_2.txt")),
         (
             &["fig11", "2", "0.3", "1", "0"],
@@ -390,6 +395,8 @@ fn campaign_figures_print_their_recorded_text() {
             &["fig12", "2", "0.3"],
             include_str!("fixtures/fig12_2_0.3.txt"),
         ),
+        (&["fig13", "1"], include_str!("fixtures/fig13_1.txt")),
+        (&["fig14", "1"], include_str!("fixtures/fig14_1.txt")),
     ];
     for (args, expected) in golden {
         let out = figures(args);
