@@ -450,7 +450,6 @@ pub fn fig13(duration_ms: u64) -> String {
         let res = exp.run();
         // Aggregate goodput.
         let mut total = vec![0u64; 0];
-        // simlint: sorted-fold — exact u64 sums per bin; flow order cannot change them.
         for series in res.out.flow_goodput.values() {
             if series.len() > total.len() {
                 total.resize(series.len(), 0);
@@ -504,20 +503,14 @@ pub fn fig14(duration_ms: u64) -> String {
         // Throughput of each flow near the end of the run → fairness.
         let idx_end =
             ((Duration::from_ms(duration_ms).mul_f64(0.9)).as_ps() / bin.as_ps()) as usize;
-        // Jain's index sums `f64`s, so the order the flows are read in is
-        // part of its value: read them in id order, not hasher order.
-        let mut ids: Vec<FlowId> = res.out.flow_goodput.keys().copied().collect();
-        ids.sort_unstable();
         let lo = idx_end.saturating_sub(10);
-        let rates: Vec<f64> = ids
-            .iter()
-            .map(|id| {
-                res.out.flow_goodput[id]
-                    .iter()
-                    .skip(lo)
-                    .take(20)
-                    .sum::<u64>() as f64
-            })
+        // Jain's index sums `f64`s, so flow order is part of its value:
+        // `flow_goodput` is ordered, so the rates come in flow-id order.
+        let rates: Vec<f64> = res
+            .out
+            .flow_goodput
+            .values()
+            .map(|series| series.iter().skip(lo).take(20).sum::<u64>() as f64)
             .collect();
         writeln!(
             s,

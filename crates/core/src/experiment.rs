@@ -183,9 +183,7 @@ impl ExperimentResults {
 
     /// PFC summary over every port in the run.
     pub fn pfc_summary(&self) -> PfcSummary {
-        // simlint: sorted-fold — PfcSummary only sums/counts the pauses, so port order cannot leak.
         let pauses: Vec<Duration> = self.out.ports.values().map(|c| c.pause_duration).collect();
-        // simlint: sorted-fold — commutative u64 sum; port order cannot leak.
         let frames: u64 = self.out.ports.values().map(|c| c.pause_frames_sent).sum();
         PfcSummary::new(
             &pauses,

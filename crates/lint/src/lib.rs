@@ -7,8 +7,8 @@
 //! canonical JSONL wire); these analyzers turn the conventions behind those
 //! claims into machine-checked rules instead of remembered ones:
 //!
-//! * [`determinism`] — lexical lints over Rust source: hasher-ordered
-//!   iteration feeding folds, wall-clock reads outside the timing modules,
+//! * [`determinism`] — lexical lints over Rust source: hash containers in
+//!   library code, wall-clock reads outside the timing modules,
 //!   non-canonical formatting next to the wire encoder, missing
 //!   `#![forbid(unsafe_code)]` / crate docs in crate roots.
 //! * [`wirecheck`] — bidirectional member-name cross-check between the
@@ -19,11 +19,8 @@
 //!   re-encoding fixed point) and `corpus/*` file (parse, round-trip,
 //!   reachability) without running the engine.
 //!
-//! Findings print as `file:line rule message`. Vetted exceptions live
-//! inline (`// simlint: sorted-fold — <why>` /
-//! `// simlint: allow(<rule>) — <why>`, justification required) or in the
-//! committed `simlint.allow` file (`<path> <rule>` per line); stale
-//! allowlist entries are themselves findings, so the list cannot rot.
+//! Findings print as `file:line rule message`. A rule's exceptions are its
+//! scope constants; no annotation or allowlist silences a finding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -77,70 +74,6 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The committed allowlist (`simlint.allow`): one `<path> <rule>` pair per
-/// line, `#` comments, suppressing whole-file/rule combinations that are
-/// vetted exceptions.
-#[derive(Debug, Default)]
-pub struct Allowlist {
-    entries: Vec<(String, String, usize)>,
-}
-
-impl Allowlist {
-    /// Parse allowlist text. Malformed lines become findings against
-    /// `label`.
-    pub fn parse(label: &str, text: &str) -> (Self, Vec<Finding>) {
-        let mut entries = Vec::new();
-        let mut findings = Vec::new();
-        for (i, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let mut parts = line.split_whitespace();
-            match (parts.next(), parts.next(), parts.next()) {
-                (Some(path), Some(rule), None) => {
-                    entries.push((path.to_string(), rule.to_string(), i + 1))
-                }
-                _ => findings.push(Finding::new(
-                    label,
-                    i + 1,
-                    "allowlist",
-                    "malformed entry; the grammar is `<repo-relative-path> <rule>  # reason`",
-                )),
-            }
-        }
-        (Allowlist { entries }, findings)
-    }
-
-    /// Drop findings matched by an entry; report entries that matched
-    /// nothing as stale (against `label`), so the allowlist cannot rot.
-    pub fn apply(&self, label: &str, findings: Vec<Finding>) -> Vec<Finding> {
-        let mut used = vec![false; self.entries.len()];
-        let mut kept = Vec::new();
-        for f in findings {
-            let hit = self
-                .entries
-                .iter()
-                .position(|(path, rule, _)| *path == f.file && *rule == f.rule);
-            match hit {
-                Some(i) => used[i] = true,
-                None => kept.push(f),
-            }
-        }
-        for (i, (path, rule, line)) in self.entries.iter().enumerate() {
-            if !used[i] {
-                kept.push(Finding::new(
-                    label,
-                    *line,
-                    "allowlist",
-                    format!("stale entry `{path} {rule}` matched no finding; remove it"),
-                ));
-            }
-        }
-        kept
-    }
-}
-
 /// Recursively list the `.rs` files under `dir` (sorted, repo-relative to
 /// `root`), skipping `target/`.
 fn rust_files(root: &Path, dir: &Path, out: &mut Vec<(String, PathBuf)>) -> std::io::Result<()> {
@@ -182,7 +115,7 @@ pub enum Section {
 }
 
 /// Run the requested sections over the repository at `root`; returns the
-/// allowlist-filtered findings, sorted by file and line.
+/// findings, sorted by file and line.
 pub fn run(root: &Path, section: Section) -> std::io::Result<Vec<Finding>> {
     let mut findings = Vec::new();
     let want = |s: Section| section == Section::All || section == s;
@@ -207,13 +140,9 @@ pub fn run(root: &Path, section: Section) -> std::io::Result<Vec<Finding>> {
         if umbrella.is_file() {
             files.push(("src/lib.rs".to_string(), umbrella));
         }
-        let sources: Vec<(String, String)> = files
-            .iter()
-            .map(|(rel, path)| Ok((rel.clone(), std::fs::read_to_string(path)?)))
-            .collect::<std::io::Result<_>>()?;
-        let registry = determinism::collect_pub_hash_fields(&sources);
-        for (rel, text) in &sources {
-            findings.extend(determinism::lint_rust_source(rel, text, &registry));
+        for (rel, path) in &files {
+            let text = std::fs::read_to_string(path)?;
+            findings.extend(determinism::lint_rust_source(rel, &text));
         }
     }
 
@@ -255,15 +184,6 @@ pub fn run(root: &Path, section: Section) -> std::io::Result<Vec<Finding>> {
         }
     }
 
-    // Allowlist-filter (stale entries come back as findings).
-    let allow_path = root.join("simlint.allow");
-    let (allowlist, mut parse_findings) = if allow_path.is_file() {
-        Allowlist::parse("simlint.allow", &std::fs::read_to_string(&allow_path)?)
-    } else {
-        (Allowlist::default(), Vec::new())
-    };
-    let mut findings = allowlist.apply("simlint.allow", findings);
-    findings.append(&mut parse_findings);
     findings
         .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
     Ok(findings)
@@ -277,11 +197,9 @@ pub fn rule_ids() -> BTreeSet<&'static str> {
         determinism::WIRE_FMT,
         determinism::FORBID_UNSAFE,
         determinism::CRATE_DOCS,
-        determinism::ANNOTATION,
         wirecheck::WIRE_DRIFT,
         manifests::MANIFEST,
         manifests::CORPUS,
-        "allowlist",
     ]
     .into()
 }

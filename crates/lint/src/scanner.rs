@@ -11,8 +11,6 @@
 //!   and method-call patterns match only real code;
 //! * [`Line::literals`] — the line with comments removed but string
 //!   literals intact, for rules that inspect format strings;
-//! * [`Line::comment`] — the text of a trailing `//` comment, where the
-//!   `// simlint:` annotation grammar lives;
 //! * [`Line::in_test`] — whether the line sits inside a `#[cfg(test)]`
 //!   module (brace-matched), which every rule skips.
 
@@ -26,8 +24,6 @@ pub struct Line {
     pub code: String,
     /// Code with comments stripped but literal contents kept.
     pub literals: String,
-    /// Trailing `//` comment text (without the `//`), empty if none.
-    pub comment: String,
     /// True inside a `#[cfg(test)] mod … { … }` region.
     pub in_test: bool,
 }
@@ -48,7 +44,6 @@ pub fn scan(source: &str) -> Vec<Line> {
     for (i, raw) in source.lines().enumerate() {
         let mut code = String::with_capacity(raw.len());
         let mut literals = String::with_capacity(raw.len());
-        let mut comment = String::new();
         let chars: Vec<char> = raw.chars().collect();
         let mut j = 0usize;
         while j < chars.len() {
@@ -56,7 +51,6 @@ pub fn scan(source: &str) -> Vec<Line> {
             match state {
                 State::Normal => {
                     if c == '/' && chars.get(j + 1) == Some(&'/') {
-                        comment = chars[j + 2..].iter().collect::<String>().trim().to_string();
                         break;
                     } else if c == '/' && chars.get(j + 1) == Some(&'*') {
                         state = State::Block(1);
@@ -187,7 +181,6 @@ pub fn scan(source: &str) -> Vec<Line> {
             number: i + 1,
             code,
             literals,
-            comment,
             in_test: false,
         });
     }
@@ -235,21 +228,6 @@ pub fn is_ident_char(c: char) -> bool {
     c.is_ascii_alphanumeric() || c == '_'
 }
 
-/// The identifier ending at byte offset `end` (exclusive) of `s`, if the
-/// character run directly before `end` is one.
-pub fn ident_before(s: &str, end: usize) -> Option<&str> {
-    let bytes = s.as_bytes();
-    let mut start = end;
-    while start > 0 && is_ident_char(bytes[start - 1] as char) {
-        start -= 1;
-    }
-    if start == end || (bytes[start] as char).is_ascii_digit() {
-        None
-    } else {
-        Some(&s[start..end])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -261,7 +239,6 @@ let m: HashMap<u32, u32> = HashMap::new();"#;
         let lines = scan(src);
         assert!(!lines[0].code.contains("HashMap"));
         assert!(lines[0].literals.contains("HashMap::new()"));
-        assert_eq!(lines[0].comment, "HashMap comment");
         assert!(lines[1].code.contains("HashMap<u32, u32>"));
     }
 
@@ -286,13 +263,5 @@ let m: HashMap<u32, u32> = HashMap::new();"#;
         let lines = scan(src);
         let flags: Vec<bool> = lines.iter().map(|l| l.in_test).collect();
         assert_eq!(flags, vec![false, true, true, true, true, false]);
-    }
-
-    #[test]
-    fn ident_before_finds_receivers() {
-        let s = "self.out.ports.values()";
-        let dot = s.rfind(".values").unwrap();
-        assert_eq!(ident_before(s, dot), Some("ports"));
-        assert_eq!(ident_before("(x).iter", 3), None);
     }
 }

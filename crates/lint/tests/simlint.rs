@@ -3,11 +3,10 @@
 //! validator against broken manifests, and the clean-tree gate the CI job
 //! relies on.
 
-use hpcc_lint::determinism::{self, lint_rust_source};
+use hpcc_lint::determinism::{self, lint_rust_source as lint};
 use hpcc_lint::manifests::{check_corpus, check_manifest};
 use hpcc_lint::wirecheck::{check_wire_contract, table_keys};
-use hpcc_lint::{run, Allowlist, Finding, Section};
-use std::collections::BTreeSet;
+use hpcc_lint::{rule_ids, run, Finding, Section};
 use std::path::{Path, PathBuf};
 
 fn repo_root() -> PathBuf {
@@ -21,117 +20,53 @@ fn rules(findings: &[Finding]) -> Vec<&'static str> {
     findings.iter().map(|f| f.rule).collect()
 }
 
-fn lint(path: &str, source: &str) -> Vec<Finding> {
-    lint_rust_source(path, source, &BTreeSet::new())
-}
-
 // ---------------------------------------------------------------- hash-iter
 
 #[test]
-fn hash_iter_flags_unsorted_fold() {
-    let src = "fn f(m: &std::collections::HashMap<u64, u64>) -> u64 {\n\
-               let mut acc = 0;\n\
-               for (k, v) in m.iter() {\n    acc ^= k.wrapping_mul(*v);\n}\n\
-               acc\n}\n";
-    let findings = lint("crates/sim/src/fake.rs", src);
-    assert_eq!(
-        rules(&findings),
-        vec![determinism::HASH_ITER],
-        "{findings:?}"
-    );
-    // Same source outside the crates whose output is pinned: not in scope.
-    assert!(lint("crates/lint/src/fake.rs", src).is_empty());
-}
+fn hash_iter_bans_hash_containers_in_library_code() {
+    let bans = |path: &str, src: &str| -> Vec<usize> {
+        lint(path, src)
+            .iter()
+            .filter(|f| f.rule == determinism::HASH_ITER)
+            .map(|f| f.line)
+            .collect()
+    };
+    // Naming the type is enough, in every library file: the lint crate and
+    // the umbrella root included, iterated or not.
+    let map = "use std::collections::HashMap;\n\
+               fn f(m: &HashMap<u64, u64>) -> usize {\n    m.len()\n}\n";
+    let set = "fn f() -> usize {\n    std::collections::HashSet::<u64>::new().len()\n}\n";
+    for path in [
+        "crates/sim/src/fake.rs",
+        "crates/lint/src/fake.rs",
+        "src/lib.rs",
+    ] {
+        assert_eq!(bans(path, map), vec![1, 2], "{path}");
+        assert_eq!(bans(path, set), vec![2], "{path}");
+    }
+    // Tests and benchmarks are not library code.
+    assert!(bans("crates/sim/tests/fake.rs", map).is_empty());
+    assert!(bans("benchmark/src/fake.rs", map).is_empty());
 
-#[test]
-fn hash_iter_covers_the_figure_harness() {
-    // A figure's text is pinned like a digest: a goodput fold in hasher
-    // order under `crates/bench/src/` is flagged...
-    let registry: BTreeSet<String> = ["flow_goodput".to_string()].into();
-    let unsorted = "fn jain(res: &R) -> Vec<f64> {\n\
-                    res.out.flow_goodput.values().map(|v| v[0] as f64).collect()\n}\n";
-    let findings = lint_rust_source("crates/bench/src/figures.rs", unsorted, &registry);
-    assert_eq!(
-        rules(&findings),
-        vec![determinism::HASH_ITER],
-        "{findings:?}"
-    );
-    // ...and the same fold over keys sorted first is clean.
-    let sorted = "fn jain(res: &R) -> Vec<f64> {\n\
-                  let mut ids: Vec<FlowId> = res.out.flow_goodput.keys().copied().collect();\n\
-                  ids.sort_unstable();\n\
-                  ids.iter().map(|id| res.out.flow_goodput[id][0] as f64).collect()\n}\n";
-    let findings = lint_rust_source("crates/bench/src/figures.rs", sorted, &registry);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn hash_iter_accepts_sort_before_fold() {
-    // The digest_output pattern: collect keys, sort, fold in sorted order.
-    let src = "fn f(m: &std::collections::HashMap<u64, u64>) -> u64 {\n\
-               let mut keys: Vec<u64> = m.keys().copied().collect();\n\
-               keys.sort_unstable();\n\
-               keys.iter().map(|k| m[k]).fold(0, u64::wrapping_add)\n}\n";
-    let findings = lint("crates/core/src/fake.rs", src);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn hash_iter_accepts_justified_annotation_and_rejects_bare_one() {
-    let annotated = "fn f(m: &std::collections::HashMap<u64, u64>) -> u64 {\n\
-                     // simlint: sorted-fold — commutative sum, order-free\n\
-                     m.values().sum()\n}\n";
-    assert!(lint("crates/stats/src/fake.rs", annotated).is_empty());
-
-    let bare = "fn f(m: &std::collections::HashMap<u64, u64>) -> u64 {\n\
-                // simlint: sorted-fold\n\
-                m.values().sum()\n}\n";
-    let findings = lint("crates/stats/src/fake.rs", bare);
-    // The bare annotation is itself a finding and does not silence the site.
+    // Ordered containers, the words in a comment or a string literal, and a
+    // test module are clean.
+    let ordered = "use std::collections::{BTreeMap, BTreeSet};\n\
+                   fn f(m: &BTreeMap<u64, u64>, s: &BTreeSet<u64>) -> usize {\n\
+                   m.len() + s.len()\n}\n";
+    let words = "// a HashMap would do here\n\
+                 fn f() -> &'static str {\n    \"HashSet\" /* HashMap */\n}\n";
+    let in_test = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n\
+                   fn f(m: &HashMap<u64, u64>) -> usize {\n        m.len()\n    }\n}\n";
+    for src in [ordered, words, in_test] {
+        let findings = lint("crates/core/src/fake.rs", src);
+        assert!(findings.is_empty(), "{src}: {findings:?}");
+    }
+    // The rule's scope is its only exception: no annotation or allowlist.
+    let ids = rule_ids();
+    assert!(ids.contains(determinism::HASH_ITER), "{ids:?}");
     assert!(
-        rules(&findings).contains(&determinism::ANNOTATION),
-        "{findings:?}"
-    );
-    assert!(
-        rules(&findings).contains(&determinism::HASH_ITER),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn hash_iter_resolves_registry_fields_with_local_shadowing() {
-    let registry: BTreeSet<String> = ["ports".to_string()].into();
-    // `self.out.ports` in a file that never declares `ports`: resolved via
-    // the registry of pub hash-typed fields.
-    let remote = "fn f(&self) -> u64 {\n    self.out.ports.values().map(|c| c.x).sum()\n}\n";
-    let findings = lint_rust_source("crates/core/src/fake.rs", remote, &registry);
-    assert_eq!(
-        rules(&findings),
-        vec![determinism::HASH_ITER],
-        "{findings:?}"
-    );
-
-    // A local non-hash declaration of the same name shadows the registry.
-    let local = "struct S { ports: Vec<u64> }\n\
-                 fn f(s: &S) -> u64 {\n    s.ports.iter().sum()\n}\n";
-    let findings = lint_rust_source("crates/core/src/fake.rs", local, &registry);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn hash_iter_skips_test_modules_and_loop_style_is_caught() {
-    let in_test = "#[cfg(test)]\nmod tests {\n\
-                   fn f(m: &std::collections::HashMap<u64, u64>) -> u64 {\n\
-                   m.values().sum()\n}\n}\n";
-    assert!(lint("crates/sim/src/fake.rs", in_test).is_empty());
-
-    let loop_style = "fn f(s: &std::collections::HashSet<u64>) -> u64 {\n\
-                      let mut acc = 0;\n    for v in &s {\n        acc ^= v;\n    }\n    acc\n}\n";
-    let findings = lint("crates/topology/src/fake.rs", loop_style);
-    assert_eq!(
-        rules(&findings),
-        vec![determinism::HASH_ITER],
-        "{findings:?}"
+        !ids.contains("annotation") && !ids.contains("allowlist"),
+        "{ids:?}"
     );
 }
 
@@ -157,6 +92,17 @@ fn wall_clock_banned_outside_timing_modules() {
     assert_eq!(
         rules(&lint("crates/core/src/wire.rs", sys)),
         vec![determinism::WALL_CLOCK]
+    );
+
+    // Pacing work on the host clock makes event order host-dependent: each
+    // read in engine code is a finding.
+    let polling = "fn drain_inbox(ch: &std::sync::Mutex<Vec<u64>>) -> Vec<u64> {\n\
+                   let deadline = std::time::Instant::now() + std::time::Duration::from_millis(1);\n\
+                   while std::time::Instant::now() < deadline {}\n\
+                   ch.lock().unwrap().drain(..).collect()\n}\n";
+    assert_eq!(
+        rules(&lint("crates/sim/src/engine.rs", polling)),
+        vec![determinism::WALL_CLOCK, determinism::WALL_CLOCK]
     );
 }
 
@@ -187,68 +133,6 @@ fn wall_clock_fabric_must_route_through_timing_module() {
                     let _ = timing::now();\n\
                     out\n}\n";
     let findings = lint("crates/core/src/fabric.rs", funneled);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn wall_clock_parallel_engine_stays_clock_free() {
-    // Negative fixture: engine code that paces a hand-off between threads
-    // on the host clock is flagged — crates/sim is deliberately NOT on the
-    // wall-clock exemption list, so no future in-scenario parallelism can
-    // degrade into wall-clock polling (which would make event order
-    // host-dependent).
-    let polling = "fn drain_inbox(ch: &std::sync::Mutex<Vec<u64>>) -> Vec<u64> {\n\
-                   let deadline = std::time::Instant::now() + std::time::Duration::from_millis(1);\n\
-                   while std::time::Instant::now() < deadline {}\n\
-                   ch.lock().unwrap().drain(..).collect()\n}\n";
-    assert_eq!(
-        rules(&lint("crates/sim/src/engine.rs", polling)),
-        vec![determinism::WALL_CLOCK, determinism::WALL_CLOCK]
-    );
-
-    // Positive fixture: barrier-synchronised phases and mutex-guarded
-    // channel drains with no clock reads at all lint clean. (Benchmark wall
-    // timing lives in crates/bench and the `hpcc_core::timing` funnel, never
-    // in the engine.)
-    let barriered = "fn drain_inbox(\n\
-                     barrier: &std::sync::Barrier,\n\
-                     ch: &std::sync::Mutex<Vec<u64>>,\n\
-                     ) -> Vec<u64> {\n\
-                     barrier.wait();\n\
-                     let mut got: Vec<u64> = ch.lock().unwrap().drain(..).collect();\n\
-                     got.sort_unstable();\n\
-                     got\n}\n";
-    let findings = lint("crates/sim/src/engine.rs", barriered);
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn hash_iter_shard_stat_merges_must_sort() {
-    // Negative fixture: folding per-shard port-stat maps in HashMap order
-    // is flagged — a merge that iterates raw hash order would make the
-    // merged output depend on hasher state.
-    let unsorted = "fn merge(shard: &std::collections::HashMap<u64, u64>) \
-                    -> std::collections::HashMap<u64, u64> {\n\
-                    let mut out = std::collections::HashMap::new();\n\
-                    for (k, v) in shard.iter() {\n    out.insert(*k, *v);\n}\n\
-                    out\n}\n";
-    let findings = lint("crates/sim/src/engine.rs", unsorted);
-    assert_eq!(
-        rules(&findings),
-        vec![determinism::HASH_ITER],
-        "{findings:?}"
-    );
-
-    // Positive fixture: the sorted merge idiom — collect the shard's
-    // disjoint keys, sort, then insert in sorted order — lints clean.
-    let sorted = "fn merge(shard: std::collections::HashMap<u64, u64>) \
-                  -> std::collections::HashMap<u64, u64> {\n\
-                  let mut rows: Vec<(u64, u64)> = shard.into_iter().collect();\n\
-                  rows.sort_unstable();\n\
-                  let mut out = std::collections::HashMap::new();\n\
-                  for (k, v) in rows {\n    out.insert(k, v);\n}\n\
-                  out\n}\n";
-    let findings = lint("crates/sim/src/engine.rs", sorted);
     assert!(findings.is_empty(), "{findings:?}");
 }
 
@@ -301,19 +185,6 @@ fn crate_roots_need_forbid_unsafe_and_docs() {
     assert!(lint("crates/sim/src/lib.rs", good).is_empty());
     // Non-root modules are not subject to the crate-root rules.
     assert!(lint("crates/sim/src/engine.rs", bare).is_empty());
-}
-
-// --------------------------------------------------------------- annotation
-
-#[test]
-fn malformed_annotations_are_findings() {
-    let src = "// simlint: sortedfold — typo in the directive\nfn f() {}\n";
-    let findings = lint("crates/sim/src/fake.rs", src);
-    assert_eq!(
-        rules(&findings),
-        vec![determinism::ANNOTATION],
-        "{findings:?}"
-    );
 }
 
 // --------------------------------------------------------------- wire-drift
@@ -396,25 +267,6 @@ fn corpus_validator_catches_breakage() {
     );
 }
 
-// ---------------------------------------------------------------- allowlist
-
-#[test]
-fn allowlist_suppresses_and_reports_stale_entries() {
-    let (allow, parse_findings) = Allowlist::parse(
-        "simlint.allow",
-        "# comment\ncrates/sim/src/fake.rs hash-iter  # vetted\ncrates/x.rs wall-clock\n",
-    );
-    assert!(parse_findings.is_empty());
-    let findings = vec![Finding::new("crates/sim/src/fake.rs", 3, "hash-iter", "m")];
-    let kept = allow.apply("simlint.allow", findings);
-    // The matching finding is suppressed; the unmatched entry is stale.
-    assert_eq!(rules(&kept), vec!["allowlist"], "{kept:?}");
-    assert!(kept[0].message.contains("stale"), "{kept:?}");
-
-    let (_, parse_findings) = Allowlist::parse("simlint.allow", "one-token-line\n");
-    assert_eq!(rules(&parse_findings), vec!["allowlist"]);
-}
-
 // --------------------------------------------------------------- clean tree
 
 #[test]
@@ -452,7 +304,11 @@ fn simlint_binary_exit_codes() {
     let dir = std::env::temp_dir().join(format!("simlint-test-{}", std::process::id()));
     let src = dir.join("crates/foo/src");
     std::fs::create_dir_all(&src).unwrap();
-    std::fs::write(src.join("lib.rs"), "pub fn f() {}\n").unwrap();
+    std::fs::write(
+        src.join("lib.rs"),
+        "pub fn f(_: std::collections::HashMap<u8, u8>) {}\n",
+    )
+    .unwrap();
     let out = std::process::Command::new(env!("CARGO_BIN_EXE_simlint"))
         .args(["--root"])
         .arg(&dir)
@@ -462,7 +318,8 @@ fn simlint_binary_exit_codes() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("crates/foo/src/lib.rs:1 forbid-unsafe"),
+        stdout.contains("crates/foo/src/lib.rs:1 forbid-unsafe")
+            && stdout.contains("crates/foo/src/lib.rs:1 hash-iter"),
         "stdout: {stdout}"
     );
     std::fs::remove_dir_all(&dir).ok();

@@ -300,7 +300,7 @@ fn route_flow(
     topo: &TopologySpec,
     spec: &FlowSpec,
     resources: &mut Vec<Resource>,
-    index: &mut std::collections::HashMap<(NodeId, PortId), u32>,
+    index: &mut std::collections::BTreeMap<(NodeId, PortId), u32>,
 ) -> Option<Vec<u32>> {
     let mut path = Vec::with_capacity(6);
     let reached = ecmp_path(topo, spec.id.raw(), spec.src, spec.dst, |node, port| {
@@ -431,7 +431,7 @@ fn fluid_run(scenario: CompiledScenario) -> SimOutput {
 
     // Route every flow, interning the egress links it crosses.
     let mut resources: Vec<Resource> = Vec::new();
-    let mut res_index = std::collections::HashMap::new();
+    let mut res_index = std::collections::BTreeMap::new();
     let mut fluid: Vec<FluidFlow> = flows
         .iter()
         .map(|spec| {

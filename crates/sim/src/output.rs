@@ -5,7 +5,7 @@
 //! module only collects.
 
 use hpcc_types::{Duration, FlowId, NodeId, PortId, SimTime};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Identifies one egress port of one node.
 pub type PortKey = (NodeId, PortId);
@@ -79,7 +79,7 @@ pub struct SimOutput {
     /// Flows that did not finish before the horizon (size and bytes acked).
     pub unfinished_flows: usize,
     /// Per-port counters.
-    pub ports: HashMap<PortKey, PortCounters>,
+    pub ports: BTreeMap<PortKey, PortCounters>,
     /// Histogram of sampled data-queue lengths across all switch egress
     /// ports, in `queue_histogram_bin` byte bins (total across data
     /// classes, so single-class runs are unchanged by the class dimension).
@@ -92,9 +92,9 @@ pub struct SimOutput {
     /// are untouched.
     pub class_queue_histograms: Vec<Vec<u64>>,
     /// Time series of traced ports: `(port, samples of (time, qlen bytes))`.
-    pub port_traces: HashMap<PortKey, Vec<(SimTime, u64)>>,
+    pub port_traces: BTreeMap<PortKey, Vec<(SimTime, u64)>>,
     /// Per-flow goodput series: bytes newly acknowledged in each bin.
-    pub flow_goodput: HashMap<FlowId, Vec<u64>>,
+    pub flow_goodput: BTreeMap<FlowId, Vec<u64>>,
     /// Bin width of `flow_goodput`.
     pub flow_goodput_bin: Duration,
     /// Every PFC pause frame emitted (bounded; see `pfc_events_truncated`).
@@ -192,7 +192,6 @@ impl SimOutput {
     /// Aggregate PFC pause duration across all ports.
     pub fn total_pause_duration(&self) -> Duration {
         let mut total = Duration::ZERO;
-        // simlint: sorted-fold — commutative Duration sum; port order cannot leak.
         for c in self.ports.values() {
             total += c.pause_duration;
         }
@@ -201,49 +200,23 @@ impl SimOutput {
 
     /// Total dropped data packets across all ports.
     pub fn total_drops(&self) -> u64 {
-        // simlint: sorted-fold — commutative u64 sum; port order cannot leak.
         self.ports.values().map(|c| c.dropped_packets).sum()
     }
 
     /// Largest data-queue occupancy seen anywhere.
     pub fn max_queue_bytes(&self) -> u64 {
         self.ports
-            .values() // simlint: sorted-fold — commutative max; port order cannot leak
+            .values()
             .map(|c| c.max_queue_bytes)
             .max()
             .unwrap_or(0)
-    }
-
-    /// The queue-length value at a given percentile of the sampled histogram
-    /// (`p` in `[0, 100]`). Returns `None` when no samples were taken.
-    pub fn queue_percentile(&self, p: f64) -> Option<u64> {
-        let total: u64 = self.queue_histogram.iter().sum();
-        if total == 0 {
-            return None;
-        }
-        let target = (p / 100.0 * total as f64).ceil() as u64;
-        let mut acc = 0;
-        for (i, &count) in self.queue_histogram.iter().enumerate() {
-            acc += count;
-            if acc >= target.max(1) {
-                return Some(i as u64 * self.queue_histogram_bin);
-            }
-        }
-        // Out-of-range percentile (p > 100 after rounding): report the last
-        // *occupied* bin, not the histogram's trailing edge — trailing empty
-        // bins must not inflate the maximum (see hpcc_stats::queue).
-        let last = self
-            .queue_histogram
-            .iter()
-            .rposition(|&c| c != 0)
-            .unwrap_or(0);
-        Some(last as u64 * self.queue_histogram_bin)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcc_stats::queue::queue_percentile;
 
     #[test]
     fn fct_is_finish_minus_start() {
@@ -269,10 +242,12 @@ mod tests {
         for _ in 0..10 {
             out.record_queue_sample(10_000);
         }
-        assert_eq!(out.queue_percentile(50.0), Some(0));
-        assert_eq!(out.queue_percentile(95.0), Some(10_000));
-        assert_eq!(out.queue_percentile(100.0), Some(10_000));
-        assert!(SimOutput::default().queue_percentile(50.0).is_none());
+        let p =
+            |out: &SimOutput, p| queue_percentile(&out.queue_histogram, out.queue_histogram_bin, p);
+        assert_eq!(p(&out, 50.0), Some(0));
+        assert_eq!(p(&out, 95.0), Some(10_000));
+        assert_eq!(p(&out, 100.0), Some(10_000));
+        assert!(p(&SimOutput::default(), 50.0).is_none());
     }
 
     #[test]

@@ -482,6 +482,7 @@ mod tests {
     use super::*;
     use crate::config::FlowControlMode;
     use hpcc_cc::{CcAlgorithm, DcqcnConfig};
+    use hpcc_stats::queue::queue_percentile;
     use hpcc_topology::{star, testbed_pod};
     use hpcc_types::{Bandwidth, FlowId, Packet};
 
@@ -547,7 +548,7 @@ mod tests {
         assert_eq!(out.flows.len(), 2);
         // HPCC's 99th-percentile queue stays far below one BDP (~50 KB here);
         // the paper reports tens of KB for much larger fan-ins.
-        let q99 = out.queue_percentile(99.0).unwrap();
+        let q99 = queue_percentile(&out.queue_histogram, out.queue_histogram_bin, 99.0).unwrap();
         assert!(q99 < 60_000, "99p queue {q99} B too large for HPCC");
         assert_eq!(out.total_drops(), 0);
         assert_eq!(out.total_pause_duration(), Duration::ZERO);
@@ -1037,6 +1038,9 @@ mod tests {
         let out = sim.run();
         assert_eq!(out.flows.len(), 2);
         assert_eq!(out.total_drops(), 0);
-        assert!(out.queue_percentile(99.9).unwrap() < 200_000);
+        assert!(
+            queue_percentile(&out.queue_histogram, out.queue_histogram_bin, 99.9).unwrap()
+                < 200_000
+        );
     }
 }

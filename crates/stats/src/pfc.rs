@@ -6,7 +6,7 @@
 //! we reproduce from simulated pause events).
 
 use hpcc_types::{Duration, NodeId, SimTime};
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 
 /// Summary of PFC activity over one run.
 #[derive(Clone, Debug, PartialEq)]
@@ -58,10 +58,7 @@ pub fn pause_burst_spread(events: &[(SimTime, NodeId)], gap: Duration) -> Vec<us
     let mut sorted: Vec<(SimTime, NodeId)> = events.to_vec();
     sorted.sort_by_key(|(t, _)| *t);
     let mut bursts = Vec::new();
-    // Determinism audit (simlint hash-iter): `current` is only ever
-    // inserted into, counted with `len()`, and cleared — it is never
-    // iterated, so hasher state cannot leak into the output.
-    let mut current: HashSet<NodeId> = HashSet::new();
+    let mut current: BTreeSet<NodeId> = BTreeSet::new();
     let mut last_time = sorted[0].0;
     for (t, node) in sorted {
         if t.saturating_since(last_time) > gap && !current.is_empty() {

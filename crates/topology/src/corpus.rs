@@ -32,7 +32,7 @@
 
 use crate::spec::{NodeKind, TopologyBuilder, TopologySpec};
 use hpcc_types::{Bandwidth, Duration};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed corpus-parsing error: what went wrong, and on which input line
@@ -187,7 +187,7 @@ pub fn parse(text: &str) -> Result<CorpusTopology, CorpusError> {
 /// Parse the line-oriented edge-list format (see the module docs).
 pub fn parse_edge_list(text: &str) -> Result<CorpusTopology, CorpusError> {
     let mut nodes: Vec<(String, NodeKind)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut index: BTreeMap<String, usize> = BTreeMap::new();
     let mut links = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
@@ -269,7 +269,7 @@ pub fn parse_edge_list(text: &str) -> Result<CorpusTopology, CorpusError> {
 /// Parse the GraphML subset (see the module docs).
 pub fn parse_graphml(text: &str) -> Result<CorpusTopology, CorpusError> {
     let mut nodes: Vec<(String, NodeKind)> = Vec::new();
-    let mut index: HashMap<String, usize> = HashMap::new();
+    let mut index: BTreeMap<String, usize> = BTreeMap::new();
     let mut links = Vec::new();
     let mut cursor = 0usize;
     while let Some((tag, body, next)) = next_element(text, cursor, "node") {

@@ -178,7 +178,7 @@ impl Trace {
         // One index map up front: the freeze/export paths run this over
         // every flow of paper-scale scenarios, where a per-flow linear scan
         // of the host list would be O(flows × hosts).
-        let index: std::collections::HashMap<NodeId, usize> =
+        let index: std::collections::BTreeMap<NodeId, usize> =
             hosts.iter().enumerate().map(|(i, &h)| (h, i)).collect();
         let index_of = |n: NodeId| index.get(&n).copied();
         let mut records = Vec::with_capacity(flows.len());
