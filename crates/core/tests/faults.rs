@@ -338,6 +338,182 @@ fn host_link_faults_reproduce_the_recorded_digests() {
     );
 }
 
+/// What wakes a host NIC that has gone idle in a `GOLDEN_HOST_IDLE` row. Every
+/// row is a 5-host star at 25 Gb/s in which host 4 only receives.
+#[derive(Clone, Copy)]
+enum IdleWake {
+    /// Host 0 starts a 1-, 2- or 3-packet flow every 20 µs and idles between
+    /// them: each start wakes it.
+    SpacedFlows,
+    /// Hosts 0–3 send 200 KB each to host 4, whose NIC sends only ACKs (and
+    /// CNPs under DCQCN): each reply queued wakes it.
+    Replies,
+    /// Host 0 sends ten 20 KB flows, 30 µs apart, across iid loss 0.05 on
+    /// its NIC link: a NACK (go-back-N) or a SACK (IRN) re-activates a flow
+    /// whose last byte had gone out.
+    Loss(FlowControlMode),
+    /// Host 0's NIC link drops every frame for 20 µs over the tail of its
+    /// 50 KB flow, under go-back-N: no NACK comes back, and the RTO
+    /// re-activates the flow.
+    TailDrop,
+    /// Hosts 0–3 send 200 KB each to host 4 through a 64 KB switch buffer:
+    /// PFC pauses them, and the resume reaches a NIC with nothing on the
+    /// wire.
+    PfcResume,
+    /// `SpacedFlows`, with host 0 straggling at a quarter of its line rate
+    /// from 110 µs, while it is idle, to 310 µs.
+    Straggler,
+}
+
+/// `(what, wake, digest under HPCC, under DCQCN)`, recorded on the engine
+/// that pushed a host's `PortReady` with every frame, whether the NIC had
+/// anything left to send or not.
+const GOLDEN_HOST_IDLE: [(&str, IdleWake, u64, u64); 7] = {
+    use FlowControlMode::{LossyGoBackN, LossyIrn};
+    use IdleWake::{Loss, PfcResume, Replies, SpacedFlows, Straggler, TailDrop};
+    [
+        (
+            "spaced 1-3 packet flows",
+            SpacedFlows,
+            13770713050948207129,
+            7408395965829780675,
+        ),
+        (
+            "receiver-only replies",
+            Replies,
+            17545019898262219526,
+            10393090846181290264,
+        ),
+        (
+            "loss 0.05, sender, GBN",
+            Loss(LossyGoBackN),
+            2813512356711343042,
+            8314959153485593776,
+        ),
+        (
+            "loss 0.05, sender, IRN",
+            Loss(LossyIrn),
+            18353917497095927968,
+            4154733595375441478,
+        ),
+        (
+            "tail dropped, RTO",
+            TailDrop,
+            16174349771132682859,
+            2355428315181777055,
+        ),
+        (
+            "PFC resume",
+            PfcResume,
+            5887922135413134677,
+            16673329754752526267,
+        ),
+        (
+            "straggler opens idle",
+            Straggler,
+            8581962417514712834,
+            1002743575707891785,
+        ),
+    ]
+};
+
+#[test]
+fn idle_host_nics_woken_by_each_kick_reproduce_the_recorded_digests() {
+    let spaced = || -> Vec<FlowDecl> {
+        (0..20u64)
+            .map(|i| FlowDecl::new(i + 1, 0, 4, 1000 * (1 + i % 3), Duration::from_us(20 * i)))
+            .collect()
+    };
+    let incast = || -> Vec<FlowDecl> {
+        (0..4u64)
+            .map(|i| FlowDecl::new(i + 1, i as usize, 4, 200_000, Duration::from_us(i)))
+            .collect()
+    };
+    let mut actual = Vec::new();
+    let mut expected = Vec::new();
+    for &(what, wake, hpcc, dcqcn) in &GOLDEN_HOST_IDLE {
+        let mut flow_control = FlowControlMode::Lossless;
+        let mut faults = None;
+        let mut buffer = None;
+        let flows = match wake {
+            IdleWake::SpacedFlows => spaced(),
+            IdleWake::Replies => incast(),
+            IdleWake::Loss(mode) => {
+                flow_control = mode;
+                faults = Some(FaultSpec::new().with_degraded_link(DegradedLink {
+                    link: 0,
+                    from: Duration::ZERO,
+                    until: Duration::from_ms(2),
+                    extra_delay: Duration::ZERO,
+                    loss: 0.05,
+                }));
+                (0..10u64)
+                    .map(|i| FlowDecl::new(i + 1, 0, 4, 20_000, Duration::from_us(30 * i)))
+                    .collect()
+            }
+            IdleWake::TailDrop => {
+                flow_control = FlowControlMode::LossyGoBackN;
+                faults = Some(FaultSpec::new().with_link_fault(LinkFault {
+                    link: 0,
+                    at: Duration::from_us(10),
+                    down_for: Duration::from_us(20),
+                    flaps: 0,
+                    period: Duration::ZERO,
+                    mode: LinkDownMode::Drop,
+                }));
+                vec![FlowDecl::new(1, 0, 4, 50_000, Duration::ZERO)]
+            }
+            IdleWake::PfcResume => {
+                buffer = Some(64_000);
+                incast()
+            }
+            IdleWake::Straggler => {
+                faults = Some(FaultSpec::new().with_straggler(StragglerHost {
+                    host: 0,
+                    from: Duration::from_us(110),
+                    until: Duration::from_us(310),
+                    rate_factor: 0.25,
+                }));
+                spaced()
+            }
+        };
+        for (scheme, golden) in [("HPCC", hpcc), ("DCQCN", dcqcn)] {
+            let name = format!("{what}, {scheme}");
+            let mut spec = ScenarioSpec::new(
+                name.clone(),
+                TopologyChoice::star(5, Bandwidth::from_gbps(25)),
+                CcSpec::by_label(scheme),
+                Duration::from_ms(2),
+            )
+            .with_workload(WorkloadSpec::Explicit(flows.clone()))
+            .with_flow_control(flow_control);
+            if let Some(faults) = &faults {
+                spec = spec.with_faults(faults.clone());
+            }
+            if let Some(bytes) = buffer {
+                spec = spec.with_buffer_bytes(bytes);
+            }
+            let out = spec.run().out;
+            // The wake the row is about did happen.
+            let happened = match wake {
+                IdleWake::SpacedFlows | IdleWake::Replies => out.unfinished_flows == 0,
+                IdleWake::Loss(_) => out.fault_dropped_packets > 0 && out.unfinished_flows == 0,
+                IdleWake::TailDrop => out.fault_dropped_packets > 0 && out.unfinished_flows == 0,
+                IdleWake::PfcResume => !out.pfc_events.is_empty(),
+                IdleWake::Straggler => out.fault_events == 2,
+            };
+            assert!(happened, "{name}: {out:?}");
+            actual.push((name.clone(), digest_output(&out)));
+            expected.push((name, golden));
+        }
+    }
+    assert_eq!(
+        actual, expected,
+        "idle host NIC runs no longer reproduce the recorded digests \
+         (actual on the left)"
+    );
+}
+
 #[test]
 fn faulted_campaign_merges_bit_identical_across_two_shards() {
     let campaign = fault_smoke(FatTreeParams::small(), 0.2, Duration::from_ms(2), 7);
