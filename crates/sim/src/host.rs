@@ -61,6 +61,12 @@ struct SenderFlowCold {
 /// contiguous cache lines instead of striding over ~200-byte AoS records
 /// (the CC trait object, two `BTreeSet`s and the spec live in
 /// [`SenderFlowCold`], off the scan path).
+///
+/// `active` lists, in ascending order, every unfinished flow with data to
+/// send, and perhaps some that no longer have any: an entry is added where a
+/// flow gains data — its start, a go-back-N or RTO rollback, an IRN
+/// retransmission queued — and dropped lazily ([`SenderFlows::prune`]). The
+/// scheduler visits it instead of every flow the host ever started.
 #[derive(Default)]
 struct SenderFlows {
     /// Flow id (per-ACK identity check).
@@ -82,6 +88,9 @@ struct SenderFlows {
     /// retransmission-queue mutation so the scheduler scan stays hot).
     rtx_empty: Vec<bool>,
     cold: Vec<SenderFlowCold>,
+    /// Flow indices, ascending: a superset of the unfinished flows with data
+    /// to send.
+    active: Vec<u32>,
 }
 
 impl SenderFlows {
@@ -135,6 +144,18 @@ impl SenderFlows {
     /// Re-sync the `rtx_empty` mirror after a retransmission-queue mutation.
     fn sync_rtx(&mut self, i: usize) {
         self.rtx_empty[i] = self.cold[i].rtx_queue.is_empty();
+    }
+    /// Flow `i` has gained data to send: make sure `active` lists it.
+    fn activate(&mut self, i: usize) {
+        if let Err(at) = self.active.binary_search(&(i as u32)) {
+            self.active.insert(at, i as u32);
+        }
+    }
+    /// Drop the entries of `active` that have nothing left to send.
+    fn prune(&mut self) {
+        let mut active = std::mem::take(&mut self.active);
+        active.retain(|&i| !self.finished[i as usize] && self.has_data_to_send(i as usize));
+        self.active = active;
     }
 }
 
@@ -265,6 +286,8 @@ impl Host {
         let idx = self.flows.len();
         self.flows.push(now, spec, dst_slot, route, cc);
         self.flows.refresh_cc(idx);
+        // The largest index yet: `active` stays in ascending order.
+        self.flows.active.push(idx as u32);
         self.ensure_cc_timer(idx, now, eff);
         eff.kicks.push((self.id, PortId(0)));
     }
@@ -346,6 +369,7 @@ impl Host {
             flows.sync_rtx(idx);
             flows.refresh_cc(idx);
             flows.next_avail[idx] = now;
+            flows.activate(idx);
         }
         if flows.inflight(idx) > 0 || flows.has_data_to_send(idx) {
             eff.schedule(
@@ -563,6 +587,7 @@ impl Host {
                         cold.last_rollback = Some(now);
                         cold.cc.on_loss(now);
                         flows.refresh_cc(idx);
+                        flows.activate(idx);
                     }
                 }
                 PacketKind::SackNack => {
@@ -596,8 +621,11 @@ impl Host {
                         cold.cc.on_loss(now);
                     }
                     flows.sync_rtx(idx);
-                    if loss_due && !flows.rtx_empty[idx] {
-                        flows.refresh_cc(idx);
+                    if !flows.rtx_empty[idx] {
+                        flows.activate(idx);
+                        if loss_due {
+                            flows.refresh_cc(idx);
+                        }
                     }
                 }
                 PacketKind::Cnp => {
@@ -615,18 +643,22 @@ impl Host {
     /// next packet's data class is PFC-paused is skipped (moot on the legacy
     /// path, where an all-classes pause returns before the pick).
     ///
-    /// The scan visits `rr_cursor, rr_cursor + 1, …` wrapping at the table's
-    /// end — as two ranges, so no division per visited flow. It covers every
-    /// flow this host ever started, finished ones included: an active list
-    /// would have to preserve this visiting order and is its own change.
+    /// The scan visits the active flows from the first index at or after
+    /// `rr_cursor`, wrapping at the list's end. That is the order in which a
+    /// scan of every flow the host ever started visits them — `rr_cursor,
+    /// rr_cursor + 1, …`, wrapping at the table's end — and a flow outside
+    /// the list has no data, so `may_transmit` is false for it: both scans
+    /// pick the same flow.
     fn pick_flow(&mut self, now: SimTime, cfg: &SimConfig) -> Option<usize> {
         let n = self.flows.len();
         let any_paused = self.link.any_data_paused();
-        let idx = (self.rr_cursor..n)
-            .find(|&i| self.may_transmit(i, now, any_paused, cfg))
-            .or_else(|| {
-                (0..self.rr_cursor).find(|&i| self.may_transmit(i, now, any_paused, cfg))
-            })?;
+        let active = &self.flows.active;
+        let from = active.partition_point(|&i| (i as usize) < self.rr_cursor);
+        let idx = active[from..]
+            .iter()
+            .chain(&active[..from])
+            .map(|&i| i as usize)
+            .find(|&i| self.may_transmit(i, now, any_paused, cfg))?;
         self.rr_cursor = if idx + 1 == n { 0 } else { idx + 1 };
         Some(idx)
     }
@@ -646,7 +678,9 @@ impl Host {
     /// Earliest pacing instant among flows that are blocked only by pacing.
     fn earliest_wake(&self, now: SimTime) -> Option<SimTime> {
         let f = &self.flows;
-        (0..f.len())
+        f.active
+            .iter()
+            .map(|&i| i as usize)
             .filter(|&i| {
                 !f.finished[i] && f.has_data_to_send(i) && f.window_open(i) && f.next_avail[i] > now
             })
@@ -656,7 +690,13 @@ impl Host {
 
     /// Try to start transmitting the next packet on the NIC.
     pub(crate) fn try_transmit(&mut self, now: SimTime, cfg: &SimConfig, eff: &mut Effects) {
-        if self.link.busy(eff) || self.link.held() {
+        if self.link.busy(eff) {
+            // Whatever kicked the NIC waits for the frame on the wire to end,
+            // whose `PortReady` may have been left out (`start_wire`).
+            self.link.push_ready(eff);
+            return;
+        }
+        if self.link.held() {
             return;
         }
         // Control traffic (ACK/NACK/CNP) always goes first.
@@ -738,8 +778,11 @@ impl Host {
     }
 
     /// Put one packet on the NIC's wire. Its `PortReady` goes into the queue
-    /// at once: it is the host's next send opportunity, whether anything is
-    /// queued now or not (a flow's pacer may release it exactly then).
+    /// at once if the NIC may have something to send when the frame ends: a
+    /// reply queued, or a flow with data, which its window, its pacer or PFC
+    /// may release exactly then. Otherwise it is left out, and whatever gives
+    /// the NIC something to send kicks it: a kick while the frame is on the
+    /// wire pushes the event (`try_transmit`).
     fn start_wire(&mut self, now: SimTime, pkt: Box<Packet>, cfg: &SimConfig, eff: &mut Effects) {
         let wire = pkt.wire_size(cfg.int_enabled);
         // Straggler: serialize at the reduced NIC rate while the window is
@@ -750,7 +793,10 @@ impl Host {
         };
         self.link
             .transmit(now, pkt, wire, tx_time, &mut self.fault_rng, eff);
-        self.link.push_ready(eff);
+        self.flows.prune();
+        if !self.ctrl_queue.is_empty() || !self.flows.active.is_empty() {
+            self.link.push_ready(eff);
+        }
     }
 }
 
@@ -802,9 +848,10 @@ mod tests {
                 break;
             }
             sent += 1;
-            // Every data packet carries the flow's route; the NIC's
-            // `PortReady` is always pushed, under the key the transmit
-            // reserved, and popping it advances time and frees the NIC.
+            // Every data packet carries the flow's route; the flow still has
+            // data, so the NIC's `PortReady` is pushed at once, under the key
+            // the transmit reserved, and popping it advances time and frees
+            // the NIC.
             let mut ready = None;
             while let Some((key, ev)) = e.queue.pop_keyed() {
                 match ev {
@@ -813,7 +860,7 @@ mod tests {
                     _ => {}
                 }
             }
-            let ready = ready.expect("a host pushes the PortReady of every frame");
+            let ready = ready.expect("a NIC with data left pushes its PortReady");
             assert_eq!(ready, h.link.ready_key());
             assert!(h.link.busy(&e));
             e.key = ready;
@@ -1366,6 +1413,160 @@ mod tests {
         );
         assert_eq!(eff.completions.len(), 2);
         assert_eq!(h.unfinished_flows(), 0);
+    }
+
+    /// The `PortReady`s in `eff`'s queue, by key (drains it).
+    fn port_readies(eff: &mut Effects) -> Vec<crate::engine::Key> {
+        std::iter::from_fn(|| eff.queue.pop_keyed())
+            .filter(|(_, ev)| matches!(ev, Event::PortReady { .. }))
+            .map(|(key, _)| key)
+            .collect()
+    }
+
+    #[test]
+    fn an_idle_nic_pushes_no_port_ready_and_a_reply_queued_while_busy_does() {
+        let cfg = hpcc_cfg();
+        let mut h = build_host(0);
+        let mut eff = Effects::at(SimTime::ZERO);
+        // A two-packet flow: after the first frame a flow still has data, so
+        // the frame's `PortReady` goes in at once.
+        h.flow_start(
+            SimTime::ZERO,
+            flow(1, 2000),
+            0,
+            Route::default(),
+            &cfg,
+            &mut eff,
+        );
+        h.try_transmit(SimTime::ZERO, &cfg, &mut eff);
+        assert_eq!(port_readies(&mut eff), [h.link.ready_key()]);
+        // After the second the NIC has nothing left to send: no `PortReady`.
+        eff.key = h.link.ready_key();
+        h.try_transmit(eff.key.0, &cfg, &mut eff);
+        assert_eq!(eff.packets_sent, 2);
+        let ready = h.link.ready_key();
+        assert!(port_readies(&mut eff).is_empty());
+        // A data packet of another flow arrives while the frame is on the
+        // wire: the ACK it queues kicks the NIC, which is still busy, so the
+        // kick pushes the `PortReady` under the key reserved at transmit.
+        let now = eff.key.0 + Duration::from_ns(40);
+        eff.key = (now, u64::MAX);
+        let data = Packet::data(FlowId(5), NodeId(1), NodeId(0), 0, 1000, SimTime::ZERO);
+        eff.kicks.clear();
+        h.handle_arrival(now, PortId(0), Box::new(data), &cfg, &mut eff);
+        assert_eq!(eff.kicks, [(h.id, PortId(0))]);
+        assert!(h.link.busy(&eff));
+        h.try_transmit(now, &cfg, &mut eff);
+        h.try_transmit(now, &cfg, &mut eff);
+        assert_eq!(port_readies(&mut eff), [ready], "pushed once");
+        // At that key the ACK goes out, and the NIC is idle again.
+        eff.key = ready;
+        h.try_transmit(ready.0, &cfg, &mut eff);
+        let sent: Vec<Event> = eff.scheduled().into_iter().map(|(_, ev)| ev).collect();
+        assert!(
+            matches!(&sent[..], [Event::PacketArrive { packet, .. }] if packet.kind == PacketKind::Ack),
+            "{sent:?}"
+        );
+    }
+
+    #[test]
+    fn the_active_list_picks_what_the_full_scan_picked() {
+        // Random states of twelve flows — finished or not, a window open or
+        // closed, a pacer due or not, a retransmission queued or not, a
+        // PIAS class paused or not — with `active` holding exactly the
+        // unfinished flows with data plus some stale entries. From every
+        // `rr_cursor` in turn, `pick_flow` and `earliest_wake` must answer
+        // what a scan of every flow from `rr_cursor`, wrapping, answers.
+        use hpcc_types::rng::SplitMix64;
+        const FLOWS: u64 = 12;
+        let mut cfg = hpcc_cfg();
+        cfg.queueing = crate::config::QueueingConfig {
+            data_classes: 2,
+            pias_thresholds: vec![3000],
+            ..crate::config::QueueingConfig::legacy()
+        };
+        let reference_pick = |h: &Host, now: SimTime| {
+            let n = h.flows.len();
+            let any_paused = h.link.any_data_paused();
+            (h.rr_cursor..n)
+                .chain(0..h.rr_cursor)
+                .find(|&i| h.may_transmit(i, now, any_paused, &cfg))
+        };
+        let reference_wake = |h: &Host, now: SimTime| {
+            let f = &h.flows;
+            (0..f.len())
+                .filter(|&i| {
+                    !f.finished[i]
+                        && f.has_data_to_send(i)
+                        && f.window_open(i)
+                        && f.next_avail[i] > now
+                })
+                .map(|i| f.next_avail[i])
+                .min()
+        };
+        let mut rng = SplitMix64::new(17);
+        let (mut picked, mut woken) = (0, 0);
+        for state in 0..500 {
+            let mut h = build_host(0);
+            let mut eff = Effects::default();
+            for id in 0..FLOWS {
+                h.flow_start(
+                    SimTime::ZERO,
+                    flow(id, 10_000),
+                    0,
+                    Route::default(),
+                    &cfg,
+                    &mut eff,
+                );
+            }
+            let now = SimTime::from_us(10);
+            let f = &mut h.flows;
+            for i in 0..FLOWS as usize {
+                f.finished[i] = rng.next_below(5) == 0;
+                f.snd_una[i] = 1000 * rng.next_below(11);
+                f.snd_nxt[i] = (f.snd_una[i] + 1000 * rng.next_below(4)).min(10_000);
+                f.window[i] = 1000 * rng.next_below(4);
+                f.next_avail[i] =
+                    now + Duration::from_ns(rng.next_below(200)) - Duration::from_ns(100);
+                if rng.next_below(4) == 0 && f.snd_nxt[i] > 0 {
+                    f.cold[i]
+                        .rtx_queue
+                        .insert(1000 * rng.next_below(f.snd_nxt[i] / 1000));
+                }
+                f.sync_rtx(i);
+            }
+            f.active = (0..FLOWS as u32)
+                .filter(|&i| {
+                    let i = i as usize;
+                    !f.finished[i] && f.has_data_to_send(i) || rng.next_below(4) == 0
+                })
+                .collect();
+            if rng.next_below(3) == 0 {
+                let class = Priority::data_class(rng.next_below(2) as u8);
+                h.link.set_paused(now, class, true, &mut eff);
+            }
+            for cursor in 0..FLOWS as usize {
+                h.rr_cursor = cursor;
+                let expected = reference_pick(&h, now);
+                let expected_cursor = expected.map_or(cursor, |i| (i + 1) % FLOWS as usize);
+                assert_eq!(
+                    h.pick_flow(now, &cfg),
+                    expected,
+                    "state {state}, cursor {cursor}"
+                );
+                assert_eq!(
+                    h.rr_cursor, expected_cursor,
+                    "state {state}, cursor {cursor}"
+                );
+                picked += usize::from(expected.is_some());
+            }
+            let expected = reference_wake(&h, now);
+            assert_eq!(h.earliest_wake(now), expected, "state {state}");
+            woken += usize::from(expected.is_some());
+        }
+        // Both answers, and their absence, were common.
+        assert!(picked > 1000 && picked < 5000, "{picked} picks");
+        assert!(woken > 100 && woken < 450, "{woken} wakes");
     }
 
     #[test]

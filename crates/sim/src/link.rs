@@ -11,8 +11,9 @@
 //! What differs between the two node kinds stays with them: *which* frame
 //! goes next (a host's flow scheduler, a switch's egress queues), how long
 //! it takes (a straggling host serializes below its line rate) and when the
-//! `PortReady` is needed (a host's always is, a switch port's only while
-//! frames wait).
+//! `PortReady` is needed: only while the node may have something to send on
+//! the port when the frame ends — a host while a reply is queued or a flow
+//! has data, a switch port while frames wait.
 
 use crate::engine::{Effects, Event, Key};
 use crate::fault::LinkDownMode;
@@ -260,9 +261,10 @@ impl Link {
 
     /// Put the `PortReady` of the frame on the wire into the queue, under
     /// the key [`Link::transmit`] reserved for it, unless it is there already
-    /// or the frame has ended. A host calls this after every transmit; a
-    /// switch after a transmit that leaves frames queued, and whenever it
-    /// queues one.
+    /// or the frame has ended. A host calls this after a transmit that
+    /// leaves a reply queued or a flow with data, and whenever it is kicked
+    /// while the frame is on the wire; a switch after a transmit that leaves
+    /// frames queued, and whenever it queues one.
     pub fn push_ready(&mut self, eff: &mut Effects) {
         if !self.ready_pushed && self.busy(eff) {
             self.ready_pushed = true;

@@ -106,7 +106,9 @@ pub struct SimOutput {
     /// Number of events processed by the engine.
     pub events_processed: u64,
     /// Largest number of simultaneously pending events in the event queue
-    /// (engine health metric; excluded from campaign digests).
+    /// (engine health metric; excluded from campaign digests). It counts
+    /// pushed events only: a `PortReady` that a port leaves out because it
+    /// will have nothing to send is in no count.
     pub peak_event_queue: u64,
     /// Total data packets delivered to receivers.
     pub packets_delivered: u64,

@@ -16,10 +16,13 @@
 # invocation against the same parent does not recompile it. Workloads run
 # one after the other; within each, the side that runs first alternates from
 # pair to pair. Prints every pair's wall_us_per_unit, whether the two
-# reports are byte-identical, the win count, then the benchmark's `compare`
-# over all runs of each side (median and quartiles of every end-to-end
-# metric, verdict by BENCHMARK.json's bounds). Exits 1 if any workload's
-# `compare` has a row that reads `worse`.
+# reports are byte-identical, the win count, whether the claim rule of
+# benchmark/README.md § Claiming a gain holds on those values (at least ten
+# pairs, nine tenths of them won, and the change's median below the parent's
+# by more than the parent's interquartile range), then the benchmark's
+# `compare` over all runs of each side (median and quartiles of every
+# end-to-end metric, verdict by BENCHMARK.json's bounds). Exits 1 if any
+# workload's `compare` has a row that reads `worse`.
 set -euo pipefail
 
 usage() {
@@ -68,6 +71,21 @@ for side in parent change; do
         cargo build --release --offline --quiet --manifest-path benchmark/Cargo.toml)
 done
 
+# First quartile, median and third quartile of the arguments, by the method
+# of the benchmark's `measure::quartiles` (Python's "exclusive" quantiles).
+quartiles() {
+    printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END {
+        if (NR == 1) { print v[1], v[1], v[1]; exit }
+        for (i = 1; i <= 3; i++) {
+            j = int(i * (NR + 1) / 4)
+            if (j < 1) j = 1
+            if (j > NR - 1) j = NR - 1
+            q[i] = v[j] + (v[j + 1] - v[j]) * (i * (NR + 1) / 4 - j)
+        }
+        print q[1], q[2], q[3]
+    }'
+}
+
 stamp=$(date -u +%Y%m%dT%H%M%SZ)
 # One run of one side of one workload; prints the metric's value.
 run_side() {
@@ -83,6 +101,8 @@ for workload in "${workloads[@]}"; do
     wins=0
     losses=0
     declare -A files=([parent]="" [change]="")
+    values_parent=()
+    values_change=()
     for ((i = 1; i <= pairs; i++)); do
         if ((i % 2)); then order=(parent change); else order=(change parent); fi
         declare -A value=()
@@ -104,9 +124,19 @@ for workload in "${workloads[@]}"; do
         win) wins=$((wins + 1)) ;;
         loss) losses=$((losses + 1)) ;;
         esac
+        values_parent+=("${value[parent]}")
+        values_change+=("${value[change]}")
         echo "$workload pair $i (${order[0]} first): $metric parent ${value[parent]} change ${value[change]}; reports $report"
     done
     echo "$workload ${extra[*]}: change wins $wins, loses $losses of $pairs pairs on $metric"
+    read -r q1 parent_median q3 <<<"$(quartiles "${values_parent[@]}")"
+    read -r _ change_median _ <<<"$(quartiles "${values_change[@]}")"
+    awk -v w="$workload" -v m="$metric" -v wins=$wins -v n=$pairs -v p="$parent_median" \
+        -v c="$change_median" -v q1="$q1" -v q3="$q3" 'BEGIN {
+        holds = n >= 10 && 10 * wins >= 9 * n && p - c > q3 - q1
+        printf "%s claim on %s: %s (won %d of %d pairs, 9 in 10 of at least 10 needed; median %g -> %g, %+.1f %%, gap %g against the parent'"'"'s interquartile range %g)\n",
+            w, m, holds ? "holds" : "does not hold", wins, n, p, c, 100 * (c - p) / p, p - c, q3 - q1
+    }'
     (cd "$root" && "$work/change-target/release/hpcc-benchmark" compare \
         "${files[parent]}" "${files[change]}") || status=1
 done
