@@ -161,7 +161,9 @@ impl Campaign {
         let mut executed = 0;
         for i in plan.indices(self.len()) {
             let result = run_one(&self.scenarios[i]);
-            writeln!(out, "{}", crate::wire::encode_result_line(i, &result))?;
+            let mut line = crate::wire::encode_result_line(i, &result);
+            line.push('\n');
+            out.write_all(line.as_bytes())?;
             out.flush()?;
             executed += 1;
         }
@@ -179,15 +181,15 @@ impl Campaign {
         run_one(&self.scenarios[index])
     }
 
-    /// The manifest as a JSON array value (for embedding in larger
-    /// documents, e.g. the fabric's manifest message).
+    /// The manifest as a JSON array value: [`Campaign::to_json_string`],
+    /// parsed.
     pub fn to_json(&self) -> JsonValue {
         self.encode()
     }
 
     /// Serialize every scenario into a JSON array (a campaign manifest).
     pub fn to_json_string(&self) -> String {
-        self.to_json().render()
+        self.text()
     }
 
     /// Parse a campaign out of a JSON array value (the inverse of
@@ -205,8 +207,8 @@ impl Campaign {
 
 /// A campaign manifest is the JSON array of its scenarios.
 impl Wire for Campaign {
-    fn encode(&self) -> JsonValue {
-        self.scenarios.encode()
+    fn write(&self, out: &mut String) {
+        self.scenarios.write(out)
     }
 
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {

@@ -2,21 +2,26 @@
 //! messages.
 //!
 //! Every wire type implements [`Wire`] (a whole JSON value) and, when it is a
-//! run of object members, [`Fields`]. The scalars, `Vec` and `Option` are
-//! implemented here once; the regular composite shapes are one table row per
-//! member through three macros — `wire_struct!` (a struct as an object),
-//! `wire_labels!` (an enum as a fixed label set) and `wire_tagged!` (an enum
-//! as a tagged object) — and the few irregular shapes are short hand-written
-//! impls next to their types. A row names its member once: the encoder, the
-//! decoder and the exported key list ([`keys_of`], which `simlint wire` and
-//! the fixture test read) all come from it.
+//! run of object members, [`Fields`]. Encoding writes the canonical compact
+//! text straight into a `String` — [`Wire::write`], and [`Fields::write_fields`]
+//! through an [`Obj`], which places the braces, the commas and the quoted
+//! keys — with the scalar writers of [`crate::json`], so no value tree is
+//! built on the way out. The scalars, `Vec` and `Option` are implemented here
+//! once; the regular composite shapes are one table row per member through
+//! three macros — `wire_struct!` (a struct as an object), `wire_labels!` (an
+//! enum as a fixed label set) and `wire_tagged!` (an enum as a tagged
+//! object) — and the few irregular shapes are short hand-written impls next
+//! to their types. A row names its member once: the writer, the decoder and
+//! the exported key list ([`keys_of`], which `simlint wire` and the fixture
+//! test read) all come from it. A caller that wants a [`JsonValue`] gets one
+//! by parsing the written text ([`Wire::encode`]).
 //!
 //! Decoding is strict and located. An object member no table row consumed —
 //! misspelt, unknown or repeated — is an error, and every error carries the
 //! [`Path`] of the offending value (`[3].workloads[0].pairs.rows[1][2]`) and
 //! names the value's kind, never its contents.
 
-use crate::json::{JsonError, JsonValue};
+use crate::json::{write_f64, write_str, write_u64, JsonError, JsonValue};
 use hpcc_types::{Bandwidth, Duration};
 use std::collections::BTreeSet;
 use std::fmt;
@@ -82,8 +87,18 @@ pub fn quoted(s: &str) -> String {
 
 /// A type with a canonical JSON form.
 pub trait Wire: Sized {
-    /// The canonical JSON value.
-    fn encode(&self) -> JsonValue;
+    /// Append the canonical compact JSON text.
+    fn write(&self, out: &mut String);
+    /// The canonical compact JSON text.
+    fn text(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+    /// The canonical JSON value: [`Wire::text`], parsed.
+    fn encode(&self) -> JsonValue {
+        JsonValue::parse(&self.text()).expect("the codec writes valid JSON")
+    }
     /// Decode the value found at `at`.
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError>;
     /// Append every member name this type (and the types inside it) can put
@@ -95,8 +110,8 @@ pub trait Wire: Sized {
 /// object of its own ([`Wire`] comes with it), or flattened into its
 /// parent's (`..field` rows, `Variant(..)` arms).
 pub trait Fields: Sized {
-    /// Append the members in canonical order.
-    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>);
+    /// Write the members in canonical order.
+    fn write_fields(&self, obj: &mut Obj<'_>);
     /// Take the members out of `m`.
     fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError>;
     /// See [`Wire::keys`].
@@ -104,10 +119,10 @@ pub trait Fields: Sized {
 }
 
 impl<T: Fields> Wire for T {
-    fn encode(&self) -> JsonValue {
-        let mut out = Vec::new();
-        self.encode_fields(&mut out);
-        JsonValue::Object(out)
+    fn write(&self, out: &mut String) {
+        let mut obj = Obj::open(out);
+        self.write_fields(&mut obj);
+        obj.close();
     }
 
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
@@ -119,6 +134,43 @@ impl<T: Fields> Wire for T {
 
     fn keys(out: &mut Vec<&'static str>) {
         T::field_keys(out)
+    }
+}
+
+/// An object being written: [`Obj::open`] writes `{`, each member its
+/// separating comma and quoted key, [`Obj::close`] the `}`.
+pub struct Obj<'a> {
+    out: &'a mut String,
+    empty: bool,
+}
+
+impl<'a> Obj<'a> {
+    /// Start an object at the end of `out`.
+    pub fn open(out: &'a mut String) -> Self {
+        out.push('{');
+        Obj { out, empty: true }
+    }
+
+    /// Start member `key`; its value is to be written to the returned
+    /// buffer.
+    pub fn key(&mut self, key: &str) -> &mut String {
+        if !self.empty {
+            self.out.push(',');
+        }
+        self.empty = false;
+        write_str(key, self.out);
+        self.out.push(':');
+        self.out
+    }
+
+    /// Write member `key` with value `v`.
+    pub fn put<T: Wire>(&mut self, key: &str, v: &T) {
+        v.write(self.key(key))
+    }
+
+    /// End the object.
+    pub fn close(self) {
+        self.out.push('}')
     }
 }
 
@@ -218,14 +270,14 @@ pub fn unknown_label(label: &str, at: &Path<'_>) -> JsonError {
     at.error(format!("unknown label {}", quoted(label)))
 }
 
-/// The scalars, one row each: how `&Self` encodes, how a located value
-/// decodes.
+/// The scalars, one row each: how `&Self` is written to `out`, how a
+/// located value decodes.
 macro_rules! wire_scalars {
-    ($( $ty:ty: |$x:ident| $encode:expr, |$v:ident, $at:ident| $decode:expr; )*) => {$(
+    ($( $ty:ty: |$x:ident, $out:ident| $write:expr, |$v:ident, $at:ident| $decode:expr; )*) => {$(
         impl Wire for $ty {
-            fn encode(&self) -> JsonValue {
+            fn write(&self, $out: &mut String) {
                 let $x = self;
-                $encode
+                $write
             }
             fn decode($v: &JsonValue, $at: &Path<'_>) -> Result<Self, JsonError> {
                 $decode
@@ -235,17 +287,17 @@ macro_rules! wire_scalars {
 }
 
 wire_scalars! {
-    u64: |n| JsonValue::UInt(*n), |v, at| at.locate(v.as_u64());
-    u32: |n| JsonValue::UInt(u64::from(*n)), |v, at| narrow(v, at, "u32");
-    u8: |n| JsonValue::UInt(u64::from(*n)), |v, at| narrow(v, at, "u8");
-    usize: |n| JsonValue::UInt(*n as u64), |v, at| narrow(v, at, "usize");
-    f64: |x| JsonValue::Float(*x), |v, at| at.locate(v.as_f64());
-    bool: |b| JsonValue::Bool(*b), |v, at| at.locate(v.as_bool());
-    String: |s| JsonValue::Str(s.clone()), |v, at| at.locate(v.as_str()).map(str::to_string);
+    u64: |n, out| write_u64(*n, out), |v, at| at.locate(v.as_u64());
+    u32: |n, out| write_u64(u64::from(*n), out), |v, at| narrow(v, at, "u32");
+    u8: |n, out| write_u64(u64::from(*n), out), |v, at| narrow(v, at, "u8");
+    usize: |n, out| write_u64(*n as u64, out), |v, at| narrow(v, at, "usize");
+    f64: |x, out| write_f64(*x, out), |v, at| at.locate(v.as_f64());
+    bool: |b, out| out.push_str(if *b { "true" } else { "false" }), |v, at| at.locate(v.as_bool());
+    String: |s, out| write_str(s, out), |v, at| at.locate(v.as_str()).map(str::to_string);
     // Exact picoseconds (member names end in `_ps`) and bits per second
     // (`_bps`).
-    Duration: |d| d.as_ps().encode(), |v, at| u64::decode(v, at).map(Duration::from_ps);
-    Bandwidth: |b| b.as_bps().encode(), |v, at| u64::decode(v, at).map(Bandwidth::from_bps);
+    Duration: |d, out| write_u64(d.as_ps(), out), |v, at| u64::decode(v, at).map(Duration::from_ps);
+    Bandwidth: |b, out| write_u64(b.as_bps(), out), |v, at| u64::decode(v, at).map(Bandwidth::from_bps);
 }
 
 /// An unsigned integer too wide for its field is a decode error, never a
@@ -256,8 +308,15 @@ fn narrow<T: TryFrom<u64>>(v: &JsonValue, at: &Path<'_>, ty: &str) -> Result<T, 
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(self.iter().map(Wire::encode).collect())
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        for (i, item) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            item.write(out);
+        }
+        out.push(']');
     }
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
         let items = at.locate(v.as_array())?;
@@ -274,8 +333,11 @@ impl<T: Wire> Wire for Vec<T> {
 
 /// `null` is `None`.
 impl<T: Wire> Wire for Option<T> {
-    fn encode(&self) -> JsonValue {
-        self.as_ref().map_or(JsonValue::Null, Wire::encode)
+    fn write(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write(out),
+            None => out.push_str("null"),
+        }
     }
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
         match v {
@@ -300,15 +362,15 @@ pub fn member_keys<S, T: Wire>(_: impl Fn(&S) -> &T, out: &mut Vec<&'static str>
 /// (omitted when equal to the default, the default when absent) and
 /// `field: ..` (the field's own members, flattened in place).
 macro_rules! wire_row {
-    (@put $out:ident, $v:expr, ..) => {
-        $crate::codec::Fields::encode_fields($v, $out)
+    (@put $obj:ident, $v:expr, ..) => {
+        $crate::codec::Fields::write_fields($v, $obj)
     };
-    (@put $out:ident, $v:expr, $key:literal) => {
-        $out.push(($key.to_string(), $crate::codec::Wire::encode($v)))
+    (@put $obj:ident, $v:expr, $key:literal) => {
+        $obj.put($key, $v)
     };
-    (@put $out:ident, $v:expr, $key:literal = $default:expr) => {
+    (@put $obj:ident, $v:expr, $key:literal = $default:expr) => {
         if *$v != $default {
-            $out.push(($key.to_string(), $crate::codec::Wire::encode($v)))
+            $obj.put($key, $v)
         }
     };
     (@get $m:ident, ..) => {
@@ -338,9 +400,8 @@ macro_rules! wire_struct {
         $( $f:ident : $key:tt $(= $default:expr)? ),* $(,)?
     } $( skip { $( $sf:ident : $sv:expr ),* $(,)? } )?) => {
         impl $crate::codec::Fields for $ty {
-            fn encode_fields(&self, out: &mut Vec<(String, $crate::json::JsonValue)>) {
-                out.reserve_exact(<[&str]>::len(&[$( stringify!($f) ),*]));
-                $( $crate::codec::wire_row!(@put out, &self.$f, $key $(= $default)?); )*
+            fn write_fields(&self, obj: &mut $crate::codec::Obj<'_>) {
+                $( $crate::codec::wire_row!(@put obj, &self.$f, $key $(= $default)?); )*
             }
             fn decode_fields(
                 m: &mut $crate::codec::Members<'_>,
@@ -364,8 +425,8 @@ pub(crate) use wire_struct;
 macro_rules! wire_labels {
     ($ty:ty, $label:path { $( $variant:ident ),* $(,)? }) => {
         impl $crate::codec::Wire for $ty {
-            fn encode(&self) -> $crate::json::JsonValue {
-                $crate::json::JsonValue::Str($label(*self).to_string())
+            fn write(&self, out: &mut String) {
+                $crate::json::write_str($label(*self), out)
             }
             fn decode(
                 v: &$crate::json::JsonValue,
@@ -391,10 +452,10 @@ macro_rules! wire_tagged {
         $( else => $rest:ident )?
     }) => {
         impl $crate::codec::Fields for $ty {
-            fn encode_fields(&self, out: &mut Vec<(String, $crate::json::JsonValue)>) {
-                $( $crate::codec::wire_tagged!(@arm $variant $shape put self, out, $tag, $label); )*
+            fn write_fields(&self, obj: &mut $crate::codec::Obj<'_>) {
+                $( $crate::codec::wire_tagged!(@arm $variant $shape put self, obj, $tag, $label); )*
                 $( if let Self::$rest(inner) = self {
-                    $crate::codec::Fields::encode_fields(inner, out)
+                    $crate::codec::Fields::write_fields(inner, obj)
                 } )?
             }
             #[allow(unreachable_code)]
@@ -426,12 +487,11 @@ macro_rules! wire_tagged {
     (@arm $variant:ident { $( $f:ident : $key:tt $(= $default:expr)? ),* $(,)? } $($op:tt)*) => {
         $crate::codec::wire_tagged!(@$($op)* => $variant [$( $f $f: $key $(= $default)? ),*])
     };
-    (@put $self:ident, $out:ident, $tag:literal, $label:literal => $variant:ident
+    (@put $self:ident, $obj:ident, $tag:literal, $label:literal => $variant:ident
         [$( $f:tt $b:ident : $key:tt $(= $default:expr)? ),*]) => {
         if let Self::$variant { $( $f: $b ),* } = $self {
-            $out.reserve_exact(1 + <[&str]>::len(&[$( stringify!($b) ),*]));
-            $out.push(($tag.to_string(), $crate::json::JsonValue::Str($label.to_string())));
-            $( $crate::codec::wire_row!(@put $out, $b, $key $(= $default)?); )*
+            $crate::json::write_str($label, $obj.key($tag));
+            $( $crate::codec::wire_row!(@put $obj, $b, $key $(= $default)?); )*
         }
     };
     (@get $m:ident => $variant:ident [$( $f:tt $b:ident : $key:tt $(= $default:expr)? ),*]) => {
@@ -446,3 +506,45 @@ macro_rules! wire_tagged {
     };
 }
 pub(crate) use wire_tagged;
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::campaign::Campaign;
+    use crate::wire::{decode_result_line, encode_result_line, FabricMsg};
+
+    /// The writers emit exactly the compact canonical form: parsing what
+    /// they wrote and rendering the tree gives the same bytes back, for
+    /// every fabric message and both every-member fixtures.
+    #[test]
+    fn written_text_is_the_compact_canonical_form() {
+        let manifest = include_str!("../tests/fixtures/every_member.json").trim_end();
+        let campaign = Campaign::from_json_str(manifest).unwrap();
+        assert_eq!(campaign.to_json_string(), manifest);
+        let mut texts = vec![campaign.to_json_string()];
+        let mut msgs = vec![
+            FabricMsg::Hello {
+                worker: "w\"0\"\n".to_string(),
+            },
+            FabricMsg::Manifest { campaign },
+            FabricMsg::Lease {
+                indices: vec![0, 7, usize::MAX],
+            },
+            FabricMsg::Heartbeat { executed: u64::MAX },
+            FabricMsg::Bye,
+        ];
+        for line in include_str!("../tests/fixtures/every_member.jsonl").lines() {
+            let (index, result) = decode_result_line(line).unwrap();
+            assert_eq!(encode_result_line(index, &result), line);
+            texts.push(line.to_string());
+            msgs.push(FabricMsg::Result {
+                index,
+                result: Box::new(result),
+            });
+        }
+        texts.extend(msgs.iter().map(Wire::text));
+        for text in &texts {
+            assert_eq!(JsonValue::parse(text).unwrap().render(), *text);
+        }
+    }
+}

@@ -41,9 +41,9 @@ use crate::timing;
 use crate::wire::{self, FabricMsg, WireError};
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::{BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// Errors of the campaign fabric.
 #[derive(Debug)]
@@ -301,11 +301,12 @@ impl CoordState {
             Some(prev) => 0.7 * prev + 0.3 * wall,
             None => wall,
         });
-        let line = wire::encode_result_line(index, &result);
         match self.ledger.record(index, result) {
             Ok(true) => {
                 if let Some(file) = &mut self.checkpoint {
-                    if let Err(e) = writeln!(file, "{line}").and_then(|()| file.flush()) {
+                    let mut line = wire::encode_result_line(index, &self.ledger.done[&index]);
+                    line.push('\n');
+                    if let Err(e) = file.write_all(line.as_bytes()) {
                         self.fatal.get_or_insert(FabricError::Io(e));
                         return;
                     }
@@ -388,8 +389,21 @@ impl Coordinator {
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .take();
-        if let Some(acceptor) = previous {
-            acceptor.stop.store(true, Ordering::SeqCst);
+        let Some(acceptor) = previous else { return };
+        acceptor.stop.store(true, Ordering::SeqCst);
+        // The thread is blocked in `accept`: a connection of our own wakes
+        // it to see `stop`. Should that fail, it is left to block rather
+        // than this call.
+        let Ok(mut addr) = self.listener.local_addr() else {
+            return;
+        };
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
+        if TcpStream::connect(addr).is_ok() {
             let _ = acceptor.handle.join();
         }
     }
@@ -460,7 +474,6 @@ impl Coordinator {
             wake: Condvar::new(),
         });
         self.stop_acceptor();
-        self.listener.set_nonblocking(true)?;
         let acceptor = {
             let listener = self.listener.try_clone()?;
             let shared = Arc::clone(&shared);
@@ -488,27 +501,21 @@ impl Coordinator {
                     st.retire(i);
                 }
             }
+            // A worker down to its last index is granted its next lease
+            // now, so that it never waits for one.
             for i in 0..st.workers.len() {
-                if !st.workers[i].alive || !st.workers[i].outstanding.is_empty() {
-                    continue;
-                }
-                let batch = st.lease_size(i);
-                let mut indices = Vec::new();
-                while indices.len() < batch {
-                    match st.pending.pop_first() {
-                        Some(index) => indices.push(index),
-                        None => break,
+                while st.workers[i].alive
+                    && st.workers[i].outstanding.len() <= 1
+                    && !st.pending.is_empty()
+                {
+                    let batch = st.lease_size(i);
+                    let indices: Vec<usize> =
+                        (0..batch).map_while(|_| st.pending.pop_first()).collect();
+                    st.workers[i].outstanding.extend(&indices);
+                    let lease = FabricMsg::Lease { indices };
+                    if wire::write_frame(&mut &st.workers[i].stream, &lease).is_err() {
+                        st.retire(i);
                     }
-                }
-                if indices.is_empty() {
-                    continue;
-                }
-                for &index in &indices {
-                    st.workers[i].outstanding.insert(index);
-                }
-                let lease = FabricMsg::Lease { indices };
-                if wire::write_frame(&mut &st.workers[i].stream, &lease).is_err() {
-                    st.retire(i);
                 }
             }
             st = shared
@@ -551,22 +558,18 @@ impl Coordinator {
     }
 }
 
-/// Poll the (nonblocking) listener until the coordinator stops this thread
-/// (its next `serve`, or its drop), spawning a detached reader thread per
-/// connection.
+/// Accept on the (blocking) listener until the coordinator stops this
+/// thread (its next `serve`, or its drop: it sets `stop` and connects to
+/// wake the thread), spawning a detached reader thread per connection.
 fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>, stop: &AtomicBool) {
-    while !stop.load(Ordering::SeqCst) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nodelay(true);
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || serve_connection(&shared, stream));
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(std::time::Duration::from_millis(5));
-            }
-            Err(_) => return,
+    for stream in listener.incoming() {
+        let Ok(stream) = stream else { return };
+        if stop.load(Ordering::SeqCst) {
+            return;
         }
+        let _ = stream.set_nodelay(true);
+        let shared = Arc::clone(shared);
+        std::thread::spawn(move || serve_connection(&shared, stream));
     }
 }
 
@@ -618,6 +621,14 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
         match frame {
             Ok(Some(FabricMsg::Result { index, result })) => {
                 st.handle_result(worker, index, *result);
+                // The scheduler has something to do only once this worker
+                // is down to its last index, or the campaign is over.
+                if st.workers[worker].outstanding.len() <= 1
+                    || st.ledger.is_complete()
+                    || st.fatal.is_some()
+                {
+                    shared.wake.notify_all();
+                }
             }
             Ok(Some(FabricMsg::Heartbeat { .. })) => {
                 st.workers[worker].last_heard = timing::now();
@@ -637,7 +648,6 @@ fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
                 return;
             }
         }
-        shared.wake.notify_all();
     }
 }
 
@@ -681,15 +691,19 @@ pub struct WorkerSummary {
 
 /// How long [`join`] waits for the coordinator's answer to its `hello`. A
 /// listener whose owner never calls `serve` (or has stopped accepting)
-/// leaves the connection in its backlog forever; a live coordinator answers
-/// within its 5 ms accept poll plus one manifest frame.
+/// leaves the connection in its backlog forever; a live coordinator accepts
+/// at once and answers with one manifest frame.
 const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Connect to a coordinator at `addr`, receive the campaign manifest over
 /// the wire, and execute leases — streaming each result back the moment it
 /// completes — until the coordinator says bye or the connection ends.
-/// Heartbeats ride a separate thread so a long scenario cannot make a
-/// healthy worker look dead.
+///
+/// The calling thread only simulates and encodes: every frame after the
+/// `hello` goes out on the connection's writer thread, which also sends a
+/// heartbeat whenever the connection has been quiet for a heartbeat period,
+/// so a long scenario cannot make a healthy worker look dead and a result
+/// never waits for the socket.
 ///
 /// A worker that arrives when the campaign is already complete is answered
 /// with `bye` (or finds the connection closed) instead of a manifest: that
@@ -699,14 +713,12 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
-    let writer = Arc::new(Mutex::new(stream.try_clone()?));
+    let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
-    send(
-        &writer,
-        &FabricMsg::Hello {
-            worker: cfg.name.clone(),
-        },
-    )?;
+    let hello = FabricMsg::Hello {
+        worker: cfg.name.clone(),
+    };
+    wire::write_frame(&mut writer, &hello)?;
     let campaign = match wire::read_frame(&mut reader)? {
         Some(FabricMsg::Manifest { campaign }) => campaign,
         Some(FabricMsg::Bye) | None => {
@@ -723,26 +735,9 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
     };
     // Leases arrive whenever the scheduler has work: no deadline from here.
     reader.get_ref().set_read_timeout(None)?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let executed = Arc::new(AtomicU64::new(0));
-    let heartbeat_handle = {
-        let writer = Arc::clone(&writer);
-        let stop = Arc::clone(&stop);
-        let executed = Arc::clone(&executed);
-        let period = cfg.heartbeat;
-        std::thread::spawn(move || loop {
-            std::thread::sleep(period);
-            if stop.load(Ordering::Relaxed) {
-                return;
-            }
-            let beat = FabricMsg::Heartbeat {
-                executed: executed.load(Ordering::Relaxed),
-            };
-            if send(&writer, &beat).is_err() {
-                return;
-            }
-        })
-    };
+    let (queue, frames) = mpsc::channel();
+    let period = cfg.heartbeat;
+    let writer = std::thread::spawn(move || write_loop(writer, &frames, period));
     let mut ran = 0usize;
     let outcome = 'conversation: loop {
         match wire::read_frame(&mut reader) {
@@ -758,24 +753,31 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
                     ran += 1;
                     if cfg.hang_after == Some(ran) {
                         // Chaos: the scenario ran but its result never
-                        // leaves; heartbeats stop; the connection stays
-                        // open. Park until SIGKILLed.
-                        stop.store(true, Ordering::Relaxed);
+                        // leaves; the writer sends what is queued and stops,
+                        // and heartbeats with it; the connection stays open.
+                        // Park until SIGKILLed.
+                        drop(queue);
+                        let _ = writer.join();
                         loop {
                             std::thread::sleep(std::time::Duration::from_secs(3600));
                         }
                     }
-                    executed.store(ran as u64, Ordering::Relaxed);
                     let reply = FabricMsg::Result {
                         index,
                         result: Box::new(result),
                     };
-                    if let Err(e) = send(&writer, &reply) {
-                        break 'conversation Err(e);
+                    if queue
+                        .send(Outgoing::Result(wire::encode_frame(&reply)))
+                        .is_err()
+                    {
+                        // The writer failed; its error is returned below.
+                        break 'conversation Ok(());
                     }
                     if cfg.quit_after == Some(ran) {
-                        // Chaos: vanish without a bye.
-                        stop.store(true, Ordering::Relaxed);
+                        // Chaos: vanish without a bye, once the writer has
+                        // sent this result.
+                        drop(queue);
+                        let _ = writer.join();
                         return Ok(WorkerSummary {
                             executed: ran,
                             campaign_len: campaign.len(),
@@ -792,18 +794,53 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
             Err(e) => break Err(e.into()),
         }
     };
-    stop.store(true, Ordering::Relaxed);
-    let _ = send(&writer, &FabricMsg::Bye);
-    let _ = heartbeat_handle.join();
-    outcome.map(|()| WorkerSummary {
+    let _ = queue.send(Outgoing::Bye);
+    drop(queue);
+    let written = writer
+        .join()
+        .unwrap_or_else(|_| Err(std::io::Error::other("the fabric writer panicked")));
+    outcome?;
+    written?;
+    Ok(WorkerSummary {
         executed: ran,
         campaign_len: campaign.len(),
     })
 }
 
-fn send(writer: &Arc<Mutex<TcpStream>>, msg: &FabricMsg) -> Result<(), FabricError> {
-    let mut stream = writer.lock().expect("fabric writer poisoned");
-    wire::write_frame(&mut *stream, msg).map_err(FabricError::Io)
+/// What the scenario loop hands the connection's writer thread.
+enum Outgoing {
+    /// An encoded `result` frame.
+    Result(Vec<u8>),
+    /// The closing `bye`.
+    Bye,
+}
+
+/// The connection's writer thread: send each queued frame, and a heartbeat
+/// whenever nothing was queued for `period`, until `bye` or until the queue
+/// is dropped. Only a failed result is an error: a heartbeat or a `bye`
+/// may race the coordinator closing a finished campaign.
+fn write_loop(
+    mut stream: TcpStream,
+    frames: &mpsc::Receiver<Outgoing>,
+    period: std::time::Duration,
+) -> std::io::Result<()> {
+    let mut executed = 0;
+    loop {
+        match frames.recv_timeout(period) {
+            Ok(Outgoing::Result(frame)) => {
+                stream.write_all(&frame)?;
+                executed += 1;
+            }
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                let _ = wire::write_frame(&mut stream, &FabricMsg::Heartbeat { executed });
+            }
+            Ok(Outgoing::Bye) => {
+                let _ = wire::write_frame(&mut stream, &FabricMsg::Bye);
+                return Ok(());
+            }
+            Err(mpsc::RecvTimeoutError::Disconnected) => return Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -977,6 +1014,113 @@ mod tests {
             "dismissal took {:?}",
             asked.elapsed()
         );
+    }
+
+    #[test]
+    fn a_worker_dying_with_two_leases_returns_both() {
+        let campaign = tiny_campaign(4);
+        let serial = campaign.run_serial();
+        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap().to_string();
+        let (done, served) = mpsc::channel();
+        {
+            let campaign = campaign.clone();
+            std::thread::spawn(move || {
+                let _ = done.send(coordinator.serve(&campaign, &FabricConfig::default()));
+            });
+        }
+        // A worker that is granted its lease and the next one ahead, then
+        // dies before it runs anything.
+        let stream = TcpStream::connect(&addr).unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let hello = FabricMsg::Hello {
+            worker: "doomed".to_string(),
+        };
+        wire::write_frame(&mut &stream, &hello).unwrap();
+        let mut leases = Vec::new();
+        while leases.len() < 2 {
+            match wire::read_frame(&mut reader).unwrap() {
+                Some(FabricMsg::Manifest { .. }) => {}
+                Some(FabricMsg::Lease { indices }) => leases.push(indices),
+                _ => panic!("expected a manifest and two leases"),
+            }
+        }
+        assert_eq!(leases, vec![vec![0], vec![1]]);
+        drop((reader, stream));
+        // A healthy worker finishes the campaign, both leases included.
+        let healthy = std::thread::spawn(move || join(&addr, &WorkerConfig::default()));
+        let fabric = served
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("serve finished")
+            .unwrap();
+        assert_eq!(fabric.reassigned, 2, "both leases returned to the queue");
+        assert_eq!(healthy.join().unwrap().unwrap().executed, 4);
+        assert_eq!(fabric.report.to_json_string(), serial.to_json_string());
+    }
+
+    #[test]
+    fn join_returns_promptly_after_bye() {
+        // The test plays the coordinator: hello, manifest, one lease of the
+        // whole campaign, every frame up to the last result, bye. Returns
+        // the heartbeats seen, and how long `join` took to return after the
+        // bye went out.
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let converse = |campaign: Campaign, heartbeat| {
+            let worker = {
+                let addr = addr.clone();
+                let cfg = WorkerConfig {
+                    heartbeat,
+                    ..WorkerConfig::default()
+                };
+                std::thread::spawn(move || (join(&addr, &cfg), timing::now()))
+            };
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let hello = wire::read_frame(&mut reader).unwrap();
+            assert!(matches!(hello, Some(FabricMsg::Hello { .. })));
+            let lease = FabricMsg::Lease {
+                indices: (0..campaign.len()).collect(),
+            };
+            let scenarios = campaign.len();
+            wire::write_frame(&mut &stream, &FabricMsg::Manifest { campaign }).unwrap();
+            wire::write_frame(&mut &stream, &lease).unwrap();
+            let (mut heartbeats, mut results) = (0, 0);
+            while results < scenarios {
+                match wire::read_frame(&mut reader).unwrap() {
+                    Some(FabricMsg::Heartbeat { .. }) => heartbeats += 1,
+                    Some(FabricMsg::Result { .. }) => results += 1,
+                    _ => panic!("expected heartbeats and results"),
+                }
+            }
+            wire::write_frame(&mut &stream, &FabricMsg::Bye).unwrap();
+            let bye_sent = timing::now();
+            let (summary, returned) = worker.join().unwrap();
+            assert_eq!(summary.unwrap().executed, scenarios);
+            (heartbeats, returned.saturating_duration_since(bye_sent))
+        };
+        // A heartbeat period far longer than the campaign: `join` must not
+        // sleep it out after the bye.
+        let (_, after_bye) = converse(tiny_campaign(1), std::time::Duration::from_secs(5));
+        assert!(
+            after_bye < std::time::Duration::from_millis(50),
+            "join returned {after_bye:?} after the bye"
+        );
+        // A scenario many heartbeat periods long: heartbeats go out while
+        // it runs.
+        let long = Campaign::from_scenarios(vec![incast_on_star(
+            "long",
+            CcSpec::by_label("HPCC"),
+            8,
+            1_000_000,
+            Bandwidth::from_gbps(25),
+            Duration::from_ms(3),
+        )]);
+        let (heartbeats, _) = converse(long, std::time::Duration::from_millis(1));
+        assert!(heartbeats >= 1, "no heartbeat during the scenario");
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! A minimal JSON value type with a writer and a recursive-descent parser.
+//! A minimal JSON value type with a writer and a recursive-descent parser,
+//! and the scalar writers ([`write_u64`], [`write_f64`], [`write_str`]) the
+//! codec appends its text with.
 //!
 //! The build environment vendors no external crates, so scenario
 //! serialization cannot lean on serde; this module implements the small JSON
@@ -7,7 +9,7 @@
 //! picosecond timestamps and 64-bit seeds that would not survive an `f64`
 //! round-trip).
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A parsed JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -133,7 +135,9 @@ impl JsonValue {
     ///
     /// The output is always valid JSON: non-finite floats become `null`
     /// (see [`JsonValue::Float`]), and finite floats are written in a form
-    /// that re-parses to the bit-identical `f64`.
+    /// that re-parses to the bit-identical `f64`. The scalars go through
+    /// [`write_u64`], [`write_f64`] and [`write_str`], the writers the codec
+    /// emits its text with, so the canonical form exists once.
     pub fn render(&self) -> String {
         let mut s = String::new();
         self.render_into(&mut s);
@@ -144,26 +148,12 @@ impl JsonValue {
         match self {
             JsonValue::Null => s.push_str("null"),
             JsonValue::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
-            JsonValue::UInt(n) => s.push_str(&n.to_string()),
-            JsonValue::Int(n) => s.push_str(&n.to_string()),
-            JsonValue::Float(f) => {
-                if f.is_finite() {
-                    // Guarantee a re-parseable float (always keep a dot or
-                    // e). Rust's Display prints the shortest string that
-                    // round-trips, so the value survives bit-exactly.
-                    let text = format!("{f}");
-                    s.push_str(&text);
-                    if !text.contains(['.', 'e', 'E']) {
-                        s.push_str(".0");
-                    }
-                } else {
-                    // NaN/±inf have no JSON representation; `NaN`/`inf`
-                    // tokens would be invalid JSON that no peer could
-                    // re-parse. Emit `null` instead (documented contract).
-                    s.push_str("null");
-                }
+            JsonValue::UInt(n) => write_u64(*n, s),
+            JsonValue::Int(n) => {
+                let _ = write!(s, "{n}");
             }
-            JsonValue::Str(text) => render_string(text, s),
+            JsonValue::Float(f) => write_f64(*f, s),
+            JsonValue::Str(text) => write_str(text, s),
             JsonValue::Array(items) => {
                 s.push('[');
                 for (i, item) in items.iter().enumerate() {
@@ -180,7 +170,7 @@ impl JsonValue {
                     if i > 0 {
                         s.push(',');
                     }
-                    render_string(k, s);
+                    write_str(k, s);
                     s.push(':');
                     v.render_into(s);
                 }
@@ -207,22 +197,54 @@ pub fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
     JsonValue::Object(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn render_string(text: &str, s: &mut String) {
-    s.push('"');
-    for c in text.chars() {
-        match c {
-            '"' => s.push_str("\\\""),
-            '\\' => s.push_str("\\\\"),
-            '\n' => s.push_str("\\n"),
-            '\r' => s.push_str("\\r"),
-            '\t' => s.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                s.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => s.push(c),
-        }
+/// Append `n` as a JSON integer.
+pub fn write_u64(n: u64, out: &mut String) {
+    let _ = write!(out, "{n}");
+}
+
+/// Append `x` as a JSON number that re-parses to the bit-identical `f64`:
+/// Rust's shortest round-trip form, with `.0` added when it has neither a
+/// dot nor an exponent. NaN and ±inf have no JSON form and are written as
+/// `null` (see [`JsonValue::Float`]).
+pub fn write_f64(x: f64, out: &mut String) {
+    if !x.is_finite() {
+        out.push_str("null");
+        return;
     }
-    s.push('"');
+    let start = out.len();
+    let _ = write!(out, "{x}");
+    if !out[start..].contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+}
+
+/// Append `text` as a JSON string. `"`, `\` and the control bytes are
+/// escaped (`\n`, `\r`, `\t`, else `\u00XX`); every other character is
+/// copied as it is, so a string with nothing to escape is copied whole.
+pub fn write_str(text: &str, out: &mut String) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in text.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        // Every escaped byte is ASCII, so `i` is a character boundary.
+        out.push_str(&text[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&text[run..]);
+    out.push('"');
 }
 
 fn skip_ws(bytes: &[u8], pos: &mut usize) {
@@ -521,6 +543,91 @@ mod tests {
         let took = started.elapsed();
         assert_eq!(back, doc);
         assert!(took.as_secs() < 10, "parsing 8 MB took {took:?}");
+    }
+
+    /// `write_str`'s rule one character at a time: the reference its
+    /// whole-run copying is held to.
+    fn reference_escape(text: &str) -> String {
+        let mut out = String::from("\"");
+        for c in text.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn write_str_escapes_every_byte_class() {
+        let mut classes: Vec<String> = (0u8..0x20).map(|b| char::from(b).to_string()).collect();
+        classes.extend(["\"", "\\", "/", "\u{7f}", "é", "€", "🚀", ""].map(String::from));
+        let mut texts = vec![classes.concat()];
+        for class in &classes {
+            texts.push(class.clone());
+            texts.push(format!("clean {class} text"));
+            texts.push(format!("{class}{class}tail"));
+            texts.push(format!("head{class}"));
+        }
+        for text in &texts {
+            let mut out = String::new();
+            write_str(text, &mut out);
+            assert_eq!(out, reference_escape(text), "{text:?}");
+            assert_eq!(JsonValue::parse(&out).unwrap().as_str().unwrap(), text);
+            assert_eq!(JsonValue::Str(text.clone()).render(), out);
+        }
+        let mut out = String::from("[");
+        write_str("", &mut out);
+        assert_eq!(out, "[\"\"", "appends, and writes the empty string as \"\"");
+    }
+
+    #[test]
+    fn write_f64_is_canonical_and_round_trips() {
+        let text = |x: f64| {
+            let mut out = String::new();
+            write_f64(x, &mut out);
+            out
+        };
+        for (x, want) in [
+            (-0.0, "-0.0"),
+            (1.0, "1.0"),
+            (1e21, "1000000000000000000000.0"),
+            (1e-7, "0.0000001"),
+            (2f64.powi(53), "9007199254740992.0"),
+            (0.3, "0.3"),
+            (f64::NAN, "null"),
+            (f64::INFINITY, "null"),
+            (f64::NEG_INFINITY, "null"),
+        ] {
+            assert_eq!(text(x), want, "{x}");
+        }
+        // Shortest round-trip digits, never an exponent.
+        assert_eq!(text(5e-324), format!("0.{}5", "0".repeat(323)));
+        assert_eq!(
+            text(f64::MAX),
+            format!("17976931348623157{}.0", "0".repeat(292))
+        );
+        for x in [
+            -0.0,
+            1.0,
+            1e21,
+            1e-7,
+            5e-324,
+            f64::MAX,
+            2f64.powi(53),
+            0.1 + 0.2,
+        ] {
+            let written = text(x);
+            let back = JsonValue::parse(&written).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits(), "{x} -> {written}");
+            assert_eq!(JsonValue::Float(x).render(), written);
+        }
     }
 
     #[test]

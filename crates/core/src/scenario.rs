@@ -20,10 +20,10 @@
 //! that does not end.
 
 use crate::codec::{
-    from_label, wire_labels, wire_struct, wire_tagged, Fields, Members, Path, Wire,
+    from_label, wire_labels, wire_struct, wire_tagged, Fields, Members, Obj, Path, Wire,
 };
 use crate::experiment::{Experiment, ExperimentResults, MTU_WIRE_SIZE};
-use crate::json::{obj, JsonError, JsonValue};
+use crate::json::{write_str, JsonError, JsonValue};
 use crate::presets::scheme_by_label;
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, HpccReactionMode, TimelyConfig};
 use hpcc_sim::{
@@ -1121,14 +1121,14 @@ impl ScenarioSpec {
         Ok(frozen)
     }
 
-    /// Serialize to a JSON value.
+    /// Serialize to a JSON value: [`ScenarioSpec::to_json_string`], parsed.
     pub fn to_json(&self) -> JsonValue {
         self.encode()
     }
 
     /// Serialize to a compact JSON string.
     pub fn to_json_string(&self) -> String {
-        self.to_json().render()
+        self.text()
     }
 
     /// Deserialize from a JSON value.
@@ -1253,8 +1253,8 @@ wire_struct!(EcnConfig {
 /// or in its old object form, is an error that says so rather than an
 /// unknown label.
 impl Wire for BackendSpec {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Str(self.label().to_string())
+    fn write(&self, out: &mut String) {
+        write_str(self.label(), out)
     }
 
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
@@ -1293,11 +1293,19 @@ wire_tagged!(WorkloadSpec, "kind" {
 
 /// A CDF is a bare name, `{"fixed": bytes}` or `{"custom": [[size, p], …]}`.
 impl Wire for CdfSpec {
-    fn encode(&self) -> JsonValue {
+    fn write(&self, out: &mut String) {
         match self {
-            CdfSpec::WebSearch | CdfSpec::FbHadoop => JsonValue::Str(self.name().to_string()),
-            CdfSpec::Fixed(size) => obj(vec![("fixed", size.encode())]),
-            CdfSpec::Custom(points) => obj(vec![("custom", points.encode())]),
+            CdfSpec::WebSearch | CdfSpec::FbHadoop => write_str(self.name(), out),
+            CdfSpec::Fixed(size) => {
+                let mut obj = Obj::open(out);
+                obj.put("fixed", size);
+                obj.close();
+            }
+            CdfSpec::Custom(points) => {
+                let mut obj = Obj::open(out);
+                obj.put("custom", points);
+                obj.close();
+            }
         }
     }
 
@@ -1326,8 +1334,12 @@ impl Wire for CdfSpec {
 
 /// A CDF knee point is the pair `[size, cumulative probability]`.
 impl Wire for (u64, f64) {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(vec![self.0.encode(), self.1.encode()])
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        self.0.write(out);
+        out.push(',');
+        self.1.write(out);
+        out.push(']');
     }
 
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
@@ -1373,8 +1385,8 @@ wire_tagged!(PrioritySpec, "kind" {
 /// A priority is its wire code: 0 = normal, 1 = latency-sensitive, `2 + c`
 /// = data class `c`.
 impl Wire for FlowPriority {
-    fn encode(&self) -> JsonValue {
-        self.wire_code().encode()
+    fn write(&self, out: &mut String) {
+        self.wire_code().write(out)
     }
 
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {
@@ -1389,10 +1401,10 @@ impl Wire for FlowPriority {
 /// A trace is exactly one of `"path"` (a file read at build time) or
 /// `"records"` (inline).
 impl Fields for TraceSpec {
-    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
+    fn write_fields(&self, obj: &mut Obj<'_>) {
         match self {
-            TraceSpec::Path(path) => out.push(("path".to_string(), path.encode())),
-            TraceSpec::Inline(records) => out.push(("records".to_string(), records.encode())),
+            TraceSpec::Path(path) => obj.put("path", path),
+            TraceSpec::Inline(records) => obj.put("records", records),
         }
     }
 
@@ -1411,14 +1423,18 @@ impl Fields for TraceSpec {
 
 /// A trace record is the compact array `[start_ps, src, dst, bytes, prio]`.
 impl Wire for TraceRecord {
-    fn encode(&self) -> JsonValue {
-        JsonValue::Array(vec![
-            self.start.encode(),
-            self.src.encode(),
-            self.dst.encode(),
-            self.bytes.encode(),
-            self.prio.encode(),
-        ])
+    fn write(&self, out: &mut String) {
+        out.push('[');
+        self.start.write(out);
+        out.push(',');
+        self.src.write(out);
+        out.push(',');
+        self.dst.write(out);
+        out.push(',');
+        self.bytes.write(out);
+        out.push(',');
+        self.prio.write(out);
+        out.push(']');
     }
 
     fn decode(v: &JsonValue, at: &Path<'_>) -> Result<Self, JsonError> {

@@ -37,8 +37,8 @@
 //! (or equal [`CampaignReport::digests`]) mean bit-identical runs.
 
 use crate::campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult};
-use crate::codec::{wire_struct, wire_tagged, Fields, Members, Path, Wire};
-use crate::json::{JsonError, JsonValue};
+use crate::codec::{wire_struct, wire_tagged, Fields, Members, Obj, Path, Wire};
+use crate::json::{write_str, JsonError, JsonValue};
 use crate::scenario::BackendSpec;
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, FctBucket, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
@@ -93,9 +93,9 @@ wire_struct!(SizeBucketStats {
 /// known bucket tables: campaign results only ever use the paper's
 /// WebSearch / FB_Hadoop bucket sets, so nothing leaks a label string.
 impl Fields for FctBucket {
-    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
-        out.push(("max_size".to_string(), self.max_size.encode()));
-        out.push(("label".to_string(), JsonValue::Str(self.label.to_string())));
+    fn write_fields(&self, obj: &mut Obj<'_>) {
+        obj.put("max_size", &self.max_size);
+        write_str(self.label, obj.key("label"));
     }
 
     fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
@@ -128,9 +128,9 @@ wire_struct!(PfcSummary {
 
 /// A per-priority row is `{"prio": wire code, "stats": percentiles | null}`.
 impl Fields for (u8, Option<Percentiles>) {
-    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
-        out.push(("prio".to_string(), self.0.encode()));
-        out.push(("stats".to_string(), self.1.encode()));
+    fn write_fields(&self, obj: &mut Obj<'_>) {
+        obj.put("prio", &self.0);
+        obj.put("stats", &self.1);
     }
 
     fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
@@ -155,7 +155,8 @@ impl ScenarioResult {
     /// The canonical JSON object of this result: every deterministic field
     /// (summary metrics and digest), and nothing host-dependent — no wall
     /// time, no raw simulator output. See the [module docs](self) for the
-    /// determinism contract this buys.
+    /// determinism contract this buys. The value is its written text,
+    /// parsed.
     pub fn to_json(&self) -> JsonValue {
         self.encode()
     }
@@ -172,14 +173,15 @@ impl CampaignReport {
     /// The canonical JSON of the whole report: a JSON array of canonical
     /// per-scenario objects in scenario order. Wall times and thread counts
     /// are deliberately excluded, so equal strings ⇔ bit-identical campaign
-    /// outcomes, no matter how (or where) the campaign ran.
+    /// outcomes, no matter how (or where) the campaign ran. The value is
+    /// [`CampaignReport::to_json_string`], parsed.
     pub fn to_json(&self) -> JsonValue {
         self.results.encode()
     }
 
-    /// [`CampaignReport::to_json`], rendered to a compact string.
+    /// [`CampaignReport::to_json`] as compact text, written directly.
     pub fn to_json_string(&self) -> String {
-        self.to_json().render()
+        self.results.text()
     }
 
     /// Decode a canonical report (the output of
@@ -197,10 +199,10 @@ impl CampaignReport {
 /// A result with the wall time its worker measured: `wall_ns` beside the
 /// canonical `result` object, which excludes it. The members a result line
 /// and a fabric `result` message (through `Box<ScenarioResult>`) share.
-fn encode_timed(result: &ScenarioResult, out: &mut Vec<(String, JsonValue)>) {
+fn write_timed(result: &ScenarioResult, obj: &mut Obj<'_>) {
     let wall_ns = result.wall.as_nanos().min(u64::MAX as u128) as u64;
-    out.push(("wall_ns".to_string(), wall_ns.encode()));
-    out.push(("result".to_string(), result.encode()));
+    obj.put("wall_ns", &wall_ns);
+    obj.put("result", result);
 }
 
 fn decode_timed(m: &mut Members<'_>) -> Result<ScenarioResult, JsonError> {
@@ -211,8 +213,8 @@ fn decode_timed(m: &mut Members<'_>) -> Result<ScenarioResult, JsonError> {
 }
 
 impl Fields for Box<ScenarioResult> {
-    fn encode_fields(&self, out: &mut Vec<(String, JsonValue)>) {
-        encode_timed(self, out)
+    fn write_fields(&self, obj: &mut Obj<'_>) {
+        write_timed(self, obj)
     }
 
     fn decode_fields(m: &mut Members<'_>) -> Result<Self, JsonError> {
@@ -229,9 +231,12 @@ impl Fields for Box<ScenarioResult> {
 /// newline): the envelope carries the scenario `index` and the worker's
 /// `wall_ns`; the canonical result object rides in `result`.
 pub fn encode_result_line(index: usize, result: &ScenarioResult) -> String {
-    let mut out = vec![("index".to_string(), index.encode())];
-    encode_timed(result, &mut out);
-    JsonValue::Object(out).render()
+    let mut out = String::new();
+    let mut obj = Obj::open(&mut out);
+    obj.put("index", &index);
+    write_timed(result, &mut obj);
+    obj.close();
+    out
 }
 
 /// Decode one JSONL line into `(scenario index, result)`. The envelope's
@@ -457,7 +462,7 @@ pub enum FabricMsg {
 }
 
 impl FabricMsg {
-    /// The canonical JSON object of this message.
+    /// The canonical JSON object of this message: its written text, parsed.
     pub fn to_json(&self) -> JsonValue {
         self.encode()
     }
@@ -478,13 +483,23 @@ wire_tagged!(FabricMsg, "type" {
     "bye" => Bye {},
 });
 
-/// Write one length-framed fabric message and flush it, so the peer sees
-/// the frame immediately: a decimal byte-length line, the message's
-/// canonical JSON, a newline.
+/// One length-framed fabric message as bytes: a decimal byte-length line,
+/// the message's canonical JSON, a newline.
+pub(crate) fn encode_frame(msg: &FabricMsg) -> Vec<u8> {
+    let payload = msg.text();
+    let mut frame = payload.len().to_string().into_bytes();
+    frame.reserve_exact(payload.len() + 2);
+    frame.push(b'\n');
+    frame.extend_from_slice(payload.as_bytes());
+    frame.push(b'\n');
+    frame
+}
+
+/// Write one length-framed fabric message — a decimal byte-length line, the
+/// message's canonical JSON, a newline — in a single write, and flush it,
+/// so the peer sees the whole frame at once.
 pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &FabricMsg) -> std::io::Result<()> {
-    let payload = msg.to_json().render();
-    writeln!(w, "{}", payload.len())?;
-    writeln!(w, "{payload}")?;
+    w.write_all(&encode_frame(msg))?;
     w.flush()
 }
 
@@ -857,6 +872,48 @@ mod tests {
         ] {
             let mut reader = std::io::BufReader::new(broken.as_bytes());
             assert!(read_frame(&mut reader).is_err(), "{broken}");
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Counts the calls a frame takes; every call takes all it is given.
+        #[derive(Default)]
+        struct Counting {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl std::io::Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let campaign = Campaign::from_scenarios(vec![crate::presets::incast_on_star(
+            "a",
+            crate::scenario::CcSpec::by_label("HPCC"),
+            2,
+            10_000,
+            hpcc_types::Bandwidth::from_gbps(25),
+            Duration::from_us(50),
+        )]);
+        for msg in [
+            FabricMsg::Result {
+                index: 3,
+                result: Box::new(synthetic("r", 9)),
+            },
+            FabricMsg::Manifest { campaign },
+        ] {
+            let mut sink = Counting::default();
+            write_frame(&mut sink, &msg).unwrap();
+            assert_eq!(sink.writes, 1, "one write per frame");
+            assert_eq!(sink.bytes, encode_frame(&msg));
+            let back = read_frame(&mut sink.bytes.as_slice()).unwrap().unwrap();
+            assert_eq!(back.to_json(), msg.to_json());
         }
     }
 
