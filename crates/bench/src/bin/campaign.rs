@@ -51,14 +51,14 @@ use hpcc_core::presets::{
     corpus_sweep, fabric_smoke_campaign, fig11_campaign, validation_grid, CORPUS_FILES,
 };
 use hpcc_core::{
-    wire, BackendSpec, Campaign, CampaignReport, CcSpec, ScenarioSpec, ShardPlan, ValidationReport,
+    timing, wire, BackendSpec, Campaign, CampaignReport, CcSpec, ScenarioSpec, ShardPlan,
+    ValidationReport,
 };
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
 use std::process::{Command, ExitStatus, Stdio};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
 
 /// One subcommand: what it accepts and what runs it.
 struct Subcommand {
@@ -272,7 +272,7 @@ fn run_shard(args: &Args) {
     let plan = ShardPlan::parse(operand(args, "i/N")).unwrap_or_else(|e| usage(e));
     let campaign = load_runnable_campaign(args, 1);
     let mut out = std::io::stdout().lock();
-    let started = Instant::now();
+    let started = timing::now();
     let executed = campaign
         .run_shard_streaming(plan, &mut out)
         .unwrap_or_else(|e| die(format!("shard {}/{}: {e}", plan.shard(), plan.of())));
@@ -341,7 +341,7 @@ fn run_serve(args: &Args) {
         usage("--chaos-kill-at and --heartbeat-ms act on --spawn-workers children");
     }
     let campaign = load_runnable_campaign(args, 1);
-    let started = Instant::now();
+    let started = timing::now();
     let coordinator =
         fabric::Coordinator::bind(addr).unwrap_or_else(|e| die(format!("cannot bind {addr}: {e}")));
     let local = coordinator
@@ -409,7 +409,7 @@ fn run_serve(args: &Args) {
         let (len, lease_timeout) = (campaign.len(), cfg.lease_timeout);
         std::thread::spawn(move || {
             let mut last = progress.load(Ordering::SeqCst);
-            let mut last_change = Instant::now();
+            let mut last_change = timing::now();
             let mut all_exited_at = None;
             loop {
                 std::thread::sleep(std::time::Duration::from_millis(200));
@@ -419,7 +419,7 @@ fn run_serve(args: &Args) {
                 }
                 if now != last {
                     last = now;
-                    last_change = Instant::now();
+                    last_change = timing::now();
                 }
                 let mut guard = children.lock().unwrap();
                 let exited: Vec<Option<ExitStatus>> = guard
@@ -428,7 +428,7 @@ fn run_serve(args: &Args) {
                     .collect();
                 drop(guard);
                 let (since, limit) = if !exited.is_empty() && exited.iter().all(Option::is_some) {
-                    let exited_at = *all_exited_at.get_or_insert_with(Instant::now);
+                    let exited_at = *all_exited_at.get_or_insert_with(timing::now);
                     (last_change.max(exited_at), lease_timeout)
                 } else {
                     (last_change, FABRIC_STALL_TIMEOUT)
@@ -489,7 +489,7 @@ fn run_join(args: &Args) {
     if let Some(ms) = args.parsed("--heartbeat-ms", |n: &u64| *n >= 1) {
         cfg.heartbeat = std::time::Duration::from_millis(ms);
     }
-    let started = Instant::now();
+    let started = timing::now();
     let summary =
         fabric::join(addr, &cfg).unwrap_or_else(|e| die(format!("worker {}: {e}", cfg.name)));
     eprintln!(

@@ -21,9 +21,6 @@
 //! via each runner's arguments (`figures` exposes them as positionals)
 //! to approach the paper's scale.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cli;
 pub mod figures;
 

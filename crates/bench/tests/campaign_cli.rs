@@ -6,10 +6,10 @@
 //! The `figures` binary's (much smaller) contract and the pinned text of
 //! its campaign-rendered figures are the last two tests.
 
-use hpcc_core::{BackendSpec, Campaign};
+use hpcc_core::{timing, BackendSpec, Campaign};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const QUEUEING_SMOKE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -247,7 +247,7 @@ fn an_unbuildable_scenario_fails_fast_naming_its_index() {
     for route in routes {
         let mut args = route.to_vec();
         args.extend(["--manifest", bad]);
-        let started = Instant::now();
+        let started = timing::now();
         let out = campaign(&args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
@@ -312,7 +312,7 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
             .unwrap()
             .success());
     }
-    let killed = Instant::now();
+    let killed = timing::now();
     let rest: Vec<String> = lines.map(Result::unwrap).collect();
     let status = serve.wait().unwrap();
     assert_eq!(status.code(), Some(4), "{rest:?}");

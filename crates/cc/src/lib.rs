@@ -19,9 +19,6 @@
 //! CNPs, NACK/loss events and timer expirations, and reads back the sending
 //! window (inflight-byte limit) and pacing rate.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod api;
 pub mod config;
 pub mod dcqcn;

@@ -27,6 +27,7 @@ use crate::experiment::ExperimentResults;
 use crate::json::{JsonError, JsonValue};
 use crate::report::truncate;
 use crate::scenario::{CdfSpec, ScenarioSpec, WorkloadSpec};
+use crate::timing;
 use hpcc_sim::SimOutput;
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
@@ -34,7 +35,6 @@ use hpcc_stats::Percentiles;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// An ordered batch of scenarios to execute.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -82,7 +82,7 @@ impl Campaign {
 
     /// Run every scenario on the calling thread, in order.
     pub fn run_serial(&self) -> CampaignReport {
-        let start = Instant::now();
+        let start = timing::now();
         let results = self.scenarios.iter().map(run_one).collect();
         CampaignReport {
             results,
@@ -105,7 +105,7 @@ impl Campaign {
         if threads <= 1 {
             return self.run_serial();
         }
-        let start = Instant::now();
+        let start = timing::now();
         let cursor = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
@@ -296,7 +296,7 @@ impl ShardPlan {
 }
 
 fn run_one(spec: &ScenarioSpec) -> ScenarioResult {
-    let started = Instant::now();
+    let started = timing::now();
     let results = spec.build().run();
     let wall = started.elapsed();
     let buckets = match bucket_choice(spec) {
@@ -541,9 +541,8 @@ impl CampaignReport {
 /// FNV-1a digest over everything deterministic in a [`SimOutput`].
 ///
 /// The keyed fields are ordered maps, folded in key order, so the digest is
-/// a pure function of the simulation. Library code cannot hold a hash
-/// container at all: the `hash-iter` rule of `simlint` (crates/lint) rejects
-/// the `HashMap`/`HashSet` token outside test modules.
+/// a pure function of the simulation. No workspace code holds a hash
+/// container: clippy.toml disallows `HashMap` and `HashSet`.
 pub fn digest_output(out: &SimOutput) -> u64 {
     let mut d = Fnv::new();
     let mut flows = out.flows.clone();

@@ -12,8 +12,8 @@
 //! enum as a fixed label set) and `wire_tagged!` (an enum as a tagged
 //! object) — and the few irregular shapes are short hand-written impls next
 //! to their types. A row names its member once: the writer, the decoder and
-//! the exported key list ([`keys_of`], which `simlint wire` and the fixture
-//! test read) all come from it. A caller that wants a [`JsonValue`] gets one
+//! the exported key list ([`keys_of`], which the contract and fixture tests
+//! read) all come from it. A caller that wants a [`JsonValue`] gets one
 //! by parsing the written text ([`Wire::encode`]).
 //!
 //! Decoding is strict and located. An object member no table row consumed —

@@ -30,9 +30,6 @@
 //!   both backends and report per-scenario FCT/utilization divergence with
 //!   a digest-pinned canonical report.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod campaign;
 pub mod codec;
 pub mod experiment;

@@ -1,17 +1,22 @@
-//! The sanctioned wall-clock for liveness machinery.
+//! The one wall-clock funnel.
 //!
-//! Simulation results must never depend on the host clock — the simlint
-//! `wall-clock` rule bans `Instant::now` / `SystemTime` tokens across the
-//! library crates. The campaign fabric, however, is *liveness* code: lease
-//! timeouts and heartbeat deadlines are real-time concepts by definition,
-//! and they never touch a canonical byte (digests and wire lines carry only
-//! simulated quantities; even `wall_ns` is excluded from digests and from
-//! `CampaignReport::to_json`). This module is the single allowed funnel for
-//! those reads, so every wall-clock dependency in deterministic crates is
-//! grep-able in one place and the lint exemption stays one file wide.
+//! Simulation results must never depend on the host clock: clippy.toml
+//! disallows `Instant::now` and `SystemTime::now` in every workspace target,
+//! and this module's [`now`] is the one read outside a test that carries an
+//! exception. Two kinds of caller go through it. The campaign runner, the
+//! cross-validation harness and the `campaign` binary time their runs, and
+//! those times stay outside every canonical byte (`wall_ns` is excluded from
+//! digests and from `CampaignReport::to_json`). The campaign fabric's lease
+//! timeouts and heartbeat deadlines are liveness, real-time by definition,
+//! and never touch a canonical byte either. Either way every wall-clock
+//! dependency is grep-able as `timing::now`.
 
-/// Read the monotonic host clock (the only sanctioned wall-clock read in
-/// the deterministic crates; see the module docs).
+/// Read the monotonic host clock (the workspace's one sanctioned wall-clock
+/// read; see the module docs).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the funnel itself: every other clock read calls this"
+)]
 pub fn now() -> std::time::Instant {
     std::time::Instant::now()
 }

@@ -18,8 +18,8 @@
 use crate::campaign::digest_output;
 use crate::json::{obj, JsonValue};
 use crate::scenario::{BackendSpec, BuildError, ScenarioSpec};
+use crate::timing;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// One scenario, both engines, and how far apart they landed.
 #[derive(Clone, Debug)]
@@ -140,7 +140,7 @@ impl ValidationReport {
         for spec in specs {
             let host_bw = spec.topology.host_bw();
 
-            let t0 = Instant::now();
+            let t0 = timing::now();
             let packet = spec
                 .clone()
                 .with_backend(BackendSpec::Packet)
@@ -148,7 +148,7 @@ impl ValidationReport {
                 .run();
             let packet_wall = t0.elapsed();
 
-            let t1 = Instant::now();
+            let t1 = timing::now();
             let fluid = spec
                 .clone()
                 .with_backend(BackendSpec::Fluid)

@@ -1131,6 +1131,10 @@ mod tests {
             reference: Default::default(),
             seq: 0,
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a timing bound on the test itself; hpcc-sim cannot reach hpcc_core::timing"
+        )]
         let started = std::time::Instant::now();
         for _ in 0..10_000 {
             w.push((9 << BUCKET_SHIFT) + rng.next_below(1 << BUCKET_SHIFT));

@@ -21,9 +21,6 @@
 //! flows, call [`Simulator::run`], and read the raw measurement records from
 //! the returned [`SimOutput`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod backend;
 pub mod config;
 pub mod engine;

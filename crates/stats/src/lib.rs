@@ -14,9 +14,6 @@
 //! * [`series`] — goodput and queue time series (Figures 6, 9a–9d, 13, 14)
 //!   and Jain's fairness index.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod fct;
 pub mod percentile;
 pub mod pfc;

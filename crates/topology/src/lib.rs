@@ -19,9 +19,6 @@
 //! * [`corpus`] — a dependency-free importer for external topology files
 //!   (edge list and a GraphML subset) into [`TopologySpec`].
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod builders;
 pub mod corpus;
 pub mod routing;

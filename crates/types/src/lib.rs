@@ -16,9 +16,6 @@
 //! * flow descriptions ([`FlowSpec`]) used by workload generators and the
 //!   simulator.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod bandwidth;
 pub mod flow;
 pub mod ids;

@@ -26,9 +26,6 @@
 //! [`SplitMix64`](hpcc_types::rng::SplitMix64) keyed by explicit seeds, so
 //! generated workloads are pure functions of their parameters.
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub mod cdf;
 pub mod generator;
 pub mod incast;

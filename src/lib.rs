@@ -43,9 +43,6 @@
 //! [`ScenarioSpec`]: crate::core::ScenarioSpec
 //! [`Campaign`]: crate::core::Campaign
 
-#![forbid(unsafe_code)]
-#![warn(missing_docs)]
-
 pub use hpcc_cc as cc;
 pub use hpcc_core as core;
 pub use hpcc_sim as sim;
