@@ -17,7 +17,7 @@
 use hpcc_cc::{HpccConfig, HpccReactionMode};
 use hpcc_core::presets::{
     elephant_mice, fairness, fattree_fb_hadoop, fig11_campaign, incast_on_star, long_short,
-    pfc_storm, star_egress_to, testbed_websearch, two_to_one,
+    pfc_storm, testbed_websearch, two_to_one,
 };
 use hpcc_core::report;
 use hpcc_core::{Campaign, CcSpec};
@@ -178,12 +178,10 @@ pub fn fig03(duration_ms: u64) -> String {
 pub fn fig06(duration_ms: u64) -> String {
     let mut s = header("Figure 6 — txRate vs rxRate congestion signal (2-to-1)");
     for use_rx in [false, true] {
-        let exp = two_to_one(use_rx, BW100, 8_000_000, Duration::from_ms(duration_ms)).build();
-        let port = star_egress_to(exp.topology(), exp.flows()[0].dst);
-        let label = exp.label().to_string();
-        let res = exp.run();
-        let trace = &res.out.port_traces[&port];
-        writeln!(s, "\n{label}:").unwrap();
+        let res = two_to_one(use_rx, BW100, 8_000_000, Duration::from_ms(duration_ms)).run();
+        // The one traced port: the bottleneck.
+        let trace = res.out.port_traces.values().next().unwrap();
+        writeln!(s, "\n{}:", res.label).unwrap();
         s.push_str(&report::queue_trace(trace, 30));
         let tail: Vec<f64> = trace
             .iter()
@@ -217,10 +215,9 @@ pub fn fig09(duration_ms: u64) -> String {
     // (a/b) Long-short rate recovery.
     writeln!(s, "(a/b) long flow recovery after a 1 MB short flow:").unwrap();
     for label in schemes {
-        let exp = long_short(CcSpec::by_label(label), BW100, dur).build();
-        let bin = exp.config().flow_throughput_bin.unwrap();
-        let res = exp.run();
-        let series = goodput_series_gbps(&res.out.flow_goodput[&FlowId(1)], bin);
+        let res = long_short(CcSpec::by_label(label), BW100, dur).run();
+        let series =
+            goodput_series_gbps(&res.out.flow_goodput[&FlowId(1)], res.out.flow_goodput_bin);
         let tail = steady_state_gbps(&series, 0.2);
         let dip = series.iter().cloned().fold(f64::MAX, f64::min);
         writeln!(
@@ -280,9 +277,8 @@ pub fn fig09(duration_ms: u64) -> String {
     )
     .unwrap();
     for label in schemes {
-        let exp = fairness(CcSpec::by_label(label), BW100, dur / 8, dur).build();
-        let bin = exp.config().flow_throughput_bin.unwrap();
-        let res = exp.run();
+        let res = fairness(CcSpec::by_label(label), BW100, dur / 8, dur).run();
+        let bin = res.out.flow_goodput_bin;
         // Fairness index while all four flows are active (just after the
         // last join).
         let idx = ((dur.mul_f64(0.55)).as_ps() / bin.as_ps()) as usize;
@@ -436,7 +432,7 @@ pub fn fig13(duration_ms: u64) -> String {
             mode,
             ..HpccConfig::default()
         });
-        let exp = incast_on_star(
+        let res = incast_on_star(
             label,
             cc,
             16,
@@ -444,10 +440,8 @@ pub fn fig13(duration_ms: u64) -> String {
             BW100,
             Duration::from_ms(duration_ms),
         )
-        .build();
-        let port = star_egress_to(exp.topology(), exp.flows()[0].dst);
-        let bin = exp.config().flow_throughput_bin.unwrap();
-        let res = exp.run();
+        .run();
+        let bin = res.out.flow_goodput_bin;
         // Aggregate goodput.
         let mut total = vec![0u64; 0];
         for series in res.out.flow_goodput.values() {
@@ -461,7 +455,7 @@ pub fn fig13(duration_ms: u64) -> String {
         let gbps = goodput_series_gbps(&total, bin);
         let mean = gbps.iter().sum::<f64>() / gbps.len().max(1) as f64;
         let min_after_start = gbps.iter().skip(5).cloned().fold(f64::MAX, f64::min);
-        let trace = &res.out.port_traces[&port];
+        let trace = res.out.port_traces.values().next().unwrap();
         let peak_q = trace.iter().map(|(_, q)| *q).max().unwrap_or(0);
         writeln!(
             s,
@@ -489,7 +483,7 @@ pub fn fig14(duration_ms: u64) -> String {
             ..HpccConfig::default()
         });
         let label = format!("WAI={wai}B");
-        let exp = incast_on_star(
+        let res = incast_on_star(
             label.clone(),
             cc,
             16,
@@ -497,9 +491,8 @@ pub fn fig14(duration_ms: u64) -> String {
             BW100,
             Duration::from_ms(duration_ms),
         )
-        .build();
-        let bin = exp.config().flow_throughput_bin.unwrap();
-        let res = exp.run();
+        .run();
+        let bin = res.out.flow_goodput_bin;
         // Throughput of each flow near the end of the run → fairness.
         let idx_end =
             ((Duration::from_ms(duration_ms).mul_f64(0.9)).as_ps() / bin.as_ps()) as usize;

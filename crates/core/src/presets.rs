@@ -16,7 +16,7 @@ use crate::scenario::{
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, TimelyConfig};
 use hpcc_sim::{DegradedLink, EcnConfig, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
 use hpcc_topology::{FatTreeParams, NodeKind, TopologySpec};
-use hpcc_types::{Bandwidth, Duration, NodeId, PortId};
+use hpcc_types::{Bandwidth, Duration};
 use hpcc_workload::{LocalitySpec, PairSpec, PrioritySpec, SkewSpec};
 
 /// The six schemes compared in Figure 11, built for a given line rate and
@@ -52,13 +52,6 @@ pub fn scheme_by_label(
             )))
         }
     })
-}
-
-/// The bottleneck egress port of a star topology towards a given host (the
-/// port traced in the micro-benchmarks).
-pub fn star_egress_to(topo: &TopologySpec, host: NodeId) -> (NodeId, PortId) {
-    let sw = topo.switches()[0];
-    (sw, topo.next_hops(sw, host)[0])
 }
 
 /// Figure 6: 2-to-1 congestion on a star, tracing the bottleneck queue.
@@ -784,7 +777,7 @@ mod tests {
         let e = spec.build();
         assert_eq!(e.flows().len(), 2);
         assert_eq!(e.topology().hosts().len(), 3);
-        assert_eq!(e.config().trace_ports.len(), 1);
+        assert!(e.config().measure.traced_port(e.topology()).is_some());
         assert!(e.config().int_enabled);
         let rx = two_to_one(
             true,

@@ -656,133 +656,14 @@ impl WorkloadSpec {
     }
 }
 
-/// The egress scheduling discipline of a scenario's switches, as plain data.
-///
-/// Together with [`QueueingSpec::ecn_scale`] this resolves into the
-/// simulator's [`hpcc_sim::QueueingConfig`]. The number of data classes is
-/// implied: explicit for strict priority, the weight count for DWRR, one
-/// more than the threshold count for PIAS.
-#[derive(Clone, Debug, PartialEq)]
-pub enum SchedulerSpec {
-    /// Strict priority over `classes` data classes (class 0 first). One
-    /// class is the paper's deployment and the legacy default.
-    StrictPriority {
-        /// Number of data classes (`1..=Priority::MAX_DATA_CLASSES`).
-        classes: u8,
-    },
-    /// Deficit-weighted round robin, one weight per data class.
-    Dwrr {
-        /// Per-class DWRR weights (all `>= 1`); the length is the class
-        /// count.
-        weights: Vec<u32>,
-    },
-    /// PIAS-style dynamic demotion: senders tag packets by the bytes their
-    /// flow has already sent (crossing threshold `i` demotes to class
-    /// `i + 1`) and switches serve the classes in strict priority.
-    Pias {
-        /// Strictly increasing bytes-sent demotion thresholds; the class
-        /// count is `thresholds.len() + 1`.
-        thresholds: Vec<u64>,
-    },
-}
-
 /// Multi-class switch queueing of a scenario, as plain data (JSON key
 /// `"queueing"`; omitted from manifests ⇒ the legacy single-class default,
-/// so every pre-existing manifest parses — and stays canonical — unchanged).
-#[derive(Clone, Debug, PartialEq)]
-pub struct QueueingSpec {
-    /// The egress scheduling discipline (and implied class count).
-    pub scheduler: SchedulerSpec,
-    /// Optional per-class multipliers on the base ECN thresholds (empty =
-    /// every class marks at the base `Kmin`/`Kmax`).
-    pub ecn_scale: Vec<f64>,
-}
-
-impl QueueingSpec {
-    /// The explicit legacy default: one data class under strict priority.
-    /// Building with this spec is bit-identical to omitting it.
-    pub fn legacy() -> Self {
-        QueueingSpec {
-            scheduler: SchedulerSpec::StrictPriority { classes: 1 },
-            ecn_scale: Vec::new(),
-        }
-    }
-
-    /// Strict priority over `classes` data classes.
-    pub fn strict_priority(classes: u8) -> Self {
-        QueueingSpec {
-            scheduler: SchedulerSpec::StrictPriority { classes },
-            ecn_scale: Vec::new(),
-        }
-    }
-
-    /// DWRR with the given per-class weights.
-    pub fn dwrr(weights: Vec<u32>) -> Self {
-        QueueingSpec {
-            scheduler: SchedulerSpec::Dwrr { weights },
-            ecn_scale: Vec::new(),
-        }
-    }
-
-    /// PIAS with the given bytes-sent demotion thresholds.
-    pub fn pias(thresholds: Vec<u64>) -> Self {
-        QueueingSpec {
-            scheduler: SchedulerSpec::Pias { thresholds },
-            ecn_scale: Vec::new(),
-        }
-    }
-
-    /// Attach per-class ECN threshold scaling.
-    pub fn with_ecn_scale(mut self, scale: Vec<f64>) -> Self {
-        self.ecn_scale = scale;
-        self
-    }
-
-    /// The number of data classes this spec configures.
-    pub fn classes(&self) -> usize {
-        match &self.scheduler {
-            SchedulerSpec::StrictPriority { classes } => *classes as usize,
-            SchedulerSpec::Dwrr { weights } => weights.len(),
-            SchedulerSpec::Pias { thresholds } => thresholds.len() + 1,
-        }
-    }
-
-    /// A short label for scenario names and reports ("SP-1", "DWRR-4",
-    /// "PIAS-3").
-    pub fn label(&self) -> String {
-        match &self.scheduler {
-            SchedulerSpec::StrictPriority { classes } => format!("SP-{classes}"),
-            SchedulerSpec::Dwrr { weights } => format!("DWRR-{}", weights.len()),
-            SchedulerSpec::Pias { thresholds } => format!("PIAS-{}", thresholds.len() + 1),
-        }
-    }
-
-    /// Resolve into the simulator's [`hpcc_sim::QueueingConfig`], validating
-    /// every invariant on the way (class counts, weight/threshold/scale
-    /// shapes) so malformed manifests surface as typed [`BuildError`]s.
-    pub fn resolve(&self) -> Result<hpcc_sim::QueueingConfig, BuildError> {
-        let classes = self.classes();
-        let cfg = hpcc_sim::QueueingConfig {
-            data_classes: classes.min(u8::MAX as usize) as u8,
-            scheduler: match self.scheduler {
-                SchedulerSpec::Dwrr { .. } => hpcc_sim::SchedulerKind::Dwrr,
-                _ => hpcc_sim::SchedulerKind::StrictPriority,
-            },
-            weights: match &self.scheduler {
-                SchedulerSpec::Dwrr { weights } => weights.clone(),
-                _ => Vec::new(),
-            },
-            pias_thresholds: match &self.scheduler {
-                SchedulerSpec::Pias { thresholds } => thresholds.clone(),
-                _ => Vec::new(),
-            },
-            ecn_scale: self.ecn_scale.clone(),
-        };
-        cfg.validate()
-            .map_err(|e| BuildError(format!("queueing: {e}")))?;
-        Ok(cfg)
-    }
-}
+/// so every pre-existing manifest parses — and stays canonical — unchanged)
+/// — the simulator's own [`hpcc_sim::QueueingConfig`] under the name
+/// scenario specs use for it, with its [`SchedulerSpec`] (which implies the
+/// class count). [`ScenarioSpec::try_build`] validates it and hands it to
+/// the engine as it is.
+pub use hpcc_sim::{QueueingConfig as QueueingSpec, SchedulerSpec};
 
 /// The fault plan of a scenario, as plain data (JSON key `"faults"`;
 /// omitted from manifests ⇒ a healthy network) — the simulator's own
@@ -792,23 +673,11 @@ impl QueueingSpec {
 /// indices and window shapes against the built topology.
 pub use hpcc_sim::FaultConfig as FaultSpec;
 
-/// Measurement options of a scenario, as plain data.
-///
-/// (Formerly named `TraceSpec`; renamed so that "trace" unambiguously means
-/// a *flow trace* ([`hpcc_workload::trace`]) — this type is about sampling
-/// queues and goodput, not about traffic. The JSON key remains `"trace"`.)
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct MeasurementSpec {
-    /// Sample all switch data queues into a histogram at this period.
-    pub queue_sample_interval: Option<Duration>,
-    /// Trace the first switch's egress queue towards this host index (the
-    /// bottleneck port of star micro-benchmarks).
-    pub bottleneck_host: Option<usize>,
-    /// Sampling period of traced ports (defaults to 1 µs).
-    pub trace_interval: Option<Duration>,
-    /// Accumulate per-flow goodput into bins of this width.
-    pub goodput_bin: Option<Duration>,
-}
+/// Measurement options of a scenario, as plain data (JSON key `"trace"`) —
+/// the simulator's own [`hpcc_sim::MeasurementSpec`], which
+/// [`ScenarioSpec::try_build`] checks against the built topology and hands
+/// to the engine as it is.
+pub use hpcc_sim::MeasurementSpec;
 
 /// A complete, declarative, serializable description of one simulation.
 ///
@@ -1011,7 +880,9 @@ impl ScenarioSpec {
             cfg.ecn = self.ecn;
         }
         if let Some(q) = &self.queueing {
-            cfg.queueing = q.resolve()?;
+            q.validate()
+                .map_err(|e| BuildError(format!("queueing: {e}")))?;
+            cfg.queueing = q.clone();
         }
         if let Some(f) = &self.faults {
             f.validate(topo.links().len(), topo.hosts().len())
@@ -1036,25 +907,15 @@ impl ScenarioSpec {
                 ));
             }
         }
-        cfg.queue_sample_interval = self.trace.queue_sample_interval;
-        cfg.flow_throughput_bin = self.trace.goodput_bin;
-        if let Some(index) = self.trace.bottleneck_host {
-            // The first switch's egress towards the host: the bottleneck
-            // port of the star-shaped micro-benchmarks.
-            let port = topo.hosts().get(index).and_then(|&host| {
-                let sw = *topo.switches().first()?;
-                Some((sw, *topo.next_hops(sw, host).first()?))
-            });
-            cfg.trace_ports.push(port.ok_or_else(|| {
-                BuildError(format!(
-                    "trace.bottleneck_host: no egress from the first switch to host {index} \
-                     ({} hosts, {} switches)",
-                    topo.hosts().len(),
-                    topo.switches().len()
-                ))
-            })?);
-            cfg.trace_interval = self.trace.trace_interval.unwrap_or(Duration::from_us(1));
+        if let (Some(index), None) = (self.trace.bottleneck_host, self.trace.traced_port(&topo)) {
+            return Err(BuildError(format!(
+                "trace.bottleneck_host: no egress from the first switch to host {index} \
+                 ({} hosts, {} switches)",
+                topo.hosts().len(),
+                topo.switches().len()
+            )));
         }
+        cfg.measure = self.trace.clone();
 
         let mut flows = Vec::new();
         for stream in 0..self.workloads.len() {
@@ -1882,6 +1743,8 @@ mod tests {
             (QueueingSpec::strict_priority(0), "data_classes"),
             (QueueingSpec::strict_priority(9), "data_classes"),
             (QueueingSpec::dwrr(vec![]), "data_classes"),
+            // The count is the weights' length, not saturated to a `u8`.
+            (QueueingSpec::dwrr(vec![1; 300]), "got 300"),
             (QueueingSpec::dwrr(vec![1, 0]), ">= 1"),
             (QueueingSpec::pias(vec![200, 100]), "increasing"),
             (
@@ -1903,7 +1766,26 @@ mod tests {
         }
         // A valid multi-class spec resolves and runs.
         let ok = base(QueueingSpec::pias(vec![10_000]));
-        assert_eq!(ok.try_build().unwrap().config().queueing.data_classes, 2);
+        assert_eq!(ok.try_build().unwrap().config().queueing.classes(), 2);
+    }
+
+    #[test]
+    fn queueing_and_measurement_reach_the_engine_unchanged() {
+        for mut spec in every_member() {
+            // Neither member depends on the traffic, and one workload names
+            // a file; the corpus path is relative to the repository root.
+            spec.workloads.clear();
+            if let TopologyChoice::Corpus { path, .. } = &mut spec.topology {
+                *path = format!("{}/../../{path}", env!("CARGO_MANIFEST_DIR"));
+            }
+            let exp = spec
+                .try_build()
+                .unwrap_or_else(|e| panic!("{}: {e}", spec.name));
+            let cfg = exp.config();
+            let queueing = spec.queueing.clone().unwrap_or_default();
+            assert_eq!(cfg.queueing, queueing, "{}", spec.name);
+            assert_eq!(cfg.measure, spec.trace, "{}", spec.name);
+        }
     }
 
     #[test]

@@ -167,13 +167,21 @@ fn presets_with_queueing_omitted_or_explicit_legacy_match_pre_refactor_digests()
             "{}: QueueingSpec omitted no longer reproduces the pre-refactor run",
             spec.name
         );
-        let explicit = spec.clone().with_queueing(QueueingSpec::legacy());
-        let explicit_digest = digest_output(&explicit.run().out);
-        assert_eq!(
-            explicit_digest, golden,
-            "{}: the explicit legacy QueueingSpec diverges from omission",
-            spec.name
-        );
+        // Every one-class discipline is the legacy path.
+        for queueing in [
+            QueueingSpec::legacy(),
+            QueueingSpec::dwrr(vec![5]),
+            QueueingSpec::pias(vec![]),
+        ] {
+            let label = queueing.label();
+            let explicit = spec.clone().with_queueing(queueing);
+            assert_eq!(
+                digest_output(&explicit.run().out),
+                golden,
+                "{}: the explicit one-class {label} diverges from omission",
+                spec.name
+            );
+        }
     }
 }
 

@@ -2,6 +2,7 @@
 //! is not part of the topology or the workload.
 
 use hpcc_cc::CcAlgorithm;
+use hpcc_topology::TopologySpec;
 use hpcc_types::{Bandwidth, Duration, FlowPriority, NodeId, PortId, Priority, SimTime};
 
 /// How losses are prevented or recovered (§5.3, Figure 12).
@@ -87,44 +88,50 @@ impl EcnConfig {
     }
 }
 
-/// Which algorithm arbitrates among the data classes of one switch egress
-/// port. The control class is outside the scheduler: it is always served
-/// first (the paper's never-pause, never-drop invariant for ACK/NACK/CNP).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum SchedulerKind {
-    /// Strict priority: the lowest-numbered non-empty, non-paused data class
-    /// always transmits. With one data class this is the paper's FIFO.
-    #[default]
-    StrictPriority,
-    /// Deficit-weighted round robin over the data classes, one weight per
-    /// class (see [`QueueingConfig::weights`]).
-    Dwrr,
+/// The egress scheduling discipline of every switch, and with it the number
+/// of data classes: explicit for strict priority, the weight count for DWRR,
+/// one more than the threshold count for PIAS. The control class is outside
+/// the scheduler: it is always served first (the paper's never-pause,
+/// never-drop invariant for ACK/NACK/CNP).
+#[derive(Clone, Debug, PartialEq)]
+pub enum SchedulerSpec {
+    /// Strict priority over `classes` data classes: the lowest-numbered
+    /// non-empty, non-paused class always transmits. One class is the
+    /// paper's FIFO and the default.
+    StrictPriority {
+        /// Number of data classes (`1..=Priority::MAX_DATA_CLASSES`).
+        classes: u8,
+    },
+    /// Deficit-weighted round robin, one weight per data class.
+    Dwrr {
+        /// Per-class DWRR weights (all `>= 1`); the length is the class
+        /// count.
+        weights: Vec<u32>,
+    },
+    /// PIAS-style dynamic demotion: senders tag each data packet by the
+    /// bytes its flow has already sent — a packet starting at byte `seq`
+    /// travels in class `#{t : t <= seq}`, so new flows start in the top
+    /// class and are demoted as they grow, approximating shortest-job-first
+    /// without size information — and switches serve the classes in strict
+    /// priority.
+    Pias {
+        /// Strictly increasing bytes-sent demotion thresholds; the class
+        /// count is `thresholds.len() + 1`.
+        thresholds: Vec<u64>,
+    },
 }
 
-/// Multi-class queueing configuration of every switch egress (and of the
-/// host-side packet tagging that feeds it).
+/// Multi-class queueing of every switch egress (and of the host-side packet
+/// tagging that feeds it). Scenario specs name it `QueueingSpec` (JSON key
+/// `"queueing"`) and hand it to the engine as it is.
 ///
-/// The default — one data class under strict priority, no PIAS thresholds,
-/// no per-class ECN scaling — reproduces the paper's two-class deployment
-/// bit for bit; every knob here only takes effect when it departs from that
-/// default.
+/// The default — one data class under strict priority, no per-class ECN
+/// scaling — reproduces the paper's two-class deployment bit for bit, and so
+/// does every other one-class discipline.
 #[derive(Clone, Debug, PartialEq)]
 pub struct QueueingConfig {
-    /// Number of data classes per egress port (`1..=MAX_DATA_CLASSES`).
-    pub data_classes: u8,
-    /// How the data classes share the egress link.
-    pub scheduler: SchedulerKind,
-    /// DWRR weights, one per data class (ignored under strict priority;
-    /// empty means equal weights).
-    pub weights: Vec<u32>,
-    /// PIAS-style demotion thresholds in bytes, strictly increasing, one
-    /// fewer than `data_classes`. When non-empty, senders tag each data
-    /// packet by the bytes the flow has already sent: a packet starting at
-    /// byte `seq` travels in class `#{t : t <= seq}` — new flows start in
-    /// the top class and are demoted as they grow, approximating
-    /// shortest-job-first without size information. Empty = static tagging
-    /// by [`FlowPriority::initial_class`].
-    pub pias_thresholds: Vec<u64>,
+    /// The egress scheduling discipline (and implied class count).
+    pub scheduler: SchedulerSpec,
     /// Per-class multipliers applied to the base ECN thresholds
     /// (`kmin`/`kmax`), one per data class. Empty = all classes use the base
     /// thresholds unchanged.
@@ -140,46 +147,78 @@ impl Default for QueueingConfig {
 impl QueueingConfig {
     /// The paper's deployment: a single data class under strict priority.
     pub fn legacy() -> Self {
+        QueueingConfig::strict_priority(1)
+    }
+
+    /// Strict priority over `classes` data classes.
+    pub fn strict_priority(classes: u8) -> Self {
         QueueingConfig {
-            data_classes: 1,
-            scheduler: SchedulerKind::StrictPriority,
-            weights: Vec::new(),
-            pias_thresholds: Vec::new(),
+            scheduler: SchedulerSpec::StrictPriority { classes },
             ecn_scale: Vec::new(),
         }
+    }
+
+    /// DWRR with the given per-class weights.
+    pub fn dwrr(weights: Vec<u32>) -> Self {
+        QueueingConfig {
+            scheduler: SchedulerSpec::Dwrr { weights },
+            ecn_scale: Vec::new(),
+        }
+    }
+
+    /// PIAS with the given bytes-sent demotion thresholds.
+    pub fn pias(thresholds: Vec<u64>) -> Self {
+        QueueingConfig {
+            scheduler: SchedulerSpec::Pias { thresholds },
+            ecn_scale: Vec::new(),
+        }
+    }
+
+    /// Attach per-class ECN threshold scaling.
+    pub fn with_ecn_scale(mut self, scale: Vec<f64>) -> Self {
+        self.ecn_scale = scale;
+        self
+    }
+
+    /// The number of data classes the discipline configures.
+    #[inline]
+    pub fn classes(&self) -> usize {
+        match &self.scheduler {
+            SchedulerSpec::StrictPriority { classes } => *classes as usize,
+            SchedulerSpec::Dwrr { weights } => weights.len(),
+            SchedulerSpec::Pias { thresholds } => thresholds.len() + 1,
+        }
+    }
+
+    /// A short label for scenario names and reports ("SP-1", "DWRR-4",
+    /// "PIAS-3").
+    pub fn label(&self) -> String {
+        let kind = match self.scheduler {
+            SchedulerSpec::StrictPriority { .. } => "SP",
+            SchedulerSpec::Dwrr { .. } => "DWRR",
+            SchedulerSpec::Pias { .. } => "PIAS",
+        };
+        format!("{kind}-{}", self.classes())
     }
 
     /// True when this configuration is behaviourally the legacy single-class
     /// path.
     pub fn is_legacy(&self) -> bool {
-        self.data_classes == 1 && self.pias_thresholds.is_empty()
+        self.classes() == 1
     }
 
     /// The data class a sender stamps on the packet of `prio`'s flow whose
-    /// first payload byte is `seq`: PIAS bytes-sent demotion when thresholds
-    /// are configured, the static [`FlowPriority::initial_class`] mapping
-    /// otherwise.
+    /// first payload byte is `seq`: PIAS bytes-sent demotion under
+    /// [`SchedulerSpec::Pias`], the static [`FlowPriority::initial_class`]
+    /// mapping otherwise.
     #[inline]
     pub fn tag_class(&self, prio: FlowPriority, seq: u64) -> u8 {
-        if self.pias_thresholds.is_empty() {
-            prio.initial_class(self.data_classes)
-        } else {
-            let demotions = self
-                .pias_thresholds
-                .iter()
-                .take_while(|&&t| seq >= t)
-                .count() as u8;
-            demotions.min(self.data_classes - 1)
+        match &self.scheduler {
+            SchedulerSpec::Pias { thresholds } => {
+                thresholds.iter().take_while(|&&t| seq >= t).count() as u8
+            }
+            _ => prio.initial_class(self.classes() as u8),
         }
-    }
-
-    /// The DWRR weight of a data class (1 when unspecified).
-    pub fn weight(&self, class: u8) -> u32 {
-        self.weights
-            .get(class as usize)
-            .copied()
-            .unwrap_or(1)
-            .max(1)
     }
 
     /// The ECN thresholds of one data class: the base config scaled by this
@@ -196,38 +235,27 @@ impl QueueingConfig {
         }
     }
 
-    /// Validate the invariants documented on the fields; returns a
+    /// Check what the type cannot express: the class count, DWRR weights,
+    /// PIAS threshold order and the `ecn_scale` shape; returns a
     /// human-readable reason on failure. Scenario resolution calls this so
     /// malformed manifests surface as typed errors, never as panics in the
     /// hot path.
     pub fn validate(&self) -> Result<(), String> {
-        let n = self.data_classes as usize;
+        let n = self.classes();
         if n == 0 || n > Priority::MAX_DATA_CLASSES {
             return Err(format!(
                 "data_classes must be in 1..={}, got {n}",
                 Priority::MAX_DATA_CLASSES
             ));
         }
-        if !self.weights.is_empty() && self.weights.len() != n {
-            return Err(format!(
-                "weights has {} entries for {n} data classes",
-                self.weights.len()
-            ));
-        }
-        if self.weights.contains(&0) {
-            return Err("DWRR weights must be >= 1".into());
-        }
-        if !self.pias_thresholds.is_empty() {
-            if self.pias_thresholds.len() != n - 1 {
-                return Err(format!(
-                    "PIAS needs data_classes - 1 = {} thresholds, got {}",
-                    n - 1,
-                    self.pias_thresholds.len()
-                ));
+        match &self.scheduler {
+            SchedulerSpec::Dwrr { weights } if weights.contains(&0) => {
+                return Err("DWRR weights must be >= 1".into());
             }
-            if !self.pias_thresholds.windows(2).all(|w| w[0] < w[1]) {
+            SchedulerSpec::Pias { thresholds } if !thresholds.windows(2).all(|w| w[0] < w[1]) => {
                 return Err("PIAS thresholds must be strictly increasing".into());
             }
+            _ => {}
         }
         if !self.ecn_scale.is_empty() {
             if self.ecn_scale.len() != n {
@@ -244,7 +272,46 @@ impl QueueingConfig {
     }
 }
 
-/// Full behavioural configuration of a simulation run.
+/// What a run measures besides its flow records and port counters.
+/// Scenario specs carry it as their `"trace"` member and hand it to the
+/// engine as it is (the JSON key predates the name: this is about sampling
+/// queues and goodput, not about flow traces).
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct MeasurementSpec {
+    /// If set, all switch data queues are sampled into a histogram at this
+    /// period (the queue-length CDFs of Figures 9/10).
+    pub queue_sample_interval: Option<Duration>,
+    /// If set, the first switch's egress queue towards this host index — the
+    /// bottleneck port of the star micro-benchmarks — is traced as a time
+    /// series (Figures 6, 13, 14); see [`MeasurementSpec::traced_port`].
+    pub bottleneck_host: Option<usize>,
+    /// Sampling period of the traced port ([`MeasurementSpec::trace_period`]
+    /// when omitted).
+    pub trace_interval: Option<Duration>,
+    /// If set, per-flow goodput is accumulated into bins of this width
+    /// (Figures 9a–9d, 13a, 14a).
+    pub goodput_bin: Option<Duration>,
+}
+
+impl MeasurementSpec {
+    /// The traced egress port: the first switch's next hop towards
+    /// `bottleneck_host`. `None` when no port is traced or `topo` has no
+    /// such egress.
+    pub fn traced_port(&self, topo: &TopologySpec) -> Option<(NodeId, PortId)> {
+        let host = *topo.hosts().get(self.bottleneck_host?)?;
+        let sw = *topo.switches().first()?;
+        Some((sw, *topo.next_hops(sw, host).first()?))
+    }
+
+    /// The sampling period of the traced port: `trace_interval`, 1 µs when
+    /// omitted.
+    pub fn trace_period(&self) -> Duration {
+        self.trace_interval.unwrap_or(Duration::from_us(1))
+    }
+}
+
+/// Full behavioural configuration of a simulation run. Scenario resolution
+/// fills it; `queueing`, `measure` and `faults` are the spec's own values.
 #[derive(Clone, Debug)]
 pub struct SimConfig {
     /// Congestion-control algorithm every host runs.
@@ -281,20 +348,11 @@ pub struct SimConfig {
     pub end_time: SimTime,
     /// Seed for the deterministic per-switch RNG (ECN marking).
     pub seed: u64,
-    /// If set, all switch data queues are sampled into a histogram at this
-    /// period (used for the queue-length CDFs of Figures 9/10).
-    pub queue_sample_interval: Option<Duration>,
-    /// Egress ports whose data queue length is traced as a time series
-    /// (Figures 6, 13, 14).
-    pub trace_ports: Vec<(NodeId, PortId)>,
-    /// Sampling period of the traced ports.
-    pub trace_interval: Duration,
-    /// If set, per-flow goodput is accumulated into bins of this width
-    /// (Figures 9a–9d, 13a, 14a).
-    pub flow_throughput_bin: Option<Duration>,
-    /// Multi-class queueing: data-class count, egress scheduler, PIAS
-    /// tagging thresholds and per-class ECN scaling. The default reproduces
-    /// the paper's single-data-class deployment bit for bit.
+    /// Queue sampling, the traced bottleneck port and goodput binning.
+    pub measure: MeasurementSpec,
+    /// Multi-class queueing: the egress scheduler (and with it the class
+    /// count and PIAS tagging) and per-class ECN scaling. The default
+    /// reproduces the paper's single-data-class deployment bit for bit.
     pub queueing: QueueingConfig,
     /// Fault-injection plan: scheduled link outages/flaps, degraded links
     /// and straggler hosts (see [`crate::fault`]). `None` (the default)
@@ -332,10 +390,7 @@ impl SimConfig {
             rto: base_rtt * 64,
             end_time: SimTime::from_ms(50),
             seed: 1,
-            queue_sample_interval: None,
-            trace_ports: Vec::new(),
-            trace_interval: Duration::from_us(1),
-            flow_throughput_bin: None,
+            measure: MeasurementSpec::default(),
             queueing: QueueingConfig::legacy(),
             faults: None,
         }
@@ -429,11 +484,7 @@ mod tests {
 
     #[test]
     fn pias_tagging_demotes_by_bytes_sent() {
-        let q = QueueingConfig {
-            data_classes: 3,
-            pias_thresholds: vec![100_000, 1_000_000],
-            ..QueueingConfig::legacy()
-        };
+        let q = QueueingConfig::pias(vec![100_000, 1_000_000]);
         q.validate().unwrap();
         assert!(!q.is_legacy());
         // Tag ignores the static priority: PIAS is purely bytes-sent.
@@ -449,68 +500,17 @@ mod tests {
 
     #[test]
     fn queueing_validation_rejects_malformed_configs() {
-        let base = QueueingConfig::legacy();
         let cases = vec![
+            (QueueingConfig::strict_priority(0), "data_classes"),
+            (QueueingConfig::strict_priority(9), "data_classes"),
+            (QueueingConfig::dwrr(vec![0, 1]), ">= 1"),
+            (QueueingConfig::pias(vec![200, 100]), "increasing"),
             (
-                QueueingConfig {
-                    data_classes: 0,
-                    ..base.clone()
-                },
-                "data_classes",
-            ),
-            (
-                QueueingConfig {
-                    data_classes: 9,
-                    ..base.clone()
-                },
-                "data_classes",
-            ),
-            (
-                QueueingConfig {
-                    data_classes: 2,
-                    weights: vec![1, 2, 3],
-                    ..base.clone()
-                },
-                "weights",
-            ),
-            (
-                QueueingConfig {
-                    data_classes: 2,
-                    weights: vec![0, 1],
-                    ..base.clone()
-                },
-                ">= 1",
-            ),
-            (
-                QueueingConfig {
-                    data_classes: 3,
-                    pias_thresholds: vec![100],
-                    ..base.clone()
-                },
-                "thresholds",
-            ),
-            (
-                QueueingConfig {
-                    data_classes: 3,
-                    pias_thresholds: vec![200, 100],
-                    ..base.clone()
-                },
-                "increasing",
-            ),
-            (
-                QueueingConfig {
-                    data_classes: 2,
-                    ecn_scale: vec![1.0],
-                    ..base.clone()
-                },
+                QueueingConfig::strict_priority(2).with_ecn_scale(vec![1.0]),
                 "ecn_scale",
             ),
             (
-                QueueingConfig {
-                    data_classes: 2,
-                    ecn_scale: vec![1.0, -0.5],
-                    ..base.clone()
-                },
+                QueueingConfig::strict_priority(2).with_ecn_scale(vec![1.0, -0.5]),
                 "positive",
             ),
         ];
@@ -519,11 +519,7 @@ mod tests {
             assert!(err.contains(needle), "{cfg:?} -> {err}");
         }
         // Per-class ECN scaling scales both thresholds, not pmax.
-        let scaled = QueueingConfig {
-            data_classes: 2,
-            ecn_scale: vec![1.0, 0.5],
-            ..base
-        };
+        let scaled = QueueingConfig::strict_priority(2).with_ecn_scale(vec![1.0, 0.5]);
         scaled.validate().unwrap();
         let b = EcnConfig::thresholds_kb(100, 400);
         assert_eq!(scaled.class_ecn(&b, 0), b);

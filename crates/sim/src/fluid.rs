@@ -424,7 +424,7 @@ impl Backend for FluidBackend {
 fn fluid_run(scenario: CompiledScenario) -> SimOutput {
     let CompiledScenario { topo, cfg, flows } = scenario;
     let ss = steady_state(&cfg);
-    let mut out = SimOutput::new(1024, cfg.flow_throughput_bin.unwrap_or(Duration::ZERO));
+    let mut out = SimOutput::new(1024, cfg.measure.goodput_bin.unwrap_or(Duration::ZERO));
     let flow_count = flows.len();
     let header_wire = cfg.data_wire_size() - cfg.mtu_payload;
     let end_s = cfg.end_time.as_secs_f64();
@@ -487,7 +487,7 @@ fn fluid_run(scenario: CompiledScenario) -> SimOutput {
     });
 
     let switch_ports_total: usize = topo.switches().iter().map(|&s| topo.ports(s).len()).sum();
-    let sample_interval_s = cfg.queue_sample_interval.map(|d| d.as_secs_f64());
+    let sample_interval_s = cfg.measure.queue_sample_interval.map(|d| d.as_secs_f64());
     let mut next_sample_s = sample_interval_s.unwrap_or(f64::MAX);
 
     let mut records: Vec<FlowRecord> = Vec::new();
@@ -495,10 +495,7 @@ fn fluid_run(scenario: CompiledScenario) -> SimOutput {
     let mut admit = 0usize;
     let mut t = 0.0f64;
     let mut last_event_s = 0.0f64;
-    let goodput_bin_s = cfg
-        .flow_throughput_bin
-        .map(|d| d.as_secs_f64())
-        .unwrap_or(0.0);
+    let goodput_bin_s = cfg.measure.goodput_bin.map_or(0.0, |d| d.as_secs_f64());
 
     // Emit the queue samples due in (from, to]: every switch egress is
     // sampled, saturated fluid resources at their standing-queue estimate and

@@ -704,7 +704,7 @@ impl Host {
             self.start_wire(now, pkt, cfg, eff);
             return;
         }
-        if self.link.all_data_paused(cfg.queueing.data_classes) {
+        if self.link.all_data_paused(cfg.queueing.classes()) {
             return;
         }
         let Some(idx) = self.pick_flow(now, cfg) else {
@@ -1480,11 +1480,7 @@ mod tests {
         use hpcc_types::rng::SplitMix64;
         const FLOWS: u64 = 12;
         let mut cfg = hpcc_cfg();
-        cfg.queueing = crate::config::QueueingConfig {
-            data_classes: 2,
-            pias_thresholds: vec![3000],
-            ..crate::config::QueueingConfig::legacy()
-        };
+        cfg.queueing = crate::config::QueueingConfig::pias(vec![3000]);
         let reference_pick = |h: &Host, now: SimTime| {
             let n = h.flows.len();
             let any_paused = h.link.any_data_paused();

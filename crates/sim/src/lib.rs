@@ -37,7 +37,9 @@ mod switch;
 pub use backend::{
     backend_for, Backend, BackendKind, CompiledScenario, PacketBackend, PARALLEL_PACKET_REMOVED,
 };
-pub use config::{EcnConfig, FlowControlMode, QueueingConfig, SchedulerKind, SimConfig};
+pub use config::{
+    EcnConfig, FlowControlMode, MeasurementSpec, QueueingConfig, SchedulerSpec, SimConfig,
+};
 pub use engine::Event;
 pub use fault::{DegradedLink, FaultConfig, FaultTimeline, LinkDownMode, LinkFault, StragglerHost};
 pub use fluid::{ai_equilibrium_rate, ai_equilibrium_utilization, FluidBackend, FluidNetwork};

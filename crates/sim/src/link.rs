@@ -166,8 +166,8 @@ impl Link {
     /// Whether each of the `classes` configured data classes is paused (with
     /// one class this is exactly the historical single `data_paused` flag).
     #[inline]
-    pub fn all_data_paused(&self, classes: u8) -> bool {
-        self.paused[1..=classes as usize].iter().all(|&p| p)
+    pub fn all_data_paused(&self, classes: usize) -> bool {
+        self.paused[1..=classes].iter().all(|&p| p)
     }
 
     /// A PFC frame from the peer. Only data classes pause — a frame naming

@@ -13,7 +13,7 @@
 //!   their credit, emptied classes forfeit it (classic DWRR).
 //!
 //! PIAS is not a third discipline here: PIAS demotes flows at the *sender*
-//! (bytes-sent thresholds in [`crate::config::QueueingConfig`], mirroring
+//! (bytes-sent thresholds in [`crate::config::SchedulerSpec::Pias`], mirroring
 //! the real system's end-host tagging) and its switches serve the classes in
 //! strict priority.
 //!
@@ -22,7 +22,7 @@
 //! fully deterministic: the pick is a pure function of the scheduler state
 //! and the class snapshot, independent of wall clock or hashing.
 
-use crate::config::{QueueingConfig, SchedulerKind};
+use crate::config::{QueueingConfig, SchedulerSpec};
 use hpcc_types::Priority;
 
 /// What the scheduler may know about one data class of the port: the wire
@@ -74,12 +74,11 @@ pub(crate) enum Scheduler {
 impl Scheduler {
     /// Build the scheduler a port needs under `cfg`.
     pub fn new(cfg: &QueueingConfig) -> Self {
-        match cfg.scheduler {
-            SchedulerKind::StrictPriority => Scheduler::StrictPriority,
-            SchedulerKind::Dwrr => {
+        match &cfg.scheduler {
+            SchedulerSpec::Dwrr { weights } => {
                 let mut quanta = [DWRR_QUANTUM_UNIT; Priority::MAX_DATA_CLASSES];
-                for (c, q) in quanta.iter_mut().enumerate() {
-                    *q = cfg.weight(c as u8) as u64 * DWRR_QUANTUM_UNIT;
+                for (q, &w) in quanta.iter_mut().zip(weights) {
+                    *q = u64::from(w) * DWRR_QUANTUM_UNIT;
                 }
                 Scheduler::Dwrr {
                     quanta,
@@ -87,6 +86,8 @@ impl Scheduler {
                     cursor: 0,
                 }
             }
+            // PIAS switches serve their classes in strict priority.
+            _ => Scheduler::StrictPriority,
         }
     }
 
@@ -152,12 +153,7 @@ mod tests {
     }
 
     fn dwrr(weights: &[u32]) -> Scheduler {
-        Scheduler::new(&QueueingConfig {
-            data_classes: weights.len() as u8,
-            scheduler: SchedulerKind::Dwrr,
-            weights: weights.to_vec(),
-            ..QueueingConfig::legacy()
-        })
+        Scheduler::new(&QueueingConfig::dwrr(weights.to_vec()))
     }
 
     #[test]

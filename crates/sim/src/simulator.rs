@@ -116,6 +116,9 @@ pub struct Simulator {
     eff: Effects,
     /// Fault-injection runtime; `None` on healthy (legacy) runs.
     faults: Option<FaultRuntime>,
+    /// The egress port whose queue is traced
+    /// ([`crate::MeasurementSpec::traced_port`]), if any.
+    traced: Option<(NodeId, PortId)>,
 }
 
 impl Simulator {
@@ -132,11 +135,15 @@ impl Simulator {
         }
         let mut eff = Effects::default();
         eff.horizon = cfg.end_time;
-        if let Some(interval) = cfg.queue_sample_interval {
+        if let Some(interval) = cfg.measure.queue_sample_interval {
             eff.schedule(SimTime::ZERO + interval, Event::Sample);
         }
-        if !cfg.trace_ports.is_empty() {
-            eff.schedule(SimTime::ZERO + cfg.trace_interval, Event::TraceSample);
+        let traced = cfg.measure.traced_port(&topo);
+        if traced.is_some() {
+            eff.schedule(
+                SimTime::ZERO + cfg.measure.trace_period(),
+                Event::TraceSample,
+            );
         }
         let faults = match &cfg.faults {
             Some(plan) if !plan.is_empty() => {
@@ -148,11 +155,11 @@ impl Simulator {
             }
             _ => None,
         };
-        let mut out = SimOutput::new(1024, cfg.flow_throughput_bin.unwrap_or(Duration::ZERO));
+        let mut out = SimOutput::new(1024, cfg.measure.goodput_bin.unwrap_or(Duration::ZERO));
         // Per-class histograms exist only on the multi-class path, so the
         // legacy single-class output (and its digest) is byte-identical.
-        if cfg.queueing.data_classes > 1 {
-            out.class_queue_histograms = vec![Vec::new(); cfg.queueing.data_classes as usize];
+        if !cfg.queueing.is_legacy() {
+            out.class_queue_histograms = vec![Vec::new(); cfg.queueing.classes()];
         }
         let node_count = topo.node_count();
         Simulator {
@@ -166,6 +173,7 @@ impl Simulator {
             next_dst_slot: vec![0; node_count],
             eff,
             faults,
+            traced,
         }
     }
 
@@ -259,7 +267,7 @@ impl Simulator {
                 }
             }
             Event::Sample => {
-                let classes = self.cfg.queueing.data_classes;
+                let classes = self.cfg.queueing.classes();
                 for node in &self.nodes {
                     if let Node::Switch(s) = node {
                         for port in s.ports() {
@@ -267,15 +275,15 @@ impl Simulator {
                             if classes > 1 {
                                 for c in 0..classes {
                                     self.out.record_class_queue_sample(
-                                        c as usize,
-                                        port.class_queue_bytes(c),
+                                        c,
+                                        port.class_queue_bytes(c as u8),
                                     );
                                 }
                             }
                         }
                     }
                 }
-                if let Some(interval) = self.cfg.queue_sample_interval {
+                if let Some(interval) = self.cfg.measure.queue_sample_interval {
                     let next = t + interval;
                     if next <= self.eff.horizon {
                         self.eff.schedule(next, Event::Sample);
@@ -283,8 +291,7 @@ impl Simulator {
                 }
             }
             Event::TraceSample => {
-                for i in 0..self.cfg.trace_ports.len() {
-                    let (n, p) = self.cfg.trace_ports[i];
+                if let Some((n, p)) = self.traced {
                     let qlen = match &self.nodes[n.index()] {
                         Node::Switch(s) => s.ports()[p.index()].data_queue_bytes(),
                         Node::Host(_) => 0,
@@ -295,7 +302,7 @@ impl Simulator {
                         .or_default()
                         .push((t, qlen));
                 }
-                let next = t + self.cfg.trace_interval;
+                let next = t + self.cfg.measure.trace_period();
                 if next <= self.eff.horizon {
                     self.eff.schedule(next, Event::TraceSample);
                 }
@@ -526,7 +533,7 @@ mod tests {
     #[test]
     fn hpcc_keeps_queue_near_zero_in_two_to_one() {
         let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 3);
-        cfg.queue_sample_interval = Some(Duration::from_us(1));
+        cfg.measure.queue_sample_interval = Some(Duration::from_us(1));
         let hosts = topo.hosts().to_vec();
         let mut sim = Simulator::new(topo, cfg);
         // Two 2 MB flows into host 2.
@@ -558,7 +565,7 @@ mod tests {
     fn dcqcn_builds_bigger_queues_than_hpcc() {
         let run = |cc: CcAlgorithm| {
             let (topo, mut cfg) = star_cfg(cc, 5);
-            cfg.queue_sample_interval = Some(Duration::from_us(1));
+            cfg.measure.queue_sample_interval = Some(Duration::from_us(1));
             let hosts = topo.hosts().to_vec();
             let mut sim = Simulator::new(topo, cfg);
             for i in 0..4u64 {
@@ -651,7 +658,7 @@ mod tests {
     #[test]
     fn hpcc_incast_keeps_queue_below_pfc_threshold() {
         let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 17);
-        cfg.queue_sample_interval = Some(Duration::from_us(1));
+        cfg.measure.queue_sample_interval = Some(Duration::from_us(1));
         cfg.end_time = SimTime::from_ms(10);
         let hosts = topo.hosts().to_vec();
         let mut sim = Simulator::new(topo, cfg);
@@ -681,7 +688,7 @@ mod tests {
         // kicks slipped under old ones (1, 2, 0) would both serve port 2
         // before port 0.
         let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 3);
-        cfg.queue_sample_interval = None;
+        cfg.measure.queue_sample_interval = None;
         // A pause threshold of 1 % of the free buffer (≈ 2.8 KB): the third
         // queued 1106-byte packet of an ingress crosses it, two sit below.
         cfg.buffer_bytes = 280_000;
@@ -756,7 +763,7 @@ mod tests {
         // inside pop(), before the simulator's horizon check.
         let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 2);
         cfg.end_time = SimTime::from_us(10);
-        cfg.queue_sample_interval = None;
+        cfg.measure.queue_sample_interval = None;
         let hosts = topo.hosts().to_vec();
         let mut sim = Simulator::new(topo, cfg);
         sim.add_flow(FlowSpec::new(
@@ -802,7 +809,7 @@ mod tests {
         // the pause and outage intervals open at the end, are read from it.
         let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 2);
         cfg.end_time = SimTime::from_ns(1500);
-        cfg.queue_sample_interval = None;
+        cfg.measure.queue_sample_interval = None;
         let hosts = topo.hosts().to_vec();
         let sw = topo.switches()[0];
         let to_receiver = topo.next_hops(sw, hosts[1])[0];
@@ -974,9 +981,9 @@ mod tests {
         let hosts = topo.hosts().to_vec();
         // Trace the egress towards host 2 and bin goodput at 100 us.
         let egress_to_h2 = topo.next_hops(switch, hosts[2])[0];
-        cfg.trace_ports = vec![(switch, egress_to_h2)];
-        cfg.trace_interval = Duration::from_us(5);
-        cfg.flow_throughput_bin = Some(Duration::from_us(100));
+        cfg.measure.bottleneck_host = Some(2);
+        cfg.measure.trace_interval = Some(Duration::from_us(5));
+        cfg.measure.goodput_bin = Some(Duration::from_us(100));
         let mut sim = Simulator::new(topo, cfg);
         sim.add_flow(FlowSpec::new(
             FlowId(1),
@@ -1016,7 +1023,7 @@ mod tests {
             base_rtt,
         );
         cfg.end_time = SimTime::from_ms(10);
-        cfg.queue_sample_interval = Some(Duration::from_us(2));
+        cfg.measure.queue_sample_interval = Some(Duration::from_us(2));
         let hosts = topo.hosts().to_vec();
         let mut sim = Simulator::new(topo, cfg);
         // Two cross-rack senders share the ToR uplink of the receiver's rack,

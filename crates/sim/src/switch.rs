@@ -6,7 +6,7 @@
 //!
 //! * class 0 of every egress port carries ACK/NACK/CNP/PFC control traffic
 //!   (strict priority, never paused, never dropped); classes
-//!   `1..=data_classes` carry data and are arbitrated by the configured
+//!   `1..=classes()` carry data and are arbitrated by the configured
 //!   egress scheduler (strict priority or DWRR — see [`crate::sched`]). The
 //!   default single data class reproduces the paper's two-class deployment,
 //! * one shared buffer per switch; PFC pauses an upstream sender when the
@@ -408,7 +408,7 @@ impl Switch {
             if !port.queues[ctrl].is_empty() {
                 (port.queues[ctrl].pop_front().unwrap(), Priority::CONTROL)
             } else {
-                let n = cfg.queueing.data_classes as usize;
+                let n = cfg.queueing.classes();
                 let mut lanes = [ClassLane::default(); Priority::MAX_DATA_CLASSES];
                 for (c, lane) in lanes.iter_mut().enumerate().take(n) {
                     let class = Priority(1 + c as u8);
@@ -1004,13 +1004,15 @@ mod tests {
 
     #[test]
     fn a_switch_port_pushes_its_port_ready_only_while_frames_wait() {
-        use crate::config::SchedulerKind;
+        use crate::config::QueueingConfig;
         let topo = topo3();
-        for scheduler in [SchedulerKind::StrictPriority, SchedulerKind::Dwrr] {
+        for queueing in [
+            QueueingConfig::strict_priority(2),
+            QueueingConfig::dwrr(vec![3, 1]),
+        ] {
+            let scheduler = queueing.label();
             let mut cfg = cfg();
-            cfg.queueing.data_classes = 2;
-            cfg.queueing.scheduler = scheduler;
-            cfg.queueing.weights = vec![3, 1];
+            cfg.queueing = queueing;
             let sw_id = topo.switches()[0];
             let mut sw = Switch::new(sw_id, topo.ports(sw_id), &cfg);
             let egress = PortId(1);
@@ -1041,7 +1043,7 @@ mod tests {
                 assert_eq!(port.holds_frames(), sent < 6);
                 let ready = port.link.ready_key();
                 let pushed = if sent < 6 { vec![ready] } else { vec![] };
-                let case = format!("{scheduler:?}: after {sent} of 6");
+                let case = format!("{scheduler}: after {sent} of 6");
                 assert_eq!(port_readies(&mut eff, egress), pushed, "{case}");
                 now = ready.0;
             }
@@ -1053,10 +1055,10 @@ mod tests {
             let before = format!("{sw:?}");
             let mut idle = Effects::at(SimTime::from_us(1));
             sw.try_transmit(SimTime::from_us(1), egress, &cfg, &mut idle);
-            assert_eq!(format!("{sw:?}"), before, "{scheduler:?}");
+            assert_eq!(format!("{sw:?}"), before, "{scheduler}");
             assert!(
                 idle.kicks.is_empty() && idle.scheduled().is_empty(),
-                "{scheduler:?}"
+                "{scheduler}"
             );
 
             // One more frame leaves the port empty and busy. Two frames
@@ -1081,10 +1083,10 @@ mod tests {
                 sw.handle_arrival(now, PortId(0), pkt, &cfg, &topo, &mut eff);
             }
             assert!(sw.ports[egress.index()].link.class_paused(Priority::DATA));
-            assert_eq!(port_readies(&mut eff, egress), [ready], "{scheduler:?}");
+            assert_eq!(port_readies(&mut eff, egress), [ready], "{scheduler}");
             let mut eff = Effects::at(ready.0);
             sw.try_transmit(ready.0, egress, &cfg, &mut eff);
-            assert!(eff.scheduled().is_empty(), "{scheduler:?}: paused");
+            assert!(eff.scheduled().is_empty(), "{scheduler}: paused");
             assert!(sw.ports[egress.index()].holds_frames());
 
             // So does a PFC frame queued on a port that sent its last frame
@@ -1096,7 +1098,7 @@ mod tests {
             let ready = sw.ports[ctrl.index()].link.ready_key();
             assert_eq!(port_readies(&mut eff, ctrl), []);
             sw.send_pfc(now, ctrl, Priority::DATA, false, &mut eff);
-            assert_eq!(port_readies(&mut eff, ctrl), [ready], "{scheduler:?}");
+            assert_eq!(port_readies(&mut eff, ctrl), [ready], "{scheduler}");
         }
     }
 }

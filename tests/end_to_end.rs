@@ -53,10 +53,8 @@ fn mice_latency_is_much_lower_with_hpcc_than_dcqcn() {
 /// immediately with HPCC.
 #[test]
 fn long_flow_recovers_quickly_after_short_flow_leaves() {
-    let exp = long_short(CcSpec::by_label("HPCC"), BW100, Duration::from_ms(3)).build();
-    let bin = exp.config().flow_throughput_bin.unwrap();
-    let res = exp.run();
-    let series = goodput_series_gbps(&res.out.flow_goodput[&FlowId(1)], bin);
+    let res = long_short(CcSpec::by_label("HPCC"), BW100, Duration::from_ms(3)).run();
+    let series = goodput_series_gbps(&res.out.flow_goodput[&FlowId(1)], res.out.flow_goodput_bin);
     // Steady state at the end of the run is back above 85 Gbps (eta = 95% of
     // 100 G minus header overheads).
     let tail = steady_state_gbps(&series, 0.2);
@@ -71,10 +69,9 @@ fn long_flow_recovers_quickly_after_short_flow_leaves() {
 #[test]
 fn tx_rate_signal_is_more_stable_than_rx_rate() {
     let run = |use_rx: bool| {
-        let exp = two_to_one(use_rx, BW100, 4_000_000, Duration::from_ms(2)).build();
-        let port = hpcc::core::presets::star_egress_to(exp.topology(), exp.flows()[0].dst);
-        let res = exp.run();
-        let trace = &res.out.port_traces[&port];
+        let res = two_to_one(use_rx, BW100, 4_000_000, Duration::from_ms(2)).run();
+        // The one traced port: the bottleneck.
+        let trace = res.out.port_traces.values().next().unwrap();
         // Skip the first 200 us transient, look at the rest of the transfer.
         let tail: Vec<f64> = trace
             .iter()

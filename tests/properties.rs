@@ -321,7 +321,7 @@ fn simulation_conserves_bytes() {
     let rtt = topo.suggested_base_rtt(1106);
     let mut cfg = SimConfig::for_cc(CcAlgorithm::hpcc_default(), bw, rtt);
     cfg.end_time = SimTime::from_ms(20);
-    cfg.flow_throughput_bin = Some(Duration::from_us(100));
+    cfg.measure.goodput_bin = Some(Duration::from_us(100));
     let hosts = topo.hosts().to_vec();
     let mut sim = Simulator::new(topo, cfg);
     for i in 0..5u64 {
