@@ -15,6 +15,7 @@
 //! stdout or to `out`. Link indices printed by `info` are exactly the
 //! indices `FaultSpec` link faults reference.
 
+use hpcc_core::experiment::MTU_WIRE_SIZE;
 use hpcc_topology::corpus;
 
 fn die(msg: impl AsRef<str>) -> ! {
@@ -53,8 +54,8 @@ fn info(path: &str) {
     println!("  links   {}", topo.links().len());
     println!("  host bw {} total", topo.total_host_bandwidth());
     println!(
-        "  base rtt {} (suggested, 1106 B wire MTU)",
-        topo.suggested_base_rtt(1106)
+        "  base rtt {} (suggested, {MTU_WIRE_SIZE} B wire MTU)",
+        topo.suggested_base_rtt(MTU_WIRE_SIZE)
     );
     for (i, &(a, b, bw, delay)) in parsed.links().iter().enumerate() {
         println!(

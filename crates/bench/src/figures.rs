@@ -25,7 +25,10 @@ use hpcc_sim::{fluid::FluidNetwork, EcnConfig, FlowControlMode};
 use hpcc_stats::pfc::suppressed_bandwidth_fraction;
 use hpcc_stats::series::{goodput_series_gbps, jain_fairness_index, steady_state_gbps};
 use hpcc_topology::FatTreeParams;
-use hpcc_types::{Bandwidth, Duration, FlowId, IntHeader, IntHopRecord, NodeId, Packet, SimTime};
+use hpcc_types::{
+    Bandwidth, Duration, FlowId, IntHeader, IntHopRecord, NodeId, SimTime, INT_BUDGET_SIZE,
+    MTU_PAYLOAD,
+};
 use std::fmt::Write as _;
 
 const BW100: Bandwidth = Bandwidth::from_gbps(100);
@@ -545,16 +548,15 @@ pub fn tab_int_overhead() -> String {
             "{:>6} {:>12} {:>15.1}%",
             hops,
             size,
-            size as f64 / 1000.0 * 100.0
+            size as f64 / MTU_PAYLOAD as f64 * 100.0
         )
         .unwrap();
     }
-    let p = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, SimTime::ZERO);
     writeln!(
         s,
         "\nworst-case budget charged per data packet: {} bytes ({}%)",
-        p.int_budget_size(),
-        p.int_budget_size() as f64 / 10.0
+        INT_BUDGET_SIZE,
+        INT_BUDGET_SIZE as f64 * 100.0 / MTU_PAYLOAD as f64
     )
     .unwrap();
     s

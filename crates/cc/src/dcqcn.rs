@@ -46,9 +46,6 @@ pub struct DcqcnConfig {
     pub min_rate: Bandwidth,
     /// Initial alpha.
     pub initial_alpha: f64,
-    /// If true, also treat ECN-echo bits on ordinary ACKs as congestion
-    /// notifications (used when the receiver does not generate CNPs).
-    pub react_to_ecn_ack: bool,
 }
 
 impl DcqcnConfig {
@@ -67,25 +64,6 @@ impl DcqcnConfig {
             rate_decrease_interval_td: Duration::from_us(4),
             min_rate: Bandwidth::from_mbps(100),
             initial_alpha: 1.0,
-            react_to_ecn_ack: false,
-        }
-    }
-
-    /// The original-paper timer setting of Figure 2 (`Ti = 55 µs`, `Td = 50 µs`).
-    pub fn paper_timers(line_rate: Bandwidth) -> Self {
-        DcqcnConfig {
-            timer_ti: Duration::from_us(55),
-            rate_decrease_interval_td: Duration::from_us(50),
-            ..Self::vendor_default(line_rate)
-        }
-    }
-
-    /// The conservative setting of Figure 2 (`Ti = 900 µs`, `Td = 4 µs`).
-    pub fn conservative_timers(line_rate: Bandwidth) -> Self {
-        DcqcnConfig {
-            timer_ti: Duration::from_us(900),
-            rate_decrease_interval_td: Duration::from_us(4),
-            ..Self::vendor_default(line_rate)
         }
     }
 
@@ -211,9 +189,6 @@ impl CongestionControl for Dcqcn {
             self.bytes_since_increase -= self.cfg.byte_counter;
             self.byte_stage += 1;
             self.increase_rate();
-        }
-        if self.cfg.react_to_ecn_ack && ack.ecn_echo {
-            self.cut_rate(ack.now);
         }
     }
 
@@ -431,18 +406,6 @@ mod tests {
     }
 
     #[test]
-    fn ecn_ack_mode_reacts_without_cnp() {
-        let cfg = DcqcnConfig {
-            react_to_ecn_ack: true,
-            ..DcqcnConfig::vendor_default(LINE)
-        };
-        let mut d = Dcqcn::new(cfg, LINE);
-        let int = IntHeader::new();
-        d.on_ack(&ack(30, 1000, true, &int));
-        assert!(d.state().rate < LINE);
-    }
-
-    #[test]
     fn rate_never_leaves_bounds() {
         let mut d = Dcqcn::new(DcqcnConfig::vendor_default(LINE), LINE);
         let int = IntHeader::new();
@@ -466,12 +429,6 @@ mod tests {
 
     #[test]
     fn preset_constructors_match_figure2_settings() {
-        let paper = DcqcnConfig::paper_timers(LINE);
-        assert_eq!(paper.timer_ti, Duration::from_us(55));
-        assert_eq!(paper.rate_decrease_interval_td, Duration::from_us(50));
-        let cons = DcqcnConfig::conservative_timers(LINE);
-        assert_eq!(cons.timer_ti, Duration::from_us(900));
-        assert_eq!(cons.rate_decrease_interval_td, Duration::from_us(4));
         // AI step scales with line rate: 25G → 40 Mbps, 100G → 160 Mbps.
         assert_eq!(
             DcqcnConfig::vendor_default(LINE).rai,

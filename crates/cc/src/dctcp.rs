@@ -9,17 +9,13 @@
 //! window by one MSS per RTT (congestion avoidance).
 
 use crate::api::{clamp_rate, AckEvent, CongestionControl, FlowRateState};
-use hpcc_types::{Bandwidth, Duration, SimTime};
+use hpcc_types::{Bandwidth, Duration, SimTime, MTU_PAYLOAD};
 
 /// DCTCP parameters.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DctcpConfig {
     /// EWMA gain `g` for the marked fraction (paper default 1/16).
     pub g: f64,
-    /// Maximum segment size in bytes, the additive-increase step per RTT.
-    pub mss: u64,
-    /// Minimum window in bytes (one MSS by default).
-    pub min_window: u64,
     /// Minimum pacing rate.
     pub min_rate: Bandwidth,
 }
@@ -28,8 +24,6 @@ impl Default for DctcpConfig {
     fn default() -> Self {
         DctcpConfig {
             g: 1.0 / 16.0,
-            mss: 1000,
-            min_window: 1000,
             min_rate: Bandwidth::from_mbps(100),
         }
     }
@@ -58,9 +52,11 @@ pub struct Dctcp {
 
 impl Dctcp {
     /// Create a DCTCP instance with an initial window of one BDP (no slow
-    /// start, per the paper's comparison setup).
+    /// start, per the paper's comparison setup). The segment size — the
+    /// additive-increase step and the minimum window — is the packet
+    /// payload, [`MTU_PAYLOAD`].
     pub fn new(cfg: DctcpConfig, line_rate: Bandwidth, base_rtt: Duration) -> Self {
-        let w_init = line_rate.bdp_bytes(base_rtt) + cfg.mss;
+        let w_init = line_rate.bdp_bytes(base_rtt) + MTU_PAYLOAD;
         Dctcp {
             cfg,
             line_rate,
@@ -84,9 +80,7 @@ impl Dctcp {
     }
 
     fn sync_rate(&mut self) {
-        self.window = self
-            .window
-            .clamp(self.cfg.min_window as f64, self.w_max as f64);
+        self.window = self.window.clamp(MTU_PAYLOAD as f64, self.w_max as f64);
         let rate = Bandwidth::from_bps((self.window * 8.0 / self.base_rtt.as_secs_f64()) as u64);
         self.rate = clamp_rate(rate, self.cfg.min_rate, self.line_rate);
     }
@@ -112,7 +106,7 @@ impl CongestionControl for Dctcp {
             self.window *= 1.0 - self.alpha / 2.0;
             self.decrease_events += 1;
         } else {
-            self.window += self.cfg.mss as f64;
+            self.window += MTU_PAYLOAD as f64;
         }
         self.acked_bytes = 0;
         self.marked_bytes = 0;
@@ -237,7 +231,7 @@ mod tests {
             d.on_ack(&ack(seq, seq + 1_000, 1000, true, &int));
             seq += 1_001;
             d.on_loss(SimTime::ZERO);
-            assert!(d.state().window >= DctcpConfig::default().min_window);
+            assert!(d.state().window >= MTU_PAYLOAD);
             assert!(d.state().rate >= DctcpConfig::default().min_rate);
         }
     }

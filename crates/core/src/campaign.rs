@@ -360,8 +360,8 @@ enum BucketChoice {
 /// trace (FB_Hadoop buckets for FB_Hadoop traffic, WebSearch buckets
 /// otherwise — the paper's figure convention).
 ///
-/// The wire format decodes buckets against these same tables
-/// (`wire::known_bucket`): adding a bucket set here requires extending
+/// The wire format decodes buckets against these same tables (`impl Fields
+/// for FctBucket` in `wire.rs`): adding a bucket set here requires extending
 /// that lookup, or merges of distributed runs will reject the new labels.
 fn bucket_choice(spec: &ScenarioSpec) -> BucketChoice {
     for w in &spec.workloads {

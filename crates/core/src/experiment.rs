@@ -12,11 +12,11 @@ use hpcc_stats::pfc::{pause_burst_spread, PfcSummary};
 use hpcc_stats::queue::queue_percentile;
 use hpcc_stats::{FctAnalyzer, FctBucket, Percentiles};
 use hpcc_topology::TopologySpec;
-use hpcc_types::{Bandwidth, Duration, FlowSpec, NodeId, SimTime};
+use hpcc_types::{data_wire_size, Bandwidth, Duration, FlowSpec, NodeId, SimTime};
 
 /// Wire size of a full data packet with the INT budget — the MTU the base-RTT
 /// suggestion is computed against throughout the workspace.
-pub const MTU_WIRE_SIZE: u64 = 1106;
+pub const MTU_WIRE_SIZE: u64 = data_wire_size(true);
 
 /// One resolved simulation: the [`CompiledScenario`] an engine answers
 /// (topology, behavioural configuration, flow list) plus what the analysis

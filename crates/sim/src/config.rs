@@ -316,8 +316,6 @@ impl MeasurementSpec {
 pub struct SimConfig {
     /// Congestion-control algorithm every host runs.
     pub cc: CcAlgorithm,
-    /// MTU payload carried per data packet (the paper uses 1 KB packets).
-    pub mtu_payload: u64,
     /// Whether switches stamp INT and data packets reserve the 42-byte INT
     /// budget (§5.1 accounts this overhead explicitly).
     pub int_enabled: bool,
@@ -328,22 +326,8 @@ pub struct SimConfig {
     pub flow_control: FlowControlMode,
     /// Shared buffer per switch in bytes (32 MB in §5.1).
     pub buffer_bytes: u64,
-    /// PFC pause threshold as a fraction of the free buffer (the paper pauses
-    /// "when an ingress queue consumes more than 11% of the free buffer").
-    pub pfc_threshold_fraction: f64,
-    /// Hysteresis subtracted from the pause threshold before a resume frame
-    /// is sent, in bytes.
-    pub pfc_resume_hysteresis: u64,
     /// ECN marking configuration (`None` disables marking).
     pub ecn: Option<EcnConfig>,
-    /// Whether receivers generate DCQCN CNPs on ECN-marked arrivals.
-    pub cnp_enabled: bool,
-    /// Minimum gap between CNPs of one flow (50 µs in the DCQCN NP spec).
-    pub cnp_interval: Duration,
-    /// Minimum gap between go-back-N NACKs generated by a receiver.
-    pub nack_interval: Duration,
-    /// Retransmission timeout for lossy modes.
-    pub rto: Duration,
     /// Simulation horizon: events after this time are not processed.
     pub end_time: SimTime,
     /// Seed for the deterministic per-switch RNG (ECN marking).
@@ -376,18 +360,11 @@ impl SimConfig {
         };
         SimConfig {
             int_enabled: cc.needs_int(),
-            cnp_enabled: cc.needs_cnp(),
             cc,
-            mtu_payload: 1000,
             base_rtt,
             flow_control: FlowControlMode::Lossless,
             buffer_bytes: 32_000_000,
-            pfc_threshold_fraction: 0.11,
-            pfc_resume_hysteresis: 2 * 1064,
             ecn,
-            cnp_interval: Duration::from_us(50),
-            nack_interval: base_rtt,
-            rto: base_rtt * 64,
             end_time: SimTime::from_ms(50),
             seed: 1,
             measure: MeasurementSpec::default(),
@@ -398,13 +375,18 @@ impl SimConfig {
 
     /// Wire size of a full data packet under this configuration.
     pub fn data_wire_size(&self) -> u64 {
-        use hpcc_types::{DATA_HEADER_SIZE, INT_HOP_SIZE};
-        let int = if self.int_enabled {
-            2 + 5 * INT_HOP_SIZE
-        } else {
-            0
-        };
-        DATA_HEADER_SIZE + int + self.mtu_payload
+        hpcc_types::data_wire_size(self.int_enabled)
+    }
+
+    /// Minimum gap between go-back-N NACKs a receiver generates: one base
+    /// RTT.
+    pub fn nack_interval(&self) -> Duration {
+        self.base_rtt
+    }
+
+    /// Retransmission timeout of the lossy modes: 64 base RTTs.
+    pub fn rto(&self) -> Duration {
+        self.base_rtt * 64
     }
 }
 
@@ -447,7 +429,7 @@ mod tests {
         let hpcc = SimConfig::for_cc(CcAlgorithm::hpcc_default(), LINE, RTT);
         assert!(hpcc.int_enabled);
         assert!(hpcc.ecn.is_none());
-        assert!(!hpcc.cnp_enabled);
+        assert!(!hpcc.cc.needs_cnp());
 
         let dcqcn = SimConfig::for_cc(
             CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(LINE)),
@@ -455,12 +437,12 @@ mod tests {
             RTT,
         );
         assert!(!dcqcn.int_enabled);
-        assert!(dcqcn.cnp_enabled);
+        assert!(dcqcn.cc.needs_cnp());
         assert_eq!(dcqcn.ecn.unwrap().kmin_bytes, 400_000);
 
         let dctcp = SimConfig::for_cc(CcAlgorithm::Dctcp(DctcpConfig::default()), LINE, RTT);
         assert_eq!(dctcp.ecn.unwrap().kmin_bytes, 300_000);
-        assert!(!dctcp.cnp_enabled);
+        assert!(!dctcp.cc.needs_cnp());
     }
 
     #[test]

@@ -43,7 +43,7 @@ use crate::output::{FlowRecord, SimOutput};
 use crate::switch::ecmp_path;
 use hpcc_cc::CcAlgorithm;
 use hpcc_topology::{NodeKind, TopologySpec};
-use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
+use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime, MTU_PAYLOAD};
 
 /// A fluid network: `I` resources with capacities, `J` paths described by an
 /// incidence matrix.
@@ -426,7 +426,7 @@ fn fluid_run(scenario: CompiledScenario) -> SimOutput {
     let ss = steady_state(&cfg);
     let mut out = SimOutput::new(1024, cfg.measure.goodput_bin.unwrap_or(Duration::ZERO));
     let flow_count = flows.len();
-    let header_wire = cfg.data_wire_size() - cfg.mtu_payload;
+    let header_wire = cfg.data_wire_size() - MTU_PAYLOAD;
     let end_s = cfg.end_time.as_secs_f64();
 
     // Route every flow, interning the egress links it crosses.
@@ -441,8 +441,7 @@ fn fluid_run(scenario: CompiledScenario) -> SimOutput {
                 .first()
                 .map(|p| p.bandwidth.as_bps() as f64)
                 .unwrap_or(0.0);
-            let wire_bytes =
-                spec.size as f64 + spec.packet_count(cfg.mtu_payload) as f64 * header_wire as f64;
+            let wire_bytes = spec.size as f64 + spec.packet_count() as f64 * header_wire as f64;
             let (path, base_pad, queue_pad) = match path {
                 Some(p) => {
                     let min_cap = p
@@ -658,9 +657,9 @@ fn fluid_run(scenario: CompiledScenario) -> SimOutput {
         let app_done = (fl.wire_bytes - fl.remaining).max(0.0)
             * (fl.spec.size as f64 / fl.wire_bytes.max(1.0));
         let delivered = if fl.done {
-            fl.spec.packet_count(cfg.mtu_payload)
+            fl.spec.packet_count()
         } else {
-            (app_done / cfg.mtu_payload as f64).floor() as u64
+            (app_done / MTU_PAYLOAD as f64).floor() as u64
         };
         out.packets_delivered += delivered;
         out.packets_sent += delivered;
@@ -955,7 +954,7 @@ mod tests {
         );
         let ecn = scenario.cfg.ecn.expect("DCQCN config carries ECN marking");
         let queue_pad_s = (ecn.kmin_bytes + ecn.kmax_bytes) as f64 / 2.0 * 8.0 / 25e9;
-        let header = (scenario.cfg.data_wire_size() - scenario.cfg.mtu_payload) as f64;
+        let header = (scenario.cfg.data_wire_size() - MTU_PAYLOAD) as f64;
         let wire = 2_000_000.0 + 2_000.0 * header;
         let out = backend_for(BackendKind::Fluid).run(scenario);
         // Each flow drains at the 12.5 Gbps fair share; the FCT must exceed

@@ -6,7 +6,7 @@
 //! one packet at a time at line rate. ACK/NACK/CNP control packets always
 //! take precedence over data. On the receive side, every data packet is
 //! acknowledged (echoing the INT records and the ECN mark), DCQCN CNPs are
-//! generated at most once per `cnp_interval`, and loss recovery is either
+//! generated at most once per [`CNP_INTERVAL`], and loss recovery is either
 //! go-back-N (NACK with the expected byte) or IRN-style selective repeat.
 //!
 //! Congestion control is a per-flow plug-in (`hpcc-cc`); the host feeds it
@@ -22,9 +22,13 @@ use hpcc_topology::PortDesc;
 use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
     Bandwidth, Duration, FlowId, FlowSpec, NodeId, Packet, PacketKind, PortId, Priority, Route,
-    SimTime,
+    SimTime, MTU_PAYLOAD,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+
+/// Minimum gap between two CNPs a receiver sends for one flow: the 50 µs of
+/// the DCQCN notification-point specification.
+const CNP_INTERVAL: Duration = Duration::from_us(50);
 
 /// Cold (per-event, not per-scan) sender-side state of one flow.
 ///
@@ -277,12 +281,7 @@ impl Host {
             });
             return;
         }
-        let cc = build_cc(
-            &cfg.cc,
-            self.link.bandwidth(),
-            cfg.base_rtt,
-            cfg.mtu_payload,
-        );
+        let cc = build_cc(&cfg.cc, self.link.bandwidth(), cfg.base_rtt, MTU_PAYLOAD);
         let idx = self.flows.len();
         self.flows.push(now, spec, dst_slot, route, cc);
         self.flows.refresh_cc(idx);
@@ -357,7 +356,8 @@ impl Host {
             flows.cold[idx].rto_armed = false;
             return;
         }
-        if now.saturating_since(flows.cold[idx].last_progress) >= cfg.rto && flows.inflight(idx) > 0
+        if now.saturating_since(flows.cold[idx].last_progress) >= cfg.rto()
+            && flows.inflight(idx) > 0
         {
             // Timeout: go back to the last acknowledged byte.
             flows.snd_nxt[idx] = flows.snd_una[idx];
@@ -373,7 +373,7 @@ impl Host {
         }
         if flows.inflight(idx) > 0 || flows.has_data_to_send(idx) {
             eff.schedule(
-                now + cfg.rto,
+                now + cfg.rto(),
                 Event::RtoCheck {
                     node: self.id,
                     slot,
@@ -440,14 +440,14 @@ impl Host {
         let (seq, payload, ecn_ce) = (pkt.seq, pkt.payload, pkt.ecn_ce);
         let seq_end = seq + payload;
         // DCQCN notification point: CNP on ECN-marked arrivals, at most one
-        // per cnp_interval. It follows the reply out, in a box of its own,
+        // per CNP_INTERVAL. It follows the reply out, in a box of its own,
         // and is built here — before the reply turns the packet's route
         // round in place — so that `reversed()` is its way back either way.
         let mut cnp = None;
-        if cfg.cnp_enabled && ecn_ce {
+        if ecn_ce && cfg.cc.needs_cnp() {
             let due = r
                 .last_cnp
-                .is_none_or(|t| now.saturating_since(t) >= cfg.cnp_interval);
+                .is_none_or(|t| now.saturating_since(t) >= CNP_INTERVAL);
             if due {
                 r.last_cnp = Some(now);
                 let mut p = Packet::cnp(pkt.flow, pkt.src, pkt.dst);
@@ -489,7 +489,7 @@ impl Host {
                 // Gap: request go-back-N, rate-limited.
                 let due = r
                     .last_nack
-                    .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval);
+                    .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
                 if due {
                     r.last_nack = Some(now);
                     pkt.become_nack(r.expected);
@@ -517,7 +517,6 @@ impl Host {
         if idx >= self.flows.len() || self.flows.id[idx] != pkt.flow {
             return;
         }
-        let mtu = cfg.mtu_payload;
         {
             let flows = &mut self.flows;
             if flows.finished[idx] {
@@ -579,7 +578,7 @@ impl Host {
                     }
                     let rollback_due = flows.cold[idx]
                         .last_rollback
-                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval);
+                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
                     if rollback_due && flows.snd_nxt[idx] > flows.snd_una[idx] {
                         flows.snd_nxt[idx] = flows.snd_una[idx];
                         flows.next_avail[idx] = now;
@@ -611,11 +610,11 @@ impl Host {
                         if !cold.sacked.contains(&off) && off < snd_nxt {
                             cold.rtx_queue.insert(off);
                         }
-                        off += mtu;
+                        off += MTU_PAYLOAD;
                     }
                     let loss_due = cold
                         .last_rollback
-                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval);
+                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
                     if loss_due && !cold.rtx_queue.is_empty() {
                         cold.last_rollback = Some(now);
                         cold.cc.on_loss(now);
@@ -733,7 +732,7 @@ impl Host {
             } else {
                 flows.snd_nxt[idx]
             };
-            let payload = (cold.spec.size - seq).min(cfg.mtu_payload);
+            let payload = (cold.spec.size - seq).min(MTU_PAYLOAD);
             let mut pkt = eff.alloc_data(
                 cold.spec.id,
                 cold.spec.src,
@@ -766,7 +765,7 @@ impl Host {
         };
         if rto_needed {
             eff.schedule(
-                now + cfg.rto,
+                now + cfg.rto(),
                 Event::RtoCheck {
                     node: self.id,
                     slot: idx as u32,
@@ -1116,7 +1115,7 @@ mod tests {
             LINE,
             RTT,
         );
-        assert!(cfg.cnp_enabled);
+        assert!(cfg.cc.needs_cnp());
         let mut rx = build_host(1);
         let mut eff = Effects::default();
         for i in 0..5u64 {
@@ -1181,13 +1180,13 @@ mod tests {
 
     #[test]
     fn replies_and_cnps_set_out_along_the_data_packets_way_back() {
-        let mut cfg = SimConfig::for_cc(
+        // A 1 ms base RTT is the NACK interval; arrivals lie further apart
+        // than the CNP interval.
+        let cfg = SimConfig::for_cc(
             CcAlgorithm::Dcqcn(DcqcnConfig::vendor_default(LINE)),
             LINE,
-            RTT,
+            Duration::from_ms(1),
         );
-        cfg.cnp_interval = Duration::from_us(1);
-        cfg.nack_interval = Duration::from_ms(1);
         let mut rx = build_host(1);
         let mut eff = Effects::default();
         // Marked data as it reaches its receiver, both switches of its way
@@ -1195,7 +1194,7 @@ mod tests {
         // after the gap again within the NACK interval (the CNP alone — the
         // one case in which no reply turns the packet round first).
         let mut arrived = Vec::new();
-        for (at, seq) in [(1, 0), (10, 2000), (20, 3000)] {
+        for (at, seq) in [(1, 0), (60, 2000), (120, 3000)] {
             let mut p = Packet::data(FlowId(9), NodeId(0), NodeId(1), seq, 1000, SimTime::ZERO);
             p.ecn_ce = true;
             p.route = Route::new(&[PortId(1), PortId(5)], &[PortId(7), PortId(seq as u32)]);
@@ -1360,7 +1359,6 @@ mod tests {
     fn rto_fires_in_lossy_mode_and_rolls_back() {
         let mut cfg = hpcc_cfg();
         cfg.flow_control = FlowControlMode::LossyGoBackN;
-        cfg.rto = Duration::from_us(100);
         let mut h = build_host(0);
         let mut eff = Effects::default();
         h.flow_start(
@@ -1379,9 +1377,9 @@ mod tests {
             .any(|(_, ev)| matches!(ev, Event::RtoCheck { .. }));
         assert!(rto_armed, "lossy mode arms an RTO");
         assert_eq!(h.flows.snd_nxt[0], 1000);
-        // Nothing is acknowledged; the RTO check at +100 us rolls back.
+        // Nothing is acknowledged; the RTO check one RTO on rolls back.
         let mut e2 = Effects::default();
-        h.handle_rto(SimTime::from_us(200), 0, &cfg, &mut e2);
+        h.handle_rto(SimTime::ZERO + cfg.rto(), 0, &cfg, &mut e2);
         assert_eq!(h.flows.snd_nxt[0], 0);
         // And it re-arms itself.
         assert!(e2

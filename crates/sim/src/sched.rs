@@ -44,8 +44,8 @@ impl ClassLane {
 }
 
 /// Bytes of credit one weight unit buys per DWRR round: comfortably one full
-/// MTU frame (1106 B wire), so a weight-1 class earns at least one packet of
-/// service per round.
+/// data frame ([`hpcc_types::data_wire_size`]), so a weight-1 class earns at
+/// least one packet of service per round.
 const DWRR_QUANTUM_UNIT: u64 = 2048;
 
 /// Defensive bound on DWRR credit-accumulation rounds per pick; with the

@@ -83,10 +83,10 @@ impl FaultRuntime {
 /// use hpcc_sim::{SimConfig, Simulator};
 /// use hpcc_cc::CcAlgorithm;
 /// use hpcc_topology::star;
-/// use hpcc_types::{Bandwidth, Duration, FlowId, FlowSpec, SimTime};
+/// use hpcc_types::{data_wire_size, Bandwidth, Duration, FlowId, FlowSpec, SimTime};
 ///
 /// let topo = star(4, Bandwidth::from_gbps(100), Duration::from_us(1));
-/// let base_rtt = topo.suggested_base_rtt(1106);
+/// let base_rtt = topo.suggested_base_rtt(data_wire_size(true));
 /// let mut cfg = SimConfig::for_cc(CcAlgorithm::hpcc_default(), Bandwidth::from_gbps(100), base_rtt);
 /// cfg.end_time = SimTime::from_ms(2);
 /// let hosts = topo.hosts().to_vec();
@@ -689,16 +689,15 @@ mod tests {
         // before port 0.
         let (topo, mut cfg) = star_cfg(CcAlgorithm::hpcc_default(), 3);
         cfg.measure.queue_sample_interval = None;
-        // A pause threshold of 1 % of the free buffer (≈ 2.8 KB): the third
-        // queued 1106-byte packet of an ingress crosses it, two sit below.
-        cfg.buffer_bytes = 280_000;
-        cfg.pfc_threshold_fraction = 0.01;
-        cfg.pfc_resume_hysteresis = 0;
+        // 9106-byte frames against 11 % of a 250 KB buffer: the third queued
+        // frame of an ingress crosses the pause threshold, two sit below it,
+        // and one dequeue drains a paused ingress past the resume hysteresis.
+        cfg.buffer_bytes = 250_000;
         let hosts = topo.hosts().to_vec();
         let sw = topo.switches()[0];
         let mut sim = Simulator::new(topo, cfg);
         let now = SimTime::from_us(1);
-        let data = || Box::new(Packet::data(FlowId(1), hosts[0], hosts[1], 0, 1000, now));
+        let data = || Box::new(Packet::data(FlowId(1), hosts[0], hosts[1], 0, 9000, now));
         // Queue three packets from port 0 (pausing it) and two from port 2
         // on the egress to host 1, without letting any port transmit.
         let Node::Switch(s) = &mut sim.nodes[sw.index()] else {

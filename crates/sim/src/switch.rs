@@ -31,9 +31,19 @@ use crate::sched::{ClassLane, Scheduler};
 use hpcc_topology::{NodeKind, PortDesc, TopologySpec};
 use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
-    IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, Route, SimTime, MAX_INT_HOPS,
+    data_wire_size, IntHopRecord, NodeId, Packet, PacketKind, PortId, Priority, Route, SimTime,
+    MAX_INT_HOPS,
 };
 use std::collections::VecDeque;
+
+/// Share of the free buffer an ingress class may hold before it is paused.
+/// §5.1: "PFC is triggered when an ingress queue consumes more than 11% of
+/// the free buffer."
+const PFC_THRESHOLD_FRACTION: f64 = 0.11;
+
+/// How far below the pause threshold a paused ingress class must drain
+/// before it is resumed: two INT-free data frames.
+const PFC_RESUME_HYSTERESIS: u64 = 2 * data_wire_size(false);
 
 /// The ECMP candidate index a flow hashes to at a node: deterministic per
 /// (flow, node) so a flow never reorders, uniform across candidates.
@@ -224,11 +234,10 @@ impl Switch {
     }
 
     /// The PFC pause threshold for one ingress class given the current free
-    /// buffer: "PFC is triggered when an ingress queue consumes more than
-    /// 11% of the free buffer" (§5.1).
+    /// buffer ([`PFC_THRESHOLD_FRACTION`] of it).
     fn pause_threshold(&self, cfg: &SimConfig) -> u64 {
         let free = cfg.buffer_bytes.saturating_sub(self.buffer_used);
-        (cfg.pfc_threshold_fraction * free as f64) as u64
+        (PFC_THRESHOLD_FRACTION * free as f64) as u64
     }
 
     /// ECMP selection: deterministic per (flow, switch) so a flow never
@@ -443,7 +452,7 @@ impl Switch {
                 && self.pause_sent[ing.index()][class.index()]
             {
                 let threshold = self.pause_threshold(cfg);
-                let resume_below = threshold.saturating_sub(cfg.pfc_resume_hysteresis);
+                let resume_below = threshold.saturating_sub(PFC_RESUME_HYSTERESIS);
                 if self.ingress_bytes[ing.index()][class.index()] <= resume_below {
                     self.pause_sent[ing.index()][class.index()] = false;
                     self.send_pfc(now, ing, class, false, eff);
@@ -628,7 +637,6 @@ mod tests {
         let topo = topo3();
         let mut cfg = cfg();
         cfg.buffer_bytes = 100_000;
-        cfg.pfc_threshold_fraction = 0.11;
         let mut sw = new_switch(&topo);
         let mut eff = Effects::default();
         // ~11 KB of free-buffer threshold: 12 packets of 1106 B exceed it.

@@ -11,7 +11,7 @@
 //! and Figure 11 (FB_Hadoop).
 
 use crate::percentile::Percentiles;
-use hpcc_types::{Bandwidth, Duration};
+use hpcc_types::{data_wire_size, Bandwidth, Duration, MTU_PAYLOAD};
 
 /// Per-flow record the analyzer consumes (kept minimal so any front-end can
 /// produce it).
@@ -30,28 +30,26 @@ pub struct FctAnalyzer {
     pub line_rate: Bandwidth,
     /// One-way base delay (half the base RTT).
     pub one_way_delay: Duration,
-    /// Payload bytes per packet.
-    pub mtu_payload: u64,
     /// Header (plus INT budget) bytes per packet.
     pub per_packet_overhead: u64,
 }
 
 impl FctAnalyzer {
     /// Analyzer for a network with the given line rate and base RTT, using
-    /// the paper's 1 KB packets with 64 B header + 42 B INT budget.
+    /// the packet format of [`hpcc_types::packet`]: [`MTU_PAYLOAD`] bytes a
+    /// packet, framed as the engine frames them.
     pub fn new(line_rate: Bandwidth, base_rtt: Duration, int_enabled: bool) -> Self {
         FctAnalyzer {
             line_rate,
             one_way_delay: base_rtt / 2,
-            mtu_payload: 1000,
-            per_packet_overhead: if int_enabled { 64 + 42 } else { 64 },
+            per_packet_overhead: data_wire_size(int_enabled) - MTU_PAYLOAD,
         }
     }
 
     /// The standalone ("ideal") FCT of a flow of `size` bytes.
     pub fn ideal_fct(&self, size: u64) -> Duration {
         let size = size.max(1);
-        let packets = size.div_ceil(self.mtu_payload);
+        let packets = size.div_ceil(MTU_PAYLOAD);
         let wire_bytes = size + packets * self.per_packet_overhead;
         self.one_way_delay + self.line_rate.tx_time(wire_bytes)
     }
@@ -231,12 +229,34 @@ pub fn fb_hadoop_buckets() -> Vec<FctBucket> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use hpcc_types::{FlowId, NodeId, Packet, SimTime};
 
     const LINE: Bandwidth = Bandwidth::from_gbps(25);
     const RTT: Duration = Duration::from_us(9);
 
     #[test]
     fn ideal_fct_includes_headers_and_delay() {
+        // The engine and the analyzer frame a full packet alike.
+        for int in [true, false] {
+            let mut cfg =
+                hpcc_sim::SimConfig::for_cc(hpcc_cc::CcAlgorithm::hpcc_default(), LINE, RTT);
+            cfg.int_enabled = int;
+            let p = Packet::data(
+                FlowId(1),
+                NodeId(0),
+                NodeId(1),
+                0,
+                MTU_PAYLOAD,
+                SimTime::ZERO,
+            );
+            assert_eq!(p.wire_size(int), data_wire_size(int), "int {int}");
+            assert_eq!(cfg.data_wire_size(), data_wire_size(int), "int {int}");
+            assert_eq!(
+                FctAnalyzer::new(LINE, RTT, int).ideal_fct(MTU_PAYLOAD),
+                RTT / 2 + LINE.tx_time(data_wire_size(int)),
+                "int {int}"
+            );
+        }
         let a = FctAnalyzer::new(LINE, RTT, true);
         // 1000-byte flow = one packet of 1106 B at 25 Gbps = 354 ns, plus
         // 4.5 us one-way delay.

@@ -2,6 +2,7 @@
 //! simulator and the statistics crate.
 
 use crate::ids::{FlowId, NodeId};
+use crate::packet::MTU_PAYLOAD;
 use crate::time::SimTime;
 
 /// Application-level priority of a flow.
@@ -95,12 +96,13 @@ impl FlowSpec {
         }
     }
 
-    /// Number of data packets this flow needs with the given MTU payload.
-    pub fn packet_count(&self, mtu_payload: u64) -> u64 {
+    /// Number of data packets this flow needs, [`MTU_PAYLOAD`] bytes a
+    /// packet.
+    pub fn packet_count(&self) -> u64 {
         if self.size == 0 {
             1
         } else {
-            self.size.div_ceil(mtu_payload)
+            self.size.div_ceil(MTU_PAYLOAD)
         }
     }
 }
@@ -112,11 +114,11 @@ mod tests {
     #[test]
     fn packet_count_rounds_up_and_handles_zero() {
         let f = FlowSpec::new(FlowId(1), NodeId(0), NodeId(1), 2500, SimTime::ZERO);
-        assert_eq!(f.packet_count(1000), 3);
+        assert_eq!(f.packet_count(), 3);
         let exact = FlowSpec::new(FlowId(2), NodeId(0), NodeId(1), 3000, SimTime::ZERO);
-        assert_eq!(exact.packet_count(1000), 3);
+        assert_eq!(exact.packet_count(), 3);
         let zero = FlowSpec::new(FlowId(3), NodeId(0), NodeId(1), 0, SimTime::ZERO);
-        assert_eq!(zero.packet_count(1000), 1);
+        assert_eq!(zero.packet_count(), 1);
     }
 
     #[test]

@@ -27,8 +27,8 @@ pub use bandwidth::Bandwidth;
 pub use flow::{FlowPriority, FlowSpec};
 pub use ids::{FlowId, NodeId, PortId, Priority};
 pub use packet::{
-    AckFlags, IntHeader, IntHopRecord, Packet, PacketKind, Route, ACK_BASE_SIZE, DATA_HEADER_SIZE,
-    INT_HOP_SIZE, MAX_INT_HOPS, PFC_FRAME_SIZE,
+    data_wire_size, AckFlags, IntHeader, IntHopRecord, Packet, PacketKind, Route, ACK_BASE_SIZE,
+    DATA_HEADER_SIZE, INT_BUDGET_SIZE, INT_HOP_SIZE, MAX_INT_HOPS, MTU_PAYLOAD, PFC_FRAME_SIZE,
 };
 pub use rng::SplitMix64;
 pub use time::{Duration, SimTime};

@@ -28,6 +28,21 @@ pub const INT_BASE_SIZE: u64 = 2;
 /// (14 + 20 + 8 + 12 ≈ 54, rounded up to include FCS/preamble effects).
 pub const DATA_HEADER_SIZE: u64 = 64;
 
+/// Payload bytes of a full data packet: the paper's 1 KB packets (§5.1).
+pub const MTU_PAYLOAD: u64 = 1000;
+
+/// Worst-case INT budget reserved in every data packet when INT is on.
+/// §5.1: "we assume each packet in HPCC has an additional 42 bytes in the
+/// header. This is a worst-case assumption" — 2-byte preamble + 5 hops × 8
+/// bytes.
+pub const INT_BUDGET_SIZE: u64 = INT_BASE_SIZE + 5 * INT_HOP_SIZE;
+
+/// Wire size of a full data packet: header, the INT budget when
+/// `int_enabled`, and [`MTU_PAYLOAD`].
+pub const fn data_wire_size(int_enabled: bool) -> u64 {
+    DATA_HEADER_SIZE + if int_enabled { INT_BUDGET_SIZE } else { 0 } + MTU_PAYLOAD
+}
+
 /// Base size of an ACK/NACK/CNP before the echoed INT records.
 pub const ACK_BASE_SIZE: u64 = 60;
 
@@ -490,11 +505,7 @@ impl Packet {
     pub fn wire_size(&self, int_enabled: bool) -> u64 {
         match self.kind {
             PacketKind::Data => {
-                let int = if int_enabled {
-                    self.int_budget_size()
-                } else {
-                    0
-                };
+                let int = if int_enabled { INT_BUDGET_SIZE } else { 0 };
                 DATA_HEADER_SIZE + int + self.payload
             }
             PacketKind::Ack | PacketKind::Nack | PacketKind::SackNack => {
@@ -504,13 +515,6 @@ impl Packet {
             PacketKind::Cnp => ACK_BASE_SIZE,
             PacketKind::Pfc { .. } => PFC_FRAME_SIZE,
         }
-    }
-
-    /// Worst-case INT budget reserved in a data packet. §5.1: "we assume each
-    /// packet in HPCC has an additional 42 bytes in the header. This is a
-    /// worst-case assumption" — 2-byte preamble + 5 hops × 8 bytes.
-    pub fn int_budget_size(&self) -> u64 {
-        INT_BASE_SIZE + 5 * INT_HOP_SIZE
     }
 
     /// True for data packets.
@@ -574,8 +578,7 @@ mod tests {
         }
         assert_eq!(int.wire_size(), 42);
         // And the worst-case budget charged on every data packet equals it.
-        let p = Packet::data(FlowId(1), NodeId(0), NodeId(1), 0, 1000, SimTime::ZERO);
-        assert_eq!(p.int_budget_size(), 42);
+        assert_eq!(INT_BUDGET_SIZE, 42);
     }
 
     #[test]
