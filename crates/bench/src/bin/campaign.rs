@@ -225,10 +225,11 @@ fn run_in_process(args: &Args) {
         "campaign: {} scenarios ({cores} available cores)",
         campaign.len()
     );
-    // One OS thread per scenario (not capped at the core count): on a
-    // multi-core host this is the full fan-out; on a loaded or small host
-    // `--verify-serial` still proves threaded execution deterministic.
-    let report = campaign.run_with_threads(campaign.len());
+    // One OS thread per core, so memory does not grow with the manifest,
+    // but at least two (`run_with_threads` caps them at the scenario
+    // count): on a one-core host `--verify-serial` still proves threaded
+    // execution deterministic.
+    let report = campaign.run_with_threads(cores.max(2));
     println!("{}", report.table());
     verify_and_write(&report, &campaign, args);
 }

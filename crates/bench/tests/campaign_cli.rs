@@ -224,6 +224,32 @@ fn fabric_offline_and_in_process_routes_write_identical_reports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// `run` simulates on one thread per core, at least two, and never more
+/// threads than scenarios: a large manifest is not simulated all at once.
+#[test]
+fn run_uses_one_thread_per_core_and_at_least_two() {
+    // The built-in six-scheme campaign at 1 ms.
+    let out = campaign(&["run", "1", "0.3"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    // "campaign: <n> scenarios (<cores> available cores)"
+    let counts: Vec<usize> = stdout
+        .lines()
+        .next()
+        .unwrap_or_default()
+        .split(|c: char| !c.is_ascii_digit())
+        .filter_map(|w| w.parse().ok())
+        .collect();
+    let [n, cores] = counts[..] else {
+        panic!("no scenario and core count in {stdout}");
+    };
+    let threads = n.min(cores.max(2));
+    assert!(
+        stdout.contains(&format!(" scenarios on {threads} thread(s) in ")),
+        "{stdout}"
+    );
+}
+
 #[test]
 fn an_unbuildable_scenario_fails_fast_naming_its_index() {
     let dir = scratch("unbuildable");

@@ -36,6 +36,7 @@
 //! `docs/ARCHITECTURE.md` § *The event-wheel engine* gives the argument; the
 //! tests below check it against a reference that keeps `(time, seq)`.
 
+use crate::output::SimOutput;
 use hpcc_types::{FlowId, NodeId, Packet, PortId, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -118,17 +119,17 @@ pub enum Event {
     FaultTransition,
 }
 
-/// Side effects produced while a node handles one event.
+/// What a node's handler may touch besides the node itself.
 ///
-/// Node methods schedule through this arena ([`Effects::schedule`]) and
-/// never pop the queue or see another node; everything else they produce is
-/// appended to its buffers and the simulator applies it, which keeps borrows
-/// local and the control flow explicit.
+/// Handlers schedule through this arena ([`Effects::schedule`]), push the
+/// ports they may have freed onto its kick stack, and record their
+/// measurements straight into the run's output, `out`; they never pop the
+/// queue or see another node, which keeps borrows local and the control
+/// flow explicit.
 ///
-/// The simulator owns **one** `Effects` arena for the whole run and clears
-/// it between events instead of dropping it, so the per-event buffers reach
-/// a high-water mark early and the steady-state event loop performs no
-/// allocation. The arena also carries the packet pool. A handler that
+/// The simulator owns **one** `Effects` for the whole run, so the kick stack
+/// reaches a high-water mark early and the steady-state event loop performs
+/// no allocation. The arena also carries the packet pool. A handler that
 /// consumes a data packet either re-emits its box (a switch forwards it, a
 /// receiving host turns it into the ACK in place) or recycles it, and a
 /// sending host writes the next data packet's header straight into a pooled
@@ -157,16 +158,13 @@ pub(crate) struct Effects {
     /// Ports that may now be able to start a transmission: the simulator's
     /// LIFO work stack, onto which a transmit pushes the kicks it causes.
     pub kicks: Vec<(NodeId, PortId)>,
-    /// Flows that completed (recorded by the sending host).
-    pub completions: Vec<crate::output::FlowRecord>,
-    /// PFC pause frames emitted (for propagation analysis).
-    pub pfc_events: Vec<crate::output::PfcEvent>,
-    /// Newly acknowledged bytes per flow (for goodput time series).
-    pub goodput: Vec<(FlowId, u64)>,
-    /// Data packets handed to receivers during this event.
-    pub packets_delivered: u64,
-    /// Data packets transmitted by hosts during this event.
-    pub packets_sent: u64,
+    /// The run's measurements: completed flows, PFC pause frames, goodput
+    /// and packet counts are recorded here by the handler that sees them.
+    pub out: SimOutput,
+    /// Whether a fault window (outage, degradation or straggle) is open, so
+    /// that goodput credited now also counts as goodput during faults. Kept
+    /// by the simulator's fault transitions.
+    pub fault_active: bool,
     /// Recycled packet boxes, reused by [`Effects::alloc_packet`]. The boxes
     /// themselves are the resource being pooled (they move into `Event`s and
     /// back), so `Vec<Box<_>>` is the point, not an accident.
@@ -216,6 +214,15 @@ impl Effects {
     #[cfg(test)]
     pub fn scheduled(&mut self) -> Vec<(SimTime, Event)> {
         std::iter::from_fn(|| self.queue.pop()).collect()
+    }
+
+    /// Credit `bytes` newly acknowledged of `flow` at `now` to its goodput
+    /// series, and to the goodput during faults while a window is open.
+    pub fn record_goodput(&mut self, flow: FlowId, now: SimTime, bytes: u64) {
+        if self.fault_active {
+            self.out.goodput_during_faults += bytes;
+        }
+        self.out.record_goodput(flow, now, bytes);
     }
 
     /// Box a packet, reusing a pooled box when one is available. Copies the

@@ -21,8 +21,8 @@ use hpcc_cc::{build_cc, AckEvent, CongestionControl};
 use hpcc_topology::PortDesc;
 use hpcc_types::rng::SplitMix64;
 use hpcc_types::{
-    Bandwidth, Duration, FlowId, FlowSpec, NodeId, Packet, PacketKind, PortId, Priority, Route,
-    SimTime, MTU_PAYLOAD,
+    Bandwidth, Duration, FlowSpec, NodeId, Packet, PacketKind, PortId, Priority, Route, SimTime,
+    MTU_PAYLOAD,
 };
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -30,21 +30,30 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// the DCQCN notification-point specification.
 const CNP_INTERVAL: Duration = Duration::from_us(50);
 
-/// Cold (per-event, not per-scan) sender-side state of one flow.
+/// Sender-side state of one flow.
 ///
-/// Everything the round-robin scheduler scan does *not* touch lives here, so
-/// the hot arrays in [`SenderFlows`] stay dense.
-struct SenderFlowCold {
+/// The fields [`Host::may_transmit`] reads for a link with no class paused
+/// come first and fill the record's first cache line: the window, the
+/// sequence numbers, the pacer, `finished` and `spec.size`. The
+/// retransmission queue follows; the check reads it only once every byte has
+/// been sent once.
+#[repr(C, align(64))]
+struct SenderFlow {
+    /// Cumulatively acknowledged bytes.
+    snd_una: u64,
+    /// Next new byte to transmit.
+    snd_nxt: u64,
+    /// The CC window, cached from `cc.state()`.
+    window: u64,
+    /// Earliest time the pacer allows the next packet of this flow.
+    next_avail: SimTime,
+    finished: bool,
     spec: FlowSpec,
-    /// Dense slot of this flow in the receiver's table (stamped on every
-    /// data packet so the receiver indexes without a hash lookup).
-    dst_slot: u32,
-    /// Egress port at every switch of the flow's path, out and back (stamped
-    /// on every data packet so no switch looks the destination up).
-    route: Route,
-    cc: Box<dyn CongestionControl>,
     /// IRN: packet offsets queued for retransmission.
     rtx_queue: BTreeSet<u64>,
+    /// The CC rate, cached from `cc.state()`.
+    rate: Bandwidth,
+    cc: Box<dyn CongestionControl>,
     /// IRN: packet offsets known to have been received out of order.
     sacked: BTreeSet<u64>,
     /// Last time a go-back-N rollback was performed (NACK dedup).
@@ -53,113 +62,77 @@ struct SenderFlowCold {
     last_progress: SimTime,
     /// Pending CC timer event time (to avoid duplicate chains).
     timer_at: Option<SimTime>,
+    /// Egress port at every switch of the flow's path, out and back (stamped
+    /// on every data packet so no switch looks the destination up).
+    route: Route,
+    /// Dense slot of this flow in the receiver's table (stamped on every
+    /// data packet so the receiver indexes without a hash lookup).
+    dst_slot: u32,
     /// Whether an RTO check chain is running.
     rto_armed: bool,
 }
 
-/// Sender-side flow table in struct-of-arrays layout.
-///
-/// The per-ACK path and the round-robin `pick_flow` scan read a handful of
-/// small fields per flow (`finished`/window/pacing state); keeping those in
-/// index-aligned dense arrays means a scan over thousands of flows touches a few
-/// contiguous cache lines instead of striding over ~200-byte AoS records
-/// (the CC trait object, two `BTreeSet`s and the spec live in
-/// [`SenderFlowCold`], off the scan path).
-///
-/// `active` lists, in ascending order, every unfinished flow with data to
-/// send, and perhaps some that no longer have any: an entry is added where a
-/// flow gains data — its start, a go-back-N or RTO rollback, an IRN
-/// retransmission queued — and dropped lazily ([`SenderFlows::prune`]). The
-/// scheduler visits it instead of every flow the host ever started.
-#[derive(Default)]
-struct SenderFlows {
-    /// Flow id (per-ACK identity check).
-    id: Vec<FlowId>,
-    /// Flow size in bytes (mirror of `spec.size`).
-    size: Vec<u64>,
-    /// Cached CC window output.
-    window: Vec<u64>,
-    /// Cached CC rate output.
-    rate: Vec<Bandwidth>,
-    /// Cumulatively acknowledged bytes.
-    snd_una: Vec<u64>,
-    /// Next new byte to transmit.
-    snd_nxt: Vec<u64>,
-    /// Earliest time the pacer allows the next packet of this flow.
-    next_avail: Vec<SimTime>,
-    finished: Vec<bool>,
-    /// Mirror of `cold[i].rtx_queue.is_empty()` (kept in sync at every
-    /// retransmission-queue mutation so the scheduler scan stays hot).
-    rtx_empty: Vec<bool>,
-    cold: Vec<SenderFlowCold>,
-    /// Flow indices, ascending: a superset of the unfinished flows with data
-    /// to send.
-    active: Vec<u32>,
-}
+// `may_transmit`'s fields, `spec.size` the last of them, within the first
+// cache line.
+const _: () = assert!(
+    std::mem::offset_of!(SenderFlow, spec) + std::mem::offset_of!(FlowSpec, size) + 8 <= 64
+);
 
-impl SenderFlows {
-    fn len(&self) -> usize {
-        self.cold.len()
-    }
-    fn push(
-        &mut self,
+impl SenderFlow {
+    fn new(
         now: SimTime,
         spec: FlowSpec,
         dst_slot: u32,
         route: Route,
         cc: Box<dyn CongestionControl>,
-    ) {
-        self.id.push(spec.id);
-        self.size.push(spec.size);
-        self.window.push(0);
-        self.rate.push(Bandwidth::ZERO);
-        self.snd_una.push(0);
-        self.snd_nxt.push(0);
-        self.next_avail.push(now);
-        self.finished.push(false);
-        self.rtx_empty.push(true);
-        self.cold.push(SenderFlowCold {
+    ) -> SenderFlow {
+        let state = cc.state();
+        SenderFlow {
+            snd_una: 0,
+            snd_nxt: 0,
+            window: state.window,
+            next_avail: now,
+            finished: false,
             spec,
-            dst_slot,
-            route,
-            cc,
             rtx_queue: BTreeSet::new(),
+            rate: state.rate,
+            cc,
             sacked: BTreeSet::new(),
             last_rollback: None,
             last_progress: now,
             timer_at: None,
+            route,
+            dst_slot,
             rto_armed: false,
-        });
-    }
-    fn inflight(&self, i: usize) -> u64 {
-        self.snd_nxt[i].saturating_sub(self.snd_una[i])
-    }
-    fn has_data_to_send(&self, i: usize) -> bool {
-        !self.rtx_empty[i] || self.snd_nxt[i] < self.size[i]
-    }
-    fn window_open(&self, i: usize) -> bool {
-        self.inflight(i) < self.window[i]
-    }
-    fn refresh_cc(&mut self, i: usize) {
-        let s = self.cold[i].cc.state();
-        self.window[i] = s.window;
-        self.rate[i] = s.rate;
-    }
-    /// Re-sync the `rtx_empty` mirror after a retransmission-queue mutation.
-    fn sync_rtx(&mut self, i: usize) {
-        self.rtx_empty[i] = self.cold[i].rtx_queue.is_empty();
-    }
-    /// Flow `i` has gained data to send: make sure `active` lists it.
-    fn activate(&mut self, i: usize) {
-        if let Err(at) = self.active.binary_search(&(i as u32)) {
-            self.active.insert(at, i as u32);
         }
     }
-    /// Drop the entries of `active` that have nothing left to send.
-    fn prune(&mut self) {
-        let mut active = std::mem::take(&mut self.active);
-        active.retain(|&i| !self.finished[i as usize] && self.has_data_to_send(i as usize));
-        self.active = active;
+    fn inflight(&self) -> u64 {
+        self.snd_nxt.saturating_sub(self.snd_una)
+    }
+    fn has_data_to_send(&self) -> bool {
+        self.snd_nxt < self.spec.size || !self.rtx_queue.is_empty()
+    }
+    fn window_open(&self) -> bool {
+        self.inflight() < self.window
+    }
+    fn refresh_cc(&mut self) {
+        let s = self.cc.state();
+        self.window = s.window;
+        self.rate = s.rate;
+    }
+    /// The data class of the next packet this flow would emit (its head
+    /// retransmission, or the next new byte).
+    fn next_class(&self, cfg: &SimConfig) -> Priority {
+        let seq = self.rtx_queue.first().copied().unwrap_or(self.snd_nxt);
+        Priority::data_class(cfg.queueing.tag_class(self.spec.priority, seq))
+    }
+}
+
+/// Flow `i` has gained data to send: make sure the ascending `active` list
+/// holds it.
+fn activate(active: &mut Vec<u32>, i: usize) {
+    if let Err(at) = active.binary_search(&(i as u32)) {
+        active.insert(at, i as u32);
     }
 }
 
@@ -182,7 +155,16 @@ pub struct Host {
     /// toggle data class 0), fault state and the port counters.
     pub(crate) link: Link,
     ctrl_queue: VecDeque<Box<Packet>>,
-    flows: SenderFlows,
+    /// Every flow this host started, in start order: a flow's index here is
+    /// the `src_slot` its packets carry and the `slot` of its timer events.
+    flows: Vec<SenderFlow>,
+    /// Flow indices, ascending: every unfinished flow with data to send, and
+    /// perhaps some that no longer have any. An entry is added where a flow
+    /// gains data — its start, a go-back-N or RTO rollback, an IRN
+    /// retransmission queued — and dropped lazily, when a frame starts
+    /// ([`Host::start_wire`]). The scheduler visits it instead of every flow
+    /// the host ever started.
+    active: Vec<u32>,
     rr_cursor: usize,
     /// Receiver-side flow state, indexed by the packet's `dst_slot` (dense
     /// per-host slots assigned by the simulator at flow registration).
@@ -218,7 +200,8 @@ impl Host {
             id,
             link: Link::new(id, PortId(0), &ports[0]),
             ctrl_queue: VecDeque::with_capacity(16),
-            flows: SenderFlows::default(),
+            flows: Vec::new(),
+            active: Vec::new(),
             rr_cursor: 0,
             recv: Vec::new(),
             wake_at: None,
@@ -234,27 +217,14 @@ impl Host {
 
     /// Number of unfinished sender flows.
     pub(crate) fn unfinished_flows(&self) -> usize {
-        self.flows.finished.iter().filter(|&&f| !f).count()
-    }
-
-    /// The data class of the next packet flow `idx` would emit (its head
-    /// retransmission, or the next new byte).
-    fn next_packet_class(flows: &SenderFlows, idx: usize, cfg: &SimConfig) -> Priority {
-        let c = &flows.cold[idx];
-        let seq = c
-            .rtx_queue
-            .iter()
-            .next()
-            .copied()
-            .unwrap_or(flows.snd_nxt[idx]);
-        Priority::data_class(cfg.queueing.tag_class(c.spec.priority, seq))
+        self.flows.iter().filter(|f| !f.finished).count()
     }
 
     /// The current (window, rate) of a flow, if it exists.
     #[cfg(test)]
-    fn flow_state(&self, flow: FlowId) -> Option<(u64, Bandwidth)> {
-        let i = self.flows.id.iter().position(|&id| id == flow)?;
-        Some((self.flows.window[i], self.flows.rate[i]))
+    fn flow_state(&self, flow: hpcc_types::FlowId) -> Option<(u64, Bandwidth)> {
+        let f = self.flows.iter().find(|f| f.spec.id == flow)?;
+        Some((f.window, f.rate))
     }
 
     /// Register a new flow at its start time and try to transmit.
@@ -270,7 +240,7 @@ impl Host {
         if spec.src == spec.dst || spec.size == 0 {
             // Degenerate flows complete immediately (the workload generator
             // never produces them, but stay robust).
-            eff.completions.push(FlowRecord {
+            eff.out.flows.push(FlowRecord {
                 id: spec.id,
                 src: spec.src,
                 dst: spec.dst,
@@ -283,28 +253,28 @@ impl Host {
         }
         let cc = build_cc(&cfg.cc, self.link.bandwidth(), cfg.base_rtt, MTU_PAYLOAD);
         let idx = self.flows.len();
-        self.flows.push(now, spec, dst_slot, route, cc);
-        self.flows.refresh_cc(idx);
+        self.flows
+            .push(SenderFlow::new(now, spec, dst_slot, route, cc));
         // The largest index yet: `active` stays in ascending order.
-        self.flows.active.push(idx as u32);
+        self.active.push(idx as u32);
         self.ensure_cc_timer(idx, now, eff);
         eff.kicks.push((self.id, PortId(0)));
     }
 
     /// Ensure a CC timer event chain exists if the algorithm wants one.
     fn ensure_cc_timer(&mut self, idx: usize, now: SimTime, eff: &mut Effects) {
-        if self.flows.finished[idx] {
+        let f = &mut self.flows[idx];
+        if f.finished {
             return;
         }
-        let cold = &mut self.flows.cold[idx];
-        if let Some(t) = cold.cc.next_timer() {
+        if let Some(t) = f.cc.next_timer() {
             let t = t.max(now + Duration::from_ns(1));
-            let need = match cold.timer_at {
+            let need = match f.timer_at {
                 None => true,
                 Some(cur) => cur <= now || t < cur,
             };
             if need {
-                cold.timer_at = Some(t);
+                f.timer_at = Some(t);
                 eff.schedule(
                     t,
                     Event::CcTimer {
@@ -319,21 +289,18 @@ impl Host {
     /// A previously scheduled CC timer fired.
     pub(crate) fn handle_cc_timer(&mut self, now: SimTime, slot: u32, eff: &mut Effects) {
         let idx = slot as usize;
-        if idx >= self.flows.len() {
+        let Some(f) = self.flows.get_mut(idx) else {
+            return;
+        };
+        if f.finished {
             return;
         }
-        {
-            if self.flows.finished[idx] {
-                return;
-            }
-            let cold = &mut self.flows.cold[idx];
-            if cold.timer_at.is_some_and(|t| t <= now) {
-                cold.timer_at = None;
-            }
-            if cold.cc.next_timer().is_some_and(|t| t <= now) {
-                cold.cc.on_timer(now);
-                self.flows.refresh_cc(idx);
-            }
+        if f.timer_at.is_some_and(|t| t <= now) {
+            f.timer_at = None;
+        }
+        if f.cc.next_timer().is_some_and(|t| t <= now) {
+            f.cc.on_timer(now);
+            f.refresh_cc();
         }
         self.ensure_cc_timer(idx, now, eff);
         eff.kicks.push((self.id, PortId(0)));
@@ -348,30 +315,25 @@ impl Host {
         eff: &mut Effects,
     ) {
         let idx = slot as usize;
-        if idx >= self.flows.len() {
+        let Some(f) = self.flows.get_mut(idx) else {
+            return;
+        };
+        if f.finished {
+            f.rto_armed = false;
             return;
         }
-        let flows = &mut self.flows;
-        if flows.finished[idx] {
-            flows.cold[idx].rto_armed = false;
-            return;
-        }
-        if now.saturating_since(flows.cold[idx].last_progress) >= cfg.rto()
-            && flows.inflight(idx) > 0
-        {
+        if now.saturating_since(f.last_progress) >= cfg.rto() && f.inflight() > 0 {
             // Timeout: go back to the last acknowledged byte.
-            flows.snd_nxt[idx] = flows.snd_una[idx];
-            let cold = &mut flows.cold[idx];
-            cold.rtx_queue.clear();
-            cold.sacked.clear();
-            cold.cc.on_loss(now);
-            cold.last_progress = now;
-            flows.sync_rtx(idx);
-            flows.refresh_cc(idx);
-            flows.next_avail[idx] = now;
-            flows.activate(idx);
+            f.snd_nxt = f.snd_una;
+            f.rtx_queue.clear();
+            f.sacked.clear();
+            f.cc.on_loss(now);
+            f.last_progress = now;
+            f.refresh_cc();
+            f.next_avail = now;
+            activate(&mut self.active, idx);
         }
-        if flows.inflight(idx) > 0 || flows.has_data_to_send(idx) {
+        if f.inflight() > 0 || f.has_data_to_send() {
             eff.schedule(
                 now + cfg.rto(),
                 Event::RtoCheck {
@@ -380,7 +342,7 @@ impl Host {
                 },
             );
         } else {
-            flows.cold[idx].rto_armed = false;
+            f.rto_armed = false;
         }
         eff.kicks.push((self.id, PortId(0)));
     }
@@ -431,7 +393,7 @@ impl Host {
         cfg: &SimConfig,
         eff: &mut Effects,
     ) {
-        eff.packets_delivered += 1;
+        eff.out.packets_delivered += 1;
         let slot = pkt.dst_slot as usize;
         if self.recv.len() <= slot {
             self.recv.resize_with(slot + 1, ReceiverFlow::default);
@@ -514,125 +476,115 @@ impl Host {
         // stamped with; the id check preserves the old hash-miss semantics
         // for packets that do not belong to any of our flows.
         let idx = pkt.src_slot as usize;
-        if idx >= self.flows.len() || self.flows.id[idx] != pkt.flow {
+        let Some(f) = self.flows.get_mut(idx) else {
+            return;
+        };
+        if f.spec.id != pkt.flow || f.finished {
             return;
         }
-        {
-            let flows = &mut self.flows;
-            if flows.finished[idx] {
-                return;
+        match pkt.kind {
+            PacketKind::Ack => {
+                let newly = pkt.seq.saturating_sub(f.snd_una);
+                if newly > 0 {
+                    f.snd_una = pkt.seq;
+                    f.last_progress = now;
+                    eff.record_goodput(f.spec.id, now, newly);
+                    // Drop retransmission bookkeeping below the new left
+                    // edge; on the lossless path there never is any.
+                    if !f.rtx_queue.is_empty() {
+                        f.rtx_queue = f.rtx_queue.split_off(&pkt.seq);
+                    }
+                    if !f.sacked.is_empty() {
+                        f.sacked = f.sacked.split_off(&pkt.seq);
+                    }
+                    if f.snd_nxt < f.snd_una {
+                        f.snd_nxt = f.snd_una;
+                    }
+                }
+                let rtt = now.saturating_since(pkt.ts_sent);
+                let ev = AckEvent {
+                    now,
+                    ack_seq: pkt.seq,
+                    snd_nxt: f.snd_nxt,
+                    newly_acked: newly,
+                    ecn_echo: pkt.ack_flags.ecn_echo,
+                    rtt,
+                    int: &pkt.int,
+                };
+                f.cc.on_ack(&ev);
+                f.refresh_cc();
+                if f.snd_una >= f.spec.size {
+                    f.finished = true;
+                    let spec = &f.spec;
+                    eff.out.flows.push(FlowRecord {
+                        id: spec.id,
+                        src: spec.src,
+                        dst: spec.dst,
+                        size: spec.size,
+                        start: spec.start,
+                        finish: now,
+                        prio: spec.priority.wire_code(),
+                    });
+                }
             }
-            match pkt.kind {
-                PacketKind::Ack => {
-                    let newly = pkt.seq.saturating_sub(flows.snd_una[idx]);
-                    if newly > 0 {
-                        flows.snd_una[idx] = pkt.seq;
-                        let cold = &mut flows.cold[idx];
-                        cold.last_progress = now;
-                        eff.goodput.push((cold.spec.id, newly));
-                        // Drop retransmission bookkeeping below the new left
-                        // edge; on the lossless path there never is any.
-                        if !flows.rtx_empty[idx] {
-                            cold.rtx_queue = cold.rtx_queue.split_off(&pkt.seq);
-                        }
-                        if !cold.sacked.is_empty() {
-                            cold.sacked = cold.sacked.split_off(&pkt.seq);
-                        }
-                        flows.sync_rtx(idx);
-                        if flows.snd_nxt[idx] < flows.snd_una[idx] {
-                            flows.snd_nxt[idx] = flows.snd_una[idx];
-                        }
-                    }
-                    let rtt = now.saturating_since(pkt.ts_sent);
-                    let ev = AckEvent {
-                        now,
-                        ack_seq: pkt.seq,
-                        snd_nxt: flows.snd_nxt[idx],
-                        newly_acked: newly,
-                        ecn_echo: pkt.ack_flags.ecn_echo,
-                        rtt,
-                        int: &pkt.int,
-                    };
-                    flows.cold[idx].cc.on_ack(&ev);
-                    flows.refresh_cc(idx);
-                    if flows.snd_una[idx] >= flows.size[idx] {
-                        flows.finished[idx] = true;
-                        let spec = &flows.cold[idx].spec;
-                        eff.completions.push(FlowRecord {
-                            id: spec.id,
-                            src: spec.src,
-                            dst: spec.dst,
-                            size: spec.size,
-                            start: spec.start,
-                            finish: now,
-                            prio: spec.priority.wire_code(),
-                        });
-                    }
+            PacketKind::Nack => {
+                // Go-back-N: everything before `pkt.seq` is received.
+                if pkt.seq > f.snd_una {
+                    f.snd_una = pkt.seq;
+                    f.last_progress = now;
+                    eff.record_goodput(f.spec.id, now, 0);
                 }
-                PacketKind::Nack => {
-                    // Go-back-N: everything before `pkt.seq` is received.
-                    if pkt.seq > flows.snd_una[idx] {
-                        flows.snd_una[idx] = pkt.seq;
-                        flows.cold[idx].last_progress = now;
-                        eff.goodput.push((flows.id[idx], 0));
-                    }
-                    let rollback_due = flows.cold[idx]
-                        .last_rollback
-                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
-                    if rollback_due && flows.snd_nxt[idx] > flows.snd_una[idx] {
-                        flows.snd_nxt[idx] = flows.snd_una[idx];
-                        flows.next_avail[idx] = now;
-                        let cold = &mut flows.cold[idx];
-                        cold.last_rollback = Some(now);
-                        cold.cc.on_loss(now);
-                        flows.refresh_cc(idx);
-                        flows.activate(idx);
-                    }
+                let rollback_due = f
+                    .last_rollback
+                    .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
+                if rollback_due && f.snd_nxt > f.snd_una {
+                    f.snd_nxt = f.snd_una;
+                    f.next_avail = now;
+                    f.last_rollback = Some(now);
+                    f.cc.on_loss(now);
+                    f.refresh_cc();
+                    activate(&mut self.active, idx);
                 }
-                PacketKind::SackNack => {
-                    // IRN: bytes before `pkt.seq` received in order, the block
-                    // `[sack_start, sack_start+sack_len)` received out of
-                    // order; everything in between is missing.
-                    if pkt.seq > flows.snd_una[idx] {
-                        flows.snd_una[idx] = pkt.seq;
-                        flows.cold[idx].last_progress = now;
-                    }
-                    let snd_una = flows.snd_una[idx];
-                    let snd_nxt = flows.snd_nxt[idx];
-                    let cold = &mut flows.cold[idx];
-                    cold.sacked.insert(pkt.sack_start);
-                    // Queue the missing packets between snd_una and the
-                    // sacked block for retransmission (blocks below earlier
-                    // sacks were already queued when those sacks arrived;
-                    // the `sacked.contains` check below skips them).
-                    let mut off = snd_una;
-                    while off < pkt.sack_start {
-                        if !cold.sacked.contains(&off) && off < snd_nxt {
-                            cold.rtx_queue.insert(off);
-                        }
-                        off += MTU_PAYLOAD;
-                    }
-                    let loss_due = cold
-                        .last_rollback
-                        .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
-                    if loss_due && !cold.rtx_queue.is_empty() {
-                        cold.last_rollback = Some(now);
-                        cold.cc.on_loss(now);
-                    }
-                    flows.sync_rtx(idx);
-                    if !flows.rtx_empty[idx] {
-                        flows.activate(idx);
-                        if loss_due {
-                            flows.refresh_cc(idx);
-                        }
-                    }
-                }
-                PacketKind::Cnp => {
-                    flows.cold[idx].cc.on_cnp(now);
-                    flows.refresh_cc(idx);
-                }
-                _ => {}
             }
+            PacketKind::SackNack => {
+                // IRN: bytes before `pkt.seq` received in order, the block
+                // `[sack_start, sack_start+sack_len)` received out of
+                // order; everything in between is missing.
+                if pkt.seq > f.snd_una {
+                    f.snd_una = pkt.seq;
+                    f.last_progress = now;
+                }
+                f.sacked.insert(pkt.sack_start);
+                // Queue the missing packets between snd_una and the
+                // sacked block for retransmission (blocks below earlier
+                // sacks were already queued when those sacks arrived;
+                // the `sacked.contains` check below skips them).
+                let mut off = f.snd_una;
+                while off < pkt.sack_start {
+                    if !f.sacked.contains(&off) && off < f.snd_nxt {
+                        f.rtx_queue.insert(off);
+                    }
+                    off += MTU_PAYLOAD;
+                }
+                let loss_due = f
+                    .last_rollback
+                    .is_none_or(|t| now.saturating_since(t) >= cfg.nack_interval());
+                if loss_due && !f.rtx_queue.is_empty() {
+                    f.last_rollback = Some(now);
+                    f.cc.on_loss(now);
+                }
+                if !f.rtx_queue.is_empty() {
+                    activate(&mut self.active, idx);
+                    if loss_due {
+                        f.refresh_cc();
+                    }
+                }
+            }
+            PacketKind::Cnp => {
+                f.cc.on_cnp(now);
+                f.refresh_cc();
+            }
+            _ => {}
         }
         self.ensure_cc_timer(idx, now, eff);
         eff.kicks.push((self.id, PortId(0)));
@@ -651,7 +603,7 @@ impl Host {
     fn pick_flow(&mut self, now: SimTime, cfg: &SimConfig) -> Option<usize> {
         let n = self.flows.len();
         let any_paused = self.link.any_data_paused();
-        let active = &self.flows.active;
+        let active = &self.active;
         let from = active.partition_point(|&i| (i as usize) < self.rr_cursor);
         let idx = active[from..]
             .iter()
@@ -666,24 +618,23 @@ impl Host {
     /// and PFC all allow right now.
     #[inline]
     fn may_transmit(&self, idx: usize, now: SimTime, any_paused: bool, cfg: &SimConfig) -> bool {
-        let f = &self.flows;
-        !f.finished[idx]
-            && f.has_data_to_send(idx)
-            && f.window_open(idx)
-            && f.next_avail[idx] <= now
-            && !(any_paused && self.link.class_paused(Self::next_packet_class(f, idx, cfg)))
+        let f = &self.flows[idx];
+        !f.finished
+            && f.has_data_to_send()
+            && f.window_open()
+            && f.next_avail <= now
+            && !(any_paused && self.link.class_paused(f.next_class(cfg)))
     }
 
     /// Earliest pacing instant among flows that are blocked only by pacing.
     fn earliest_wake(&self, now: SimTime) -> Option<SimTime> {
-        let f = &self.flows;
-        f.active
+        self.active
             .iter()
-            .map(|&i| i as usize)
-            .filter(|&i| {
-                !f.finished[i] && f.has_data_to_send(i) && f.window_open(i) && f.next_avail[i] > now
+            .map(|&i| &self.flows[i as usize])
+            .filter(|f| {
+                !f.finished && f.has_data_to_send() && f.window_open() && f.next_avail > now
             })
-            .map(|i| f.next_avail[i])
+            .map(|f| f.next_avail)
             .min()
     }
 
@@ -722,48 +673,28 @@ impl Host {
             return;
         };
         // Build the next data packet of the chosen flow.
-        let (pkt, rto_needed) = {
-            let flows = &mut self.flows;
-            let cold = &mut flows.cold[idx];
-            let seq = if let Some(&s) = cold.rtx_queue.iter().next() {
-                cold.rtx_queue.remove(&s);
-                flows.rtx_empty[idx] = cold.rtx_queue.is_empty();
-                s
-            } else {
-                flows.snd_nxt[idx]
-            };
-            let payload = (cold.spec.size - seq).min(MTU_PAYLOAD);
-            let mut pkt = eff.alloc_data(
-                cold.spec.id,
-                cold.spec.src,
-                cold.spec.dst,
-                seq,
-                payload,
-                now,
-            );
-            // Stamp the data class: PIAS bytes-sent demotion or the static
-            // FlowPriority mapping (class 0 — Priority::DATA — on the
-            // legacy single-class path, which alloc_data already set).
-            pkt.priority = Priority::data_class(cfg.queueing.tag_class(cold.spec.priority, seq));
-            pkt.src_slot = idx as u32;
-            pkt.dst_slot = cold.dst_slot;
-            pkt.route = cold.route;
-            if seq + payload >= cold.spec.size {
-                pkt.ack_flags.flow_finished = true;
-            }
-            if seq == flows.snd_nxt[idx] {
-                flows.snd_nxt[idx] = seq + payload;
-            }
-            // Pace the next packet of this flow at its CC rate.
-            let wire = pkt.wire_size(cfg.int_enabled);
-            flows.next_avail[idx] = now + flows.rate[idx].tx_time(wire);
-            let rto_needed = cfg.flow_control.lossy() && !cold.rto_armed;
-            if rto_needed {
-                cold.rto_armed = true;
-            }
-            (pkt, rto_needed)
-        };
-        if rto_needed {
+        let f = &mut self.flows[idx];
+        let seq = f.rtx_queue.pop_first().unwrap_or(f.snd_nxt);
+        let payload = (f.spec.size - seq).min(MTU_PAYLOAD);
+        let mut pkt = eff.alloc_data(f.spec.id, f.spec.src, f.spec.dst, seq, payload, now);
+        // Stamp the data class: PIAS bytes-sent demotion or the static
+        // FlowPriority mapping (class 0 — Priority::DATA — on the legacy
+        // single-class path, which alloc_data already set).
+        pkt.priority = Priority::data_class(cfg.queueing.tag_class(f.spec.priority, seq));
+        pkt.src_slot = idx as u32;
+        pkt.dst_slot = f.dst_slot;
+        pkt.route = f.route;
+        if seq + payload >= f.spec.size {
+            pkt.ack_flags.flow_finished = true;
+        }
+        if seq == f.snd_nxt {
+            f.snd_nxt = seq + payload;
+        }
+        // Pace the next packet of this flow at its CC rate.
+        let wire = pkt.wire_size(cfg.int_enabled);
+        f.next_avail = now + f.rate.tx_time(wire);
+        if cfg.flow_control.lossy() && !f.rto_armed {
+            f.rto_armed = true;
             eff.schedule(
                 now + cfg.rto(),
                 Event::RtoCheck {
@@ -772,7 +703,7 @@ impl Host {
                 },
             );
         }
-        eff.packets_sent += 1;
+        eff.out.packets_sent += 1;
         self.start_wire(now, pkt, cfg, eff);
     }
 
@@ -792,8 +723,13 @@ impl Host {
         };
         self.link
             .transmit(now, pkt, wire, tx_time, &mut self.fault_rng, eff);
-        self.flows.prune();
-        if !self.ctrl_queue.is_empty() || !self.flows.active.is_empty() {
+        // Drop the entries of `active` that have nothing left to send.
+        let flows = &self.flows;
+        self.active.retain(|&i| {
+            let f = &flows[i as usize];
+            !f.finished && f.has_data_to_send()
+        });
+        if !self.ctrl_queue.is_empty() || !self.active.is_empty() {
             self.link.push_ready(eff);
         }
     }
@@ -805,7 +741,7 @@ mod tests {
     use crate::config::FlowControlMode;
     use hpcc_cc::{CcAlgorithm, DcqcnConfig};
     use hpcc_topology::TopologyBuilder;
-    use hpcc_types::IntHeader;
+    use hpcc_types::{FlowId, IntHeader};
 
     const LINE: Bandwidth = Bandwidth::from_gbps(100);
     const RTT: Duration = Duration::from_us(13);
@@ -843,7 +779,7 @@ mod tests {
         let mut sent = 0;
         for _ in 0..1000 {
             h.try_transmit(now, &cfg, &mut e);
-            if e.packets_sent == sent {
+            if e.out.packets_sent == sent {
                 break;
             }
             sent += 1;
@@ -877,7 +813,7 @@ mod tests {
         // While the window is closed nothing more is sent even when paced.
         let mut e = Effects::at(now);
         h.try_transmit(now, &cfg, &mut e);
-        assert_eq!(e.packets_sent, 0);
+        assert_eq!(e.out.packets_sent, 0);
     }
 
     #[test]
@@ -897,10 +833,10 @@ mod tests {
         let mut e = Effects::at(SimTime::ZERO);
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
         h.try_transmit(SimTime::ZERO, &cfg, &mut e);
-        assert_eq!(e.packets_sent, 1, "the NIC is busy");
+        assert_eq!(e.out.packets_sent, 1, "the NIC is busy");
         e.key = h.link.ready_key();
         h.try_transmit(e.key.0, &cfg, &mut e);
-        assert_eq!(e.packets_sent, 2);
+        assert_eq!(e.out.packets_sent, 2);
         // ACK the full flow.
         let mut data = Packet::data(FlowId(1), NodeId(0), NodeId(1), 1000, 1000, SimTime::ZERO);
         data.ack_flags.flow_finished = true;
@@ -913,8 +849,8 @@ mod tests {
             &cfg,
             &mut e2,
         );
-        assert_eq!(e2.completions.len(), 1);
-        let rec = e2.completions[0];
+        assert_eq!(e2.out.flows.len(), 1);
+        let rec = e2.out.flows[0];
         assert_eq!(rec.size, 2000);
         assert_eq!(rec.finish, SimTime::from_us(10));
         assert_eq!(h.unfinished_flows(), 0);
@@ -951,7 +887,7 @@ mod tests {
             &cfg,
             &mut eff,
         );
-        assert_eq!(eff.packets_delivered, 1);
+        assert_eq!(eff.out.packets_delivered, 1);
         assert_eq!(h.ctrl_queue.len(), 1);
         let ack = &h.ctrl_queue[0];
         assert_eq!(ack.kind, PacketKind::Ack);
@@ -1007,7 +943,7 @@ mod tests {
         for _ in 0..5 {
             let mut e2 = Effects::at(now);
             sender.try_transmit(now, &cfg, &mut e2);
-            assert_eq!(e2.packets_sent, 1);
+            assert_eq!(e2.out.packets_sent, 1);
             now += Duration::from_ns(100);
         }
         let nack = {
@@ -1022,12 +958,9 @@ mod tests {
             &cfg,
             &mut e3,
         );
-        let f = &sender.flows;
-        assert_eq!(f.snd_una[0], 1000);
-        assert_eq!(
-            f.snd_nxt[0], 1000,
-            "go-back-N rolls back to the expected byte"
-        );
+        let f = &sender.flows[0];
+        assert_eq!(f.snd_una, 1000);
+        assert_eq!(f.snd_nxt, 1000, "go-back-N rolls back to the expected byte");
     }
 
     #[test]
@@ -1074,10 +1007,10 @@ mod tests {
         for _ in 0..4 {
             let mut e2 = Effects::at(now);
             sender.try_transmit(now, &cfg, &mut e2);
-            assert_eq!(e2.packets_sent, 1);
+            assert_eq!(e2.out.packets_sent, 1);
             now += Duration::from_ns(200);
         }
-        assert_eq!(sender.flows.snd_nxt[0], 4000);
+        assert_eq!(sender.flows[0].snd_nxt, 4000);
         // Receiver reports: expected 1000 (packet at 1000 missing), block
         // [2000, 3000) received out of order.
         let d = Packet::data(FlowId(9), NodeId(0), NodeId(1), 2000, 1000, SimTime::ZERO);
@@ -1090,10 +1023,11 @@ mod tests {
             &cfg,
             &mut e3,
         );
-        assert_eq!(sender.flows.snd_una[0], 1000);
-        assert!(sender.flows.cold[0].rtx_queue.contains(&1000));
-        assert_eq!(sender.flows.cold[0].rtx_queue.len(), 1);
-        assert!(!sender.flows.rtx_empty[0], "rtx mirror tracks the queue");
+        let f = &sender.flows[0];
+        assert_eq!(f.snd_una, 1000);
+        assert!(f.rtx_queue.contains(&1000));
+        assert_eq!(f.rtx_queue.len(), 1);
+        assert!(!f.rtx_queue.is_empty(), "the retransmission is queued");
         // The retransmission goes out before new data.
         let mut e4 = Effects::at(SimTime::from_us(6));
         sender.try_transmit(SimTime::from_us(6), &cfg, &mut e4);
@@ -1282,7 +1216,7 @@ mod tests {
         );
         let mut e = Effects::at(SimTime::from_us(2));
         h.try_transmit(SimTime::from_us(2), &cfg, &mut e);
-        assert_eq!(e.packets_sent, 0, "data is paused");
+        assert_eq!(e.out.packets_sent, 0, "data is paused");
         // But a queued ACK still goes out.
         let data = Packet::data(FlowId(5), NodeId(1), NodeId(0), 0, 1000, SimTime::ZERO);
         h.handle_arrival(SimTime::from_us(3), PortId(0), Box::new(data), &cfg, &mut e);
@@ -1304,7 +1238,7 @@ mod tests {
         assert_eq!(h.link.counters.pause_duration, Duration::from_us(10));
         let mut e4 = Effects::at(SimTime::from_us(12));
         h.try_transmit(SimTime::from_us(12), &cfg, &mut e4);
-        assert_eq!(e4.packets_sent, 1);
+        assert_eq!(e4.out.packets_sent, 1);
     }
 
     #[test]
@@ -1341,12 +1275,12 @@ mod tests {
         // First packet goes out immediately…
         let mut e = Effects::at(SimTime::from_us(100));
         h.try_transmit(SimTime::from_us(100), &cfg, &mut e);
-        assert_eq!(e.packets_sent, 1);
+        assert_eq!(e.out.packets_sent, 1);
         // …the second is pacing-blocked, so the host asks for a wake-up.
         let mut e2 = Effects::at(SimTime::from_us(101));
         assert!(!h.link.busy(&e2), "the first frame has left the NIC");
         h.try_transmit(SimTime::from_us(101), &cfg, &mut e2);
-        assert_eq!(e2.packets_sent, 0);
+        assert_eq!(e2.out.packets_sent, 0);
         let wake = e2
             .scheduled()
             .iter()
@@ -1376,11 +1310,11 @@ mod tests {
             .iter()
             .any(|(_, ev)| matches!(ev, Event::RtoCheck { .. }));
         assert!(rto_armed, "lossy mode arms an RTO");
-        assert_eq!(h.flows.snd_nxt[0], 1000);
+        assert_eq!(h.flows[0].snd_nxt, 1000);
         // Nothing is acknowledged; the RTO check one RTO on rolls back.
         let mut e2 = Effects::default();
         h.handle_rto(SimTime::ZERO + cfg.rto(), 0, &cfg, &mut e2);
-        assert_eq!(h.flows.snd_nxt[0], 0);
+        assert_eq!(h.flows[0].snd_nxt, 0);
         // And it re-arms itself.
         assert!(e2
             .scheduled()
@@ -1409,7 +1343,7 @@ mod tests {
             &cfg,
             &mut eff,
         );
-        assert_eq!(eff.completions.len(), 2);
+        assert_eq!(eff.out.flows.len(), 2);
         assert_eq!(h.unfinished_flows(), 0);
     }
 
@@ -1441,7 +1375,7 @@ mod tests {
         // After the second the NIC has nothing left to send: no `PortReady`.
         eff.key = h.link.ready_key();
         h.try_transmit(eff.key.0, &cfg, &mut eff);
-        assert_eq!(eff.packets_sent, 2);
+        assert_eq!(eff.out.packets_sent, 2);
         let ready = h.link.ready_key();
         assert!(port_readies(&mut eff).is_empty());
         // A data packet of another flow arrives while the frame is on the
@@ -1487,15 +1421,12 @@ mod tests {
                 .find(|&i| h.may_transmit(i, now, any_paused, &cfg))
         };
         let reference_wake = |h: &Host, now: SimTime| {
-            let f = &h.flows;
-            (0..f.len())
-                .filter(|&i| {
-                    !f.finished[i]
-                        && f.has_data_to_send(i)
-                        && f.window_open(i)
-                        && f.next_avail[i] > now
+            h.flows
+                .iter()
+                .filter(|f| {
+                    !f.finished && f.has_data_to_send() && f.window_open() && f.next_avail > now
                 })
-                .map(|i| f.next_avail[i])
+                .map(|f| f.next_avail)
                 .min()
         };
         let mut rng = SplitMix64::new(17);
@@ -1514,25 +1445,21 @@ mod tests {
                 );
             }
             let now = SimTime::from_us(10);
-            let f = &mut h.flows;
-            for i in 0..FLOWS as usize {
-                f.finished[i] = rng.next_below(5) == 0;
-                f.snd_una[i] = 1000 * rng.next_below(11);
-                f.snd_nxt[i] = (f.snd_una[i] + 1000 * rng.next_below(4)).min(10_000);
-                f.window[i] = 1000 * rng.next_below(4);
-                f.next_avail[i] =
+            for f in &mut h.flows {
+                f.finished = rng.next_below(5) == 0;
+                f.snd_una = 1000 * rng.next_below(11);
+                f.snd_nxt = (f.snd_una + 1000 * rng.next_below(4)).min(10_000);
+                f.window = 1000 * rng.next_below(4);
+                f.next_avail =
                     now + Duration::from_ns(rng.next_below(200)) - Duration::from_ns(100);
-                if rng.next_below(4) == 0 && f.snd_nxt[i] > 0 {
-                    f.cold[i]
-                        .rtx_queue
-                        .insert(1000 * rng.next_below(f.snd_nxt[i] / 1000));
+                if rng.next_below(4) == 0 && f.snd_nxt > 0 {
+                    f.rtx_queue.insert(1000 * rng.next_below(f.snd_nxt / 1000));
                 }
-                f.sync_rtx(i);
             }
-            f.active = (0..FLOWS as u32)
+            h.active = (0..FLOWS as u32)
                 .filter(|&i| {
-                    let i = i as usize;
-                    !f.finished[i] && f.has_data_to_send(i) || rng.next_below(4) == 0
+                    let f = &h.flows[i as usize];
+                    !f.finished && f.has_data_to_send() || rng.next_below(4) == 0
                 })
                 .collect();
             if rng.next_below(3) == 0 {

@@ -53,7 +53,8 @@ struct FaultRuntime {
     /// Accumulated host-NIC downtime (host endpoints of downed links).
     host_nic_downtime: Duration,
     /// Number of currently-open fault windows (outages, degradations and
-    /// straggles); goodput is attributed to the fault window while > 0.
+    /// straggles); goodput is attributed to the fault window while > 0
+    /// ([`Effects::fault_active`]).
     active: u32,
     /// Transitions applied so far.
     events_applied: u64,
@@ -75,6 +76,17 @@ impl FaultRuntime {
             events_applied: 0,
         }
     }
+}
+
+/// A registered flow and what registration resolved for it.
+#[derive(Clone, Copy, Debug)]
+struct Registered {
+    spec: FlowSpec,
+    /// Dense index into the destination host's receiver table.
+    dst_slot: u32,
+    /// The route stamped on its packets, from the topology's static route
+    /// table.
+    route: Route,
 }
 
 /// A packet-level discrete-event simulation of one experiment.
@@ -99,18 +111,13 @@ pub struct Simulator {
     nodes: Vec<Node>,
     topo: TopologySpec,
     cfg: SimConfig,
-    out: SimOutput,
-    flows: Vec<FlowSpec>,
-    /// Per-flow receiver slot (dense index into the destination host's
-    /// receiver table), assigned at registration; index-aligned with `flows`.
-    dst_slots: Vec<u32>,
-    /// Per-flow source route, resolved at registration from the topology's
-    /// static route table; index-aligned with `flows`.
-    routes: Vec<Route>,
+    /// Every flow registered, in registration order ([`Event::FlowStart`]
+    /// names one by its index here).
+    flows: Vec<Registered>,
     /// Next receiver slot per node (only host entries are used).
     next_dst_slot: Vec<u32>,
-    /// The event queue and the reusable side-effect arena around it:
-    /// cleared between events, never dropped, so the steady-state event loop
+    /// The event queue, the kick stack and the run's output: the arena
+    /// every handler works in, never dropped, so the steady-state event loop
     /// allocates nothing. It also counts the events handled (events popped
     /// after the horizon are discarded, not processed).
     eff: Effects,
@@ -155,21 +162,18 @@ impl Simulator {
             }
             _ => None,
         };
-        let mut out = SimOutput::new(1024, cfg.measure.goodput_bin.unwrap_or(Duration::ZERO));
+        eff.out = SimOutput::new(1024, cfg.measure.goodput_bin.unwrap_or(Duration::ZERO));
         // Per-class histograms exist only on the multi-class path, so the
         // legacy single-class output (and its digest) is byte-identical.
         if !cfg.queueing.is_legacy() {
-            out.class_queue_histograms = vec![Vec::new(); cfg.queueing.classes()];
+            eff.out.class_queue_histograms = vec![Vec::new(); cfg.queueing.classes()];
         }
         let node_count = topo.node_count();
         Simulator {
             nodes,
             topo,
             cfg,
-            out,
             flows: Vec::new(),
-            dst_slots: Vec::new(),
-            routes: Vec::new(),
             next_dst_slot: vec![0; node_count],
             eff,
             faults,
@@ -190,12 +194,13 @@ impl Simulator {
     /// Register one flow; it starts at `spec.start`.
     pub fn add_flow(&mut self, spec: FlowSpec) {
         let idx = self.flows.len();
-        self.flows.push(spec);
         let slot = &mut self.next_dst_slot[spec.dst.index()];
-        self.dst_slots.push(*slot);
+        self.flows.push(Registered {
+            spec,
+            dst_slot: *slot,
+            route: stamped_route(&self.topo, spec.id.raw(), spec.src, spec.dst),
+        });
         *slot += 1;
-        self.routes
-            .push(stamped_route(&self.topo, spec.id.raw(), spec.src, spec.dst));
         self.eff.schedule(spec.start, Event::FlowStart(idx));
     }
 
@@ -234,8 +239,11 @@ impl Simulator {
         self.eff.key = key;
         match ev {
             Event::FlowStart(idx) => {
-                let spec = self.flows[idx];
-                let (dst_slot, route) = (self.dst_slots[idx], self.routes[idx]);
+                let Registered {
+                    spec,
+                    dst_slot,
+                    route,
+                } = self.flows[idx];
                 if let Node::Host(h) = &mut self.nodes[spec.src.index()] {
                     h.flow_start(t, spec, dst_slot, route, &self.cfg, &mut self.eff);
                 }
@@ -271,10 +279,10 @@ impl Simulator {
                 for node in &self.nodes {
                     if let Node::Switch(s) = node {
                         for port in s.ports() {
-                            self.out.record_queue_sample(port.data_queue_bytes());
+                            self.eff.out.record_queue_sample(port.data_queue_bytes());
                             if classes > 1 {
                                 for c in 0..classes {
-                                    self.out.record_class_queue_sample(
+                                    self.eff.out.record_class_queue_sample(
                                         c,
                                         port.class_queue_bytes(c as u8),
                                     );
@@ -296,7 +304,8 @@ impl Simulator {
                         Node::Switch(s) => s.ports()[p.index()].data_queue_bytes(),
                         Node::Host(_) => 0,
                     };
-                    self.out
+                    self.eff
+                        .out
                         .port_traces
                         .entry((n, p))
                         .or_default()
@@ -380,6 +389,7 @@ impl Simulator {
                 }
             }
         }
+        self.eff.fault_active = fr.active > 0;
         if let Some(next) = fr.timeline.next_time() {
             self.eff.schedule(next, Event::FaultTransition);
         }
@@ -387,10 +397,7 @@ impl Simulator {
 
     /// Work the arena's kick stack (LIFO, matching the original recursive
     /// kick semantics) until it drains — a `try_transmit` pushes the kicks it
-    /// causes on top of the ones still pending — then record what the event
-    /// and its kicks accumulated. The record buffers are append-only while
-    /// handlers run, so draining them once at the end records everything in
-    /// the order it was produced.
+    /// causes on top of the ones still pending.
     fn apply_effects(&mut self) {
         let now = self.eff.key.0;
         while let Some((n, p)) = self.eff.kicks.pop() {
@@ -399,34 +406,6 @@ impl Simulator {
                 Node::Switch(s) => s.try_transmit(now, p, &self.cfg, &mut self.eff),
             }
         }
-        self.absorb();
-    }
-
-    /// Drain the arena's record buffers into the output. Leaves them empty
-    /// (but with their capacity and the packet pool intact), which is the
-    /// state the next event's handler expects.
-    fn absorb(&mut self) {
-        if !self.eff.completions.is_empty() {
-            self.out.flows.append(&mut self.eff.completions);
-        }
-        if !self.eff.pfc_events.is_empty() {
-            for ev in self.eff.pfc_events.drain(..) {
-                self.out.record_pfc_event(ev);
-            }
-        }
-        if !self.eff.goodput.is_empty() {
-            let fault_active = self.faults.as_ref().is_some_and(|fr| fr.active > 0);
-            for (f, b) in self.eff.goodput.drain(..) {
-                if fault_active {
-                    self.out.goodput_during_faults += b;
-                }
-                self.out.record_goodput(f, self.eff.key.0, b);
-            }
-        }
-        self.out.packets_delivered += self.eff.packets_delivered;
-        self.out.packets_sent += self.eff.packets_sent;
-        self.eff.packets_delivered = 0;
-        self.eff.packets_sent = 0;
     }
 
     /// Close out per-node accounting and return the measurements.
@@ -434,17 +413,18 @@ impl Simulator {
         // The last event handled may be a `PortReady` that was counted but
         // never pushed, so the clock is not just the last key popped.
         let now = self.eff.clock();
+        let mut out = std::mem::take(&mut self.eff.out);
         for (i, node) in self.nodes.iter_mut().enumerate() {
             let id = NodeId(i as u32);
             if let Node::Host(h) = node {
-                self.out.unfinished_flows += h.unfinished_flows();
+                out.unfinished_flows += h.unfinished_flows();
             }
             for port in (0..self.topo.ports(id).len() as u32).map(PortId) {
                 let link = node.link_mut(port);
                 link.finalize(now);
-                self.out.fault_dropped_packets += link.fault_dropped_packets;
-                self.out.fault_dropped_bytes += link.fault_dropped_bytes;
-                self.out.ports.insert((id, port), link.counters);
+                out.fault_dropped_packets += link.fault_dropped_packets;
+                out.fault_dropped_bytes += link.fault_dropped_bytes;
+                out.ports.insert((id, port), link.counters);
             }
         }
         if let Some(mut fr) = self.faults.take() {
@@ -456,9 +436,9 @@ impl Simulator {
                     fr.host_nic_downtime += dt * fr.host_ends[link] as u64;
                 }
             }
-            self.out.fault_events = fr.events_applied;
-            self.out.host_nic_downtime = fr.host_nic_downtime;
-            self.out.link_downtime = fr
+            out.fault_events = fr.events_applied;
+            out.host_nic_downtime = fr.host_nic_downtime;
+            out.link_downtime = fr
                 .downtime
                 .iter()
                 .enumerate()
@@ -466,10 +446,10 @@ impl Simulator {
                 .map(|(i, &d)| (i, d))
                 .collect();
         }
-        self.out.elapsed = now;
-        self.out.events_processed = self.eff.processed;
-        self.out.peak_event_queue = self.eff.queue.peak_len() as u64;
-        self.out
+        out.elapsed = now;
+        out.events_processed = self.eff.processed;
+        out.peak_event_queue = self.eff.queue.peak_len() as u64;
+        out
     }
 }
 

@@ -45,6 +45,13 @@ const PFC_THRESHOLD_FRACTION: f64 = 0.11;
 /// before it is resumed: two INT-free data frames.
 const PFC_RESUME_HYSTERESIS: u64 = 2 * data_wire_size(false);
 
+/// The PFC pause threshold for one ingress class while `buffer_used` bytes
+/// of the buffer are taken: [`PFC_THRESHOLD_FRACTION`] of what is free.
+fn pause_threshold(cfg: &SimConfig, buffer_used: u64) -> u64 {
+    let free = cfg.buffer_bytes.saturating_sub(buffer_used);
+    (PFC_THRESHOLD_FRACTION * free as f64) as u64
+}
+
 /// The ECMP candidate index a flow hashes to at a node: deterministic per
 /// (flow, node) so a flow never reorders, uniform across candidates.
 #[inline]
@@ -142,6 +149,11 @@ pub struct SwitchPort {
     queue_bytes: [u64; Priority::COUNT],
     rx_enqueued_cum: u64,
     sched: Scheduler,
+    /// Bytes currently buffered anywhere in the switch that arrived through
+    /// this port, per class (drives PFC).
+    ingress_bytes: [u64; Priority::COUNT],
+    /// Whether a PAUSE is outstanding towards this port's peer, per class.
+    pause_sent: [bool; Priority::COUNT],
 }
 
 impl SwitchPort {
@@ -159,6 +171,8 @@ impl SwitchPort {
             queue_bytes: [0; Priority::COUNT],
             rx_enqueued_cum: 0,
             sched,
+            ingress_bytes: [0; Priority::COUNT],
+            pause_sent: [false; Priority::COUNT],
         }
     }
 
@@ -189,11 +203,6 @@ pub struct Switch {
     int_id: u16,
     ports: Vec<SwitchPort>,
     buffer_used: u64,
-    /// Bytes currently buffered that arrived through each ingress port, per
-    /// class (drives PFC).
-    ingress_bytes: Vec<[u64; Priority::COUNT]>,
-    /// Whether we have an outstanding PAUSE towards each ingress, per class.
-    pause_sent: Vec<[bool; Priority::COUNT]>,
     rng: SplitMix64,
     /// This node's stream for degraded-link iid loss, so the ECN-marking
     /// stream above is never perturbed by fault injection.
@@ -216,8 +225,6 @@ impl Switch {
                 })
                 .collect(),
             buffer_used: 0,
-            ingress_bytes: vec![[0; Priority::COUNT]; ports.len()],
-            pause_sent: vec![[false; Priority::COUNT]; ports.len()],
             rng: SplitMix64::new(cfg.seed ^ (id.0 as u64).wrapping_mul(0x9E3779B97F4A7C15)),
             fault_rng: fault_rng(cfg.seed, id),
         }
@@ -231,13 +238,6 @@ impl Switch {
     /// The wire of one egress port.
     pub(crate) fn link_mut(&mut self, port: PortId) -> &mut Link {
         &mut self.ports[port.index()].link
-    }
-
-    /// The PFC pause threshold for one ingress class given the current free
-    /// buffer ([`PFC_THRESHOLD_FRACTION`] of it).
-    fn pause_threshold(&self, cfg: &SimConfig) -> u64 {
-        let free = cfg.buffer_bytes.saturating_sub(self.buffer_used);
-        (PFC_THRESHOLD_FRACTION * free as f64) as u64
     }
 
     /// ECMP selection: deterministic per (flow, switch) so a flow never
@@ -349,18 +349,18 @@ impl Switch {
             port.link.push_ready(eff);
         }
         self.buffer_used += wire;
-        self.ingress_bytes[ingress.index()][class.index()] += wire;
+        let from = &mut self.ports[ingress.index()];
+        from.ingress_bytes[class.index()] += wire;
 
         // PFC: pause the upstream sender when this ingress class holds more
         // than the dynamic threshold.
-        if cfg.flow_control.pfc_enabled() && class.is_data() {
-            let threshold = self.pause_threshold(cfg);
-            if self.ingress_bytes[ingress.index()][class.index()] > threshold
-                && !self.pause_sent[ingress.index()][class.index()]
-            {
-                self.pause_sent[ingress.index()][class.index()] = true;
-                self.send_pfc(now, ingress, class, true, eff);
-            }
+        if cfg.flow_control.pfc_enabled()
+            && class.is_data()
+            && from.ingress_bytes[class.index()] > pause_threshold(cfg, self.buffer_used)
+            && !from.pause_sent[class.index()]
+        {
+            from.pause_sent[class.index()] = true;
+            self.send_pfc(now, ingress, class, true, eff);
         }
 
         eff.kicks.push((self.id, egress));
@@ -388,7 +388,7 @@ impl Switch {
         self.buffer_used += wire;
         if pause {
             p.link.counters.pause_frames_sent += 1;
-            eff.pfc_events.push(PfcEvent {
+            eff.out.record_pfc_event(PfcEvent {
                 time: now,
                 node: self.id,
                 port,
@@ -443,20 +443,19 @@ impl Switch {
         self.buffer_used = self.buffer_used.saturating_sub(wire);
         self.ports[port_id.index()].queue_bytes[class.index()] -= wire;
         if let Some(ing) = ingress {
-            let bytes = &mut self.ingress_bytes[ing.index()][class.index()];
+            let from = &mut self.ports[ing.index()];
+            let bytes = &mut from.ingress_bytes[class.index()];
             *bytes = bytes.saturating_sub(wire);
             // PFC resume once the ingress class drains below the threshold
             // minus the hysteresis.
             if cfg.flow_control.pfc_enabled()
                 && class.is_data()
-                && self.pause_sent[ing.index()][class.index()]
+                && from.pause_sent[class.index()]
+                && *bytes
+                    <= pause_threshold(cfg, self.buffer_used).saturating_sub(PFC_RESUME_HYSTERESIS)
             {
-                let threshold = self.pause_threshold(cfg);
-                let resume_below = threshold.saturating_sub(PFC_RESUME_HYSTERESIS);
-                if self.ingress_bytes[ing.index()][class.index()] <= resume_below {
-                    self.pause_sent[ing.index()][class.index()] = false;
-                    self.send_pfc(now, ing, class, false, eff);
-                }
+                from.pause_sent[class.index()] = false;
+                self.send_pfc(now, ing, class, false, eff);
             }
         }
 
@@ -651,11 +650,11 @@ mod tests {
                 &mut eff,
             );
         }
-        pause_seen |= !eff.pfc_events.is_empty();
+        pause_seen |= !eff.out.pfc_events.is_empty();
         assert!(pause_seen, "expected a PFC pause frame");
-        assert_eq!(eff.pfc_events[0].node, sw.id);
+        assert_eq!(eff.out.pfc_events[0].node, sw.id);
         assert_eq!(
-            eff.pfc_events[0].port,
+            eff.out.pfc_events[0].port,
             PortId(0),
             "pause goes to the congested ingress"
         );
@@ -765,7 +764,7 @@ mod tests {
             );
         }
         assert_eq!(sw2.ports()[1].link.counters.dropped_packets, 0);
-        assert!(!eff2.pfc_events.is_empty());
+        assert!(!eff2.out.pfc_events.is_empty());
     }
 
     #[test]

@@ -31,7 +31,7 @@
 //!             label, CcSpec::by_label(label), 8, 100_000, bw, Duration::from_ms(5)))
 //!         .to_vec(),
 //! );
-//! let report = campaign.run(); // one OS thread per scenario
+//! let report = campaign.run(); // one OS thread per core
 //! assert_eq!(report.results.len(), 2);
 //! let hpcc_run = &report.results[0];
 //! assert_eq!(hpcc_run.completion, 1.0);
