@@ -6,10 +6,16 @@
 //! collects a [`CampaignReport`] with one [`ScenarioResult`] per scenario,
 //! *in scenario order*.
 //!
+//! [`Campaign::run_serial`], [`Campaign::run_with_threads`] and
+//! [`Campaign::run_shard_streaming`] share one in-order executor: up to `T`
+//! threads, the calling thread one of them, run the scenarios, and the
+//! calling thread hands each result on in scenario order.
+//!
 //! Beyond one process, a [`ShardPlan`] deterministically partitions the
 //! campaign into `k` round-robin shards. A worker process executes one shard
-//! with [`Campaign::run_shard_streaming`], emitting each result as a JSONL
-//! line (see [`crate::wire`]) the moment it completes; a coordinator merges
+//! on its host's cores with [`Campaign::run_shard_streaming`], emitting each
+//! result as a JSONL line (see [`crate::wire`]) in index order as soon as it
+//! and the shard's earlier ones complete; a coordinator merges
 //! the shard streams back into one report with
 //! [`crate::wire::merge_shard_streams`]. The `campaign` binary in
 //! `hpcc-bench` exposes this offline pair as its `shard i/N` and `merge`
@@ -32,9 +38,11 @@ use hpcc_sim::SimOutput;
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
 use hpcc_stats::Percentiles;
+use std::collections::BTreeMap;
+use std::convert::Infallible;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 /// An ordered batch of scenarios to execute.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -82,52 +90,32 @@ impl Campaign {
 
     /// Run every scenario on the calling thread, in order.
     pub fn run_serial(&self) -> CampaignReport {
-        let start = timing::now();
-        let results = self.scenarios.iter().map(run_one).collect();
-        CampaignReport {
-            results,
-            wall: start.elapsed(),
-            threads: 1,
-        }
+        self.run_with_threads(1)
     }
 
-    /// Run the scenarios across `threads` OS threads (clamped to the
-    /// scenario count; `<= 1` falls back to serial execution).
+    /// Run the scenarios across `threads` OS threads, the calling thread
+    /// one of them (clamped to the scenario count; `<= 1` runs serially on
+    /// the calling thread).
     ///
     /// Work is handed out through an atomic cursor, so long scenarios do not
     /// serialize behind short ones. Results land in scenario order.
     pub fn run_with_threads(&self, threads: usize) -> CampaignReport {
-        let n = self.scenarios.len();
-        // The clamp also covers the empty campaign: no worker threads are
-        // spawned and the serial path returns a well-formed empty report
-        // with `threads: 1` (the calling thread did all — zero — work).
-        let threads = threads.min(n);
-        if threads <= 1 {
-            return self.run_serial();
-        }
         let start = timing::now();
-        let cursor = AtomicUsize::new(0);
-        let slots: Vec<Mutex<Option<ScenarioResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for _ in 0..threads {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result = run_one(&self.scenarios[i]);
-                    *slots[i].lock().unwrap() = Some(result);
-                });
-            }
-        });
-        let results = slots
-            .into_iter()
-            .map(|slot| {
-                slot.into_inner()
-                    .unwrap()
-                    .expect("every slot is filled before the scope ends")
-            })
-            .collect();
+        // The clamp also covers the empty campaign: no worker threads are
+        // spawned and the report is a well-formed empty one with
+        // `threads: 1` (the calling thread did all — zero — work).
+        let threads = threads.min(self.len()).max(1);
+        let indices: Vec<usize> = (0..self.len()).collect();
+        let mut results = Vec::with_capacity(self.len());
+        let Ok(()) = run_in_order(
+            &indices,
+            threads,
+            |i| run_one(&self.scenarios[i]),
+            |result| {
+                results.push(result);
+                Ok::<(), Infallible>(())
+            },
+        );
         CampaignReport {
             results,
             wall: start.elapsed(),
@@ -138,36 +126,58 @@ impl Campaign {
     /// Run with one thread per available core (capped at the scenario
     /// count).
     pub fn run(&self) -> CampaignReport {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        self.run_with_threads(cores)
+        self.run_with_threads(available_cores())
     }
 
-    /// Run the scenarios owned by `plan` on the calling thread, in campaign
-    /// order, writing each [`ScenarioResult`] as one JSONL line (see
-    /// [`crate::wire`]) into `out` the moment it completes. The sink is
-    /// flushed after every line so a coordinator reading a pipe sees
-    /// results as they land. Returns the number of scenarios executed.
+    /// Run the scenarios owned by `plan`, writing each [`ScenarioResult`] as
+    /// one JSONL line (see [`crate::wire`]) into `out`, in campaign order.
+    /// The scenarios run on one thread per available core, capped at the
+    /// shard's scenario count (one core runs them serially); the calling
+    /// thread is one of those threads and the only one that writes, so `out`
+    /// need not be `Send`. A line is written, and the sink flushed, as soon
+    /// as its scenario and every earlier one of the shard are done, so a
+    /// coordinator reading a pipe sees results as they land. Returns the
+    /// number of scenarios executed.
+    ///
+    /// A write error stops the shard: no further scenario starts, and the
+    /// error is returned once the scenarios already running finish. A
+    /// panicking scenario is resumed on the calling thread the same way.
     ///
     /// Per-scenario seeds and digests depend only on the scenario, never on
-    /// the shard layout, so any `k` shard streams merge back into a report
-    /// bit-identical to [`Campaign::run_serial`].
+    /// the shard layout or the thread count, so any `k` shard streams merge
+    /// back into a report bit-identical to [`Campaign::run_serial`]. Several
+    /// shards on one host each use every core; pin them apart (`taskset`)
+    /// to keep them from contending.
     pub fn run_shard_streaming<W: std::io::Write>(
         &self,
         plan: ShardPlan,
         out: &mut W,
     ) -> std::io::Result<usize> {
-        let mut executed = 0;
-        for i in plan.indices(self.len()) {
-            let result = run_one(&self.scenarios[i]);
-            let mut line = crate::wire::encode_result_line(i, &result);
-            line.push('\n');
-            out.write_all(line.as_bytes())?;
-            out.flush()?;
-            executed += 1;
-        }
-        Ok(executed)
+        self.stream_shard(plan, available_cores(), out)
+    }
+
+    /// [`Campaign::run_shard_streaming`] on up to `threads` threads.
+    fn stream_shard<W: std::io::Write>(
+        &self,
+        plan: ShardPlan,
+        threads: usize,
+        out: &mut W,
+    ) -> std::io::Result<usize> {
+        let indices: Vec<usize> = plan.indices(self.len()).collect();
+        run_in_order(
+            &indices,
+            threads,
+            |i| {
+                let mut line = crate::wire::encode_result_line(i, &run_one(&self.scenarios[i]));
+                line.push('\n');
+                line
+            },
+            |line: String| {
+                out.write_all(line.as_bytes())?;
+                out.flush()
+            },
+        )?;
+        Ok(indices.len())
     }
 
     /// Run the single scenario at `index` on the calling thread — the
@@ -292,6 +302,182 @@ impl ShardPlan {
     /// scenarios, in ascending order.
     pub fn indices(&self, len: usize) -> impl Iterator<Item = usize> {
         (self.shard..len).step_by(self.of)
+    }
+}
+
+/// One thread per available core (1 when the count is unknown).
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
+/// Run `job` on every index of `indices` across up to `threads` threads,
+/// the calling thread one of them, and hand each output to `sink` on the
+/// calling thread, in the order of `indices`.
+///
+/// Threads claim the next index through an atomic cursor. An output that
+/// lands before an earlier one waits in a map until the earlier ones are
+/// handed over. The calling thread hands over whatever is ready before it
+/// claims its next index; once no index is left to claim, it waits, and
+/// hands each output over the moment it and every earlier one have landed.
+/// With one thread nothing is spawned: each index runs and is handed over
+/// in turn.
+///
+/// When `sink` fails, no further index is claimed, and its error is
+/// returned once the jobs already running finish; their outputs are
+/// dropped. When a job panics on a spawned thread, no further index is
+/// claimed either, the calling thread stops waiting, and the panic is
+/// resumed on it once every thread has been joined; a panic on the calling
+/// thread (in a job or in `sink`) unwinds the same way after the join.
+fn run_in_order<R: Send, E>(
+    indices: &[usize],
+    threads: usize,
+    job: impl Fn(usize) -> R + Sync,
+    mut sink: impl FnMut(R) -> Result<(), E>,
+) -> Result<(), E> {
+    let shared = InOrder {
+        indices,
+        cursor: AtomicUsize::new(0),
+        stop: AtomicBool::new(false),
+        landed: Mutex::new(Landed {
+            outputs: BTreeMap::new(),
+            panicked: false,
+        }),
+        wake: Condvar::new(),
+    };
+    // The calling thread claims the first index before any thread starts,
+    // so the first index runs on it however fast a spawned thread starts.
+    // Every thread's allocator keeps the heap of the largest scenario it
+    // ever ran, so a scenario that lands on a different thread from run to
+    // run can cost a campaign one such heap per thread in resident set.
+    let first = shared.claim();
+    let (handed, panic) = std::thread::scope(|scope| {
+        let workers: Vec<_> = (1..threads.min(indices.len()))
+            .map(|_| scope.spawn(|| shared.work(&job)))
+            .collect();
+        let handed = {
+            let _stop = StopOnDrop(&shared.stop);
+            shared.hand_over(first, &job, &mut sink)
+        };
+        let panic = workers.into_iter().filter_map(|w| w.join().err()).next();
+        (handed, panic)
+    });
+    if let Some(payload) = panic {
+        std::panic::resume_unwind(payload);
+    }
+    handed
+}
+
+/// What the threads of one [`run_in_order`] call share.
+struct InOrder<'a, R> {
+    indices: &'a [usize],
+    /// The next position of `indices` to claim.
+    cursor: AtomicUsize,
+    /// Set when no further position may be claimed: the calling thread
+    /// stopped handing over, or a job panicked.
+    stop: AtomicBool,
+    landed: Mutex<Landed<R>>,
+    /// Signalled when an output lands or a spawned thread panics.
+    wake: Condvar,
+}
+
+/// Outputs that landed and were not yet handed over, by position.
+struct Landed<R> {
+    outputs: BTreeMap<usize, R>,
+    /// Whether a job on a spawned thread panicked: an output that will
+    /// never land.
+    panicked: bool,
+}
+
+impl<R> InOrder<'_, R> {
+    /// The next unclaimed position, unless there is none or the call stops.
+    fn claim(&self) -> Option<usize> {
+        if self.stop.load(Ordering::Relaxed) {
+            return None;
+        }
+        let at = self.cursor.fetch_add(1, Ordering::Relaxed);
+        (at < self.indices.len()).then_some(at)
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Landed<R>> {
+        // No thread panics while it holds the lock, but one that panics
+        // must still be able to take it to say so.
+        self.landed.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// A spawned thread's loop: run what it claims and leave each output
+    /// for the calling thread.
+    fn work(&self, job: &impl Fn(usize) -> R) {
+        let _panic = PanicFlag(self);
+        while let Some(at) = self.claim() {
+            let output = job(self.indices[at]);
+            self.lock().outputs.insert(at, output);
+            self.wake.notify_one();
+        }
+    }
+
+    /// The calling thread's loop: hand over every output in position order,
+    /// running jobs itself, `claimed` first, while there are positions to
+    /// claim. Returns early on a sink error, and with `Ok` once a spawned
+    /// thread panicked.
+    fn hand_over<E>(
+        &self,
+        mut claimed: Option<usize>,
+        job: &impl Fn(usize) -> R,
+        sink: &mut impl FnMut(R) -> Result<(), E>,
+    ) -> Result<(), E> {
+        for next in 0..self.indices.len() {
+            let output = loop {
+                if let Some(output) = self.lock().outputs.remove(&next) {
+                    break output;
+                }
+                match claimed.take().or_else(|| self.claim()) {
+                    Some(at) if at == next => break job(self.indices[at]),
+                    Some(at) => {
+                        let output = job(self.indices[at]);
+                        self.lock().outputs.insert(at, output);
+                    }
+                    None => {
+                        let mut landed = self
+                            .wake
+                            .wait_while(self.lock(), |l| {
+                                !l.panicked && !l.outputs.contains_key(&next)
+                            })
+                            .unwrap_or_else(PoisonError::into_inner);
+                        match landed.outputs.remove(&next) {
+                            Some(output) => break output,
+                            // A spawned thread panicked; `next` may never land.
+                            None => return Ok(()),
+                        }
+                    }
+                }
+            };
+            sink(output)?;
+        }
+        Ok(())
+    }
+}
+
+/// Stops a [`run_in_order`] call's threads from claiming when dropped: when
+/// the calling thread is done handing over, by success, error or panic.
+struct StopOnDrop<'a>(&'a AtomicBool);
+
+impl Drop for StopOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::Relaxed);
+    }
+}
+
+/// Tells the calling thread that a spawned thread panicked, when dropped
+/// while that thread unwinds.
+struct PanicFlag<'a, 'b, R>(&'a InOrder<'b, R>);
+
+impl<R> Drop for PanicFlag<'_, '_, R> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.stop.store(true, Ordering::Relaxed);
+            self.0.lock().panicked = true;
+            self.0.wake.notify_all();
+        }
     }
 }
 
@@ -430,6 +616,9 @@ pub struct ScenarioResult {
     pub digest: u64,
     /// Wall-clock time this scenario took to build and run (for results
     /// decoded from the wire format, the wall time the *worker* measured).
+    /// Scenarios run side by side on a campaign's or a shard's threads, so
+    /// this includes contention from sibling threads for cores, caches and
+    /// memory bandwidth: it measures the run, not the scenario alone.
     pub wall: std::time::Duration,
     /// The full analysis wrapper, for figure-grade post-processing.
     /// `Some` for scenarios executed in this process; `None` for results
@@ -769,6 +958,171 @@ mod tests {
         assert_eq!(ShardPlan::parse("0/1"), Ok(ShardPlan::new(0, 1)));
         for bad in ["", "1", "2/2", "3/2", "1/0", "x/2", "1/y", "-1/2"] {
             assert!(ShardPlan::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    /// Twelve scenarios: the Figure 11 scheme set at two loads, 1 ms each.
+    fn twelve_scenarios() -> Campaign {
+        let at =
+            |load| fig11_campaign(FatTreeParams::small(), load, Duration::from_ms(1), true, 42);
+        let mut scenarios = at(0.3).scenarios;
+        scenarios.extend(at(0.5).scenarios);
+        Campaign::from_scenarios(scenarios)
+    }
+
+    #[test]
+    fn the_executor_is_equivalent_and_in_order_at_every_thread_count() {
+        let campaign = twelve_scenarios();
+        let serial = campaign.run_serial();
+        let canonical = serial.to_json_string();
+        for threads in [1, 2, 5] {
+            let report = campaign.run_with_threads(threads);
+            assert_eq!(report.threads, threads);
+            assert_eq!(report.to_json_string(), canonical, "{threads} threads");
+            let mut streams = Vec::new();
+            for shard in 0..3 {
+                let plan = ShardPlan::new(shard, 3);
+                let mut buf = Vec::new();
+                let executed = campaign.stream_shard(plan, threads, &mut buf).unwrap();
+                let text = String::from_utf8(buf).unwrap();
+                let lines: Vec<(usize, ScenarioResult)> = text
+                    .lines()
+                    .map(|line| crate::wire::decode_result_line(line).unwrap())
+                    .collect();
+                assert_eq!(executed, lines.len());
+                // Ascending index order, each result the serial run's own.
+                let indices: Vec<usize> = lines.iter().map(|(i, _)| *i).collect();
+                assert_eq!(indices, plan.indices(campaign.len()).collect::<Vec<_>>());
+                for (i, result) in &lines {
+                    assert_eq!(
+                        result.to_json(),
+                        serial.results[*i].to_json(),
+                        "scenario {i}, shard {shard}/3, {threads} threads"
+                    );
+                }
+                streams.push(text);
+            }
+            let merged = crate::wire::merge_shard_streams(
+                streams.iter().map(String::as_str),
+                Some(campaign.len()),
+            )
+            .unwrap();
+            assert_eq!(merged.to_json_string(), canonical, "{threads} threads");
+        }
+    }
+
+    /// A job that takes a millisecond and counts its starts.
+    fn slow_job(started: &AtomicUsize) -> impl Fn(usize) -> usize + Sync + '_ {
+        |i| {
+            started.fetch_add(1, Ordering::Relaxed);
+            std::thread::sleep(std::time::Duration::from_millis(1));
+            i
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_stops_the_call_with_its_error() {
+        let indices: Vec<usize> = (0..200).collect();
+        for threads in [1, 2, 5] {
+            let started = AtomicUsize::new(0);
+            let mut handed = Vec::new();
+            let result = run_in_order(&indices, threads, slow_job(&started), |i| {
+                if handed.len() == 3 {
+                    return Err(std::io::Error::other("sink closed"));
+                }
+                handed.push(i);
+                Ok(())
+            });
+            let err = result.expect_err("the sink's error is returned");
+            assert_eq!(err.to_string(), "sink closed");
+            assert_eq!(handed, vec![0, 1, 2], "{threads} threads");
+            let started = started.load(Ordering::Relaxed);
+            if threads == 1 {
+                // Three handed over, the fourth refused, nothing after it.
+                assert_eq!(started, 4);
+            } else {
+                assert!(
+                    started < indices.len(),
+                    "{threads} threads ran all {started}"
+                );
+            }
+        }
+        // Through a shard stream: the writer's own error comes back.
+        struct FailAfter(usize);
+        impl std::io::Write for FailAfter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if self.0 == 0 {
+                    return Err(std::io::ErrorKind::BrokenPipe.into());
+                }
+                self.0 -= 1;
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let campaign = twelve_scenarios();
+        for threads in [1, 2] {
+            let err = campaign
+                .stream_shard(ShardPlan::new(0, 1), threads, &mut FailAfter(2))
+                .expect_err("the writer fails on the third line");
+            assert_eq!(err.kind(), std::io::ErrorKind::BrokenPipe);
+        }
+    }
+
+    #[test]
+    fn the_first_index_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let indices: Vec<usize> = (0..8).collect();
+        for threads in [2, 5] {
+            let mut first = None;
+            let Ok(()) = run_in_order(
+                &indices,
+                threads,
+                |i| (i, std::thread::current().id()),
+                |(i, thread)| {
+                    if i == 0 {
+                        first = Some(thread);
+                    }
+                    Ok::<(), Infallible>(())
+                },
+            );
+            assert_eq!(first, Some(caller), "{threads} threads");
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_is_resumed_on_the_calling_thread() {
+        let indices: Vec<usize> = (0..10).collect();
+        for threads in [1, 2, 5] {
+            for bad in [0, 3, 9] {
+                let started = AtomicUsize::new(0);
+                let slow = slow_job(&started);
+                let mut handed = Vec::new();
+                let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    run_in_order(
+                        &indices,
+                        threads,
+                        |i| {
+                            if i == bad {
+                                panic!("scenario {i} panicked");
+                            }
+                            slow(i)
+                        },
+                        |i| {
+                            handed.push(i);
+                            Ok::<(), Infallible>(())
+                        },
+                    )
+                }));
+                let payload = caught.expect_err("the panic reaches the caller");
+                let message = payload
+                    .downcast_ref::<String>()
+                    .expect("the job's own payload");
+                assert_eq!(message, &format!("scenario {bad} panicked"));
+                // Only indices before the panicking one were handed over.
+                assert!(handed.iter().all(|&i| i < bad), "{handed:?}");
+            }
         }
     }
 

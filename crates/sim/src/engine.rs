@@ -12,10 +12,13 @@
 //!
 //! [`EventQueue`] is a calendar queue that never sorts. Simulated time
 //! (integer picoseconds) is divided into buckets of `2^BUCKET_SHIFT` ps
-//! (≈ 1 ns, so a bucket rarely holds more than one instant); a ring of
-//! `NUM_BUCKETS` buckets covers a sliding window of ≈ 33.5 µs ahead of the
-//! cursor, which holds the per-packet event classes (serialization at
-//! 100 Gbps ≈ 88 ns/packet, propagation ≈ 1 µs, queue sampling 1–5 µs).
+//! (≈ 2 ns, well under the ≈ 88 ns a 100 Gbps port takes per packet, so a
+//! bucket rarely holds more than one or two instants); a ring of
+//! `NUM_BUCKETS` (16384) buckets covers a sliding window of ≈ 33.5 µs ahead
+//! of the cursor, which holds the per-packet event classes (serialization,
+//! propagation ≈ 1 µs, queue sampling 1–5 µs). The ring's table of bucket
+//! tails is 64 KiB, a size that is part of every scenario's heap and so of a
+//! campaign's resident set when several scenarios run at once.
 //! Events beyond the window — RTO checks, DCQCN timers and other far-future
 //! timers — go to a `BinaryHeap` overflow level, and join the ring when the
 //! cursor reaches their slot; while the ring is empty, `pop` takes the
@@ -26,13 +29,14 @@
 //! `EventQueue::push_keyed`) and still pop where a push at reservation time
 //! would have: a port reserves the key of its `PortReady` with every frame
 //! it starts and pushes the event only if it will have something to do
-//! (`crate::link`). A bucket is a singly linked list of slab nodes in key
-//! order. Events are pushed as simulated time advances, so a new key almost
-//! always sorts last and is appended at the tail; one that sorts first is
-//! prepended, and only one in between walks the list. `pop` unlinks the head
-//! of the cursor's bucket; when that bucket is empty, a two-level occupancy
-//! bitmap finds the next non-empty one. A popped node goes onto a free list,
-//! so the slab never holds more nodes than the ring's peak.
+//! (`crate::link`). A bucket is a circular singly linked list of slab nodes
+//! in key order, named by its tail, whose `next` is the head. Events are
+//! pushed as simulated time advances, so a new key almost always sorts last
+//! and is appended at the tail; one that sorts first is prepended, and only
+//! one in between walks the list. `pop` unlinks the head of the cursor's
+//! bucket; when that bucket is empty, a two-level occupancy bitmap finds the
+//! next non-empty one. A popped node goes onto a free list, so the slab
+//! never holds more nodes than the ring's peak.
 //! `docs/ARCHITECTURE.md` § *The event-wheel engine* gives the argument; the
 //! tests below check it against a reference that keeps `(time, seq)`.
 
@@ -41,12 +45,12 @@ use hpcc_types::{FlowId, NodeId, Packet, PortId, SimTime};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-/// Log2 of the bucket width in picoseconds: 2^10 ps ≈ 1 ns per bucket.
-const BUCKET_SHIFT: u32 = 10;
+/// Log2 of the bucket width in picoseconds: 2^11 ps ≈ 2 ns per bucket.
+const BUCKET_SHIFT: u32 = 11;
 
 /// Number of buckets in the ring; the window covers
 /// `NUM_BUCKETS << BUCKET_SHIFT` = 2^25 ps ≈ 33.5 µs of simulated time.
-const NUM_BUCKETS: usize = 1 << 15;
+const NUM_BUCKETS: usize = 1 << 14;
 
 /// Occupancy words: bit `b % 64` of word `b / 64` is set iff bucket `b`
 /// holds an entry.
@@ -55,10 +59,6 @@ const OCCUPANCY_WORDS: usize = NUM_BUCKETS / 64;
 /// Summary words: bit `w % 64` of word `w / 64` is set iff occupancy word
 /// `w` is not zero.
 const SUMMARY_WORDS: usize = OCCUPANCY_WORDS / 64;
-
-/// Where a bucket's first and last node stand in its `EventQueue::ends`.
-const HEAD: usize = 0;
-const TAIL: usize = 1;
 
 /// Everything that can happen in the simulation.
 ///
@@ -277,15 +277,19 @@ type Entry = (Key, Event);
 struct Node {
     key: Key,
     event: Event,
-    /// The next node in key order, or 0: the end of the list. Node 0 is a
-    /// placeholder that never holds an entry, so 0 names no node.
+    /// The next node of the bucket's circular list: the next in key order,
+    /// or the head when this node is the tail. On the free list, the next
+    /// free node or 0. Node 0 is a placeholder that never holds an entry, so
+    /// 0 names no node.
     next: u32,
 }
 
 // A field added to `Event` or to the node would fatten the one record every
-// push writes and every pop reads; fail the build instead.
+// push writes and every pop reads, and a wider ring every scenario's heap;
+// fail the build instead.
 const _: () = assert!(std::mem::size_of::<Event>() <= 24);
 const _: () = assert!(std::mem::size_of::<Node>() <= 48);
+const _: () = assert!(NUM_BUCKETS * std::mem::size_of::<u32>() <= 64 << 10);
 
 /// An overflow-level entry, ordered for `BinaryHeap` (a max-heap) so that
 /// the smallest key is on top.
@@ -319,9 +323,10 @@ pub struct EventQueue {
     /// The first node of the list of freed nodes, linked through `next`;
     /// 0 when it is empty.
     free: u32,
-    /// First and last node of each bucket's list, 0 when the bucket is
-    /// empty; the bucket for absolute slot `s` is `s % NUM_BUCKETS`.
-    ends: Vec<[u32; 2]>,
+    /// The last node of each bucket's circular list, whose `next` is the
+    /// first, or 0 when the bucket is empty; the bucket for absolute slot
+    /// `s` is `s % NUM_BUCKETS`.
+    tails: Vec<u32>,
     /// Which buckets hold an entry (`OCCUPANCY_WORDS`).
     occupied: Vec<u64>,
     /// Which occupancy words are not zero.
@@ -347,7 +352,7 @@ impl Default for EventQueue {
                 next: 0,
             }],
             free: 0,
-            ends: vec![[0; 2]; NUM_BUCKETS],
+            tails: vec![0; NUM_BUCKETS],
             occupied: vec![0; OCCUPANCY_WORDS],
             summary: [0; SUMMARY_WORDS],
             cursor: 0,
@@ -422,19 +427,20 @@ impl EventQueue {
     #[inline]
     fn insert(&mut self, bucket: usize, key: Key, event: Event) {
         let node = self.alloc(key, event);
-        let tail = self.ends[bucket][TAIL];
+        let tail = self.tails[bucket];
         if tail == 0 {
-            self.ends[bucket][HEAD] = node;
-            self.ends[bucket][TAIL] = node;
+            self.nodes[node as usize].next = node;
+            self.tails[bucket] = node;
             self.mark(bucket);
         } else if self.nodes[tail as usize].key < key {
+            self.nodes[node as usize].next = self.nodes[tail as usize].next;
             self.nodes[tail as usize].next = node;
-            self.ends[bucket][TAIL] = node;
+            self.tails[bucket] = node;
         } else {
-            let head = self.ends[bucket][HEAD];
+            let head = self.nodes[tail as usize].next;
             if key < self.nodes[head as usize].key {
                 self.nodes[node as usize].next = head;
-                self.ends[bucket][HEAD] = node;
+                self.nodes[tail as usize].next = node;
             } else {
                 // Keys are unique, so the head's sorts before this one and
                 // the tail's after it: the walk stops at the tail at latest.
@@ -543,7 +549,7 @@ impl EventQueue {
     /// Pop the entry with the smallest key, if any.
     pub(crate) fn pop_keyed(&mut self) -> Option<Entry> {
         let mut bucket = ring_index(self.cursor);
-        if self.ends[bucket][HEAD] == 0 {
+        if self.tails[bucket] == 0 {
             if self.wheel_len == 0 {
                 // Everything pending is in the heap: its top is next.
                 let Far(entry) = self.overflow.pop()?;
@@ -554,16 +560,18 @@ impl EventQueue {
             self.seek();
             bucket = ring_index(self.cursor);
         }
-        let at = self.ends[bucket][HEAD];
+        let tail = self.tails[bucket];
+        let at = self.nodes[tail as usize].next;
         let node = &mut self.nodes[at as usize];
         let next = node.next;
         let entry = (node.key, std::mem::replace(&mut node.event, Event::Sample));
         node.next = self.free;
         self.free = at;
-        self.ends[bucket][HEAD] = next;
-        if next == 0 {
-            self.ends[bucket][TAIL] = 0;
+        if at == tail {
+            self.tails[bucket] = 0;
             self.unmark(bucket);
+        } else {
+            self.nodes[tail as usize].next = next;
         }
         self.wheel_len -= 1;
         Some(entry)
@@ -929,9 +937,7 @@ mod tests {
         let invariants = |q: &EventQueue, op: usize| {
             for b in 0..NUM_BUCKETS {
                 let bit = q.occupied[b / 64] >> (b % 64) & 1 == 1;
-                let [head, tail] = q.ends[b];
-                assert_eq!(bit, head != 0, "op {op}: bucket {b}");
-                assert_eq!(head == 0, tail == 0, "op {op}: bucket {b}");
+                assert_eq!(bit, q.tails[b] != 0, "op {op}: bucket {b}");
             }
             for w in 0..OCCUPANCY_WORDS {
                 let bit = q.summary[w / 64] >> (w % 64) & 1 == 1;

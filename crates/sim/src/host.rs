@@ -77,6 +77,9 @@ struct SenderFlow {
 const _: () = assert!(
     std::mem::offset_of!(SenderFlow, spec) + std::mem::offset_of!(FlowSpec, size) + 8 <= 64
 );
+// Every flow a host starts holds one record for the rest of the run; a
+// field that fattens it fails the build instead of a campaign's RSS bound.
+const _: () = assert!(std::mem::size_of::<SenderFlow>() <= 256);
 
 impl SenderFlow {
     fn new(
@@ -208,6 +211,15 @@ impl Host {
             fault_rate: None,
             fault_rng: fault_rng(seed, id),
         }
+    }
+
+    /// Size the sender table for the `senders` flows registered at this
+    /// host and the receiver table for the `receivers` flows registered
+    /// towards it, before the run: a table grown by doubling holds up to
+    /// twice the records it needs, for the rest of the run.
+    pub(crate) fn reserve_tables(&mut self, senders: usize, receivers: usize) {
+        self.flows.reserve_exact(senders);
+        self.recv.reserve_exact(receivers);
     }
 
     /// Set or clear the straggler NIC rate (`None` restores line rate).

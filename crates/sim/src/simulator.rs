@@ -9,7 +9,7 @@ use crate::link::Link;
 use crate::output::SimOutput;
 use crate::switch::{stamped_route, Switch};
 use hpcc_topology::{NodeKind, TopologySpec};
-use hpcc_types::{Duration, FlowSpec, NodeId, PortId, Route, SimTime};
+use hpcc_types::{Duration, FlowSpec, NodeId, PortId, SimTime};
 
 /// A node in the simulated network. Hosts dominate the node vector in every
 /// fat-tree, so the size gap between the variants wastes padding only on the
@@ -78,16 +78,17 @@ impl FaultRuntime {
     }
 }
 
-/// A registered flow and what registration resolved for it.
+/// A registered flow and what registration resolved for it. The route its
+/// packets carry is resolved when it starts, which keeps this record, held
+/// for every flow for the whole run, at 48 bytes.
 #[derive(Clone, Copy, Debug)]
 struct Registered {
     spec: FlowSpec,
     /// Dense index into the destination host's receiver table.
     dst_slot: u32,
-    /// The route stamped on its packets, from the topology's static route
-    /// table.
-    route: Route,
 }
+
+const _: () = assert!(std::mem::size_of::<Registered>() <= 48);
 
 /// A packet-level discrete-event simulation of one experiment.
 ///
@@ -198,7 +199,6 @@ impl Simulator {
         self.flows.push(Registered {
             spec,
             dst_slot: *slot,
-            route: stamped_route(&self.topo, spec.id.raw(), spec.src, spec.dst),
         });
         *slot += 1;
         self.eff.schedule(spec.start, Event::FlowStart(idx));
@@ -206,6 +206,8 @@ impl Simulator {
 
     /// Register many flows.
     pub fn add_flows<I: IntoIterator<Item = FlowSpec>>(&mut self, specs: I) {
+        let specs = specs.into_iter();
+        self.flows.reserve_exact(specs.size_hint().0);
         for s in specs {
             self.add_flow(s);
         }
@@ -219,6 +221,17 @@ impl Simulator {
     /// Run until the event queue drains or the configured horizon is passed,
     /// then return the collected measurements.
     pub fn run(mut self) -> SimOutput {
+        let mut senders = vec![0; self.nodes.len()];
+        for f in &self.flows {
+            senders[f.spec.src.index()] += 1;
+        }
+        for ((node, senders), &receivers) in
+            self.nodes.iter_mut().zip(senders).zip(&self.next_dst_slot)
+        {
+            if let Node::Host(h) = node {
+                h.reserve_tables(senders, receivers as usize);
+            }
+        }
         while self.step() {}
         self.finalize()
     }
@@ -239,11 +252,10 @@ impl Simulator {
         self.eff.key = key;
         match ev {
             Event::FlowStart(idx) => {
-                let Registered {
-                    spec,
-                    dst_slot,
-                    route,
-                } = self.flows[idx];
+                let Registered { spec, dst_slot } = self.flows[idx];
+                // The route the sender stamps on every packet, from the
+                // topology's static route table.
+                let route = stamped_route(&self.topo, spec.id.raw(), spec.src, spec.dst);
                 if let Node::Host(h) = &mut self.nodes[spec.src.index()] {
                     h.flow_start(t, spec, dst_slot, route, &self.cfg, &mut self.eff);
                 }
@@ -471,7 +483,7 @@ mod tests {
     use hpcc_cc::{CcAlgorithm, DcqcnConfig};
     use hpcc_stats::queue::queue_percentile;
     use hpcc_topology::{star, testbed_pod};
-    use hpcc_types::{Bandwidth, FlowId, Packet};
+    use hpcc_types::{Bandwidth, FlowId, Packet, Route};
 
     const LINE: Bandwidth = Bandwidth::from_gbps(100);
 

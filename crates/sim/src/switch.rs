@@ -129,16 +129,6 @@ struct QueuedPacket {
     wire: u64,
 }
 
-/// Initial capacity of the first data-class egress ring. Sized for memory,
-/// not speed: most ports of a run never queue more than a few packets, a
-/// congested one doubles its `VecDeque` a handful of times on the way to its
-/// high-water mark and keeps it, and 256 entries up front on every port cost
-/// 1.6 MB of resident set on the 54-host Clos for no measurable time.
-const DATA_RING_CAPACITY: usize = 16;
-
-/// Initial capacity of each control-class egress ring (same reasoning).
-const CTRL_RING_CAPACITY: usize = 8;
-
 /// One egress port of a switch.
 #[derive(Debug)]
 pub struct SwitchPort {
@@ -156,18 +146,19 @@ pub struct SwitchPort {
     pause_sent: [bool; Priority::COUNT],
 }
 
+// Every egress port of every switch holds one record; a field that fattens
+// it fails the build instead of a campaign's RSS bound.
+const _: () = assert!(std::mem::size_of::<SwitchPort>() <= 504);
+
 impl SwitchPort {
     fn new(link: Link, sched: Scheduler) -> Self {
         SwitchPort {
             link,
-            // The control ring and the first data ring start with a small
-            // buffer (the classes every run uses); additional data classes
-            // start empty. All grow to their high-water capacity on use.
-            queues: std::array::from_fn(|i| match i {
-                0 => VecDeque::with_capacity(CTRL_RING_CAPACITY),
-                1 => VecDeque::with_capacity(DATA_RING_CAPACITY),
-                _ => VecDeque::new(),
-            }),
+            // Every ring starts empty and grows to its high-water capacity
+            // on use: most ports of a run never queue more than a few
+            // packets, and many never queue one in some class, so a buffer
+            // up front costs resident set for no measurable time.
+            queues: std::array::from_fn(|_| VecDeque::new()),
             queue_bytes: [0; Priority::COUNT],
             rx_enqueued_cum: 0,
             sched,
