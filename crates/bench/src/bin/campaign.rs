@@ -24,11 +24,14 @@
 //!   scenario indices to whatever workers `join` (`hpcc_core::fabric`,
 //!   `docs/WIRE.md`); workers may join late or die mid-lease (their work is
 //!   reassigned), duplicates are dropped by digest. `--spawn-workers N`
-//!   launches N local `join` subprocesses; `--chaos-kill-at FRAC` SIGKILLs
-//!   the first of them once that fraction of scenarios has results (a
-//!   fault-tolerance self-test); `--checkpoint` appends each accepted result
-//!   to a JSONL file and replays it on restart.
-//! * `join ADDR` — fabric worker: the manifest arrives over the wire.
+//!   launches N local `join` subprocesses, each running its leases on every
+//!   core `serve` may use (they inherit its CPU mask, so
+//!   `taskset -c 0 campaign serve …` runs every child serially);
+//!   `--chaos-kill-at FRAC` SIGKILLs the first of them once that fraction of
+//!   scenarios has results (a fault-tolerance self-test); `--checkpoint`
+//!   appends each accepted result to a JSONL file and replays it on restart.
+//! * `join ADDR` — fabric worker: the manifest arrives over the wire, and
+//!   each lease runs on one thread per available core.
 //! * `shard i/N` + `merge` — the offline pair for hosts that cannot reach a
 //!   coordinator: `shard` runs round-robin shard `i` of `N`, one JSONL line
 //!   per scenario on stdout (diagnostics on stderr); `merge` folds such files

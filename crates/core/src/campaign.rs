@@ -6,8 +6,9 @@
 //! collects a [`CampaignReport`] with one [`ScenarioResult`] per scenario,
 //! *in scenario order*.
 //!
-//! [`Campaign::run_serial`], [`Campaign::run_with_threads`] and
-//! [`Campaign::run_shard_streaming`] share one in-order executor: up to `T`
+//! [`Campaign::run_serial`], [`Campaign::run_with_threads`],
+//! [`Campaign::run_shard_streaming`] and the fabric worker's leases
+//! ([`crate::fabric::join`]) share one in-order executor: up to `T`
 //! threads, the calling thread one of them, run the scenarios, and the
 //! calling thread hands each result on in scenario order.
 //!
@@ -180,10 +181,11 @@ impl Campaign {
         Ok(indices.len())
     }
 
-    /// Run the single scenario at `index` on the calling thread — the
-    /// fabric's unit of leased work. Seeds and digests depend only on the
-    /// scenario spec, so `run_index` on any host reproduces the scenario's
-    /// serial result bit-identically.
+    /// Run the single scenario at `index` on the calling thread — the job a
+    /// fabric worker's threads run for each index of a lease. Seeds and
+    /// digests depend only on the scenario spec, so `run_index` on any host
+    /// and any thread reproduces the scenario's serial result
+    /// bit-identically.
     ///
     /// # Panics
     /// Panics when `index` is out of range.
@@ -306,7 +308,7 @@ impl ShardPlan {
 }
 
 /// One thread per available core (1 when the count is unknown).
-fn available_cores() -> usize {
+pub(crate) fn available_cores() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
@@ -328,7 +330,7 @@ fn available_cores() -> usize {
 /// claimed either, the calling thread stops waiting, and the panic is
 /// resumed on it once every thread has been joined; a panic on the calling
 /// thread (in a job or in `sink`) unwinds the same way after the join.
-fn run_in_order<R: Send, E>(
+pub(crate) fn run_in_order<R: Send, E>(
     indices: &[usize],
     threads: usize,
     job: impl Fn(usize) -> R + Sync,
@@ -618,7 +620,9 @@ pub struct ScenarioResult {
     /// decoded from the wire format, the wall time the *worker* measured).
     /// Scenarios run side by side on a campaign's or a shard's threads, so
     /// this includes contention from sibling threads for cores, caches and
-    /// memory bandwidth: it measures the run, not the scenario alone.
+    /// memory bandwidth: it measures the run, not the scenario alone. A
+    /// fabric worker reports it divided by the number of threads its lease
+    /// ran on ([`crate::fabric::join`]).
     pub wall: std::time::Duration,
     /// The full analysis wrapper, for figure-grade post-processing.
     /// `Some` for scenarios executed in this process; `None` for results
@@ -668,7 +672,8 @@ impl CampaignReport {
     }
 
     /// Sum of per-scenario wall times (the serial cost the campaign would
-    /// have had).
+    /// have had; for a fabric report, the workers' time spent on scenarios,
+    /// since a fabric worker divides each wall by its lease's thread count).
     pub fn total_scenario_wall(&self) -> std::time::Duration {
         self.results.iter().map(|r| r.wall).sum()
     }

@@ -5,8 +5,9 @@
 //! `std::net` (length-framed canonical JSON — [`crate::wire::FabricMsg`],
 //! normatively documented in `docs/WIRE.md`). A worker ([`join`]) connects,
 //! says hello, receives the whole campaign manifest over the wire (no
-//! shared filesystem needed), and then executes leases of scenario indices,
-//! streaming each [`ScenarioResult`] back the moment it completes.
+//! shared filesystem needed), and then executes leases of scenario indices
+//! on every core, streaming each [`ScenarioResult`] back in lease order as
+//! soon as it and the lease's earlier ones complete.
 //!
 //! Robustness is the design center, and it rests on the repository's
 //! determinism contract rather than on distributed-systems machinery:
@@ -36,7 +37,7 @@
 //! go through [`crate::timing`], the sanctioned wall-clock funnel; nothing
 //! they measure reaches canonical output.
 
-use crate::campaign::{Campaign, CampaignReport, ScenarioResult};
+use crate::campaign::{available_cores, run_in_order, Campaign, CampaignReport, ScenarioResult};
 use crate::timing;
 use crate::wire::{self, FabricMsg, WireError};
 use std::collections::{BTreeMap, BTreeSet};
@@ -659,13 +660,17 @@ pub struct WorkerConfig {
     /// Heartbeat period; keep it well under the coordinator's lease
     /// timeout.
     pub heartbeat: std::time::Duration,
-    /// Chaos hook: after executing this many scenarios, go silent without
-    /// sending the result — no results, no heartbeats, connection left
-    /// open (what a wedged or SIGSTOPped worker looks like) — and park the
-    /// thread forever. Tests SIGKILL the parked process.
+    /// Chaos hook: withhold the result that would be the this-many-th
+    /// handed to the writer thread (counting over every lease), start no
+    /// further scenario, and once the lease's running ones finish go silent
+    /// — no results, no heartbeats, connection left open (what a wedged or
+    /// SIGSTOPped worker looks like) — and park the thread forever. Tests
+    /// SIGKILL the parked process.
     pub hang_after: Option<usize>,
-    /// Chaos hook: after *sending* this many results, drop the connection
-    /// without a bye (a crash) and return.
+    /// Chaos hook: once this many results (counting over every lease) have
+    /// been handed to the writer thread, start no further scenario, and once
+    /// the running ones finish and the writer has sent what it holds, drop
+    /// the connection without a bye (a crash) and return.
     pub quit_after: Option<usize>,
 }
 
@@ -696,20 +701,43 @@ pub struct WorkerSummary {
 const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
 /// Connect to a coordinator at `addr`, receive the campaign manifest over
-/// the wire, and execute leases — streaming each result back the moment it
-/// completes — until the coordinator says bye or the connection ends.
+/// the wire, and execute leases — streaming each result back in lease
+/// order as soon as it and the lease's earlier ones complete — until the
+/// coordinator says bye or the connection ends.
 ///
-/// The calling thread only simulates and encodes: every frame after the
-/// `hello` goes out on the connection's writer thread, which also sends a
-/// heartbeat whenever the connection has been quiet for a heartbeat period,
-/// so a long scenario cannot make a healthy worker look dead and a result
-/// never waits for the socket.
+/// Each lease runs through the campaign's in-order executor on one thread
+/// per available core, capped at the lease's length, the calling thread one
+/// of them (one core, or a one-index lease: the calling thread alone). The
+/// thread that runs a scenario also encodes its `result` frame, so only
+/// encoded frames wait. The frame's `wall_ns` is the scenario's wall
+/// divided by the lease's thread count, so a lease's results never claim
+/// more time than the lease took, and the coordinator sizes a T-thread
+/// worker's leases to the same 500 ms target as a one-thread worker's.
+/// Every index of a lease is checked against the campaign before any of
+/// them runs: a lease with an index out of range runs nothing and ends the
+/// conversation with [`FabricError::Protocol`].
+/// Several workers on one host each use every core; pin them apart
+/// (`taskset`) to keep them from contending.
+///
+/// Every frame after the `hello` goes out on the connection's writer
+/// thread, which also sends a heartbeat whenever the connection has been
+/// quiet for a heartbeat period, so a long scenario cannot make a healthy
+/// worker look dead and a result never waits for the socket.
 ///
 /// A worker that arrives when the campaign is already complete is answered
 /// with `bye` (or finds the connection closed) instead of a manifest: that
 /// is a normal outcome, reported as a summary with `executed == 0` and
 /// `campaign_len == 0`.
 pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError> {
+    join_with_threads(addr, cfg, available_cores())
+}
+
+/// [`join`] with each lease on up to `threads` threads.
+fn join_with_threads(
+    addr: &str,
+    cfg: &WorkerConfig,
+    threads: usize,
+) -> Result<WorkerSummary, FabricError> {
     let stream = TcpStream::connect(addr)?;
     let _ = stream.set_nodelay(true);
     stream.set_read_timeout(Some(HANDSHAKE_TIMEOUT))?;
@@ -739,49 +767,62 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
     let period = cfg.heartbeat;
     let writer = std::thread::spawn(move || write_loop(writer, &frames, period));
     let mut ran = 0usize;
-    let outcome = 'conversation: loop {
+    let outcome = loop {
         match wire::read_frame(&mut reader) {
             Ok(Some(FabricMsg::Lease { indices })) => {
-                for index in indices {
-                    if index >= campaign.len() {
-                        break 'conversation Err(FabricError::Protocol(format!(
-                            "leased index {index} out of range for {} scenarios",
-                            campaign.len()
-                        )));
-                    }
-                    let result = campaign.run_index(index);
+                if let Some(index) = indices.iter().find(|&&i| i >= campaign.len()) {
+                    break Err(FabricError::Protocol(format!(
+                        "leased index {index} out of range for {} scenarios",
+                        campaign.len()
+                    )));
+                }
+                // Each thread runs its scenarios one after another, so the
+                // lease's walls divided by its thread count sum to at most
+                // the lease's own wall: the worker's time per scenario,
+                // which is what lease sizing reads.
+                let lease_threads = threads.min(indices.len()).max(1) as u32;
+                let job = |index| {
+                    let mut result = campaign.run_index(index);
+                    result.wall /= lease_threads;
+                    wire::encode_frame(&FabricMsg::Result {
+                        index,
+                        result: Box::new(result),
+                    })
+                };
+                let sink = |frame| {
                     ran += 1;
                     if cfg.hang_after == Some(ran) {
-                        // Chaos: the scenario ran but its result never
-                        // leaves; the writer sends what is queued and stops,
-                        // and heartbeats with it; the connection stays open.
-                        // Park until SIGKILLed.
+                        return Err(Halt::Hang);
+                    }
+                    queue
+                        .send(Outgoing::Result(frame))
+                        .map_err(|_| Halt::WriterGone)?;
+                    if cfg.quit_after == Some(ran) {
+                        return Err(Halt::Quit);
+                    }
+                    Ok(())
+                };
+                match run_in_order(&indices, threads, job, sink) {
+                    Ok(()) => {}
+                    // The writer failed; its error is returned below.
+                    Err(Halt::WriterGone) => break Ok(()),
+                    Err(halt) => {
+                        // Chaos: the writer sends what is queued and stops,
+                        // and heartbeats with it.
                         drop(queue);
                         let _ = writer.join();
+                        if let Halt::Quit = halt {
+                            // Vanish without a bye.
+                            return Ok(WorkerSummary {
+                                executed: ran,
+                                campaign_len: campaign.len(),
+                            });
+                        }
+                        // Hang: the withheld result never leaves and the
+                        // connection stays open. Park until SIGKILLed.
                         loop {
                             std::thread::sleep(std::time::Duration::from_secs(3600));
                         }
-                    }
-                    let reply = FabricMsg::Result {
-                        index,
-                        result: Box::new(result),
-                    };
-                    if queue
-                        .send(Outgoing::Result(wire::encode_frame(&reply)))
-                        .is_err()
-                    {
-                        // The writer failed; its error is returned below.
-                        break 'conversation Ok(());
-                    }
-                    if cfg.quit_after == Some(ran) {
-                        // Chaos: vanish without a bye, once the writer has
-                        // sent this result.
-                        drop(queue);
-                        let _ = writer.join();
-                        return Ok(WorkerSummary {
-                            executed: ran,
-                            campaign_len: campaign.len(),
-                        });
                     }
                 }
             }
@@ -807,7 +848,17 @@ pub fn join(addr: &str, cfg: &WorkerConfig) -> Result<WorkerSummary, FabricError
     })
 }
 
-/// What the scenario loop hands the connection's writer thread.
+/// Why a lease stopped handing results to the writer.
+enum Halt {
+    /// The writer thread is gone: its socket failed.
+    WriterGone,
+    /// [`WorkerConfig::hang_after`] was reached.
+    Hang,
+    /// [`WorkerConfig::quit_after`] was reached.
+    Quit,
+}
+
+/// What a lease's sink hands the connection's writer thread.
 enum Outgoing {
     /// An encoded `result` frame.
     Result(Vec<u8>),
@@ -1063,10 +1114,10 @@ mod tests {
 
     #[test]
     fn join_returns_promptly_after_bye() {
-        // The test plays the coordinator: hello, manifest, one lease of the
-        // whole campaign, every frame up to the last result, bye. Returns
-        // the heartbeats seen, and how long `join` took to return after the
-        // bye went out.
+        // The test plays the coordinator through `lease_once`: one lease of
+        // the whole campaign, a bye after its last result. Returns the
+        // heartbeats seen, and how long `join` took to return after the bye
+        // went out.
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
         let converse = |campaign: Campaign, heartbeat| {
@@ -1078,29 +1129,16 @@ mod tests {
                 };
                 std::thread::spawn(move || (join(&addr, &cfg), timing::now()))
             };
-            let (stream, _) = listener.accept().unwrap();
-            let mut reader = BufReader::new(stream.try_clone().unwrap());
-            let hello = wire::read_frame(&mut reader).unwrap();
-            assert!(matches!(hello, Some(FabricMsg::Hello { .. })));
-            let lease = FabricMsg::Lease {
-                indices: (0..campaign.len()).collect(),
-            };
             let scenarios = campaign.len();
-            wire::write_frame(&mut &stream, &FabricMsg::Manifest { campaign }).unwrap();
-            wire::write_frame(&mut &stream, &lease).unwrap();
-            let (mut heartbeats, mut results) = (0, 0);
-            while results < scenarios {
-                match wire::read_frame(&mut reader).unwrap() {
-                    Some(FabricMsg::Heartbeat { .. }) => heartbeats += 1,
-                    Some(FabricMsg::Result { .. }) => results += 1,
-                    _ => panic!("expected heartbeats and results"),
-                }
-            }
-            wire::write_frame(&mut &stream, &FabricMsg::Bye).unwrap();
-            let bye_sent = timing::now();
+            let lease = (0..scenarios).collect();
+            let played = lease_once(&listener, &campaign, lease, Some(scenarios));
+            let bye_sent = played.bye_sent.expect("every result arrived");
             let (summary, returned) = worker.join().unwrap();
             assert_eq!(summary.unwrap().executed, scenarios);
-            (heartbeats, returned.saturating_duration_since(bye_sent))
+            (
+                played.heartbeats,
+                returned.saturating_duration_since(bye_sent),
+            )
         };
         // A heartbeat period far longer than the campaign: `join` must not
         // sleep it out after the bye.
@@ -1121,6 +1159,146 @@ mod tests {
         )]);
         let (heartbeats, _) = converse(long, std::time::Duration::from_millis(1));
         assert!(heartbeats >= 1, "no heartbeat during the scenario");
+    }
+
+    /// What the coordinator played by [`lease_once`] saw.
+    struct Played {
+        /// The worker's results, in arrival order.
+        results: Vec<(usize, ScenarioResult)>,
+        /// Heartbeats that arrived before the bye went out.
+        heartbeats: usize,
+        /// When the coordinator's bye went out, if it did.
+        bye_sent: Option<std::time::Instant>,
+        /// Whether the worker said bye.
+        said_bye: bool,
+    }
+
+    /// Play the coordinator for the next worker on `listener`: read its
+    /// hello, send the manifest and one lease of `indices`, and collect the
+    /// worker's frames until it closes the connection, sending a bye once
+    /// `bye_after` results have arrived.
+    fn lease_once(
+        listener: &TcpListener,
+        campaign: &Campaign,
+        indices: Vec<usize>,
+        bye_after: Option<usize>,
+    ) -> Played {
+        let (stream, _) = listener.accept().unwrap();
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let hello = wire::read_frame(&mut reader).unwrap();
+        assert!(matches!(hello, Some(FabricMsg::Hello { .. })));
+        let manifest = FabricMsg::Manifest {
+            campaign: campaign.clone(),
+        };
+        wire::write_frame(&mut &stream, &manifest).unwrap();
+        wire::write_frame(&mut &stream, &FabricMsg::Lease { indices }).unwrap();
+        let mut played = Played {
+            results: Vec::new(),
+            heartbeats: 0,
+            bye_sent: None,
+            said_bye: false,
+        };
+        loop {
+            match wire::read_frame(&mut reader).unwrap() {
+                Some(FabricMsg::Heartbeat { .. }) => {
+                    if played.bye_sent.is_none() {
+                        played.heartbeats += 1;
+                    }
+                }
+                Some(FabricMsg::Result { index, result }) => {
+                    played.results.push((index, *result));
+                    if bye_after == Some(played.results.len()) {
+                        wire::write_frame(&mut &stream, &FabricMsg::Bye).unwrap();
+                        played.bye_sent = Some(timing::now());
+                    }
+                }
+                Some(FabricMsg::Bye) => played.said_bye = true,
+                Some(_) => panic!("expected heartbeats, results and a bye"),
+                None => return played,
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_runs_a_lease_on_every_thread_in_lease_order() {
+        // Scenarios of a few milliseconds, so that they, not the handshake,
+        // fill the lease: on more than one thread their walls overlap.
+        let campaign = Campaign::from_scenarios(
+            (0..12)
+                .map(|i| {
+                    incast_on_star(
+                        format!("t{i}"),
+                        CcSpec::by_label(["HPCC", "DCQCN", "TIMELY"][i % 3]),
+                        4,
+                        400_000,
+                        Bandwidth::from_gbps(25),
+                        Duration::from_ms(1),
+                    )
+                })
+                .collect(),
+        );
+        let serial = campaign.run_serial();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let worker = |threads, quit_after| {
+            let addr = addr.clone();
+            let cfg = WorkerConfig {
+                quit_after,
+                ..WorkerConfig::default()
+            };
+            std::thread::spawn(move || join_with_threads(&addr, &cfg, threads))
+        };
+        let lease: Vec<usize> = (0..12).collect();
+        for threads in [1, 2, 5] {
+            let started = timing::now();
+            let joined = worker(threads, None);
+            let played = lease_once(&listener, &campaign, lease.clone(), Some(12));
+            let took = started.elapsed();
+            let order: Vec<usize> = played.results.iter().map(|(i, _)| *i).collect();
+            assert_eq!(order, lease, "{threads} threads");
+            // Each wall is divided by the lease's thread count, so together
+            // they never claim more time than the lease took.
+            let claimed: std::time::Duration = played.results.iter().map(|(_, r)| r.wall).sum();
+            assert!(claimed <= took, "{threads} threads: {claimed:?} > {took:?}");
+            for (i, result) in &played.results {
+                assert_eq!(
+                    result.to_json(),
+                    serial.results[*i].to_json(),
+                    "scenario {i}, {threads} threads"
+                );
+            }
+            assert!(played.said_bye, "{threads} threads");
+            let summary = joined.join().unwrap().unwrap();
+            assert_eq!((summary.executed, summary.campaign_len), (12, 12));
+        }
+        // A crash after the third result: the scenarios still running are
+        // dropped with the connection, unsent.
+        let joined = worker(5, Some(3));
+        let played = lease_once(&listener, &campaign, lease.clone(), None);
+        let order: Vec<usize> = played.results.iter().map(|(i, _)| *i).collect();
+        assert_eq!(order, vec![0, 1, 2]);
+        assert!(!played.said_bye, "a quitting worker leaves without a bye");
+        assert_eq!(joined.join().unwrap().unwrap().executed, 3);
+    }
+
+    #[test]
+    fn a_lease_with_an_out_of_range_index_runs_none_of_it() {
+        let campaign = tiny_campaign(2);
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let joined = std::thread::spawn(move || join(&addr, &WorkerConfig::default()));
+        let played = lease_once(&listener, &campaign, vec![0, 99], None);
+        assert_eq!(played.results.len(), 0, "a result of a bad lease was sent");
+        match joined.join().unwrap() {
+            Err(FabricError::Protocol(msg)) => assert!(msg.contains("99"), "{msg}"),
+            other => panic!(
+                "an out-of-range lease must be a protocol error, got {:?}",
+                other.map(|_| ())
+            ),
+        }
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //!
 //! * `index` — the scenario's position in the campaign, so a coordinator
 //!   can reassemble streams that arrive in any order.
-//! * `wall_ns` — the wall-clock time the worker spent on the scenario (the
+//! * `wall_ns` — the wall-clock time the worker spent on the scenario,
+//!   divided on a fabric worker by the number of threads its lease ran on (the
 //!   only host-dependent field; it lives in the envelope, *outside* the
 //!   canonical result object).
 //! * `result` — the canonical [`ScenarioResult`] object produced by
