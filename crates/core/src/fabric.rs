@@ -19,14 +19,16 @@
 //!   silent past the lease timeout (or whose connection drops) is retired
 //!   and its outstanding indices return to the queue.
 //! * **Dedup by digest.** A retired worker may still have executed part of
-//!   its lease, so results can arrive twice. The [`ResultLedger`] keeps the
-//!   first copy, drops byte-identical duplicates (same index, same digest),
-//!   and treats conflicting digests for one index as the hard error they
-//!   are ([`FabricError::DigestConflict`]) — never a silent drop.
+//!   its lease, so results can arrive twice. The [`ResultLedger`] (the one
+//!   `merge` uses) keeps the first copy, drops byte-identical duplicates
+//!   (same index, same digest), and treats conflicting digests for one
+//!   index as the hard error they are ([`WireError::DigestConflict`]) —
+//!   never a silent drop.
 //! * **Checkpointing.** Every accepted result is appended to a JSONL
 //!   checkpoint file (the standard result-line encoding) and flushed; a
-//!   restarted coordinator replays the file — tolerating a truncated tail
-//!   from a mid-write kill — and re-runs only what is missing.
+//!   restarted coordinator replays the file — cutting a torn tail, ending a
+//!   last line that lost only its newline — and re-runs only what is
+//!   missing.
 //!
 //! Because every scenario is a pure function of its spec, the merged
 //! [`CampaignReport`] is bit-identical (canonical JSON and digests) to
@@ -39,8 +41,8 @@
 
 use crate::campaign::{available_cores, run_in_order, Campaign, CampaignReport, ScenarioResult};
 use crate::timing;
-use crate::wire::{self, FabricMsg, WireError};
-use std::collections::{BTreeMap, BTreeSet};
+use crate::wire::{self, FabricMsg, ResultLedger, WireError};
+use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -53,19 +55,9 @@ pub enum FabricError {
     Io(std::io::Error),
     /// A peer violated the fabric message protocol.
     Protocol(String),
-    /// A checkpoint stream failed to decode.
+    /// A checkpoint stream failed to decode, or the [`ResultLedger`] refused
+    /// a result (out of range, or a [`WireError::DigestConflict`]).
     Wire(WireError),
-    /// Two executions of one scenario produced different digests. The
-    /// determinism contract is broken (mismatched builds on the fleet?),
-    /// and no merge that hides it can be trusted.
-    DigestConflict {
-        /// The scenario index delivered twice.
-        index: usize,
-        /// The digest recorded first.
-        have: u64,
-        /// The conflicting digest of the re-execution.
-        got: u64,
-    },
 }
 
 impl std::fmt::Display for FabricError {
@@ -73,12 +65,7 @@ impl std::fmt::Display for FabricError {
         match self {
             FabricError::Io(e) => write!(f, "fabric i/o: {e}"),
             FabricError::Protocol(msg) => write!(f, "fabric protocol: {msg}"),
-            FabricError::Wire(e) => write!(f, "fabric checkpoint: {e}"),
-            FabricError::DigestConflict { index, have, got } => write!(
-                f,
-                "digest conflict for scenario {index}: recorded {have:#018x}, \
-                 re-execution produced {got:#018x}; refusing to merge"
-            ),
+            FabricError::Wire(e) => write!(f, "fabric results: {e}"),
         }
     }
 }
@@ -130,108 +117,6 @@ impl Default for FabricConfig {
             checkpoint: None,
             progress: None,
         }
-    }
-}
-
-/// The coordinator's dedup / conflict / completion state machine, factored
-/// out of the socket plumbing so its invariants are testable in isolation:
-/// results arrive in any order and possibly more than once (a reassigned
-/// lease re-executes scenarios), and the ledger keeps the first copy, drops
-/// byte-identical duplicates, and rejects conflicting digests.
-pub struct ResultLedger {
-    len: usize,
-    done: BTreeMap<usize, ScenarioResult>,
-    accepted: u64,
-    deduped: u64,
-}
-
-impl ResultLedger {
-    /// An empty ledger for a campaign of `len` scenarios.
-    pub fn new(len: usize) -> Self {
-        ResultLedger {
-            len,
-            done: BTreeMap::new(),
-            accepted: 0,
-            deduped: 0,
-        }
-    }
-
-    /// Record one delivered result. `Ok(true)`: the result was new and is
-    /// now recorded. `Ok(false)`: a byte-identical duplicate (same index,
-    /// same digest), dropped. Errors: an out-of-range index, or a digest
-    /// conflicting with the recorded one — never silently dropped.
-    pub fn record(&mut self, index: usize, result: ScenarioResult) -> Result<bool, FabricError> {
-        if index >= self.len {
-            return Err(FabricError::Protocol(format!(
-                "result index {index} out of range for a campaign of {} scenarios",
-                self.len
-            )));
-        }
-        match self.done.get(&index) {
-            Some(have) if have.digest == result.digest => {
-                self.deduped += 1;
-                Ok(false)
-            }
-            Some(have) => Err(FabricError::DigestConflict {
-                index,
-                have: have.digest,
-                got: result.digest,
-            }),
-            None => {
-                self.done.insert(index, result);
-                self.accepted += 1;
-                Ok(true)
-            }
-        }
-    }
-
-    /// Whether scenario `index` already has a recorded result.
-    pub fn contains(&self, index: usize) -> bool {
-        self.done.contains_key(&index)
-    }
-
-    /// Number of distinct scenarios recorded so far.
-    pub fn done(&self) -> usize {
-        self.done.len()
-    }
-
-    /// True once every scenario has a result.
-    pub fn is_complete(&self) -> bool {
-        self.done.len() == self.len
-    }
-
-    /// Distinct results accepted so far (resumed and live).
-    pub fn accepted(&self) -> u64 {
-        self.accepted
-    }
-
-    /// Byte-identical duplicates dropped so far.
-    pub fn deduped(&self) -> u64 {
-        self.deduped
-    }
-
-    /// The scenario indices still missing, ascending.
-    pub fn missing(&self) -> Vec<usize> {
-        (0..self.len).filter(|i| !self.contains(*i)).collect()
-    }
-
-    /// Finish into a report in scenario order; an incomplete ledger is a
-    /// protocol error. `wall` is zero and `threads` is 1 — the caller
-    /// overwrites them with its own measurements (neither field reaches
-    /// canonical output).
-    pub fn into_report(self) -> Result<CampaignReport, FabricError> {
-        if !self.is_complete() {
-            return Err(FabricError::Protocol(format!(
-                "ledger incomplete: {} of {} scenarios recorded",
-                self.done.len(),
-                self.len
-            )));
-        }
-        Ok(CampaignReport {
-            results: self.done.into_values().collect(),
-            wall: std::time::Duration::ZERO,
-            threads: 1,
-        })
     }
 }
 
@@ -305,7 +190,8 @@ impl CoordState {
         match self.ledger.record(index, result) {
             Ok(true) => {
                 if let Some(file) = &mut self.checkpoint {
-                    let mut line = wire::encode_result_line(index, &self.ledger.done[&index]);
+                    let recorded = self.ledger.get(index).expect("just recorded");
+                    let mut line = wire::encode_result_line(index, recorded);
                     line.push('\n');
                     if let Err(e) = file.write_all(line.as_bytes()) {
                         self.fatal.get_or_insert(FabricError::Io(e));
@@ -318,7 +204,7 @@ impl CoordState {
             }
             Ok(false) => {}
             Err(e) => {
-                self.fatal.get_or_insert(e);
+                self.fatal.get_or_insert(e.into());
             }
         }
     }
@@ -424,9 +310,7 @@ impl Coordinator {
         cfg: &FabricConfig,
     ) -> Result<FabricReport, FabricError> {
         let started = timing::now();
-        let len = campaign.len();
-        let mut ledger = ResultLedger::new(len);
-        let mut resumed = 0usize;
+        let mut ledger = ResultLedger::new(campaign.len());
         let mut checkpoint = None;
         if let Some(path) = &cfg.checkpoint {
             let existing = match std::fs::read_to_string(path) {
@@ -436,11 +320,9 @@ impl Coordinator {
             };
             let (entries, tail) = wire::decode_stream_lines(&existing, 1)?;
             for (index, result) in entries {
-                if ledger.record(index, result)? {
-                    resumed += 1;
-                }
+                ledger.record(index, result)?;
             }
-            let file = std::fs::OpenOptions::new()
+            let mut file = std::fs::OpenOptions::new()
                 .create(true)
                 .append(true)
                 .open(path)?;
@@ -448,11 +330,16 @@ impl Coordinator {
                 // Cut off the record a dying coordinator left half-written,
                 // so the file stays a clean prefix we append to.
                 file.set_len(tail.byte_offset as u64)?;
+            } else if !existing.is_empty() && !existing.ends_with('\n') {
+                // The last record is whole but lost its newline: end its
+                // line, or the next record would be appended onto it.
+                file.write_all(b"\n")?;
             }
             checkpoint = Some(file);
         }
+        let resumed = ledger.done();
         if let Some(progress) = &cfg.progress {
-            progress.store(ledger.done(), Ordering::Relaxed);
+            progress.store(resumed, Ordering::Relaxed);
         }
 
         // Nothing left to run (e.g. restart over a complete checkpoint):
@@ -543,7 +430,7 @@ impl Coordinator {
         if let Some(e) = fatal {
             return Err(e);
         }
-        let executed = ledger.accepted() - resumed as u64;
+        let executed = (ledger.done() - resumed) as u64;
         let deduped = ledger.deduped();
         let mut report = ledger.into_report()?;
         report.wall = started.elapsed();
@@ -919,36 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_dedupes_and_rejects_conflicts() {
-        let campaign = tiny_campaign(2);
-        let a = campaign.run_index(0);
-        let a_dup = campaign.run_index(0);
-        let mut doctored = campaign.run_index(0);
-        doctored.digest ^= 1;
-
-        let mut ledger = ResultLedger::new(2);
-        assert!(ledger.record(0, a).unwrap());
-        assert!(!ledger.record(0, a_dup).unwrap(), "identical dup dropped");
-        assert_eq!(ledger.deduped(), 1);
-        match ledger.record(0, doctored) {
-            Err(FabricError::DigestConflict { index: 0, .. }) => {}
-            other => panic!(
-                "conflicting digest must be a typed error, got {:?}",
-                other.map(|_| ())
-            ),
-        }
-        assert_eq!(ledger.missing(), vec![1]);
-        assert!(ledger.record(2, campaign.run_index(1)).is_err(), "range");
-        assert!(ledger.record(1, campaign.run_index(1)).unwrap());
-        assert!(ledger.is_complete());
-        let report = ledger.into_report().unwrap();
-        assert_eq!(
-            report.to_json_string(),
-            campaign.run_serial().to_json_string()
-        );
-    }
-
-    #[test]
     fn lease_sizes_follow_the_ewma() {
         let state = |ewma: Option<f64>| CoordState {
             pending: BTreeSet::new(),
@@ -1148,14 +1005,16 @@ mod tests {
             "join returned {after_bye:?} after the bye"
         );
         // A scenario many heartbeat periods long: heartbeats go out while
-        // it runs.
+        // it runs. Its wall (~240 ms with the test profile on a 2-vCPU
+        // host) is many times what a busy scheduler may keep the writer
+        // thread waiting, so at least one heartbeat beats the result.
         let long = Campaign::from_scenarios(vec![incast_on_star(
             "long",
             CcSpec::by_label("HPCC"),
             8,
-            1_000_000,
+            20_000_000,
             Bandwidth::from_gbps(25),
-            Duration::from_ms(3),
+            Duration::from_ms(60),
         )]);
         let (heartbeats, _) = converse(long, std::time::Duration::from_millis(1));
         assert!(heartbeats >= 1, "no heartbeat during the scenario");
@@ -1320,18 +1179,11 @@ mod tests {
         seeded.push_str(&partial[..partial.len() / 2]);
         std::fs::write(&path, &seeded).unwrap();
 
-        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
-        let addr = coordinator.local_addr().unwrap().to_string();
-        let worker = {
-            let addr = addr.clone();
-            std::thread::spawn(move || join(&addr, &WorkerConfig::default()))
-        };
         let cfg = FabricConfig {
             checkpoint: Some(path.clone()),
             ..FabricConfig::default()
         };
-        let fabric = coordinator.serve(&campaign, &cfg).unwrap();
-        worker.join().unwrap().unwrap();
+        let fabric = serve_to_one_worker(&campaign, &cfg).unwrap();
         assert_eq!(fabric.resumed, 2, "intact checkpoint records replayed");
         assert_eq!(
             fabric.executed, 2,
@@ -1355,6 +1207,50 @@ mod tests {
         let addr = coordinator.local_addr().unwrap().to_string();
         let idle = join(&addr, &WorkerConfig::default()).unwrap();
         assert_eq!((idle.executed, idle.campaign_len), (0, 0));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Serve `campaign` under `cfg` to one default worker.
+    fn serve_to_one_worker(
+        campaign: &Campaign,
+        cfg: &FabricConfig,
+    ) -> Result<FabricReport, FabricError> {
+        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap().to_string();
+        let worker = std::thread::spawn(move || join(&addr, &WorkerConfig::default()));
+        let fabric = coordinator.serve(campaign, cfg)?;
+        worker.join().unwrap().unwrap();
+        Ok(fabric)
+    }
+
+    #[test]
+    fn a_checkpoint_missing_only_its_last_newline_resumes_twice() {
+        let campaign = tiny_campaign(4);
+        let serial = campaign.run_serial();
+        let dir = std::env::temp_dir().join(format!("fabric-newline-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.jsonl");
+
+        // Scenarios 1 and 3, the last one whole but without its newline,
+        // which the replay accepts as complete.
+        let seeded = format!(
+            "{}\n{}",
+            wire::encode_result_line(1, &campaign.run_index(1)),
+            wire::encode_result_line(3, &campaign.run_index(3))
+        );
+        std::fs::write(&path, &seeded).unwrap();
+        let cfg = FabricConfig {
+            checkpoint: Some(path.clone()),
+            ..FabricConfig::default()
+        };
+        let fabric = serve_to_one_worker(&campaign, &cfg).unwrap();
+        assert_eq!((fabric.resumed, fabric.executed), (2, 2));
+        assert_eq!(fabric.report.to_json_string(), serial.to_json_string());
+        // The records appended after the replay start lines of their own, so
+        // a second restart replays all four.
+        let fabric = serve_to_one_worker(&campaign, &cfg).unwrap();
+        assert_eq!((fabric.resumed, fabric.executed), (4, 0));
+        assert_eq!(fabric.report.to_json_string(), serial.to_json_string());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

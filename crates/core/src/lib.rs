@@ -16,7 +16,7 @@
 //!   across OS threads with deterministic, bit-identical-to-serial results,
 //!   and shard them across processes with [`ShardPlan`],
 //! * [`wire`] — the JSONL wire format distributed campaigns stream their
-//!   per-scenario results through, and the shard-stream merge,
+//!   per-scenario results through, and the one [`ResultLedger`] they meet in,
 //! * [`fabric`] — the elastic cross-host campaign fabric: a TCP
 //!   coordinator serving scenario indices as a dynamic work queue
 //!   (EWMA-sized leases, heartbeat failure detection, digest-deduped
@@ -45,7 +45,7 @@ pub mod wire;
 pub use campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult, ShardPlan};
 pub use experiment::{Experiment, ExperimentResults};
 pub use fabric::{
-    Coordinator, FabricConfig, FabricError, FabricReport, ResultLedger, WorkerConfig, WorkerSummary,
+    Coordinator, FabricConfig, FabricError, FabricReport, WorkerConfig, WorkerSummary,
 };
 pub use presets::SCHEME_SET_FIG11;
 pub use scenario::{
@@ -53,3 +53,4 @@ pub use scenario::{
     ScenarioSpec, SchedulerSpec, TopologyChoice, WorkloadSpec,
 };
 pub use validate::{ValidationReport, ValidationRow};
+pub use wire::ResultLedger;

@@ -7,6 +7,9 @@
 //! [`merge_shard_streams`]. Everything rides on the in-tree [`crate::json`]
 //! module — no external serde.
 //!
+//! Whatever their route — shard files, fabric workers, a checkpoint —
+//! results are ordered and checked in one place, the [`ResultLedger`].
+//!
 //! # Line schema
 //!
 //! ```json
@@ -44,6 +47,7 @@ use crate::scenario::BackendSpec;
 use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, FctBucket, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
 use hpcc_stats::Percentiles;
+use std::collections::BTreeMap;
 
 // The result schema (`docs/WIRE.md`): one row per member, in byte order.
 // See `crate::codec` for the row forms.
@@ -250,9 +254,9 @@ pub fn decode_result_line(line: &str) -> Result<(usize, ScenarioResult), JsonErr
     Ok(entry)
 }
 
-/// A typed error from the stream decode / merge paths, so callers (and
-/// humans reading CI logs) can tell a corrupt line from a killed-mid-write
-/// tail from an incomplete partition.
+/// A typed error from the stream decode path and the [`ResultLedger`], so
+/// callers (and humans reading CI logs) can tell a corrupt line from a
+/// killed-mid-write tail from an incomplete partition from a conflict.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WireError {
     /// A complete (newline-terminated) line failed to decode.
@@ -274,9 +278,20 @@ pub enum WireError {
         /// 1-based line number of the partial record.
         line: usize,
     },
-    /// The union of the streams is not a complete `0..n` partition of the
-    /// campaign (gap, duplicate, or wrong total).
+    /// The results are not a complete `0..n` partition of the campaign (an
+    /// index out of range, a duplicate where none may arrive, or a gap).
     Partition(String),
+    /// Two executions of one scenario produced different digests. The
+    /// determinism contract is broken (mismatched builds on the fleet?),
+    /// and no merge that hides it can be trusted.
+    DigestConflict {
+        /// The scenario index delivered twice.
+        index: usize,
+        /// The digest recorded first.
+        have: u64,
+        /// The conflicting digest of the re-execution.
+        got: u64,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -295,6 +310,11 @@ impl std::fmt::Display for WireError {
                  (producer killed mid-write?); every record before it is intact"
             ),
             WireError::Partition(msg) => write!(f, "{msg}"),
+            WireError::DigestConflict { index, have, got } => write!(
+                f,
+                "digest conflict for scenario {index}: recorded {have:#018x}, \
+                 re-execution produced {got:#018x}; refusing to merge"
+            ),
         }
     }
 }
@@ -362,20 +382,121 @@ pub fn decode_stream_lines(text: &str, stream: usize) -> Result<DecodedStream, W
     Ok((entries, None))
 }
 
+/// The one place results are ordered and checked, for [`merge_shard_streams`]
+/// and the fabric coordinator alike. Results arrive in any order and possibly
+/// more than once (a reassigned lease re-executes scenarios): the ledger keeps
+/// the first copy, drops byte-identical duplicates, rejects conflicting
+/// digests, and finishes into a report only once no scenario is missing.
+pub struct ResultLedger {
+    len: usize,
+    done: BTreeMap<usize, ScenarioResult>,
+    deduped: u64,
+}
+
+impl ResultLedger {
+    /// An empty ledger for a campaign of `len` scenarios.
+    pub fn new(len: usize) -> Self {
+        ResultLedger {
+            len,
+            done: BTreeMap::new(),
+            deduped: 0,
+        }
+    }
+
+    /// Record one delivered result. `Ok(true)`: the result was new and is
+    /// now recorded. `Ok(false)`: a byte-identical duplicate (same index,
+    /// same digest), dropped. Errors: an out-of-range index
+    /// ([`WireError::Partition`]), or a digest conflicting with the recorded
+    /// one ([`WireError::DigestConflict`]) — never silently dropped.
+    pub fn record(&mut self, index: usize, result: ScenarioResult) -> Result<bool, WireError> {
+        if index >= self.len {
+            return Err(WireError::Partition(format!(
+                "result index {index} out of range for a campaign of {} scenarios",
+                self.len
+            )));
+        }
+        match self.done.get(&index) {
+            Some(have) if have.digest == result.digest => {
+                self.deduped += 1;
+                Ok(false)
+            }
+            Some(have) => Err(WireError::DigestConflict {
+                index,
+                have: have.digest,
+                got: result.digest,
+            }),
+            None => {
+                self.done.insert(index, result);
+                Ok(true)
+            }
+        }
+    }
+
+    /// The result recorded for scenario `index`, if any.
+    pub(crate) fn get(&self, index: usize) -> Option<&ScenarioResult> {
+        self.done.get(&index)
+    }
+
+    /// Whether scenario `index` already has a recorded result.
+    pub fn contains(&self, index: usize) -> bool {
+        self.done.contains_key(&index)
+    }
+
+    /// Number of distinct scenarios recorded so far.
+    pub fn done(&self) -> usize {
+        self.done.len()
+    }
+
+    /// True once every scenario has a result.
+    pub fn is_complete(&self) -> bool {
+        self.done.len() == self.len
+    }
+
+    /// Byte-identical duplicates dropped so far.
+    pub fn deduped(&self) -> u64 {
+        self.deduped
+    }
+
+    /// The scenario indices still missing, ascending.
+    pub fn missing(&self) -> Vec<usize> {
+        (0..self.len).filter(|i| !self.contains(*i)).collect()
+    }
+
+    /// Finish into a report in scenario order; an incomplete ledger is a
+    /// [`WireError::Partition`] naming the first missing index. `wall` is
+    /// zero and `threads` is 1 — the caller overwrites them with its own
+    /// measurements (neither field reaches canonical output).
+    pub fn into_report(self) -> Result<CampaignReport, WireError> {
+        if let Some(first) = (0..self.len).find(|i| !self.contains(*i)) {
+            return Err(WireError::Partition(format!(
+                "results incomplete: {} of {} scenarios recorded, the first \
+                 missing is index {first}",
+                self.done.len(),
+                self.len
+            )));
+        }
+        Ok(CampaignReport {
+            results: self.done.into_values().collect(),
+            wall: std::time::Duration::ZERO,
+            threads: 1,
+        })
+    }
+}
+
 /// Merge shard streams (the concatenated JSONL output of one or more
 /// workers, blank lines ignored) into a single [`CampaignReport`] ordered
-/// by scenario index.
+/// by scenario index, through a [`ResultLedger`].
 ///
 /// When `expected_len` is `Some(n)` the merged indices must be exactly
 /// `0..n` — a lost or truncated shard cannot silently produce a shorter
-/// report. With `None` the indices must still be contiguous from 0 (gaps
-/// and duplicates are errors), but missing *trailing* scenarios are
+/// report. With `None` the ledger spans up to the highest index seen, so
+/// gaps are still errors, but missing *trailing* scenarios are
 /// undetectable; pass `Some` whenever the campaign size is known. The
-/// merge is strict: a stream whose final record was cut mid-write is a
+/// merge is strict: an index delivered twice is an error even when both
+/// copies agree, and a stream whose final record was cut mid-write is a
 /// [`WireError::Truncated`] naming the line (use [`decode_stream_lines`]
 /// to salvage the intact prefix instead). The report's `threads` field
-/// records the number of streams; `wall` is zero (the caller may overwrite
-/// it with the coordinator's measurement).
+/// records the number of streams; `wall` is zero.
 pub fn merge_shard_streams<'a>(
     streams: impl IntoIterator<Item = &'a str>,
     expected_len: Option<usize>,
@@ -393,29 +514,18 @@ pub fn merge_shard_streams<'a>(
         }
         entries.append(&mut decoded);
     }
-    entries.sort_by_key(|(index, _)| *index);
-    if let Some(n) = expected_len {
-        if entries.len() != n {
+    let highest = entries.iter().map(|(index, _)| index.saturating_add(1));
+    let mut ledger = ResultLedger::new(expected_len.unwrap_or_else(|| highest.max().unwrap_or(0)));
+    for (index, result) in entries {
+        if !ledger.record(index, result)? {
             return Err(WireError::Partition(format!(
-                "shard streams carry {} results, campaign has {n} scenarios",
-                entries.len()
+                "scenario index {index} arrives twice (overlapping shards?)"
             )));
         }
     }
-    for (expected, (index, _)) in entries.iter().enumerate() {
-        if *index != expected {
-            return Err(WireError::Partition(format!(
-                "shard streams are not a complete partition: expected \
-                 scenario index {expected}, found {index} (duplicate or \
-                 missing shard?)"
-            )));
-        }
-    }
-    Ok(CampaignReport {
-        results: entries.into_iter().map(|(_, r)| r).collect(),
-        wall: std::time::Duration::ZERO,
-        threads: n_streams.max(1),
-    })
+    let mut report = ledger.into_report()?;
+    report.threads = n_streams.max(1);
+    Ok(report)
 }
 
 /// One message of the campaign-fabric TCP protocol (see [`crate::fabric`]
@@ -693,16 +803,110 @@ mod tests {
                 .collect::<Vec<_>>(),
             vec!["s0", "s1", "s2", "s3"]
         );
-        // A missing scenario is an error, not a silently shorter report…
+        // Everything the ledger refuses is an error naming the index, never a
+        // silently shorter (or silently deduplicated) report.
+        let partition = |streams: &[&str], expected| match merge_shard_streams(
+            streams.iter().copied(),
+            expected,
+        ) {
+            Err(WireError::Partition(msg)) => msg,
+            other => panic!(
+                "expected a partition error, got {:?}",
+                other.map(|r| r.digests())
+            ),
+        };
+        // A missing scenario names the first one missing, with and without
+        // the campaign size…
         let gap = lines(&[(0, 10), (2, 20)]);
-        assert!(merge_shard_streams([gap.as_str()], Some(3)).is_err());
-        assert!(merge_shard_streams([gap.as_str()], None).is_err());
-        // …and so are duplicates and wrong totals.
+        for expected in [Some(3), None] {
+            let msg = partition(&[&gap], expected);
+            assert!(msg.ends_with("the first missing is index 1"), "{msg}");
+        }
+        let msg = partition(&[&a], Some(4));
+        assert!(msg.ends_with("the first missing is index 1"), "{msg}");
+        // …a duplicate is an error even when both copies agree, whether one
+        // stream or two carry it…
         let dup = lines(&[(0, 10), (0, 10), (1, 11)]);
-        assert!(merge_shard_streams([dup.as_str()], None).is_err());
-        assert!(merge_shard_streams([a.as_str()], Some(4)).is_err());
+        let msg = partition(&[&dup], None);
+        assert!(msg.contains("index 0 arrives twice"), "{msg}");
+        let (x, y) = (lines(&[(0, 10), (1, 11)]), lines(&[(1, 11), (2, 20)]));
+        let msg = partition(&[&x, &y], Some(3));
+        assert!(msg.contains("index 1 arrives twice"), "{msg}");
+        // …one that disagrees is a broken determinism contract…
+        let z = lines(&[(1, 12), (2, 20)]);
+        match merge_shard_streams([x.as_str(), z.as_str()], Some(3)) {
+            Err(e) => assert_eq!(
+                e,
+                WireError::DigestConflict {
+                    index: 1,
+                    have: 11,
+                    got: 12
+                }
+            ),
+            Ok(_) => panic!("a conflicting duplicate merged"),
+        }
+        // …and an index past the campaign names it.
+        let msg = partition(&[&b, &lines(&[(0, 10), (5, 50)])], Some(4));
+        assert!(msg.contains("index 5 out of range"), "{msg}");
         // Garbage lines surface as parse errors.
         assert!(merge_shard_streams(["not json"], None).is_err());
+    }
+
+    /// Two small incast scenarios, for the tests that need real results or a
+    /// real manifest.
+    fn two_scenarios() -> Campaign {
+        use crate::presets::incast_on_star;
+        use crate::scenario::CcSpec;
+        use hpcc_types::Bandwidth;
+
+        Campaign::from_scenarios(vec![
+            incast_on_star(
+                "a",
+                CcSpec::by_label("HPCC"),
+                2,
+                10_000,
+                Bandwidth::from_gbps(25),
+                Duration::from_us(50),
+            ),
+            incast_on_star(
+                "b",
+                CcSpec::by_label("DCQCN"),
+                3,
+                20_000,
+                Bandwidth::from_gbps(25),
+                Duration::from_us(50),
+            ),
+        ])
+    }
+
+    #[test]
+    fn ledger_dedupes_and_rejects_conflicts() {
+        let campaign = two_scenarios();
+        let a = campaign.run_index(0);
+        let a_dup = campaign.run_index(0);
+        let mut doctored = campaign.run_index(0);
+        doctored.digest ^= 1;
+
+        let mut ledger = ResultLedger::new(2);
+        assert!(ledger.record(0, a).unwrap());
+        assert!(!ledger.record(0, a_dup).unwrap(), "identical dup dropped");
+        assert_eq!(ledger.deduped(), 1);
+        match ledger.record(0, doctored) {
+            Err(WireError::DigestConflict { index: 0, .. }) => {}
+            other => panic!(
+                "conflicting digest must be a typed error, got {:?}",
+                other.map(|_| ())
+            ),
+        }
+        assert_eq!(ledger.missing(), vec![1]);
+        assert!(ledger.record(2, campaign.run_index(1)).is_err(), "range");
+        assert!(ledger.record(1, campaign.run_index(1)).unwrap());
+        assert!(ledger.is_complete());
+        let report = ledger.into_report().unwrap();
+        assert_eq!(
+            report.to_json_string(),
+            campaign.run_serial().to_json_string()
+        );
     }
 
     #[test]
@@ -791,28 +995,7 @@ mod tests {
 
     #[test]
     fn fabric_messages_round_trip_and_frame() {
-        use crate::presets::incast_on_star;
-        use crate::scenario::CcSpec;
-        use hpcc_types::Bandwidth;
-
-        let campaign = Campaign::from_scenarios(vec![
-            incast_on_star(
-                "a",
-                CcSpec::by_label("HPCC"),
-                2,
-                10_000,
-                Bandwidth::from_gbps(25),
-                Duration::from_us(50),
-            ),
-            incast_on_star(
-                "b",
-                CcSpec::by_label("DCQCN"),
-                3,
-                20_000,
-                Bandwidth::from_gbps(25),
-                Duration::from_us(50),
-            ),
-        ]);
+        let campaign = two_scenarios();
         let msgs = vec![
             FabricMsg::Hello {
                 worker: "w0".to_string(),

@@ -9,6 +9,7 @@
 use hpcc::cc::{
     build_cc, AckEvent, CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, TimelyConfig,
 };
+use hpcc::core::wire::WireError;
 use hpcc::prelude::*;
 use hpcc::types::rng::SplitMix64;
 use hpcc::types::{IntHeader, IntHopRecord};
@@ -296,7 +297,7 @@ fn fabric_ledger_rejects_conflicting_digests() {
     let mut evil = campaign.run_index(0);
     evil.digest ^= 1;
     match ledger.record(0, evil) {
-        Err(FabricError::DigestConflict {
+        Err(WireError::DigestConflict {
             index: 0,
             have,
             got,
