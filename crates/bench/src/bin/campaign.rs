@@ -2,10 +2,9 @@
 //!
 //! ```text
 //! campaign run        [--manifest F] [--verify-serial] [--report OUT] [duration_ms] [load]
-//! campaign serve ADDR [--spawn-workers N] [--chaos-kill-at FRAC] [--heartbeat-ms N]
-//!                     [--lease-timeout-ms N] [--checkpoint FILE.jsonl]
+//! campaign serve ADDR [--spawn-workers N] [--lease-timeout-ms N] [--checkpoint FILE.jsonl]
 //!                     [--manifest F] [--verify-serial] [--report OUT] [duration_ms] [load]
-//! campaign join ADDR  [--name W] [--heartbeat-ms N]
+//! campaign join ADDR  [--name W]
 //! campaign shard i/N  [--manifest F] [duration_ms] [load]            > shard.jsonl
 //! campaign merge FILE... [--expect N | --manifest F] [--report OUT]
 //! campaign validate   [--manifest F] [--tolerance 0.75] [--report OUT] [duration_ms]
@@ -26,12 +25,14 @@
 //!   reassigned), duplicates are dropped by digest. `--spawn-workers N`
 //!   launches N local `join` subprocesses, each running its leases on every
 //!   core `serve` may use (they inherit its CPU mask, so
-//!   `taskset -c 0 campaign serve …` runs every child serially);
-//!   `--chaos-kill-at FRAC` SIGKILLs the first of them once that fraction of
-//!   scenarios has results (a fault-tolerance self-test); `--checkpoint`
-//!   appends each accepted result to a JSONL file and replays it on restart.
-//! * `join ADDR` — fabric worker: the manifest arrives over the wire, and
-//!   each lease runs on one thread per available core.
+//!   `taskset -c 0 campaign serve …` runs every child serially).
+//!   `--lease-timeout-ms` (default 10 000) retires a worker silent for that
+//!   long; it must exceed the workers' 200 ms heartbeat period.
+//!   `--checkpoint` appends each accepted result to a JSONL file and
+//!   replays it on restart.
+//! * `join ADDR` — fabric worker: the manifest arrives over the wire, each
+//!   lease runs on one thread per available core, and a heartbeat goes out
+//!   whenever the connection has been quiet for 200 ms.
 //! * `shard i/N` + `merge` — the offline pair for hosts that cannot reach a
 //!   coordinator: `shard` runs round-robin shard `i` of `N`, one JSONL line
 //!   per scenario on stdout (diagnostics on stderr); `merge` folds such files
@@ -48,7 +49,7 @@
 //! before dispatching anything: an unbuildable one exits 2 naming its index.
 
 use hpcc_bench::cli::Args;
-use hpcc_bench::{arg_or, die, load_manifest};
+use hpcc_bench::{arg_or, die, load_manifest, print};
 use hpcc_core::fabric;
 use hpcc_core::presets::{
     corpus_sweep, fabric_smoke_campaign, fig11_campaign, validation_grid, CORPUS_FILES,
@@ -88,8 +89,6 @@ const COMMANDS: [Subcommand; 7] = [
         positional: ("ADDR [duration_ms] [load]", 3),
         options: &[
             "--spawn-workers",
-            "--chaos-kill-at",
-            "--heartbeat-ms",
             "--lease-timeout-ms",
             "--checkpoint",
             "--manifest",
@@ -101,7 +100,7 @@ const COMMANDS: [Subcommand; 7] = [
         name: "join",
         run: run_join,
         positional: ("ADDR", 1),
-        options: &["--name", "--heartbeat-ms"],
+        options: &["--name"],
         switches: &[],
     },
     Subcommand {
@@ -190,7 +189,7 @@ fn write_report(args: &Args, json: String) {
     if let Some(path) = args.value("--report") {
         std::fs::write(path, json + "\n")
             .unwrap_or_else(|e| die(format!("cannot write {path}: {e}")));
-        println!("wrote {path}");
+        print(format_args!("wrote {path}\n"));
     }
 }
 
@@ -209,13 +208,13 @@ fn verify_and_write(report: &CampaignReport, campaign: &Campaign, args: &Args) {
                  (digests match: {digests_match}, canonical JSON matches: {json_match})"
             ));
         }
-        println!(
+        print(format_args!(
             "verified: report is bit-identical to run_serial() ({} scenarios: digests and \
-             canonical JSON); {:.2} s serial, {:.2} s here",
+             canonical JSON); {:.2} s serial, {:.2} s here\n",
             serial.results.len(),
             serial.wall.as_secs_f64(),
             report.wall.as_secs_f64()
-        );
+        ));
     }
     write_report(args, json);
 }
@@ -224,16 +223,16 @@ fn verify_and_write(report: &CampaignReport, campaign: &Campaign, args: &Args) {
 fn run_in_process(args: &Args) {
     let campaign = load_runnable_campaign(args, 0);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "campaign: {} scenarios ({cores} available cores)",
+    print(format_args!(
+        "campaign: {} scenarios ({cores} available cores)\n",
         campaign.len()
-    );
+    ));
     // One OS thread per core, so memory does not grow with the manifest,
     // but at least two (`run_with_threads` caps them at the scenario
     // count): on a one-core host `--verify-serial` still proves threaded
     // execution deterministic.
     let report = campaign.run_with_threads(cores.max(2));
-    println!("{}", report.table());
+    print(format_args!("{}\n", report.table()));
     verify_and_write(&report, &campaign, args);
 }
 
@@ -252,12 +251,13 @@ fn run_validate(args: &Args) {
         validation_grid(Duration::from_ms(arg_or(args.positional(), 0, 2u64)), 42)
     };
     let report = ValidationReport::run(&specs).unwrap_or_else(|e| die(format!("{e}")));
-    println!(
-        "== cross-validation: packet vs fluid, {} scenarios ==\n{}",
+    print(format_args!(
+        "== cross-validation: packet vs fluid, {} scenarios ==\n{}\n\
+         canonical report digest: {:016x}\n",
         report.rows.len(),
-        report.table()
-    );
-    println!("canonical report digest: {:016x}", report.digest());
+        report.table(),
+        report.digest()
+    ));
     write_report(args, report.to_json_string());
     let slow = report.max_slowdown_divergence();
     let util = report.max_utilization_divergence();
@@ -268,7 +268,9 @@ fn run_validate(args: &Args) {
         );
         std::process::exit(3);
     }
-    println!("cross-validation: OK (tolerance {tolerance})");
+    print(format_args!(
+        "cross-validation: OK (tolerance {tolerance})\n"
+    ));
 }
 
 /// `shard i/N`: run one round-robin shard, streaming JSONL on stdout.
@@ -311,12 +313,12 @@ fn run_merge(args: &Args) {
         .collect();
     let report = wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len)
         .unwrap_or_else(|e| die(format!("merge failed: {e}")));
-    println!(
-        "merged {} results from {} file(s)\n{}",
+    print(format_args!(
+        "merged {} results from {} file(s)\n{}\n",
         report.results.len(),
         files.len(),
         report.table()
-    );
+    ));
     if expected_len.is_none() {
         eprintln!(
             "campaign: warning: no --expect N (or --manifest) given; a shard \
@@ -332,17 +334,30 @@ fn run_merge(args: &Args) {
 const FABRIC_STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
 
 /// `serve ADDR`: serve the campaign's scenario indices over TCP to elastic
-/// workers, optionally spawning local `join` subprocesses (and chaos-killing
-/// the first one mid-run), then verify/write the merged report.
+/// workers, optionally spawning local `join` subprocesses, then verify/write
+/// the merged report.
 fn run_serve(args: &Args) {
     let addr = operand(args, "ADDR");
     let spawn_workers = args
         .parsed("--spawn-workers", |_: &usize| true)
         .unwrap_or(0);
-    let chaos_kill_at = args.parsed("--chaos-kill-at", |x: &f64| (0.0..=1.0).contains(x));
-    let heartbeat_ms = args.parsed("--heartbeat-ms", |n: &u64| *n >= 1);
-    if spawn_workers == 0 && (chaos_kill_at.is_some() || heartbeat_ms.is_some()) {
-        usage("--chaos-kill-at and --heartbeat-ms act on --spawn-workers children");
+    let progress = Arc::new(AtomicUsize::new(0));
+    let mut cfg = fabric::FabricConfig {
+        checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
+        progress: Some(Arc::clone(&progress)),
+        ..fabric::FabricConfig::default()
+    };
+    if let Some(ms) = args.parsed("--lease-timeout-ms", |_: &u64| true) {
+        // A healthy worker is quiet for up to one heartbeat period.
+        let heartbeat = fabric::WorkerConfig::default().heartbeat;
+        cfg.lease_timeout = std::time::Duration::from_millis(ms);
+        if cfg.lease_timeout <= heartbeat {
+            usage(format!(
+                "--lease-timeout-ms {ms} would retire healthy workers: it must exceed \
+                 their {} ms heartbeat period",
+                heartbeat.as_millis()
+            ));
+        }
     }
     let campaign = load_runnable_campaign(args, 1);
     let started = timing::now();
@@ -351,20 +366,11 @@ fn run_serve(args: &Args) {
     let local = coordinator
         .local_addr()
         .unwrap_or_else(|e| die(format!("bound address: {e}")));
-    let progress = Arc::new(AtomicUsize::new(0));
-    let mut cfg = fabric::FabricConfig {
-        checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
-        progress: Some(Arc::clone(&progress)),
-        ..fabric::FabricConfig::default()
-    };
-    if let Some(ms) = args.parsed("--lease-timeout-ms", |n: &u64| *n >= 1) {
-        cfg.lease_timeout = std::time::Duration::from_millis(ms);
-    }
-    println!(
-        "fabric coordinator on {local}: {} scenarios, lease timeout {} ms",
+    print(format_args!(
+        "fabric coordinator on {local}: {} scenarios, lease timeout {} ms\n",
         campaign.len(),
         cfg.lease_timeout.as_millis()
-    );
+    ));
     // Spawn local workers after bind: their connections queue in the listen
     // backlog until serve() starts accepting. Worker stdout is discarded —
     // results travel over the TCP connection; diagnostics go to stderr.
@@ -372,35 +378,13 @@ fn run_serve(args: &Args) {
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
     for w in 0..spawn_workers {
-        let mut cmd = Command::new(&exe);
-        cmd.args(["join", &local.to_string(), "--name", &format!("w{w}")]);
-        if let Some(ms) = heartbeat_ms {
-            cmd.args(["--heartbeat-ms", &ms.to_string()]);
-        }
-        let child = cmd
+        let child = Command::new(&exe)
+            .args(["join", &local.to_string(), "--name", &format!("w{w}")])
             .stdout(Stdio::null())
             .spawn()
             .unwrap_or_else(|e| die(format!("cannot spawn worker {w}: {e}")));
         eprintln!("campaign: spawned worker w{w} (pid {})", child.id());
         children.lock().unwrap().push(child);
-    }
-    // Chaos monitor: SIGKILL the first spawned worker once the requested
-    // fraction of scenarios has results. The fabric must finish correctly
-    // anyway — the kill is the point.
-    if let (Some(frac), false) = (chaos_kill_at, campaign.is_empty()) {
-        let threshold = ((frac * campaign.len() as f64).ceil() as usize).clamp(1, campaign.len());
-        let progress = Arc::clone(&progress);
-        let children = Arc::clone(&children);
-        std::thread::spawn(move || loop {
-            if progress.load(Ordering::SeqCst) >= threshold {
-                if let Some(victim) = children.lock().unwrap().first_mut() {
-                    eprintln!("campaign: chaos: SIGKILL worker 0 at {threshold} results");
-                    let _ = victim.kill();
-                }
-                return;
-            }
-            std::thread::sleep(std::time::Duration::from_millis(5));
-        });
     }
     // Stall watchdog: exit 4 rather than hang a CI job forever when the
     // result count stops moving while incomplete — for FABRIC_STALL_TIMEOUT
@@ -455,9 +439,9 @@ fn run_serve(args: &Args) {
     let fab = coordinator
         .serve(&campaign, &cfg)
         .unwrap_or_else(|e| die(format!("fabric serve failed: {e}")));
-    // Reap the spawned workers. A chaos-killed (or otherwise dead) worker
-    // is expected and must not fail the run — the merged report already
-    // proved the fabric rode out the loss.
+    // Reap the spawned workers. A killed (or otherwise dead) worker must
+    // not fail the run — the merged report already proved the fabric rode
+    // out the loss.
     for (w, child) in children.lock().unwrap().iter_mut().enumerate() {
         match child.wait() {
             Ok(status) if status.success() => {}
@@ -467,17 +451,18 @@ fn run_serve(args: &Args) {
     }
     let mut merged = fab.report;
     merged.wall = started.elapsed();
-    println!(
-        "== fabric: {} scenarios via {} worker(s) ==\n{}",
+    print(format_args!(
+        "== fabric: {} scenarios via {} worker(s) ==\n{}\n\
+         fabric stats: executed {} (resumed {} from checkpoint), deduped {}, \
+         reassigned {} lease(s)\n",
         merged.results.len(),
         fab.workers_seen,
-        merged.table()
-    );
-    println!(
-        "fabric stats: executed {} (resumed {} from checkpoint), deduped {}, \
-         reassigned {} lease(s)",
-        fab.executed, fab.resumed, fab.deduped, fab.reassigned
-    );
+        merged.table(),
+        fab.executed,
+        fab.resumed,
+        fab.deduped,
+        fab.reassigned
+    ));
     verify_and_write(&merged, &campaign, args);
 }
 
@@ -489,9 +474,6 @@ fn run_join(args: &Args) {
     let mut cfg = fabric::WorkerConfig::default();
     if let Some(name) = args.value("--name") {
         cfg.name = name.to_string();
-    }
-    if let Some(ms) = args.parsed("--heartbeat-ms", |n: &u64| *n >= 1) {
-        cfg.heartbeat = std::time::Duration::from_millis(ms);
     }
     let started = timing::now();
     let summary =
@@ -543,7 +525,7 @@ fn run_dump(args: &Args) {
         "fabric" => fabric_smoke_campaign(),
         other => usage(format!("dump: unknown campaign {other:?}")),
     };
-    println!("{}", campaign.to_json_string());
+    print(format_args!("{}\n", campaign.to_json_string()));
 }
 
 fn main() {

@@ -11,7 +11,7 @@
 
 use hpcc_bench::cli::Args;
 use hpcc_bench::figures as f;
-use hpcc_bench::{die, parse_arg};
+use hpcc_bench::{die, parse_arg, print};
 
 /// One runner: its name, its positionals with their defaults (as the usage
 /// text shows them and as [`arg`] parses them), and the call that renders
@@ -82,7 +82,7 @@ fn print_figure((_, positional, run): &Figure, given: &[String]) {
         .cloned()
         .chain(defaults.skip(given.len()))
         .collect();
-    print!("{}", run(&values));
+    print(run(&values));
 }
 
 fn main() {

@@ -15,17 +15,12 @@
 //! stdout or to `out`. Link indices printed by `info` are exactly the
 //! indices `FaultSpec` link faults reference.
 
+use hpcc_bench::{die, print};
 use hpcc_core::experiment::MTU_WIRE_SIZE;
 use hpcc_topology::corpus;
 
-fn die(msg: impl AsRef<str>) -> ! {
-    eprintln!("topo: {}", msg.as_ref());
-    std::process::exit(2);
-}
-
 fn usage() -> ! {
-    eprintln!("usage: topo info <file> | topo convert <file> [out]");
-    std::process::exit(2);
+    die("usage: topo info <file> | topo convert <file> [out]")
 }
 
 fn load(path: &str) -> corpus::CorpusTopology {
@@ -37,32 +32,31 @@ fn load(path: &str) -> corpus::CorpusTopology {
 fn info(path: &str) {
     let parsed = load(path);
     let topo = parsed.build();
-    println!("{path}:");
-    println!(
-        "  nodes   {} ({} hosts, {} switches)",
+    print(format_args!(
+        "{path}:\n  nodes   {} ({} hosts, {} switches)\n",
         topo.node_count(),
         topo.hosts().len(),
         topo.switches().len()
-    );
+    ));
     let racks = topo
         .host_rack_ids()
         .iter()
         .max()
         .map(|m| m + 1)
         .unwrap_or(0);
-    println!("  racks   {racks}");
-    println!("  links   {}", topo.links().len());
-    println!("  host bw {} total", topo.total_host_bandwidth());
-    println!(
-        "  base rtt {} (suggested, {MTU_WIRE_SIZE} B wire MTU)",
+    print(format_args!(
+        "  racks   {racks}\n  links   {}\n  host bw {} total\n  \
+         base rtt {} (suggested, {MTU_WIRE_SIZE} B wire MTU)\n",
+        topo.links().len(),
+        topo.total_host_bandwidth(),
         topo.suggested_base_rtt(MTU_WIRE_SIZE)
-    );
+    ));
     for (i, &(a, b, bw, delay)) in parsed.links().iter().enumerate() {
-        println!(
-            "  link {i:>3}  {} -- {}  {bw}  {delay}",
+        print(format_args!(
+            "  link {i:>3}  {} -- {}  {bw}  {delay}\n",
             parsed.nodes()[a].0,
             parsed.nodes()[b].0
-        );
+        ));
     }
 }
 
@@ -74,7 +68,7 @@ fn convert(path: &str, out: Option<&str>) {
                 .unwrap_or_else(|e| die(format!("cannot write {out_path}: {e}")));
             eprintln!("wrote {out_path}");
         }
-        None => print!("{canonical}"),
+        None => print(canonical),
     }
 }
 

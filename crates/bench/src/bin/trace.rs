@@ -30,7 +30,7 @@
 //! `docs/ARCHITECTURE.md`.
 
 use hpcc_bench::cli::Args;
-use hpcc_bench::{die, load_manifest};
+use hpcc_bench::{die, load_manifest, print};
 use hpcc_core::{Campaign, ScenarioSpec};
 use hpcc_workload::Trace;
 
@@ -83,7 +83,7 @@ fn run_export(args: &Args) {
                 spec.name
             );
         }
-        None => print!("{text}"),
+        None => print(text),
     }
 }
 
@@ -107,7 +107,7 @@ fn run_freeze(args: &Args) {
                 campaign.len()
             );
         }
-        None => println!("{manifest}"),
+        None => print(manifest + "\n"),
     }
 }
 
@@ -133,13 +133,13 @@ fn run_info(args: &Args) {
         .max()
         .map(|m| m + 1)
         .unwrap_or(0);
-    println!(
-        "{path}: {} records, {} hosts referenced, {} total bytes, horizon {}",
+    print(format_args!(
+        "{path}: {} records, {} hosts referenced, {} total bytes, horizon {}\n",
         trace.records.len(),
         max_host,
         trace.total_bytes(),
         trace.horizon()
-    );
+    ));
     // Per-priority breakdown of the parsed `prio` column: flow count and
     // byte volume per tag, ascending by wire code.
     let mut codes: Vec<u8> = trace.records.iter().map(|r| r.prio.wire_code()).collect();
@@ -153,10 +153,10 @@ fn run_info(args: &Args) {
                 bytes += r.bytes;
             }
         }
-        println!(
-            "  prio {code} ({}): {count} flows, {bytes} bytes",
+        print(format_args!(
+            "  prio {code} ({}): {count} flows, {bytes} bytes\n",
             prio_label(code)
-        );
+        ));
     }
 }
 
@@ -186,11 +186,11 @@ fn run_roundtrip(args: &Args) {
             die(format!("{label} replay changed the per-flow tuples"));
         }
     }
-    println!(
-        "roundtrip ok: {} flows of scenario {index} ({:?}) survive export -> parse -> replay in both formats",
+    print(format_args!(
+        "roundtrip ok: {} flows of scenario {index} ({:?}) survive export -> parse -> replay in both formats\n",
         exp.flows().len(),
         spec.name
-    );
+    ));
 }
 
 fn main() {

@@ -36,6 +36,21 @@ pub fn die(msg: impl AsRef<str>) -> ! {
     std::process::exit(2);
 }
 
+/// Write `text` to stdout, the one way every binary here prints. A reader
+/// that has closed the pipe (`campaign … | head -2`) ends the printing, not
+/// the command: the text is dropped, and the command still writes its files
+/// and exits with its own code. Any other write error is [`die`].
+pub fn print(text: impl std::fmt::Display) {
+    use std::io::Write;
+    let mut out = std::io::stdout().lock();
+    match write!(out, "{text}").and_then(|()| out.flush()) {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            die(format!("cannot write to stdout: {e}"))
+        }
+        _ => {}
+    }
+}
+
 /// Read and parse the campaign manifest at `path`, or [`die`].
 pub fn load_manifest(path: &str) -> hpcc_core::Campaign {
     let text =

@@ -15,6 +15,10 @@ const QUEUEING_SMOKE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../manifests/queueing_smoke.json"
 );
+const FABRIC_SMOKE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../manifests/fabric_smoke.json"
+);
 
 fn run(exe: &str, args: &[&str]) -> Output {
     let out = Command::new(exe).args(args).output();
@@ -39,18 +43,16 @@ fn scratch(test: &str) -> PathBuf {
 #[test]
 fn every_option_is_accepted_exactly_where_documented() {
     // Each option with a well-formed value (the switch has none).
-    let options: [(&str, &[&str]); 11] = [
+    let options: [(&str, &[&str]); 9] = [
         ("--manifest", &["/nonexistent/m.json"]),
         ("--report", &["/nonexistent/r.json"]),
         ("--verify-serial", &[]),
         ("--tolerance", &["0.5"]),
         ("--expect", &["1"]),
         ("--spawn-workers", &["1"]),
-        ("--chaos-kill-at", &["0.5"]),
         ("--checkpoint", &["/nonexistent/c.jsonl"]),
         ("--name", &["w"]),
-        ("--lease-timeout-ms", &["100"]),
-        ("--heartbeat-ms", &["100"]),
+        ("--lease-timeout-ms", &["1000"]),
     ];
     // Each subcommand with a base invocation that gets past argument
     // parsing and then ends at once (unreadable manifest, refused
@@ -70,13 +72,11 @@ fn every_option_is_accepted_exactly_where_documented() {
                 "--report",
                 "--verify-serial",
                 "--spawn-workers",
-                "--chaos-kill-at",
                 "--checkpoint",
                 "--lease-timeout-ms",
-                "--heartbeat-ms",
             ],
         ),
-        (&["join", "127.0.0.1:1"], &[], &["--name", "--heartbeat-ms"]),
+        (&["join", "127.0.0.1:1"], &[], &["--name"]),
         (&["shard", "0/2"], &missing, &["--manifest"]),
         (
             &["merge", "/nonexistent/a.jsonl"],
@@ -143,6 +143,8 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
         "--dump-fabric-manifest",
         "--hang-after",
         "--quit-after",
+        "--chaos-kill-at",
+        "--heartbeat-ms",
     ];
     for spelling in removed {
         // Neither a mode of its own any more, nor an option of a subcommand.
@@ -154,8 +156,10 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
         }
     }
     // No subcommand, a typo in a positional, a value out of range, a stray
-    // positional, a missing operand: all exit 2, none runs a default.
-    let malformed: [&[&str]; 7] = [
+    // positional, a missing operand, a removed fabric option, a lease
+    // timeout that healthy workers' 200 ms heartbeats cannot meet: all exit
+    // 2, none runs a default.
+    let malformed: [&[&str]; 10] = [
         &[],
         &["5", "0.3"],
         &["run", "5x", "0.3"],
@@ -163,11 +167,28 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
         &["join", "127.0.0.1:1", "extra"],
         &["serve", "--spawn-workers", "2"],
         &["serve", "127.0.0.1:0", "--chaos-kill-at", "0.5"],
+        &["join", "127.0.0.1:1", "--heartbeat-ms", "100"],
+        &[
+            "serve",
+            "127.0.0.1:0",
+            "--spawn-workers",
+            "2",
+            "--lease-timeout-ms",
+            "100",
+        ],
+        &["serve", "127.0.0.1:0", "--lease-timeout-ms", "200"],
     ];
     for args in malformed {
         let out = campaign(args);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
     }
+    let err = stderr(&campaign(&[
+        "serve",
+        "127.0.0.1:0",
+        "--lease-timeout-ms",
+        "200",
+    ]));
+    assert!(err.contains("heartbeat") && err.contains("usage:"), "{err}");
     assert!(stderr(&campaign(&["run", "5x", "0.3"])).contains("\"5x\""));
 }
 
@@ -309,6 +330,54 @@ fn an_unknown_scheme_label_exits_2_naming_the_scenario() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// SIGKILL the worker whose `serve` spawn line is next on `lines`.
+fn kill_next_spawned(lines: &mut impl Iterator<Item = std::io::Result<String>>) {
+    let line = lines.next().expect("a spawn line").unwrap();
+    let pid = line
+        .split("(pid ")
+        .nth(1)
+        .and_then(|rest| rest.strip_suffix(')'))
+        .unwrap_or_else(|| panic!("no worker pid in {line:?}"));
+    assert!(Command::new("kill")
+        .args(["-9", pid])
+        .status()
+        .unwrap()
+        .success());
+}
+
+/// A spawned worker killed mid-campaign costs nothing but time: the other
+/// one finishes, the report still verifies, and the death is reported as
+/// tolerated.
+#[test]
+fn serve_rides_out_a_killed_worker() {
+    use std::io::{BufRead, BufReader};
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "serve",
+            "127.0.0.1:0",
+            "--spawn-workers",
+            "2",
+            "--verify-serial",
+        ])
+        .args(["--manifest", FABRIC_SMOKE])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cannot run the campaign binary");
+    let mut lines = BufReader::new(serve.stderr.take().unwrap()).lines();
+    kill_next_spawned(&mut lines);
+    let rest: Vec<String> = lines.map(Result::unwrap).collect();
+    let out = serve.wait_with_output().unwrap();
+    assert_eq!(out.status.code(), Some(0), "{rest:?}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("\nverified: "), "{stdout}");
+    assert!(
+        rest.iter()
+            .any(|l| l.contains("worker 0 exited with") && l.ends_with("(tolerated)")),
+        "{rest:?}"
+    );
+}
+
 /// Once every spawned worker is dead and the campaign is incomplete,
 /// `serve` gives up after one lease timeout (exit 4, statuses printed)
 /// rather than the two-minute stall timeout.
@@ -325,19 +394,8 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
         .spawn()
         .expect("cannot run the campaign binary");
     let mut lines = BufReader::new(serve.stderr.take().unwrap()).lines();
-    for _ in 0..2 {
-        let line = lines.next().expect("two spawn lines").unwrap();
-        let pid = line
-            .split("(pid ")
-            .nth(1)
-            .and_then(|rest| rest.strip_suffix(')'))
-            .unwrap_or_else(|| panic!("no worker pid in {line:?}"));
-        assert!(Command::new("kill")
-            .args(["-9", pid])
-            .status()
-            .unwrap()
-            .success());
-    }
+    kill_next_spawned(&mut lines);
+    kill_next_spawned(&mut lines);
     let killed = timing::now();
     let rest: Vec<String> = lines.map(Result::unwrap).collect();
     let status = serve.wait().unwrap();
@@ -348,6 +406,46 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
             .any(|l| l.contains("stalled") && l.contains("SIGKILL")),
         "{rest:?}"
     );
+}
+
+/// A reader that stops reading (`campaign merge … | head -2`) ends the
+/// printing, not the command: no panic, and `--report` is still written.
+#[test]
+fn a_closed_stdout_ends_the_printing_not_the_command() {
+    use std::io::Write;
+    let dir = scratch("closed-stdout");
+    let shard = campaign(&["shard", "0/1", "--manifest", QUEUEING_SMOKE]);
+    assert!(shard.status.success(), "{}", stderr(&shard));
+    let report = dir.join("r.json");
+    // The merge reads its shard from stdin, so it can print nothing before
+    // the read end of its stdout is gone.
+    let mut merge = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "merge",
+            "/dev/stdin",
+            "--manifest",
+            QUEUEING_SMOKE,
+            "--report",
+        ])
+        .arg(&report)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cannot run the campaign binary");
+    drop(merge.stdout.take());
+    let mut stdin = merge.stdin.take().unwrap();
+    stdin.write_all(&shard.stdout).unwrap();
+    drop(stdin);
+    let out = merge.wait_with_output().unwrap();
+    let err = stderr(&out);
+    assert_ne!(out.status.code(), Some(101), "{err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let manifest = std::fs::read_to_string(QUEUEING_SMOKE).unwrap();
+    let serial = Campaign::from_json_str(&manifest).unwrap().run_serial();
+    let written = std::fs::read_to_string(&report).expect("--report was not written");
+    assert!(written == serial.to_json_string() + "\n", "{written}");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 fn figures(args: &[&str]) -> Output {

@@ -105,8 +105,8 @@ pub struct FabricConfig {
     /// restarted coordinator re-runs only the missing scenarios.
     pub checkpoint: Option<std::path::PathBuf>,
     /// Live progress observer: after every accepted result the coordinator
-    /// stores the count of completed scenarios (the CLI's chaos-kill
-    /// monitor watches this).
+    /// stores the count of completed scenarios (the CLI's stall watchdog
+    /// reads it).
     pub progress: Option<Arc<AtomicUsize>>,
 }
 
@@ -547,18 +547,6 @@ pub struct WorkerConfig {
     /// Heartbeat period; keep it well under the coordinator's lease
     /// timeout.
     pub heartbeat: std::time::Duration,
-    /// Chaos hook: withhold the result that would be the this-many-th
-    /// handed to the writer thread (counting over every lease), start no
-    /// further scenario, and once the lease's running ones finish go silent
-    /// — no results, no heartbeats, connection left open (what a wedged or
-    /// SIGSTOPped worker looks like) — and park the thread forever. Tests
-    /// SIGKILL the parked process.
-    pub hang_after: Option<usize>,
-    /// Chaos hook: once this many results (counting over every lease) have
-    /// been handed to the writer thread, start no further scenario, and once
-    /// the running ones finish and the writer has sent what it holds, drop
-    /// the connection without a bye (a crash) and return.
-    pub quit_after: Option<usize>,
 }
 
 impl Default for WorkerConfig {
@@ -566,8 +554,6 @@ impl Default for WorkerConfig {
         WorkerConfig {
             name: "worker".to_string(),
             heartbeat: std::time::Duration::from_millis(200),
-            hang_after: None,
-            quit_after: None,
         }
     }
 }
@@ -678,39 +664,11 @@ fn join_with_threads(
                 };
                 let sink = |frame| {
                     ran += 1;
-                    if cfg.hang_after == Some(ran) {
-                        return Err(Halt::Hang);
-                    }
-                    queue
-                        .send(Outgoing::Result(frame))
-                        .map_err(|_| Halt::WriterGone)?;
-                    if cfg.quit_after == Some(ran) {
-                        return Err(Halt::Quit);
-                    }
-                    Ok(())
+                    queue.send(Outgoing::Result(frame))
                 };
-                match run_in_order(&indices, threads, job, sink) {
-                    Ok(()) => {}
+                if run_in_order(&indices, threads, job, sink).is_err() {
                     // The writer failed; its error is returned below.
-                    Err(Halt::WriterGone) => break Ok(()),
-                    Err(halt) => {
-                        // Chaos: the writer sends what is queued and stops,
-                        // and heartbeats with it.
-                        drop(queue);
-                        let _ = writer.join();
-                        if let Halt::Quit = halt {
-                            // Vanish without a bye.
-                            return Ok(WorkerSummary {
-                                executed: ran,
-                                campaign_len: campaign.len(),
-                            });
-                        }
-                        // Hang: the withheld result never leaves and the
-                        // connection stays open. Park until SIGKILLed.
-                        loop {
-                            std::thread::sleep(std::time::Duration::from_secs(3600));
-                        }
-                    }
+                    break Ok(());
                 }
             }
             Ok(Some(FabricMsg::Bye)) | Ok(None) => break Ok(()),
@@ -733,16 +691,6 @@ fn join_with_threads(
         executed: ran,
         campaign_len: campaign.len(),
     })
-}
-
-/// Why a lease stopped handing results to the writer.
-enum Halt {
-    /// The writer thread is gone: its socket failed.
-    WriterGone,
-    /// [`WorkerConfig::hang_after`] was reached.
-    Hang,
-    /// [`WorkerConfig::quit_after`] was reached.
-    Quit,
 }
 
 /// What a lease's sink hands the connection's writer thread.
@@ -856,7 +804,6 @@ mod tests {
                         &WorkerConfig {
                             name: format!("w{i}"),
                             heartbeat: std::time::Duration::from_millis(20),
-                            ..WorkerConfig::default()
                         },
                     )
                 })
@@ -1102,18 +1049,14 @@ mod tests {
         let serial = campaign.run_serial();
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap().to_string();
-        let worker = |threads, quit_after| {
+        let worker = |threads| {
             let addr = addr.clone();
-            let cfg = WorkerConfig {
-                quit_after,
-                ..WorkerConfig::default()
-            };
-            std::thread::spawn(move || join_with_threads(&addr, &cfg, threads))
+            std::thread::spawn(move || join_with_threads(&addr, &WorkerConfig::default(), threads))
         };
         let lease: Vec<usize> = (0..12).collect();
         for threads in [1, 2, 5] {
             let started = timing::now();
-            let joined = worker(threads, None);
+            let joined = worker(threads);
             let played = lease_once(&listener, &campaign, lease.clone(), Some(12));
             let took = started.elapsed();
             let order: Vec<usize> = played.results.iter().map(|(i, _)| *i).collect();
@@ -1133,14 +1076,6 @@ mod tests {
             let summary = joined.join().unwrap().unwrap();
             assert_eq!((summary.executed, summary.campaign_len), (12, 12));
         }
-        // A crash after the third result: the scenarios still running are
-        // dropped with the connection, unsent.
-        let joined = worker(5, Some(3));
-        let played = lease_once(&listener, &campaign, lease.clone(), None);
-        let order: Vec<usize> = played.results.iter().map(|(i, _)| *i).collect();
-        assert_eq!(order, vec![0, 1, 2]);
-        assert!(!played.said_bye, "a quitting worker leaves without a bye");
-        assert_eq!(joined.join().unwrap().unwrap().executed, 3);
     }
 
     #[test]

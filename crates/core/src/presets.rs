@@ -543,8 +543,8 @@ pub fn fault_smoke(params: FatTreeParams, load: f64, end: Duration, seed: u64) -
 /// WebSearch Poisson load on a 6-host star — twelve self-contained
 /// scenarios (no corpus or trace files, so the manifest ships over the
 /// fabric wire to workers with no shared filesystem). Sized so a
-/// two-worker coordinator with one worker chaos-killed at 50% progress
-/// still finishes in seconds while exercising lease reassignment.
+/// coordinator finishes it in seconds, with two workers or with one that
+/// picks up a dead one's leases.
 pub fn fabric_smoke_campaign() -> Campaign {
     let host_bw = Bandwidth::from_gbps(25);
     let end = Duration::from_ms(10);
