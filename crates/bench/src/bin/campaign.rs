@@ -21,23 +21,25 @@
 //! * `serve ADDR` — the only way to fan a campaign out over processes: bind
 //!   ADDR (port 0 = ephemeral; the bound address is printed) and lease the
 //!   scenario indices to whatever workers `join` (`hpcc_core::fabric`,
-//!   `docs/WIRE.md`); workers may join late or die mid-lease (their work is
-//!   reassigned), duplicates are dropped by digest. `--spawn-workers N`
-//!   launches N local `join` subprocesses, each running its leases on every
-//!   core `serve` may use (they inherit its CPU mask, so
-//!   `taskset -c 0 campaign serve …` runs every child serially).
-//!   `--lease-timeout-ms` (default 10 000) retires a worker silent for that
-//!   long; it must exceed the workers' 200 ms heartbeat period.
-//!   `--checkpoint` appends each accepted result to a JSONL file and
-//!   replays it on restart.
+//!   `docs/WIRE.md`); a worker's lease is reassigned if it dies, duplicates
+//!   are dropped by digest. `--spawn-workers N` launches N local `join`
+//!   subprocesses, each on every core `serve` may use (they inherit its CPU
+//!   mask: `taskset -c 0 campaign serve …` runs every child serially).
+//!   `--lease-timeout-ms` (default 10 000, above the workers' 200 ms
+//!   heartbeat) retires a worker silent that long; with no worker alive that
+//!   long — from the start, or since the last one was retired — `serve`
+//!   exits 4, so remote workers must join within it. No spawned child
+//!   outlives `serve`. `--checkpoint` appends each accepted result to a JSONL
+//!   file and replays it on restart (rows of another manifest exit 2).
 //! * `join ADDR` — fabric worker: the manifest arrives over the wire, each
 //!   lease runs on one thread per available core, and a heartbeat goes out
 //!   whenever the connection has been quiet for 200 ms.
 //! * `shard i/N` + `merge` — the offline pair for hosts that cannot reach a
 //!   coordinator: `shard` runs round-robin shard `i` of `N`, one JSONL line
 //!   per scenario on stdout (diagnostics on stderr); `merge` folds such files
-//!   into one report. Give it `--expect N` or `--manifest` (whose scenario
-//!   count is used) so a file truncated at its tail cannot pass.
+//!   into one report. Give it `--expect N` or `--manifest` (whose length is
+//!   used, and whose names and schemes the rows must carry) so a file
+//!   truncated at its tail, or written for another manifest, cannot pass.
 //! * `validate` — run the validation grid (or a manifest) on the packet and
 //!   the fluid backend, print the divergence table (`hpcc_core::validate`),
 //!   exit 3 when the worst divergence exceeds `--tolerance`.
@@ -50,7 +52,7 @@
 
 use hpcc_bench::cli::Args;
 use hpcc_bench::{arg_or, die, load_manifest, print};
-use hpcc_core::fabric;
+use hpcc_core::fabric::{self, FabricError::Abandoned};
 use hpcc_core::presets::{
     corpus_sweep, fabric_smoke_campaign, fig11_campaign, validation_grid, CORPUS_FILES,
 };
@@ -60,9 +62,7 @@ use hpcc_core::{
 };
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
-use std::process::{Command, ExitStatus, Stdio};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::process::{Command, Stdio};
 
 /// One subcommand: what it accepts and what runs it.
 struct Subcommand {
@@ -291,28 +291,33 @@ fn run_shard(args: &Args) {
     );
 }
 
-/// `merge FILE...`: fold JSONL files produced by `shard` (possibly on other
-/// hosts) into one report. The expected length (`--expect N`, or the
-/// `--manifest`'s scenario count) guards against a truncated or lost shard
-/// file: without it, contiguous-from-0 validation cannot notice missing
-/// *trailing* scenarios, so the merge warns.
+/// `merge FILE...`: fold `shard` JSONL files into one report. Without an
+/// expected length a lost trailing scenario is undetectable, so it warns.
 fn run_merge(args: &Args) {
     let files = args.positional();
     if files.is_empty() {
         usage("merge needs at least one FILE");
     }
-    let expected_len = args.parsed("--expect", |_: &usize| true).or_else(|| {
-        args.value("--manifest")
-            .map(|path| load_manifest(path).len())
-    });
+    let manifest = args.value("--manifest").map(load_manifest);
+    let expected_len = args
+        .parsed("--expect", |_: &usize| true)
+        .or(manifest.as_ref().map(Campaign::len));
     let texts: Vec<String> = files
         .iter()
         .map(|p| {
             std::fs::read_to_string(p).unwrap_or_else(|e| die(format!("cannot read {p}: {e}")))
         })
         .collect();
-    let report = wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len)
-        .unwrap_or_else(|e| die(format!("merge failed: {e}")));
+    let merged = wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len)
+        .and_then(|report| {
+            if let Some(manifest) = &manifest {
+                for (index, row) in report.results.iter().enumerate() {
+                    wire::check_row(manifest, index, row)?;
+                }
+            }
+            Ok(report)
+        });
+    let report = merged.unwrap_or_else(|e| die(format!("merge failed: {e}")));
     print(format_args!(
         "merged {} results from {} file(s)\n{}\n",
         report.results.len(),
@@ -328,23 +333,14 @@ fn run_merge(args: &Args) {
     write_report(args, report.to_json_string());
 }
 
-/// How long the fabric coordinator tolerates zero progress before giving
-/// up (exit 4). Insurance against a wedged CI job: were every worker to
-/// die with none rejoining, `serve` would otherwise block forever.
-const FABRIC_STALL_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(120);
-
-/// `serve ADDR`: serve the campaign's scenario indices over TCP to elastic
-/// workers, optionally spawning local `join` subprocesses, then verify/write
-/// the merged report.
+/// `serve ADDR`: the fabric coordinator and its spawned workers (see above).
 fn run_serve(args: &Args) {
     let addr = operand(args, "ADDR");
     let spawn_workers = args
         .parsed("--spawn-workers", |_: &usize| true)
         .unwrap_or(0);
-    let progress = Arc::new(AtomicUsize::new(0));
     let mut cfg = fabric::FabricConfig {
         checkpoint: args.value("--checkpoint").map(std::path::PathBuf::from),
-        progress: Some(Arc::clone(&progress)),
         ..fabric::FabricConfig::default()
     };
     if let Some(ms) = args.parsed("--lease-timeout-ms", |_: &u64| true) {
@@ -374,9 +370,9 @@ fn run_serve(args: &Args) {
     // Spawn local workers after bind: their connections queue in the listen
     // backlog until serve() starts accepting. Worker stdout is discarded —
     // results travel over the TCP connection; diagnostics go to stderr.
-    let children = Arc::new(Mutex::new(Vec::new()));
     let exe = std::env::current_exe()
         .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
+    let mut children = Vec::new();
     for w in 0..spawn_workers {
         let child = Command::new(&exe)
             .args(["join", &local.to_string(), "--name", &format!("w{w}")])
@@ -384,65 +380,29 @@ fn run_serve(args: &Args) {
             .spawn()
             .unwrap_or_else(|e| die(format!("cannot spawn worker {w}: {e}")));
         eprintln!("campaign: spawned worker w{w} (pid {})", child.id());
-        children.lock().unwrap().push(child);
+        children.push(child);
     }
-    // Stall watchdog: exit 4 rather than hang a CI job forever when the
-    // result count stops moving while incomplete — for FABRIC_STALL_TIMEOUT
-    // as long as a spawned worker lives (or none was spawned: remote workers
-    // may yet join), but only for one lease timeout once every spawned
-    // worker has exited, when nothing here can deliver the rest.
-    {
-        let progress = Arc::clone(&progress);
-        let children = Arc::clone(&children);
-        let (len, lease_timeout) = (campaign.len(), cfg.lease_timeout);
-        std::thread::spawn(move || {
-            let mut last = progress.load(Ordering::SeqCst);
-            let mut last_change = timing::now();
-            let mut all_exited_at = None;
-            loop {
-                std::thread::sleep(std::time::Duration::from_millis(200));
-                let now = progress.load(Ordering::SeqCst);
-                if now >= len {
-                    return;
-                }
-                if now != last {
-                    last = now;
-                    last_change = timing::now();
-                }
-                let mut guard = children.lock().unwrap();
-                let exited: Vec<Option<ExitStatus>> = guard
-                    .iter_mut()
-                    .map(|child| child.try_wait().ok().flatten())
-                    .collect();
-                drop(guard);
-                let (since, limit) = if !exited.is_empty() && exited.iter().all(Option::is_some) {
-                    let exited_at = *all_exited_at.get_or_insert_with(timing::now);
-                    (last_change.max(exited_at), lease_timeout)
-                } else {
-                    (last_change, FABRIC_STALL_TIMEOUT)
-                };
-                if since.elapsed() > limit {
-                    let statuses: Vec<String> = exited
-                        .iter()
-                        .map(|s| s.map_or("running".to_string(), |s| s.to_string()))
-                        .collect();
-                    eprintln!(
-                        "campaign: fabric stalled at {now}/{len} results for {:.1} s \
-                         (spawned workers: {statuses:?}); giving up",
-                        limit.as_secs_f64()
-                    );
-                    std::process::exit(4);
-                }
-            }
-        });
-    }
-    let fab = coordinator
-        .serve(&campaign, &cfg)
-        .unwrap_or_else(|e| die(format!("fabric serve failed: {e}")));
+    let fab = match coordinator.serve(&campaign, &cfg) {
+        Ok(fab) => fab,
+        Err(e) => {
+            // Whatever still runs can deliver nothing more: kill it, reap
+            // every child, and report how each ended. Abandoned exits 4.
+            let statuses: Vec<String> = children
+                .iter_mut()
+                .map(|child| {
+                    let _ = child.kill();
+                    let status = child.wait();
+                    status.map_or_else(|e| e.to_string(), |s| s.to_string())
+                })
+                .collect();
+            eprintln!("campaign: fabric serve failed: {e} (spawned workers: {statuses:?})");
+            std::process::exit(if matches!(e, Abandoned { .. }) { 4 } else { 2 });
+        }
+    };
     // Reap the spawned workers. A killed (or otherwise dead) worker must
     // not fail the run — the merged report already proved the fabric rode
     // out the loss.
-    for (w, child) in children.lock().unwrap().iter_mut().enumerate() {
+    for (w, child) in children.iter_mut().enumerate() {
         match child.wait() {
             Ok(status) if status.success() => {}
             Ok(status) => eprintln!("campaign: worker {w} exited with {status} (tolerated)"),

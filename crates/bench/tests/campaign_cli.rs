@@ -1,8 +1,9 @@
 //! The `campaign` binary's command-line contract, driven through the built
 //! executable: which option belongs to which subcommand, that the removed
 //! flag spellings are gone, that the three execution routes (fabric,
-//! offline shard + merge, in-process) write the same bytes, and that an
-//! unbuildable or unfinishable campaign fails fast instead of stalling.
+//! offline shard + merge, in-process) write the same bytes, that rows of
+//! another manifest are refused, and that an unbuildable or unfinishable
+//! campaign fails fast instead of stalling.
 //! The `figures` binary's (much smaller) contract and the pinned text of
 //! its campaign-rendered figures are the last two tests.
 
@@ -330,16 +331,19 @@ fn an_unknown_scheme_label_exits_2_naming_the_scenario() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// The pid a `serve` spawn line ("… spawned worker w0 (pid 123)") names.
+fn spawned_pid(line: &str) -> &str {
+    line.split("(pid ")
+        .nth(1)
+        .and_then(|rest| rest.strip_suffix(')'))
+        .unwrap_or_else(|| panic!("no worker pid in {line:?}"))
+}
+
 /// SIGKILL the worker whose `serve` spawn line is next on `lines`.
 fn kill_next_spawned(lines: &mut impl Iterator<Item = std::io::Result<String>>) {
     let line = lines.next().expect("a spawn line").unwrap();
-    let pid = line
-        .split("(pid ")
-        .nth(1)
-        .and_then(|rest| rest.strip_suffix(')'))
-        .unwrap_or_else(|| panic!("no worker pid in {line:?}"));
     assert!(Command::new("kill")
-        .args(["-9", pid])
+        .args(["-9", spawned_pid(&line)])
         .status()
         .unwrap()
         .success());
@@ -378,9 +382,9 @@ fn serve_rides_out_a_killed_worker() {
     );
 }
 
-/// Once every spawned worker is dead and the campaign is incomplete,
-/// `serve` gives up after one lease timeout (exit 4, statuses printed)
-/// rather than the two-minute stall timeout.
+/// Once every spawned worker is dead and the campaign is incomplete, no
+/// worker is alive: the coordinator abandons the campaign one lease timeout
+/// later, and `serve` exits 4 with the workers' statuses printed.
 #[test]
 fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
     use std::io::{BufRead, BufReader};
@@ -406,6 +410,84 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
             .any(|l| l.contains("stalled") && l.contains("SIGKILL")),
         "{rest:?}"
     );
+}
+
+/// With no worker at all, `serve` gives up one lease timeout after it
+/// starts (exit 4), naming how many results it had.
+#[test]
+fn serve_with_no_worker_gives_up_after_one_lease_timeout() {
+    let mut serve = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["serve", "127.0.0.1:0", "--lease-timeout-ms", "300"])
+        .args(["--manifest", FABRIC_SMOKE])
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("cannot run the campaign binary");
+    let started = timing::now();
+    let status = loop {
+        if let Some(status) = serve.try_wait().unwrap() {
+            break status;
+        }
+        if started.elapsed() > Duration::from_secs(10) {
+            serve.kill().unwrap();
+            serve.wait().unwrap();
+            panic!("serve still running after 10 s with no worker");
+        }
+        std::thread::sleep(Duration::from_millis(50));
+    };
+    let err = stderr(&serve.wait_with_output().unwrap());
+    assert_eq!(status.code(), Some(4), "{err}");
+    assert!(err.contains("stalled at 0/12"), "{err}");
+}
+
+/// Rows written for one manifest are refused against another whose
+/// scenario at some index has a different name — by `merge --manifest` and
+/// by a `serve` replaying them as its checkpoint (exit 2 both; the spawned
+/// worker does not outlive `serve`).
+#[test]
+fn rows_of_another_manifest_are_refused() {
+    let dir = scratch("foreign");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let out = campaign(&["shard", "0/1", "--manifest", QUEUEING_SMOKE]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    std::fs::write(path("rows.jsonl"), out.stdout).unwrap();
+    let text = std::fs::read_to_string(QUEUEING_SMOKE).unwrap();
+    let mut specs = Campaign::from_json_str(&text).unwrap().scenarios().to_vec();
+    let name = std::mem::replace(&mut specs[3].name, "renamed".to_string());
+    let other = Campaign::from_scenarios(specs).to_json_string();
+    std::fs::write(path("other.json"), other).unwrap();
+    let merged = campaign(&[
+        "merge",
+        &path("rows.jsonl"),
+        "--manifest",
+        &path("other.json"),
+    ]);
+    let served = campaign(&[
+        "serve",
+        "127.0.0.1:0",
+        "--spawn-workers",
+        "1",
+        "--checkpoint",
+        &path("rows.jsonl"),
+        "--manifest",
+        &path("other.json"),
+    ]);
+    for out in [&merged, &served] {
+        let err = stderr(out);
+        assert_eq!(out.status.code(), Some(2), "{err}");
+        let named = format!("row 3 is {name:?}");
+        assert!(err.contains(&named) && err.contains("\"renamed\""), "{err}");
+    }
+    let err = stderr(&served);
+    let spawned = err.lines().find(|l| l.contains("spawned worker"));
+    let pid = spawned_pid(spawned.unwrap_or_else(|| panic!("no spawn line in {err}")));
+    let alive = Command::new("kill")
+        .args(["-0", pid])
+        .stderr(Stdio::null())
+        .status()
+        .unwrap();
+    assert!(!alive.success(), "worker {pid} outlived serve");
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// A reader that stops reading (`campaign merge … | head -2`) ends the

@@ -17,18 +17,18 @@
 //!   ones cannot hold more than one lease's worth of work hostage.
 //! * **Failure detection.** Workers heartbeat between results; a worker
 //!   silent past the lease timeout (or whose connection drops) is retired
-//!   and its outstanding indices return to the queue.
+//!   and its outstanding indices return to the queue. The fleet obeys the
+//!   same rule: with no worker alive for one lease timeout, an incomplete
+//!   campaign is abandoned ([`FabricError::Abandoned`]). A heartbeating
+//!   worker is never given up on, however long its scenario runs.
 //! * **Dedup by digest.** A retired worker may still have executed part of
-//!   its lease, so results can arrive twice. The [`ResultLedger`] (the one
-//!   `merge` uses) keeps the first copy, drops byte-identical duplicates
-//!   (same index, same digest), and treats conflicting digests for one
-//!   index as the hard error they are ([`WireError::DigestConflict`]) —
-//!   never a silent drop.
+//!   its lease, so results can arrive twice: the [`ResultLedger`] (the one
+//!   `merge` uses) drops identical copies and refuses conflicting ones.
 //! * **Checkpointing.** Every accepted result is appended to a JSONL
 //!   checkpoint file (the standard result-line encoding) and flushed; a
 //!   restarted coordinator replays the file — cutting a torn tail, ending a
-//!   last line that lost only its newline — and re-runs only what is
-//!   missing.
+//!   last line that lost only its newline, refusing a row of another
+//!   manifest ([`wire::check_row`]) — and re-runs only what is missing.
 //!
 //! Because every scenario is a pure function of its spec, the merged
 //! [`CampaignReport`] is bit-identical (canonical JSON and digests) to
@@ -45,7 +45,7 @@ use crate::wire::{self, FabricMsg, ResultLedger, WireError};
 use std::collections::BTreeSet;
 use std::io::{BufReader, Write};
 use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 
 /// Errors of the campaign fabric.
@@ -55,9 +55,16 @@ pub enum FabricError {
     Io(std::io::Error),
     /// A peer violated the fabric message protocol.
     Protocol(String),
-    /// A checkpoint stream failed to decode, or the [`ResultLedger`] refused
-    /// a result (out of range, or a [`WireError::DigestConflict`]).
+    /// A checkpoint failed to decode or holds another manifest's rows, or
+    /// the [`ResultLedger`] refused a result (out of range, a conflict).
     Wire(WireError),
+    /// No worker was alive for one lease timeout, the campaign incomplete.
+    Abandoned {
+        /// Scenarios with a result (checkpoint replay included).
+        done: usize,
+        /// Scenarios in the campaign.
+        len: usize,
+    },
 }
 
 impl std::fmt::Display for FabricError {
@@ -66,6 +73,10 @@ impl std::fmt::Display for FabricError {
             FabricError::Io(e) => write!(f, "fabric i/o: {e}"),
             FabricError::Protocol(msg) => write!(f, "fabric protocol: {msg}"),
             FabricError::Wire(e) => write!(f, "fabric results: {e}"),
+            FabricError::Abandoned { done, len } => write!(
+                f,
+                "campaign stalled at {done}/{len} results: no worker alive for one lease timeout"
+            ),
         }
     }
 }
@@ -97,17 +108,13 @@ const INITIAL_BATCH: usize = 1;
 #[derive(Debug, Clone)]
 pub struct FabricConfig {
     /// How long a worker may stay silent (no result, no heartbeat) before
-    /// it is declared dead and its outstanding lease returns to the queue.
+    /// it is declared dead and its outstanding lease returns to the queue;
+    /// and how long, from the start of `serve` or the last retirement, an
+    /// incomplete campaign with no worker alive waits before it is abandoned.
     pub lease_timeout: std::time::Duration,
-    /// Checkpoint file: every accepted result is appended as one canonical
-    /// result line and flushed. An existing file is replayed on startup
-    /// (tolerating a truncated tail, which is cut off in place), so a
-    /// restarted coordinator re-runs only the missing scenarios.
+    /// Checkpoint file, appended to with every accepted result and replayed
+    /// first (module docs, *Checkpointing*).
     pub checkpoint: Option<std::path::PathBuf>,
-    /// Live progress observer: after every accepted result the coordinator
-    /// stores the count of completed scenarios (the CLI's stall watchdog
-    /// reads it).
-    pub progress: Option<Arc<AtomicUsize>>,
 }
 
 impl Default for FabricConfig {
@@ -115,7 +122,6 @@ impl Default for FabricConfig {
         FabricConfig {
             lease_timeout: std::time::Duration::from_secs(10),
             checkpoint: None,
-            progress: None,
         }
     }
 }
@@ -154,7 +160,9 @@ struct CoordState {
     ledger: ResultLedger,
     workers: Vec<WorkerSlot>,
     checkpoint: Option<std::fs::File>,
-    progress: Option<Arc<AtomicUsize>>,
+    /// When serving began or a worker was last retired: once no worker is
+    /// alive, the campaign is abandoned one lease timeout after this.
+    idle_since: std::time::Instant,
     fatal: Option<FabricError>,
     done_serving: bool,
     reassigned: u64,
@@ -169,6 +177,7 @@ impl CoordState {
             return;
         }
         self.workers[worker].alive = false;
+        self.idle_since = timing::now();
         let returned = std::mem::take(&mut self.workers[worker].outstanding);
         self.reassigned += returned.len() as u64;
         self.pending.extend(returned);
@@ -177,7 +186,7 @@ impl CoordState {
 
     /// Record a result delivered by `worker`: refresh its liveness and
     /// wall-time EWMA, feed the ledger, and on acceptance append to the
-    /// checkpoint and publish progress. Failures land in `self.fatal`.
+    /// checkpoint. Failures land in `self.fatal`.
     fn handle_result(&mut self, worker: usize, index: usize, result: ScenarioResult) {
         let slot = &mut self.workers[worker];
         slot.last_heard = timing::now();
@@ -191,15 +200,10 @@ impl CoordState {
             Ok(true) => {
                 if let Some(file) = &mut self.checkpoint {
                     let recorded = self.ledger.get(index).expect("just recorded");
-                    let mut line = wire::encode_result_line(index, recorded);
-                    line.push('\n');
+                    let line = wire::encode_result_line(index, recorded) + "\n";
                     if let Err(e) = file.write_all(line.as_bytes()) {
                         self.fatal.get_or_insert(FabricError::Io(e));
-                        return;
                     }
-                }
-                if let Some(progress) = &self.progress {
-                    progress.store(self.ledger.done(), Ordering::Relaxed);
                 }
             }
             Ok(false) => {}
@@ -233,11 +237,9 @@ struct Shared {
 /// checkpoint, and the merge.
 pub struct Coordinator {
     listener: TcpListener,
-    /// The accept thread of the latest [`Coordinator::serve`]. It outlives
-    /// the call — answering every later `hello` with `bye` — so that a worker
-    /// which connects after the last result does not wait in the backlog of
-    /// a listener nobody accepts on; it ends with the next `serve` or with
-    /// the coordinator.
+    /// The accept thread of the latest [`Coordinator::serve`], which
+    /// outlives it to dismiss late joiners (rather than leave them in the
+    /// backlog); it ends with the next `serve` or with the coordinator.
     acceptor: Mutex<Option<Acceptor>>,
 }
 
@@ -296,10 +298,11 @@ impl Coordinator {
     }
 
     /// Serve `campaign` to however many workers connect, until every
-    /// scenario has a result (or a fatal error). Returns the merged report
-    /// plus run statistics. With a checkpoint configured, an existing file
-    /// is replayed first — a coordinator restarted over a complete
-    /// checkpoint returns without handing the campaign to any worker.
+    /// scenario has a result (or a fatal error). A checkpoint is replayed
+    /// first: a restart over a complete one hands nothing to any worker, and
+    /// a row of another manifest fails it ([`WireError::ForeignRow`]). A
+    /// worker must join within one [`FabricConfig::lease_timeout`], or the
+    /// campaign is abandoned ([`FabricError::Abandoned`]).
     ///
     /// A worker that says `hello` once the campaign is complete — before
     /// this call returns or after it — is answered with `bye`, for as long
@@ -320,6 +323,7 @@ impl Coordinator {
             };
             let (entries, tail) = wire::decode_stream_lines(&existing, 1)?;
             for (index, result) in entries {
+                wire::check_row(campaign, index, &result)?;
                 ledger.record(index, result)?;
             }
             let mut file = std::fs::OpenOptions::new()
@@ -338,9 +342,6 @@ impl Coordinator {
             checkpoint = Some(file);
         }
         let resumed = ledger.done();
-        if let Some(progress) = &cfg.progress {
-            progress.store(resumed, Ordering::Relaxed);
-        }
 
         // Nothing left to run (e.g. restart over a complete checkpoint):
         // the scheduler loop below exits at once and every worker is
@@ -354,7 +355,7 @@ impl Coordinator {
                 ledger,
                 workers: Vec::new(),
                 checkpoint,
-                progress: cfg.progress.clone(),
+                idle_since: timing::now(),
                 fatal: None,
                 done_serving,
                 reassigned: 0,
@@ -374,7 +375,8 @@ impl Coordinator {
         };
         *self.acceptor.lock().unwrap_or_else(|e| e.into_inner()) = Some(acceptor);
 
-        // Scheduler: detect silent workers, grant leases, wait for events.
+        // Scheduler: retire silent workers, abandon a campaign none is left
+        // for, grant leases, wait for events.
         let granularity = (cfg.lease_timeout / 4).clamp(
             std::time::Duration::from_millis(5),
             std::time::Duration::from_millis(100),
@@ -388,6 +390,11 @@ impl Coordinator {
                 if st.workers[i].alive && st.workers[i].last_heard.elapsed() > cfg.lease_timeout {
                     st.retire(i);
                 }
+            }
+            if !st.workers.iter().any(|w| w.alive) && st.idle_since.elapsed() > cfg.lease_timeout {
+                let (done, len) = (st.ledger.done(), campaign.len());
+                st.fatal = Some(FabricError::Abandoned { done, len });
+                break;
             }
             // A worker down to its last index is granted its next lease
             // now, so that it never waits for one.
@@ -573,10 +580,8 @@ pub struct WorkerSummary {
 /// at once and answers with one manifest frame.
 const HANDSHAKE_TIMEOUT: std::time::Duration = std::time::Duration::from_secs(30);
 
-/// Connect to a coordinator at `addr`, receive the campaign manifest over
-/// the wire, and execute leases — streaming each result back in lease
-/// order as soon as it and the lease's earlier ones complete — until the
-/// coordinator says bye or the connection ends.
+/// Connect to a coordinator at `addr` and work its leases (module docs)
+/// until it says bye or the connection ends.
 ///
 /// Each lease runs through the campaign's in-order executor on one thread
 /// per available core, capped at the lease's length, the calling thread one
@@ -773,7 +778,7 @@ mod tests {
                 alive: true,
             }],
             checkpoint: None,
-            progress: None,
+            idle_since: timing::now(),
             fatal: None,
             done_serving: false,
             reassigned: 0,
@@ -871,40 +876,56 @@ mod tests {
         );
     }
 
-    #[test]
-    fn a_worker_dying_with_two_leases_returns_both() {
-        let campaign = tiny_campaign(4);
-        let serial = campaign.run_serial();
+    /// Run `serve` on a thread of its own: the coordinator's address, and
+    /// where its outcome arrives (waited for with `recv_timeout`, so that a
+    /// `serve` that never returns fails a test instead of hanging it).
+    fn serve_in_background(
+        campaign: &Campaign,
+        cfg: FabricConfig,
+    ) -> (String, mpsc::Receiver<Result<FabricReport, FabricError>>) {
         let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
         let addr = coordinator.local_addr().unwrap().to_string();
         let (done, served) = mpsc::channel();
-        {
-            let campaign = campaign.clone();
-            std::thread::spawn(move || {
-                let _ = done.send(coordinator.serve(&campaign, &FabricConfig::default()));
-            });
-        }
-        // A worker that is granted its lease and the next one ahead, then
-        // dies before it runs anything.
-        let stream = TcpStream::connect(&addr).unwrap();
+        let campaign = campaign.clone();
+        std::thread::spawn(move || {
+            let _ = done.send(coordinator.serve(&campaign, &cfg));
+        });
+        (addr, served)
+    }
+
+    /// Play a worker that says hello and reads the manifest and frames
+    /// until it holds `leases` leases; the connection is returned open.
+    fn hand_played_worker(addr: &str, leases: usize) -> (TcpStream, Vec<Vec<usize>>) {
+        let stream = TcpStream::connect(addr).unwrap();
         stream
             .set_read_timeout(Some(std::time::Duration::from_secs(10)))
             .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
         let hello = FabricMsg::Hello {
-            worker: "doomed".to_string(),
+            worker: "hand-played".to_string(),
         };
         wire::write_frame(&mut &stream, &hello).unwrap();
-        let mut leases = Vec::new();
-        while leases.len() < 2 {
+        let mut granted = Vec::new();
+        while granted.len() < leases {
             match wire::read_frame(&mut reader).unwrap() {
                 Some(FabricMsg::Manifest { .. }) => {}
-                Some(FabricMsg::Lease { indices }) => leases.push(indices),
-                _ => panic!("expected a manifest and two leases"),
+                Some(FabricMsg::Lease { indices }) => granted.push(indices),
+                _ => panic!("expected a manifest and leases"),
             }
         }
+        (stream, granted)
+    }
+
+    #[test]
+    fn a_worker_dying_with_two_leases_returns_both() {
+        let campaign = tiny_campaign(4);
+        let serial = campaign.run_serial();
+        let (addr, served) = serve_in_background(&campaign, FabricConfig::default());
+        // A worker that is granted its lease and the next one ahead, then
+        // dies before it runs anything.
+        let (stream, leases) = hand_played_worker(&addr, 2);
         assert_eq!(leases, vec![vec![0], vec![1]]);
-        drop((reader, stream));
+        drop(stream);
         // A healthy worker finishes the campaign, both leases included.
         let healthy = std::thread::spawn(move || join(&addr, &WorkerConfig::default()));
         let fabric = served
@@ -914,6 +935,136 @@ mod tests {
         assert_eq!(fabric.reassigned, 2, "both leases returned to the queue");
         assert_eq!(healthy.join().unwrap().unwrap().executed, 4);
         assert_eq!(fabric.report.to_json_string(), serial.to_json_string());
+    }
+
+    const SHORT_LEASE: std::time::Duration = std::time::Duration::from_millis(300);
+
+    #[test]
+    fn a_campaign_nobody_joins_is_abandoned_after_one_lease_timeout() {
+        let cfg = FabricConfig {
+            lease_timeout: SHORT_LEASE,
+            ..FabricConfig::default()
+        };
+        let started = timing::now();
+        let (_addr, served) = serve_in_background(&tiny_campaign(3), cfg);
+        let outcome = served
+            .recv_timeout(SHORT_LEASE + std::time::Duration::from_secs(2))
+            .expect("serve gave up within the lease timeout plus 2 s");
+        let waited = started.elapsed();
+        assert!(waited >= SHORT_LEASE, "gave up after {waited:?}");
+        match outcome {
+            Err(FabricError::Abandoned { done, len }) => assert_eq!((done, len), (0, 3)),
+            other => panic!("expected Abandoned, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn a_campaign_whose_last_worker_drops_is_abandoned_and_resumes() {
+        let campaign = tiny_campaign(4);
+        let dir = std::env::temp_dir().join(format!("fabric-abandon-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.jsonl");
+        let cfg = FabricConfig {
+            lease_timeout: SHORT_LEASE,
+            checkpoint: Some(path.clone()),
+        };
+        let (addr, served) = serve_in_background(&campaign, cfg.clone());
+        // A worker that delivers the first index of its first lease, then
+        // drops.
+        let (stream, leases) = hand_played_worker(&addr, 1);
+        let index = leases[0][0];
+        let result = campaign.run_index(index);
+        let line = wire::encode_result_line(index, &result) + "\n";
+        let delivered = FabricMsg::Result {
+            index,
+            result: Box::new(result),
+        };
+        wire::write_frame(&mut &stream, &delivered).unwrap();
+        drop(stream);
+        let outcome = served
+            .recv_timeout(SHORT_LEASE + std::time::Duration::from_secs(2))
+            .expect("serve gave up within the lease timeout plus 2 s");
+        match outcome {
+            Err(FabricError::Abandoned { done, len }) => assert_eq!((done, len), (1, 4)),
+            other => panic!("expected Abandoned, got {:?}", other.map(|_| ())),
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), line);
+        // A restart with a healthy worker finishes the campaign.
+        let fabric = serve_to_one_worker(&campaign, &cfg).unwrap();
+        assert_eq!((fabric.resumed, fabric.executed), (1, 3));
+        assert_eq!(
+            fabric.report.to_json_string(),
+            campaign.run_serial().to_json_string()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_heartbeating_worker_outlasts_many_lease_timeouts() {
+        // One scenario several lease timeouts long (its wall is asserted
+        // below); the worker heartbeats every 20 ms while it runs.
+        let campaign = Campaign::from_scenarios(vec![incast_on_star(
+            "long",
+            CcSpec::by_label("HPCC"),
+            8,
+            500_000_000,
+            Bandwidth::from_gbps(25),
+            Duration::from_ms(1000),
+        )]);
+        let coordinator = Coordinator::bind("127.0.0.1:0").unwrap();
+        let addr = coordinator.local_addr().unwrap().to_string();
+        let worker = std::thread::spawn(move || {
+            let cfg = WorkerConfig {
+                heartbeat: std::time::Duration::from_millis(20),
+                ..WorkerConfig::default()
+            };
+            join(&addr, &cfg)
+        });
+        let cfg = FabricConfig {
+            lease_timeout: SHORT_LEASE,
+            ..FabricConfig::default()
+        };
+        let fabric = coordinator.serve(&campaign, &cfg).unwrap();
+        assert_eq!(worker.join().unwrap().unwrap().executed, 1);
+        let wall = fabric.report.results[0].wall;
+        assert!(wall > 3 * SHORT_LEASE, "the scenario took only {wall:?}");
+        assert_eq!((fabric.executed, fabric.reassigned), (1, 0));
+    }
+
+    #[test]
+    fn a_checkpoint_of_another_manifest_is_refused() {
+        let written_for = tiny_campaign(2);
+        let mut specs = tiny_campaign(4).scenarios().to_vec();
+        specs[1].name = "other".to_string();
+        let served_for = Campaign::from_scenarios(specs);
+        let dir = std::env::temp_dir().join(format!("fabric-foreign-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("checkpoint.jsonl");
+        let rows: String = (0..2)
+            .map(|i| wire::encode_result_line(i, &written_for.run_index(i)) + "\n")
+            .collect();
+        std::fs::write(&path, rows).unwrap();
+        let cfg = FabricConfig {
+            checkpoint: Some(path),
+            ..FabricConfig::default()
+        };
+        let (_addr, served) = serve_in_background(&served_for, cfg);
+        let outcome = served
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("serve refused the checkpoint at once");
+        match outcome {
+            Err(FabricError::Wire(WireError::ForeignRow {
+                index,
+                manifest,
+                row,
+            })) => {
+                assert_eq!(index, 1);
+                assert_eq!(manifest, "\"other\" (DCQCN)");
+                assert_eq!(row, "\"t1\" (DCQCN)");
+            }
+            other => panic!("expected ForeignRow, got {:?}", other.map(|_| ())),
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -292,6 +292,16 @@ pub enum WireError {
         /// The conflicting digest of the re-execution.
         got: u64,
     },
+    /// A result row's name or scheme differs from the manifest scenario at
+    /// its index: the rows were written for another manifest.
+    ForeignRow {
+        /// The row's scenario index.
+        index: usize,
+        /// The manifest scenario's name and scheme, as `"name" (scheme)`.
+        manifest: String,
+        /// The row's name and scheme, in the same form.
+        row: String,
+    },
 }
 
 impl std::fmt::Display for WireError {
@@ -301,9 +311,7 @@ impl std::fmt::Display for WireError {
                 stream,
                 line,
                 error,
-            } => {
-                write!(f, "stream {stream}, line {line}: {error}")
-            }
+            } => write!(f, "stream {stream}, line {line}: {error}"),
             WireError::Truncated { stream, line } => write!(
                 f,
                 "stream {stream}: line {line} is a truncated trailing record \
@@ -314,6 +322,15 @@ impl std::fmt::Display for WireError {
                 f,
                 "digest conflict for scenario {index}: recorded {have:#018x}, \
                  re-execution produced {got:#018x}; refusing to merge"
+            ),
+            WireError::ForeignRow {
+                index,
+                manifest,
+                row,
+            } => write!(
+                f,
+                "result row {index} is {row}, but the manifest's scenario {index} is \
+                 {manifest}: the rows were written for another manifest"
             ),
         }
     }
@@ -483,6 +500,22 @@ impl ResultLedger {
     }
 }
 
+/// Refuse a result `row` whose name or scheme differs from the `manifest`
+/// scenario at its `index` ([`WireError::ForeignRow`]). An index beyond the
+/// manifest is the [`ResultLedger`]'s to refuse.
+pub fn check_row(manifest: &Campaign, index: usize, row: &ScenarioResult) -> Result<(), WireError> {
+    match manifest.scenarios().get(index) {
+        Some(spec) if spec.name != row.name || spec.scheme_label() != row.scheme => {
+            Err(WireError::ForeignRow {
+                index,
+                manifest: format!("{:?} ({})", spec.name, spec.scheme_label()),
+                row: format!("{:?} ({})", row.name, row.scheme),
+            })
+        }
+        _ => Ok(()),
+    }
+}
+
 /// Merge shard streams (the concatenated JSONL output of one or more
 /// workers, blank lines ignored) into a single [`CampaignReport`] ordered
 /// by scenario index, through a [`ResultLedger`].
@@ -620,19 +653,22 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &FabricMsg) -> std::io::Re
 /// sweep generator's 380 bytes each.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
+/// The longest header [`read_frame`] reads: [`MAX_FRAME_BYTES`]'s digits, `\n`.
+const MAX_HEADER_BYTES: u64 = MAX_FRAME_BYTES.ilog10() as u64 + 2;
+
 /// Read one length-framed fabric message. Returns `Ok(None)` on a clean
 /// EOF at a frame boundary; EOF inside a frame, a malformed length header
-/// (one above [`MAX_FRAME_BYTES`] included), or an undecodable payload are
-/// `InvalidData` errors.
+/// (one above [`MAX_FRAME_BYTES`] or longer than its digits and newline
+/// included), or an undecodable payload are errors.
 pub fn read_frame<R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<FabricMsg>> {
+    use std::io::{BufRead, Read};
     let mut header = String::new();
-    if r.read_line(&mut header)? == 0 {
+    if r.by_ref().take(MAX_HEADER_BYTES).read_line(&mut header)? == 0 {
         return Ok(None);
     }
     let len = header
-        .trim()
-        .parse()
-        .ok()
+        .strip_suffix('\n')
+        .and_then(|digits| digits.parse().ok())
         .filter(|len: &usize| *len <= MAX_FRAME_BYTES)
         .ok_or_else(|| bad_frame(format!("malformed frame header {}", header.trim())))?;
     let mut payload = vec![0u8; len + 1];
@@ -643,10 +679,8 @@ pub fn read_frame<R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<Fabr
     let text =
         std::str::from_utf8(&payload).map_err(|_| bad_frame("frame payload is not UTF-8"))?;
     let doc = JsonValue::parse(text).map_err(|e| bad_frame(format!("frame payload: {e}")))?;
-    match FabricMsg::from_json(&doc) {
-        Ok(msg) => Ok(Some(msg)),
-        Err(e) => Err(bad_frame(format!("fabric message: {e}"))),
-    }
+    let msg = FabricMsg::from_json(&doc).map_err(|e| bad_frame(format!("fabric message: {e}")));
+    msg.map(Some)
 }
 
 fn bad_frame(msg: impl Into<String>) -> std::io::Error {
@@ -1057,6 +1091,18 @@ mod tests {
             let mut reader = std::io::BufReader::new(broken.as_bytes());
             assert!(read_frame(&mut reader).is_err(), "{broken}");
         }
+    }
+
+    #[test]
+    fn a_header_without_its_newline_is_refused_after_a_bounded_read() {
+        // 8 MiB of digits and no newline: the header is refused once it is
+        // longer than any valid one, not after the peer's bytes run out.
+        let digits = std::io::Cursor::new(vec![b'1'; 8 << 20]);
+        let mut reader = std::io::BufReader::new(digits);
+        let err = read_frame(&mut reader).err().expect("a malformed header");
+        assert!(err.to_string().contains("malformed frame header"), "{err}");
+        let consumed = reader.get_ref().position();
+        assert!(consumed <= 16 << 10, "read {consumed} bytes of the header");
     }
 
     #[test]

@@ -58,7 +58,6 @@ fn fabric_survives_worker_death_and_restart_resumes_from_checkpoint() {
         // steady worker heartbeats at 50 ms, well under it.
         lease_timeout: Duration::from_millis(400),
         checkpoint: Some(checkpoint.clone()),
-        ..FabricConfig::default()
     };
     // (`serve` runs on its own thread so that a failed assertion here fails
     // the test instead of waiting on a campaign nobody will finish.)
