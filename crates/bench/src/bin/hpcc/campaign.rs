@@ -1,21 +1,10 @@
-//! The campaign runner. (Performance is measured in `benchmark/`, not here.)
-//!
-//! ```text
-//! campaign run        [--manifest F] [--verify-serial] [--report OUT] [duration_ms] [load]
-//! campaign serve ADDR [--spawn-workers N] [--lease-timeout-ms N] [--checkpoint FILE.jsonl]
-//!                     [--manifest F] [--verify-serial] [--report OUT] [duration_ms] [load]
-//! campaign join ADDR  [--name W]
-//! campaign shard i/N  [--manifest F] [duration_ms] [load]            > shard.jsonl
-//! campaign merge FILE... [--expect N | --manifest F] [--report OUT]
-//! campaign validate   [--manifest F] [--tolerance 0.75] [--report OUT] [duration_ms]
-//! campaign dump fig11|fluid|fabric [duration_ms] [load]              > manifest.json
-//! ```
+//! `hpcc run|serve|join|shard|merge|validate|dump`: the campaign runner.
+//! (Performance is measured in `benchmark/`, not here.)
 //!
 //! The campaign is `--manifest F` (a JSON array of ScenarioSpec objects, see
 //! `hpcc_core::scenario`) or, without it, the built-in Figure 11 scheme set
 //! (six scenarios on the scaled-down Clos fabric) at `[duration_ms] [load]`
-//! (default `10 0.3`). Each subcommand accepts only the options listed for
-//! it; anything else exits 2 with the usage text.
+//! (default `10 0.3`).
 //!
 //! * `run` — execute in-process on a thread pool and print the table.
 //! * `serve ADDR` — the only way to fan a campaign out over processes: bind
@@ -24,7 +13,7 @@
 //!   `docs/WIRE.md`); a worker's lease is reassigned if it dies, duplicates
 //!   are dropped by digest. `--spawn-workers N` launches N local `join`
 //!   subprocesses, each on every core `serve` may use (they inherit its CPU
-//!   mask: `taskset -c 0 campaign serve …` runs every child serially).
+//!   mask: `taskset -c 0 hpcc serve …` runs every child serially).
 //!   `--lease-timeout-ms` (default 10 000, above the workers' 200 ms
 //!   heartbeat) retires a worker silent that long; with no worker alive that
 //!   long — from the start, or since the last one was retired — `serve`
@@ -50,6 +39,7 @@
 //! canonical report JSON. `run`, `serve` and `shard` build every scenario
 //! before dispatching anything: an unbuildable one exits 2 naming its index.
 
+use crate::{operand, usage};
 use hpcc_bench::cli::Args;
 use hpcc_bench::{arg_or, die, load_manifest, print};
 use hpcc_core::fabric::{self, FabricError::Abandoned};
@@ -62,99 +52,7 @@ use hpcc_core::{
 };
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
-use std::process::{Command, Stdio};
-
-/// One subcommand: what it accepts and what runs it.
-struct Subcommand {
-    name: &'static str,
-    run: fn(&Args),
-    /// Its positionals, as the usage text shows them, and how many it takes.
-    positional: (&'static str, usize),
-    /// Its options that take a value.
-    options: &'static [&'static str],
-    switches: &'static [&'static str],
-}
-
-const COMMANDS: [Subcommand; 7] = [
-    Subcommand {
-        name: "run",
-        run: run_in_process,
-        positional: ("[duration_ms] [load]", 2),
-        options: &["--manifest", "--report"],
-        switches: &["--verify-serial"],
-    },
-    Subcommand {
-        name: "serve",
-        run: run_serve,
-        positional: ("ADDR [duration_ms] [load]", 3),
-        options: &[
-            "--spawn-workers",
-            "--lease-timeout-ms",
-            "--checkpoint",
-            "--manifest",
-            "--report",
-        ],
-        switches: &["--verify-serial"],
-    },
-    Subcommand {
-        name: "join",
-        run: run_join,
-        positional: ("ADDR", 1),
-        options: &["--name"],
-        switches: &[],
-    },
-    Subcommand {
-        name: "shard",
-        run: run_shard,
-        positional: ("i/N [duration_ms] [load]", 3),
-        options: &["--manifest"],
-        switches: &[],
-    },
-    Subcommand {
-        name: "merge",
-        run: run_merge,
-        positional: ("FILE...", usize::MAX),
-        options: &["--expect", "--manifest", "--report"],
-        switches: &[],
-    },
-    Subcommand {
-        name: "validate",
-        run: run_validate,
-        positional: ("[duration_ms]", 1),
-        options: &["--manifest", "--tolerance", "--report"],
-        switches: &[],
-    },
-    Subcommand {
-        name: "dump",
-        run: run_dump,
-        positional: ("fig11|fluid|fabric [duration_ms] [load]", 3),
-        options: &[],
-        switches: &[],
-    },
-];
-
-/// Exit 2 with `msg` and the usage text (generated from [`COMMANDS`]).
-fn usage(msg: impl AsRef<str>) -> ! {
-    let mut text = format!("{}\nusage:", msg.as_ref());
-    for c in &COMMANDS {
-        text += &format!("\n  campaign {} {}", c.name, c.positional.0);
-        for switch in c.switches {
-            text += &format!(" [{switch}]");
-        }
-        for option in c.options {
-            text += &format!(" [{option} V]");
-        }
-    }
-    die(text)
-}
-
-/// The subcommand's own leading positional (`ADDR`, `i/N`, the dump kind).
-fn operand<'a>(args: &'a Args, what: &str) -> &'a str {
-    match args.positional().first() {
-        Some(text) => text,
-        None => usage(format!("missing {what}")),
-    }
-}
+use std::process::{Child, Command, ExitStatus, Stdio};
 
 /// The campaign this invocation describes: the `--manifest` file, or the
 /// built-in Figure 11 scheme set at the `[duration_ms] [load]` positionals
@@ -220,7 +118,7 @@ fn verify_and_write(report: &CampaignReport, campaign: &Campaign, args: &Args) {
 }
 
 /// `run`: the in-process thread pool.
-fn run_in_process(args: &Args) {
+pub(crate) fn run_in_process(args: &Args) {
     let campaign = load_runnable_campaign(args, 0);
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     print(format_args!(
@@ -241,7 +139,7 @@ fn run_in_process(args: &Args) {
 /// on both backends, print the divergence table, write the canonical
 /// report, and gate on the worst divergence (exit 3 — distinct from usage
 /// errors — when exceeded).
-fn run_validate(args: &Args) {
+pub(crate) fn run_validate(args: &Args) {
     let tolerance = args
         .parsed("--tolerance", |x: &f64| x.is_finite() && *x > 0.0)
         .unwrap_or(0.75);
@@ -263,7 +161,7 @@ fn run_validate(args: &Args) {
     let util = report.max_utilization_divergence();
     if slow > tolerance || util > tolerance {
         eprintln!(
-            "campaign: cross-validation divergence above tolerance {tolerance}: \
+            "hpcc: cross-validation divergence above tolerance {tolerance}: \
              slowdown {slow:.3} (relative), utilization {util:.4} (absolute)"
         );
         std::process::exit(3);
@@ -274,7 +172,7 @@ fn run_validate(args: &Args) {
 }
 
 /// `shard i/N`: run one round-robin shard, streaming JSONL on stdout.
-fn run_shard(args: &Args) {
+pub(crate) fn run_shard(args: &Args) {
     let plan = ShardPlan::parse(operand(args, "i/N")).unwrap_or_else(|e| usage(e));
     let campaign = load_runnable_campaign(args, 1);
     let mut out = std::io::stdout().lock();
@@ -293,7 +191,7 @@ fn run_shard(args: &Args) {
 
 /// `merge FILE...`: fold `shard` JSONL files into one report. Without an
 /// expected length a lost trailing scenario is undetectable, so it warns.
-fn run_merge(args: &Args) {
+pub(crate) fn run_merge(args: &Args) {
     let files = args.positional();
     if files.is_empty() {
         usage("merge needs at least one FILE");
@@ -308,15 +206,8 @@ fn run_merge(args: &Args) {
             std::fs::read_to_string(p).unwrap_or_else(|e| die(format!("cannot read {p}: {e}")))
         })
         .collect();
-    let merged = wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len)
-        .and_then(|report| {
-            if let Some(manifest) = &manifest {
-                for (index, row) in report.results.iter().enumerate() {
-                    wire::check_row(manifest, index, row)?;
-                }
-            }
-            Ok(report)
-        });
+    let merged = foreign_row(manifest.as_ref(), &texts)
+        .and_then(|()| wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len));
     let report = merged.unwrap_or_else(|e| die(format!("merge failed: {e}")));
     print(format_args!(
         "merged {} results from {} file(s)\n{}\n",
@@ -326,15 +217,31 @@ fn run_merge(args: &Args) {
     ));
     if expected_len.is_none() {
         eprintln!(
-            "campaign: warning: no --expect N (or --manifest) given; a shard \
+            "hpcc: warning: no --expect N (or --manifest) given; a shard \
              file that lost only trailing scenarios cannot be detected"
         );
     }
     write_report(args, report.to_json_string());
 }
 
+/// With a manifest, refuse the lowest-indexed row of `streams` that belongs
+/// to another manifest, before a completeness check could blame the
+/// mismatch on missing rows.
+fn foreign_row(manifest: Option<&Campaign>, streams: &[String]) -> Result<(), wire::WireError> {
+    let Some(manifest) = manifest else {
+        return Ok(());
+    };
+    let mut rows = Vec::new();
+    for (stream, text) in streams.iter().enumerate() {
+        rows.append(&mut wire::decode_stream_lines(text, stream + 1)?.0);
+    }
+    rows.sort_by_key(|(index, _)| *index);
+    rows.iter()
+        .try_for_each(|(index, row)| wire::check_row(manifest, *index, row))
+}
+
 /// `serve ADDR`: the fabric coordinator and its spawned workers (see above).
-fn run_serve(args: &Args) {
+pub(crate) fn run_serve(args: &Args) {
     let addr = operand(args, "ADDR");
     let spawn_workers = args
         .parsed("--spawn-workers", |_: &usize| true)
@@ -374,39 +281,39 @@ fn run_serve(args: &Args) {
         .unwrap_or_else(|e| die(format!("cannot locate own executable: {e}")));
     let mut children = Vec::new();
     for w in 0..spawn_workers {
-        let child = Command::new(&exe)
+        let spawned = Command::new(&exe)
             .args(["join", &local.to_string(), "--name", &format!("w{w}")])
             .stdout(Stdio::null())
-            .spawn()
-            .unwrap_or_else(|e| die(format!("cannot spawn worker {w}: {e}")));
-        eprintln!("campaign: spawned worker w{w} (pid {})", child.id());
-        children.push(child);
+            .spawn();
+        match spawned {
+            Ok(child) => {
+                eprintln!("hpcc: spawned worker w{w} (pid {})", child.id());
+                children.push(child);
+            }
+            Err(e) => {
+                reap(&mut children, true);
+                die(format!("cannot spawn worker {w}: {e}"));
+            }
+        }
     }
     let fab = match coordinator.serve(&campaign, &cfg) {
         Ok(fab) => fab,
         Err(e) => {
-            // Whatever still runs can deliver nothing more: kill it, reap
-            // every child, and report how each ended. Abandoned exits 4.
-            let statuses: Vec<String> = children
-                .iter_mut()
-                .map(|child| {
-                    let _ = child.kill();
-                    let status = child.wait();
-                    status.map_or_else(|e| e.to_string(), |s| s.to_string())
-                })
+            let statuses: Vec<String> = reap(&mut children, true)
+                .into_iter()
+                .map(|status| status.map_or_else(|e| e.to_string(), |s| s.to_string()))
                 .collect();
-            eprintln!("campaign: fabric serve failed: {e} (spawned workers: {statuses:?})");
+            eprintln!("hpcc: fabric serve failed: {e} (spawned workers: {statuses:?})");
             std::process::exit(if matches!(e, Abandoned { .. }) { 4 } else { 2 });
         }
     };
-    // Reap the spawned workers. A killed (or otherwise dead) worker must
-    // not fail the run — the merged report already proved the fabric rode
-    // out the loss.
-    for (w, child) in children.iter_mut().enumerate() {
-        match child.wait() {
+    // A killed (or otherwise dead) worker must not fail the run — the
+    // merged report already proved the fabric rode out the loss.
+    for (w, status) in reap(&mut children, false).into_iter().enumerate() {
+        match status {
             Ok(status) if status.success() => {}
-            Ok(status) => eprintln!("campaign: worker {w} exited with {status} (tolerated)"),
-            Err(e) => eprintln!("campaign: waiting for worker {w}: {e}"),
+            Ok(status) => eprintln!("hpcc: worker {w} exited with {status} (tolerated)"),
+            Err(e) => eprintln!("hpcc: waiting for worker {w}: {e}"),
         }
     }
     let mut merged = fab.report;
@@ -426,10 +333,25 @@ fn run_serve(args: &Args) {
     verify_and_write(&merged, &campaign, args);
 }
 
+/// Reap every worker `serve` spawned, how each ended in spawn order. Every
+/// exit of `serve` after a spawn passes here, so no worker outlives it.
+/// After a failed spawn or serve whatever still runs can deliver nothing
+/// more, so `kill` ends each one first; after a served campaign the workers
+/// were dismissed and exit on their own.
+fn reap(children: &mut [Child], kill: bool) -> Vec<std::io::Result<ExitStatus>> {
+    let reap_one = |child: &mut Child| {
+        if kill {
+            let _ = child.kill();
+        }
+        child.wait()
+    };
+    children.iter_mut().map(reap_one).collect()
+}
+
 /// `join ADDR`: join a coordinator, receive the campaign over the wire and
 /// execute leased scenarios until dismissed. All diagnostics go to stderr
 /// (results travel over the TCP connection, not stdout).
-fn run_join(args: &Args) {
+pub(crate) fn run_join(args: &Args) {
     let addr = operand(args, "ADDR");
     let mut cfg = fabric::WorkerConfig::default();
     if let Some(name) = args.value("--name") {
@@ -474,7 +396,7 @@ fn fluid_smoke_campaign() -> Campaign {
 }
 
 /// `dump fig11|fluid|fabric`: print a built-in campaign as a manifest.
-fn run_dump(args: &Args) {
+pub(crate) fn run_dump(args: &Args) {
     let kind = operand(args, "fig11|fluid|fabric");
     if kind != "fig11" && args.positional().len() > 1 {
         usage(format!("dump {kind} takes no [duration_ms] [load]"));
@@ -486,15 +408,4 @@ fn run_dump(args: &Args) {
         other => usage(format!("dump: unknown campaign {other:?}")),
     };
     print(format_args!("{}\n", campaign.to_json_string()));
-}
-
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let command = argv.first().map_or("", String::as_str);
-    let Some(c) = COMMANDS.iter().find(|c| c.name == command) else {
-        usage(format!("expected a subcommand, got {command:?}"));
-    };
-    let args =
-        Args::parse(&argv[1..], c.options, c.switches, c.positional.1).unwrap_or_else(|e| usage(e));
-    (c.run)(&args);
 }

@@ -1,17 +1,12 @@
-//! Regenerate the paper's tables and figures at laptop scale.
-//!
-//! ```text
-//! figures <name> [positionals…]     one runner of `hpcc_bench::figures`
-//! figures all                       every runner at its defaults
-//! ```
-//!
-//! Run without arguments for the names, their positionals and defaults
-//! (generated from [`FIGURES`]). An unknown name, a stray argument or a
-//! malformed one (`fig11 5x`) exits 2 with that usage text.
+//! `hpcc figures <name> [positionals…]` runs one runner of
+//! `hpcc_bench::figures` and prints its report; `hpcc figures all` runs
+//! every one at its defaults. The positionals scale the run; an unknown
+//! name, a stray argument or a malformed one (`fig11 5x`) is a usage error.
 
+use crate::usage;
 use hpcc_bench::cli::Args;
 use hpcc_bench::figures as f;
-use hpcc_bench::{die, parse_arg, print};
+use hpcc_bench::{parse_arg, print};
 
 /// One runner: its name, its positionals with their defaults (as the usage
 /// text shows them and as [`arg`] parses them), and the call that renders
@@ -27,7 +22,7 @@ const MS_15: (&str, &str) = ("duration_ms", "15");
 const LOAD: (&str, &str) = ("load", "0.3");
 
 /// In the order `figures all` prints them.
-const FIGURES: [Figure; 12] = [
+pub(crate) const FIGURES: [Figure; 12] = [
     ("tab_int_overhead", &[], |_| f::tab_int_overhead()),
     ("fluid_convergence", &[], |_| f::fluid_convergence()),
     ("fig01", &[MS_20], |v| f::fig01(arg(v, 0))),
@@ -53,18 +48,6 @@ const FIGURES: [Figure; 12] = [
     ("fig14", &[("duration_ms", "10")], |v| f::fig14(arg(v, 0))),
 ];
 
-/// Exit 2 with `msg` and the usage text (generated from [`FIGURES`]).
-fn usage(msg: impl AsRef<str>) -> ! {
-    let mut text = format!("{}\nusage:", msg.as_ref());
-    for (name, positional, _) in &FIGURES {
-        text += &format!("\n  figures {name}");
-        for (what, default) in *positional {
-            text += &format!(" [{what}={default}]");
-        }
-    }
-    die(text + "\n  figures all")
-}
-
 /// Positional `i` of a runner, parsed; `values` has every positional, given
 /// or defaulted.
 fn arg<T: std::str::FromStr>(values: &[String], i: usize) -> T {
@@ -85,17 +68,18 @@ fn print_figure((_, positional, run): &Figure, given: &[String]) {
     print(run(&values));
 }
 
-fn main() {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let Some((name, rest)) = argv.split_first() else {
+/// `figures NAME|all [positionals]`.
+pub(crate) fn run(args: &Args) {
+    let Some((name, given)) = args.positional().split_first() else {
         usage("missing figure name");
     };
     let fig = FIGURES.iter().find(|fig| fig.0 == name);
     if fig.is_none() && name != "all" {
         usage(format!("unknown figure {name:?}"));
     }
-    let args =
-        Args::parse(rest, &[], &[], fig.map_or(0, |fig| fig.1.len())).unwrap_or_else(|e| usage(e));
+    if let Some(stray) = given.get(fig.map_or(0, |fig| fig.1.len())) {
+        usage(format!("unexpected argument {stray:?}"));
+    }
     let Some(fig) = fig else {
         for fig in &FIGURES {
             print_figure(fig, &[]);
@@ -106,5 +90,5 @@ fn main() {
         }
         return;
     };
-    print_figure(fig, args.positional());
+    print_figure(fig, given);
 }

@@ -1,7 +1,7 @@
-//! The one argument parser of this crate's binaries: a (sub)command names
-//! the options that take a value, the switches, and how many positionals it
-//! accepts; anything else — an option that belongs to another subcommand, a
-//! typo, a stray argument — is a usage error, never ignored.
+//! The one argument parser of `hpcc`: a subcommand names the options that
+//! take a value, the switches, and how many positionals it accepts; anything
+//! else — an option that belongs to another subcommand, a typo, a stray
+//! argument — is a usage error, never ignored.
 
 use crate::die;
 use std::str::FromStr;

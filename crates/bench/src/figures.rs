@@ -1,5 +1,5 @@
 //! One runner per table / figure of the paper. Every runner returns the
-//! rendered report as a `String`; the `figures <name>` binary prints it.
+//! rendered report as a `String`; `hpcc figures <name>` prints it.
 //!
 //! Figures 2, 3, 10, 11 and 12 are campaigns: each declares its scenarios
 //! as one [`Campaign`], runs it once and renders the tables from the
@@ -9,10 +9,10 @@
 //! durations, queue traces, goodput bins) from [`hpcc_sim::SimOutput`],
 //! which a result row does not carry.
 //!
-//! The default scales are laptop-sized. `figures` with no arguments lists
+//! The default scales are laptop-sized. `hpcc` with no arguments lists
 //! every name with its default arguments; a last argument of 1 to
-//! `figures fig11` (`paper_scale`) runs Figure 11 on the paper's 320-host
-//! Clos (`FatTreeParams::paper()`).
+//! `hpcc figures fig11` (`paper_scale`) runs Figure 11 on the paper's
+//! 320-host Clos (`FatTreeParams::paper()`).
 
 use hpcc_cc::{HpccConfig, HpccReactionMode};
 use hpcc_core::presets::{

@@ -5,14 +5,15 @@
 //! * [`figures`] — one runner per table/figure of the paper's evaluation
 //!   (§2.3, §3.4, §5.2–§5.4). Each runner builds the corresponding scenario
 //!   from `hpcc-core` presets, runs it and renders the same rows/series the
-//!   paper plots. The `figures` binary (`figures <name> [args…]`,
-//!   `figures all`) prints a runner's report.
-//! * The `campaign` binary runs campaigns (built-in or JSON manifests)
-//!   in-process, over the elastic TCP fabric (`serve` / `join`) or as offline
-//!   `shard` + `merge` JSONL files; the `trace` binary exports workloads to
-//!   flow-trace files, freezes manifests into trace-replay artifacts and
-//!   inspects/verifies traces (see `hpcc_workload::trace`). All three parse
-//!   their command lines with [`cli::Args`].
+//!   paper plots; `hpcc figures <name> [args…]` (or `hpcc figures all`)
+//!   prints a runner's report.
+//! * The `hpcc` binary is the one program: it runs campaigns (built-in or
+//!   JSON manifests) in-process, over the elastic TCP fabric (`serve` /
+//!   `join`) or as offline `shard` + `merge` JSONL files, prints the
+//!   figures, exports workloads to flow-trace files and freezes manifests
+//!   into trace-replay artifacts (`trace`, see `hpcc_workload::trace`) and
+//!   inspects corpus topologies (`topo`). Every subcommand parses its
+//!   command line with [`cli::Args`].
 //! * Performance is measured by the stand-alone package in `benchmark/`,
 //!   not here.
 //!
@@ -24,20 +25,15 @@
 pub mod cli;
 pub mod figures;
 
-/// Print `<program>: <msg>` on stderr and exit 2 — the usage/runtime error
-/// exit of every binary here. (Always stderr: `campaign shard` keeps stdout
-/// pure JSONL.)
+/// Print `hpcc: <msg>` on stderr and exit 2 — the usage/runtime error exit
+/// of `hpcc`. (Always stderr: `hpcc shard` keeps stdout pure JSONL.)
 pub fn die(msg: impl AsRef<str>) -> ! {
-    let exe = std::env::args().next().unwrap_or_default();
-    let program = std::path::Path::new(&exe)
-        .file_name()
-        .map_or(exe.clone(), |n| n.to_string_lossy().into_owned());
-    eprintln!("{program}: {}", msg.as_ref());
+    eprintln!("hpcc: {}", msg.as_ref());
     std::process::exit(2);
 }
 
-/// Write `text` to stdout, the one way every binary here prints. A reader
-/// that has closed the pipe (`campaign … | head -2`) ends the printing, not
+/// Write `text` to stdout, the one way `hpcc` prints. A reader that has
+/// closed the pipe (`hpcc merge … | head -2`) ends the printing, not
 /// the command: the text is dropped, and the command still writes its files
 /// and exits with its own code. Any other write error is [`die`].
 pub fn print(text: impl std::fmt::Display) {
@@ -73,7 +69,7 @@ pub fn parse_arg<T: std::str::FromStr>(args: &[String], i: usize) -> Result<Opti
 
 /// Parse an optional CLI argument (`args[i]`) into `T`, falling back to a
 /// default when it is absent. A present but malformed argument exits 2:
-/// `campaign run 5x` must not silently run the default duration.
+/// `hpcc run 5x` must not silently run the default duration.
 pub fn arg_or<T: std::str::FromStr>(args: &[String], i: usize, default: T) -> T {
     match parse_arg(args, i) {
         Ok(value) => value.unwrap_or(default),

@@ -1,13 +1,12 @@
-//! The `campaign` binary's command-line contract, driven through the built
+//! The `hpcc` binary's command-line contract, driven through the built
 //! executable: which option belongs to which subcommand, that the removed
-//! flag spellings are gone, that the three execution routes (fabric,
+//! spellings and commands are gone, that the three execution routes (fabric,
 //! offline shard + merge, in-process) write the same bytes, that rows of
-//! another manifest are refused, and that an unbuildable or unfinishable
-//! campaign fails fast instead of stalling.
-//! The `figures` binary's (much smaller) contract and the pinned text of
-//! its campaign-rendered figures are the last two tests.
+//! another manifest are refused, that an unbuildable or unfinishable
+//! campaign fails fast instead of stalling, what the `trace` and `topo`
+//! subcommands write, and the pinned text of the figures.
 
-use hpcc_core::{timing, BackendSpec, Campaign};
+use hpcc_core::{timing, BackendSpec, Campaign, CampaignReport};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 use std::time::Duration;
@@ -20,14 +19,16 @@ const FABRIC_SMOKE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../manifests/fabric_smoke.json"
 );
+const FLUID_SMOKE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/../../manifests/fluid_smoke.json"
+);
 
-fn run(exe: &str, args: &[&str]) -> Output {
-    let out = Command::new(exe).args(args).output();
-    out.unwrap_or_else(|e| panic!("cannot run {exe}: {e}"))
-}
+const HPCC: &str = env!("CARGO_BIN_EXE_hpcc");
 
-fn campaign(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_campaign"), args)
+fn hpcc(args: &[&str]) -> Output {
+    let out = Command::new(HPCC).args(args).output();
+    out.unwrap_or_else(|e| panic!("cannot run {HPCC}: {e}"))
 }
 
 fn stderr(out: &Output) -> String {
@@ -43,8 +44,8 @@ fn scratch(test: &str) -> PathBuf {
 
 #[test]
 fn every_option_is_accepted_exactly_where_documented() {
-    // Each option with a well-formed value (the switch has none).
-    let options: [(&str, &[&str]); 9] = [
+    // Each option with a well-formed value (the switches have none).
+    let options: [(&str, &[&str]); 12] = [
         ("--manifest", &["/nonexistent/m.json"]),
         ("--report", &["/nonexistent/r.json"]),
         ("--verify-serial", &[]),
@@ -54,12 +55,15 @@ fn every_option_is_accepted_exactly_where_documented() {
         ("--checkpoint", &["/nonexistent/c.jsonl"]),
         ("--name", &["w"]),
         ("--lease-timeout-ms", &["1000"]),
+        ("--index", &["1"]),
+        ("--out", &["/nonexistent/o"]),
+        ("--jsonl", &[]),
     ];
     // Each subcommand with a base invocation that gets past argument
-    // parsing and then ends at once (unreadable manifest, refused
+    // parsing and then ends at once (unreadable manifest or file, refused
     // connection, or a manifest printed), and the options it documents.
     let missing = ["--manifest", "/nonexistent/m.json"];
-    let subcommands: [(&[&str], &[&str], &[&str]); 7] = [
+    let subcommands: [(&[&str], &[&str], &[&str]); 13] = [
         (
             &["run"],
             &missing,
@@ -90,6 +94,16 @@ fn every_option_is_accepted_exactly_where_documented() {
             &["--manifest", "--tolerance", "--report"],
         ),
         (&["dump", "fabric"], &[], &[]),
+        (&["figures", "tab_int_overhead"], &[], &[]),
+        (
+            &["trace", "export"],
+            &missing,
+            &["--manifest", "--index", "--out", "--jsonl"],
+        ),
+        (&["trace", "freeze"], &missing, &["--manifest", "--out"]),
+        (&["trace", "info", "/nonexistent/t.csv"], &[], &[]),
+        (&["topo", "info", "/nonexistent/t.edges"], &[], &[]),
+        (&["topo", "convert", "/nonexistent/t.edges"], &[], &[]),
     ];
     for (base, tail, accepted) in subcommands {
         for (option, value) in options {
@@ -97,7 +111,7 @@ fn every_option_is_accepted_exactly_where_documented() {
             args.push(option);
             args.extend(value);
             args.extend(tail);
-            let out = campaign(&args);
+            let out = hpcc(&args);
             let err = stderr(&out);
             if accepted.contains(&option) {
                 assert!(!err.contains("usage:"), "{args:?} must parse: {err}");
@@ -114,8 +128,8 @@ fn every_option_is_accepted_exactly_where_documented() {
 
 #[test]
 fn dump_reproduces_the_committed_preset_manifests() {
-    // `manifests/{fluid,fabric}_smoke.json` say "regenerate with `campaign
-    // dump`"; the encoder must still write exactly those bytes.
+    // `manifests/{fluid,fabric}_smoke.json` are regenerated with `hpcc
+    // dump`; the encoder must still write exactly those bytes.
     // (`fault_smoke.json` is held to its preset in `crates/core/tests/faults.rs`.)
     for (preset, committed) in [
         ("fluid", include_str!("../../../manifests/fluid_smoke.json")),
@@ -124,10 +138,95 @@ fn dump_reproduces_the_committed_preset_manifests() {
             include_str!("../../../manifests/fabric_smoke.json"),
         ),
     ] {
-        let out = campaign(&["dump", preset]);
+        let out = hpcc(&["dump", preset]);
         assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
         assert_eq!(String::from_utf8_lossy(&out.stdout), committed, "{preset}");
     }
+}
+
+/// `topo convert` writes the canonical edge list, which converts to itself
+/// (the committed corpus files carry comments, so they are not canonical
+/// text themselves), and `topo info` lists every link of the file.
+#[test]
+fn topo_convert_is_a_fixed_point_and_info_lists_every_link() {
+    let dir = scratch("topo");
+    for name in ["abilene", "dragonfly_9", "jellyfish_12", "rocketfuel_pop"] {
+        let committed = format!("{}/../../corpus/{name}.edges", env!("CARGO_MANIFEST_DIR"));
+        let canonical = dir.join(format!("{name}.edges"));
+        let canonical = canonical.to_str().unwrap();
+        let out = hpcc(&["topo", "convert", &committed, canonical]);
+        assert!(out.status.success(), "{name}: {}", stderr(&out));
+        let again = hpcc(&["topo", "convert", canonical]);
+        assert!(again.status.success(), "{name}: {}", stderr(&again));
+        assert_eq!(again.stdout, std::fs::read(canonical).unwrap(), "{name}");
+
+        let text = std::fs::read_to_string(&committed).unwrap();
+        let links = text.lines().filter(|l| l.starts_with("link ")).count();
+        let info = hpcc(&["topo", "info", &committed]);
+        assert!(info.status.success(), "{name}: {}", stderr(&info));
+        let printed = String::from_utf8_lossy(&info.stdout);
+        let rows = printed.lines().filter(|l| l.starts_with("  link ")).count();
+        assert!(
+            printed.contains(&format!("\n  links   {links}\n")),
+            "{printed}"
+        );
+        assert_eq!(rows, links, "{printed}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `trace export` writes one line per flow of the scenario, in either
+/// format, to `--out` or stdout; `trace info` counts them back; and `trace
+/// freeze` writes a manifest that runs to the digests of the one it froze.
+#[test]
+fn trace_export_info_and_freeze_agree_with_the_manifest() {
+    let dir = scratch("trace");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let manifest = std::fs::read_to_string(FABRIC_SMOKE).unwrap();
+    let campaign = Campaign::from_json_str(&manifest).unwrap();
+    let flows = campaign.scenarios()[0].try_build().unwrap().flows().len();
+    for (file, format) in [("flows.csv", None), ("flows.jsonl", Some("--jsonl"))] {
+        let export = ["trace", "export", "--manifest", FABRIC_SMOKE];
+        let to_stdout = hpcc(&[&export[..], format.as_slice()].concat());
+        assert!(to_stdout.status.success(), "{}", stderr(&to_stdout));
+        let to_file = hpcc(&[&export[..], &["--out", &path(file)], format.as_slice()].concat());
+        assert!(to_file.status.success(), "{}", stderr(&to_file));
+        assert_eq!(
+            to_stdout.stdout,
+            std::fs::read(path(file)).unwrap(),
+            "{file}"
+        );
+        let info = hpcc(&["trace", "info", &path(file)]);
+        let printed = String::from_utf8_lossy(&info.stdout);
+        assert!(
+            printed.contains(&format!(": {flows} records, ")),
+            "{printed}"
+        );
+    }
+
+    let frozen = path("frozen.json");
+    let out = hpcc(&[
+        "trace",
+        "freeze",
+        "--manifest",
+        QUEUEING_SMOKE,
+        "--out",
+        &frozen,
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert_ne!(
+        std::fs::read(&frozen).unwrap(),
+        std::fs::read(QUEUEING_SMOKE).unwrap()
+    );
+    let digests = |manifest: &str| {
+        let report = path("report.json");
+        let out = hpcc(&["run", "--manifest", manifest, "--report", &report]);
+        assert!(out.status.success(), "{manifest}: {}", stderr(&out));
+        let text = std::fs::read_to_string(&report).unwrap();
+        CampaignReport::from_json_str(&text).unwrap().digests()
+    };
+    assert_eq!(digests(&frozen), digests(QUEUEING_SMOKE));
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -147,24 +246,27 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
         "--chaos-kill-at",
         "--heartbeat-ms",
     ];
+    // Neither a mode of its own any more, nor an option of a subcommand.
+    let mut rejected: Vec<Vec<&str>> = Vec::new();
     for spelling in removed {
-        // Neither a mode of its own any more, nor an option of a subcommand.
-        for args in [vec![spelling, "2"], vec!["run", spelling, "2"]] {
-            let out = campaign(&args);
-            let err = stderr(&out);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-            assert!(err.contains("usage:"), "{args:?}: {err}");
-        }
+        rejected.push(vec![spelling, "2"]);
+        rejected.push(vec!["run", spelling, "2"]);
     }
-    // No subcommand, a typo in a positional, a value out of range, a stray
-    // positional, a missing operand, a removed fabric option, a lease
-    // timeout that healthy workers' 200 ms heartbeats cannot meet: all exit
-    // 2, none runs a default.
-    let malformed: [&[&str]; 10] = [
+    // No subcommand, a removed one or an old program's name, a typo in a
+    // positional, a stray positional, a missing operand or option, a
+    // removed fabric option, a lease timeout that healthy workers' 200 ms
+    // heartbeats cannot meet: none runs a default.
+    let malformed: [&[&str]; 16] = [
         &[],
         &["5", "0.3"],
-        &["run", "5x", "0.3"],
-        &["validate", "--tolerance", "-1"],
+        &["campaign", "run"],
+        &["trace", "roundtrip", "--manifest", QUEUEING_SMOKE],
+        &["trace"],
+        &["trace", "export"],
+        &["trace", "info"],
+        &["trace", "info", "a.csv", "b.csv"],
+        &["topo", "info"],
+        &["topo", "convert", "a.edges", "b.edges", "c.edges"],
         &["join", "127.0.0.1:1", "extra"],
         &["serve", "--spawn-workers", "2"],
         &["serve", "127.0.0.1:0", "--chaos-kill-at", "0.5"],
@@ -179,18 +281,40 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
         ],
         &["serve", "127.0.0.1:0", "--lease-timeout-ms", "200"],
     ];
-    for args in malformed {
-        let out = campaign(args);
-        assert_eq!(out.status.code(), Some(2), "{args:?}: {}", stderr(&out));
+    rejected.extend(malformed.map(<[&str]>::to_vec));
+    // Each exits 2 with the one usage text (figure names included) and
+    // prints nothing on stdout.
+    for args in rejected {
+        let out = hpcc(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains("usage:") && err.contains("\n      fig11 "),
+            "{args:?}: {err}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
     }
-    let err = stderr(&campaign(&[
+    let err = stderr(&hpcc(&[
         "serve",
         "127.0.0.1:0",
         "--lease-timeout-ms",
         "200",
     ]));
-    assert!(err.contains("heartbeat") && err.contains("usage:"), "{err}");
-    assert!(stderr(&campaign(&["run", "5x", "0.3"])).contains("\"5x\""));
+    assert!(err.contains("heartbeat"), "{err}");
+    // A malformed value exits 2 naming it.
+    let bad_values: [(&[&str], &str); 2] = [
+        (&["run", "5x", "0.3"], "\"5x\""),
+        (&["validate", "--tolerance", "-1"], "\"-1\""),
+    ];
+    for (args, named) in bad_values {
+        let out = hpcc(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(
+            err.contains(named) && out.stdout.is_empty(),
+            "{args:?}: {err}"
+        );
+    }
 }
 
 #[test]
@@ -198,7 +322,7 @@ fn fabric_offline_and_in_process_routes_write_identical_reports() {
     let dir = scratch("routes");
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
     let ok = |args: &[&str]| {
-        let out = campaign(args);
+        let out = hpcc(args);
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
         out
     };
@@ -251,7 +375,7 @@ fn fabric_offline_and_in_process_routes_write_identical_reports() {
 #[test]
 fn run_uses_one_thread_per_core_and_at_least_two() {
     // The built-in six-scheme campaign at 1 ms.
-    let out = campaign(&["run", "1", "0.3"]);
+    let out = hpcc(&["run", "1", "0.3"]);
     assert!(out.status.success(), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     // "campaign: <n> scenarios (<cores> available cores)"
@@ -296,7 +420,7 @@ fn an_unbuildable_scenario_fails_fast_naming_its_index() {
         let mut args = route.to_vec();
         args.extend(["--manifest", bad]);
         let started = timing::now();
-        let out = campaign(&args);
+        let out = hpcc(&args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(started.elapsed() < Duration::from_secs(5), "{args:?} slow");
@@ -321,7 +445,7 @@ fn an_unknown_scheme_label_exits_2_naming_the_scenario() {
         manifest.replacen("\"label\":\"HPCC\"", "\"label\":\"HPCCX\"", 1),
     )
     .unwrap();
-    let out = campaign(&["run", "--manifest", bad.to_str().unwrap()]);
+    let out = hpcc(&["run", "--manifest", bad.to_str().unwrap()]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(
@@ -355,7 +479,7 @@ fn kill_next_spawned(lines: &mut impl Iterator<Item = std::io::Result<String>>) 
 #[test]
 fn serve_rides_out_a_killed_worker() {
     use std::io::{BufRead, BufReader};
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_campaign"))
+    let mut serve = Command::new(HPCC)
         .args([
             "serve",
             "127.0.0.1:0",
@@ -367,7 +491,7 @@ fn serve_rides_out_a_killed_worker() {
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("cannot run the campaign binary");
+        .expect("cannot run hpcc");
     let mut lines = BufReader::new(serve.stderr.take().unwrap()).lines();
     kill_next_spawned(&mut lines);
     let rest: Vec<String> = lines.map(Result::unwrap).collect();
@@ -390,13 +514,13 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
     use std::io::{BufRead, BufReader};
     // A built-in campaign long enough (6 × 300 ms of simulated Clos traffic)
     // that no scenario finishes before the workers are killed.
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_campaign"))
+    let mut serve = Command::new(HPCC)
         .args(["serve", "127.0.0.1:0", "--spawn-workers", "2"])
         .args(["--lease-timeout-ms", "300", "300", "0.5"])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("cannot run the campaign binary");
+        .expect("cannot run hpcc");
     let mut lines = BufReader::new(serve.stderr.take().unwrap()).lines();
     kill_next_spawned(&mut lines);
     kill_next_spawned(&mut lines);
@@ -416,13 +540,13 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
 /// starts (exit 4), naming how many results it had.
 #[test]
 fn serve_with_no_worker_gives_up_after_one_lease_timeout() {
-    let mut serve = Command::new(env!("CARGO_BIN_EXE_campaign"))
+    let mut serve = Command::new(HPCC)
         .args(["serve", "127.0.0.1:0", "--lease-timeout-ms", "300"])
         .args(["--manifest", FABRIC_SMOKE])
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("cannot run the campaign binary");
+        .expect("cannot run hpcc");
     let started = timing::now();
     let status = loop {
         if let Some(status) = serve.try_wait().unwrap() {
@@ -443,12 +567,13 @@ fn serve_with_no_worker_gives_up_after_one_lease_timeout() {
 /// Rows written for one manifest are refused against another whose
 /// scenario at some index has a different name — by `merge --manifest` and
 /// by a `serve` replaying them as its checkpoint (exit 2 both; the spawned
-/// worker does not outlive `serve`).
+/// worker does not outlive `serve`). Against a longer manifest, `merge`
+/// names the first foreign row rather than counting the rows missing.
 #[test]
 fn rows_of_another_manifest_are_refused() {
     let dir = scratch("foreign");
     let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    let out = campaign(&["shard", "0/1", "--manifest", QUEUEING_SMOKE]);
+    let out = hpcc(&["shard", "0/1", "--manifest", QUEUEING_SMOKE]);
     assert!(out.status.success(), "{}", stderr(&out));
     std::fs::write(path("rows.jsonl"), out.stdout).unwrap();
     let text = std::fs::read_to_string(QUEUEING_SMOKE).unwrap();
@@ -456,13 +581,13 @@ fn rows_of_another_manifest_are_refused() {
     let name = std::mem::replace(&mut specs[3].name, "renamed".to_string());
     let other = Campaign::from_scenarios(specs).to_json_string();
     std::fs::write(path("other.json"), other).unwrap();
-    let merged = campaign(&[
+    let merged = hpcc(&[
         "merge",
         &path("rows.jsonl"),
         "--manifest",
         &path("other.json"),
     ]);
-    let served = campaign(&[
+    let served = hpcc(&[
         "serve",
         "127.0.0.1:0",
         "--spawn-workers",
@@ -478,6 +603,10 @@ fn rows_of_another_manifest_are_refused() {
         let named = format!("row 3 is {name:?}");
         assert!(err.contains(&named) && err.contains("\"renamed\""), "{err}");
     }
+    let longer = hpcc(&["merge", &path("rows.jsonl"), "--manifest", FLUID_SMOKE]);
+    let err = stderr(&longer);
+    assert_eq!(longer.status.code(), Some(2), "{err}");
+    assert!(err.contains("result row 0 is "), "{err}");
     let err = stderr(&served);
     let spawned = err.lines().find(|l| l.contains("spawned worker"));
     let pid = spawned_pid(spawned.unwrap_or_else(|| panic!("no spawn line in {err}")));
@@ -490,18 +619,18 @@ fn rows_of_another_manifest_are_refused() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A reader that stops reading (`campaign merge … | head -2`) ends the
+/// A reader that stops reading (`hpcc merge … | head -2`) ends the
 /// printing, not the command: no panic, and `--report` is still written.
 #[test]
 fn a_closed_stdout_ends_the_printing_not_the_command() {
     use std::io::Write;
     let dir = scratch("closed-stdout");
-    let shard = campaign(&["shard", "0/1", "--manifest", QUEUEING_SMOKE]);
+    let shard = hpcc(&["shard", "0/1", "--manifest", QUEUEING_SMOKE]);
     assert!(shard.status.success(), "{}", stderr(&shard));
     let report = dir.join("r.json");
     // The merge reads its shard from stdin, so it can print nothing before
     // the read end of its stdout is gone.
-    let mut merge = Command::new(env!("CARGO_BIN_EXE_campaign"))
+    let mut merge = Command::new(HPCC)
         .args([
             "merge",
             "/dev/stdin",
@@ -514,7 +643,7 @@ fn a_closed_stdout_ends_the_printing_not_the_command() {
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
-        .expect("cannot run the campaign binary");
+        .expect("cannot run hpcc");
     drop(merge.stdout.take());
     let mut stdin = merge.stdin.take().unwrap();
     stdin.write_all(&shard.stdout).unwrap();
@@ -530,33 +659,32 @@ fn a_closed_stdout_ends_the_printing_not_the_command() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-fn figures(args: &[&str]) -> Output {
-    run(env!("CARGO_BIN_EXE_figures"), args)
-}
-
 #[test]
 fn figures_runs_the_named_runner_and_rejects_anything_else() {
-    for args in [&["fig06", "1"][..], &["tab_int_overhead"]] {
-        let out = figures(args);
+    for args in [
+        &["figures", "fig06", "1"][..],
+        &["figures", "tab_int_overhead"],
+    ] {
+        let out = hpcc(args);
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
         assert!(!out.stdout.is_empty(), "{args:?} printed nothing");
     }
     // An unknown name, a malformed or stray positional, an option: exit 2
     // with the generated usage, nothing on stdout.
     let rejected: [&[&str]; 6] = [
-        &[],
-        &["nope"],
-        &["fig06", "x"],
-        &["fig06", "1", "2"],
-        &["all", "1"],
-        &["fig06", "--report", "r.json"],
+        &["figures"],
+        &["figures", "nope"],
+        &["figures", "fig06", "x"],
+        &["figures", "fig06", "1", "2"],
+        &["figures", "all", "1"],
+        &["figures", "fig06", "--report", "r.json"],
     ];
     for args in rejected {
-        let out = figures(args);
+        let out = hpcc(args);
         let err = stderr(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
         assert!(
-            err.contains("usage:") && err.contains("figures fig11"),
+            err.contains("usage:") && err.contains("\n      fig11 "),
             "{args:?}: {err}"
         );
         assert!(out.stdout.is_empty(), "{args:?}");
@@ -605,9 +733,12 @@ fn figures_print_their_recorded_text() {
         (&["fig14", "1"], include_str!("fixtures/fig14_1.txt")),
     ];
     for (args, expected) in golden {
-        let out = figures(args);
+        let out = hpcc(&[&["figures"], args].concat());
         assert!(out.status.success(), "{args:?}: {}", stderr(&out));
         let printed = String::from_utf8(out.stdout).expect("figure text is UTF-8");
         assert_eq!(mask(&printed), mask(expected), "{args:?}");
     }
+    let out = hpcc(&["figures", "tab_int_overhead"]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    assert!(String::from_utf8_lossy(&out.stdout).contains("INT header overhead"));
 }

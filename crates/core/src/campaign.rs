@@ -18,7 +18,7 @@
 //! result as a JSONL line (see [`crate::wire`]) in index order as soon as it
 //! and the shard's earlier ones complete; a coordinator merges
 //! the shard streams back into one report with
-//! [`crate::wire::merge_shard_streams`]. The `campaign` binary in
+//! [`crate::wire::merge_shard_streams`]. The `hpcc` binary in
 //! `hpcc-bench` exposes this offline pair as its `shard i/N` and `merge`
 //! subcommands; live multi-process runs go through [`crate::fabric`]
 //! (`serve` / `join`).
@@ -260,7 +260,7 @@ impl ShardPlan {
         ShardPlan { shard, of }
     }
 
-    /// Parse the `i/N` notation of the `campaign shard` subcommand
+    /// Parse the `i/N` notation of the `hpcc shard` subcommand
     /// (0-based: `"0/2"` and `"1/2"` are the two shards of a 2-way split).
     pub fn parse(text: &str) -> Result<Self, String> {
         let (shard, of) = text

@@ -1906,7 +1906,7 @@ mod tests {
         // Each row is a decodable manifest that used to abort the process
         // (panic) or never return (a period of zero); `try_build` now answers
         // each with an error naming the member. Nothing here is built from
-        // Rust values: the text is what a coordinator or `campaign run
+        // Rust values: the text is what a coordinator or `hpcc run
         // --manifest` would be handed.
         const BASE: &str = r#"{"name":"total","topology":{"kind":"Star","hosts":4,"host_bw_bps":25000000000,"link_delay_ps":1000000},"cc":{"kind":"Label","label":"HPCC"},"workloads":[{"kind":"Incast","fan_in":3,"flow_size":500000,"capacity_fraction":0.02,"first_flow_id":10000000},{"kind":"Poisson","cdf":{"fixed":1000},"load":0.3,"first_flow_id":0}],"duration_ps":100000000,"seed":1,"flow_control":"PFC","trace":{"queue_sample_interval_ps":5000000,"bottleneck_host":0,"trace_interval_ps":1000000,"goodput_bin_ps":50000000}}"#;
         const STAR: &str =

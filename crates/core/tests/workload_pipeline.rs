@@ -68,7 +68,7 @@ fn mixed_campaign_manifest_round_trips_and_shards_merge_bit_identically() {
     let back = Campaign::from_json_str(&manifest).unwrap();
     assert_eq!(back, campaign);
 
-    // Two shard streams, exactly as `campaign shard 0/2` and `shard 1/2`
+    // Two shard streams, exactly as `hpcc shard 0/2` and `shard 1/2`
     // write them, must merge into a report bit-identical to the serial
     // reference.
     let serial = campaign.run_serial();

@@ -27,8 +27,8 @@
 //! Parsing produces a [`CorpusTopology`] — the named graph — which builds
 //! into a routed [`TopologySpec`] via [`CorpusTopology::build`] and re-emits
 //! canonically via [`CorpusTopology::to_edge_list`]; parse → emit → parse is
-//! an identity (the round-trip is covered by tests and by the `topo` bin's
-//! `convert` subcommand).
+//! an identity (the round-trip is covered by tests and by `hpcc topo
+//! convert`).
 
 use crate::spec::{NodeKind, TopologyBuilder, TopologySpec};
 use hpcc_types::{Bandwidth, Duration};

@@ -2,7 +2,7 @@
 //! subprocesses run one `ShardPlan` shard each with `run_shard_streaming`,
 //! writing `ScenarioResult`s as JSONL files; `merge_shard_streams` must fold
 //! them into a report bit-identical — per-scenario FNV digests *and*
-//! canonical report JSON — to a serial run. This is what the `campaign`
+//! canonical report JSON — to a serial run. This is what the `hpcc`
 //! binary's `shard i/N` and `merge` subcommands wrap (the binary's own
 //! routes are driven in `crates/bench/tests/campaign_cli.rs`).
 //!
