@@ -1,4 +1,4 @@
-//! `hpcc run|serve|join|shard|merge|validate|dump`: the campaign runner.
+//! `hpcc run|serve|join|shard|merge|dump`: the campaign runner.
 //! (Performance is measured in `benchmark/`, not here.)
 //!
 //! The campaign is `--manifest F` (a JSON array of ScenarioSpec objects, see
@@ -29,9 +29,6 @@
 //!   into one report. Give it `--expect N` or `--manifest` (whose length is
 //!   used, and whose names and schemes the rows must carry) so a file
 //!   truncated at its tail, or written for another manifest, cannot pass.
-//! * `validate` — run the validation grid (or a manifest) on the packet and
-//!   the fluid backend, print the divergence table (`hpcc_core::validate`),
-//!   exit 3 when the worst divergence exceeds `--tolerance`.
 //! * `dump` — print the Figure 11 set or a committed `manifests/*_smoke.json`.
 //!
 //! `--verify-serial` also runs the campaign serially and exits 2 unless
@@ -43,15 +40,10 @@ use crate::{operand, usage};
 use hpcc_bench::cli::Args;
 use hpcc_bench::{arg_or, die, load_manifest, print};
 use hpcc_core::fabric::{self, FabricError::Abandoned};
-use hpcc_core::presets::{
-    corpus_sweep, fabric_smoke_campaign, fig11_campaign, validation_grid, CORPUS_FILES,
-};
-use hpcc_core::{
-    timing, wire, BackendSpec, Campaign, CampaignReport, CcSpec, ScenarioSpec, ShardPlan,
-    ValidationReport,
-};
+use hpcc_core::presets::{fabric_smoke_campaign, fig11_campaign};
+use hpcc_core::{timing, wire, Campaign, CampaignReport, ShardPlan};
 use hpcc_topology::FatTreeParams;
-use hpcc_types::{Bandwidth, Duration};
+use hpcc_types::Duration;
 use std::process::{Child, Command, ExitStatus, Stdio};
 
 /// The campaign this invocation describes: the `--manifest` file, or the
@@ -132,43 +124,6 @@ pub(crate) fn run_in_process(args: &Args) {
     let report = campaign.run_with_threads(cores.max(2));
     print(format_args!("{}\n", report.table()));
     verify_and_write(&report, &campaign, args);
-}
-
-/// `validate`: run the grid (a `--manifest`, else the built-in validation
-/// grid at `[duration_ms]`, seed 42; the 2 ms default keeps the gate fast)
-/// on both backends, print the divergence table, write the canonical
-/// report, and gate on the worst divergence (exit 3 — distinct from usage
-/// errors — when exceeded).
-pub(crate) fn run_validate(args: &Args) {
-    let tolerance = args
-        .parsed("--tolerance", |x: &f64| x.is_finite() && *x > 0.0)
-        .unwrap_or(0.75);
-    let specs: Vec<ScenarioSpec> = if args.value("--manifest").is_some() {
-        load_campaign(args, 0).scenarios().to_vec()
-    } else {
-        validation_grid(Duration::from_ms(arg_or(args.positional(), 0, 2u64)), 42)
-    };
-    let report = ValidationReport::run(&specs).unwrap_or_else(|e| die(format!("{e}")));
-    print(format_args!(
-        "== cross-validation: packet vs fluid, {} scenarios ==\n{}\n\
-         canonical report digest: {:016x}\n",
-        report.rows.len(),
-        report.table(),
-        report.digest()
-    ));
-    write_report(args, report.to_json_string());
-    let slow = report.max_slowdown_divergence();
-    let util = report.max_utilization_divergence();
-    if slow > tolerance || util > tolerance {
-        eprintln!(
-            "hpcc: cross-validation divergence above tolerance {tolerance}: \
-             slowdown {slow:.3} (relative), utilization {util:.4} (absolute)"
-        );
-        std::process::exit(3);
-    }
-    print(format_args!(
-        "cross-validation: OK (tolerance {tolerance})\n"
-    ));
 }
 
 /// `shard i/N`: run one round-robin shard, streaming JSONL on stdout.
@@ -369,41 +324,14 @@ pub(crate) fn run_join(args: &Args) {
     );
 }
 
-/// The fluid smoke campaign committed as `manifests/fluid_smoke.json`: the
-/// validation grid on the fluid backend, plus the corpus sweep on both
-/// backends (one manifest sweeping the "backend" key end to end). Corpus
-/// paths are repo-relative — run it from the repo root.
-fn fluid_smoke_campaign() -> Campaign {
-    let mut specs: Vec<ScenarioSpec> = validation_grid(Duration::from_ms(2), 42)
-        .into_iter()
-        .map(|s| s.with_backend(BackendSpec::Fluid))
-        .collect();
-    let corpus = corpus_sweep(
-        &CORPUS_FILES,
-        CcSpec::by_label("HPCC"),
-        Bandwidth::from_gbps(25),
-        0.3,
-        Duration::from_us(500),
-        42,
-    );
-    for spec in corpus.scenarios() {
-        specs.push(spec.clone());
-        let mut fluid = spec.clone().with_backend(BackendSpec::Fluid);
-        fluid.name = format!("{} (fluid)", spec.name);
-        specs.push(fluid);
-    }
-    Campaign::from_scenarios(specs)
-}
-
-/// `dump fig11|fluid|fabric`: print a built-in campaign as a manifest.
+/// `dump fig11|fabric`: print a built-in campaign as a manifest.
 pub(crate) fn run_dump(args: &Args) {
-    let kind = operand(args, "fig11|fluid|fabric");
+    let kind = operand(args, "fig11|fabric");
     if kind != "fig11" && args.positional().len() > 1 {
         usage(format!("dump {kind} takes no [duration_ms] [load]"));
     }
     let campaign = match kind {
         "fig11" => load_campaign(args, 1),
-        "fluid" => fluid_smoke_campaign(),
         "fabric" => fabric_smoke_campaign(),
         other => usage(format!("dump: unknown campaign {other:?}")),
     };

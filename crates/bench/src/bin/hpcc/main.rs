@@ -1,5 +1,5 @@
 //! `hpcc`, the one command-line program of the reproduction: campaigns
-//! (`run`, `serve`, `join`, `shard`, `merge`, `validate`, `dump`), the
+//! (`run`, `serve`, `join`, `shard`, `merge`, `dump`), the
 //! paper's figures (`figures <name>|all`), flow traces (`trace
 //! export|freeze|info`) and corpus topologies (`topo info|convert`). Run it
 //! without arguments for the usage text, generated from [`COMMANDS`] (and,
@@ -7,8 +7,8 @@
 //!
 //! Each subcommand accepts only the options and positionals its row lists.
 //! Exit codes: 0 success; 2 a usage or runtime error (the message on
-//! stderr, after `hpcc:`); 3 a `validate` divergence above tolerance; 4 a
-//! `serve` abandoned with no worker alive; 101 only for a bug.
+//! stderr, after `hpcc:`); 4 a `serve` abandoned with no worker alive; 101
+//! only for a bug.
 
 mod campaign;
 mod figures;
@@ -30,7 +30,7 @@ struct Subcommand {
     switches: &'static [&'static str],
 }
 
-const COMMANDS: [Subcommand; 13] = [
+const COMMANDS: [Subcommand; 12] = [
     Subcommand {
         name: "run",
         run: campaign::run_in_process,
@@ -73,16 +73,9 @@ const COMMANDS: [Subcommand; 13] = [
         switches: &[],
     },
     Subcommand {
-        name: "validate",
-        run: campaign::run_validate,
-        positional: ("[duration_ms]", 1),
-        options: &["--manifest", "--tolerance", "--report"],
-        switches: &[],
-    },
-    Subcommand {
         name: "dump",
         run: campaign::run_dump,
-        positional: ("fig11|fluid|fabric [duration_ms] [load]", 3),
+        positional: ("fig11|fabric [duration_ms] [load]", 3),
         options: &[],
         switches: &[],
     },

@@ -21,7 +21,7 @@ use hpcc_core::presets::{
 };
 use hpcc_core::report;
 use hpcc_core::{Campaign, CcSpec};
-use hpcc_sim::{fluid::FluidNetwork, EcnConfig, FlowControlMode};
+use hpcc_sim::{EcnConfig, FlowControlMode, FluidNetwork};
 use hpcc_stats::pfc::suppressed_bandwidth_fraction;
 use hpcc_stats::series::{goodput_series_gbps, jain_fairness_index, steady_state_gbps};
 use hpcc_topology::FatTreeParams;

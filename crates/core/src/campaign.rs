@@ -33,10 +33,10 @@ use crate::codec::{Path, Wire};
 use crate::experiment::ExperimentResults;
 use crate::json::{JsonError, JsonValue};
 use crate::report::truncate;
-use crate::scenario::{CdfSpec, ScenarioSpec, WorkloadSpec};
+use crate::scenario::{ScenarioSpec, SlowdownBuckets};
 use crate::timing;
 use hpcc_sim::SimOutput;
-use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, SizeBucketStats};
+use hpcc_stats::fct::{fb_hadoop_buckets, websearch_buckets, FctBucket, SizeBucketStats};
 use hpcc_stats::pfc::PfcSummary;
 use hpcc_stats::Percentiles;
 use std::collections::BTreeMap;
@@ -73,8 +73,7 @@ impl Campaign {
         self.scenarios.push(spec);
     }
 
-    /// The scenarios, in execution-report order (e.g. to feed a manifest
-    /// into the cross-validation harness, [`crate::ValidationReport::run`]).
+    /// The scenarios, in execution-report order.
     pub fn scenarios(&self) -> &[ScenarioSpec] {
         &self.scenarios
     }
@@ -485,12 +484,10 @@ impl<R> Drop for PanicFlag<'_, '_, R> {
 
 fn run_one(spec: &ScenarioSpec) -> ScenarioResult {
     let started = timing::now();
-    let results = spec.build().run();
+    let experiment = spec.build();
+    let buckets = bucket_table(experiment.slowdown_buckets());
+    let results = experiment.run();
     let wall = started.elapsed();
-    let buckets = match bucket_choice(spec) {
-        BucketChoice::FbHadoop => fb_hadoop_buckets(),
-        BucketChoice::WebSearch => websearch_buckets(),
-    };
     // Multi-class extensions: recorded only when the run actually carried
     // priorities or data classes, so legacy results (and their canonical
     // JSON) are byte-identical to the single-class era.
@@ -539,29 +536,16 @@ fn run_one(spec: &ScenarioSpec) -> ScenarioResult {
     }
 }
 
-enum BucketChoice {
-    WebSearch,
-    FbHadoop,
-}
-
-/// Pick the slowdown bucket set that matches the scenario's background
-/// trace (FB_Hadoop buckets for FB_Hadoop traffic, WebSearch buckets
-/// otherwise — the paper's figure convention).
+/// The bucket table of a resolved bucket set.
 ///
 /// The wire format decodes buckets against these same tables (`impl Fields
 /// for FctBucket` in `wire.rs`): adding a bucket set here requires extending
 /// that lookup, or merges of distributed runs will reject the new labels.
-fn bucket_choice(spec: &ScenarioSpec) -> BucketChoice {
-    for w in &spec.workloads {
-        if let WorkloadSpec::Poisson {
-            cdf: CdfSpec::FbHadoop,
-            ..
-        } = w
-        {
-            return BucketChoice::FbHadoop;
-        }
+fn bucket_table(set: SlowdownBuckets) -> Vec<FctBucket> {
+    match set {
+        SlowdownBuckets::FbHadoop => fb_hadoop_buckets(),
+        SlowdownBuckets::WebSearch => websearch_buckets(),
     }
-    BucketChoice::WebSearch
 }
 
 /// Everything measured for one scenario of a campaign.

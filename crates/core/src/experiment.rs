@@ -6,7 +6,7 @@
 //! RTT, every index in range for the topology — hold by construction
 //! instead of by caller discipline.
 
-use hpcc_sim::{backend_for, BackendKind, CompiledScenario, SimConfig, SimOutput};
+use hpcc_sim::{backend_for, BackendKind, CompiledScenario, SimConfig, SimOutput, SlowdownBuckets};
 use hpcc_stats::fct::{FlowFct, SizeBucketStats};
 use hpcc_stats::pfc::{pause_burst_spread, PfcSummary};
 use hpcc_stats::queue::queue_percentile;
@@ -49,6 +49,7 @@ pub struct Experiment {
     pub(crate) scenario: CompiledScenario,
     pub(crate) host_bw: Bandwidth,
     pub(crate) backend: BackendKind,
+    pub(crate) slowdown_buckets: SlowdownBuckets,
 }
 
 impl Experiment {
@@ -75,6 +76,12 @@ impl Experiment {
     /// Host NIC rate (used for ideal-FCT computation).
     pub fn host_bw(&self) -> Bandwidth {
         self.host_bw
+    }
+
+    /// The flow-size buckets the campaign reports slowdowns in, resolved
+    /// from the spec's `trace.slowdown_buckets` or its workloads.
+    pub fn slowdown_buckets(&self) -> SlowdownBuckets {
+        self.slowdown_buckets
     }
 
     /// Run the simulation and wrap the raw output with analysis helpers.

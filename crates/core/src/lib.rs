@@ -25,10 +25,7 @@
 //! * [`Experiment`] / [`ExperimentResults`] — run and analyse one resolved
 //!   simulation,
 //! * [`presets`] — ready-made scenario builders for every figure in the
-//!   paper's evaluation (§5.2–§5.4),
-//! * [`validate`] — the cross-validation harness: run a scenario grid on
-//!   both backends and report per-scenario FCT/utilization divergence with
-//!   a digest-pinned canonical report.
+//!   paper's evaluation (§5.2–§5.4).
 
 pub mod campaign;
 pub mod codec;
@@ -39,7 +36,6 @@ pub mod presets;
 pub mod report;
 pub mod scenario;
 pub mod timing;
-pub mod validate;
 pub mod wire;
 
 pub use campaign::{Campaign, CampaignReport, FaultSummary, ScenarioResult, ShardPlan};
@@ -50,7 +46,6 @@ pub use fabric::{
 pub use presets::SCHEME_SET_FIG11;
 pub use scenario::{
     BackendSpec, BuildError, CcSpec, CdfSpec, FaultSpec, FlowDecl, MeasurementSpec, QueueingSpec,
-    ScenarioSpec, SchedulerSpec, TopologyChoice, WorkloadSpec,
+    ScenarioSpec, SchedulerSpec, SlowdownBuckets, TopologyChoice, WorkloadSpec,
 };
-pub use validate::{ValidationReport, ValidationRow};
 pub use wire::ResultLedger;

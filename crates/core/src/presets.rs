@@ -637,59 +637,8 @@ pub fn testbed_with_cdf(
         .with_workload(WorkloadSpec::poisson(cdf, load))
 }
 
-/// The four schemes the fluid backend models with distinct steady states —
-/// the overlap grid cross-validation runs on.
+/// The four schemes the fluid backend models with distinct steady states.
 pub const SCHEME_SET_FLUID: [&str; 4] = ["DCQCN", "TIMELY", "DCTCP", "HPCC"];
-
-/// The cross-validation grid: two small topologies (an 8-host star under
-/// WebSearch and a 2×2 leaf-spine under FB_Hadoop) crossed with the four
-/// fluid-supported schemes, all at 30% load with queue sampling on. Small
-/// enough that the packet engine answers each cell in seconds, varied
-/// enough that the fluid model's steady-state assumptions are actually
-/// stressed (single bottleneck vs. multi-path fabric, mice-heavy vs.
-/// elephant-heavy size mix).
-///
-/// Feed the scenarios to [`crate::ValidationReport::run`], or run them as a
-/// plain [`Campaign`] on either backend.
-pub fn validation_grid(end: Duration, seed: u64) -> Vec<ScenarioSpec> {
-    let host_bw = Bandwidth::from_gbps(25);
-    let leaf_spine = TopologyChoice::LeafSpine {
-        leaves: 2,
-        spines: 2,
-        hosts_per_leaf: 4,
-        host_bw,
-        fabric_bw: Bandwidth::from_gbps(100),
-        link_delay: Duration::from_us(1),
-    };
-    let mut specs = Vec::new();
-    for label in SCHEME_SET_FLUID {
-        specs.push(
-            ScenarioSpec::new(
-                format!("vgrid star {label}"),
-                TopologyChoice::star(8, host_bw),
-                CcSpec::by_label(label),
-                end,
-            )
-            .with_seed(seed)
-            .with_queue_sampling(Duration::from_us(5))
-            .with_workload(WorkloadSpec::poisson(CdfSpec::WebSearch, 0.3)),
-        );
-    }
-    for label in SCHEME_SET_FLUID {
-        specs.push(
-            ScenarioSpec::new(
-                format!("vgrid leafspine {label}"),
-                leaf_spine.clone(),
-                CcSpec::by_label(label),
-                end,
-            )
-            .with_seed(seed)
-            .with_queue_sampling(Duration::from_us(5))
-            .with_workload(WorkloadSpec::poisson(CdfSpec::FbHadoop, 0.3)),
-        );
-    }
-    specs
-}
 
 /// The curated corpus topologies committed under `corpus/` at the repo
 /// root, as repo-relative paths. Resolve them against the repo root (or

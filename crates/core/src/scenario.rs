@@ -679,6 +679,30 @@ pub use hpcc_sim::FaultConfig as FaultSpec;
 /// to the engine as it is.
 pub use hpcc_sim::MeasurementSpec;
 
+/// The flow-size buckets a scenario's slowdowns are reported in (the
+/// `"trace"` object's `"slowdown_buckets"` member).
+pub use hpcc_sim::SlowdownBuckets;
+
+/// The buckets `workloads` imply when a scenario names none: FB_Hadoop's
+/// when a Poisson workload draws FB_Hadoop sizes, WebSearch's otherwise (the
+/// paper's figure convention).
+fn implied_buckets(workloads: &[WorkloadSpec]) -> SlowdownBuckets {
+    let fb_hadoop = workloads.iter().any(|w| {
+        matches!(
+            w,
+            WorkloadSpec::Poisson {
+                cdf: CdfSpec::FbHadoop,
+                ..
+            }
+        )
+    });
+    if fb_hadoop {
+        SlowdownBuckets::FbHadoop
+    } else {
+        SlowdownBuckets::WebSearch
+    }
+}
+
 /// A complete, declarative, serializable description of one simulation.
 ///
 /// See the [module docs](self) for the design rationale. Construct with
@@ -907,6 +931,13 @@ impl ScenarioSpec {
                 ));
             }
         }
+        let implied = implied_buckets(&self.workloads);
+        if self.trace.slowdown_buckets == Some(implied) {
+            return Err(BuildError(format!(
+                "trace.slowdown_buckets: the workloads imply {:?} already (omit the member)",
+                implied.label()
+            )));
+        }
         if let (Some(index), None) = (self.trace.bottleneck_host, self.trace.traced_port(&topo)) {
             return Err(BuildError(format!(
                 "trace.bottleneck_host: no egress from the first switch to host {index} \
@@ -926,6 +957,7 @@ impl ScenarioSpec {
             scenario: CompiledScenario { topo, cfg, flows },
             host_bw,
             backend: self.backend,
+            slowdown_buckets: self.trace.slowdown_buckets.unwrap_or(implied),
         })
     }
 
@@ -961,7 +993,9 @@ impl ScenarioSpec {
     /// generators assign flow ids sequentially from their `first_flow_id`,
     /// which is exactly how replay re-assigns them), so its campaign digests
     /// equal the original's — but it no longer depends on the generator
-    /// code: it is a self-contained, shippable reproduction artifact.
+    /// code: it is a self-contained, shippable reproduction artifact. Its
+    /// slowdowns are reported in the original's buckets: the frozen spec
+    /// names them when its trace workloads would imply another set.
     pub fn freeze(&self) -> Result<ScenarioSpec, BuildError> {
         let topo = self.topology.try_build()?;
         let mut frozen = self.clone();
@@ -979,6 +1013,12 @@ impl ScenarioSpec {
                 first_flow_id,
             };
         }
+        let buckets = self
+            .trace
+            .slowdown_buckets
+            .unwrap_or_else(|| implied_buckets(&self.workloads));
+        frozen.trace.slowdown_buckets =
+            (buckets != implied_buckets(&frozen.workloads)).then_some(buckets);
         Ok(frozen)
     }
 
@@ -1358,7 +1398,16 @@ wire_struct!(MeasurementSpec {
     bottleneck_host: "bottleneck_host" = None,
     trace_interval: "trace_interval_ps" = None,
     goodput_bin: "goodput_bin_ps" = None,
+    slowdown_buckets: "slowdown_buckets" = None,
 });
+
+wire_labels!(
+    SlowdownBuckets,
+    SlowdownBuckets::label {
+        WebSearch,
+        FbHadoop
+    }
+);
 
 #[cfg(test)]
 mod tests {
@@ -1373,7 +1422,7 @@ mod tests {
 
     /// The source of [`EVERY_MEMBER`].
     fn every_member() -> Vec<ScenarioSpec> {
-        vec![
+        let mut specs = vec![
             ScenarioSpec::new(
                 "fig11 HPCC",
                 TopologyChoice::FatTree(FatTreeParams::small()),
@@ -1544,7 +1593,9 @@ mod tests {
                 }),
                 Duration::from_ms(1),
             ),
-        ]
+        ];
+        specs[1].trace.slowdown_buckets = Some(SlowdownBuckets::FbHadoop);
+        specs
     }
 
     /// The first scenario of [`every_member`]: a buildable Figure 11 run.
@@ -1947,6 +1998,11 @@ mod tests {
                 r#""goodput_bin_ps":50000000"#,
                 r#""goodput_bin_ps":0"#,
                 "trace.goodput_bin_ps",
+            ),
+            (
+                r#""goodput_bin_ps":50000000"#,
+                r#""goodput_bin_ps":50000000,"slowdown_buckets":"WebSearch""#,
+                r#"trace.slowdown_buckets: the workloads imply "WebSearch" already"#,
             ),
             (
                 r#""flow_size":500000"#,

@@ -3,8 +3,8 @@
 //! Simulation results must never depend on the host clock: clippy.toml
 //! disallows `Instant::now` and `SystemTime::now` in every workspace target,
 //! and this module's [`now`] is the one read outside a test that carries an
-//! exception. Two kinds of caller go through it. The campaign runner, the
-//! cross-validation harness and the `hpcc` binary time their runs, and
+//! exception. Two kinds of caller go through it. The campaign runner and
+//! the `hpcc` binary time their runs, and
 //! those times stay outside every canonical byte (`wall_ns` is excluded from
 //! digests and from `CampaignReport::to_json`). The campaign fabric's lease
 //! timeouts and heartbeat deadlines are liveness, real-time by definition,

@@ -648,9 +648,9 @@ pub fn write_frame<W: std::io::Write>(w: &mut W, msg: &FabricMsg) -> std::io::Re
 }
 
 /// Largest payload [`read_frame`] accepts. The length header comes from the
-/// peer and sizes an allocation, so it is bounded before anything is
-/// reserved; 256 MiB holds a manifest frame of ~700 k scenarios at the
-/// sweep generator's 380 bytes each.
+/// peer, so it is bounded before any body byte is read; 256 MiB holds a
+/// manifest frame of ~700 k scenarios at the sweep generator's 380 bytes
+/// each.
 pub const MAX_FRAME_BYTES: usize = 256 << 20;
 
 /// The longest header [`read_frame`] reads: [`MAX_FRAME_BYTES`]'s digits, `\n`.
@@ -671,8 +671,16 @@ pub fn read_frame<R: std::io::BufRead>(r: &mut R) -> std::io::Result<Option<Fabr
         .and_then(|digits| digits.parse().ok())
         .filter(|len: &usize| *len <= MAX_FRAME_BYTES)
         .ok_or_else(|| bad_frame(format!("malformed frame header {}", header.trim())))?;
-    let mut payload = vec![0u8; len + 1];
-    r.read_exact(&mut payload)?;
+    // The buffer grows with the bytes that arrive, not with the header's
+    // word: a peer that announces 256 MiB and sends 1 KiB costs 1 KiB.
+    let mut payload = Vec::with_capacity((len + 1).min(64 << 10));
+    r.take(len as u64 + 1).read_to_end(&mut payload)?;
+    if payload.len() <= len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            format!("frame body ends after {} of {len} bytes", payload.len()),
+        ));
+    }
     if payload.pop() != Some(b'\n') {
         return Err(bad_frame("frame payload is not newline-terminated"));
     }
@@ -945,7 +953,7 @@ mod tests {
 
     #[test]
     fn every_producible_bucket_survives_the_wire() {
-        // `bucket_choice` in campaign.rs can only emit these two tables;
+        // `bucket_table` in campaign.rs can only emit these two tables;
         // whoever adds a third set there must extend `FctBucket`'s decoder (and
         // this test) or distributed merges break while local runs pass.
         for bucket in websearch_buckets().into_iter().chain(fb_hadoop_buckets()) {
@@ -1091,6 +1099,15 @@ mod tests {
             let mut reader = std::io::BufReader::new(broken.as_bytes());
             assert!(read_frame(&mut reader).is_err(), "{broken}");
         }
+    }
+
+    #[test]
+    fn a_body_shorter_than_its_header_is_refused() {
+        let mut frame = format!("{MAX_FRAME_BYTES}\n").into_bytes();
+        frame.extend([b' '; 1 << 10]);
+        let err = read_frame(&mut frame.as_slice()).err().expect("a cut body");
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof, "{err}");
+        assert!(err.to_string().contains("after 1024 of"), "{err}");
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Backend-boundary integration tests: `BackendSpec` wire behaviour, the
-//! typed errors for fluid-incompatible features, the cross-validation
-//! divergence bounds, and the corpus topology sweep.
+//! typed errors for fluid-incompatible features, the fluid backend's pinned
+//! digests, and the corpus topology sweep.
 //!
-//! The pinned validation digest below follows the same platform contract as
+//! The pinned fluid digests below follow the same platform contract as
 //! `golden_digests.rs`: recorded on x86_64 Linux (the CI platform); if
 //! another platform ever disagrees, record its digest in a `cfg`-gated
 //! table rather than weakening the test.
 
-use hpcc_core::presets::{corpus_sweep, validation_grid, CORPUS_FILES};
+use hpcc_core::presets::{corpus_sweep, CORPUS_FILES, SCHEME_SET_FLUID};
 use hpcc_core::{
-    BackendSpec, CcSpec, FaultSpec, QueueingSpec, ScenarioSpec, TopologyChoice, ValidationReport,
+    BackendSpec, Campaign, CcSpec, CdfSpec, FaultSpec, QueueingSpec, ScenarioSpec, TopologyChoice,
     WorkloadSpec,
 };
 use hpcc_sim::StragglerHost;
@@ -23,7 +23,7 @@ fn base_spec() -> ScenarioSpec {
         Duration::from_ms(1),
     )
     .with_seed(7)
-    .with_workload(WorkloadSpec::poisson(hpcc_core::CdfSpec::WebSearch, 0.3))
+    .with_workload(WorkloadSpec::poisson(CdfSpec::WebSearch, 0.3))
 }
 
 #[test]
@@ -114,40 +114,44 @@ fn fluid_backend_rejects_multiclass_queueing_with_a_typed_error() {
     assert!(spec.with_backend(BackendSpec::Packet).try_build().is_ok());
 }
 
-/// FNV-1a digest of the canonical cross-validation report on the 1 ms
-/// validation grid, seed 42 (x86_64 Linux).
-const VALIDATION_DIGEST: u64 = 13218648086296776333;
+/// Output digests of the four fluid-modelled schemes on a 2×2 leaf-spine
+/// under FB_Hadoop at 30 % load for 1 ms, seed 42 (x86_64 Linux).
+const FLUID_DIGESTS: [u64; 4] = [
+    1867730118847427082,
+    10419042902486125046,
+    2820099017571122218,
+    10957450903369966052,
+];
 
 #[test]
-fn validation_grid_divergence_is_bounded_and_digest_pinned() {
-    let specs = validation_grid(Duration::from_ms(1), 42);
-    assert_eq!(specs.len(), 8, "2 topologies x 4 fluid-supported schemes");
-    let report = ValidationReport::run(&specs).expect("grid builds on both backends");
-    assert_eq!(report.rows.len(), specs.len());
-    for row in &report.rows {
-        assert!(
-            row.packet_completed > 0 && row.fluid_completed > 0,
-            "{}: both backends must finish flows",
-            row.name
-        );
-        assert_ne!(
-            row.packet_digest, row.fluid_digest,
-            "{}: the fluid output is a model, not a replay",
-            row.name
-        );
-    }
-    let slow = report.max_slowdown_divergence();
-    let util = report.max_utilization_divergence();
-    assert!(slow.is_finite() && slow < 0.5, "slowdown divergence {slow}");
-    assert!(util < 0.1, "utilization divergence {util}");
-    // Determinism: a second run reproduces the canonical report bit for bit.
-    let again = ValidationReport::run(&specs).expect("grid builds again");
-    assert_eq!(report.to_json_string(), again.to_json_string());
-    assert_eq!(
-        report.digest(),
-        VALIDATION_DIGEST,
-        "canonical report drifted"
+fn fluid_campaign_digests_are_pinned() {
+    let leaf_spine = TopologyChoice::LeafSpine {
+        leaves: 2,
+        spines: 2,
+        hosts_per_leaf: 4,
+        host_bw: Bandwidth::from_gbps(25),
+        fabric_bw: Bandwidth::from_gbps(100),
+        link_delay: Duration::from_us(1),
+    };
+    let campaign = Campaign::from_scenarios(
+        SCHEME_SET_FLUID
+            .map(|label| {
+                ScenarioSpec::new(
+                    label,
+                    leaf_spine.clone(),
+                    CcSpec::by_label(label),
+                    Duration::from_ms(1),
+                )
+                .with_seed(42)
+                .with_queue_sampling(Duration::from_us(5))
+                .with_workload(WorkloadSpec::poisson(CdfSpec::FbHadoop, 0.3))
+                .with_backend(BackendSpec::Fluid)
+            })
+            .to_vec(),
     );
+    let report = campaign.run();
+    assert!(report.results.iter().all(|r| r.flows_completed > 0));
+    assert_eq!(report.digests(), FLUID_DIGESTS, "fluid output drifted");
 }
 
 /// Corpus paths are committed repo-relative; tests run from `crates/core`.

@@ -112,6 +112,34 @@ fn frozen_traces_reproduce_generated_campaign_digests() {
     assert_eq!(a.digests(), b.digests());
 }
 
+/// Freezing a committed manifest changes its workloads, not its report: the
+/// frozen campaign writes the original's bytes, slowdown buckets included.
+#[test]
+fn every_committed_manifest_reports_like_its_frozen_form() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../manifests");
+    let mut manifests: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().path())
+        .collect();
+    manifests.sort();
+    assert!(manifests.len() >= 3, "{manifests:?}");
+    for path in manifests {
+        let text = std::fs::read_to_string(&path).unwrap();
+        let original = Campaign::from_json_str(&text).unwrap();
+        let frozen: Vec<ScenarioSpec> = original
+            .scenarios()
+            .iter()
+            .map(|spec| spec.freeze().unwrap())
+            .collect();
+        assert_eq!(
+            Campaign::from_scenarios(frozen).run().to_json_string(),
+            original.run().to_json_string(),
+            "{}",
+            path.display()
+        );
+    }
+}
+
 #[test]
 fn trace_files_on_disk_replay_to_the_same_digest_as_inline_records() {
     // Export a synthetic workload to a CSV file, then declare a

@@ -50,7 +50,7 @@ pub enum BackendKind {
     /// The packet-level event-wheel engine (the default, and the reference).
     #[default]
     Packet,
-    /// The Appendix A.2 fluid-model fast path.
+    /// The flow-level fluid model ([`crate::FluidBackend`]; not validated).
     Fluid,
     /// Inert: the parallel partitioned packet engine was removed (it produced
     /// the digest [`Packet`](BackendKind::Packet) produces, at 0.46–1.09× its

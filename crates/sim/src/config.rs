@@ -291,6 +291,28 @@ pub struct MeasurementSpec {
     /// If set, per-flow goodput is accumulated into bins of this width
     /// (Figures 9a–9d, 13a, 14a).
     pub goodput_bin: Option<Duration>,
+    /// The flow-size buckets slowdowns are reported in. `None` ⇒ the set the
+    /// scenario's workloads imply; the engine does not read it.
+    pub slowdown_buckets: Option<SlowdownBuckets>,
+}
+
+/// A flow-size bucket set of the paper's slowdown figures.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum SlowdownBuckets {
+    /// The WebSearch buckets of Figures 2, 3 and 10.
+    WebSearch,
+    /// The FB_Hadoop buckets of Figures 11 and 12.
+    FbHadoop,
+}
+
+impl SlowdownBuckets {
+    /// The wire label, the name of the workload CDF the set was drawn for.
+    pub fn label(self) -> &'static str {
+        match self {
+            SlowdownBuckets::WebSearch => "WebSearch",
+            SlowdownBuckets::FbHadoop => "FB_Hadoop",
+        }
+    }
 }
 
 impl MeasurementSpec {

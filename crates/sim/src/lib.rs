@@ -21,6 +21,7 @@
 //! flows, call [`Simulator::run`], and read the raw measurement records from
 //! the returned [`SimOutput`].
 
+pub mod appendix_a;
 pub mod backend;
 pub mod config;
 pub mod engine;
@@ -34,14 +35,16 @@ mod sched;
 mod simulator;
 mod switch;
 
+pub use appendix_a::{ai_equilibrium_rate, ai_equilibrium_utilization, FluidNetwork};
 pub use backend::{
     backend_for, Backend, BackendKind, CompiledScenario, PacketBackend, PARALLEL_PACKET_REMOVED,
 };
 pub use config::{
     EcnConfig, FlowControlMode, MeasurementSpec, QueueingConfig, SchedulerSpec, SimConfig,
+    SlowdownBuckets,
 };
 pub use engine::Event;
 pub use fault::{DegradedLink, FaultConfig, FaultTimeline, LinkDownMode, LinkFault, StragglerHost};
-pub use fluid::{ai_equilibrium_rate, ai_equilibrium_utilization, FluidBackend, FluidNetwork};
+pub use fluid::FluidBackend;
 pub use output::{FlowRecord, PortKey, SimOutput};
 pub use simulator::Simulator;

@@ -31,11 +31,6 @@ impl Bandwidth {
     pub const fn from_gbps(gbps: u64) -> Self {
         Bandwidth(gbps * 1_000_000_000)
     }
-    /// Construct from a floating-point number of gigabits per second.
-    #[inline]
-    pub fn from_gbps_f64(gbps: f64) -> Self {
-        Bandwidth((gbps * 1e9).round().max(0.0) as u64)
-    }
 
     /// Bits per second.
     #[inline]
