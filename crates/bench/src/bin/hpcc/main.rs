@@ -92,7 +92,7 @@ const COMMANDS: [Subcommand; 12] = [
         run: trace::run_export,
         positional: ("", 0),
         options: &["--manifest", "--index", "--out"],
-        switches: &["--jsonl"],
+        switches: &[],
     },
     Subcommand {
         name: "trace freeze",

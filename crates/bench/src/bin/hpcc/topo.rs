@@ -1,9 +1,9 @@
 //! `hpcc topo`: inspect and convert corpus topologies.
 //!
-//! `info FILE` parses a corpus file (edge list or the GraphML subset — the
-//! format is sniffed, see `hpcc_topology::corpus`) and prints a structural
-//! summary: node/link counts, rack grouping, aggregate host bandwidth and
-//! the suggested base RTT. `convert FILE [OUT]` parses the same way and
+//! `info FILE` parses a corpus file (an edge list, checked as
+//! `hpcc_topology::corpus` describes) and prints a structural summary:
+//! node/link counts, rack grouping, aggregate host bandwidth and the
+//! suggested base RTT. `convert FILE [OUT]` parses the same way and
 //! emits the canonical edge list — the fixed-point format whose round-trip
 //! the tests pin — to stdout or to `OUT`. Link indices printed by `info`
 //! are exactly the indices `FaultSpec` link faults reference.

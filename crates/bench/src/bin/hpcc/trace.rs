@@ -2,10 +2,10 @@
 //! manifests into trace-replay artifacts, inspect traces.
 //!
 //! * `export` — build scenario `--index` of the `--manifest` (default 0)
-//!   and write every generated flow as one trace line
-//!   (`start_ns,src,dst,bytes[,prio]` CSV by default, JSONL with `--jsonl`)
-//!   to `--out` or stdout. The exported file replays deterministically: it
-//!   is the reproducible artifact of the run.
+//!   and write every generated flow as one CSV trace line
+//!   (`start_ns,src,dst,bytes[,prio]`) to `--out` or stdout. The exported
+//!   file replays deterministically: it is the reproducible artifact of the
+//!   run.
 //! * `freeze` — rewrite a whole manifest with every generated workload
 //!   (Poisson, incast) replaced by its inline trace records. The frozen
 //!   manifest produces bit-identical campaign digests but no longer depends
@@ -43,12 +43,7 @@ pub(crate) fn run_export(args: &Args) {
         .unwrap_or_else(|e| die(format!("building {:?}: {e}", spec.name)));
     let trace = Trace::from_flows(exp.flows(), exp.topology().hosts())
         .unwrap_or_else(|e| die(format!("exporting {:?}: {e}", spec.name)));
-    let text = if args.has("--jsonl") {
-        trace.to_jsonl()
-    } else {
-        trace.to_csv()
-    };
-    write_or_print(args.value("--out"), &text, |path| {
+    write_or_print(args.value("--out"), &trace.to_csv(), |path| {
         let flows = trace.records.len();
         format!(
             "exported {flows} flows of scenario {index} ({:?}) to {path}",

@@ -41,7 +41,7 @@ fn scratch(test: &str) -> PathBuf {
 #[test]
 fn every_option_is_accepted_exactly_where_documented() {
     // Each option with a well-formed value (the switches have none).
-    let options: [(&str, &[&str]); 11] = [
+    let options: [(&str, &[&str]); 10] = [
         ("--manifest", &["/nonexistent/m.json"]),
         ("--report", &["/nonexistent/r.json"]),
         ("--verify-serial", &[]),
@@ -52,7 +52,6 @@ fn every_option_is_accepted_exactly_where_documented() {
         ("--lease-timeout-ms", &["1000"]),
         ("--index", &["1"]),
         ("--out", &["/nonexistent/o"]),
-        ("--jsonl", &[]),
     ];
     // Each subcommand with a base invocation that gets past argument
     // parsing and then ends at once (unreadable manifest or file, refused
@@ -88,7 +87,7 @@ fn every_option_is_accepted_exactly_where_documented() {
         (
             &["trace", "export"],
             &missing,
-            &["--manifest", "--index", "--out", "--jsonl"],
+            &["--manifest", "--index", "--out"],
         ),
         (&["trace", "freeze"], &missing, &["--manifest", "--out"]),
         (&["trace", "info", "/nonexistent/t.csv"], &[], &[]),
@@ -160,10 +159,57 @@ fn topo_convert_is_a_fixed_point_and_info_lists_every_link() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `trace export` writes one line per flow of the scenario, in either
-/// format, to `--out` or stdout; `trace info` counts them back; and `trace
-/// freeze` writes a manifest that runs to the report of the one it froze,
-/// byte for byte.
+/// A corpus host with two links or none is refused where the file is read:
+/// `topo info`, `topo convert`, `run` and `shard` exit 2 naming the host and
+/// its `node` line, and nothing panics.
+#[test]
+fn a_corpus_host_without_exactly_one_link_exits_2() {
+    let dir = scratch("host-links");
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    for (name, text, wanted) in [
+        (
+            "two.edges",
+            "node h0 host\nnode h1 host\nnode s0 switch\nnode s1 switch\n\
+             link h0 s0 25Gbps 1us\nlink h0 s1 25Gbps 1us\n\
+             link h1 s0 25Gbps 1us\nlink s0 s1 25Gbps 1us\n",
+            r#"line 1: host "h0" has 2 links"#,
+        ),
+        (
+            "none.edges",
+            "node h0 host\nnode h1 host\nnode h2 host\nnode s0 switch\n\
+             link h0 s0 25Gbps 1us\nlink h1 s0 25Gbps 1us\n",
+            r#"line 3: host "h2" has 0 links"#,
+        ),
+    ] {
+        let edges = path(name);
+        std::fs::write(&edges, text).unwrap();
+        let manifest = path(&format!("{name}.json"));
+        std::fs::write(
+            &manifest,
+            format!(
+                r#"[{{"name":"{name}","topology":{{"kind":"Corpus","path":{edges:?},"host_bw_bps":25000000000}},"cc":{{"kind":"Label","label":"HPCC"}},"workloads":[{{"kind":"Poisson","cdf":"FB_Hadoop","load":0.3,"first_flow_id":0}}],"duration_ps":100000000,"seed":1,"flow_control":"PFC","trace":{{"queue_sample_interval_ps":5000000}}}}]"#
+            ),
+        )
+        .unwrap();
+        for args in [
+            &["topo", "info", &edges][..],
+            &["topo", "convert", &edges],
+            &["run", "--manifest", &manifest],
+            &["shard", "0/1", "--manifest", &manifest],
+        ] {
+            let out = hpcc(args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+            assert!(err.contains(wanted), "{args:?}: {err}");
+            assert!(!err.contains("panicked"), "{args:?}: {err}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `trace export` writes one CSV line per flow of the scenario, to `--out`
+/// or stdout; `trace info` counts them back; and `trace freeze` writes a
+/// manifest that runs to the report of the one it froze, byte for byte.
 #[test]
 fn trace_export_info_and_freeze_agree_with_the_manifest() {
     let dir = scratch("trace");
@@ -171,24 +217,19 @@ fn trace_export_info_and_freeze_agree_with_the_manifest() {
     let manifest = std::fs::read_to_string(FABRIC_SMOKE).unwrap();
     let campaign = Campaign::from_json_str(&manifest).unwrap();
     let flows = campaign.scenarios()[0].try_build().unwrap().flows().len();
-    for (file, format) in [("flows.csv", None), ("flows.jsonl", Some("--jsonl"))] {
-        let export = ["trace", "export", "--manifest", FABRIC_SMOKE];
-        let to_stdout = hpcc(&[&export[..], format.as_slice()].concat());
-        assert!(to_stdout.status.success(), "{}", stderr(&to_stdout));
-        let to_file = hpcc(&[&export[..], &["--out", &path(file)], format.as_slice()].concat());
-        assert!(to_file.status.success(), "{}", stderr(&to_file));
-        assert_eq!(
-            to_stdout.stdout,
-            std::fs::read(path(file)).unwrap(),
-            "{file}"
-        );
-        let info = hpcc(&["trace", "info", &path(file)]);
-        let printed = String::from_utf8_lossy(&info.stdout);
-        assert!(
-            printed.contains(&format!(": {flows} records, ")),
-            "{printed}"
-        );
-    }
+    let export = ["trace", "export", "--manifest", FABRIC_SMOKE];
+    let to_stdout = hpcc(&export);
+    assert!(to_stdout.status.success(), "{}", stderr(&to_stdout));
+    let file = path("flows.csv");
+    let to_file = hpcc(&[&export[..], &["--out", &file]].concat());
+    assert!(to_file.status.success(), "{}", stderr(&to_file));
+    assert_eq!(to_stdout.stdout, std::fs::read(&file).unwrap());
+    let info = hpcc(&["trace", "info", &file]);
+    let printed = String::from_utf8_lossy(&info.stdout);
+    assert!(
+        printed.contains(&format!(": {flows} records, ")),
+        "{printed}"
+    );
 
     let frozen = path("frozen.json");
     let out = hpcc(&[
@@ -244,7 +285,7 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
     // positional, a stray positional, a missing operand or option, a
     // removed fabric option, a lease timeout that healthy workers' 200 ms
     // heartbeats cannot meet: none runs a default.
-    let malformed: [&[&str]; 19] = [
+    let malformed: [&[&str]; 20] = [
         &[],
         &["5", "0.3"],
         &["campaign", "run"],
@@ -252,6 +293,7 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
         &["validate", "--tolerance", "0.5"],
         &["dump", "fluid"],
         &["trace", "roundtrip", "--manifest", QUEUEING_SMOKE],
+        &["trace", "export", "--manifest", FABRIC_SMOKE, "--jsonl"],
         &["trace"],
         &["trace", "export"],
         &["trace", "info"],

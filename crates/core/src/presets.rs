@@ -605,7 +605,7 @@ pub fn priority_mix(
 }
 
 /// A trace-replay scenario: drive `topology` with the flows recorded in a
-/// CSV/JSONL trace file (see `hpcc_workload::trace` for the formats). The
+/// CSV trace file (see `hpcc_workload::trace` for the format). The
 /// replay is deterministic, so two runs of the same file are bit-identical.
 pub fn trace_replay(
     name: impl Into<String>,
@@ -653,7 +653,7 @@ pub const CORPUS_FILES: [&str; 4] = [
 
 /// One scenario shape swept across a set of corpus topology files (see
 /// `corpus/` at the repo root and [`hpcc_topology::corpus`] for the
-/// formats): the same scheme, load and seed on every imported graph, so the
+/// format): the same scheme, load and seed on every imported graph, so the
 /// only variable is the topology itself. `host_bw` is the reference NIC
 /// rate declared for slowdown computation on heterogeneous graphs.
 pub fn corpus_sweep(

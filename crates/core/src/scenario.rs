@@ -110,8 +110,8 @@ pub enum TopologyChoice {
     },
     /// The three-tier Clos fabric of §5.1 ("FatTree" in the paper).
     FatTree(FatTreeParams),
-    /// A topology imported from a corpus file (edge-list or GraphML subset,
-    /// see [`hpcc_topology::corpus`]). `host_bw` declares the NIC rate used
+    /// A topology imported from a corpus edge-list file (see
+    /// [`hpcc_topology::corpus`]). `host_bw` declares the NIC rate used
     /// for ideal-FCT computation — corpus files may be heterogeneous, so the
     /// spec author states the reference rate explicitly.
     Corpus {
@@ -532,8 +532,8 @@ impl WorkloadSpec {
         }
     }
 
-    /// Replay a trace file (CSV or JSONL; see [`hpcc_workload::trace`] for
-    /// the formats) with the conventional id range (from 0).
+    /// Replay a CSV trace file (see [`hpcc_workload::trace`] for the
+    /// format) with the conventional id range (from 0).
     pub fn trace_file(path: impl Into<String>) -> Self {
         WorkloadSpec::Trace {
             trace: TraceSpec::Path(path.into()),
@@ -1968,10 +1968,30 @@ mod tests {
         let edges =
             std::env::temp_dir().join(format!("hpcc_switchless_{}.edges", std::process::id()));
         std::fs::write(&edges, "node a host\nnode b host\nlink a b 25Gbps 1us\n").unwrap();
-        let switchless = format!(
-            r#"{{"kind":"Corpus","path":{:?},"host_bw_bps":25000000000}}"#,
-            edges.to_str().unwrap()
-        );
+        let corpus = |path: &std::path::Path| {
+            format!(
+                r#"{{"kind":"Corpus","path":{:?},"host_bw_bps":25000000000}}"#,
+                path.to_str().unwrap()
+            )
+        };
+        let switchless = corpus(&edges);
+        // A corpus host on two links, and one on none: the host model has
+        // one NIC, so the file is refused instead of the simulator panicking.
+        let dual = edges.with_extension("dual.edges");
+        std::fs::write(
+            &dual,
+            "node s switch\nnode t switch\nnode a host\nnode b host\n\
+             link a s 25Gbps 1us\nlink a t 25Gbps 1us\nlink b s 25Gbps 1us\n",
+        )
+        .unwrap();
+        let unplugged = edges.with_extension("unplugged.edges");
+        std::fs::write(
+            &unplugged,
+            "node s switch\nnode a host\nnode b host\nnode c host\n\
+             link a s 25Gbps 1us\nlink b s 25Gbps 1us\n",
+        )
+        .unwrap();
+        let (dual_host, unplugged_host) = (corpus(&dual), corpus(&unplugged));
         for (member, hostile, names) in [
             (
                 r#""label":"HPCC""#,
@@ -1984,6 +2004,16 @@ mod tests {
                 "trace.bottleneck_host",
             ),
             (STAR, switchless.as_str(), "trace.bottleneck_host"),
+            (
+                STAR,
+                dual_host.as_str(),
+                r#"line 3: host "a" has 2 links (a host has exactly one)"#,
+            ),
+            (
+                STAR,
+                unplugged_host.as_str(),
+                r#"line 4: host "c" has 0 links (a host has exactly one)"#,
+            ),
             (
                 r#""queue_sample_interval_ps":5000000"#,
                 r#""queue_sample_interval_ps":0"#,
@@ -2038,7 +2068,9 @@ mod tests {
                 Ok(_) => panic!("{hostile} must not build"),
             }
         }
-        std::fs::remove_file(&edges).unwrap();
+        for path in [edges, dual, unplugged] {
+            std::fs::remove_file(path).unwrap();
+        }
     }
 
     #[test]

@@ -290,7 +290,7 @@ fn corpus_problems(text: &str) -> Vec<String> {
             graph.host_count()
         ));
     }
-    if corpus::parse_edge_list(&graph.to_edge_list()).as_ref() != Ok(&graph) {
+    if corpus::parse(&graph.to_edge_list()).as_ref() != Ok(&graph) {
         problems.push("does not survive the canonical edge-list round trip".to_string());
     }
     let topo = graph.build();

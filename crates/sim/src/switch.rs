@@ -791,11 +791,10 @@ mod tests {
         );
     }
 
-    /// The eight built-in fabrics and the four committed corpus files.
+    /// The six built-in fabrics and the four committed corpus files.
     fn every_topology() -> Vec<(&'static str, TopologySpec)> {
         use hpcc_topology::{
-            asymmetric_clos, corpus, dumbbell, fat_tree, leaf_spine, oversubscribed_clos, star,
-            testbed_pod, FatTreeParams,
+            corpus, dumbbell, fat_tree, leaf_spine, star, testbed_pod, FatTreeParams,
         };
         let d = Duration::from_us(1);
         let fabric = Bandwidth::from_gbps(400);
@@ -806,14 +805,6 @@ mod tests {
             ("leaf_spine", leaf_spine(4, 3, 4, LINE, fabric, d)),
             ("fat_tree small", fat_tree(FatTreeParams::small())),
             ("fat_tree paper", fat_tree(FatTreeParams::paper())),
-            (
-                "oversubscribed_clos",
-                oversubscribed_clos(4, 4, 4, LINE, 4.0, d),
-            ),
-            (
-                "asymmetric_clos",
-                asymmetric_clos(4, 3, 4, LINE, fabric, 0.25, d),
-            ),
         ];
         for (name, text) in [
             ("abilene", include_str!("../../../corpus/abilene.edges")),

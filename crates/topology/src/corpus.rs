@@ -1,31 +1,24 @@
 //! Topology corpus importer: parse external topology files into a
 //! [`TopologySpec`] without any dependencies.
 //!
-//! Two input formats are supported:
+//! Corpus files are edge lists — a line-oriented text format, also the
+//! canonical output of [`CorpusTopology::to_edge_list`]:
 //!
-//! * **Edge list** — a line-oriented text format, also the canonical output
-//!   of [`CorpusTopology::to_edge_list`]:
+//! ```text
+//! # comment
+//! node h0 host
+//! node s0 switch
+//! link h0 s0 25Gbps 1us
+//! ```
 //!
-//!   ```text
-//!   # comment
-//!   node h0 host
-//!   node s0 switch
-//!   link h0 s0 25Gbps 1us
-//!   ```
+//! Bandwidths accept `bps`/`kbps`/`mbps`/`gbps` suffixes (decimal values
+//! allowed, case-insensitive); delays accept `ps`/`ns`/`us`/`ms`/`s`. Every
+//! host has exactly one link (its NIC); switches have any number.
 //!
-//!   Bandwidths accept `bps`/`kbps`/`mbps`/`gbps` suffixes (decimal values
-//!   allowed, case-insensitive); delays accept `ps`/`ns`/`us`/`ms`/`s`.
-//!
-//! * **GraphML subset** — enough of GraphML to load corpus files such as the
-//!   Topology Zoo exports: `<node id="..">` and `<edge source=".."
-//!   target="..">` elements, scanned textually (no XML library). A node is a
-//!   switch if it carries `kind="switch"` as an attribute or a
-//!   `<data key="kind">switch</data>` child; otherwise it is a host. Edges
-//!   may carry `bandwidth`/`delay` the same two ways; absent values default
-//!   to 100 Gbps and 1 µs so that capacity-less corpus files still load.
-//!
-//! Parsing produces a [`CorpusTopology`] — the named graph — which builds
-//! into a routed [`TopologySpec`] via [`CorpusTopology::build`] and re-emits
+//! [`parse`] checks all of this where the file enters: malformed text is a
+//! typed [`CorpusError`] carrying its line, never a panic later on. Parsing
+//! produces a [`CorpusTopology`] — the named graph — which builds into a
+//! routed [`TopologySpec`] via [`CorpusTopology::build`] and re-emits
 //! canonically via [`CorpusTopology::to_edge_list`]; parse → emit → parse is
 //! an identity (the round-trip is covered by tests and by `hpcc topo
 //! convert`).
@@ -36,46 +29,55 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// A typed corpus-parsing error: what went wrong, and on which input line
-/// (1-based; 0 when no line is attributable, e.g. a truncated XML tag).
+/// (1-based).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CorpusError {
-    /// A line or tag that doesn't match the grammar.
+    /// A line that doesn't match the grammar.
     Syntax {
-        /// 1-based input line (0 = not attributable).
+        /// 1-based input line.
         line: usize,
         /// What was expected.
         msg: String,
     },
-    /// A `link`/`edge` references a node never declared.
+    /// A `link` references a node never declared.
     UnknownNode {
-        /// 1-based input line (0 = not attributable).
+        /// 1-based input line.
         line: usize,
         /// The undeclared node name.
         name: String,
     },
     /// The same node name declared twice.
     DuplicateNode {
-        /// 1-based input line (0 = not attributable).
+        /// 1-based input line.
         line: usize,
         /// The repeated node name.
         name: String,
     },
     /// A bandwidth or delay that doesn't parse.
     BadQuantity {
-        /// 1-based input line (0 = not attributable).
+        /// 1-based input line.
         line: usize,
         /// The offending token.
         value: String,
     },
     /// A link from a node to itself.
     SelfLink {
-        /// 1-based input line (0 = not attributable).
+        /// 1-based input line.
         line: usize,
         /// The node name.
         name: String,
     },
     /// The file parsed but declares no hosts (nothing to simulate).
     NoHosts,
+    /// A host with other than one link (the host model has one NIC).
+    HostLinks {
+        /// 1-based line of the host's `node` declaration.
+        line: usize,
+        /// The host's name.
+        name: String,
+        /// How many links the file gives it.
+        links: usize,
+    },
 }
 
 impl fmt::Display for CorpusError {
@@ -95,6 +97,10 @@ impl fmt::Display for CorpusError {
                 write!(f, "line {line}: self-link on node {name:?}")
             }
             CorpusError::NoHosts => write!(f, "topology declares no hosts"),
+            CorpusError::HostLinks { line, name, links } => write!(
+                f,
+                "line {line}: host {name:?} has {links} links (a host has exactly one)"
+            ),
         }
     }
 }
@@ -173,20 +179,13 @@ impl CorpusTopology {
     }
 }
 
-/// Parse a corpus file, sniffing the format: content containing a
-/// `<graphml` or `<?xml` marker is parsed as GraphML, anything else as an
-/// edge list.
+/// Parse a corpus file: the line-oriented edge list of the module docs.
+/// After the grammar, every host must have exactly one link — the host
+/// model is a single NIC, so a multi-homed or unplugged host is refused
+/// here, at the file, rather than where the simulator builds it.
 pub fn parse(text: &str) -> Result<CorpusTopology, CorpusError> {
-    if text.contains("<graphml") || text.trim_start().starts_with("<?xml") {
-        parse_graphml(text)
-    } else {
-        parse_edge_list(text)
-    }
-}
-
-/// Parse the line-oriented edge-list format (see the module docs).
-pub fn parse_edge_list(text: &str) -> Result<CorpusTopology, CorpusError> {
     let mut nodes: Vec<(String, NodeKind)> = Vec::new();
+    let mut node_lines = Vec::new();
     let mut index: BTreeMap<String, usize> = BTreeMap::new();
     let mut links = Vec::new();
     for (i, raw) in text.lines().enumerate() {
@@ -220,6 +219,7 @@ pub fn parse_edge_list(text: &str) -> Result<CorpusTopology, CorpusError> {
                 }
                 index.insert(name.clone(), nodes.len());
                 nodes.push((name, kind));
+                node_lines.push(line);
             }
             "link" => {
                 if fields.len() != 5 {
@@ -263,143 +263,20 @@ pub fn parse_edge_list(text: &str) -> Result<CorpusTopology, CorpusError> {
     if !nodes.iter().any(|(_, k)| *k == NodeKind::Host) {
         return Err(CorpusError::NoHosts);
     }
-    Ok(CorpusTopology { nodes, links })
-}
-
-/// Parse the GraphML subset (see the module docs).
-pub fn parse_graphml(text: &str) -> Result<CorpusTopology, CorpusError> {
-    let mut nodes: Vec<(String, NodeKind)> = Vec::new();
-    let mut index: BTreeMap<String, usize> = BTreeMap::new();
-    let mut links = Vec::new();
-    let mut cursor = 0usize;
-    while let Some((tag, body, next)) = next_element(text, cursor, "node") {
-        cursor = next;
-        let line = line_of(text, tag.1);
-        let id = attr(&tag.0, "id").ok_or_else(|| CorpusError::Syntax {
-            line,
-            msg: "<node> without an id attribute".into(),
-        })?;
-        let kind_str = attr(&tag.0, "kind")
-            .or_else(|| body.as_deref().and_then(|b| data_key(b, "kind")))
-            .unwrap_or_else(|| "host".into());
-        let kind = match kind_str.as_str() {
-            "host" => NodeKind::Host,
-            "switch" => NodeKind::Switch,
-            other => {
-                return Err(CorpusError::Syntax {
-                    line,
-                    msg: format!("node kind must be `host` or `switch`, got {other:?}"),
-                })
-            }
-        };
-        if index.contains_key(&id) {
-            return Err(CorpusError::DuplicateNode { line, name: id });
-        }
-        index.insert(id.clone(), nodes.len());
-        nodes.push((id, kind));
+    let mut degree = vec![0usize; nodes.len()];
+    for &(a, z, ..) in &links {
+        degree[a] += 1;
+        degree[z] += 1;
     }
-    cursor = 0;
-    while let Some((tag, body, next)) = next_element(text, cursor, "edge") {
-        cursor = next;
-        let line = line_of(text, tag.1);
-        let src = attr(&tag.0, "source").ok_or_else(|| CorpusError::Syntax {
-            line,
-            msg: "<edge> without a source attribute".into(),
-        })?;
-        let dst = attr(&tag.0, "target").ok_or_else(|| CorpusError::Syntax {
-            line,
-            msg: "<edge> without a target attribute".into(),
-        })?;
-        let a = *index.get(&src).ok_or(CorpusError::UnknownNode {
-            line,
-            name: src.clone(),
-        })?;
-        let z = *index.get(&dst).ok_or(CorpusError::UnknownNode {
-            line,
-            name: dst.clone(),
-        })?;
-        if a == z {
-            return Err(CorpusError::SelfLink { line, name: src });
-        }
-        let bw = match attr(&tag.0, "bandwidth")
-            .or_else(|| body.as_deref().and_then(|b| data_key(b, "bandwidth")))
-        {
-            Some(v) => parse_bandwidth(&v, line)?,
-            None => Bandwidth::from_gbps(100),
-        };
-        let delay = match attr(&tag.0, "delay")
-            .or_else(|| body.as_deref().and_then(|b| data_key(b, "delay")))
-        {
-            Some(v) => parse_delay(&v, line)?,
-            None => Duration::from_us(1),
-        };
-        links.push((a, z, bw, delay));
-    }
-    if !nodes.iter().any(|(_, k)| *k == NodeKind::Host) {
-        return Err(CorpusError::NoHosts);
+    let miswired = (0..nodes.len()).find(|&n| nodes[n].1 == NodeKind::Host && degree[n] != 1);
+    if let Some(n) = miswired {
+        return Err(CorpusError::HostLinks {
+            line: node_lines[n],
+            name: nodes[n].0.clone(),
+            links: degree[n],
+        });
     }
     Ok(CorpusTopology { nodes, links })
-}
-
-/// Find the next `<name ...>` element at or after `from`. Returns the
-/// opening tag's text and byte offset, the inner body for container
-/// elements (`None` for self-closing `<name .../>`), and the scan position
-/// after the element.
-#[allow(clippy::type_complexity)]
-fn next_element(
-    text: &str,
-    from: usize,
-    name: &str,
-) -> Option<((String, usize), Option<String>, usize)> {
-    let open = format!("<{name}");
-    let mut search = from;
-    loop {
-        let start = text[search..].find(&open)? + search;
-        // Reject partial matches like `<nodeset` for `<node`.
-        let after = text[start + open.len()..].chars().next()?;
-        if !(after.is_whitespace() || after == '>' || after == '/') {
-            search = start + open.len();
-            continue;
-        }
-        let tag_end = text[start..].find('>')? + start;
-        let tag = text[start..=tag_end].to_string();
-        if tag.ends_with("/>") {
-            return Some(((tag, start), None, tag_end + 1));
-        }
-        let close = format!("</{name}>");
-        let body_end = text[tag_end + 1..].find(&close)? + tag_end + 1;
-        let body = text[tag_end + 1..body_end].to_string();
-        return Some(((tag, start), Some(body), body_end + close.len()));
-    }
-}
-
-/// Extract `name="value"` (or single-quoted) from an opening tag.
-fn attr(tag: &str, name: &str) -> Option<String> {
-    for quote in ['"', '\''] {
-        let needle = format!("{name}={quote}");
-        if let Some(at) = tag.find(&needle) {
-            let rest = &tag[at + needle.len()..];
-            return rest.find(quote).map(|end| rest[..end].to_string());
-        }
-    }
-    None
-}
-
-/// Extract the text of `<data key="name">text</data>` from an element body.
-fn data_key(body: &str, name: &str) -> Option<String> {
-    let mut cursor = 0;
-    while let Some((tag, inner, next)) = next_element(body, cursor, "data") {
-        cursor = next;
-        if attr(&tag.0, "key").as_deref() == Some(name) {
-            return inner.map(|s| s.trim().to_string());
-        }
-    }
-    None
-}
-
-/// 1-based line number of a byte offset.
-fn line_of(text: &str, offset: usize) -> usize {
-    text[..offset].bytes().filter(|&b| b == b'\n').count() + 1
 }
 
 /// Split `"25Gbps"` into `(25.0, "gbps")`; decimal values allowed.
@@ -504,7 +381,7 @@ node s switch
 link a s 1000000bps 1000ps
 link b s 0.5Gbps 1.5ms
 ";
-        let corpus = parse_edge_list(text).unwrap();
+        let corpus = parse(text).unwrap();
         assert_eq!(corpus.links()[0].2, Bandwidth::from_bps(1_000_000));
         assert_eq!(corpus.links()[0].3, Duration::from_ps(1_000));
         assert_eq!(corpus.links()[1].2, Bandwidth::from_bps(500_000_000));
@@ -512,47 +389,40 @@ link b s 0.5Gbps 1.5ms
     }
 
     #[test]
-    fn graphml_subset_parses() {
-        let text = r#"<?xml version="1.0"?>
-<graphml>
-  <graph edgedefault="undirected">
-    <node id="h0"/>
-    <node id="h1"><data key="kind">host</data></node>
-    <node id="s0" kind="switch"/>
-    <edge source="h0" target="s0" bandwidth="25Gbps" delay="1us"/>
-    <edge source="h1" target="s0">
-      <data key="bandwidth">10Gbps</data>
-      <data key="delay">500ns</data>
-    </edge>
-  </graph>
-</graphml>
-"#;
-        let corpus = parse(text).unwrap();
-        assert_eq!(corpus.nodes().len(), 3);
-        assert_eq!(corpus.nodes()[2].1, NodeKind::Switch);
-        assert_eq!(corpus.links().len(), 2);
-        assert_eq!(corpus.links()[0].2, Bandwidth::from_gbps(25));
-        assert_eq!(corpus.links()[1].2, Bandwidth::from_gbps(10));
-        assert_eq!(corpus.links()[1].3, Duration::from_ps(500_000));
-        // GraphML converts into the same canonical edge list.
-        let canonical = corpus.to_edge_list();
-        assert_eq!(parse(&canonical).unwrap(), corpus);
-    }
-
-    #[test]
-    fn graphml_defaults_apply_when_capacities_are_absent() {
-        let text = r#"<graphml>
-<node id="a"/><node id="b"/><node id="s" kind="switch"/>
-<edge source="a" target="s"/><edge source="b" target="s"/>
-</graphml>"#;
-        let corpus = parse(text).unwrap();
-        assert_eq!(corpus.links()[0].2, Bandwidth::from_gbps(100));
-        assert_eq!(corpus.links()[0].3, Duration::from_us(1));
+    fn a_host_needs_exactly_one_link() {
+        // h0, declared on line 1, has two links.
+        let two = "node h0 host\nnode s0 switch\nnode s1 switch\nnode h1 host\n\
+                   link h0 s0 25Gbps 1us\nlink h0 s1 25Gbps 1us\nlink h1 s0 25Gbps 1us\n";
+        let err = parse(two).unwrap_err();
+        assert_eq!(
+            err,
+            CorpusError::HostLinks {
+                line: 1,
+                name: "h0".into(),
+                links: 2
+            }
+        );
+        assert!(err
+            .to_string()
+            .starts_with("line 1: host \"h0\" has 2 links"));
+        // h1, declared on line 3, has none.
+        let none = "node h0 host\nnode s0 switch\nnode h1 host\nnode h2 host\n\
+                    link h0 s0 25Gbps 1us\nlink h2 s0 25Gbps 1us\n";
+        assert_eq!(
+            parse(none),
+            Err(CorpusError::HostLinks {
+                line: 3,
+                name: "h1".into(),
+                links: 0
+            })
+        );
+        // Two hosts on one cable are one link each.
+        assert!(parse("node a host\nnode b host\nlink a b 25Gbps 1us\n").is_ok());
     }
 
     #[test]
     fn errors_are_typed_and_carry_lines() {
-        let unknown = parse_edge_list("node a host\nlink a b 1Gbps 1us\n");
+        let unknown = parse("node a host\nlink a b 1Gbps 1us\n");
         assert_eq!(
             unknown,
             Err(CorpusError::UnknownNode {
@@ -560,7 +430,7 @@ link b s 0.5Gbps 1.5ms
                 name: "b".into()
             })
         );
-        let dup = parse_edge_list("node a host\nnode a switch\n");
+        let dup = parse("node a host\nnode a switch\n");
         assert_eq!(
             dup,
             Err(CorpusError::DuplicateNode {
@@ -568,7 +438,7 @@ link b s 0.5Gbps 1.5ms
                 name: "a".into()
             })
         );
-        let bad = parse_edge_list("node a host\nnode s switch\nlink a s 1Xbps 1us\n");
+        let bad = parse("node a host\nnode s switch\nlink a s 1Xbps 1us\n");
         assert_eq!(
             bad,
             Err(CorpusError::BadQuantity {
@@ -576,12 +446,15 @@ link b s 0.5Gbps 1.5ms
                 value: "1Xbps".into()
             })
         );
-        let selfy = parse_edge_list("node a host\nlink a a 1Gbps 1us\n");
+        let selfy = parse("node a host\nlink a a 1Gbps 1us\n");
         assert!(matches!(selfy, Err(CorpusError::SelfLink { line: 2, .. })));
-        let hostless = parse_edge_list("node s switch\n");
+        let hostless = parse("node s switch\n");
         assert_eq!(hostless, Err(CorpusError::NoHosts));
-        let syntax = parse_edge_list("frob a b\n");
+        let syntax = parse("frob a b\n");
         assert!(matches!(syntax, Err(CorpusError::Syntax { line: 1, .. })));
+        // Corpus files are edge lists only: GraphML is refused at line 1.
+        let graphml = parse("<?xml version=\"1.0\"?>\n<graphml>\n</graphml>\n");
+        assert!(matches!(graphml, Err(CorpusError::Syntax { line: 1, .. })));
         // Errors render with their line number.
         assert!(unknown.unwrap_err().to_string().contains("line 2"));
     }

@@ -14,19 +14,15 @@
 //! * [`fat_tree`] — the three-tier Clos used for the paper's large-scale
 //!   simulations (§5.1: 16 Core, 20 Agg, 20 ToR, 320 servers), parameterised
 //!   so that scaled-down variants preserve the same structure,
-//! * [`oversubscribed_clos`] / [`asymmetric_clos`] — tapered and
-//!   asymmetric-plane leaf-spine variants for fault and imbalance studies,
+//! * [`leaf_spine`] — the two-tier Clos,
 //! * [`corpus`] — a dependency-free importer for external topology files
-//!   (edge list and a GraphML subset) into [`TopologySpec`].
+//!   (edge lists) into [`TopologySpec`].
 
 pub mod builders;
 pub mod corpus;
 pub mod routing;
 pub mod spec;
 
-pub use builders::{
-    asymmetric_clos, dumbbell, fat_tree, leaf_spine, oversubscribed_clos, star, testbed_pod,
-    FatTreeParams,
-};
+pub use builders::{dumbbell, fat_tree, leaf_spine, star, testbed_pod, FatTreeParams};
 pub use corpus::{CorpusError, CorpusTopology};
 pub use spec::{LinkSpec, NodeKind, PortDesc, TopologyBuilder, TopologySpec};

@@ -255,7 +255,7 @@ pub(crate) mod tests {
         assert!(t.next_hops(NodeId(0), outside).is_empty(), "{name}");
     }
 
-    /// The eight builders and every file of `corpus/`, by name.
+    /// The six builder fabrics and every file of `corpus/`, by name.
     pub(crate) fn every_builder_and_corpus_topology() -> Vec<(String, TopologySpec)> {
         use crate::builders::*;
         let (bw, fast, d) = (
@@ -278,14 +278,6 @@ pub(crate) mod tests {
             ("testbed_pod".into(), testbed_pod(d)),
             ("fat_tree 16".into(), fat_tree(FatTreeParams::small())),
             ("fat_tree 54".into(), fat_tree(clos54)),
-            (
-                "oversubscribed_clos".into(),
-                oversubscribed_clos(4, 3, 4, bw, 2.0, d),
-            ),
-            (
-                "asymmetric_clos".into(),
-                asymmetric_clos(4, 3, 4, bw, fast, 0.5, d),
-            ),
         ];
         let corpus = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus");
         for entry in std::fs::read_dir(&corpus).unwrap() {
@@ -294,7 +286,7 @@ pub(crate) mod tests {
             let t = crate::corpus::parse(&text).unwrap().build();
             all.push((path.display().to_string(), t));
         }
-        assert!(all.len() >= 12, "corpus directory not found at {corpus:?}");
+        assert!(all.len() >= 10, "corpus directory not found at {corpus:?}");
         all
     }
 

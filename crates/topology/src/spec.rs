@@ -147,20 +147,14 @@ impl TopologySpec {
     /// base RTT" (§5.1).
     pub fn suggested_base_rtt(&self, mtu_wire: u64) -> Duration {
         let mut max_one_way = Duration::ZERO;
-        // The maximum is attained between the "farthest" pair; scanning all
-        // pairs is O(H^2) walks but each walk is short. For large topologies
-        // sample only the first host against all others plus a diagonal pair
-        // sweep — sufficient because Clos topologies are symmetric.
+        // Every host pair: a corpus topology need not be symmetric. The scan
+        // is O(H^2) short walks — about 100 k of at most six hops for the
+        // paper's 320-host fat tree.
         let hosts = &self.hosts;
         if hosts.is_empty() {
             return Duration::from_us(1);
         }
-        let probes: Vec<NodeId> = if hosts.len() > 64 {
-            vec![hosts[0], hosts[hosts.len() / 2], hosts[hosts.len() - 1]]
-        } else {
-            hosts.clone()
-        };
-        for &src in &probes {
+        for &src in hosts {
             for &dst in hosts {
                 if src == dst {
                     continue;

@@ -19,7 +19,7 @@
 //! * [`incast()`] / [`IncastGenerator`] — the N-to-1 bursts used throughout
 //!   §5.2–§5.4 (e.g. 60-to-1 of 500 KB in Figure 11),
 //! * [`trace`] — flow traces as reproducible artifacts: a dependency-free
-//!   CSV/JSONL reader/writer ([`Trace`]), deterministic replay, and export
+//!   CSV reader/writer ([`Trace`]), deterministic replay, and export
 //!   of any synthetic workload to a trace file ([`Trace::from_flows`]).
 //!
 //! Every random draw comes from the in-tree deterministic

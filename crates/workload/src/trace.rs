@@ -1,13 +1,9 @@
 //! Trace-driven workloads: flow traces as reproducible artifacts.
 //!
 //! A [`Trace`] is an ordered list of [`TraceRecord`]s — one flow per record,
-//! endpoints given as *host indices* into the topology's host list. Traces
-//! round-trip through two dependency-free text formats, line for line:
-//!
-//! * **CSV**: `start_ns,src,dst,bytes[,prio]` per line (`#` comments and
-//!   blank lines are ignored),
-//! * **JSONL**: one flat object per line,
-//!   `{"start_ns": 1500.25, "src": 0, "dst": 7, "bytes": 64000, "prio": 0}`.
+//! endpoints given as *host indices* into the topology's host list. Trace
+//! files are CSV, one `start_ns,src,dst,bytes[,prio]` record per line (`#`
+//! comments and blank lines are ignored), and round-trip line for line.
 //!
 //! `start_ns` is a decimal number of nanoseconds with an optional fractional
 //! part of up to three digits, parsed with integer arithmetic — so the
@@ -104,9 +100,7 @@ impl Trace {
         Trace::default()
     }
 
-    /// Parse trace text. Each non-blank, non-comment line is either a CSV
-    /// record or a JSONL object (auto-detected per line by its first
-    /// character), so the two formats may even be mixed.
+    /// Parse CSV trace text: one record per non-blank, non-comment line.
     pub fn parse(text: &str) -> Result<Trace, TraceError> {
         let mut records = Vec::new();
         for (i, raw) in text.lines().enumerate() {
@@ -115,12 +109,7 @@ impl Trace {
             if line.is_empty() || line.starts_with('#') {
                 continue;
             }
-            let record = if line.starts_with('{') {
-                parse_jsonl_record(line, line_no)?
-            } else {
-                parse_csv_record(line, line_no)?
-            };
-            records.push(record);
+            records.push(parse_csv_record(line, line_no)?);
         }
         Ok(Trace { records })
     }
@@ -144,22 +133,6 @@ impl Trace {
                 out.push_str(&format!(",{}", r.prio.wire_code()));
             }
             out.push('\n');
-        }
-        out
-    }
-
-    /// Render as JSONL, one flat object per record.
-    pub fn to_jsonl(&self) -> String {
-        let mut out = String::new();
-        for r in &self.records {
-            out.push_str(&format!(
-                "{{\"start_ns\": {}, \"src\": {}, \"dst\": {}, \"bytes\": {}, \"prio\": {}}}\n",
-                format_start_ns(r.start),
-                r.src,
-                r.dst,
-                r.bytes,
-                r.prio.wire_code()
-            ));
         }
         out
     }
@@ -266,7 +239,7 @@ impl Trace {
 /// campaign manifests).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum TraceSpec {
-    /// Read the trace from a CSV/JSONL file at build time. Relative paths
+    /// Read the trace from a CSV file at build time. Relative paths
     /// resolve against the working directory of the building process, so
     /// distributed workers need the file at the same path.
     Path(String),
@@ -367,6 +340,12 @@ fn parse_u64_field(text: &str, what: &str, line: usize) -> Result<u64, TraceErro
 }
 
 fn parse_csv_record(line: &str, line_no: usize) -> Result<TraceRecord, TraceError> {
+    if line.starts_with('{') {
+        return Err(TraceError::at(
+            line_no,
+            "a JSON object; trace files are CSV (start_ns,src,dst,bytes[,prio])",
+        ));
+    }
     let fields: Vec<&str> = line.split(',').map(str::trim).collect();
     if fields.len() < 4 || fields.len() > 5 {
         return Err(TraceError::at(
@@ -391,58 +370,6 @@ fn parse_csv_record(line: &str, line_no: usize) -> Result<TraceRecord, TraceErro
         dst,
         bytes,
         prio,
-    })
-}
-
-/// Parse one flat JSONL object with numeric fields. Hand-rolled (the
-/// workload crate deliberately has no JSON dependency): accepts exactly the
-/// shape [`Trace::to_jsonl`] writes — string keys mapping to plain decimal
-/// numbers, no nesting, any key order, unknown keys rejected.
-fn parse_jsonl_record(line: &str, line_no: usize) -> Result<TraceRecord, TraceError> {
-    let inner = line
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| TraceError::at(line_no, "JSONL record must be a {...} object"))?;
-    let mut start = None;
-    let mut src = None;
-    let mut dst = None;
-    let mut bytes = None;
-    let mut prio = None;
-    for part in inner.split(',') {
-        let part = part.trim();
-        if part.is_empty() {
-            continue;
-        }
-        let (key, value) = part
-            .split_once(':')
-            .ok_or_else(|| TraceError::at(line_no, format!("bad field {part:?}")))?;
-        let key = key.trim().trim_matches('"');
-        let value = value.trim();
-        match key {
-            "start_ns" => start = Some(parse_start_ns(value, line_no)?),
-            "src" => src = Some(parse_u64_field(value, "src", line_no)? as usize),
-            "dst" => dst = Some(parse_u64_field(value, "dst", line_no)? as usize),
-            "bytes" => bytes = Some(parse_u64_field(value, "bytes", line_no)?),
-            "prio" => {
-                prio = Some(prio_from_code(
-                    parse_u64_field(value, "prio", line_no)?,
-                    line_no,
-                )?)
-            }
-            other => {
-                return Err(TraceError::at(
-                    line_no,
-                    format!("unknown trace field {other:?}"),
-                ))
-            }
-        }
-    }
-    Ok(TraceRecord {
-        start: start.ok_or_else(|| TraceError::at(line_no, "missing start_ns"))?,
-        src: src.ok_or_else(|| TraceError::at(line_no, "missing src"))?,
-        dst: dst.ok_or_else(|| TraceError::at(line_no, "missing dst"))?,
-        bytes: bytes.ok_or_else(|| TraceError::at(line_no, "missing bytes"))?,
-        prio: prio.unwrap_or(FlowPriority::Normal),
     })
 }
 
@@ -480,22 +407,15 @@ mod tests {
     }
 
     #[test]
-    fn jsonl_round_trips_exact_picoseconds() {
-        let trace = sample_trace();
-        let text = trace.to_jsonl();
-        assert!(text.lines().all(|l| l.starts_with('{')), "{text}");
-        let back = Trace::parse(&text).unwrap();
-        assert_eq!(back, trace);
-    }
-
-    #[test]
     fn comments_blank_lines_and_mixed_formats_parse() {
-        let text =
-            "# a comment\n\n0,0,1,100\n{\"start_ns\": 5, \"src\": 1, \"dst\": 0, \"bytes\": 7}\n";
+        // Both record forms, with and without the `prio` column, in one file.
+        let text = "# a comment\n\n0,0,1,100\n 5, 1, 0, 7, 1 \n";
         let t = Trace::parse(text).unwrap();
         assert_eq!(t.records.len(), 2);
+        assert_eq!(t.records[0].prio, FlowPriority::Normal);
         assert_eq!(t.records[1].start, Duration::from_ns(5));
         assert_eq!(t.records[1].bytes, 7);
+        assert_eq!(t.records[1].prio, FlowPriority::LatencySensitive);
         assert_eq!(t.total_bytes(), 107);
         assert_eq!(t.horizon(), Duration::from_ns(5));
     }
@@ -533,13 +453,14 @@ mod tests {
             ("0,0,b,100", 1, "dst"),
             ("0,0,1,c", 1, "bytes"),
             ("0,0,1,100,7", 1, "priority"),
-            ("# ok\n0,0,1,100\n{\"src\": 1}", 3, "missing start_ns"),
+            // JSONL is not a trace format: each object line is refused.
+            ("# ok\n0,0,1,100\n{\"src\": 1}", 3, "trace files are CSV"),
             (
-                "{\"start_ns\": 0, \"src\": 0, \"dst\": 1, \"bytes\": 1, \"zap\": 3}",
+                "{\"start_ns\": 0, \"src\": 0, \"dst\": 1, \"bytes\": 1, \"prio\": 0}",
                 1,
-                "unknown trace field",
+                "trace files are CSV",
             ),
-            ("{broken", 1, "object"),
+            ("{broken", 1, "JSON object"),
             ("-5,0,1,100", 1, "start_ns"),
         ];
         for (text, line, needle) in cases {
