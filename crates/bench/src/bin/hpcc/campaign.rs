@@ -1,12 +1,12 @@
-//! `hpcc run|serve|join|shard|merge|dump`: the campaign runner.
+//! `hpcc run|serve|join|shard|merge|dump fig11`: the campaign runner.
 //! (Performance is measured in `benchmark/`, not here.)
 //!
-//! The campaign is `--manifest F` (a JSON array of ScenarioSpec objects, see
-//! `hpcc_core::scenario`) or, without it, the built-in Figure 11 scheme set
-//! (six scenarios on the scaled-down Clos fabric) at `[duration_ms] [load]`
-//! (default `10 0.3`).
+//! Every campaign is a `--manifest F` (a JSON array of ScenarioSpec objects,
+//! see `hpcc_core::scenario`); `dump fig11 [duration_ms] [load]` (default
+//! `10 0.3`) writes the built-in Figure 11 scheme set (six scenarios on the
+//! scaled-down Clos fabric) as one.
 //!
-//! * `run` — execute in-process on a thread pool and print the table.
+//! * `run` — execute in-process on one thread per core and print the table.
 //! * `serve ADDR` — the only way to fan a campaign out over processes: bind
 //!   ADDR (port 0 = ephemeral; the bound address is printed) and lease the
 //!   scenario indices to whatever workers `join` (`hpcc_core::fabric`,
@@ -26,46 +26,29 @@
 //! * `shard i/N` + `merge` — the offline pair for hosts that cannot reach a
 //!   coordinator: `shard` runs round-robin shard `i` of `N`, one JSONL line
 //!   per scenario on stdout (diagnostics on stderr); `merge` folds such files
-//!   into one report. Give it `--expect N` or `--manifest` (whose length is
-//!   used, and whose names and schemes the rows must carry) so a file
-//!   truncated at its tail, or written for another manifest, cannot pass.
-//! * `dump` — print the Figure 11 set or a committed `manifests/*_smoke.json`.
+//!   into one report, and the manifest's length and its names and schemes
+//!   catch a file truncated at its tail or written for another manifest.
 //!
-//! `--verify-serial` also runs the campaign serially and exits 2 unless
-//! digests and canonical report JSON are bit-identical; `--report` writes the
-//! canonical report JSON. `run`, `serve` and `shard` build every scenario
-//! before dispatching anything: an unbuildable one exits 2 naming its index.
+//! `--report` writes the canonical report JSON, the same bytes on every
+//! route: a determinism check is a `cmp` against a one-core `run`. `run`,
+//! `serve` and `shard` build every scenario before dispatching anything, and
+//! `dump fig11` before it prints: an unbuildable one exits 2 naming its
+//! index.
 
-use crate::{operand, usage};
+use crate::{manifest, operand, usage};
 use hpcc_bench::cli::Args;
-use hpcc_bench::{arg_or, die, load_manifest, print};
+use hpcc_bench::{arg_or, die, print};
 use hpcc_core::fabric::{self, FabricError::Abandoned};
-use hpcc_core::presets::{fabric_smoke_campaign, fig11_campaign};
-use hpcc_core::{timing, wire, Campaign, CampaignReport, ShardPlan};
+use hpcc_core::presets::fig11_campaign;
+use hpcc_core::{timing, wire, Campaign, ShardPlan};
 use hpcc_topology::FatTreeParams;
 use hpcc_types::Duration;
 use std::process::{Child, Command, ExitStatus, Stdio};
 
-/// The campaign this invocation describes: the `--manifest` file, or the
-/// built-in Figure 11 scheme set at the `[duration_ms] [load]` positionals
-/// that start at index `first`.
-fn load_campaign(args: &Args, first: usize) -> Campaign {
-    let scale = args.positional().get(first..).unwrap_or_default();
-    let Some(path) = args.value("--manifest") else {
-        let end = Duration::from_ms(arg_or(scale, 0, 10u64));
-        return fig11_campaign(FatTreeParams::small(), arg_or(scale, 1, 0.3), end, true, 42);
-    };
-    if !scale.is_empty() {
-        usage("[duration_ms] [load] scale the built-in campaign, not a --manifest");
-    }
-    load_manifest(path)
-}
-
-/// [`load_campaign`] for the subcommands that execute it: build every
-/// scenario once first, so an unbuildable one is a usage error here rather
-/// than a panic in a thread, a shard or every worker of a fabric.
-fn load_runnable_campaign(args: &Args, first: usize) -> Campaign {
-    let campaign = load_campaign(args, first);
+/// Build every scenario of `campaign` once, so an unbuildable one is a
+/// usage error here rather than a panic in a thread, a shard or every
+/// worker of a fabric, or a manifest that every runner refuses.
+fn buildable(campaign: Campaign) -> Campaign {
     for (index, spec) in campaign.scenarios().iter().enumerate() {
         if let Err(e) = spec.try_build() {
             die(format!("scenario {index} ({:?}): {e}", spec.name));
@@ -83,53 +66,24 @@ fn write_report(args: &Args, json: String) {
     }
 }
 
-/// The shared tail of `run` and `serve`: with `--verify-serial`, prove the
-/// report bit-identical to an in-process `run_serial()` (digests and
-/// canonical JSON); then write `--report`.
-fn verify_and_write(report: &CampaignReport, campaign: &Campaign, args: &Args) {
-    let json = report.to_json_string();
-    if args.has("--verify-serial") {
-        let serial = campaign.run_serial();
-        let digests_match = report.digests() == serial.digests();
-        let json_match = json == serial.to_json_string();
-        if !digests_match || !json_match {
-            die(format!(
-                "report differs from the serial reference \
-                 (digests match: {digests_match}, canonical JSON matches: {json_match})"
-            ));
-        }
-        print(format_args!(
-            "verified: report is bit-identical to run_serial() ({} scenarios: digests and \
-             canonical JSON); {:.2} s serial, {:.2} s here\n",
-            serial.results.len(),
-            serial.wall.as_secs_f64(),
-            report.wall.as_secs_f64()
-        ));
-    }
-    write_report(args, json);
-}
-
-/// `run`: the in-process thread pool.
+/// `run`: the in-process thread pool, one OS thread per core (capped at
+/// the scenario count), so memory does not grow with the manifest.
 pub(crate) fn run_in_process(args: &Args) {
-    let campaign = load_runnable_campaign(args, 0);
+    let campaign = buildable(manifest(args));
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     print(format_args!(
         "campaign: {} scenarios ({cores} available cores)\n",
         campaign.len()
     ));
-    // One OS thread per core, so memory does not grow with the manifest,
-    // but at least two (`run_with_threads` caps them at the scenario
-    // count): on a one-core host `--verify-serial` still proves threaded
-    // execution deterministic.
-    let report = campaign.run_with_threads(cores.max(2));
+    let report = campaign.run();
     print(format_args!("{}\n", report.table()));
-    verify_and_write(&report, &campaign, args);
+    write_report(args, report.to_json_string());
 }
 
 /// `shard i/N`: run one round-robin shard, streaming JSONL on stdout.
 pub(crate) fn run_shard(args: &Args) {
     let plan = ShardPlan::parse(operand(args, "i/N")).unwrap_or_else(|e| usage(e));
-    let campaign = load_runnable_campaign(args, 1);
+    let campaign = buildable(manifest(args));
     let mut out = std::io::stdout().lock();
     let started = timing::now();
     let executed = campaign
@@ -144,25 +98,22 @@ pub(crate) fn run_shard(args: &Args) {
     );
 }
 
-/// `merge FILE...`: fold `shard` JSONL files into one report. Without an
-/// expected length a lost trailing scenario is undetectable, so it warns.
+/// `merge FILE...`: fold `shard` JSONL files into the `--manifest`'s report.
 pub(crate) fn run_merge(args: &Args) {
     let files = args.positional();
     if files.is_empty() {
         usage("merge needs at least one FILE");
     }
-    let manifest = args.value("--manifest").map(load_manifest);
-    let expected_len = args
-        .parsed("--expect", |_: &usize| true)
-        .or(manifest.as_ref().map(Campaign::len));
+    let manifest = manifest(args);
     let texts: Vec<String> = files
         .iter()
         .map(|p| {
             std::fs::read_to_string(p).unwrap_or_else(|e| die(format!("cannot read {p}: {e}")))
         })
         .collect();
-    let merged = foreign_row(manifest.as_ref(), &texts)
-        .and_then(|()| wire::merge_shard_streams(texts.iter().map(String::as_str), expected_len));
+    let merged = foreign_row(&manifest, &texts).and_then(|()| {
+        wire::merge_shard_streams(texts.iter().map(String::as_str), Some(manifest.len()))
+    });
     let report = merged.unwrap_or_else(|e| die(format!("merge failed: {e}")));
     print(format_args!(
         "merged {} results from {} file(s)\n{}\n",
@@ -170,22 +121,13 @@ pub(crate) fn run_merge(args: &Args) {
         files.len(),
         report.table()
     ));
-    if expected_len.is_none() {
-        eprintln!(
-            "hpcc: warning: no --expect N (or --manifest) given; a shard \
-             file that lost only trailing scenarios cannot be detected"
-        );
-    }
     write_report(args, report.to_json_string());
 }
 
-/// With a manifest, refuse the lowest-indexed row of `streams` that belongs
-/// to another manifest, before a completeness check could blame the
-/// mismatch on missing rows.
-fn foreign_row(manifest: Option<&Campaign>, streams: &[String]) -> Result<(), wire::WireError> {
-    let Some(manifest) = manifest else {
-        return Ok(());
-    };
+/// Refuse the lowest-indexed row of `streams` that belongs to another
+/// manifest, before a completeness check could blame the mismatch on
+/// missing rows.
+fn foreign_row(manifest: &Campaign, streams: &[String]) -> Result<(), wire::WireError> {
     let mut rows = Vec::new();
     for (stream, text) in streams.iter().enumerate() {
         rows.append(&mut wire::decode_stream_lines(text, stream + 1)?.0);
@@ -217,7 +159,7 @@ pub(crate) fn run_serve(args: &Args) {
             ));
         }
     }
-    let campaign = load_runnable_campaign(args, 1);
+    let campaign = buildable(manifest(args));
     let started = timing::now();
     let coordinator =
         fabric::Coordinator::bind(addr).unwrap_or_else(|e| die(format!("cannot bind {addr}: {e}")));
@@ -285,7 +227,7 @@ pub(crate) fn run_serve(args: &Args) {
         fab.deduped,
         fab.reassigned
     ));
-    verify_and_write(&merged, &campaign, args);
+    write_report(args, merged.to_json_string());
 }
 
 /// Reap every worker `serve` spawned, how each ended in spawn order. Every
@@ -324,16 +266,11 @@ pub(crate) fn run_join(args: &Args) {
     );
 }
 
-/// `dump fig11|fabric`: print a built-in campaign as a manifest.
+/// `dump fig11 [duration_ms] [load]`: print the built-in Figure 11 scheme
+/// set as a manifest, once every scenario of it builds.
 pub(crate) fn run_dump(args: &Args) {
-    let kind = operand(args, "fig11|fabric");
-    if kind != "fig11" && args.positional().len() > 1 {
-        usage(format!("dump {kind} takes no [duration_ms] [load]"));
-    }
-    let campaign = match kind {
-        "fig11" => load_campaign(args, 1),
-        "fabric" => fabric_smoke_campaign(),
-        other => usage(format!("dump: unknown campaign {other:?}")),
-    };
-    print(format_args!("{}\n", campaign.to_json_string()));
+    let scale = args.positional();
+    let end = Duration::from_ms(arg_or(scale, 0, 10u64));
+    let campaign = fig11_campaign(FatTreeParams::small(), arg_or(scale, 1, 0.3), end, true, 42);
+    print(format_args!("{}\n", buildable(campaign).to_json_string()));
 }

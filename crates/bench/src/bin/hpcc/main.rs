@@ -1,11 +1,14 @@
 //! `hpcc`, the one command-line program of the reproduction: campaigns
-//! (`run`, `serve`, `join`, `shard`, `merge`, `dump`), the
+//! (`run`, `serve`, `join`, `shard`, `merge`, `dump fig11`), the
 //! paper's figures (`figures <name>|all`), flow traces (`trace
 //! export|freeze|info`) and corpus topologies (`topo info|convert`). Run it
 //! without arguments for the usage text, generated from [`COMMANDS`] (and,
 //! under `figures`, from [`figures::FIGURES`]).
 //!
-//! Each subcommand accepts only the options and positionals its row lists.
+//! Each subcommand accepts only the options and positionals its row lists;
+//! `run`, `serve`, `shard`, `merge` and `trace export|freeze` take their
+//! campaign from `--manifest` and no other way (`dump fig11` writes the
+//! built-in Figure 11 set as one).
 //! Exit codes: 0 success; 2 a usage or runtime error (the message on
 //! stderr, after `hpcc:`); 4 a `serve` abandoned with no worker alive; 101
 //! only for a bug.
@@ -17,6 +20,7 @@ mod trace;
 
 use hpcc_bench::cli::Args;
 use hpcc_bench::{die, print};
+use hpcc_core::Campaign;
 
 /// One subcommand: what it accepts and what runs it.
 struct Subcommand {
@@ -25,23 +29,21 @@ struct Subcommand {
     run: fn(&Args),
     /// Its positionals, as the usage text shows them, and how many it takes.
     positional: (&'static str, usize),
-    /// Its options that take a value.
+    /// Its options, each of which takes a value.
     options: &'static [&'static str],
-    switches: &'static [&'static str],
 }
 
 const COMMANDS: [Subcommand; 12] = [
     Subcommand {
         name: "run",
         run: campaign::run_in_process,
-        positional: ("[duration_ms] [load]", 2),
+        positional: ("", 0),
         options: &["--manifest", "--report"],
-        switches: &["--verify-serial"],
     },
     Subcommand {
         name: "serve",
         run: campaign::run_serve,
-        positional: ("ADDR [duration_ms] [load]", 3),
+        positional: ("ADDR", 1),
         options: &[
             "--spawn-workers",
             "--lease-timeout-ms",
@@ -49,35 +51,30 @@ const COMMANDS: [Subcommand; 12] = [
             "--manifest",
             "--report",
         ],
-        switches: &["--verify-serial"],
     },
     Subcommand {
         name: "join",
         run: campaign::run_join,
         positional: ("ADDR", 1),
         options: &["--name"],
-        switches: &[],
     },
     Subcommand {
         name: "shard",
         run: campaign::run_shard,
-        positional: ("i/N [duration_ms] [load]", 3),
+        positional: ("i/N", 1),
         options: &["--manifest"],
-        switches: &[],
     },
     Subcommand {
         name: "merge",
         run: campaign::run_merge,
         positional: ("FILE...", usize::MAX),
-        options: &["--expect", "--manifest", "--report"],
-        switches: &[],
+        options: &["--manifest", "--report"],
     },
     Subcommand {
-        name: "dump",
+        name: "dump fig11",
         run: campaign::run_dump,
-        positional: ("fig11|fabric [duration_ms] [load]", 3),
+        positional: ("[duration_ms] [load]", 2),
         options: &[],
-        switches: &[],
     },
     Subcommand {
         name: "figures",
@@ -85,42 +82,36 @@ const COMMANDS: [Subcommand; 12] = [
         // How many a figure takes is its row of `FIGURES`.
         positional: ("NAME|all [positionals]", usize::MAX),
         options: &[],
-        switches: &[],
     },
     Subcommand {
         name: "trace export",
         run: trace::run_export,
         positional: ("", 0),
         options: &["--manifest", "--index", "--out"],
-        switches: &[],
     },
     Subcommand {
         name: "trace freeze",
         run: trace::run_freeze,
         positional: ("", 0),
         options: &["--manifest", "--out"],
-        switches: &[],
     },
     Subcommand {
         name: "trace info",
         run: trace::run_info,
         positional: ("FILE", 1),
         options: &[],
-        switches: &[],
     },
     Subcommand {
         name: "topo info",
         run: topo::run_info,
         positional: ("FILE", 1),
         options: &[],
-        switches: &[],
     },
     Subcommand {
         name: "topo convert",
         run: topo::run_convert,
         positional: ("FILE [OUT]", 2),
         options: &[],
-        switches: &[],
     },
 ];
 
@@ -133,11 +124,13 @@ fn usage(msg: impl AsRef<str>) -> ! {
         if !c.positional.0.is_empty() {
             text += &format!(" {}", c.positional.0);
         }
-        for switch in c.switches {
-            text += &format!(" [{switch}]");
-        }
         for option in c.options {
-            text += &format!(" [{option} V]");
+            // Every subcommand that takes a campaign requires it.
+            if *option == "--manifest" {
+                text += " --manifest F";
+            } else {
+                text += &format!(" [{option} V]");
+            }
         }
         if c.name == "figures" {
             for (name, positional, _) in &figures::FIGURES {
@@ -151,13 +144,22 @@ fn usage(msg: impl AsRef<str>) -> ! {
     die(text)
 }
 
-/// The subcommand's leading positional (`ADDR`, `i/N`, `FILE`, the dump
-/// kind), or a usage error naming `what` is missing.
+/// The subcommand's leading positional (`ADDR`, `i/N`, `FILE`), or a usage
+/// error naming `what` is missing.
 fn operand<'a>(args: &'a Args, what: &str) -> &'a str {
     match args.positional().first() {
         Some(text) => text,
         None => usage(format!("missing {what}")),
     }
+}
+
+/// The `--manifest` campaign, which the subcommands that take one require.
+fn manifest(args: &Args) -> Campaign {
+    let path = args.value("--manifest");
+    let path = path.unwrap_or_else(|| usage("--manifest is required"));
+    let text =
+        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
+    Campaign::from_json_str(&text).unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
 }
 
 /// Write `text` to `out` and say so on stderr (`note` names the file), or
@@ -182,7 +184,6 @@ fn main() {
     let Some((c, rest)) = found else {
         usage(format!("expected a subcommand, got {argv:?}"));
     };
-    let args =
-        Args::parse(rest, c.options, c.switches, c.positional.1).unwrap_or_else(|e| usage(e));
+    let args = Args::parse(rest, c.options, c.positional.1).unwrap_or_else(|e| usage(e));
     (c.run)(&args);
 }

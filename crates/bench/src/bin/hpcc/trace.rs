@@ -17,21 +17,16 @@
 //! Trace format and error semantics: see `hpcc_workload::trace` and
 //! `docs/ARCHITECTURE.md`.
 
-use crate::{operand, usage, write_or_print};
+use crate::{manifest, operand, write_or_print};
 use hpcc_bench::cli::Args;
-use hpcc_bench::{die, load_manifest, print};
+use hpcc_bench::{die, print};
 use hpcc_core::{Campaign, ScenarioSpec};
 use hpcc_workload::Trace;
-
-fn load_campaign(args: &Args) -> Campaign {
-    let path = args.value("--manifest");
-    load_manifest(path.unwrap_or_else(|| usage("--manifest is required")))
-}
 
 /// `trace export`.
 pub(crate) fn run_export(args: &Args) {
     let index = args.parsed("--index", |_: &usize| true).unwrap_or(0);
-    let campaign = load_campaign(args);
+    let campaign = manifest(args);
     let Some(spec) = campaign.scenarios().get(index) else {
         die(format!(
             "scenario index {index} out of range ({} scenarios)",
@@ -54,7 +49,7 @@ pub(crate) fn run_export(args: &Args) {
 
 /// `trace freeze`.
 pub(crate) fn run_freeze(args: &Args) {
-    let campaign = load_campaign(args);
+    let campaign = manifest(args);
     let frozen: Vec<ScenarioSpec> = campaign
         .scenarios()
         .iter()

@@ -1,5 +1,5 @@
-//! The one argument parser of `hpcc`: a subcommand names the options that
-//! take a value, the switches, and how many positionals it accepts; anything
+//! The one argument parser of `hpcc`: a subcommand names its options, each
+//! of which takes a value, and how many positionals it accepts; anything
 //! else — an option that belongs to another subcommand, a typo, a stray
 //! argument — is a usage error, never ignored.
 
@@ -15,23 +15,15 @@ pub struct Args {
 
 impl Args {
     /// Parse `args` (program and subcommand names already stripped) against
-    /// the value-taking `options`, the `switches` and the positional limit
-    /// of one (sub)command. The error is a usage error: print it with the
-    /// usage line and exit 2.
-    pub fn parse(
-        args: &[String],
-        options: &[&str],
-        switches: &[&str],
-        max_positional: usize,
-    ) -> Result<Args, String> {
+    /// the `options` and the positional limit of one (sub)command. The error
+    /// is a usage error: print it with the usage line and exit 2.
+    pub fn parse(args: &[String], options: &[&str], max_positional: usize) -> Result<Args, String> {
         let mut out = Args::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
-            if switches.contains(&arg.as_str()) {
-                out.given.push((arg.clone(), String::new()));
-            } else if options.contains(&arg.as_str()) {
-                // A following option is not a value: `--report --verify-serial`
-                // must error, not write a file named "--verify-serial".
+            if options.contains(&arg.as_str()) {
+                // A following option is not a value: `--report --manifest m`
+                // must error, not write a file named "--manifest".
                 match it.next() {
                     Some(value) if !value.starts_with("--") => {
                         out.given.push((arg.clone(), value.clone()));
@@ -47,11 +39,6 @@ impl Args {
             }
         }
         Ok(out)
-    }
-
-    /// Whether `switch` was given.
-    pub fn has(&self, switch: &str) -> bool {
-        self.given.iter().any(|(name, _)| name == switch)
     }
 
     /// The value given for `option` (the last one wins).
@@ -81,18 +68,18 @@ mod tests {
 
     fn parse(line: &str) -> Result<Args, String> {
         let args: Vec<String> = line.split_whitespace().map(str::to_string).collect();
-        Args::parse(&args, &["--report", "--n"], &["--verify"], 2)
+        Args::parse(&args, &["--report", "--n"], 2)
     }
 
     #[test]
     fn accepts_only_what_the_command_declares() {
-        let args = parse("a --report out.json --verify --n 1 --n 2 b").unwrap();
+        let args = parse("a --report out.json --n 1 --n 2 b").unwrap();
         assert_eq!(args.positional(), ["a", "b"]);
         assert_eq!(args.value("--report"), Some("out.json"));
-        assert!(args.has("--verify") && !args.has("--quiet"));
+        assert_eq!(args.value("--quiet"), None);
         assert_eq!(args.parsed("--n", |n: &u32| *n >= 1), Some(2), "last wins");
         assert_eq!(args.parsed::<u32>("--absent", |_| true), None);
-        for bad in ["--bogus 2", "--report", "--report --verify", "a b c"] {
+        for bad in ["--bogus 2", "--report", "--report --n 1", "a b c"] {
             assert!(parse(bad).is_err(), "{bad:?} must be a usage error");
         }
     }

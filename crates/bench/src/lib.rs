@@ -7,8 +7,8 @@
 //!   from `hpcc-core` presets, runs it and renders the same rows/series the
 //!   paper plots; `hpcc figures <name> [args…]` (or `hpcc figures all`)
 //!   prints a runner's report.
-//! * The `hpcc` binary is the one program: it runs campaigns (built-in or
-//!   JSON manifests) in-process, over the elastic TCP fabric (`serve` /
+//! * The `hpcc` binary is the one program: it runs campaigns (JSON
+//!   manifests, the one way to name one) in-process, over the elastic TCP fabric (`serve` /
 //!   `join`) or as offline `shard` + `merge` JSONL files, prints the
 //!   figures, exports workloads to flow-trace files and freezes manifests
 //!   into trace-replay artifacts (`trace`, see `hpcc_workload::trace`) and
@@ -45,14 +45,6 @@ pub fn print(text: impl std::fmt::Display) {
         }
         _ => {}
     }
-}
-
-/// Read and parse the campaign manifest at `path`, or [`die`].
-pub fn load_manifest(path: &str) -> hpcc_core::Campaign {
-    let text =
-        std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("cannot read {path}: {e}")));
-    hpcc_core::Campaign::from_json_str(&text)
-        .unwrap_or_else(|e| die(format!("cannot parse {path}: {e}")))
 }
 
 /// Parse the optional argument `args[i]` into `T`: absent is `None`, present

@@ -40,36 +40,29 @@ fn scratch(test: &str) -> PathBuf {
 
 #[test]
 fn every_option_is_accepted_exactly_where_documented() {
-    // Each option with a well-formed value (the switches have none).
-    let options: [(&str, &[&str]); 10] = [
-        ("--manifest", &["/nonexistent/m.json"]),
-        ("--report", &["/nonexistent/r.json"]),
-        ("--verify-serial", &[]),
-        ("--expect", &["1"]),
-        ("--spawn-workers", &["1"]),
-        ("--checkpoint", &["/nonexistent/c.jsonl"]),
-        ("--name", &["w"]),
-        ("--lease-timeout-ms", &["1000"]),
-        ("--index", &["1"]),
-        ("--out", &["/nonexistent/o"]),
+    // Each option with a well-formed value.
+    let options: [(&str, &str); 8] = [
+        ("--manifest", "/nonexistent/m.json"),
+        ("--report", "/nonexistent/r.json"),
+        ("--spawn-workers", "1"),
+        ("--checkpoint", "/nonexistent/c.jsonl"),
+        ("--name", "w"),
+        ("--lease-timeout-ms", "1000"),
+        ("--index", "1"),
+        ("--out", "/nonexistent/o"),
     ];
     // Each subcommand with a base invocation that gets past argument
     // parsing and then ends at once (unreadable manifest or file, refused
     // connection, or a manifest printed), and the options it documents.
     let missing = ["--manifest", "/nonexistent/m.json"];
     let subcommands: [(&[&str], &[&str], &[&str]); 12] = [
-        (
-            &["run"],
-            &missing,
-            &["--manifest", "--report", "--verify-serial"],
-        ),
+        (&["run"], &missing, &["--manifest", "--report"]),
         (
             &["serve", "127.0.0.1:0", "--spawn-workers", "1"],
             &missing,
             &[
                 "--manifest",
                 "--report",
-                "--verify-serial",
                 "--spawn-workers",
                 "--checkpoint",
                 "--lease-timeout-ms",
@@ -79,10 +72,10 @@ fn every_option_is_accepted_exactly_where_documented() {
         (&["shard", "0/2"], &missing, &["--manifest"]),
         (
             &["merge", "/nonexistent/a.jsonl"],
-            &[],
-            &["--manifest", "--expect", "--report"],
+            &missing,
+            &["--manifest", "--report"],
         ),
-        (&["dump", "fabric"], &[], &[]),
+        (&["dump", "fig11"], &[], &[]),
         (&["figures", "tab_int_overhead"], &[], &[]),
         (
             &["trace", "export"],
@@ -97,8 +90,7 @@ fn every_option_is_accepted_exactly_where_documented() {
     for (base, tail, accepted) in subcommands {
         for (option, value) in options {
             let mut args = base.to_vec();
-            args.push(option);
-            args.extend(value);
+            args.extend([option, value]);
             args.extend(tail);
             let out = hpcc(&args);
             let err = stderr(&out);
@@ -113,19 +105,6 @@ fn every_option_is_accepted_exactly_where_documented() {
             }
         }
     }
-}
-
-#[test]
-fn dump_reproduces_the_committed_preset_manifests() {
-    // `manifests/fabric_smoke.json` is regenerated with `hpcc dump fabric`;
-    // the encoder must still write exactly those bytes.
-    // (`fault_smoke.json` is held to its preset in `crates/core/tests/faults.rs`.)
-    let out = hpcc(&["dump", "fabric"]);
-    assert_eq!(out.status.code(), Some(0), "{}", stderr(&out));
-    assert_eq!(
-        String::from_utf8_lossy(&out.stdout),
-        include_str!("../../../manifests/fabric_smoke.json")
-    );
 }
 
 /// `topo convert` writes the canonical edge list, which converts to itself
@@ -159,50 +138,79 @@ fn topo_convert_is_a_fixed_point_and_info_lists_every_link() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A corpus host with two links or none is refused where the file is read:
-/// `topo info`, `topo convert`, `run` and `shard` exit 2 naming the host and
-/// its `node` line, and nothing panics.
+/// Write the corpus file `text` and a one-scenario manifest on it to `dir`,
+/// and check that `topo info`, `topo convert`, `run` and `shard` each exit
+/// 2 with `wanted` on stderr, and that nothing panics.
+fn corpus_is_refused(dir: &std::path::Path, name: &str, text: &str, wanted: &str) {
+    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+    let edges = path(name);
+    std::fs::write(&edges, text).unwrap();
+    let manifest = path(&format!("{name}.json"));
+    std::fs::write(
+        &manifest,
+        format!(
+            r#"[{{"name":"{name}","topology":{{"kind":"Corpus","path":{edges:?},"host_bw_bps":25000000000}},"cc":{{"kind":"Label","label":"HPCC"}},"workloads":[{{"kind":"Poisson","cdf":"FB_Hadoop","load":0.3,"first_flow_id":0}}],"duration_ps":100000000,"seed":1,"flow_control":"PFC","trace":{{"queue_sample_interval_ps":5000000}}}}]"#
+        ),
+    )
+    .unwrap();
+    for args in [
+        &["topo", "info", &edges][..],
+        &["topo", "convert", &edges],
+        &["run", "--manifest", &manifest],
+        &["shard", "0/1", "--manifest", &manifest],
+    ] {
+        let out = hpcc(args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
+        assert!(err.contains(wanted), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+    }
+}
+
+/// A corpus host with two links or none is refused where the file is read,
+/// naming the host and its `node` line.
 #[test]
 fn a_corpus_host_without_exactly_one_link_exits_2() {
     let dir = scratch("host-links");
-    let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
-    for (name, text, wanted) in [
+    corpus_is_refused(
+        &dir,
+        "two.edges",
+        "node h0 host\nnode h1 host\nnode s0 switch\nnode s1 switch\n\
+         link h0 s0 25Gbps 1us\nlink h0 s1 25Gbps 1us\n\
+         link h1 s0 25Gbps 1us\nlink s0 s1 25Gbps 1us\n",
+        r#"line 1: host "h0" has 2 links"#,
+    );
+    corpus_is_refused(
+        &dir,
+        "none.edges",
+        "node h0 host\nnode h1 host\nnode h2 host\nnode s0 switch\n\
+         link h0 s0 25Gbps 1us\nlink h1 s0 25Gbps 1us\n",
+        r#"line 3: host "h2" has 0 links"#,
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A bandwidth or delay past a `u64` of base units, or a delay whose round
+/// trip does not fit one, is refused at its link's line: neither saturated
+/// nor wrapped into a base RTT.
+#[test]
+fn a_corpus_quantity_out_of_range_exits_2() {
+    let dir = scratch("quantities");
+    let nodes = "node h0 host\nnode h1 host\nnode s0 switch\nnode s1 switch\n\
+                 link h0 s0 25Gbps 1us\nlink h1 s1 25Gbps 1us\n";
+    for (name, link, wanted) in [
         (
-            "two.edges",
-            "node h0 host\nnode h1 host\nnode s0 switch\nnode s1 switch\n\
-             link h0 s0 25Gbps 1us\nlink h0 s1 25Gbps 1us\n\
-             link h1 s0 25Gbps 1us\nlink s0 s1 25Gbps 1us\n",
-            r#"line 1: host "h0" has 2 links"#,
+            "bandwidth.edges",
+            "link s0 s1 99999999999999999999999Gbps 1us\n",
+            r#"line 7: quantity "99999999999999999999999Gbps""#,
         ),
         (
-            "none.edges",
-            "node h0 host\nnode h1 host\nnode h2 host\nnode s0 switch\n\
-             link h0 s0 25Gbps 1us\nlink h1 s0 25Gbps 1us\n",
-            r#"line 3: host "h2" has 0 links"#,
+            "delay.edges",
+            "link s0 s1 25Gbps 10000000s\n",
+            r#"line 7: quantity "10000000s""#,
         ),
     ] {
-        let edges = path(name);
-        std::fs::write(&edges, text).unwrap();
-        let manifest = path(&format!("{name}.json"));
-        std::fs::write(
-            &manifest,
-            format!(
-                r#"[{{"name":"{name}","topology":{{"kind":"Corpus","path":{edges:?},"host_bw_bps":25000000000}},"cc":{{"kind":"Label","label":"HPCC"}},"workloads":[{{"kind":"Poisson","cdf":"FB_Hadoop","load":0.3,"first_flow_id":0}}],"duration_ps":100000000,"seed":1,"flow_control":"PFC","trace":{{"queue_sample_interval_ps":5000000}}}}]"#
-            ),
-        )
-        .unwrap();
-        for args in [
-            &["topo", "info", &edges][..],
-            &["topo", "convert", &edges],
-            &["run", "--manifest", &manifest],
-            &["shard", "0/1", "--manifest", &manifest],
-        ] {
-            let out = hpcc(args);
-            let err = stderr(&out);
-            assert_eq!(out.status.code(), Some(2), "{args:?}: {err}");
-            assert!(err.contains(wanted), "{args:?}: {err}");
-            assert!(!err.contains("panicked"), "{args:?}: {err}");
-        }
+        corpus_is_refused(&dir, name, &format!("{nodes}{link}"), wanted);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -284,8 +292,10 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
     // No subcommand, a removed one or an old program's name, a typo in a
     // positional, a stray positional, a missing operand or option, a
     // removed fabric option, a lease timeout that healthy workers' 200 ms
-    // heartbeats cannot meet: none runs a default.
-    let malformed: [&[&str]; 20] = [
+    // heartbeats cannot meet, a campaign named by anything but a manifest,
+    // the serial check and the expected count that left the binary: none
+    // runs a default.
+    let malformed: [&[&str]; 28] = [
         &[],
         &["5", "0.3"],
         &["campaign", "run"],
@@ -313,6 +323,21 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
             "100",
         ],
         &["serve", "127.0.0.1:0", "--lease-timeout-ms", "200"],
+        &["run"],
+        &["run", "5", "0.3"],
+        &["run", "--verify-serial", "--manifest", QUEUEING_SMOKE],
+        &["serve", "127.0.0.1:0", "3", "0.3"],
+        &["shard", "0/2", "5", "0.3"],
+        &["merge", "a.jsonl"],
+        &[
+            "merge",
+            "a.jsonl",
+            "--manifest",
+            QUEUEING_SMOKE,
+            "--expect",
+            "1",
+        ],
+        &["dump", "fabric"],
     ];
     rejected.extend(malformed.map(<[&str]>::to_vec));
     // Each exits 2 with the one usage text (figure names included) and
@@ -335,7 +360,7 @@ fn removed_spellings_and_malformed_arguments_exit_2() {
     ]));
     assert!(err.contains("heartbeat"), "{err}");
     // A malformed value exits 2 naming it.
-    let out = hpcc(&["run", "5x", "0.3"]);
+    let out = hpcc(&["dump", "fig11", "5x", "0.3"]);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(2), "{err}");
     assert!(err.contains("\"5x\"") && out.stdout.is_empty(), "{err}");
@@ -394,12 +419,11 @@ fn fabric_offline_and_in_process_routes_write_identical_reports() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `run` simulates on one thread per core, at least two, and never more
-/// threads than scenarios: a large manifest is not simulated all at once.
+/// `run` simulates on one thread per core, never more threads than
+/// scenarios: a large manifest is not simulated all at once.
 #[test]
-fn run_uses_one_thread_per_core_and_at_least_two() {
-    // The built-in six-scheme campaign at 1 ms.
-    let out = hpcc(&["run", "1", "0.3"]);
+fn run_uses_one_thread_per_core_capped_at_the_scenario_count() {
+    let out = hpcc(&["run", "--manifest", QUEUEING_SMOKE]);
     assert!(out.status.success(), "{}", stderr(&out));
     let stdout = String::from_utf8_lossy(&out.stdout);
     // "campaign: <n> scenarios (<cores> available cores)"
@@ -413,10 +437,28 @@ fn run_uses_one_thread_per_core_and_at_least_two() {
     let [n, cores] = counts[..] else {
         panic!("no scenario and core count in {stdout}");
     };
-    let threads = n.min(cores.max(2));
+    let threads = n.min(cores);
     assert!(
         stdout.contains(&format!(" scenarios on {threads} thread(s) in ")),
         "{stdout}"
+    );
+}
+
+/// `dump fig11` builds every scenario before it prints, as `run` does, so
+/// it never writes a manifest that every runner would refuse.
+#[test]
+fn dump_fig11_refuses_what_run_would_refuse() {
+    let out = hpcc(&["dump", "fig11", "1", "-1"]);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(2), "{err}");
+    assert!(
+        err.contains("scenario 0 (") && err.contains("load -1"),
+        "{err}"
+    );
+    assert!(
+        out.stdout.is_empty(),
+        "{}",
+        String::from_utf8_lossy(&out.stdout)
     );
 }
 
@@ -498,20 +540,17 @@ fn kill_next_spawned(lines: &mut impl Iterator<Item = std::io::Result<String>>) 
 }
 
 /// A spawned worker killed mid-campaign costs nothing but time: the other
-/// one finishes, the report still verifies, and the death is reported as
-/// tolerated.
+/// one finishes, the report still equals `run_serial()`'s, and the death is
+/// reported as tolerated.
 #[test]
 fn serve_rides_out_a_killed_worker() {
     use std::io::{BufRead, BufReader};
+    let dir = scratch("killed-worker");
+    let report = dir.join("r.json");
     let mut serve = Command::new(HPCC)
-        .args([
-            "serve",
-            "127.0.0.1:0",
-            "--spawn-workers",
-            "2",
-            "--verify-serial",
-        ])
-        .args(["--manifest", FABRIC_SMOKE])
+        .args(["serve", "127.0.0.1:0", "--spawn-workers", "2"])
+        .args(["--manifest", FABRIC_SMOKE, "--report"])
+        .arg(&report)
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
@@ -521,13 +560,19 @@ fn serve_rides_out_a_killed_worker() {
     let rest: Vec<String> = lines.map(Result::unwrap).collect();
     let out = serve.wait_with_output().unwrap();
     assert_eq!(out.status.code(), Some(0), "{rest:?}");
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("\nverified: "), "{stdout}");
     assert!(
         rest.iter()
             .any(|l| l.contains("worker 0 exited with") && l.ends_with("(tolerated)")),
         "{rest:?}"
     );
+    let manifest = std::fs::read_to_string(FABRIC_SMOKE).unwrap();
+    let serial = Campaign::from_json_str(&manifest).unwrap().run_serial();
+    let written = std::fs::read_to_string(&report).expect("--report was not written");
+    assert!(
+        written == serial.to_json_string() + "\n",
+        "the report differs from run_serial()"
+    );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// Once every spawned worker is dead and the campaign is incomplete, no
@@ -536,11 +581,17 @@ fn serve_rides_out_a_killed_worker() {
 #[test]
 fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
     use std::io::{BufRead, BufReader};
-    // A built-in campaign long enough (6 × 300 ms of simulated Clos traffic)
-    // that no scenario finishes before the workers are killed.
+    // The built-in campaign, long enough (6 × 300 ms of simulated Clos
+    // traffic) that no scenario finishes before the workers are killed.
+    let dir = scratch("workers-die");
+    let manifest = dir.join("fig11.json");
+    let dump = hpcc(&["dump", "fig11", "300", "0.5"]);
+    assert!(dump.status.success(), "{}", stderr(&dump));
+    std::fs::write(&manifest, dump.stdout).unwrap();
     let mut serve = Command::new(HPCC)
         .args(["serve", "127.0.0.1:0", "--spawn-workers", "2"])
-        .args(["--lease-timeout-ms", "300", "300", "0.5"])
+        .args(["--lease-timeout-ms", "300", "--manifest"])
+        .arg(&manifest)
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -558,6 +609,7 @@ fn serve_gives_up_one_lease_timeout_after_its_workers_die() {
             .any(|l| l.contains("stalled") && l.contains("SIGKILL")),
         "{rest:?}"
     );
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// With no worker at all, `serve` gives up one lease timeout after it

@@ -14,7 +14,7 @@ use crate::scenario::{
     WorkloadSpec,
 };
 use hpcc_cc::{CcAlgorithm, DcqcnConfig, DctcpConfig, HpccConfig, TimelyConfig};
-use hpcc_sim::{DegradedLink, EcnConfig, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
+use hpcc_sim::{DegradedLink, EcnConfig, FlowControlMode, LinkDownMode, LinkFault};
 use hpcc_topology::{FatTreeParams, NodeKind, TopologySpec};
 use hpcc_types::{Bandwidth, Duration};
 use hpcc_workload::{LocalitySpec, PairSpec, PrioritySpec, SkewSpec};
@@ -496,78 +496,6 @@ pub fn degraded_link_cc_matrix(
     )
 }
 
-/// The CI fault smoke: a two-scenario campaign on the small Clos fabric —
-/// one link flap (pause mode, one extra cycle) and one straggler host whose
-/// NIC drops to 40% rate over the middle of the run. Small enough to run in
-/// seconds, faulty enough to exercise every fault path end to end.
-pub fn fault_smoke(params: FatTreeParams, load: f64, end: Duration, seed: u64) -> Campaign {
-    let link = first_fabric_link(&TopologyChoice::FatTree(params).build());
-    let base = |name: &str, faults: FaultSpec| {
-        fattree_fb_hadoop(
-            name,
-            CcSpec::by_label("HPCC"),
-            params,
-            load,
-            end,
-            false,
-            FlowControlMode::Lossless,
-            seed,
-        )
-        .with_faults(faults)
-    };
-    Campaign::from_scenarios(vec![
-        base(
-            "smoke linkflap",
-            FaultSpec::new().with_link_fault(LinkFault {
-                link,
-                at: end.mul_f64(0.2),
-                down_for: end.mul_f64(0.05),
-                flaps: 1,
-                period: end.mul_f64(0.15),
-                mode: LinkDownMode::Pause,
-            }),
-        ),
-        base(
-            "smoke straggler",
-            FaultSpec::new().with_straggler(StragglerHost {
-                host: 0,
-                from: end.mul_f64(0.25),
-                until: end.mul_f64(0.75),
-                rate_factor: 0.4,
-            }),
-        ),
-    ])
-}
-
-/// The CI fabric smoke: seeds {1, 2} × the six Figure-11 schemes under
-/// WebSearch Poisson load on a 6-host star — twelve self-contained
-/// scenarios (no corpus or trace files, so the manifest ships over the
-/// fabric wire to workers with no shared filesystem). Sized so a
-/// coordinator finishes it in seconds, with two workers or with one that
-/// picks up a dead one's leases.
-pub fn fabric_smoke_campaign() -> Campaign {
-    let host_bw = Bandwidth::from_gbps(25);
-    let end = Duration::from_ms(10);
-    Campaign::from_scenarios(
-        [1u64, 2]
-            .iter()
-            .flat_map(|&seed| {
-                SCHEME_SET_FIG11.iter().map(move |label| {
-                    ScenarioSpec::new(
-                        format!("fabric s{seed} {label}"),
-                        TopologyChoice::star(6, host_bw),
-                        CcSpec::by_label(*label),
-                        end,
-                    )
-                    .with_seed(seed)
-                    .with_queue_sampling(Duration::from_us(5))
-                    .with_workload(WorkloadSpec::poisson(CdfSpec::WebSearch, 0.3))
-                })
-            })
-            .collect(),
-    )
-}
-
 /// A scheduler comparison under a mice/elephant priority mix: the same
 /// FB_Hadoop background load, with flows below `mice_threshold` bytes tagged
 /// latency-sensitive, run through (a) the legacy single queue, (b) strict
@@ -917,24 +845,6 @@ mod tests {
             assert_eq!(spec.faults.as_ref(), Some(&reference));
             assert_eq!(spec.flow_control, FlowControlMode::LossyIrn);
         }
-
-        let smoke = fault_smoke(params, 0.2, Duration::from_ms(1), 3);
-        assert_eq!(smoke.len(), 2);
-        assert!(!smoke.scenarios()[0]
-            .faults
-            .as_ref()
-            .unwrap()
-            .link_faults
-            .is_empty());
-        assert!(!smoke.scenarios()[1]
-            .faults
-            .as_ref()
-            .unwrap()
-            .stragglers
-            .is_empty());
-        // The campaign serializes into a manifest and back.
-        let back = Campaign::from_json_str(&smoke.to_json_string()).unwrap();
-        assert_eq!(back, smoke);
     }
 
     #[test]

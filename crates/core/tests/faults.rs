@@ -18,14 +18,17 @@
 
 use hpcc_core::campaign::digest_output;
 use hpcc_core::presets::{
-    degraded_link_cc_matrix, fattree_fb_hadoop, fattree_linkflap_sweep, fault_smoke,
-    first_fabric_link, SCHEME_SET_FIG11,
+    degraded_link_cc_matrix, fattree_fb_hadoop, fattree_linkflap_sweep, first_fabric_link,
+    SCHEME_SET_FIG11,
 };
 use hpcc_core::scenario::{FlowDecl, TopologyChoice, WorkloadSpec};
 use hpcc_core::{Campaign, CampaignReport, CcSpec, FaultSpec, ScenarioSpec, ShardPlan};
 use hpcc_sim::{DegradedLink, FlowControlMode, LinkDownMode, LinkFault, StragglerHost};
 use hpcc_topology::FatTreeParams;
 use hpcc_types::{Bandwidth, Duration};
+
+/// The CI fault smoke: a link flap and a straggler host on the small Clos.
+const FAULT_SMOKE: &str = include_str!("../../../manifests/fault_smoke.json");
 
 /// The `fattree HPCC` golden preset from `queueing.rs`: the digest recorded
 /// before the fault subsystem landed.
@@ -516,7 +519,7 @@ fn idle_host_nics_woken_by_each_kick_reproduce_the_recorded_digests() {
 
 #[test]
 fn faulted_campaign_merges_bit_identical_across_two_shards() {
-    let campaign = fault_smoke(FatTreeParams::small(), 0.2, Duration::from_ms(2), 7);
+    let campaign = Campaign::from_json_str(FAULT_SMOKE).unwrap();
     // The manifest round trip preserves the fault specs.
     let back = Campaign::from_json_str(&campaign.to_json_string()).unwrap();
     assert_eq!(back, campaign);
@@ -583,17 +586,17 @@ fn faulted_campaign_merges_bit_identical_across_two_shards() {
 
 #[test]
 fn committed_fault_smoke_manifest_is_canonical_and_runnable() {
-    let committed = include_str!("../../../manifests/fault_smoke.json");
-    let campaign = Campaign::from_json_str(committed).unwrap();
-    // The committed manifest is exactly the canonical serialization of the
-    // generating preset: regenerate with
-    // `fault_smoke(FatTreeParams::small(), 0.2, Duration::from_ms(2), 7)`.
-    let generated = fault_smoke(FatTreeParams::small(), 0.2, Duration::from_ms(2), 7);
-    assert_eq!(campaign, generated);
-    assert_eq!(committed.trim_end(), generated.to_json_string());
-    // Both scenarios build and declare faults.
+    let campaign = Campaign::from_json_str(FAULT_SMOKE).unwrap();
+    // The committed manifest is its own canonical serialization.
+    assert_eq!(FAULT_SMOKE.trim_end(), campaign.to_json_string());
+    // A link flap, then a straggler, and both scenarios build.
+    let faults: Vec<&FaultSpec> = campaign
+        .scenarios()
+        .iter()
+        .map(|spec| spec.faults.as_ref().expect("a fault plan"))
+        .collect();
+    assert!(!faults[0].link_faults.is_empty() && !faults[1].stragglers.is_empty());
     for spec in campaign.scenarios() {
-        assert!(spec.faults.is_some());
         assert!(spec.try_build().is_ok(), "{}", spec.name);
     }
 }

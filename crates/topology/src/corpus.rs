@@ -12,8 +12,11 @@
 //! ```
 //!
 //! Bandwidths accept `bps`/`kbps`/`mbps`/`gbps` suffixes (decimal values
-//! allowed, case-insensitive); delays accept `ps`/`ns`/`us`/`ms`/`s`. Every
-//! host has exactly one link (its NIC); switches have any number.
+//! allowed, case-insensitive); delays accept `ps`/`ns`/`us`/`ms`/`s`. Each
+//! quantity must fit a `u64` of base units (bps, ps), and all link delays,
+//! summed and doubled, a `u64` of picoseconds, which bounds every route's
+//! round trip. Every host has exactly one link (its NIC); switches have any
+//! number.
 //!
 //! [`parse`] checks all of this where the file enters: malformed text is a
 //! typed [`CorpusError`] carrying its line, never a panic later on. Parsing
@@ -53,7 +56,9 @@ pub enum CorpusError {
         /// The repeated node name.
         name: String,
     },
-    /// A bandwidth or delay that doesn't parse.
+    /// A bandwidth or delay that doesn't parse or does not fit a `u64` of
+    /// base units, or a delay that takes the doubled sum of the link delays
+    /// so far past `u64` picoseconds.
     BadQuantity {
         /// 1-based input line.
         line: usize,
@@ -91,7 +96,10 @@ impl fmt::Display for CorpusError {
                 write!(f, "line {line}: duplicate node {name:?}")
             }
             CorpusError::BadQuantity { line, value } => {
-                write!(f, "line {line}: unparseable quantity {value:?}")
+                write!(
+                    f,
+                    "line {line}: quantity {value:?} is malformed or out of range"
+                )
             }
             CorpusError::SelfLink { line, name } => {
                 write!(f, "line {line}: self-link on node {name:?}")
@@ -188,6 +196,8 @@ pub fn parse(text: &str) -> Result<CorpusTopology, CorpusError> {
     let mut node_lines = Vec::new();
     let mut index: BTreeMap<String, usize> = BTreeMap::new();
     let mut links = Vec::new();
+    // Every link's delay, both ways: no route's round trip exceeds it.
+    let mut round_trip_ps = 0u64;
     for (i, raw) in text.lines().enumerate() {
         let line = i + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -248,9 +258,16 @@ pub fn parse(text: &str) -> Result<CorpusTopology, CorpusError> {
                         name: fields[1].to_string(),
                     });
                 }
-                let bw = parse_bandwidth(fields[3], line)?;
-                let delay = parse_delay(fields[4], line)?;
-                links.push((a, z, bw, delay));
+                let bw = quantity(fields[3], line, &BANDWIDTH_UNITS)?;
+                let delay = quantity(fields[4], line, &DELAY_UNITS)?;
+                round_trip_ps = delay
+                    .checked_mul(2)
+                    .and_then(|both_ways| round_trip_ps.checked_add(both_ways))
+                    .ok_or_else(|| CorpusError::BadQuantity {
+                        line,
+                        value: fields[4].to_string(),
+                    })?;
+                links.push((a, z, Bandwidth::from_bps(bw), Duration::from_ps(delay)));
             }
             other => {
                 return Err(CorpusError::Syntax {
@@ -279,58 +296,49 @@ pub fn parse(text: &str) -> Result<CorpusTopology, CorpusError> {
     Ok(CorpusTopology { nodes, links })
 }
 
-/// Split `"25Gbps"` into `(25.0, "gbps")`; decimal values allowed.
-fn split_quantity(token: &str, line: usize) -> Result<(f64, String), CorpusError> {
+/// Bandwidth suffixes (lower case) and their scale to bps.
+const BANDWIDTH_UNITS: [(&str, f64); 8] = [
+    ("gbps", 1e9),
+    ("g", 1e9),
+    ("mbps", 1e6),
+    ("m", 1e6),
+    ("kbps", 1e3),
+    ("k", 1e3),
+    ("bps", 1.0),
+    ("", 1.0),
+];
+
+/// Delay suffixes (lower case) and their scale to ps.
+const DELAY_UNITS: [(&str, f64); 6] = [
+    ("s", 1e12),
+    ("ms", 1e9),
+    ("us", 1e6),
+    ("ns", 1e3),
+    ("ps", 1.0),
+    ("", 1.0),
+];
+
+/// `token` (`"25Gbps"`, `"1.5ms"`) in base units: a non-negative decimal
+/// value times the scale `units` gives its suffix, rounded, and refused
+/// unless it fits a `u64` (`as u64` would saturate without a word).
+fn quantity(token: &str, line: usize, units: &[(&str, f64)]) -> Result<u64, CorpusError> {
+    let bad = || CorpusError::BadQuantity {
+        line,
+        value: token.to_string(),
+    };
     let split = token
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
         .unwrap_or(token.len());
     let (num, unit) = token.split_at(split);
-    let value: f64 = num.parse().map_err(|_| CorpusError::BadQuantity {
-        line,
-        value: token.to_string(),
-    })?;
-    if value < 0.0 {
-        return Err(CorpusError::BadQuantity {
-            line,
-            value: token.to_string(),
-        });
+    let value: f64 = num.parse().map_err(|_| bad())?;
+    let unit = unit.to_ascii_lowercase();
+    let (_, scale) = units.iter().find(|(u, _)| *u == unit).ok_or_else(bad)?;
+    let scaled = (value * scale).round();
+    // `u64::MAX as f64` is 2^64, the least value that does not fit.
+    if value < 0.0 || scaled >= u64::MAX as f64 {
+        return Err(bad());
     }
-    Ok((value, unit.to_ascii_lowercase()))
-}
-
-fn parse_bandwidth(token: &str, line: usize) -> Result<Bandwidth, CorpusError> {
-    let (value, unit) = split_quantity(token, line)?;
-    let scale = match unit.as_str() {
-        "gbps" | "g" => 1e9,
-        "mbps" | "m" => 1e6,
-        "kbps" | "k" => 1e3,
-        "bps" | "" => 1.0,
-        _ => {
-            return Err(CorpusError::BadQuantity {
-                line,
-                value: token.to_string(),
-            })
-        }
-    };
-    Ok(Bandwidth::from_bps((value * scale).round() as u64))
-}
-
-fn parse_delay(token: &str, line: usize) -> Result<Duration, CorpusError> {
-    let (value, unit) = split_quantity(token, line)?;
-    let scale = match unit.as_str() {
-        "s" => 1e12,
-        "ms" => 1e9,
-        "us" => 1e6,
-        "ns" => 1e3,
-        "ps" | "" => 1.0,
-        _ => {
-            return Err(CorpusError::BadQuantity {
-                line,
-                value: token.to_string(),
-            })
-        }
-    };
-    Ok(Duration::from_ps((value * scale).round() as u64))
+    Ok(scaled as u64)
 }
 
 #[cfg(test)]
@@ -446,6 +454,16 @@ link b s 0.5Gbps 1.5ms
                 value: "1Xbps".into()
             })
         );
+        // Negative, even where it rounds to zero.
+        for delay in ["-1us", "-0.1ps"] {
+            let negative = parse(&format!(
+                "node a host\nnode s switch\nlink a s 1Gbps {delay}\n"
+            ));
+            assert!(matches!(
+                negative,
+                Err(CorpusError::BadQuantity { line: 3, .. })
+            ));
+        }
         let selfy = parse("node a host\nlink a a 1Gbps 1us\n");
         assert!(matches!(selfy, Err(CorpusError::SelfLink { line: 2, .. })));
         let hostless = parse("node s switch\n");
@@ -457,5 +475,50 @@ link b s 0.5Gbps 1.5ms
         assert!(matches!(graphml, Err(CorpusError::Syntax { line: 1, .. })));
         // Errors render with their line number.
         assert!(unknown.unwrap_err().to_string().contains("line 2"));
+    }
+
+    #[test]
+    fn quantities_must_fit_u64_base_units() {
+        let dumbbell = |bw: &str, delay: &str| {
+            format!(
+                "node h0 host\nnode h1 host\nnode s0 switch\nnode s1 switch\n\
+                 link h0 s0 25Gbps 1us\nlink h1 s1 25Gbps 1us\nlink s0 s1 {bw} {delay}\n"
+            )
+        };
+        let refused = |bw: &str, delay: &str, value: &str| {
+            assert_eq!(
+                parse(&dumbbell(bw, delay)),
+                Err(CorpusError::BadQuantity {
+                    line: 7,
+                    value: value.into()
+                }),
+                "{bw} {delay}"
+            );
+        };
+        // Once saturated to 18446744073.7 Gbps.
+        let huge = "99999999999999999999999Gbps";
+        refused(huge, "1us", huge);
+        refused(
+            &format!("{}bps", "9".repeat(400)),
+            "1us",
+            &format!("{}bps", "9".repeat(400)),
+        );
+        // 1e19 ps fits a u64, but not both ways: the base RTT once wrapped.
+        refused("25Gbps", "10000000s", "10000000s");
+        // The doubled sum overflows at the link that tips it.
+        let tipping = "node h0 host\nnode s0 switch\nlink h0 s0 25Gbps 5000000s\n\
+                       node s1 switch\nlink s0 s1 25Gbps 5000000s\n";
+        assert_eq!(
+            parse(tipping),
+            Err(CorpusError::BadQuantity {
+                line: 5,
+                value: "5000000s".into()
+            })
+        );
+        // A delay of 2^62 ps fits both ways with room for the host links.
+        let corpus = parse(&dumbbell("25Gbps", "4611686018427387904ps")).unwrap();
+        assert_eq!(corpus.links()[2].3, Duration::from_ps(1 << 62));
+        let bw = parse(&dumbbell("9223372036854775808bps", "1us")).unwrap();
+        assert_eq!(bw.links()[2].2, Bandwidth::from_bps(1 << 63));
     }
 }

@@ -16,7 +16,6 @@
 //! without re-running a single scenario.
 
 use hpcc::core::fabric::{self, Coordinator, FabricConfig, WorkerConfig};
-use hpcc::core::presets::fabric_smoke_campaign;
 use hpcc::core::wire::{merge_shard_streams, read_frame, write_frame, FabricMsg};
 use std::io::BufReader;
 use std::net::TcpStream;
@@ -45,7 +44,8 @@ fn hello(addr: &str, name: &str, leases: usize) -> (TcpStream, Vec<Vec<usize>>) 
 
 #[test]
 fn fabric_survives_worker_death_and_restart_resumes_from_checkpoint() {
-    let campaign = fabric_smoke_campaign();
+    let manifest = include_str!("../manifests/fabric_smoke.json");
+    let campaign = hpcc::core::Campaign::from_json_str(manifest).unwrap();
     let serial = campaign.run_serial();
     let dir = std::env::temp_dir().join(format!("hpcc-fabric-chaos-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("cannot create temp dir");
